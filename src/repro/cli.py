@@ -20,20 +20,19 @@ seed lanes; byte-identical results)::
 Distributed campaigns (coordinator + any number of pull workers)::
 
     python -m repro serve --port 7453 --workers 2 --kind system \
-        --cache-dir /shared/cache --json campaign.json
+        --store /shared/store --json campaign.json
     python -m repro worker --connect 10.0.0.5:7453        # on any machine
     python -m repro campaign --distributed --local-workers 2 --kind ip
     python -m repro fig11 --distributed --local-workers 2
-    python -m repro campaign --resume --cache-dir /shared/cache ...
 
 Run-granular result store (incremental reuse across overlapping
-sweeps: a superset campaign simulates only its frontier)::
+sweeps: a superset campaign simulates only its frontier; re-running a
+killed campaign with the same --store resumes it)::
 
     python -m repro campaign --kind system --seeds 4 --store /shared/store
     python -m repro campaign --kind system --seeds 8 --store /shared/store
     python -m repro worker --connect 10.0.0.5:7453 --store /shared/store
-    python -m repro store stats /shared/store --cold /shared/cache
-    python -m repro store migrate /shared/cache --store /shared/store
+    python -m repro store stats /shared/store
 
 Telemetry (all opt-in; never changes a result)::
 
@@ -51,7 +50,6 @@ import json
 import multiprocessing
 import os
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from .analysis.export import write_campaign_json
@@ -159,35 +157,10 @@ def _distributed_executor(args) -> Optional[DistributedExecutor]:
     return executor
 
 
-def _check_resume(args, spec: CampaignSpec) -> Optional[int]:
-    """Validate --resume against the spec's cache namespace.
-
-    Resume *is* the engine's cache-first dispatch; this only insists the
-    preconditions hold (a cache directory, and a namespace for this
-    exact spec hash to pick up) and says out loud what will be skipped.
-    """
-    if not getattr(args, "resume", False):
-        return None
-    if not args.cache_dir:
-        print("error: --resume requires --cache-dir", file=sys.stderr)
-        return 2
-    namespace = Path(args.cache_dir) / spec.spec_hash()
-    if not namespace.is_dir():
-        print(
-            f"error: nothing to resume: no cached campaign {spec.spec_hash()} "
-            f"under {args.cache_dir} (the spec hash keys the cache; any "
-            f"changed parameter starts a fresh campaign)",
-            file=sys.stderr,
-        )
-        return 2
-    cached = sum(1 for _ in namespace.glob("shard-*.json"))
-    total = len(spec.runs())
-    print(
-        f"resuming campaign {spec.spec_hash()}: {cached} shard(s) cached, "
-        f"re-executing the missing ones of {total} run(s)",
-        file=sys.stderr,
-    )
-    return None
+def _usage_error(exc: Exception) -> int:
+    """Report a rejected campaign axis the way argparse reports its own."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def cmd_area(args) -> int:
@@ -343,12 +316,12 @@ def cmd_fig8(args) -> int:
 def cmd_fig11(args) -> int:
     seeds = tuple(range(args.seeds))
     axes = _dark_corner_kwargs(args)
-    spec = CampaignSpec.system(
-        (Variant.FULL, Variant.TINY), FIG11_STAGES, seeds=seeds, **axes
-    )
-    code = _check_resume(args, spec)
-    if code is not None:
-        return code
+    try:
+        CampaignSpec.system(
+            (Variant.FULL, Variant.TINY), FIG11_STAGES, seeds=seeds, **axes
+        )
+    except ValueError as exc:
+        return _usage_error(exc)
     executor = _distributed_executor(args)
     if args.batch_lanes is not None and executor is not None:
         print("--batch-lanes cannot be combined with --distributed",
@@ -357,7 +330,6 @@ def cmd_fig11(args) -> int:
     metrics = MetricsRegistry() if args.telemetry else None
     series = run_fig11(
         workers=args.workers,
-        cache_dir=args.cache_dir,
         executor=executor,
         seeds=seeds,
         batch_lanes=args.batch_lanes,
@@ -413,10 +385,10 @@ def _campaign_spec(args) -> CampaignSpec:
 
 
 def cmd_campaign(args, executor=None) -> int:
-    spec = _campaign_spec(args)
-    code = _check_resume(args, spec)
-    if code is not None:
-        return code
+    try:
+        spec = _campaign_spec(args)
+    except ValueError as exc:
+        return _usage_error(exc)
     if executor is None:
         executor = _distributed_executor(args)
     batch_lanes = getattr(args, "batch_lanes", None)
@@ -429,7 +401,6 @@ def cmd_campaign(args, executor=None) -> int:
         spec,
         workers=getattr(args, "workers", None),
         shard_size=args.shard_size,
-        cache_dir=args.cache_dir,
         progress=args.progress,
         executor=executor,
         batch_lanes=batch_lanes,
@@ -474,6 +445,10 @@ def cmd_campaign(args, executor=None) -> int:
 
 def cmd_serve(args) -> int:
     """Coordinator: serve the campaign's shards to pull workers."""
+    try:
+        _campaign_spec(args)  # reject bad axes before binding the port
+    except ValueError as exc:
+        return _usage_error(exc)
     executor = DistributedExecutor(
         host=args.bind,
         port=args.port,
@@ -677,36 +652,13 @@ def cmd_store_stats(args) -> int:
     """Point-in-time accounting of a result store's tiers."""
     from .orchestrate.store import ResultStore
 
-    with ResultStore.open(args.root, cold_roots=args.cold or ()) as store:
-        if store.cold_roots:
-            store.index_cold()
+    with ResultStore.open(args.root) as store:
         stats = store.stats()
     if args.json_output:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
-    rows = [
-        [key, value if not isinstance(value, list) else ", ".join(value) or "--"]
-        for key, value in stats.items()
-    ]
+    rows = [[key, value] for key, value in stats.items()]
     print(render_table(["field", "value"], rows, title=f"store {args.root}"))
-    return 0
-
-
-def cmd_store_migrate(args) -> int:
-    """One-shot, idempotent import of a shard-JSON cache into a store."""
-    from .orchestrate.store import ResultStore
-
-    if not Path(args.cache_dir).is_dir():
-        print(f"error: no such cache directory: {args.cache_dir}",
-              file=sys.stderr)
-        return 2
-    with ResultStore.open(args.store) as store:
-        outcome = store.migrate_cache(args.cache_dir)
-    print(
-        f"migrated {args.cache_dir} -> {args.store}: "
-        f"{outcome['imported']} imported, "
-        f"{outcome['skipped']} already present"
-    )
     return 0
 
 
@@ -779,10 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None,
         help="shard the sweep over N processes (default: REPRO_WORKERS or 1)",
     )
-    p_fig11.add_argument(
-        "--cache-dir", default=None,
-        help="persist completed shards here; re-runs skip them",
-    )
     _add_store_arg(p_fig11)
     p_fig11.add_argument(
         "--seeds", type=_positive_int, default=1,
@@ -796,7 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dark_corner_axes(p_fig11)
     _add_batch_args(p_fig11)
     _add_distributed_args(p_fig11)
-    _add_resume_arg(p_fig11)
     p_fig11.set_defaults(func=cmd_fig11)
 
     p_table2 = sub.add_parser("table2", help="monitor comparison matrix")
@@ -812,7 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_batch_args(p_campaign)
     _add_distributed_args(p_campaign)
-    _add_resume_arg(p_campaign)
     p_campaign.set_defaults(func=cmd_campaign)
 
     p_serve = sub.add_parser(
@@ -822,8 +768,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Run a campaign as the coordinator of a distributed executor: "
             "shards are served over TCP to any number of repro worker "
             "processes (plus --workers local loopback ones), leases expire "
-            "and reassign on worker death, and completed shards stream into "
-            "--cache-dir so a killed campaign resumes with --resume."
+            "and reassign on worker death, and completed runs stream into "
+            "--store so re-running a killed campaign with the same --store "
+            "resumes it."
         ),
     )
     _add_campaign_axes(p_serve)
@@ -843,7 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--lease-timeout", type=float, default=DEFAULT_LEASE_TIMEOUT,
         help="seconds before an unanswered shard lease is reassigned",
     )
-    _add_resume_arg(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 
     p_worker = sub.add_parser(
@@ -877,10 +823,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_store = sub.add_parser(
         "store",
-        help="result-store maintenance: stats and cache migration",
+        help="result-store maintenance: stats",
         description=(
-            "Inspect or populate a run-granular result store (the "
-            "hot/warm/cold tier behind --store)."
+            "Inspect a run-granular result store (the hot/warm tiers "
+            "behind --store)."
         ),
     )
     store_sub = p_store.add_subparsers(dest="store_command", required=True)
@@ -889,26 +835,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stats.add_argument("root", help="store directory")
     p_stats.add_argument(
-        "--cold", action="append", metavar="DIR",
-        help="shard-cache directory to mount (and index) as a cold tier; "
-        "repeatable",
-    )
-    p_stats.add_argument(
         "--json", dest="json_output", action="store_true",
         help="print the stats as JSON instead of a table",
     )
     p_stats.set_defaults(func=cmd_store_stats)
-    p_migrate = store_sub.add_parser(
-        "migrate",
-        help="import a shard-JSON cache directory into a store "
-        "(one-shot, idempotent)",
-    )
-    p_migrate.add_argument("cache_dir", help="shard cache directory to import")
-    p_migrate.add_argument(
-        "--store", required=True, metavar="DIR",
-        help="target store directory (created if missing)",
-    )
-    p_migrate.set_defaults(func=cmd_store_migrate)
 
     p_report = sub.add_parser(
         "report",
@@ -976,10 +906,6 @@ def _add_campaign_axes(parser: argparse.ArgumentParser) -> None:
     )
     _add_dark_corner_axes(parser)
     parser.add_argument("--shard-size", type=int, default=1)
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="persist completed shards here; re-runs skip them",
-    )
     _add_store_arg(parser)
     parser.add_argument(
         "--json", dest="json_out", default=None,
@@ -1029,8 +955,8 @@ def _add_store_arg(parser: argparse.ArgumentParser) -> None:
         "--store", default=None, metavar="DIR",
         help="run-granular result store: runs any earlier campaign "
         "already simulated are fetched instead of re-run (a superset "
-        "sweep executes only its frontier); --cache-dir mounts as the "
-        "store's cold tier",
+        "sweep executes only its frontier; re-running a killed campaign "
+        "with the same store resumes it)",
     )
 
 
@@ -1071,15 +997,6 @@ def _add_distributed_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lease-timeout", type=float, default=DEFAULT_LEASE_TIMEOUT,
         help="seconds before an unanswered shard lease is reassigned",
-    )
-
-
-def _add_resume_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume a previous campaign from --cache-dir: cached shards "
-        "are loaded, only missing ones re-execute (requires an existing "
-        "cache namespace for this exact spec)",
     )
 
 

@@ -397,7 +397,6 @@ def run_campaign(
     harness_kwargs: Optional[dict] = None,
     workers: Optional[int] = None,
     shard_size: int = 1,
-    cache_dir=None,
     progress=None,
     executor=None,
     batch_lanes: Optional[int] = None,
@@ -417,18 +416,16 @@ def run_campaign(
     *batch_lanes* routes same-config seed sweeps through the lockstep
     batch executor (:class:`~repro.orchestrate.batch.BatchExecutor`;
     *batch_verify* replays every derived lane on the scalar verify
-    kernel),
-    *cache_dir* persists completed shards so re-runs skip them, *store*
-    (a :class:`~repro.orchestrate.store.ResultStore` or a path) adds
-    run-granular reuse across overlapping sweeps, and
-    *progress* enables the live status line.  Result ordering is
-    canonical (config-major, then stage, then seed) regardless of
-    executor, so the parallel path is a drop-in replacement for the
-    historical serial loop.
+    kernel), *store* (a :class:`~repro.orchestrate.store.ResultStore` or
+    a path) reuses runs already simulated — by an overlapping sweep or
+    by a killed run of this one — and *progress* enables the live status
+    line.  Result ordering is canonical (config-major, then stage, then
+    seed) regardless of executor, so the parallel path is a drop-in
+    replacement for the historical serial loop.
 
     Configs whose budget policy the spec serializer does not understand
     (a custom :class:`AdaptiveBudgetPolicy` subclass) fall back to the
-    in-process serial loop — parallelism and caching both need the
+    in-process serial loop — parallelism and the store both need the
     canonical spec.
     """
     # Imported here: the orchestrator's executor imports run_injection
@@ -454,7 +451,6 @@ def run_campaign(
     except SpecSerializationError:
         if (
             (workers or 1) > 1
-            or cache_dir is not None
             or executor is not None
             or batch_lanes is not None
             or store is not None
@@ -500,7 +496,6 @@ def run_campaign(
         spec,
         workers=workers,
         shard_size=shard_size,
-        cache_dir=cache_dir,
         progress=progress,
         executor=executor,
         batch_lanes=batch_lanes,

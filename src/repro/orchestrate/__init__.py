@@ -1,11 +1,11 @@
-"""Campaign orchestration: shard, parallelize and cache injection sweeps.
+"""Campaign orchestration: shard, parallelize and store injection sweeps.
 
 The paper's headline experiments are fault-injection *campaigns* — many
 independent simulations swept over TMU configs, injection stages and
 phase offsets.  This package turns any such sweep into a deterministic
 shard plan, executes it serially or across a ``multiprocessing`` worker
-pool, caches completed shards on disk, and aggregates results back into
-the exact order the serial runners produce.
+pool, records every result in a run-keyed store, and aggregates results
+back into the exact order the serial runners produce.
 
 Layers (one module each):
 
@@ -22,11 +22,9 @@ Layers (one module each):
   (:class:`BatchExecutor`): packs of same-config lanes derived from one
   scalar leader run, with evidence-gated retirement to the scalar
   kernel.
-* :mod:`~repro.orchestrate.cache` — shard-granular JSON result cache;
-  atomic writes, defensive loads, the campaign-resume substrate.
-* :mod:`~repro.orchestrate.store` — the run-granular tiered result
-  store (:class:`ResultStore`): hot LRU over warm SQLite over the cold
-  shard-JSON archive; the substrate for incremental sub-campaign reuse.
+* :mod:`~repro.orchestrate.store` — the run-granular result store
+  (:class:`ResultStore`): hot LRU over WAL SQLite; the one persistence
+  layer, serving both superset-sweep reuse and crash-safe resume.
 * :mod:`~repro.orchestrate.progress` — live progress/ETA reporting.
 * :mod:`~repro.orchestrate.engine` — :func:`run_campaign_spec`, the
   driver tying the above together.
@@ -38,7 +36,6 @@ for the distributed pair) exposes it from the shell.
 """
 
 from .batch import BatchExecutor, BatchStats
-from .cache import ResultCache, sweep_stale_tmp
 from .distributed import (
     DistributedExecutor,
     DistributedTimeout,
@@ -79,7 +76,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProgressReporter",
     "ProtocolError",
-    "ResultCache",
     "ResultStore",
     "RunSpec",
     "STORE_FORMAT",
@@ -104,6 +100,5 @@ __all__ = [
     "send_frame",
     "shard_from_dict",
     "shard_to_dict",
-    "sweep_stale_tmp",
     "worker_loop",
 ]

@@ -17,13 +17,14 @@ Fault tolerance is the point:
 * **At-least-once, deterministically.**  A stolen shard may complete
   twice; runs are deterministic and results are deduplicated
   first-wins, so duplicates are invisible downstream.
-* **The cache directory is the source of truth.**  The engine persists
-  every completed shard atomically as it streams in, so a killed
-  coordinator resumes from the shard after the last one it cached, and
-  machines sharing one cache directory never repeat each other's work.
+* **The result store is the source of truth.**  The engine commits
+  every completed run to the store as it streams in, so a killed
+  coordinator re-run against the same store simulates only the runs it
+  never received, and machines sharing one store never repeat each
+  other's work.
 
 Nothing here touches planning or aggregation — the engine hands this
-executor the pending shards exactly as it would hand them to a pool,
+executor the frontier shards exactly as it would hand them to a pool,
 and reorders the streamed results by run index exactly as before.
 """
 
@@ -336,8 +337,8 @@ class DistributedExecutor:
     # ------------------------------------------------------------------
     def map(self, shards: Sequence[Shard]) -> Iterator[ShardResult]:
         if not shards:
-            # Nothing to serve (e.g. a resume whose cache is already
-            # complete).  Close any pre-bound socket so workers waiting
+            # Nothing to serve (e.g. a resume whose store already holds
+            # every run).  Close any pre-bound socket so workers waiting
             # on the announced port see EOF and exit cleanly now rather
             # than hanging until the coordinator process dies.
             if self._server is not None:
@@ -666,7 +667,7 @@ def worker_loop(
     missing simulations.  ``repro worker --store DIR`` is this knob.
 
     A coordinator that disappears during the handshake (finished its
-    campaign from cache, or died) is a clean zero-shard exit, not an
+    campaign from the store, or died) is a clean zero-shard exit, not an
     error: the worker joined a queue that simply had nothing for it.
     """
     worker_id = worker_id or default_worker_id()

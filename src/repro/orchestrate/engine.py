@@ -2,32 +2,26 @@
 
 Glues the layers of this package together: expand a
 :class:`~repro.orchestrate.spec.CampaignSpec` into its canonical run
-list, plan shards, satisfy what it can from the shard cache and the
-run-granular result store, fan the *frontier* out through an executor,
-and re-assemble the result stream into the exact ordering the serial
+list, satisfy what it can from the run-granular result store, plan the
+*frontier* into shards, fan them out through an executor, and
+re-assemble the result stream into the exact ordering the serial
 runners produce.
 
 The engine is deliberately deterministic end to end: run enumeration is
 canonical, shard planning is contiguous, and aggregation is by run
 index — so ``workers=16`` and ``workers=1`` return *equal* result
-lists, and a cache or store hit returns the same objects a fresh
-simulation would.  ``strategy="verify"`` campaigns (via
-``harness_kwargs``) plus the determinism tests in ``tests/orchestrate/``
-are the correctness harness for that claim.
+lists, and a store hit returns the same objects a fresh simulation
+would.  ``strategy="verify"`` campaigns (via ``harness_kwargs``) plus
+the determinism tests in ``tests/orchestrate/`` are the correctness
+harness for that claim.
 
-Reuse happens at two granularities, consulted in order:
-
-1. **Shard cache** (*cache_dir*): whole shards of *this exact spec*
-   loaded from disk — the crash-safe ``--resume`` substrate.
-2. **Result store** (*store*): individual runs keyed by their
-   campaign-independent parameter hash.  A sweep that is a superset of
-   any earlier one (more seeds, more stages) fetches the intersection
-   here and simulates only the frontier; ``--resume`` degenerates to a
-   frontier of zero.
-
-When both are configured they feed each other: cache hits are promoted
-into the store, executed frontier runs land in both, and the cache
-directory doubles as the store's cold tier.
+Reuse and resume are one mechanism.  Every run is looked up in the
+store (*store*) by its campaign-independent parameter hash; only the
+misses are simulated, and each result is committed the moment it
+streams in.  A sweep that supersets an earlier one (more seeds, more
+stages) therefore simulates only its new runs, and a killed campaign
+re-run against the same store simulates only the runs it never
+finished.
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ from pathlib import Path
 from time import perf_counter
 from typing import IO, Any, Dict, List, Optional, Union
 
-from .cache import ResultCache
 from .executor import default_workers, make_executor
 from .progress import ProgressReporter
 from .spec import CampaignSpec, RunSpec, plan_shards
@@ -46,7 +39,6 @@ def run_campaign_spec(
     spec: CampaignSpec,
     workers: Optional[int] = None,
     shard_size: int = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
     progress: Optional[Union[bool, IO[str], ProgressReporter]] = None,
     executor=None,
     batch_lanes: Optional[int] = None,
@@ -65,12 +57,8 @@ def run_campaign_spec(
         run, so no simulator state is shared.
     shard_size:
         Runs per unit of work; 1 (the default) gives the best load
-        balancing and the finest cache granularity.
-    cache_dir:
-        When set, completed shards are persisted there (keyed by the
-        spec hash) and re-runs skip them without simulating.  Completed
-        shards are written atomically as they stream in, so a killed
-        campaign resumes from exactly what it finished.
+        balancing.  Larger shards amortize per-task pickling for very
+        short runs.
     progress:
         ``True`` / a text stream for a live status line with ETA, or a
         pre-built :class:`ProgressReporter`.
@@ -78,30 +66,29 @@ def run_campaign_spec(
         A pre-built executor (anything with the ``map(shards)``
         contract, e.g. a
         :class:`~repro.orchestrate.distributed.DistributedExecutor`)
-        overriding the *workers*-based choice.  Planning, caching and
+        overriding the *workers*-based choice.  Planning, reuse and
         aggregation are identical whichever executor runs the shards.
     batch_lanes:
-        When set, runs the pending shards through the lockstep batch
-        executor (:class:`~repro.orchestrate.batch.BatchExecutor`) with
-        packs of at most that many lanes; *batch_verify* additionally
-        replays every derived lane on the scalar verify kernel.  The
-        aggregated results are byte-identical to the serial executor's.
+        When set, runs the frontier through the lockstep batch executor
+        (:class:`~repro.orchestrate.batch.BatchExecutor`) with packs of
+        at most that many lanes; *batch_verify* additionally replays
+        every derived lane on the scalar verify kernel.  The aggregated
+        results are byte-identical to the serial executor's.
     metrics:
         A :class:`~repro.telemetry.MetricsRegistry` collecting campaign
-        accounting: run/shard counters, cache hit/miss/corrupt counts,
-        per-tier ``store.*`` hit/miss/frontier counters, a
-        ``campaign.shard_seconds`` histogram of coordinator-observed
-        shard completion spacing, and whatever the executor contributes
-        through ``attach_metrics`` (discovered by ``hasattr``, the same
-        seam as ``attach_progress``).  Purely observational — results
-        are identical with or without it.
+        accounting: run/shard counters, per-tier ``store.*``
+        hit/miss/frontier counters, a ``campaign.shard_seconds``
+        histogram of coordinator-observed shard completion spacing, and
+        whatever the executor contributes through ``attach_metrics``
+        (discovered by ``hasattr``, the same seam as
+        ``attach_progress``).  Purely observational — results are
+        identical with or without it.
     store:
         A :class:`~repro.orchestrate.store.ResultStore` (or a path to
-        open one at) providing run-granular reuse: pending runs already
-        present in any tier are fetched instead of simulated, and every
-        executed or cache-loaded run is written back.  When *cache_dir*
-        is also set it is mounted as the store's cold tier, so shard
-        caches written by earlier campaigns hit at run granularity.
+        open one at).  Runs already present are fetched instead of
+        simulated, and every executed run is written back as it
+        completes — so the same call is both incremental reuse across
+        overlapping sweeps and crash-safe resume.
     collect:
         ``False`` skips materializing the result list (the call returns
         ``None``); every result is still reachable through the store's
@@ -112,13 +99,7 @@ def run_campaign_spec(
     if workers is None:
         workers = default_workers()
     runs = spec.runs()
-    shards = plan_shards(runs, shard_size=shard_size)
-    cache = (
-        ResultCache(cache_dir, spec, metrics=metrics)
-        if cache_dir is not None
-        else None
-    )
-    store = _open_store(store, cache_dir, metrics)
+    store = _open_store(store, metrics)
     if not collect and store is None:
         raise ValueError("collect=False requires a result store")
 
@@ -136,47 +117,24 @@ def run_campaign_spec(
         if collect:
             results_by_index[run.index] = result
 
-    # ------------------------------------------------------------------
-    # Tier 1: whole shards of this exact spec, from the cache directory.
-    # ------------------------------------------------------------------
-    pending = []
-    for shard in shards:
-        cached = cache.load_shard(shard) if cache is not None else None
-        if cached is not None:
-            for run, result in zip(shard.runs, cached):
-                keep(run, result)
-                if store is not None:
-                    store.put(run, result)
-            if reporter:
-                reporter.shard_done(len(shard.runs), cached=True)
-            if metrics is not None:
-                metrics.counter("campaign.runs_cached").inc(len(shard.runs))
-        else:
-            pending.append(shard)
-
-    # ------------------------------------------------------------------
-    # Tier 2: individual runs from the result store; what remains is the
-    # frontier — the only work any executor will see.
-    # ------------------------------------------------------------------
+    # Stored runs are fetched; what remains is the frontier — the only
+    # work any executor will see.
+    frontier: List[RunSpec] = runs
     if store is not None:
-        frontier: List[RunSpec] = []
-        reused = 0
-        for shard in pending:
-            for run in shard.runs:
-                result = store.get(run)
-                if result is None:
-                    frontier.append(run)
-                else:
-                    keep(run, result)
-                    reused += 1
+        frontier = []
+        for run in runs:
+            result = store.get(run)
+            if result is None:
+                frontier.append(run)
+            else:
+                keep(run, result)
+        reused = len(runs) - len(frontier)
         if reporter and reused:
             reporter.shard_done(reused, cached=True)
         if metrics is not None:
             metrics.counter("store.reused_runs").inc(reused)
             metrics.counter("store.frontier_runs").inc(len(frontier))
-        exec_shards = plan_shards(frontier, shard_size=shard_size)
-    else:
-        exec_shards = pending
+    shards = plan_shards(frontier, shard_size=shard_size)
 
     if executor is None:
         if batch_lanes is not None:
@@ -189,18 +147,14 @@ def run_campaign_spec(
         executor.attach_progress(reporter)
     if metrics is not None:
         metrics.counter("campaign.runs").inc(len(runs))
-        metrics.counter("campaign.shards").inc(len(shards))
-        metrics.counter("campaign.shards_executed").inc(len(exec_shards))
+        metrics.counter("campaign.shards").inc(-(-len(runs) // shard_size))
+        metrics.counter("campaign.shards_executed").inc(len(shards))
         if hasattr(executor, "attach_metrics"):
             executor.attach_metrics(metrics)
     started = perf_counter()
     last = started
-    # Executors report completions by the shard's own index (which is
-    # campaign-global for cache-filtered pending shards, plan-local for
-    # frontier-planned ones), so resolve through a map, not a position.
-    exec_by_index = {shard.index: shard for shard in exec_shards}
-    for index, results in executor.map(exec_shards):
-        shard = exec_by_index[index]
+    for index, results in executor.map(shards):
+        shard = shards[index]
         for run, result in zip(shard.runs, results):
             keep(run, result)
             if store is not None:
@@ -210,27 +164,8 @@ def run_campaign_spec(
             metrics.histogram("campaign.shard_seconds").observe(now - last)
             metrics.counter("campaign.runs_executed").inc(len(shard.runs))
             last = now
-        if cache is not None and store is None:
-            cache.store_shard(shard, results)
         if reporter:
             reporter.shard_done(len(shard.runs))
-
-    # With a store in play the executed shards were frontier-planned and
-    # need not align with the cache's shard plan, so the write-back
-    # happens here: every originally-pending shard is assembled (from
-    # the collected results or the store's hot tier) and persisted,
-    # keeping --resume and the cold tier exactly as complete as before.
-    if cache is not None and store is not None:
-        for shard in pending:
-            cache.store_shard(
-                shard,
-                [
-                    results_by_index[run.index]
-                    if collect
-                    else store.get(run)
-                    for run in shard.runs
-                ],
-            )
 
     if metrics is not None:
         metrics.gauge("campaign.elapsed_seconds").set(
@@ -244,25 +179,16 @@ def run_campaign_spec(
     return [results_by_index[run.index] for run in runs]
 
 
-def _open_store(store, cache_dir, metrics):
+def _open_store(store, metrics):
     """Normalize the *store* argument: path -> opened ResultStore.
 
-    A pre-built store gains the campaign's metrics registry (if it has
-    none) and the cache directory as a cold root, so callers never have
-    to pre-wire the tiers to match the engine's.
+    A pre-built store gains the campaign's metrics registry if it has
+    none, so callers never have to pre-wire it to match the engine's.
     """
-    if store is None:
-        return None
     if isinstance(store, (str, Path)):
         from .store import ResultStore
 
-        return ResultStore.open(
-            store,
-            cold_roots=(cache_dir,) if cache_dir is not None else (),
-            metrics=metrics,
-        )
-    if metrics is not None and getattr(store, "metrics", None) is None:
+        return ResultStore.open(store, metrics=metrics)
+    if store is not None and metrics is not None and store.metrics is None:
         store.metrics = metrics
-    if cache_dir is not None:
-        store.add_cold_root(cache_dir)
     return store

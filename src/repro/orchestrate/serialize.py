@@ -1,17 +1,17 @@
 """Canonical JSON forms of campaign inputs and outputs.
 
 The orchestration engine ships work to worker processes and persists
-results in an on-disk cache, so every object crossing those boundaries
+results in the result store, so every object crossing those boundaries
 needs a faithful, *stable* JSON representation:
 
 * :func:`config_to_dict` / :func:`config_from_dict` round-trip a
   :class:`~repro.tmu.config.TmuConfig` including its budget policy.
-  Stability matters doubly here — the canonical dict also feeds the
-  campaign spec hash that keys the result cache.
+  Stability matters doubly here — the canonical dict also feeds each
+  run's parameter hash, which keys the result store.
 * :func:`result_to_dict` / :func:`result_from_dict` round-trip both
   :class:`~repro.faults.campaign.InjectionResult` and
   :class:`~repro.soc.experiment.SystemInjectionResult` without losing
-  any field, so cache hits reproduce the exact objects a live run
+  any field, so store hits reproduce the exact objects a live run
   returns (unlike the lossy report-oriented exports in
   :mod:`repro.analysis.export`).
 * :func:`run_to_dict` / :func:`run_from_dict` and :func:`shard_to_dict`

@@ -10,9 +10,9 @@ result list of any executor is byte-for-byte the serial one.
 
 Every run carries a stable, human-readable ``run_id`` and its canonical
 ``index``; :func:`plan_shards` groups runs into contiguous
-:class:`Shard` units of work.  The spec's :meth:`spec_hash` keys the
-on-disk result cache: any parameter change produces a different hash and
-therefore a fresh cache namespace.
+:class:`Shard` units of work.  The spec's :meth:`spec_hash` labels
+campaign exports: any parameter change produces a different hash.
+Result reuse is keyed per run, by :meth:`RunSpec.param_key`.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import hashlib
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..axi.types import MAX_BURST_LEN
 from ..faults.types import InjectionStage
 from ..tmu.config import TmuConfig, Variant
 from .serialize import SpecSerializationError, config_to_dict, run_param_dict
@@ -36,7 +37,7 @@ class RunSpec:
     """One simulation unit: a single fault injection.
 
     Everything here is plain JSON-able data so a run can cross a process
-    boundary and key a cache entry.  ``config`` is the canonical TMU
+    boundary and key a result-store row.  ``config`` is the canonical TMU
     config dict for IP runs; system runs only need ``{"variant": ...}``
     (the system runner derives the paper's budgets itself).
     """
@@ -119,6 +120,19 @@ class CampaignSpec:
             raise ValueError(f"unknown campaign kind {self.kind!r}")
         if not self.configs or not self.stages or not self.seeds:
             raise ValueError("campaign needs at least one config, stage and seed")
+        if self.beats < 1:
+            raise ValueError(f"beats must be at least 1, got {self.beats}")
+        # IP runs issue the whole transfer as one AXI4 INCR burst; system
+        # runs go through the DMA, which splits long transfers.
+        if self.kind == "ip" and self.beats > MAX_BURST_LEN:
+            raise ValueError(
+                f"ip campaigns issue one AXI4 burst per run, so beats must "
+                f"be at most {MAX_BURST_LEN}, got {self.beats}"
+            )
+        if self.reorder_depth < 0:
+            raise ValueError(
+                f"reorder_depth must be at least 0, got {self.reorder_depth}"
+            )
         try:
             json.dumps(self.canonical_dict(), sort_keys=True)
         except TypeError as exc:
@@ -235,7 +249,7 @@ class CampaignSpec:
 
         A deep copy: the canonical dict gets embedded in campaign JSON
         exports and handed to callers, and a mutation over there must
-        never reach back into this spec (whose hash keys the cache).
+        never reach back into this spec (whose hash labels the export).
         """
         return copy.deepcopy(
             {
@@ -255,7 +269,7 @@ class CampaignSpec:
         )
 
     def spec_hash(self) -> str:
-        """Content hash keying the result cache (first 16 hex chars)."""
+        """Content hash labelling campaign exports (first 16 hex chars)."""
         canonical = json.dumps(self.canonical_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
@@ -263,10 +277,10 @@ class CampaignSpec:
 def plan_shards(runs: Sequence[RunSpec], shard_size: int = 1) -> List[Shard]:
     """Partition *runs* into contiguous shards of at most *shard_size*.
 
-    The default of one run per shard maximizes both pool load balancing
-    and cache granularity (a completed run is never re-simulated, even
-    if a later shard of the same campaign crashed).  Larger shards
-    amortize per-task pickling for very short runs.
+    The default of one run per shard maximizes pool load balancing, and
+    with a result store each run is committed as soon as its shard
+    completes.  Larger shards amortize per-task pickling for very short
+    runs.
     """
     if shard_size <= 0:
         raise ValueError("shard_size must be positive")

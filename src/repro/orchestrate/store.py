@@ -1,19 +1,17 @@
-"""Run-granular result store: hot LRU, warm SQLite, cold shard archive.
+"""Run-granular result store: the campaign engine's one persistence layer.
 
-The shard cache (:mod:`repro.orchestrate.cache`) reuses results at the
-granularity of a whole campaign: its namespace is the spec hash, so a
-sweep that is a *superset* of a previous one misses everything and
-re-simulates runs the machine already computed.  This store drops the
-granularity to the individual run.  Results are keyed by
-:meth:`~repro.orchestrate.spec.RunSpec.param_key` — a content hash of
-the simulation-determining parameters, independent of the enclosing
-campaign — so the engine can compute the *frontier* of any sweep: fetch
-the intersection from the store, simulate only what is genuinely new.
+Results are keyed by :meth:`~repro.orchestrate.spec.RunSpec.param_key`
+— a content hash of the simulation-determining parameters, independent
+of the enclosing campaign — so the engine can compute the *frontier* of
+any sweep: fetch the intersection from the store, simulate only what is
+genuinely new.  The same lookup is crash-resume: every result is
+committed the moment it streams in, so re-running a killed campaign
+against the same store simulates only the runs that never finished.
 
-Three tiers, consulted in order:
+Two tiers, consulted in order:
 
 * **Hot** — a bounded in-memory LRU of decoded result objects.  Free
-  repeats within one process (aggregation queries, shard write-back).
+  repeats within one process (aggregation queries, streamed exports).
 * **Warm** — an append-only SQLite table in WAL mode.  WAL plus
   ``INSERT OR IGNORE`` makes the file safe for concurrent writers
   sharing a directory (coordinator + workers, or two campaigns): the
@@ -22,14 +20,8 @@ Three tiers, consulted in order:
   Defects are demoted to logged misses *per row* — a truncated payload,
   a foreign or future format marker, or a result that fails to
   deserialize costs one re-simulated run, never the store.
-* **Cold** — existing shard-JSON cache directories mounted read-only.
-  The index maps param keys to ``(shard file, position)`` by expanding
-  each namespace's archived ``spec.json``, so format-2 caches written
-  by earlier releases keep hitting without migration; a hit is promoted
-  to the warm and hot tiers on the way out.  ``repro store migrate``
-  runs the same mapping eagerly as a one-shot, idempotent import.
 
-Everything returned is a full-fidelity result object (the cache's
+Everything returned is a full-fidelity result object (the serializer's
 round-trip codec), so a store hit is byte-identical to a fresh
 simulation all the way into campaign JSON exports — scheduler statistics
 included.
@@ -44,19 +36,16 @@ import sqlite3
 import threading
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, Sequence, Union
 
-from .cache import CACHE_FORMAT, sweep_stale_tmp
 from .serialize import result_from_dict, result_to_dict
-from .spec import CampaignSpec, RunSpec, plan_shards
+from .spec import RunSpec
 
 log = logging.getLogger(__name__)
 
-#: Row-payload format marker.  Kept in lockstep with the shard cache's
-#: :data:`~repro.orchestrate.cache.CACHE_FORMAT`: a store row carries
-#: exactly one cache-format result dict, so cold-tier promotion and
-#: ``store migrate`` never re-encode anything.
-STORE_FORMAT = CACHE_FORMAT
+#: Row-payload format marker.  Format 2 added the per-run scheduler
+#: statistics (``sim_leaps``/``sim_cycles_leaped``) to every result.
+STORE_FORMAT = 2
 
 #: SQLite schema version (``PRAGMA user_version``).
 SCHEMA_VERSION = 1
@@ -84,16 +73,15 @@ class ResultStore:
     :class:`~repro.orchestrate.spec.RunSpec` objects, so callers never
     handle keys or payload dicts.  *metrics* (a
     :class:`~repro.telemetry.MetricsRegistry`) receives per-tier
-    ``store.hot_hit`` / ``store.warm_hit`` / ``store.cold_hit`` /
-    ``store.miss`` / ``store.corrupt`` / ``store.put`` /
-    ``store.duplicate`` counters plus a ``store.lookup_seconds``
-    histogram — purely observational, like every other instrument here.
+    ``store.hot_hit`` / ``store.warm_hit`` / ``store.miss`` /
+    ``store.corrupt`` / ``store.put`` / ``store.duplicate`` counters
+    plus a ``store.lookup_seconds`` histogram — purely observational,
+    like every other instrument here.
     """
 
     def __init__(
         self,
         root: Union[str, Path],
-        cold_roots: Sequence[Union[str, Path]] = (),
         hot_capacity: int = DEFAULT_HOT_CAPACITY,
         metrics=None,
     ) -> None:
@@ -101,33 +89,21 @@ class ResultStore:
             raise ValueError("hot_capacity must be >= 0")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        sweep_stale_tmp(self.root)
         self.metrics = metrics
         self.hot_capacity = hot_capacity
         self._hot: "collections.OrderedDict[str, Any]" = collections.OrderedDict()
         self._lock = threading.Lock()
-        self.cold_roots = [Path(p) for p in cold_roots]
-        #: param_key -> (shard file, position, expected run_id); built
-        #: lazily on the first lookup that falls through the warm tier.
-        self._cold_index: Optional[Dict[str, Tuple[Path, int, str]]] = None
-        #: One-file cold read cache: consecutive runs of a sweep live in
-        #: consecutive positions of the same shard file.
-        self._cold_file: Tuple[Optional[Path], Optional[dict]] = (None, None)
         self._db = self._connect()
 
     @classmethod
     def open(
         cls,
         root: Union[str, Path],
-        cold_roots: Sequence[Union[str, Path]] = (),
         hot_capacity: int = DEFAULT_HOT_CAPACITY,
         metrics=None,
     ) -> "ResultStore":
         """Open (creating if needed) the store rooted at *root*."""
-        return cls(
-            root, cold_roots=cold_roots, hot_capacity=hot_capacity,
-            metrics=metrics,
-        )
+        return cls(root, hot_capacity=hot_capacity, metrics=metrics)
 
     # ------------------------------------------------------------------
     # Warm tier (SQLite, WAL)
@@ -141,7 +117,7 @@ class ResultStore:
             return self._open_db()
         except sqlite3.DatabaseError as exc:
             # The whole file is unreadable (not SQLite, hopeless
-            # corruption).  Losing cached results costs re-simulation
+            # corruption).  Losing stored results costs re-simulation
             # only, so move the wreck aside and start fresh rather than
             # wedging every campaign that names this store.
             wreck = self.db_path.with_suffix(".sqlite.corrupt")
@@ -186,9 +162,9 @@ class ResultStore:
     def get(self, run: RunSpec):
         """The stored result for *run*, or ``None`` on miss.
 
-        Hot, then warm, then cold; lower-tier hits are promoted upward
-        so the next fetch of the same run is cheaper.  Any defective
-        entry is a logged miss for that run alone.
+        Hot, then warm; a warm hit is promoted into the hot LRU so the
+        next fetch of the same run is cheaper.  Any defective row is a
+        logged miss for that run alone.
         """
         started = perf_counter()
         try:
@@ -218,15 +194,9 @@ class ResultStore:
                 self._count("store.warm_hit")
                 self._remember(key, result)
                 return result
-            # Defective row: evict it so the re-simulated (or cold-tier)
-            # result can repair the store, then fall through to the cold
-            # tier, which may still hold an intact copy of the same run.
+            # Defective row: evict it so the re-simulated result can
+            # repair the store.
             self._evict_row(key)
-        result = self._cold_get(run, key)
-        if result is not None:
-            self._count("store.cold_hit")
-            self.put(run, result)  # promote: warm insert + hot remember
-            return result
         self._count("store.miss")
         return None
 
@@ -251,15 +221,6 @@ class ResultStore:
         self._remember(key, result)
         self._count("store.put" if inserted else "store.duplicate")
         return inserted
-
-    def get_many(self, runs: Iterable[RunSpec]) -> Dict[int, Any]:
-        """Store hits for *runs*, keyed by each run's campaign index."""
-        out: Dict[int, Any] = {}
-        for run in runs:
-            result = self.get(run)
-            if result is not None:
-                out[run.index] = result
-        return out
 
     def iter_results(self, runs: Sequence[RunSpec]) -> Iterator[Any]:
         """Yield every run's stored result, in the order given.
@@ -318,93 +279,6 @@ class ResultStore:
         if self.metrics is not None:
             self.metrics.counter(name).inc()
 
-    # ------------------------------------------------------------------
-    # Cold tier: read-through over shard-JSON cache directories
-    # ------------------------------------------------------------------
-    def add_cold_root(self, root: Union[str, Path]) -> None:
-        """Mount another shard-cache directory as a cold tier."""
-        root = Path(root)
-        if root in self.cold_roots:
-            return
-        self.cold_roots.append(root)
-        self._cold_index = None  # rebuilt lazily with the new root
-
-    def _cold_get(self, run: RunSpec, key: str):
-        if not self.cold_roots:
-            return None
-        if self._cold_index is None:
-            self._cold_index = self._build_cold_index()
-        entry = self._cold_index.get(key)
-        if entry is None:
-            return None
-        path, position, run_id = entry
-        payload = self._cold_payload(path)
-        if payload is None:
-            return None
-        run_ids = payload.get("run_ids")
-        if not isinstance(run_ids, list) or not (
-            0 <= position < len(run_ids) and run_ids[position] == run_id
-        ):
-            log.warning(
-                "cold entry %s no longer matches its indexed plan; "
-                "ignoring for run %s", path.name, run.run_id,
-            )
-            return None
-        try:
-            return result_from_dict(payload["results"][position])
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-            log.warning(
-                "cold entry %s position %d is malformed (%s); re-simulating",
-                path.name, position, exc,
-            )
-            self._count("store.corrupt")
-            return None
-
-    def _cold_payload(self, path: Path) -> Optional[dict]:
-        cached_path, cached_payload = self._cold_file
-        if cached_path == path:
-            return cached_payload
-        payload = _load_shard_file(path)
-        self._cold_file = (path, payload)
-        return payload
-
-    def _build_cold_index(self) -> Dict[str, Tuple[Path, int, str]]:
-        """Map param keys to shard-file positions across the cold roots.
-
-        Each campaign namespace archives its canonical ``spec.json``;
-        expanding it reproduces the exact run list and shard plan the
-        cache was written under, which places every run_id in a known
-        file at a known position — no shard file is opened until a
-        lookup actually lands in it.  Defective namespaces are skipped
-        with a log line; first mapping of a key wins (results are
-        deterministic, so duplicates across campaigns agree anyway).
-        """
-        index: Dict[str, Tuple[Path, int, str]] = {}
-        for root in self.cold_roots:
-            if not root.is_dir():
-                continue
-            for spec_file in sorted(root.glob("*/spec.json")):
-                for key, entry in _index_namespace(spec_file.parent):
-                    index.setdefault(key, entry)
-        log.info(
-            "cold index: %d run(s) across %d root(s)",
-            len(index), len(self.cold_roots),
-        )
-        return index
-
-    # ------------------------------------------------------------------
-    # Maintenance: stats and migration
-    # ------------------------------------------------------------------
-    def index_cold(self) -> int:
-        """Build the lazy cold index now; returns the indexed run count.
-
-        ``repro store stats`` calls this so its report covers the cold
-        tier without waiting for a lookup to fall through to it.
-        """
-        if self._cold_index is None:
-            self._cold_index = self._build_cold_index()
-        return len(self._cold_index)
-
     def stats(self) -> Dict[str, Any]:
         """Point-in-time store accounting (``repro store stats``)."""
         with self._lock:
@@ -414,9 +288,6 @@ class ResultStore:
             db_bytes = self.db_path.stat().st_size
         except OSError:
             db_bytes = 0
-        cold_indexed = (
-            len(self._cold_index) if self._cold_index is not None else None
-        )
         return {
             "root": str(self.root),
             "format": STORE_FORMAT,
@@ -425,134 +296,4 @@ class ResultStore:
             "warm_bytes": db_bytes,
             "hot_entries": hot,
             "hot_capacity": self.hot_capacity,
-            "cold_roots": [str(p) for p in self.cold_roots],
-            "cold_indexed_runs": cold_indexed,
         }
-
-    def migrate_cache(self, cache_root: Union[str, Path]) -> Dict[str, int]:
-        """Import every run of every format-2 campaign under *cache_root*.
-
-        One-shot, idempotent: rows are inserted first-result-wins, so a
-        re-run (or a migrate racing a live campaign) imports only what
-        is genuinely new.  Returns ``{"imported": n, "skipped": m}``
-        where *skipped* counts rows the store already had.
-        """
-        imported = skipped = 0
-        cache_root = Path(cache_root)
-        for spec_file in sorted(cache_root.glob("*/spec.json")):
-            for key, (path, position, run_id) in _index_namespace(
-                spec_file.parent
-            ):
-                payload = self._cold_payload(path)
-                if payload is None:
-                    continue
-                run_ids = payload.get("run_ids")
-                if (
-                    not isinstance(run_ids, list)
-                    or position >= len(run_ids)
-                    or run_ids[position] != run_id
-                ):
-                    continue
-                try:
-                    entry = payload["results"][position]
-                    result_from_dict(entry)  # only intact rows migrate
-                    blob = json.dumps(entry, sort_keys=True)
-                except (AttributeError, IndexError, KeyError, TypeError,
-                        ValueError) as exc:
-                    log.warning(
-                        "skipping malformed result %s[%d] (%s)",
-                        path.name, position, exc,
-                    )
-                    continue
-                with self._lock:
-                    with self._db:
-                        cursor = self._db.execute(
-                            "INSERT OR IGNORE INTO results "
-                            "(param_key, run_id, format, payload) "
-                            "VALUES (?, ?, ?, ?)",
-                            (key, run_id, STORE_FORMAT, blob),
-                        )
-                    if cursor.rowcount > 0:
-                        imported += 1
-                    else:
-                        skipped += 1
-        return {"imported": imported, "skipped": skipped}
-
-
-# ----------------------------------------------------------------------
-# Cold-tier helpers (module-level: migrate and the index share them)
-# ----------------------------------------------------------------------
-def _load_shard_file(path: Path) -> Optional[dict]:
-    """A shard file's payload, or ``None`` (logged) on any defect."""
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        log.warning("cold entry %s is unreadable (%s)", path.name, exc)
-        return None
-    if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT:
-        log.info(
-            "cold entry %s has foreign format %r; ignoring",
-            path.name,
-            payload.get("format") if isinstance(payload, dict) else None,
-        )
-        return None
-    return payload
-
-
-def _index_namespace(
-    namespace: Path,
-) -> Iterator[Tuple[str, Tuple[Path, int, str]]]:
-    """Yield ``(param_key, (shard file, position, run_id))`` for one
-    campaign namespace, consulting only ``spec.json`` and filenames."""
-    spec = _load_namespace_spec(namespace)
-    if spec is None:
-        return
-    runs = spec.runs()
-    by_id = {run.run_id: run for run in runs}
-    shard_files = sorted(namespace.glob("shard-*-of-*.json"))
-    if not shard_files:
-        return
-    count = _shard_count(shard_files[0])
-    if count is None or count <= 0:
-        return
-    # Reproduce the writer's plan from the filename arithmetic: C
-    # contiguous chunks of ceil(R / C) runs each.  A cache written under
-    # an exotic shard size that breaks this equation simply fails the
-    # per-file run_id check at read time — a miss, never a wrong result.
-    shard_size = -(-len(runs) // count)
-    plan = plan_shards(runs, shard_size=shard_size)
-    present = {path.name for path in shard_files}
-    for shard in plan:
-        name = f"shard-{shard.index:06d}-of-{shard.count:06d}.json"
-        if name not in present:
-            continue
-        path = namespace / name
-        for position, run in enumerate(shard.runs):
-            if run.run_id in by_id:
-                yield run.param_key(), (path, position, run.run_id)
-
-
-def _load_namespace_spec(namespace: Path) -> Optional[CampaignSpec]:
-    try:
-        payload = json.loads((namespace / "spec.json").read_text())
-        if payload.get("format") != CACHE_FORMAT:
-            log.info(
-                "cache namespace %s has foreign format %r; skipping",
-                namespace.name, payload.get("format"),
-            )
-            return None
-        return CampaignSpec(**payload["spec"])
-    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
-        log.warning(
-            "cache namespace %s is unreadable (%s); skipping",
-            namespace.name, exc,
-        )
-        return None
-
-
-def _shard_count(path: Path) -> Optional[int]:
-    """Total shard count from a ``shard-IIIIII-of-CCCCCC.json`` name."""
-    parts = path.stem.split("-")
-    if len(parts) == 4 and parts[0] == "shard" and parts[3].isdigit():
-        return int(parts[3])
-    return None

@@ -311,7 +311,6 @@ def run_fig11(
     background: int = 0,
     workers: Optional[int] = None,
     shard_size: int = 1,
-    cache_dir=None,
     progress=None,
     executor=None,
     seeds=(0,),
@@ -333,12 +332,10 @@ def run_fig11(
     remote workers — overrides the choice), *batch_lanes* routes the
     sweep through the lockstep batch executor
     (:class:`~repro.orchestrate.batch.BatchExecutor`; *batch_verify*
-    replays every derived lane on the scalar verify kernel), *cache_dir*
-    lets
-    re-runs skip completed shards, *store* (a
+    replays every derived lane on the scalar verify kernel), *store* (a
     :class:`~repro.orchestrate.store.ResultStore` or a path) adds
-    run-granular reuse — a wider seed sweep simulates only the frontier
-    — and the aggregated series are identical to the serial ones
+    run-granular reuse — a wider seed sweep or a re-run of a killed one
+    simulates only the frontier — and the aggregated series are identical to the serial ones
     whatever the executor.
 
     *seeds* sweeps each (variant, stage) point over start-delay phase
@@ -362,7 +359,6 @@ def run_fig11(
         spec,
         workers=workers,
         shard_size=shard_size,
-        cache_dir=cache_dir,
         progress=progress,
         executor=executor,
         batch_lanes=batch_lanes,

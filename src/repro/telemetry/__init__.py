@@ -12,7 +12,7 @@ measurement-only (enabling any of them never changes a figure):
   (Perfetto-loadable) span timeline of the schedule.
 * **Campaign metrics** (:mod:`.metrics`) — a :class:`MetricsRegistry`
   of counters/gauges/histograms threaded through the orchestration
-  engine, executors and cache; serialized into a ``telemetry.json``
+  engine, executors and result store; serialized into a ``telemetry.json``
   artifact next to campaign exports and summarized by
   ``repro report --telemetry``.
 * **Fleet health** (:mod:`.events`) — a bounded, thread-safe

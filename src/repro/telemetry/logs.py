@@ -1,7 +1,7 @@
 """Root logger setup behind ``repro --log-level / --log-json``.
 
-The orchestration modules already log (``repro.orchestrate.cache``
-warns about corrupt shards, ``repro.orchestrate.distributed`` narrates
+The orchestration modules already log (``repro.orchestrate.store``
+warns about corrupt rows, ``repro.orchestrate.distributed`` narrates
 lease reassignment) but nothing configured a handler, so the records
 died in ``logging.lastResort`` at WARNING and above and everything
 below was invisible.  :func:`setup_logging` attaches one stream handler
@@ -66,7 +66,7 @@ def worker_log_prefix(worker_id: str) -> None:
     Text-formatted handlers render the tag as a ``[worker_id]`` message
     prefix; the JSON formatter emits it as a ``worker`` field.  The tag
     lives on the *handler* (logger-level filters never see records that
-    propagate up from child loggers like ``repro.orchestrate.cache``),
+    propagate up from child loggers like ``repro.orchestrate.store``),
     and is remembered so a later :func:`setup_logging` re-applies it.
     """
     global _worker_id

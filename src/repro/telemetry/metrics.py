@@ -1,8 +1,8 @@
 """Campaign metrics: counters, gauges and histograms with shard merge.
 
 A :class:`MetricsRegistry` is the orchestration layer's tally sheet:
-the engine, the executors and the result cache record what they did
-(shards executed, cache hits, lanes derived, seconds per shard) into
+the engine, the executors and the result store record what they did
+(shards executed, store hits, lanes derived, seconds per shard) into
 one registry, which serializes to the ``telemetry.json`` artifact next
 to a campaign's JSON export and renders through
 ``repro report --telemetry``.

@@ -1,22 +1,23 @@
-"""Crash/resume integration: kill the coordinator, resume from the cache.
+"""Crash/resume integration: kill the coordinator, resume from the store.
 
-The distributed executor's crash-safety story is the cache directory:
-completed shards land there atomically as they stream in, so a
+The distributed executor's crash-safety story is the result store:
+every completed run is committed there as it streams in, so a
 SIGKILLed coordinator — the worst case, nothing gets to clean up — can
-be resumed by any later campaign pointed at the same directory, and the
+be resumed by any later campaign pointed at the same store, and the
 final campaign JSON must be byte-identical to an uninterrupted serial
 run.  (The worker-kill half of the story lives in
 ``tests/orchestrate/test_distributed.py``.)
 
 The scenario is gated, not timed: a protocol-level worker executes
 exactly three shards, then signals and sits on its fourth lease, so the
-coordinator is provably mid-campaign — some shards cached, some not —
+coordinator is provably mid-campaign — some runs stored, some not —
 when the SIGKILL lands.
 """
 
 import multiprocessing
 import os
 import signal
+import sqlite3
 import time
 
 import pytest
@@ -28,11 +29,13 @@ from repro.faults.types import InjectionStage
 from repro.orchestrate import (
     CampaignSpec,
     DistributedExecutor,
+    ResultStore,
     SerialExecutor,
     plan_shards,
     run_campaign_spec,
 )
 from repro.orchestrate.executor import execute_shard
+from repro.orchestrate.store import DB_NAME
 from repro.orchestrate.remote import (
     expect,
     hello_message,
@@ -59,7 +62,7 @@ def crash_spec() -> CampaignSpec:
     )
 
 
-def _coordinator_victim(cache_dir: str, port_file: str) -> None:
+def _coordinator_victim(store_dir: str, port_file: str) -> None:
     """Child-process coordinator: bind, announce the port, serve shards."""
     executor = DistributedExecutor(port=0, lease_timeout=600, result_timeout=120)
     _host, port = executor.bind()
@@ -67,7 +70,7 @@ def _coordinator_victim(cache_dir: str, port_file: str) -> None:
     with open(tmp, "w") as stream:
         stream.write(str(port))
     os.replace(tmp, port_file)  # atomic: the parent never reads half a port
-    run_campaign_spec(crash_spec(), cache_dir=cache_dir, executor=executor)
+    run_campaign_spec(crash_spec(), store=store_dir, executor=executor)
 
 
 def _gated_worker(port: int, frozen) -> None:
@@ -96,6 +99,11 @@ def _gated_worker(port: int, frozen) -> None:
         sock.close()
 
 
+def _stored_rows(store_dir) -> int:
+    with ResultStore.open(store_dir) as store:
+        return store.stats()["warm_rows"]
+
+
 def _wait_for(predicate, timeout: float, message: str) -> None:
     deadline = time.monotonic() + timeout
     while not predicate():
@@ -110,13 +118,13 @@ def test_sigkilled_coordinator_resumes_byte_identical(tmp_path):
     assert len(shards) > SHARDS_BEFORE_FREEZE + 1
     serial_json = to_json(campaign_dict(run_campaign_spec(spec), spec=spec))
 
-    cache_dir = tmp_path / "cache"
+    store_dir = tmp_path / "store"
     port_file = str(tmp_path / "port")
     context = multiprocessing.get_context("fork")
     frozen = context.Event()
 
     victim = context.Process(
-        target=_coordinator_victim, args=(str(cache_dir), port_file), daemon=True
+        target=_coordinator_victim, args=(str(store_dir), port_file), daemon=True
     )
     victim.start()
     _wait_for(
@@ -129,13 +137,12 @@ def test_sigkilled_coordinator_resumes_byte_identical(tmp_path):
     worker.start()
     assert frozen.wait(timeout=60), "worker never reached its freeze point"
 
-    # The coordinator must have cached exactly the completed shards
-    # before we murder it mid-campaign.
-    namespace = cache_dir / spec.spec_hash()
+    # The coordinator must have stored the completed runs before we
+    # murder it mid-campaign.
     _wait_for(
-        lambda: len(list(namespace.glob("shard-*.json"))) >= SHARDS_BEFORE_FREEZE,
+        lambda: _stored_rows(store_dir) >= SHARDS_BEFORE_FREEZE,
         30,
-        "completed shards never reached the cache",
+        "completed runs never reached the store",
     )
     os.kill(victim.pid, signal.SIGKILL)
     victim.join(timeout=10)
@@ -143,26 +150,36 @@ def test_sigkilled_coordinator_resumes_byte_identical(tmp_path):
     os.kill(worker.pid, signal.SIGKILL)
     worker.join(timeout=10)
 
-    cached_before_resume = len(list(namespace.glob("shard-*.json")))
-    assert SHARDS_BEFORE_FREEZE <= cached_before_resume < len(shards)
+    stored_before_resume = _stored_rows(store_dir)
+    total = len(spec.runs())
+    assert SHARDS_BEFORE_FREEZE <= stored_before_resume < total
 
-    # Resume: same spec, same cache directory, plain serial executor.
+    # Resume: same spec, same store, plain serial executor.
     executed = []
     original = execute_shard
 
     class Counting(SerialExecutor):
         def map(self, pending):
             for shard in pending:
-                executed.append(shard.index)
+                executed.extend(shard.run_ids)
                 yield original(shard)
 
-    resumed = run_campaign_spec(spec, cache_dir=cache_dir, executor=Counting())
+    resumed = run_campaign_spec(spec, store=store_dir, executor=Counting())
     assert to_json(campaign_dict(resumed, spec=spec)) == serial_json
-    assert len(executed) == len(shards) - cached_before_resume
+    assert len(executed) == total - stored_before_resume
 
-    # And a corrupted survivor is a miss, not a crash: trash one cached
-    # shard, resume again, and the output must still be byte-identical.
-    survivor = sorted(namespace.glob("shard-*.json"))[0]
-    survivor.write_text('{"format": 2, "results": [{"truncated')
-    re_resumed = run_campaign_spec(spec, cache_dir=cache_dir)
+    # And a damaged row is a miss, not a crash: trash one stored
+    # payload, resume again, and exactly that run re-simulates with the
+    # output still byte-identical.
+    damaged = spec.runs()[0]
+    db = sqlite3.connect(store_dir / DB_NAME)
+    with db:
+        db.execute(
+            "UPDATE results SET payload = ? WHERE param_key = ?",
+            ('{"truncated', damaged.param_key()),
+        )
+    db.close()
+    executed.clear()
+    re_resumed = run_campaign_spec(spec, store=store_dir, executor=Counting())
     assert to_json(campaign_dict(re_resumed, spec=spec)) == serial_json
+    assert executed == [damaged.run_id]

@@ -1,9 +1,9 @@
-"""Cache hardening: atomic writes, defensive loads, corruption recovery.
+"""The result store as a resume cache: clean writes, defensive loads, repair.
 
-Any machine may write the shared cache directory at any time, and any
-process holding it may die mid-write — so every defect a shard file can
-exhibit must demote it to a cache miss (logged, re-simulated), never a
-crash or a half-loaded result.
+Re-running a campaign against the same ``--store`` is how it resumes,
+and any process holding that store may die mid-write — so every defect
+a stored entry can exhibit must demote it to a miss (logged,
+re-simulated, repaired), never a crash or a half-loaded result.
 """
 
 import json
@@ -12,11 +12,12 @@ import logging
 import pytest
 
 from tests.conftest import fast_budgets
+from tests.orchestrate.test_store import corrupt_row, fresh_view
 
 from repro.faults.types import InjectionStage
-from repro.orchestrate import CampaignSpec, plan_shards
-from repro.orchestrate.cache import CACHE_FORMAT, ResultCache
+from repro.orchestrate import CampaignSpec, ResultStore, plan_shards
 from repro.orchestrate.executor import execute_shard
+from repro.orchestrate.store import STORE_FORMAT
 from repro.tmu.config import full_config
 
 
@@ -31,52 +32,60 @@ def spec():
 
 @pytest.fixture
 def populated(tmp_path, spec):
-    """A cache with every shard stored, plus the shard plan and results."""
-    cache = ResultCache(tmp_path, spec)
-    shards = plan_shards(spec.runs())
-    results = {}
-    for shard in shards:
-        results[shard.index] = execute_shard(shard)[1]
-        cache.store_shard(shard, results[shard.index])
-    return cache, shards, results
+    """A store holding every run's result, plus the runs and results."""
+    store = ResultStore.open(tmp_path / "store")
+    runs = spec.runs()
+    results = []
+    for shard in plan_shards(runs):
+        results.extend(execute_shard(shard)[1])
+    for run, result in zip(runs, results):
+        store.put(run, result)
+    return store, runs, results
 
 
-def shard_file(cache, shard):
-    return cache._shard_path(shard)
+def stored_payload(store, run):
+    return store._db.execute(
+        "SELECT payload FROM results WHERE param_key=?", (run.param_key(),)
+    ).fetchone()[0]
 
 
 # ----------------------------------------------------------------------
 # Writes
 # ----------------------------------------------------------------------
 def test_store_leaves_no_temp_litter(populated):
-    cache, _shards, _results = populated
-    assert list(cache.dir.glob("*.tmp")) == []
+    store, _runs, _results = populated
+    assert list(store.root.glob("*.tmp")) == []
 
 
 def test_temp_litter_is_not_counted_or_loaded(populated):
-    cache, shards, results = populated
-    # Stale litter from a writer killed between mkstemp and replace.
-    litter = cache.dir / f"{shard_file(cache, shards[0]).name}.12345.tmp"
-    litter.write_text("{half a paylo")
-    assert cache.completed_shards() == len(shards)
-    assert cache.load_shard(shards[0]) == results[shards[0].index]
+    store, runs, results = populated
+    # Stray files beside the database are never read as results.
+    (store.root / "shard-000000-of-000001.json.12345.tmp").write_text(
+        "{half a paylo"
+    )
+    view = fresh_view(store)
+    assert view.stats()["warm_rows"] == len(runs)
+    assert view.get(runs[0]) == results[0]
 
 
 def test_store_round_trips_scheduler_stats(populated):
-    cache, shards, results = populated
-    loaded = cache.load_shard(shards[0])
-    assert loaded == results[shards[0].index]
-    for fresh, cached in zip(results[shards[0].index], loaded):
-        assert cached.sim_leaps == fresh.sim_leaps
-        assert cached.sim_cycles_leaped == fresh.sim_cycles_leaped
+    store, runs, results = populated
+    view = fresh_view(store)
+    for run, fresh in zip(runs, results):
+        loaded = view.get(run)
+        assert loaded == fresh
+        assert loaded.sim_leaps == fresh.sim_leaps
+        assert loaded.sim_cycles_leaped == fresh.sim_cycles_leaped
 
 
 def test_overwrite_replaces_corrupt_entry(populated):
-    cache, shards, results = populated
-    path = shard_file(cache, shards[0])
-    path.write_text("garbage")
-    cache.store_shard(shards[0], results[shards[0].index])
-    assert cache.load_shard(shards[0]) == results[shards[0].index]
+    store, runs, results = populated
+    corrupt_row(store, runs[0].param_key(), payload="garbage")
+    view = fresh_view(store)
+    # The defective entry is a miss, and the re-simulated result repairs it.
+    assert view.get(runs[0]) is None
+    assert view.put(runs[0], results[0]) is True
+    assert fresh_view(store).get(runs[0]) == results[0]
 
 
 # ----------------------------------------------------------------------
@@ -85,108 +94,50 @@ def test_overwrite_replaces_corrupt_entry(populated):
 @pytest.mark.parametrize(
     "content",
     [
-        "",                                        # zero bytes (crash mid-create)
+        "",                                        # zero bytes (crash mid-write)
         "{not json",                               # hand-corrupted
-        '{"format": 2, "results": [{"trunca',      # truncated mid-write
+        '{"kind": "ip", "stage": "aw_re',          # truncated mid-write
         '["a", "list"]',                           # valid JSON, wrong shape
         '{"format": 2}',                           # missing everything
     ],
     ids=["empty", "corrupt", "truncated", "wrong-shape", "missing-keys"],
 )
 def test_defective_entries_are_logged_misses(populated, caplog, content):
-    cache, shards, _results = populated
-    shard_file(cache, shards[0]).write_text(content)
-    with caplog.at_level(logging.INFO, logger="repro.orchestrate.cache"):
-        assert cache.load_shard(shards[0]) is None
+    store, runs, _results = populated
+    corrupt_row(store, runs[0].param_key(), payload=content)
+    with caplog.at_level(logging.INFO, logger="repro.orchestrate.store"):
+        assert fresh_view(store).get(runs[0]) is None
     assert any("re-simulating" in record.message for record in caplog.records)
 
 
 def test_result_entry_that_fails_deserialization_is_a_miss(populated, caplog):
-    cache, shards, _results = populated
-    path = shard_file(cache, shards[0])
-    payload = json.loads(path.read_text())
-    del payload["results"][0]["stage"]  # schema-mangled result
-    path.write_text(json.dumps(payload))
-    with caplog.at_level(logging.WARNING, logger="repro.orchestrate.cache"):
-        assert cache.load_shard(shards[0]) is None
+    store, runs, _results = populated
+    payload = json.loads(stored_payload(store, runs[0]))
+    del payload["stage"]  # schema-mangled result
+    corrupt_row(store, runs[0].param_key(), payload=json.dumps(payload))
+    with caplog.at_level(logging.WARNING, logger="repro.orchestrate.store"):
+        assert fresh_view(store).get(runs[0]) is None
     assert any("malformed" in record.message for record in caplog.records)
 
 
 def test_result_count_mismatch_is_a_miss(populated):
-    cache, shards, _results = populated
-    path = shard_file(cache, shards[0])
-    payload = json.loads(path.read_text())
-    payload["results"] = payload["results"] + payload["results"]
-    path.write_text(json.dumps(payload))
-    assert cache.load_shard(shards[0]) is None
+    store, runs, _results = populated
+    # An entry holds exactly one result; a payload carrying two is damage.
+    payload = json.loads(stored_payload(store, runs[0]))
+    corrupt_row(
+        store, runs[0].param_key(), payload=json.dumps([payload, payload])
+    )
+    assert fresh_view(store).get(runs[0]) is None
 
 
 def test_foreign_format_version_is_a_miss(populated):
-    cache, shards, _results = populated
-    path = shard_file(cache, shards[0])
-    payload = json.loads(path.read_text())
-    payload["format"] = CACHE_FORMAT + 1
-    path.write_text(json.dumps(payload))
-    assert cache.load_shard(shards[0]) is None
-
-
-def test_foreign_run_ids_are_a_miss(populated):
-    cache, shards, _results = populated
-    path = shard_file(cache, shards[0])
-    payload = json.loads(path.read_text())
-    payload["run_ids"] = ["ip-999999-full-other-s0"]
-    path.write_text(json.dumps(payload))
-    assert cache.load_shard(shards[0]) is None
+    store, runs, _results = populated
+    corrupt_row(store, runs[0].param_key(), format=STORE_FORMAT + 1)
+    assert fresh_view(store).get(runs[0]) is None
 
 
 def test_missing_file_is_a_silent_miss(tmp_path, spec, caplog):
-    cache = ResultCache(tmp_path, spec)
-    shard = plan_shards(spec.runs())[0]
-    with caplog.at_level(logging.DEBUG, logger="repro.orchestrate.cache"):
-        assert cache.load_shard(shard) is None
+    store = ResultStore.open(tmp_path / "store")
+    with caplog.at_level(logging.DEBUG, logger="repro.orchestrate.store"):
+        assert store.get(spec.runs()[0]) is None
     assert not caplog.records  # a plain miss is not worth a log line
-
-
-# ----------------------------------------------------------------------
-# Stale tmp sweep at open
-# ----------------------------------------------------------------------
-def test_stale_tmp_swept_at_open(tmp_path, spec):
-    import os
-
-    from repro.orchestrate.cache import STALE_TMP_SECONDS
-
-    namespace = tmp_path / spec.spec_hash()
-    namespace.mkdir()
-    stale = namespace / "shard-000000-of-000004.json.999.tmp"
-    stale.write_text("{half a paylo")
-    old = stale.stat().st_mtime - STALE_TMP_SECONDS - 60
-    os.utime(stale, (old, old))
-    ResultCache(tmp_path, spec)
-    assert not stale.exists()
-
-
-def test_young_tmp_spared_at_open(tmp_path, spec):
-    # A young .tmp may be a live concurrent writer mid-replace; sweeping
-    # it would corrupt that writer's atomic store.
-    namespace = tmp_path / spec.spec_hash()
-    namespace.mkdir()
-    young = namespace / "shard-000001-of-000004.json.123.tmp"
-    young.write_text("{in flight")
-    ResultCache(tmp_path, spec)
-    assert young.exists()
-
-
-def test_sweep_reports_count_and_tolerates_races(tmp_path):
-    import os
-
-    from repro.orchestrate.cache import sweep_stale_tmp
-
-    for index in range(3):
-        litter = tmp_path / f"litter-{index}.tmp"
-        litter.write_text("x")
-        old = litter.stat().st_mtime - 7200
-        os.utime(litter, (old, old))
-    (tmp_path / "keep.json").write_text("{}")
-    assert sweep_stale_tmp(tmp_path) == 3
-    assert sweep_stale_tmp(tmp_path) == 0
-    assert (tmp_path / "keep.json").exists()

@@ -9,8 +9,8 @@ Three layers:
   one, both of which must be invisible in the aggregated results.
 * The acceptance bar — a Fig. 11-shaped campaign through coordinator +
   2 workers, one of them killed mid-shard, serializes byte-identically
-  to the serial run, and a subsequent ``--resume``-style pass against
-  the same cache directory reproduces it without simulating anything.
+  to the serial run, and a re-run against the same result store
+  reproduces it without simulating anything.
 """
 
 import os
@@ -330,15 +330,16 @@ def test_worker_exits_cleanly_when_coordinator_offers_no_work():
 
 
 def test_fully_cached_campaign_closes_bound_server(tmp_path):
-    """A resume whose cache is complete must release the announced port
+    """A resume whose store is complete must release the announced port
     immediately, so waiting workers see EOF instead of hanging."""
     from repro.orchestrate.distributed import connect_with_retry
 
     spec = ip_spec()
-    run_campaign_spec(spec, cache_dir=tmp_path)  # warm the cache fully
+    store = tmp_path / "store"
+    run_campaign_spec(spec, store=store)  # warm the store fully
     executor = DistributedExecutor(result_timeout=120)
     host, port = executor.bind()
-    cached = run_campaign_spec(spec, cache_dir=tmp_path, executor=executor)
+    cached = run_campaign_spec(spec, store=store, executor=executor)
     assert executor._server is None
     with pytest.raises(OSError):
         connect_with_retry(host, port, retry_seconds=0.3)
@@ -590,11 +591,10 @@ def test_fig11_distributed_byte_identical_with_worker_kill_and_resume(
         target=_hold_first_shard, args=(port, claimed, release), daemon=True
     )
     results = {}
+    store = tmp_path / "store"
 
     def campaign():
-        results["out"] = run_campaign_spec(
-            spec, cache_dir=tmp_path, executor=executor
-        )
+        results["out"] = run_campaign_spec(spec, store=store, executor=executor)
 
     runner = threading.Thread(target=campaign)
     victim.start()
@@ -607,29 +607,30 @@ def test_fig11_distributed_byte_identical_with_worker_kill_and_resume(
     assert not runner.is_alive()
     assert campaign_json(spec, results["out"]) == serial_json
 
-    # Resume against the same cache directory: every shard is already
-    # there, so nothing may simulate, and the JSON stays byte-identical.
+    # Resume against the same store: every run is already there, so
+    # nothing may simulate, and the JSON stays byte-identical.
     monkeypatch.setattr(
         executor_module,
         "execute_shard",
         lambda shard: pytest.fail("resume must not re-simulate"),
     )
-    resumed = run_campaign_spec(spec, cache_dir=tmp_path)
+    resumed = run_campaign_spec(spec, store=store)
     assert campaign_json(spec, resumed) == serial_json
 
 
 def test_partial_cache_resume_only_runs_missing_shards(tmp_path):
-    """Crash-shaped cache state: some shards present, the rest missing."""
+    """Crash-shaped store state: some shards present, the rest missing."""
+    from repro.orchestrate import ResultStore
+
     spec = ip_spec(seeds=(0, 1))
     serial_json = campaign_json(spec, run_campaign_spec(spec))
     shards = plan_shards(spec.runs())
 
-    # Simulate a campaign killed after three shards: only they are cached.
-    from repro.orchestrate.cache import ResultCache
-
-    cache = ResultCache(tmp_path, spec)
+    # Simulate a campaign killed after three shards: only they are stored.
+    store = ResultStore.open(tmp_path / "store")
     for shard in shards[:3]:
-        cache.store_shard(shard, execute_shard(shard)[1])
+        for run, result in zip(shard.runs, execute_shard(shard)[1]):
+            store.put(run, result)
 
     executed = []
     original = execute_shard
@@ -637,12 +638,14 @@ def test_partial_cache_resume_only_runs_missing_shards(tmp_path):
     class Counting(SerialExecutor):
         def map(self, pending):
             for shard in pending:
-                executed.append(shard.index)
+                executed.extend(shard.run_ids)
                 yield original(shard)
 
-    resumed = run_campaign_spec(spec, cache_dir=tmp_path, executor=Counting())
+    resumed = run_campaign_spec(spec, store=store, executor=Counting())
     assert campaign_json(spec, resumed) == serial_json
-    assert sorted(executed) == [shard.index for shard in shards[3:]]
+    assert executed == [
+        run_id for shard in shards[3:] for run_id in shard.run_ids
+    ]
 
 
 # ----------------------------------------------------------------------

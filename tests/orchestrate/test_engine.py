@@ -1,12 +1,13 @@
-"""Engine tests: sharded determinism, caching, progress, executors.
+"""Engine tests: sharded determinism, store reuse, progress, executors.
 
 The headline guarantees: a campaign sharded across 4 worker processes
 returns the *identical* result list the serial path produces (for both
-the Fig. 9 IP sweep and the Fig. 11 system sweep), and a warm cache
-returns identical results without simulating anything.
+the Fig. 9 IP sweep and the Fig. 11 system sweep), and a warm result
+store returns identical results without simulating anything.
 """
 
 import io
+import sqlite3
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.faults.types import FIG9_WRITE_STAGES, InjectionStage
 from repro.orchestrate import (
     CampaignSpec,
     ProgressReporter,
+    ResultStore,
     SerialExecutor,
     WorkerPoolExecutor,
     default_workers,
@@ -25,7 +27,9 @@ from repro.orchestrate import (
     run_campaign_spec,
 )
 from repro.orchestrate import executor as executor_module
+from repro.orchestrate.store import DB_NAME
 from repro.soc.experiment import run_fig11
+from repro.telemetry import MetricsRegistry
 from repro.tmu.config import full_config, tiny_config
 
 FIG9_SUBSET = (
@@ -84,35 +88,52 @@ def test_shard_size_does_not_change_results():
 
 
 # ----------------------------------------------------------------------
-# Caching
+# Reuse through the result store
 # ----------------------------------------------------------------------
 def test_cache_hit_skips_simulation_and_matches(tmp_path, monkeypatch):
-    kwargs = dict(beats=4, seeds=(0,), cache_dir=tmp_path)
+    kwargs = dict(beats=4, seeds=(0,), store=tmp_path / "store")
     first = run_campaign(fig9_configs(), FIG9_SUBSET, **kwargs)
     # Any attempt to simulate on the second pass is a test failure.
     monkeypatch.setattr(
         executor_module,
         "execute_shard",
-        lambda shard: pytest.fail("cache hit must not re-simulate"),
+        lambda shard: pytest.fail("store hit must not re-simulate"),
     )
     second = run_campaign(fig9_configs(), FIG9_SUBSET, **kwargs)
     assert second == first
 
 
-def test_cache_namespace_follows_spec_hash(tmp_path):
-    run_campaign(fig9_configs(), FIG9_SUBSET[:1], beats=4, cache_dir=tmp_path)
-    run_campaign(fig9_configs(), FIG9_SUBSET[:1], beats=8, cache_dir=tmp_path)
-    # Two different sweeps, two cache namespaces.
-    assert len(list(tmp_path.iterdir())) == 2
+def test_store_keys_follow_run_parameters(tmp_path):
+    store = tmp_path / "store"
+    run_campaign(fig9_configs(), FIG9_SUBSET[:1], beats=4, store=store)
+    metrics = MetricsRegistry()
+    run_campaign(
+        fig9_configs(), FIG9_SUBSET[:1], beats=8, store=store, metrics=metrics
+    )
+    # A changed parameter is a different run: nothing aliases.
+    counters = metrics.to_dict()["counters"]
+    assert counters["store.frontier_runs"] == len(fig9_configs())
+    assert ResultStore.open(store).stats()["warm_rows"] == 2 * len(fig9_configs())
 
 
 def test_corrupt_cache_entry_is_re_executed(tmp_path):
-    kwargs = dict(beats=4, cache_dir=tmp_path)
-    first = run_campaign(fig9_configs(), FIG9_SUBSET[:1], **kwargs)
-    for shard_file in tmp_path.glob("*/shard-*.json"):
-        shard_file.write_text("{not json")
-    second = run_campaign(fig9_configs(), FIG9_SUBSET[:1], **kwargs)
+    store = tmp_path / "store"
+    first = run_campaign(fig9_configs(), FIG9_SUBSET[:1], beats=4, store=store)
+    db = sqlite3.connect(store / DB_NAME)
+    with db:
+        db.execute("UPDATE results SET payload = '{not json'")
+    db.close()
+    metrics = MetricsRegistry()
+    second = run_campaign(
+        fig9_configs(), FIG9_SUBSET[:1], beats=4, store=store, metrics=metrics
+    )
     assert second == first
+    counters = metrics.to_dict()["counters"]
+    assert counters["store.corrupt"] == len(first)
+    assert counters["campaign.runs_executed"] == len(first)
+    # The re-simulated results repaired the rows.
+    third = run_campaign(fig9_configs(), FIG9_SUBSET[:1], beats=4, store=store)
+    assert third == first
 
 
 # ----------------------------------------------------------------------

@@ -98,6 +98,17 @@ def test_spec_requires_nonempty_axes():
         CampaignSpec.ip([full_config()], [])
 
 
+def test_spec_rejects_out_of_range_axes():
+    for kwargs in ({"beats": 0}, {"beats": 257}, {"reorder_depth": -1}):
+        with pytest.raises(ValueError):
+            ip_spec(**kwargs)
+    with pytest.raises(ValueError, match="beats"):
+        CampaignSpec.system([Variant.FULL], FIG11_STAGES, beats=0)
+    # The DMA splits long system transfers, so only IP runs stop at 256.
+    assert ip_spec(beats=256).beats == 256
+    assert CampaignSpec.system([Variant.FULL], FIG11_STAGES, beats=300).beats == 300
+
+
 # ----------------------------------------------------------------------
 # Shard planning
 # ----------------------------------------------------------------------

@@ -1,14 +1,13 @@
-"""Result-store hardening: tiers, concurrency, corruption, migration.
+"""Result-store hardening: tiers, concurrency, corruption.
 
 The store is shared infrastructure — many campaigns, many processes,
-any of which may die mid-write — so the battery here mirrors the cache
-battery one level down: every defect a row or a database file can
-exhibit must demote to a logged, run-granular miss (re-simulated,
-repaired), never a crash, a wrong result, or a wedged store.
+any of which may die mid-write — so every defect a row or a database
+file can exhibit must demote to a logged, run-granular miss
+(re-simulated, repaired), never a crash, a wrong result, or a wedged
+store.
 """
 
 import dataclasses
-import json
 import logging
 import multiprocessing
 import sqlite3
@@ -19,7 +18,6 @@ from tests.conftest import fast_budgets
 
 from repro.faults.types import InjectionStage
 from repro.orchestrate import CampaignSpec, ResultStore, plan_shards
-from repro.orchestrate.cache import ResultCache
 from repro.orchestrate.executor import execute_shard
 from repro.orchestrate.store import DB_NAME, STORE_FORMAT
 from repro.telemetry import MetricsRegistry
@@ -273,126 +271,9 @@ def test_future_schema_version_is_refused_then_recovered(tmp_path):
     assert store.stats()["warm_rows"] == 0
 
 
-def test_stale_tmp_litter_swept_at_open(tmp_path):
-    root = tmp_path / "store"
-    root.mkdir()
-    stale = root / "shard-000001.json.4242.tmp"
-    stale.write_text("{half a")
-    import os
-
-    old = stale.stat().st_mtime - 7200
-    os.utime(stale, (old, old))
-    young = root / "inflight.tmp"
-    young.write_text("{live writer}")
-    ResultStore.open(root)
-    assert not stale.exists(), "stale tmp litter must be swept at open"
-    assert young.exists(), "young tmp files may be live concurrent writers"
-
-
-# ----------------------------------------------------------------------
-# Cold tier: read-through over shard-JSON caches
-# ----------------------------------------------------------------------
-@pytest.fixture
-def cold_cache(tmp_path, spec, executed):
-    """A shard cache populated the way a real campaign writes it."""
-    cache_dir = tmp_path / "cache"
-    cache = ResultCache(cache_dir, spec)
-    runs, results = executed
-    for shard in plan_shards(runs):
-        cache.store_shard(shard, [results[run.index] for run in shard.runs])
-    return cache_dir
-
-
-def test_cold_tier_read_through(tmp_path, executed, cold_cache):
-    runs, results = executed
-    store = ResultStore.open(
-        tmp_path / "store", cold_roots=(cold_cache,), metrics=MetricsRegistry()
-    )
-    for run, result in zip(runs, results):
-        assert store.get(run) == result
-    counters = store.metrics.to_dict()["counters"]
-    assert counters["store.cold_hit"] == len(runs)
-    # Promotion: a fresh view (no cold roots) now warm-hits everything.
-    view = fresh_view(store)
-    for run, result in zip(runs, results):
-        assert view.get(run) == result
-    assert view.metrics.to_dict()["counters"]["store.warm_hit"] == len(runs)
-
-
-def test_cold_tier_ignores_foreign_format(tmp_path, executed, cold_cache):
-    runs, _results = executed
-    for shard_file in cold_cache.glob("*/shard-*.json"):
-        payload = json.loads(shard_file.read_text())
-        payload["format"] = 999
-        shard_file.write_text(json.dumps(payload))
-    store = ResultStore.open(
-        tmp_path / "store", cold_roots=(cold_cache,), metrics=MetricsRegistry()
-    )
-    assert store.get(runs[0]) is None
-    assert store.metrics.to_dict()["counters"]["store.miss"] == 1
-
-
-def test_cold_tier_survives_unreadable_namespace(tmp_path, executed, cold_cache):
-    runs, results = executed
-    (cold_cache / "not-a-campaign").mkdir()
-    (cold_cache / "not-a-campaign" / "spec.json").write_text("{broken")
-    store = ResultStore.open(tmp_path / "store", cold_roots=(cold_cache,))
-    assert store.get(runs[0]) == results[0]
-
-
-def test_cold_tier_mismatched_plan_is_safe_miss(tmp_path, executed, cold_cache):
-    """A shard file whose run_ids disagree with the derived plan misses."""
-    runs, _results = executed
-    target = sorted(cold_cache.glob("*/shard-*.json"))[0]
-    payload = json.loads(target.read_text())
-    payload["run_ids"] = ["someone-else-entirely"] * len(payload["run_ids"])
-    target.write_text(json.dumps(payload))
-    store = ResultStore.open(tmp_path / "store", cold_roots=(cold_cache,))
-    assert store.get(runs[0]) is None
-
-
-# ----------------------------------------------------------------------
-# Migration
-# ----------------------------------------------------------------------
-def test_migrate_imports_every_run(tmp_path, executed, cold_cache):
-    runs, results = executed
-    store = ResultStore.open(tmp_path / "store")
-    outcome = store.migrate_cache(cold_cache)
-    assert outcome == {"imported": len(runs), "skipped": 0}
-    view = fresh_view(store)
-    for run, result in zip(runs, results):
-        assert view.get(run) == result
-
-
-def test_migrate_is_idempotent(tmp_path, executed, cold_cache):
-    runs, _results = executed
-    store = ResultStore.open(tmp_path / "store")
-    assert store.migrate_cache(cold_cache)["imported"] == len(runs)
-    assert store.migrate_cache(cold_cache) == {
-        "imported": 0, "skipped": len(runs)
-    }
-
-
-def test_migrate_skips_malformed_entries(tmp_path, executed, cold_cache, caplog):
-    runs, _results = executed
-    target = sorted(cold_cache.glob("*/shard-*.json"))[0]
-    payload = json.loads(target.read_text())
-    dropped = len(payload["results"])
-    payload["results"] = [{"nonsense": True} for _ in payload["results"]]
-    target.write_text(json.dumps(payload))
-    store = ResultStore.open(tmp_path / "store")
-    with caplog.at_level(logging.WARNING, logger="repro.orchestrate.store"):
-        outcome = store.migrate_cache(cold_cache)
-    assert outcome["imported"] == len(runs) - dropped
-    assert any("malformed" in record.message for record in caplog.records)
-
-
-def test_stats_reports_tiers(populated, cold_cache):
+def test_stats_reports_tiers(populated):
     store, runs, _results = populated
-    store.add_cold_root(cold_cache)
-    assert store.index_cold() == len(runs)
     stats = store.stats()
     assert stats["warm_rows"] == len(runs)
+    assert stats["hot_entries"] == len(runs)
     assert stats["format"] == STORE_FORMAT
-    assert stats["cold_indexed_runs"] == len(runs)
-    assert str(cold_cache) in stats["cold_roots"]

@@ -112,42 +112,6 @@ def test_overlap_across_different_campaign_shapes(tmp_path, simulated):
     assert wide[: len(FIG9_SUBSET)] == narrow
 
 
-def test_store_with_cache_writes_both_substrates(tmp_path, simulated):
-    cache = tmp_path / "cache"
-    store = tmp_path / "store"
-    kwargs = dict(beats=4, cache_dir=cache, store=store)
-    first = run_campaign(fig9_configs(), FIG9_SUBSET, **kwargs)
-    # The cache namespace is complete despite frontier-planned shards,
-    # so --resume keeps working with the store in play.
-    namespaces = list(cache.iterdir())
-    assert len(namespaces) == 1
-    shard_files = list(namespaces[0].glob("shard-*.json"))
-    assert len(shard_files) == len(first)  # shard_size=1
-    # A cache-only re-run (no store) hits every shard.
-    simulated.clear()
-    assert run_campaign(fig9_configs(), FIG9_SUBSET, beats=4, cache_dir=cache) == first
-    assert simulated == []
-    # A store-only re-run (no cache) warm-hits every run.
-    simulated.clear()
-    assert run_campaign(fig9_configs(), FIG9_SUBSET, beats=4, store=store) == first
-    assert simulated == []
-
-
-def test_cache_hits_promote_into_store(tmp_path, simulated):
-    cache = tmp_path / "cache"
-    first = run_campaign(fig9_configs(), FIG9_SUBSET, beats=4, cache_dir=cache)
-    # Re-run with a fresh store alongside the warm cache: zero
-    # simulation, and the store comes out fully populated.
-    simulated.clear()
-    store = tmp_path / "store"
-    second = run_campaign(
-        fig9_configs(), FIG9_SUBSET, beats=4, cache_dir=cache, store=store
-    )
-    assert simulated == [] and second == first
-    third = run_campaign(fig9_configs(), FIG9_SUBSET, beats=4, store=store)
-    assert simulated == [] and third == first
-
-
 def test_workers_with_store_equal_serial(tmp_path):
     store = tmp_path / "store"
     spec = CampaignSpec.ip(fig9_configs(), FIG9_SUBSET, beats=4, seeds=(0, 1))

@@ -5,10 +5,10 @@ so they get property coverage rather than examples:
 
 * shard planning is a **disjoint, complete partition** of the canonical
   run list, with stable run IDs — what makes at-least-once execution
-  and cache-first dispatch safe;
+  safe;
 * the **spec hash** is invariant to dict key order (two machines
-  building "the same" campaign agree on the cache namespace) and
-  sensitive to every parameter (no stale aliasing);
+  building "the same" campaign label their exports alike) and
+  sensitive to every parameter (no two sweeps share a label);
 * **aggregation is index-ordered** no matter what order shard results
   arrive in — what makes worker count, scheduling jitter and lease
   reassignment invisible in the output.

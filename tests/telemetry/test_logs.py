@@ -37,7 +37,7 @@ def test_setup_is_idempotent():
 def test_level_filters_records():
     stream = io.StringIO()
     setup_logging("warning", stream=stream)
-    logger = logging.getLogger(f"{ROOT_LOGGER}.orchestrate.cache")
+    logger = logging.getLogger(f"{ROOT_LOGGER}.orchestrate.store")
     logger.info("invisible")
     logger.warning("visible")
     text = stream.getvalue()

@@ -81,7 +81,7 @@ def test_campaign_command_sharded(capsys, tmp_path):
         "campaign", "--kind", "ip", "--variant", "full",
         "--stage", "aw_stage_error", "--stage", "wlast_bvalid_error",
         "--beats", "4", "--workers", "2",
-        "--cache-dir", str(tmp_path / "cache"),
+        "--store", str(tmp_path / "store"),
         "--json", str(tmp_path / "campaign.json"),
     ]
     assert main(args) == 0
@@ -89,7 +89,7 @@ def test_campaign_command_sharded(capsys, tmp_path):
     assert "2 runs | 2 detected | 2 recovered" in out
     assert "ip-000000-full-aw_stage_error-s0" in out
     assert (tmp_path / "campaign.json").exists()
-    # Second invocation is served from the cache, byte-identically.
+    # Second invocation is served from the store, byte-identically.
     assert main(args[:-2]) == 0
     assert "2 runs | 2 detected | 2 recovered" in capsys.readouterr().out
 
@@ -130,23 +130,41 @@ def test_campaign_distributed_matches_serial(capsys, tmp_path):
 
 
 def test_campaign_resume_flags(capsys, tmp_path):
+    """Resume is the same command with the same --store: no extra flag."""
+    import json
+
     base = [
         "campaign", "--kind", "ip", "--variant", "full",
         "--stage", "aw_stage_error", "--beats", "4",
+        "--store", str(tmp_path / "store"),
     ]
-    cache = ["--cache-dir", str(tmp_path / "cache")]
-    # --resume without a cache directory is an error…
-    assert main(base + ["--resume"]) == 2
-    # …as is resuming a campaign that never ran.
-    assert main(base + cache + ["--resume"]) == 2
-    assert "nothing to resume" in capsys.readouterr().err
-    # After a run, --resume succeeds and reports the cached shards.
-    assert main(base + cache) == 0
-    capsys.readouterr()
-    assert main(base + cache + ["--resume"]) == 0
-    captured = capsys.readouterr()
-    assert "resuming campaign" in captured.err
-    assert "1 shard(s) cached" in captured.err
+    assert main(base) == 0
+    telemetry = tmp_path / "telemetry.json"
+    assert main(base + ["--telemetry", str(telemetry)]) == 0
+    counters = json.loads(telemetry.read_text())["metrics"]["counters"]
+    assert counters["store.reused_runs"] == 1
+    assert counters.get("campaign.runs_executed", 0) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["campaign", "--kind", "ip", "--beats", "0"], "beats must be at least 1"),
+        (["campaign", "--kind", "ip", "--beats", "300"], "at most 256"),
+        (["campaign", "--kind", "system", "--beats", "0"],
+         "beats must be at least 1"),
+        (["campaign", "--reorder-depth", "-1"], "reorder_depth must be at least 0"),
+        (["fig11", "--reorder-depth", "-1"], "reorder_depth must be at least 0"),
+        (["serve", "--port", "0", "--beats", "0"], "beats must be at least 1"),
+    ],
+    ids=["ip-beats-0", "ip-beats-300", "system-beats-0", "campaign-reorder",
+         "fig11-reorder", "serve-beats-0"],
+)
+def test_bad_campaign_axis_is_a_usage_error(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_worker_requires_hostport():
@@ -352,7 +370,7 @@ def test_log_json_flag_emits_json_lines(capsys):
 
 
 # ----------------------------------------------------------------------
-# Result store: --store, repro store stats / migrate
+# Result store: --store, repro store stats
 # ----------------------------------------------------------------------
 CAMPAIGN_BASE = [
     "campaign", "--kind", "ip", "--variant", "full",
@@ -394,42 +412,11 @@ def test_store_stats_command(capsys, tmp_path):
     import json
 
     store = str(tmp_path / "store")
-    cache = str(tmp_path / "cache")
-    assert main(CAMPAIGN_BASE + ["--store", store, "--cache-dir", cache]) == 0
+    assert main(CAMPAIGN_BASE + ["--store", store]) == 0
     capsys.readouterr()
     assert main(["store", "stats", store]) == 0
     out = capsys.readouterr().out
     assert "warm_rows" in out and "2" in out
-    assert main(["store", "stats", store, "--cold", cache, "--json"]) == 0
+    assert main(["store", "stats", store, "--json"]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["warm_rows"] == 2
-    assert stats["cold_indexed_runs"] == 2
-
-
-def test_store_migrate_command(capsys, tmp_path):
-    store = str(tmp_path / "store")
-    cache = str(tmp_path / "cache")
-    assert main(CAMPAIGN_BASE + ["--cache-dir", cache]) == 0
-    capsys.readouterr()
-    assert main(["store", "migrate", cache, "--store", store]) == 0
-    assert "2 imported, 0 already present" in capsys.readouterr().out
-    # Idempotent.
-    assert main(["store", "migrate", cache, "--store", store]) == 0
-    assert "0 imported, 2 already present" in capsys.readouterr().out
-    # Migrated rows satisfy a campaign without simulating: the run table
-    # must render from store hits alone.
-    assert main(CAMPAIGN_BASE + ["--store", store,
-                                 "--telemetry", str(tmp_path / "t.json")]) == 0
-    import json
-
-    with open(tmp_path / "t.json") as stream:
-        counters = json.load(stream)["metrics"]["counters"]
-    assert counters["store.frontier_runs"] == 0
-    assert counters["store.reused_runs"] == 2
-
-
-def test_store_migrate_missing_cache_errors(capsys, tmp_path):
-    code = main(["store", "migrate", str(tmp_path / "nope"),
-                 "--store", str(tmp_path / "store")])
-    assert code == 2
-    assert "no such cache directory" in capsys.readouterr().err
