@@ -29,6 +29,7 @@ records machine-readable metrics (cycles/sec, speedups, leap counts) in
 ``BENCH_kernel.json`` via ``record_json``.
 """
 
+import gc
 import time
 
 from conftest import record_json, report, run_once
@@ -318,6 +319,11 @@ def measure_batch_campaign():
     from repro.orchestrate import BatchExecutor, run_campaign_spec
 
     spec = build_batch_campaign_spec()
+    # Each timed region starts from a fresh collection: in a full-suite
+    # run the heap holds every collected test module, and one full
+    # collection of it (tens of ms) owed by earlier tests could
+    # otherwise land in any one of these short regions and swamp it.
+    gc.collect()
     start = time.perf_counter()
     serial = run_campaign_spec(spec)
     serial_s = time.perf_counter() - start
@@ -326,6 +332,7 @@ def measure_batch_campaign():
     reference = [dataclasses.asdict(result) for result in serial]
     for lanes in BATCH_LANES:
         executor = BatchExecutor(lanes)
+        gc.collect()
         start = time.perf_counter()
         batched = run_campaign_spec(spec, executor=executor)
         elapsed = time.perf_counter() - start

@@ -92,11 +92,21 @@ class RBeat:
 
 
 def remap_id(beat, new_id: int):
-    """Return a copy of an ID-carrying beat with its ID replaced.
+    """Return an ID-carrying beat with its ID replaced.
 
-    Used by the AXI ID remapper; works for AW/AR/B/R beats.
+    Used by the crossbar's ID extension and the TMU's remapper; works
+    for AW/AR/B/R beats.  Beats are frozen, so a beat whose ID already
+    matches is returned as is, and a remapped copy takes the fields
+    directly rather than through :func:`dataclasses.replace` (which
+    re-runs ``__init__``, a hot cost on forwarded traffic).
     """
-    return dataclasses.replace(beat, id=new_id)
+    if beat.id == new_id:
+        return beat
+    copy = object.__new__(beat.__class__)
+    fields = beat.__dict__.copy()
+    fields["id"] = new_id
+    object.__setattr__(copy, "__dict__", fields)
+    return copy
 
 
 AddressBeat = Optional[object]  # AwBeat | ArBeat; py3.9-compatible alias

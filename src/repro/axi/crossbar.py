@@ -20,8 +20,9 @@ protocol checker still flags it if it ever occurs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.component import Component
 from .channels import BBeat, RBeat, remap_id
@@ -74,6 +75,12 @@ class _XbarChannel(Component):
         super().__init__(f"{xbar.name}.{channel}")
         self.xbar = xbar
         self.channel = channel
+        if channel in ("aw", "ar"):
+            self._drive_channel = functools.partial(xbar._drive_addr, channel)
+        elif channel == "w":
+            self._drive_channel = xbar._drive_w
+        else:
+            self._drive_channel = functools.partial(xbar._drive_resp, channel)
 
     def inputs(self):
         xbar, ch = self.xbar, self.channel
@@ -102,13 +109,7 @@ class _XbarChannel(Component):
                 yield src.ready
 
     def drive(self) -> None:
-        xbar, ch = self.xbar, self.channel
-        if ch in ("aw", "ar"):
-            xbar._drive_addr(ch)
-        elif ch == "w":
-            xbar._drive_w()
-        else:
-            xbar._drive_resp(ch)
+        self._drive_channel()
 
 
 #: Route index used for addresses no subordinate claims.
@@ -116,6 +117,10 @@ DEFAULT_ROUTE = -1
 
 #: The five AXI4 channels, in request-then-response order.
 CHANNELS = ("aw", "ar", "w", "b", "r")
+
+#: Channel bits for Crossbar._schedule_channels, in CHANNELS order.
+_AW, _AR, _W, _B, _R = (1 << i for i in range(len(CHANNELS)))
+ALL_CHANNELS = _AW | _AR | _W | _B | _R
 
 
 class Crossbar(Component):
@@ -189,6 +194,10 @@ class Crossbar(Component):
         # its outstanding predecessors went to.
         self._w_outstanding: Dict[Tuple[int, int], Deque[int]] = {}
         self._r_outstanding: Dict[Tuple[int, int], Deque[int]] = {}
+        # Forwarded beat per destination channel: (source beat, beat
+        # driven).  A pure function of its key; see _forward().
+        self._fwd_memo: Dict[object, Tuple[object, object]] = {}
+        self._w_plan_memo: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Routing helpers
@@ -231,9 +240,10 @@ class Crossbar(Component):
         # edge, whatever the DECERR queues or round-robin pointers
         # currently hold — and any change that could complete a
         # handshake passes through a watched wire first.
-        return not any(
-            ch.valid._value and ch.ready._value for ch in self._watch_channels
-        )
+        for ch in self._watch_channels:
+            if ch.valid._value and ch.ready._value:
+                return False
+        return True
 
     def snapshot_state(self):
         return (
@@ -255,42 +265,67 @@ class Crossbar(Component):
             )),
         )
 
-    def _schedule_channels(self) -> None:
-        """Invalidate every per-channel drive after a routing-state change.
+    def _schedule_channels(self, stale: int = ALL_CHANNELS) -> None:
+        """Invalidate the per-channel drives that read moved state.
 
-        Conservative on purpose: the channels share the parent's
-        arbitration state (W routing follows AW grants, response
-        round-robin follows completions), so any committed handshake
-        re-schedules all five.  Wire-level sensitivity still keeps idle
-        channels from re-running in steady state.
+        *stale* is a mask over :data:`CHANNELS` (bit ``i`` for channel
+        ``i``).  The channel drives read disjoint parts of the routing
+        and arbitration state: AW its round-robin pointers, the write
+        same-ID table and the W routes (one W target per manager); AR
+        its pointers and the read same-ID table; W the W routes; B its
+        pointers and the DECERR write queue and drain count; R its
+        pointers and the DECERR read queue.  update() flags exactly the
+        channels whose state a committed handshake moved.  Wire-level
+        sensitivity still keeps idle channels from re-running in steady
+        state.
         """
+        if stale & _W:
+            self._w_plan_memo = None
         for child in self._channels:
-            child.schedule_drive()
+            if stale & 1:
+                child.schedule_drive()
+            stale >>= 1
 
     # ------------------------------------------------------------------
     # Drive: pure combinational forwarding + arbitration
     # ------------------------------------------------------------------
-    def _addr_winner(self, channel: str, sub_index: int, rr: int) -> Optional[int]:
+    def _addr_winner(
+        self, sources, routes: List[Optional[int]], sub_index: int, rr: int
+    ) -> Optional[int]:
         """Pick among managers requesting *sub_index*.
 
-        Round-robin by default; with QoS arbitration the highest AxQOS
-        wins and round-robin only breaks ties (AXI4 QoS semantics).
+        *routes* holds each manager's decoded target (``None`` while it
+        presents nothing).  Round-robin by default; with QoS arbitration
+        the highest AxQOS wins and round-robin only breaks ties (AXI4
+        QoS semantics).
         """
-        sources = self._mgr_ch[channel]
-        n_mgr = len(sources)
+        n_mgr = len(routes)
         winner = None
         winner_qos = -1
         for offset in range(n_mgr):
             m = (rr + offset) % n_mgr
-            src = sources[m]
-            beat = src.payload.value
-            if src.valid.value and beat is not None and self.route(beat.addr) == sub_index:
+            if routes[m] == sub_index:
                 if not self.qos_arbitration:
                     return m
-                if beat.qos > winner_qos:
+                qos = sources[m].payload._value.qos
+                if qos > winner_qos:
                     winner = m
-                    winner_qos = beat.qos
+                    winner_qos = qos
         return winner
+
+    def _forward(self, dst, beat, new_id: int):
+        """*beat* with ID *new_id*, as the beat to drive on *dst*.
+
+        Re-drives of an unchanged source beat return the same object,
+        so the destination wire's identity check skips the dataclass
+        comparison.
+        """
+        memo = self._fwd_memo.get(dst)
+        if memo is not None and memo[0] is beat and memo[1].id == new_id:
+            return memo[1]
+        out = remap_id(beat, new_id)
+        self._fwd_memo[dst] = (beat, out)
+        return out
 
     def drive(self) -> None:
         self._drive_addr("aw")
@@ -328,101 +363,123 @@ class Crossbar(Component):
         return True
 
     def _drive_addr(self, channel: str) -> None:
+        # Declared-input drive (see _XbarChannel.inputs): wire reads go
+        # straight to the slots.
         rr_state = self._aw_rr if channel == "aw" else self._ar_rr
         sources = self._mgr_ch[channel]
+        # Decode each presented request once.
+        route = self.route
+        routes: List[Optional[int]] = [None] * len(sources)
+        for m, src in enumerate(sources):
+            beat = src.payload._value
+            if beat is not None and src.valid._value:
+                routes[m] = route(beat.addr)
         granted = [False] * len(sources)
         for s, dst in enumerate(self._sub_ch[channel]):
-            winner = self._addr_winner(channel, s, rr_state[s])
+            winner = self._addr_winner(sources, routes, s, rr_state[s])
             if winner is not None:
-                beat = sources[winner].payload.value
+                beat = sources[winner].payload._value
                 if not self._grant_allowed(channel, winner, beat, s):
                     winner = None
             if winner is None:
                 dst.idle()
                 continue
             src = sources[winner]
-            beat = src.payload.value
-            dst.drive(remap_id(beat, extend_id(winner, beat.id)))
-            src.ready.value = dst.ready.value
+            dst.drive(self._forward(dst, beat, extend_id(winner, beat.id)))
+            src.ready.value = dst.ready._value
             granted[winner] = True
         # Default subordinate: accept unmapped requests (same gating).
         for m, src in enumerate(sources):
-            if granted[m]:
-                continue
-            beat = src.payload.value
-            if (
-                src.valid.value
-                and beat is not None
-                and self.route(beat.addr) == DEFAULT_ROUTE
-                and self._grant_allowed(channel, m, beat, DEFAULT_ROUTE)
-            ):
-                src.ready.value = True
-            else:
-                src.ready.value = False
+            if not granted[m]:
+                src.ready.value = routes[m] == DEFAULT_ROUTE and (
+                    self._grant_allowed(channel, m, src.payload._value, DEFAULT_ROUTE)
+                )
+
+    def _w_plan(self):
+        """The W forwarding plan the routing state implies.
+
+        ``(fed, drains, idle)``: the (manager, subordinate) W channel
+        pairs whose locked burst streams through, each unfed manager's
+        W channel with whether it drains an unmapped write, and the
+        subordinate W channels left idle.  Cached until update() moves
+        the routing state.
+        """
+        plan = self._w_plan_memo
+        if plan is not None:
+            return plan
+        sub_owner, mgr_route = self._sub_w_owner, self._mgr_w_route
+        fed_by: List[Optional[int]] = [None] * len(self.managers)
+        for s, owners in enumerate(sub_owner):
+            if owners:
+                route = mgr_route[owners[0]]
+                if route and route[0] == s:
+                    fed_by[owners[0]] = s
+        mgr_ws, sub_ws = self._mgr_ch["w"], self._sub_ch["w"]
+        fed = [(mgr_ws[m], sub_ws[s]) for m, s in enumerate(fed_by) if s is not None]
+        drains = [
+            (mgr_ws[m], bool(route) and route[0] == DEFAULT_ROUTE)
+            for m, route in enumerate(mgr_route)
+            if fed_by[m] is None
+        ]
+        idle = [
+            sub_w
+            for s, sub_w in enumerate(sub_ws)
+            if not sub_owner[s] or fed_by[sub_owner[s][0]] != s
+        ]
+        plan = self._w_plan_memo = (fed, drains, idle)
+        return plan
 
     def _drive_w(self) -> None:
         # Forward each subordinate's locked W stream.
-        fed_by: List[Optional[int]] = [None] * len(self.managers)
-        for s, sub in enumerate(self.subordinates):
-            if self._sub_w_owner[s]:
-                owner = self._sub_w_owner[s][0]
-                route = self._mgr_w_route[owner]
-                if route and route[0] == s:
-                    fed_by[owner] = s
-        for m, mgr in enumerate(self.managers):
-            s = fed_by[m]
-            if s is not None:
-                sub = self.subordinates[s]
-                sub.w.valid.value = mgr.w.valid.value
-                sub.w.payload.value = mgr.w.payload.value
-                mgr.w.ready.value = sub.w.ready.value
-            else:
-                route = self._mgr_w_route[m]
-                if route and route[0] == DEFAULT_ROUTE:
-                    mgr.w.ready.value = True  # drain beats of unmapped writes
-                else:
-                    mgr.w.ready.value = False
-        for s, sub in enumerate(self.subordinates):
-            if not self._sub_w_owner[s] or fed_by[self._sub_w_owner[s][0]] != s:
-                sub.w.idle()
-
-    def _resp_winner(self, channel: str, mgr_index: int, rr: int) -> Optional[int]:
-        sources = self._sub_ch[channel]
-        n_sub = len(sources)
-        for offset in range(n_sub):
-            s = (rr + offset) % n_sub
-            src = sources[s]
-            beat = src.payload.value
-            if src.valid.value and beat is not None:
-                if split_id(beat.id)[0] == mgr_index:
-                    return s
-        return None
+        fed, drains, idle = self._w_plan()
+        for mgr_w, sub_w in fed:
+            sub_w.valid.value = mgr_w.valid._value
+            sub_w.payload.value = mgr_w.payload._value
+            mgr_w.ready.value = sub_w.ready._value
+        for mgr_w, drain in drains:
+            mgr_w.ready.value = drain
+        for sub_w in idle:
+            sub_w.idle()
 
     def _drive_resp(self, channel: str) -> None:
         rr_state = self._b_rr if channel == "b" else self._r_rr
         sources = self._sub_ch[channel]
-        used_subs: List[Optional[int]] = [None] * len(sources)
-        for m, dst in enumerate(self._mgr_ch[channel]):
-            winner = self._resp_winner(channel, m, rr_state[m])
-            if winner is not None:
-                src = sources[winner]
-                beat = src.payload.value
-                dst.drive(remap_id(beat, split_id(beat.id)[1]))
-                src.ready.value = dst.ready.value
-                used_subs[winner] = m
+        dests = self._mgr_ch[channel]
+        n_sub = len(sources)
+        # One pass over the subordinates: a presented beat names its
+        # manager in the ID's top bits; each manager takes the presenter
+        # nearest its round-robin pointer.
+        winners: List[Optional[int]] = [None] * len(dests)
+        distance = [n_sub] * len(dests)
+        for s, src in enumerate(sources):
+            beat = src.payload._value
+            if beat is None or not src.valid._value:
                 continue
-            # DECERR responses for unmapped requests.
+            m = beat.id >> ID_SHIFT
+            if m < len(dests):
+                offset = (s - rr_state[m]) % n_sub
+                if offset < distance[m]:
+                    distance[m] = offset
+                    winners[m] = s
+        used = [False] * n_sub
+        for m, dst in enumerate(dests):
+            s = winners[m]
+            if s is not None:
+                src = sources[s]
+                beat = src.payload._value
+                dst.drive(self._forward(dst, beat, beat.id & _ID_MASK))
+                src.ready.value = dst.ready._value
+                used[s] = True
+                continue
+            # DECERR responses for unmapped requests, in request order;
+            # a DECERR B waits until its write's W beats are drained.
             queue = self._decerr_b if channel == "b" else self._decerr_r
-            pending = None
-            for ext in queue:
-                if split_id(ext)[0] == m:
-                    pending = ext
-                    break
-            serviceable = (
-                channel == "r" or self._decerr_w_drain_done_for(pending)
-            )
-            if pending is not None and pending == queue[0] and serviceable:
-                orig = split_id(pending)[1]
+            if (
+                queue
+                and queue[0] >> ID_SHIFT == m
+                and (channel == "r" or self._decerr_w_drain == 0)
+            ):
+                orig = queue[0] & _ID_MASK
                 if channel == "b":
                     dst.drive(BBeat(id=orig, resp=Resp.DECERR))
                 else:
@@ -430,12 +487,8 @@ class Crossbar(Component):
             else:
                 dst.idle()
         for s, src in enumerate(sources):
-            if used_subs[s] is None:
+            if not used[s]:
                 src.ready.value = False
-
-    def _decerr_w_drain_done_for(self, pending: Optional[int]) -> bool:
-        # A DECERR B may only go out once the write's W beats are drained.
-        return pending is None or self._decerr_w_drain == 0
 
     # ------------------------------------------------------------------
     # Update: commit arbitration and routing state on fired handshakes
@@ -444,7 +497,7 @@ class Crossbar(Component):
         # Clock-edge code: wire reads go straight to the slots (no
         # drive-phase tracing needed), mirroring Channel.fired().
         n_mgr = len(self.managers)
-        changed = False
+        stale = 0  # channels whose drive reads state moved below
         # Managers whose W beat was forwarded to a subordinate this
         # cycle must not also trigger the DECERR drain bookkeeping below
         # (the same handshake fires on both sides of the crossbar).
@@ -456,12 +509,12 @@ class Crossbar(Component):
                 self._mgr_w_route[m].append(s)
                 self._w_outstanding.setdefault((m, orig), deque()).append(s)
                 self._aw_rr[s] = (m + 1) % n_mgr
-                changed = True
+                stale |= _AW | _W
             if (sub.ar.valid._value and sub.ar.ready._value):
                 m, orig = split_id(sub.ar.payload._value.id)
                 self._r_outstanding.setdefault((m, orig), deque()).append(s)
                 self._ar_rr[s] = (m + 1) % n_mgr
-                changed = True
+                stale |= _AR
             if (sub.w.valid._value and sub.w.ready._value):
                 owner = self._sub_w_owner[s][0]
                 w_forwarded.add(owner)
@@ -470,7 +523,7 @@ class Crossbar(Component):
                     # moves routing state.
                     self._sub_w_owner[s].popleft()
                     self._mgr_w_route[owner].popleft()
-                    changed = True
+                    stale |= _AW | _W
         for m, mgr in enumerate(self.managers):
             # Unmapped requests accepted this cycle.
             if (mgr.aw.valid._value and mgr.aw.ready._value):
@@ -483,7 +536,7 @@ class Crossbar(Component):
                     )
                     self._decerr_w_drain += 1
                     self.decode_errors += 1
-                    changed = True
+                    stale |= _AW | _W | _B
             if (mgr.ar.valid._value and mgr.ar.ready._value):
                 beat = mgr.ar.payload._value
                 if self.route(beat.addr) == DEFAULT_ROUTE:
@@ -492,13 +545,13 @@ class Crossbar(Component):
                         DEFAULT_ROUTE
                     )
                     self.decode_errors += 1
-                    changed = True
+                    stale |= _AR | _R
             if (mgr.w.valid._value and mgr.w.ready._value) and m not in w_forwarded:
                 route = self._mgr_w_route[m]
                 if route and route[0] == DEFAULT_ROUTE and mgr.w.payload._value.last:
                     route.popleft()
                     self._decerr_w_drain -= 1
-                    changed = True
+                    stale |= _AW | _W | _B
             if (mgr.b.valid._value and mgr.b.ready._value):
                 beat = mgr.b.payload._value
                 self._pop_outstanding(self._w_outstanding, m, beat.id)
@@ -510,23 +563,23 @@ class Crossbar(Component):
                     self._decerr_b.popleft()
                 else:
                     self._b_rr[m] = (self._b_rr[m] + 1) % len(self.subordinates)
-                changed = True
+                stale |= _AW | _B
             if (mgr.r.valid._value and mgr.r.ready._value):
                 beat = mgr.r.payload._value
                 if beat.last:
                     self._pop_outstanding(self._r_outstanding, m, beat.id)
-                    changed = True
+                    stale |= _AR | _R
                 if (
                     beat.resp == Resp.DECERR
                     and self._decerr_r
                     and split_id(self._decerr_r[0]) == (m, beat.id)
                 ):
                     self._decerr_r.popleft()
-                    changed = True
+                    stale |= _R
                 elif beat.last:
                     self._r_rr[m] = (self._r_rr[m] + 1) % len(self.subordinates)
-        if changed:
-            self._schedule_channels()
+        if stale:
+            self._schedule_channels(stale)
 
     @staticmethod
     def _pop_outstanding(table, m: int, txn_id: int) -> None:
@@ -549,5 +602,6 @@ class Crossbar(Component):
         self.decode_errors = 0
         self._w_outstanding.clear()
         self._r_outstanding.clear()
+        self._fwd_memo.clear()
         self._schedule_channels()
         self.schedule_update()

@@ -70,6 +70,18 @@ class ManagerFaults(DriveSensitiveState):
         self.deaf_r = False
 
 
+def _address_beat(beat_type, spec: TransactionSpec):
+    """The AW or AR beat (*beat_type*) that issues *spec*."""
+    return beat_type(
+        id=spec.txn_id,
+        addr=spec.addr,
+        len=spec.len,
+        size=spec.size,
+        burst=spec.burst,
+        qos=spec.qos,
+    )
+
+
 @dataclasses.dataclass
 class _Outstanding:
     spec: TransactionSpec
@@ -119,7 +131,10 @@ class Manager(Component):
         self._w_active: Optional[Tuple[_Outstanding, List[int], int]] = None
         self._w_gap = 0
 
-        self._outstanding: Dict[Tuple[AxiDir, int], Deque[_Outstanding]] = {}
+        # In-flight transactions per direction, keyed by ID (two tables
+        # rather than one keyed by (direction, ID): AxiDir hashes slowly).
+        self._writes_out: Dict[int, Deque[_Outstanding]] = {}
+        self._reads_out: Dict[int, Deque[_Outstanding]] = {}
         self._inflight = 0
         self._b_wait = 0
         self._r_wait = 0
@@ -134,6 +149,18 @@ class Manager(Component):
         self.surprises: List[str] = []
         self.faults = ManagerFaults()
         self.faults._owner = self
+        self._clear_memos()
+
+    def _clear_memos(self) -> None:
+        """Forget the beats drive() built: the AW/AR beat of a queue head
+        (keyed by the spec object) and the W beat of a burst position
+        (keyed by the ``_w_active`` tuple, replaced as the burst moves)."""
+        self._aw_memo_spec: Optional[TransactionSpec] = None
+        self._aw_memo: Optional[AwBeat] = None
+        self._ar_memo_spec: Optional[TransactionSpec] = None
+        self._ar_memo: Optional[ArBeat] = None
+        self._w_memo_position: Optional[tuple] = None
+        self._w_memo: Optional[WBeat] = None
 
     # ------------------------------------------------------------------
     # Submission API
@@ -280,17 +307,22 @@ class Manager(Component):
             elif wake is None or now + self._w_gap < wake:
                 wake = now + self._w_gap
         # B / R response readiness polls (the subordinate sources the
-        # valids; our ready follows `wait >= resp_ready_delay`).
+        # valids; our ready follows `wait >= resp_ready_delay`).  A
+        # zero poll under a held valid means a response fired this edge
+        # with the next one already presented: update() restarts that
+        # poll at 1 whatever span it wakes after, so it must tick once
+        # awake before the crossing below is exact.  (The next response
+        # can be an equal value, which leaves the watched wires still.)
         if bus.b.valid._value and not faults.deaf_b:
-            delay = self._resp_delay(bus.b, AxiDir.WRITE)
-            if self._b_wait >= delay:
+            delay = self._resp_delay(bus.b, self._writes_out)
+            if self._b_wait >= delay or self._b_wait == 0:
                 return False  # ready (about to be) up: fire imminent
             crossing = now + (delay - self._b_wait)
             if wake is None or crossing < wake:
                 wake = crossing
         if bus.r.valid._value and not faults.deaf_r:
-            delay = self._resp_delay(bus.r, AxiDir.READ)
-            if self._r_wait >= delay:
+            delay = self._resp_delay(bus.r, self._reads_out)
+            if self._r_wait >= delay or self._r_wait == 0:
                 return False
             crossing = now + (delay - self._r_wait)
             if wake is None or crossing < wake:
@@ -324,65 +356,57 @@ class Manager(Component):
         )
 
     def drive(self) -> None:
-        bus = self.bus
+        # Declared-input drive (see inputs()): wire reads go straight to
+        # the slots.  Each request beat is built once per queue head (W:
+        # per burst position) and re-driven as the same object.
+        bus, faults = self.bus, self.faults
+        issue = self._issue_allowed()
         # AW
-        if self._aw_queue and self._aw_delay == 0 and self._issue_allowed():
+        if self._aw_queue and self._aw_delay == 0 and issue:
             spec = self._aw_queue[0]
-            bus.aw.drive(
-                AwBeat(
-                    id=spec.txn_id,
-                    addr=spec.addr,
-                    len=spec.len,
-                    size=spec.size,
-                    burst=spec.burst,
-                    qos=spec.qos,
-                )
-            )
+            if spec is not self._aw_memo_spec:
+                self._aw_memo_spec = spec
+                self._aw_memo = _address_beat(AwBeat, spec)
+            bus.aw.drive(self._aw_memo)
         else:
             bus.aw.idle()
         # AR
-        if self._ar_queue and self._ar_delay == 0 and self._issue_allowed():
+        if self._ar_queue and self._ar_delay == 0 and issue:
             spec = self._ar_queue[0]
-            bus.ar.drive(
-                ArBeat(
-                    id=spec.txn_id,
-                    addr=spec.addr,
-                    len=spec.len,
-                    size=spec.size,
-                    burst=spec.burst,
-                    qos=spec.qos,
-                )
-            )
+            if spec is not self._ar_memo_spec:
+                self._ar_memo_spec = spec
+                self._ar_memo = _address_beat(ArBeat, spec)
+            bus.ar.drive(self._ar_memo)
         else:
             bus.ar.idle()
         # W
-        if self._w_active is not None and self._w_gap == 0 and not self.faults.freeze_w:
-            record, beats, index = self._w_active
-            data, strb = beats[index]
-            bus.w.drive(
-                WBeat(
-                    data=data,
-                    strb=strb,
-                    last=index == record.spec.beats - 1,
+        active = self._w_active
+        if active is not None and self._w_gap == 0 and not faults.freeze_w:
+            if active is not self._w_memo_position:
+                record, beats, index = active
+                data, strb = beats[index]
+                self._w_memo_position = active
+                self._w_memo = WBeat(
+                    data=data, strb=strb, last=index == record.spec.beats - 1
                 )
-            )
+            bus.w.drive(self._w_memo)
         else:
             bus.w.idle()
         # Response readiness
-        bus.b.ready.value = not self.faults.deaf_b and (
-            self._b_wait >= self._resp_delay(bus.b, AxiDir.WRITE)
+        bus.b.ready.value = not faults.deaf_b and (
+            self._b_wait >= self._resp_delay(bus.b, self._writes_out)
         )
-        bus.r.ready.value = not self.faults.deaf_r and (
-            self._r_wait >= self._resp_delay(bus.r, AxiDir.READ)
+        bus.r.ready.value = not faults.deaf_r and (
+            self._r_wait >= self._resp_delay(bus.r, self._reads_out)
         )
 
-    def _resp_delay(self, channel, direction: AxiDir) -> int:
+    def _resp_delay(self, channel, table: Dict[int, Deque[_Outstanding]]) -> int:
         # Slot reads are safe here: the manager's sensitivity to the
         # response channels is declared statically in inputs().
         beat = channel.payload._value
         if not channel.valid._value or beat is None:
             return 0
-        queue = self._outstanding.get((direction, beat.id))
+        queue = table.get(beat.id)
         if not queue:
             return 0
         return queue[0].spec.resp_ready_delay
@@ -451,15 +475,20 @@ class Manager(Component):
             self._on_b_fired(b.payload._value)
             changed = True
         elif self._b_wait != old_b_wait and not self.faults.deaf_b:
-            delay = self._resp_delay(b, AxiDir.WRITE)
+            delay = self._resp_delay(b, self._writes_out)
             if (old_b_wait >= delay) != (self._b_wait >= delay):
                 changed = True
         if r.valid._value and r.ready._value:
+            # A mid-burst beat only fills the scoreboard; drive() sees
+            # it through the ready poll restarting, which matters only
+            # below a nonzero resp_ready_delay.  A last beat retires the
+            # transaction (issue window, outstanding tables).
+            if r.payload._value.last or self._resp_delay(r, self._reads_out) > 0:
+                changed = True
             self._r_wait = 0
             self._on_r_fired(r.payload._value)
-            changed = True
         elif self._r_wait != old_r_wait and not self.faults.deaf_r:
-            delay = self._resp_delay(r, AxiDir.READ)
+            delay = self._resp_delay(r, self._reads_out)
             if (old_r_wait >= delay) != (self._r_wait >= delay):
                 changed = True
         if changed:
@@ -472,7 +501,8 @@ class Manager(Component):
         )
         if direction == AxiDir.READ:
             record.read_data = []
-        self._outstanding.setdefault((direction, spec.txn_id), deque()).append(record)
+        table = self._writes_out if direction is AxiDir.WRITE else self._reads_out
+        table.setdefault(spec.txn_id, deque()).append(record)
         self._inflight += 1
         if direction == AxiDir.WRITE:
             self._w_pending.append(record)
@@ -502,19 +532,20 @@ class Manager(Component):
             self._w_active = (record, data, index + 1)
             self._w_gap = record.spec.w_gap
 
+    @staticmethod
     def _pop_outstanding(
-        self, direction: AxiDir, txn_id: int
+        table: Dict[int, Deque[_Outstanding]], txn_id: int
     ) -> Optional[_Outstanding]:
-        queue = self._outstanding.get((direction, txn_id))
+        queue = table.get(txn_id)
         if not queue:
             return None
         record = queue.popleft()
         if not queue:
-            del self._outstanding[(direction, txn_id)]
+            del table[txn_id]
         return record
 
     def _on_b_fired(self, beat: BBeat) -> None:
-        record = self._pop_outstanding(AxiDir.WRITE, beat.id)
+        record = self._pop_outstanding(self._writes_out, beat.id)
         if record is None:
             self.surprises.append(
                 f"cycle {self._cycle}: B response for unknown write ID {beat.id}"
@@ -537,7 +568,7 @@ class Manager(Component):
         )
 
     def _on_r_fired(self, beat: RBeat) -> None:
-        queue = self._outstanding.get((AxiDir.READ, beat.id))
+        queue = self._reads_out.get(beat.id)
         if not queue:
             self.surprises.append(
                 f"cycle {self._cycle}: R beat for unknown read ID {beat.id}"
@@ -563,7 +594,7 @@ class Manager(Component):
             record.worst_resp = max(record.worst_resp, beat.resp)
         if beat.last:
             record.last_data_cycle = self._cycle
-            self._pop_outstanding(AxiDir.READ, beat.id)
+            self._pop_outstanding(self._reads_out, beat.id)
             self._inflight -= 1
             self.completed.append(
                 CompletedTransaction(
@@ -589,7 +620,8 @@ class Manager(Component):
         self._w_pending.clear()
         self._w_active = None
         self._w_gap = 0
-        self._outstanding.clear()
+        self._writes_out.clear()
+        self._reads_out.clear()
         self._inflight = 0
         self._b_wait = 0
         self._r_wait = 0
@@ -598,6 +630,7 @@ class Manager(Component):
         self.completed.clear()
         self.surprises.clear()
         self.faults.clear()
+        self._clear_memos()
         self.cancel_wake()
         self.schedule_drive()
         self.schedule_update()

@@ -31,7 +31,7 @@ class SparseMemory:
         self._watchers: tuple = ()
 
     def watch(self, callback) -> None:
-        """Invoke *callback* after every store.
+        """Invoke *callback* after every store (once per store, not per byte).
 
         Subordinates register their scheduler invalidation here so a
         testbench writing memory mid-simulation (while a read burst is
@@ -79,15 +79,45 @@ class SparseMemory:
 
     def read_word(self, addr: int, width: int) -> int:
         """Read a little-endian integer of *width* bytes."""
-        return int.from_bytes(self.read(addr, width), "little")
+        offset = addr & (self._page_size - 1)
+        if offset + width > self._page_size:
+            return int.from_bytes(self.read(addr, width), "little")
+        page = self._pages.get(addr >> self._page_bits)
+        if page is None:
+            return int.from_bytes(bytes((self._fill,)) * width, "little")
+        return int.from_bytes(page[offset:offset + width], "little")
 
     def write_word(self, addr: int, value: int, width: int) -> None:
         """Write a little-endian integer of *width* bytes."""
         self.write(addr, (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little"))
 
     def write_masked(self, addr: int, value: int, strb: int, width: int) -> None:
-        """Apply a write-strobe-masked store, as the W channel requires."""
+        """Apply a write-strobe-masked store, as the W channel requires.
+
+        A store inside one page is one slice assignment when every
+        strobe is set, a per-lane write into the page otherwise; a
+        page-crossing store goes byte by byte.  Either way the watchers
+        fire once per store that writes at least one byte.
+        """
+        full = (1 << width) - 1
+        strb &= full
+        if not strb:
+            return
         data = (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
-        for lane in range(width):
-            if strb & (1 << lane):
-                self.write_byte(addr + lane, data[lane])
+        mask = self._page_size - 1
+        offset = addr & mask
+        if offset + width <= self._page_size:
+            page = self._page_for(addr)
+            if strb == full:
+                page[offset:offset + width] = data
+            else:
+                for lane in range(width):
+                    if strb >> lane & 1:
+                        page[offset + lane] = data[lane]
+        else:
+            for lane in range(width):
+                if strb >> lane & 1:
+                    byte_addr = addr + lane
+                    self._page_for(byte_addr)[byte_addr & mask] = data[lane]
+        for watcher in self._watchers:
+            watcher()

@@ -75,6 +75,7 @@ from .orchestrate.distributed import (
 )
 from .orchestrate.remote import ProtocolError
 from .orchestrate.executor import START_METHOD_ENV
+from .orchestrate.spec import validate_axes
 from .soc.experiment import FIG11_LABELS, FIG11_STAGES, run_fig11
 from .telemetry import (
     KernelTracer,
@@ -182,6 +183,10 @@ def cmd_area(args) -> int:
 
 
 def cmd_inject(args) -> int:
+    try:
+        validate_axes("ip", args.beats)
+    except ValueError as exc:
+        return _usage_error(exc)
     config = TmuConfig(variant=args.variant)
     stages = args.stages or [InjectionStage.WLAST_TO_BVALID]
     # A live tracer rides into the harness; with several stages it makes

@@ -32,6 +32,26 @@ from .serialize import SpecSerializationError, config_to_dict, run_param_dict
 KINDS = ("ip", "system")
 
 
+def validate_axes(kind: str, beats: int, reorder_depth: int = 0) -> None:
+    """Reject a traffic axis no run of *kind* can take (``ValueError``).
+
+    The one axis validator: :class:`CampaignSpec` applies it on
+    construction, and entry points that run an injection without a spec
+    (``repro inject`` with a single stage) call it directly.
+    """
+    if beats < 1:
+        raise ValueError(f"beats must be at least 1, got {beats}")
+    # IP runs issue the whole transfer as one AXI4 INCR burst; system
+    # runs go through the DMA, which splits long transfers.
+    if kind == "ip" and beats > MAX_BURST_LEN:
+        raise ValueError(
+            f"ip campaigns issue one AXI4 burst per run, so beats must "
+            f"be at most {MAX_BURST_LEN}, got {beats}"
+        )
+    if reorder_depth < 0:
+        raise ValueError(f"reorder_depth must be at least 0, got {reorder_depth}")
+
+
 @dataclasses.dataclass(frozen=True)
 class RunSpec:
     """One simulation unit: a single fault injection.
@@ -120,19 +140,7 @@ class CampaignSpec:
             raise ValueError(f"unknown campaign kind {self.kind!r}")
         if not self.configs or not self.stages or not self.seeds:
             raise ValueError("campaign needs at least one config, stage and seed")
-        if self.beats < 1:
-            raise ValueError(f"beats must be at least 1, got {self.beats}")
-        # IP runs issue the whole transfer as one AXI4 INCR burst; system
-        # runs go through the DMA, which splits long transfers.
-        if self.kind == "ip" and self.beats > MAX_BURST_LEN:
-            raise ValueError(
-                f"ip campaigns issue one AXI4 burst per run, so beats must "
-                f"be at most {MAX_BURST_LEN}, got {self.beats}"
-            )
-        if self.reorder_depth < 0:
-            raise ValueError(
-                f"reorder_depth must be at least 0, got {self.reorder_depth}"
-            )
+        validate_axes(self.kind, self.beats, self.reorder_depth)
         try:
             json.dumps(self.canonical_dict(), sort_keys=True)
         except TypeError as exc:

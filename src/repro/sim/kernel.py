@@ -523,18 +523,29 @@ class Simulator:
         # Seed: conservatively-scheduled components, plus everything
         # invalidated since the last settle (update-phase state changes,
         # schedule_drive() calls, wires poked between cycles).
-        pending.update(self._always)
-        run = self._drive_runner()
+        if self._always:
+            pending.update(self._always)
+        tracer = self._tracer
+        timed = tracer is not None and tracer.trace_components
         for _ in range(self.max_settle_iterations):
             if not pending:
                 return
-            batch = sorted(pending, key=_BY_ORDER)
+            if len(pending) == 1:
+                batch = tuple(pending)
+            else:
+                batch = sorted(pending, key=_BY_ORDER)
             for component in batch:
                 # Discard before running: any write *after* this run —
                 # by a later batch member or the component itself —
                 # legitimately re-queues it for the next round.
                 pending.discard(component)
-                run(component)
+                if timed:
+                    self._timed_drive(component)
+                elif component._auto_trace:
+                    self._run_drive(component)
+                else:
+                    # Declared inputs: never read-traced, called direct.
+                    component.drive()
         if not pending:
             # The final allowed round drained the worklist: settled.
             return

@@ -18,6 +18,19 @@ scheduler in :mod:`repro.sim.kernel` possible:
   wires a component's *most recent* evaluation depended on — which is
   exactly the property that makes skipping a component safe.
 
+Read convention: ``wire.value`` only inside the ``drive()`` of an
+auto-traced component (one that does not declare ``inputs()``); that is
+the only place a read is traced.  Declared-input drives, ``update()``
+and other clock-edge code read the slot ``wire._value`` directly —
+the property would cost a call and record nothing.  Writes always use
+``wire.value = x``.
+
+The setter compares by identity before equality, so a source that
+re-drives the *same* beat object while its state stands still pays no
+payload comparison.  The AXI models rely on this: a re-driven beat is
+the same object until its source state moves (see the memos in
+:mod:`repro.axi.manager` and :mod:`repro.axi.subordinate`).
+
 A wire belongs to at most one live simulator at a time: registering it
 with a second :class:`~repro.sim.kernel.Simulator` repoints its dirty
 sink at the new simulator's worklist.
@@ -133,12 +146,24 @@ class Channel:
         yield self.payload
 
     def drive(self, payload: Any) -> None:
-        """Source-side helper: assert valid with *payload*."""
+        """Source-side helper: assert valid with *payload*.
+
+        Returns early when the channel already carries this very
+        payload (a re-drive of a memoised beat): both writes would be
+        no-ops.  The slot reads record no dependency, and need none.
+        """
+        if self.valid._value is True and self.payload._value is payload:
+            return
         self.valid.value = True
         self.payload.value = payload
 
     def idle(self) -> None:
-        """Source-side helper: deassert valid."""
+        """Source-side helper: deassert valid.
+
+        Returns early when the channel is already idle.
+        """
+        if self.valid._value is False and self.payload._value is None:
+            return
         self.valid.value = False
         self.payload.value = None
 

@@ -57,8 +57,8 @@ class ReadGuard(GuardBase):
     # AR: address handshake and enqueue
     # ------------------------------------------------------------------
     def _observe_ar(self, ar: Channel, cycle, events, orig_id_of) -> None:
-        valid = bool(ar.valid.value)
-        ready = bool(ar.ready.value)
+        valid = bool(ar.valid._value)
+        ready = bool(ar.ready._value)
         if self.stab_addr.check(valid, ready):
             events.append(
                 self._event(
@@ -70,9 +70,9 @@ class ReadGuard(GuardBase):
             )
             self.front.release()
         if valid and ready:
-            self._enqueue(ar.payload.value, cycle, orig_id_of)
+            self._enqueue(ar.payload._value, cycle, orig_id_of)
         elif valid and not self.front.active:
-            beat = ar.payload.value
+            beat = ar.payload._value
             beats = beat.len + 1
             queued = self.ott.ei_pending_beats()
             if self.tiny:
@@ -116,9 +116,9 @@ class ReadGuard(GuardBase):
     # R: data beats routed to the per-ID FIFO head
     # ------------------------------------------------------------------
     def _observe_r(self, r: Channel, cycle, events) -> None:
-        valid = bool(r.valid.value)
+        valid = bool(r.valid._value)
         fired = r.fired()
-        if self.stab_resp.check(valid, r.ready.value):
+        if self.stab_resp.check(valid, r.ready._value):
             events.append(
                 self._event(
                     FaultKind.HANDSHAKE_VIOLATION,
@@ -130,7 +130,7 @@ class ReadGuard(GuardBase):
         if not valid:
             self._edge("r_unreq", False)
             return
-        beat = r.payload.value
+        beat = r.payload._value
         head = self.ott.head_of(beat.id)
         if head is None:
             if self._edge("r_unreq", True):

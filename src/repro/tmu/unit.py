@@ -291,13 +291,17 @@ class TransactionMonitoringUnit(Component):
 
     # -- drive helpers ---------------------------------------------------
     def _drive_channel(self, ch: str) -> None:
-        """Drive one AXI channel according to the current mode."""
+        """Drive one AXI channel according to the current mode.
+
+        Runs only as a declared-input drive (see ``_TmuChannel.inputs``),
+        so every wire read goes straight to the slot.
+        """
         src, dst = _channel_endpoints(self, ch)
         if not self.config.enabled:
             # Disabled TMU: a pure wire, no remapping, no monitoring.
-            dst.valid.value = src.valid.value
-            dst.payload.value = src.payload.value
-            src.ready.value = dst.ready.value
+            dst.valid.value = src.valid._value
+            dst.payload.value = src.payload._value
+            src.ready.value = dst.ready._value
         elif self.state == TmuState.MONITOR:
             self._drive_monitor_channel(ch)
         else:
@@ -312,9 +316,9 @@ class TransactionMonitoringUnit(Component):
             )
         elif ch == "w":
             # W: straight passthrough (no ID on the W channel).
-            device.w.valid.value = host.w.valid.value
-            device.w.payload.value = host.w.payload.value
-            host.w.ready.value = device.w.ready.value
+            device.w.valid.value = host.w.valid._value
+            device.w.payload.value = host.w.payload._value
+            host.w.ready.value = device.w.ready._value
         elif ch == "ar":
             self._drive_request_addr(
                 host.ar, device.ar, self.remap_r, self.read_guard
@@ -326,20 +330,20 @@ class TransactionMonitoringUnit(Component):
             self._drive_response(device.r, host.r, self.remap_r)
 
     def _drive_request_addr(self, src, dst, remap, guard) -> None:
-        beat = src.payload.value
+        beat = src.payload._value
         stall = True
         slot = None
-        if src.valid.value and beat is not None:
+        if src.valid._value and beat is not None:
             slot = remap.probe(beat.id)
             stall = slot is None or not guard.can_accept(slot)
-        forward = bool(src.valid.value and not stall)
+        forward = bool(src.valid._value and not stall)
         dst.valid.value = forward
         dst.payload.value = remap_id(beat, slot) if forward else None
-        src.ready.value = bool(dst.ready.value and forward)
+        src.ready.value = bool(dst.ready._value and forward)
 
     def _drive_response(self, src, dst, remap) -> None:
-        beat = src.payload.value
-        if src.valid.value and beat is not None:
+        beat = src.payload._value
+        if src.valid._value and beat is not None:
             orig = remap.orig_of(beat.id)
             if orig is None:
                 # Unrequested response: never propagate toward the host.
@@ -347,10 +351,10 @@ class TransactionMonitoringUnit(Component):
                 src.ready.value = True
                 return
             dst.drive(remap_id(beat, orig))
-            src.ready.value = dst.ready.value
+            src.ready.value = dst.ready._value
         else:
             dst.idle()
-            src.ready.value = dst.ready.value
+            src.ready.value = dst.ready._value
 
     def _drive_recover_channel(self, ch: str) -> None:
         host, device = self.host, self.device
@@ -408,10 +412,10 @@ class TransactionMonitoringUnit(Component):
         changed = False
         # Commit ID-remap references on accepted addresses.
         if device.aw.fired():
-            self.remap_w.acquire(host.aw.payload.value.id)
+            self.remap_w.acquire(host.aw.payload._value.id)
             changed = True
         if device.ar.fired():
-            self.remap_r.acquire(host.ar.payload.value.id)
+            self.remap_r.acquire(host.ar.payload._value.id)
             changed = True
 
         events = self.write_guard.observe(
@@ -474,14 +478,14 @@ class TransactionMonitoringUnit(Component):
         changed = False
         # Requests arriving during recovery are accepted and aborted.
         if host.aw.fired():
-            self._abort_b.append(host.aw.payload.value.id)
+            self._abort_b.append(host.aw.payload._value.id)
             self._w_drain_remaining += 1
             changed = True
         if host.ar.fired():
-            self._abort_r.append(host.ar.payload.value.id)
+            self._abort_r.append(host.ar.payload._value.id)
             changed = True
         if host.w.fired():
-            beat = host.w.payload.value
+            beat = host.w.payload._value
             if beat is not None and beat.last and self._w_drain_remaining > 0:
                 self._w_drain_remaining -= 1
         if host.b.fired() and self._abort_b:
@@ -497,7 +501,7 @@ class TransactionMonitoringUnit(Component):
                 self._self_ack_countdown -= 1
             ack = self._self_ack_countdown == 0
         else:
-            ack = bool(self.reset_ack.value)
+            ack = bool(self.reset_ack._value)
         if ack and self._req_state:
             self._req_state = False
             self._ack_seen = True

@@ -77,8 +77,8 @@ class WriteGuard(GuardBase):
     # AW: address handshake and enqueue
     # ------------------------------------------------------------------
     def _observe_aw(self, aw: Channel, cycle, events, orig_id_of) -> None:
-        valid = bool(aw.valid.value)
-        ready = bool(aw.ready.value)
+        valid = bool(aw.valid._value)
+        ready = bool(aw.ready._value)
         if self.stab_addr.check(valid, ready):
             events.append(
                 self._event(
@@ -90,9 +90,9 @@ class WriteGuard(GuardBase):
             )
             self.front.release()
         if valid and ready:
-            self._enqueue(aw.payload.value, cycle, orig_id_of, events)
+            self._enqueue(aw.payload._value, cycle, orig_id_of, events)
         elif valid and not self.front.active:
-            beat = aw.payload.value
+            beat = aw.payload._value
             beats = beat.len + 1
             queued = self.ott.ei_pending_beats()
             if self.tiny:
@@ -137,9 +137,9 @@ class WriteGuard(GuardBase):
     # W: data-phase progression in AW (EI) order
     # ------------------------------------------------------------------
     def _observe_w(self, w: Channel, cycle, events) -> None:
-        valid = bool(w.valid.value)
+        valid = bool(w.valid._value)
         fired = w.fired()
-        if self.stab_data.check(valid, w.ready.value):
+        if self.stab_data.check(valid, w.ready._value):
             events.append(
                 self._event(
                     FaultKind.HANDSHAKE_VIOLATION,
@@ -162,7 +162,7 @@ class WriteGuard(GuardBase):
             self._edge("stray_w", False)
         if target is None:
             return
-        beat = w.payload.value
+        beat = w.payload._value
         if self.tiny:
             if fired:
                 self._count_w_beat(target, beat, cycle, events)
@@ -243,9 +243,9 @@ class WriteGuard(GuardBase):
     # B: response matching and completion
     # ------------------------------------------------------------------
     def _observe_b(self, b: Channel, cycle, events) -> None:
-        valid = bool(b.valid.value)
+        valid = bool(b.valid._value)
         fired = b.fired()
-        if self.stab_resp.check(valid, b.ready.value):
+        if self.stab_resp.check(valid, b.ready._value):
             events.append(
                 self._event(
                     FaultKind.HANDSHAKE_VIOLATION,
@@ -258,7 +258,7 @@ class WriteGuard(GuardBase):
             self._edge("b_unreq", False)
             self._edge("b_early", False)
             return
-        beat = b.payload.value
+        beat = b.payload._value
         head = self.ott.head_of(beat.id)
         if head is None:
             if self._edge("b_unreq", True):

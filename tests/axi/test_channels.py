@@ -54,6 +54,32 @@ def test_remap_id_works_for_all_id_carrying_beats():
         assert remap_id(beat, 9).id == 9
 
 
+ID_CARRYING_BEATS = (
+    AwBeat(id=0xBEEF, addr=0x40, len=3, size=2, burst=BurstType.WRAP, qos=5),
+    ArBeat(id=7, addr=0x1000, len=255, lock=True, cache=3, prot=2, user=1),
+    BBeat(id=3, resp=Resp.SLVERR, user=9),
+    RBeat(id=0x1_0002, data=0xDEADBEEF, resp=Resp.EXOKAY, last=False, user=4),
+)
+
+
+@pytest.mark.parametrize("beat", ID_CARRYING_BEATS, ids=lambda b: type(b).__name__)
+@pytest.mark.parametrize("new_id", [0, 2, 0xFFFF, 0x2_0001])
+def test_remap_id_equals_dataclasses_replace(beat, new_id):
+    remapped = remap_id(beat, new_id)
+    expected = dataclasses.replace(beat, id=new_id)
+    assert type(remapped) is type(beat)
+    assert remapped == expected
+    assert hash(remapped) == hash(expected)
+    assert dataclasses.asdict(remapped) == dataclasses.asdict(expected)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        remapped.id = 1
+
+
+@pytest.mark.parametrize("beat", ID_CARRYING_BEATS, ids=lambda b: type(b).__name__)
+def test_remap_id_to_same_id_returns_the_beat_itself(beat):
+    assert remap_id(beat, beat.id) is beat
+
+
 def test_b_beat_default_okay():
     assert BBeat(id=0).resp == Resp.OKAY
 

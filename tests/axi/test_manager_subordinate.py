@@ -2,6 +2,8 @@
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.axi.interface import AxiInterface
 from repro.axi.manager import Manager
 from repro.axi.subordinate import Subordinate
@@ -10,8 +12,8 @@ from repro.axi.types import AxiDir, Resp
 from repro.sim.kernel import Simulator
 
 
-def direct_loop(**sub_kwargs):
-    sim = Simulator()
+def direct_loop(strategy="dirty", **sub_kwargs):
+    sim = Simulator(strategy=strategy)
     bus = AxiInterface("bus")
     manager = Manager("manager", bus)
     subordinate = Subordinate("subordinate", bus, **sub_kwargs)
@@ -55,6 +57,25 @@ def test_read_returns_written_data():
     assert txn.data == [0xCAFE]
 
 
+@pytest.mark.parametrize("strategy", ["dirty", "verify"])
+def test_store_under_a_held_read_beat_reaches_the_manager(strategy):
+    # The manager holds R ready low for a few cycles, so the first beat
+    # sits on the channel; a store behind the subordinate's back must
+    # replace the beat being driven, not leave a stale memoised one.
+    env = direct_loop(strategy)
+    env.subordinate.memory.write_word(0x400, 0x1111, 8)
+    env.subordinate.memory.write_word(0x408, 0x3333, 8)
+    env.manager.submit(read_spec(1, 0x400, beats=2, resp_ready_delay=4))
+    assert env.sim.run_until(lambda s: env.bus.r.valid.value, timeout=50)
+    held = env.bus.r.payload.value
+    assert held.data == 0x1111 and not env.bus.r.ready.value
+    env.sim.step()
+    assert env.bus.r.payload.value is held  # re-driven as the same beat
+    env.subordinate.memory.write_word(0x400, 0x2222, 8)
+    run_to_idle(env)
+    assert env.manager.completed[0].data == [0x2222, 0x3333]
+
+
 def test_write_then_read_roundtrip():
     env = direct_loop()
     env.manager.submit(write_spec(0, 0x300, beats=4, data=[1, 2, 3, 4]))
@@ -75,6 +96,52 @@ def test_phase_cycle_stamps_are_ordered():
     assert txn.first_data_cycle <= txn.last_data_cycle
     assert txn.last_data_cycle < txn.resp_cycle
     assert txn.latency == txn.resp_cycle - txn.addr_cycle
+
+
+def _handshake_cycles(env, channel, timeout=400):
+    """Cycles (post-step) at which *channel* fired, until the manager idles."""
+    fired = []
+    for _ in range(timeout):
+        env.sim.step()
+        if channel.fired():
+            fired.append(env.sim.cycle)
+        if env.manager.idle:
+            return fired
+    raise AssertionError("manager did not drain")
+
+
+@pytest.mark.parametrize("strategy", ["dirty", "verify"])
+def test_per_beat_w_ready_delay_spaces_every_beat(strategy):
+    # Each accepted W beat restarts the subordinate's ready poll, so a
+    # mid-burst beat must re-drive w_ready low; every beat is spaced.
+    env = direct_loop(strategy, w_ready_delay=2)
+    env.manager.submit(write_spec(0, 0x100, beats=4))
+    fired = _handshake_cycles(env, env.bus.w)
+    assert len(fired) == 4
+    assert [b - a for a, b in zip(fired, fired[1:])] == [3, 3, 3]
+
+
+@pytest.mark.parametrize("strategy", ["dirty", "verify"])
+def test_resp_ready_delay_spaces_equal_read_beats(strategy):
+    # Unwritten memory reads back the fill byte, so consecutive R beats
+    # are equal values and the R wires never change between them: the
+    # manager sleeps through each ready poll and must restart it exactly
+    # after every accepted beat (and re-drive r_ready low).
+    env = direct_loop(strategy)
+    env.manager.submit(read_spec(1, 0x800, beats=4, resp_ready_delay=3))
+    fired = _handshake_cycles(env, env.bus.r)
+    assert [b - a for a, b in zip(fired, fired[1:])] == [4, 4, 4]
+    assert env.manager.completed[0].data == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("strategy", ["dirty", "verify"])
+def test_resp_ready_delay_spaces_equal_write_responses(strategy):
+    # Same-ID single-beat writes draw equal B responses back to back.
+    env = direct_loop(strategy)
+    for _ in range(3):
+        env.manager.submit(write_spec(1, 0x800, data=[0], resp_ready_delay=3))
+    fired = _handshake_cycles(env, env.bus.b)
+    assert [b - a for a, b in zip(fired, fired[1:])] == [4, 4]
 
 
 def test_subordinate_latency_knobs_extend_latency():

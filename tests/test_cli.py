@@ -156,9 +156,10 @@ def test_campaign_resume_flags(capsys, tmp_path):
         (["campaign", "--reorder-depth", "-1"], "reorder_depth must be at least 0"),
         (["fig11", "--reorder-depth", "-1"], "reorder_depth must be at least 0"),
         (["serve", "--port", "0", "--beats", "0"], "beats must be at least 1"),
+        (["inject", "--beats", "0"], "beats must be at least 1"),
     ],
     ids=["ip-beats-0", "ip-beats-300", "system-beats-0", "campaign-reorder",
-         "fig11-reorder", "serve-beats-0"],
+         "fig11-reorder", "serve-beats-0", "inject-beats-0"],
 )
 def test_bad_campaign_axis_is_a_usage_error(capsys, argv, message):
     assert main(argv) == 2
