@@ -69,6 +69,10 @@ def build_farm(strategy, active_links, update_skipping=True):
 
 def run_farm(strategy, active_links, update_skipping=True):
     sim, managers = build_farm(strategy, active_links, update_skipping)
+    # Start from a fresh collection, as measure_batch_campaign does: a
+    # full-suite heap's pending collection would otherwise land in one
+    # of these ~10 ms regions and swamp it.
+    gc.collect()
     start = time.perf_counter()
     sim.run(CYCLES)
     elapsed = time.perf_counter() - start
@@ -107,6 +111,7 @@ def build_stalled_soc(update_skipping, time_leaping=False, budget=STALL_BUDGET):
 def run_stalled_soc(update_skipping, time_leaping=False, budget=STALL_BUDGET):
     soc = build_stalled_soc(update_skipping, time_leaping, budget)
     timeout = max(20_000, 2 * budget)
+    gc.collect()  # see run_farm
     start = time.perf_counter()
     detect = soc.sim.run_until(lambda _s: soc.tmu.irq.value, timeout=timeout)
     elapsed = time.perf_counter() - start

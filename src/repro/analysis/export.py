@@ -7,8 +7,10 @@ outside this repository.
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Any, Dict, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Any, Dict, Optional, Tuple
 
 from ..area.model import AreaReport
 from ..sim.kernel import Simulator
@@ -130,6 +132,7 @@ def campaign_dict(results, spec=None) -> Dict[str, Any]:
     across runs — diagnostics about *how* the campaign simulated, kept
     out of the per-result entries so those stay kernel-invariant.
     """
+    results = list(results)  # read once: a generator has no second pass
     entries = [
         system_injection_result_dict(result)
         if hasattr(result, "fig11_latency")
@@ -154,28 +157,93 @@ def to_json(payload: Any, indent: int = 2) -> str:
     return json.dumps(payload, indent=indent, sort_keys=True)
 
 
+def _nested_json(payload: Any, depth: int, indent: int) -> str:
+    """``json.dumps`` of *payload* re-indented to sit *depth* levels deep."""
+    blob = json.dumps(payload, indent=indent, sort_keys=True)
+    return blob.replace("\n", "\n" + " " * (indent * depth))
+
+
+@functools.lru_cache(maxsize=16)
+def _row_layout(
+    keys: Tuple, indent: int
+) -> Optional[Tuple[Tuple[str, str], ...]]:
+    """The row's keys in sorted order, each with the text preceding its
+    value in a row two levels deep (``{`` or ``,``, line break and
+    indentation, escaped key); ``None`` unless every key is a string.
+    Export entries come in two shapes (IP and system), so a small cache
+    serves every row."""
+    if not keys or not all(type(key) is str for key in keys):
+        return None
+    pad = "\n" + " " * (indent * 3)
+    return tuple(
+        (key, ("," if position else "{") + pad
+         + encode_basestring_ascii(key) + ": ")
+        for position, key in enumerate(sorted(keys))
+    )
+
+
+def row_json(entry: Dict[str, Any], indent: int = 2) -> str:
+    """One ``results`` row of a campaign export: the text of
+    ``_nested_json(entry, 2, indent)``.
+
+    A flat dict of ``None``/``bool``/``int``/``str`` values (every
+    export entry) is written from its precomputed key prefixes and the
+    literal values, several times faster than the indenting
+    ``json.dumps`` (CPython's pure-Python encoder).  Any other value
+    falls back to ``_nested_json``.
+    """
+    layout = _row_layout(tuple(entry), indent)
+    if layout is None:
+        return _nested_json(entry, 2, indent)
+    parts = []
+    append = parts.append
+    for key, head in layout:
+        value = entry[key]
+        kind = type(value)
+        append(head)
+        if kind is str:
+            append(encode_basestring_ascii(value))
+        elif kind is int:
+            append(int.__repr__(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        else:
+            return _nested_json(entry, 2, indent)
+    append("\n" + " " * (indent * 2) + "}")
+    return "".join(parts)
+
+
 def write_campaign_json(results, stream, spec=None, indent: int = 2) -> int:
     """Stream a campaign export, byte-identical to the in-memory path.
 
     Emits exactly the text ``to_json(campaign_dict(results, spec=spec))``
     produces, but one result at a time — aggregation as a streamed,
-    index-ordered query instead of an in-memory list.  *results* is any
-    iterable of result objects, or a zero-argument callable returning a
-    fresh iterator (e.g. ``lambda: store.iter_results(spec.runs())``):
-    the aggregate counts precede the entries in the sorted-key layout,
-    so the writer makes two passes and never holds more than one result.
-    A plain list works too (it is simply iterated twice).  Returns the
-    number of results written.
+    index-ordered query instead of an in-memory list.  *results* is a
+    re-iterable collection of result objects (a list is simply iterated
+    twice), or a zero-argument callable returning a fresh iterator
+    (e.g. ``lambda: store.iter_results(spec.runs())``): the aggregate
+    counts precede the entries in the sorted-key layout, so the writer
+    makes two passes and never holds more than one result.  A one-shot
+    iterator (a generator) would come back empty on the second pass and
+    is rejected with :class:`TypeError`.  Returns the number of results
+    written.
     """
+    if not callable(results) and iter(results) is results:
+        raise TypeError(
+            "write_campaign_json reads its results twice: pass a "
+            "re-iterable collection (e.g. a list) or a zero-argument "
+            "callable returning a fresh iterator, not a one-shot iterator"
+        )
+
     def fresh():
         return iter(results() if callable(results) else results)
 
     pad = " " * indent
-
-    def nested(payload: Any, depth: int) -> str:
-        """json.dumps re-indented to sit at *depth* levels deep."""
-        blob = json.dumps(payload, indent=indent, sort_keys=True)
-        return blob.replace("\n", "\n" + pad * depth)
+    stat_attrs = [(key, f"sim_{key}") for key in Simulator.STAT_KEYS]
 
     runs = detected = recovered = 0
     scheduler = {key: 0 for key in Simulator.STAT_KEYS}
@@ -185,8 +253,8 @@ def write_campaign_json(results, stream, spec=None, indent: int = 2) -> int:
             detected += 1
         if result.recovered:
             recovered += 1
-        for key in scheduler:
-            scheduler[key] += int(getattr(result, f"sim_{key}", 0) or 0)
+        for key, attr in stat_attrs:
+            scheduler[key] += int(getattr(result, attr, 0) or 0)
 
     write = stream.write
     write("{\n")
@@ -194,20 +262,22 @@ def write_campaign_json(results, stream, spec=None, indent: int = 2) -> int:
     write(f'{pad}"recovered": {recovered},\n')
     write(f'{pad}"results": [')
     first = True
+    row_head = "\n" + pad * 2
     for result in fresh():
         entry = (
             system_injection_result_dict(result)
             if hasattr(result, "fig11_latency")
             else injection_result_dict(result)
         )
-        write(("" if first else ",") + "\n" + pad * 2 + nested(entry, 2))
+        write(("" if first else ",") + row_head + row_json(entry, indent))
         first = False
     write(("\n" + pad + "]") if not first else "]")
     write(",\n")
     write(f'{pad}"runs": {runs},\n')
-    write(f'{pad}"scheduler": {nested(scheduler, 1)}')
+    write(f'{pad}"scheduler": {_nested_json(scheduler, 1, indent)}')
     if spec is not None:
-        write(f',\n{pad}"spec": {nested(spec.canonical_dict(), 1)}')
+        spec_text = _nested_json(spec.canonical_dict(), 1, indent)
+        write(f',\n{pad}"spec": {spec_text}')
         write(f',\n{pad}"spec_hash": {json.dumps(spec.spec_hash())}')
     write("\n}")
     return runs

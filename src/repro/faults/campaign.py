@@ -161,17 +161,20 @@ class InjectionResult:
         shift-invariant, and the leader's single pre-onset leap simply
         grows by *delta* (so even the scheduler diagnostics are exact).
         """
-        from ..sim.batch import shift_cycles
-
-        txn_start, inject, detect = shift_cycles(
-            (self.txn_start_cycle, self.inject_cycle, self.detect_cycle),
-            delta,
+        start, inject, detect = (
+            self.txn_start_cycle, self.inject_cycle, self.detect_cycle
         )
-        return dataclasses.replace(
-            self,
-            txn_start_cycle=txn_start,
-            inject_cycle=inject,
-            detect_cycle=detect,
+        return InjectionResult(
+            stage=self.stage,
+            variant=self.variant,
+            txn_start_cycle=None if start is None else start + delta,
+            inject_cycle=None if inject is None else inject + delta,
+            detect_cycle=None if detect is None else detect + delta,
+            fault_kind=self.fault_kind,
+            fault_phase=self.fault_phase,
+            recovered=self.recovered,
+            resets_taken=self.resets_taken,
+            sim_leaps=self.sim_leaps,
             sim_cycles_leaped=self.sim_cycles_leaped + delta,
         )
 

@@ -45,13 +45,10 @@ import dataclasses
 import json
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..sim.batch import HAVE_NUMPY, LeapTrace, lane_classes, lockstep_period
+from ..sim.batch import LeapTrace, lane_classes, lockstep_period
 from ..sim.kernel import SchedulerDivergenceError
 from .executor import execute_run
 from .spec import RunSpec, Shard
-
-if HAVE_NUMPY:  # pragma: no branch - plain import split
-    import numpy as _np
 
 ShardResult = Tuple[int, list]
 
@@ -155,12 +152,18 @@ class BatchExecutor:
     # Grouping and pack planning
     # ------------------------------------------------------------------
     @staticmethod
-    def _batch_key(run: RunSpec) -> Tuple:
+    def _batch_key(run: RunSpec, config_text: Optional[str] = None) -> Tuple:
         """Everything that must match for two runs to share a pack —
-        i.e. the whole spec except the seed (and the run's index)."""
+        i.e. the whole spec except the seed (and the run's index).
+
+        *config_text* is ``run.config`` already serialized, for callers
+        keying many runs that share one config dict.
+        """
+        if config_text is None:
+            config_text = json.dumps(run.config, sort_keys=True)
         return (
             run.kind,
-            json.dumps(run.config, sort_keys=True),
+            config_text,
             run.stage,
             run.beats,
             run.background,
@@ -174,8 +177,16 @@ class BatchExecutor:
 
     def _group_runs(self, runs: Sequence[RunSpec]) -> List[List[RunSpec]]:
         groups: Dict[Tuple, List[RunSpec]] = {}
+        # A campaign shares a handful of config dicts across all its
+        # runs: serialize each once, keyed by identity (*runs* keeps
+        # every dict alive, so no id is reused during the loop).
+        config_texts: Dict[int, str] = {}
         for run in runs:
-            groups.setdefault(self._batch_key(run), []).append(run)
+            text = config_texts.get(id(run.config))
+            if text is None:
+                text = json.dumps(run.config, sort_keys=True)
+                config_texts[id(run.config)] = text
+            groups.setdefault(self._batch_key(run, text), []).append(run)
         return list(groups.values())
 
     def _period_for(self, run: RunSpec) -> Optional[int]:
@@ -306,7 +317,7 @@ class BatchExecutor:
         leader_result,
         followers: Sequence[RunSpec],
     ) -> List[bool]:
-        """Horizon containment, vectorized over the pack's lane axis.
+        """Horizon containment, one flag per follower lane of the pack.
 
         IP runs bound detection by an absolute horizon — ``run_until``
         counts ``detect_timeout`` from cycle 0 — so a lane whose
@@ -320,12 +331,6 @@ class BatchExecutor:
         detect = leader_result.detect_cycle
         if detect is None:
             return [False] * len(followers)
-        if HAVE_NUMPY:
-            deltas = (
-                _np.asarray([run.seed for run in followers], dtype=_np.int64)
-                - leader.seed
-            )
-            return list(detect + deltas <= leader.detect_timeout)
         return [
             detect + (run.seed - leader.seed) <= leader.detect_timeout
             for run in followers

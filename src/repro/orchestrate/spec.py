@@ -232,24 +232,31 @@ class CampaignSpec:
         out: List[RunSpec] = []
         for config in self.configs:
             for stage in self.stages:
-                for seed in self.seeds:
-                    out.append(
-                        RunSpec(
-                            kind=self.kind,
-                            index=len(out),
-                            config=config,
-                            stage=stage,
-                            seed=seed,
-                            beats=self.beats,
-                            background=self.background,
-                            detect_timeout=self.detect_timeout,
-                            recovery_timeout=self.recovery_timeout,
-                            harness_kwargs=harness_items,
-                            size=self.size,
-                            outstanding=self.outstanding,
-                            reorder_depth=self.reorder_depth,
-                        )
+                # The seeds of one (config, stage) differ only in index
+                # and seed: copy one constructed spec's fields instead
+                # of re-running the frozen dataclass __init__ (a guarded
+                # setattr per field) for every seed of a large sweep.
+                fields = vars(
+                    RunSpec(
+                        kind=self.kind,
+                        index=0,
+                        config=config,
+                        stage=stage,
+                        seed=0,
+                        beats=self.beats,
+                        background=self.background,
+                        detect_timeout=self.detect_timeout,
+                        recovery_timeout=self.recovery_timeout,
+                        harness_kwargs=harness_items,
+                        size=self.size,
+                        outstanding=self.outstanding,
+                        reorder_depth=self.reorder_depth,
                     )
+                )
+                for seed in self.seeds:
+                    run = object.__new__(RunSpec)
+                    vars(run).update(fields, index=len(out), seed=seed)
+                    out.append(run)
         return out
 
     def canonical_dict(self) -> Dict[str, Any]:

@@ -50,9 +50,9 @@ even the scheduler statistics derive exactly: ``sim_leaps`` is copied
 and ``sim_cycles_leaped`` grows by ``delta`` — the batch differential
 tests compare campaign JSON *including* the scheduler block.
 
-Everything here is pure bookkeeping over plain data; numpy (when
-available) accelerates the lane-axis math and degrades silently to
-list arithmetic when absent.
+Everything here is pure bookkeeping over plain data, in plain Python:
+at campaign sizes (a few thousand lanes, a handful of cycle stamps per
+result) list arithmetic is faster than building arrays for it.
 """
 
 from __future__ import annotations
@@ -61,13 +61,6 @@ import math
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .component import Component
-
-try:  # pragma: no cover - exercised via either branch in CI images
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 
 def lockstep_period(components: Iterable[Component]) -> Optional[int]:
@@ -98,19 +91,11 @@ def lane_classes(
     Two lanes can share a pack leader only when their seed difference
     is a multiple of the pack period (soundness condition 1).  Returns
     ``{residue: [seed, ...]}`` with each class ascending — the batch
-    executor packs each class separately.  Uses the numpy lane axis
-    when available; the list fallback is exact.
+    executor packs each class separately.
     """
     if period <= 0:
         raise ValueError(f"period must be positive, got {period}")
     classes: Dict[int, List[int]] = {}
-    if HAVE_NUMPY and len(seeds) > 1:
-        arr = _np.asarray(list(seeds), dtype=_np.int64)
-        residues = arr % period
-        order = _np.argsort(arr, kind="stable")
-        for index in order:
-            classes.setdefault(int(residues[index]), []).append(int(arr[index]))
-        return classes
     for seed in sorted(seeds):
         classes.setdefault(seed % period, []).append(seed)
     return classes
@@ -121,15 +106,9 @@ def shift_cycles(
 ) -> List[Optional[int]]:
     """Shift a lane's cycle stamps by *delta*, preserving ``None`` holes.
 
-    The vectorized core of result derivation: measured cycle fields
-    (transaction start, injection, detection) translate rigidly with
-    the stimulus onset.
+    Measured cycle fields (transaction start, injection, detection)
+    translate rigidly with the stimulus onset.
     """
-    if HAVE_NUMPY and len(values) > 3 and all(v is not None for v in values):
-        return [
-            int(v)
-            for v in (_np.asarray(list(values), dtype=_np.int64) + delta)
-        ]
     return [None if value is None else value + delta for value in values]
 
 

@@ -68,23 +68,25 @@ class SystemInjectionResult:
         shift-invariant, and the leader's single pre-onset leap grows
         by *delta*.
         """
-        from ..sim.batch import shift_cycles
-
-        txn_start, inject, w_first, detect = shift_cycles(
-            (
-                self.txn_start_cycle,
-                self.inject_cycle,
-                self.w_first_cycle,
-                self.detect_cycle,
-            ),
-            delta,
+        start, inject, w_first, detect = (
+            self.txn_start_cycle,
+            self.inject_cycle,
+            self.w_first_cycle,
+            self.detect_cycle,
         )
-        return dataclasses.replace(
-            self,
-            txn_start_cycle=txn_start,
-            inject_cycle=inject,
-            w_first_cycle=w_first,
-            detect_cycle=detect,
+        return SystemInjectionResult(
+            stage=self.stage,
+            variant=self.variant,
+            txn_start_cycle=None if start is None else start + delta,
+            inject_cycle=None if inject is None else inject + delta,
+            w_first_cycle=None if w_first is None else w_first + delta,
+            detect_cycle=None if detect is None else detect + delta,
+            fault_phase=self.fault_phase,
+            fault_kind=self.fault_kind,
+            ethernet_resets=self.ethernet_resets,
+            cpu_recoveries=self.cpu_recoveries,
+            recovered=self.recovered,
+            sim_leaps=self.sim_leaps,
             sim_cycles_leaped=self.sim_cycles_leaped + delta,
         )
 

@@ -2,6 +2,8 @@
 
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from tests.conftest import build_loop, fast_budgets
 
 from repro.analysis.export import (
@@ -9,6 +11,7 @@ from repro.analysis.export import (
     campaign_dict,
     injection_result_dict,
     perf_log_dict,
+    row_json,
     scheduler_stats_dict,
     to_json,
 )
@@ -164,3 +167,87 @@ def test_streamed_campaign_json_accepts_iterator_factory():
     text, count = _stream(lambda: iter(results))
     assert text == to_json(campaign_dict(results))
     assert count == len(results)
+
+
+# ----------------------------------------------------------------------
+# One-shot iterators
+# ----------------------------------------------------------------------
+def test_campaign_dict_reads_a_generator_once():
+    results = _ip_results()
+    assert campaign_dict(r for r in results) == campaign_dict(results)
+
+
+def test_streamed_campaign_json_rejects_one_shot_iterator():
+    import pytest
+
+    results = _ip_results()
+    with pytest.raises(TypeError, match="re-iterable.*callable"):
+        _stream(r for r in results)
+    with pytest.raises(TypeError):
+        _stream(iter(results))
+
+
+# ----------------------------------------------------------------------
+# Row writer: the fast path is the indenting json.dumps, byte for byte
+# ----------------------------------------------------------------------
+# Keys and text values: any text, weighted toward what JSON must escape
+# (quotes, backslashes, control and non-ASCII characters) and toward
+# the separators the layout itself uses.
+_ODD_CHARS = st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "é", "€", "😀"]
+)
+_TEXT = st.text(alphabet=st.characters() | _ODD_CHARS) | st.sampled_from(
+    ['", "', '": ', "\n", "a\nb", "ünïcödé", ""]
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    _TEXT,
+)
+_FALLBACK = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), -0.0]),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(_TEXT, st.integers(), max_size=2),
+)
+
+
+def _reference_row(entry):
+    return json.dumps(entry, indent=2, sort_keys=True).replace("\n", "\n    ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_TEXT, _SCALARS, max_size=12))
+def test_row_json_equals_indented_dumps_for_flat_rows(entry):
+    assert row_json(entry) == _reference_row(entry)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(_TEXT, _SCALARS, max_size=6),
+    _TEXT,
+    _FALLBACK,
+)
+def test_row_json_falls_back_for_other_values(entry, key, value):
+    entry = {**entry, key: value}
+    assert row_json(entry) == _reference_row(entry)
+
+
+def test_batched_fig11_sweep_streams_byte_identical():
+    from repro.orchestrate import BatchExecutor, CampaignSpec, run_campaign_spec
+    from repro.soc.experiment import FIG11_STAGES
+
+    spec = CampaignSpec.system(
+        (Variant.FULL, Variant.TINY),
+        FIG11_STAGES[:2],
+        beats=16,
+        seeds=tuple(range(64)),
+    )
+    executor = BatchExecutor(64)
+    results = run_campaign_spec(spec, executor=executor)
+    assert executor.stats.derived > 0
+    text, count = _stream(results, spec=spec)
+    assert count == len(results) == 4 * 64
+    assert text == to_json(campaign_dict(results, spec=spec))

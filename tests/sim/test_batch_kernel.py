@@ -11,6 +11,8 @@ derivation is wrong.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults.types import InjectionStage
 from repro.orchestrate import BatchExecutor, CampaignSpec, run_campaign_spec
@@ -194,6 +196,105 @@ def test_shifted_moves_stamps_and_leap_cycles_only():
     assert derived.sim_leaps == result.sim_leaps
     assert derived.recovered == result.recovered
     assert derived.stage == result.stage
+
+
+_STAMP = st.none() | st.integers(min_value=0, max_value=1 << 40)
+
+
+def _replace_reference(result, delta, stamps):
+    """The derivation spelled out with ``dataclasses.replace``."""
+    return dataclasses.replace(
+        result,
+        **{
+            name: None if getattr(result, name) is None
+            else getattr(result, name) + delta
+            for name in stamps
+        },
+        sim_cycles_leaped=result.sim_cycles_leaped + delta,
+    )
+
+
+def _assert_same_derivation(derived, reference):
+    assert type(derived) is type(reference)
+    # == skips the compare=False scheduler diagnostics: check them too.
+    assert derived == reference
+    assert derived.sim_leaps == reference.sim_leaps
+    assert derived.sim_cycles_leaped == reference.sim_cycles_leaped
+    assert dataclasses.asdict(derived) == dataclasses.asdict(reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stamps=st.tuples(_STAMP, _STAMP, _STAMP),
+    delta=st.integers(min_value=-(1 << 20), max_value=1 << 40),
+    leaps=st.integers(min_value=0, max_value=1 << 20),
+    leaped=st.integers(min_value=0, max_value=1 << 40),
+    recovered=st.booleans(),
+)
+def test_injection_result_shifted_equals_replace(
+    stamps, delta, leaps, leaped, recovered
+):
+    from repro.faults.campaign import InjectionResult
+
+    start, inject, detect = stamps
+    result = InjectionResult(
+        stage=InjectionStage.WLAST_TO_BVALID,
+        variant="full",
+        txn_start_cycle=start,
+        inject_cycle=inject,
+        detect_cycle=detect,
+        fault_kind=None if detect is None else "timeout",
+        fault_phase=None if detect is None else "WLAST_BVLD",
+        recovered=recovered,
+        resets_taken=int(recovered),
+        sim_leaps=leaps,
+        sim_cycles_leaped=leaped,
+    )
+    _assert_same_derivation(
+        result.shifted(delta),
+        _replace_reference(
+            result, delta, ("txn_start_cycle", "inject_cycle", "detect_cycle")
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stamps=st.tuples(_STAMP, _STAMP, _STAMP, _STAMP),
+    delta=st.integers(min_value=-(1 << 20), max_value=1 << 40),
+    leaps=st.integers(min_value=0, max_value=1 << 20),
+    leaped=st.integers(min_value=0, max_value=1 << 40),
+    resets=st.integers(min_value=0, max_value=3),
+)
+def test_system_injection_result_shifted_equals_replace(
+    stamps, delta, leaps, leaped, resets
+):
+    from repro.soc.experiment import SystemInjectionResult
+
+    start, inject, w_first, detect = stamps
+    result = SystemInjectionResult(
+        stage=InjectionStage.W_READY_MISSING,
+        variant="tiny",
+        txn_start_cycle=start,
+        inject_cycle=inject,
+        w_first_cycle=w_first,
+        detect_cycle=detect,
+        fault_phase=None if detect is None else "WFIRST_WLAST",
+        fault_kind=None if detect is None else "timeout",
+        ethernet_resets=resets,
+        cpu_recoveries=resets,
+        recovered=resets > 0,
+        sim_leaps=leaps,
+        sim_cycles_leaped=leaped,
+    )
+    _assert_same_derivation(
+        result.shifted(delta),
+        _replace_reference(
+            result,
+            delta,
+            ("txn_start_cycle", "inject_cycle", "w_first_cycle", "detect_cycle"),
+        ),
+    )
 
 
 # ----------------------------------------------------------------------

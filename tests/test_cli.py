@@ -421,3 +421,27 @@ def test_store_stats_command(capsys, tmp_path):
     assert main(["store", "stats", store, "--json"]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["warm_rows"] == 2
+
+
+def test_cli_start_up_does_not_import_numpy():
+    # Every command pays the CLI's import time; numpy must stay off it.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    probe = (
+        "import sys, repro.cli; repro.cli.build_parser(); "
+        "sys.exit('numpy' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr or "numpy was imported"
