@@ -95,20 +95,9 @@ class _XbarChannel(Component):
             for dst in xbar._mgr_ch[ch]:
                 yield dst.ready
 
-    def outputs(self):
-        xbar, ch = self.xbar, self.channel
-        if ch in ("aw", "ar", "w"):
-            for dst in xbar._sub_ch[ch]:
-                yield from (dst.valid, dst.payload)
-            for src in xbar._mgr_ch[ch]:
-                yield src.ready
-        else:
-            for dst in xbar._mgr_ch[ch]:
-                yield from (dst.valid, dst.payload)
-            for src in xbar._sub_ch[ch]:
-                yield src.ready
-
     def drive(self) -> None:
+        # Writes valid/payload toward every destination port of this
+        # channel and ready back to every source port.
         self._drive_channel()
 
 
@@ -222,10 +211,6 @@ class Crossbar(Component):
         # keeps a whole-crossbar drive() only for one-shot seeding and
         # standalone use, and must not re-trigger on every wire change.
         return ()
-
-    def outputs(self):
-        for child in self._channels:
-            yield from child.outputs()
 
     def update_inputs(self):
         return [

@@ -8,7 +8,7 @@ mirrored).
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Tuple
 
 from ..sim.signal import Channel, Wire
 
@@ -43,14 +43,18 @@ class AxiInterface:
         self.b = Channel(f"{name}.b")
         self.ar = Channel(f"{name}.ar")
         self.r = Channel(f"{name}.r")
+        # The channel set is fixed from here on; every component sharing
+        # this link hands the kernel the same tuple.
+        self._wires = tuple(
+            wire for channel in self.channels for wire in channel.wires()
+        )
 
     @property
     def channels(self):
         return (self.aw, self.w, self.b, self.ar, self.r)
 
-    def wires(self) -> Iterator[Wire]:
-        for channel in self.channels:
-            yield from channel.wires()
+    def wires(self) -> Tuple[Wire, ...]:
+        return self._wires
 
     def reset(self) -> None:
         for channel in self.channels:

@@ -235,7 +235,7 @@ class Manager(Component):
     # Component protocol
     # ------------------------------------------------------------------
     def wires(self):
-        yield from self.bus.wires()
+        return self.bus.wires()
 
     def inputs(self):
         # drive() reads only the response channels (via _resp_delay);
@@ -243,15 +243,6 @@ class Manager(Component):
         # through schedule_drive().
         bus = self.bus
         return (bus.b.valid, bus.b.payload, bus.r.valid, bus.r.payload)
-
-    def outputs(self):
-        bus = self.bus
-        return (
-            bus.aw.valid, bus.aw.payload,
-            bus.ar.valid, bus.ar.payload,
-            bus.w.valid, bus.w.payload,
-            bus.b.ready, bus.r.ready,
-        )
 
     def update_inputs(self):
         # Registered state moves only on fired handshakes (valid & ready

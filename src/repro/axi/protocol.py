@@ -223,7 +223,7 @@ class ProtocolChecker(Component):
 
     # ------------------------------------------------------------------
     def wires(self):
-        yield from self.bus.wires()
+        return self.bus.wires()
 
     def _flag(self, rule: Rule, detail: str = "") -> None:
         self.violations.append(RuleViolation(rule, self._cycle, detail))

@@ -232,14 +232,6 @@ class Subordinate(Component):
         # state and the fault block; the only wire it reads is hw_reset.
         return (self.hw_reset,)
 
-    def outputs(self):
-        bus = self.bus
-        return (
-            bus.aw.ready, bus.w.ready, bus.ar.ready,
-            bus.b.valid, bus.b.payload,
-            bus.r.valid, bus.r.payload,
-        )
-
     def update_inputs(self):
         # Inbound requests, the ready edges that can complete a stalled
         # response handshake, and the hardware reset end quiescence;

@@ -50,9 +50,6 @@ class AxiChecker(Component):
     def inputs(self):
         return ()  # drive() reads registered state only
 
-    def outputs(self):
-        return (self.error,)
-
     def update_inputs(self):
         # Valid, ready *and* payload on every channel: the checker may
         # sleep through a frozen (held-valid) stall, and each of the

@@ -57,7 +57,7 @@ class AxiPerfMonitor(Component):
         self._window_history: List[float] = []
 
     def wires(self):
-        yield from self.bus.wires()
+        return self.bus.wires()
 
     def update_inputs(self):
         # Valids and readys: the monitor observes fires only, so it may

@@ -114,9 +114,6 @@ class Sp805Watchdog(Component):
     def inputs(self):
         return ()  # drive() reads registered state only
 
-    def outputs(self):
-        return (self.irq, self.reset_out)
-
     def drive(self) -> None:
         self.irq.value = self._irq_state
         self.reset_out.value = self._reset_state

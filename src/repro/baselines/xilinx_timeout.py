@@ -61,9 +61,6 @@ class XilinxStyleTimeout(Component):
     def inputs(self):
         return ()  # drive() reads registered state only
 
-    def outputs(self):
-        return (self.irq,)
-
     def update_inputs(self):
         # Ready wires are watched alongside the valids: the block may
         # now sleep through a held-valid (deaf-channel) stall, and the

@@ -158,11 +158,6 @@ class FaultInjector(Component):
             src, dst = self._endpoints(channel)
             yield from (src.valid, src.payload, dst.ready)
 
-    def outputs(self):
-        for channel in self.CHANNELS:
-            src, dst = self._endpoints(channel)
-            yield from (dst.valid, dst.payload, src.ready)
-
     def drive(self) -> None:
         for channel in self.CHANNELS:
             src, dst = self._endpoints(channel)

@@ -191,9 +191,10 @@ class Component:
         """Wires sourced or observed by this component.
 
         The kernel registers these for tracing, reset, and VCD dumps.
-        Subclasses should yield every wire of every interface they touch;
-        duplicates across components are harmless (deduplicated by
-        identity).
+        Subclasses should yield every wire of every interface they touch,
+        the ones :meth:`drive` writes included — the kernel keeps no
+        separate write set.  Duplicates across components are harmless:
+        a wire is registered once, by the first component naming it.
         """
         return ()
 
@@ -214,15 +215,6 @@ class Component:
         Return ``None`` (the default) to let the kernel trace actual
         reads automatically.  Return an iterable (possibly empty) to
         declare the sensitivity list explicitly and skip tracing.
-        """
-        return None
-
-    def outputs(self) -> Optional[Iterable[Wire]]:
-        """Wires this component may write during :meth:`drive`.
-
-        Purely declarative: the kernel records declared writers for
-        debugging (see ``Simulator.wire_writers``).  ``None`` means
-        undeclared.
         """
         return None
 

@@ -172,8 +172,6 @@ class Simulator:
         #: recorded in _update_queue_key holds.
         self._update_queue: List[Component] = []
         self._update_queue_key: Optional[set] = None
-        #: Declared writers per wire id, from Component.outputs().
-        self._declared_writers: Dict[int, List[Component]] = {}
         #: Flat wire list for the verify settle check; None until built.
         self._verify_wires: Optional[List[Wire]] = None
         #: Wires that changed since the end of the last step's probes;
@@ -200,7 +198,12 @@ class Simulator:
     # Construction
     # ------------------------------------------------------------------
     def add(self, component: Component) -> Component:
-        """Register *component* (and its wires) with the simulator."""
+        """Register *component* (and its wires) with the simulator.
+
+        A wire already pointing at this simulator's worklists (shared
+        with a component registered earlier) is not adopted again, so
+        the readers declared or traced so far are kept.
+        """
         component._order = len(self.components)
         self.components.append(component)
         self._verify_wires = None
@@ -213,23 +216,22 @@ class Simulator:
         sink = self._pending if incremental else None
         usink = self._update_pending if self.update_skipping else None
         log = self._changed_wires if self._track_changes else None
+        wires = self._wires
+        adopt = self._adopt_wire
         for wire in component.wires():
-            self._wires[id(wire)] = wire
-            self._adopt_wire(wire, sink, usink, log)
+            wires[id(wire)] = wire
+            if wire._dirty_sink is not sink or wire._change_log is not log:
+                adopt(wire, sink, usink, log)
 
         declared = component.inputs()
         component._auto_trace = declared is None
         if declared is not None:
             for wire in declared:
-                self._wires.setdefault(id(wire), wire)
-                self._adopt_wire(wire, sink, usink, log)
+                wires[id(wire)] = wire
+                if wire._dirty_sink is not sink or wire._change_log is not log:
+                    adopt(wire, sink, usink, log)
                 if incremental:
                     wire.readers.add(component)
-
-        outputs = component.outputs()
-        if outputs is not None:
-            for wire in outputs:
-                self._declared_writers.setdefault(id(wire), []).append(component)
 
         # Like the wires, a component invalidates the worklist of the
         # simulator it was most recently registered with — or none, when
@@ -256,8 +258,12 @@ class Simulator:
                 declared_wakes = component.update_inputs()
                 if declared_wakes is not None:
                     for wire in declared_wakes:
-                        self._wires.setdefault(id(wire), wire)
-                        self._adopt_wire(wire, sink, usink, log)
+                        wires[id(wire)] = wire
+                        if (
+                            wire._dirty_sink is not sink
+                            or wire._change_log is not log
+                        ):
+                            adopt(wire, sink, usink, log)
                         wire.update_readers.add(component)
             else:
                 component._update_scheduler = None
@@ -272,7 +278,7 @@ class Simulator:
         wire: Wire,
         sink: Optional[set],
         usink: Optional[set],
-        log: Optional[set] = None,
+        log: Optional[set],
     ) -> None:
         """Point *wire* at this simulator's worklists (or detach it).
 
@@ -281,6 +287,9 @@ class Simulator:
         executed — by this one.  The new owner's components re-trace (or
         re-declare) their reads on their first evaluation here.  The
         update sink and change log follow ownership the same way.
+        ``add`` calls this only for a wire whose dirty sink or change
+        log is not already this simulator's; the update sink follows
+        the dirty sink, so matching those two means nothing would move.
         """
         if wire._dirty_sink is not sink:
             wire._dirty_sink = sink
@@ -318,10 +327,6 @@ class Simulator:
     @property
     def wires(self) -> List[Wire]:
         return list(self._wires.values())
-
-    def wire_writers(self, wire: Wire) -> List[Component]:
-        """Components that declared *wire* in their ``outputs()`` (debug aid)."""
-        return list(self._declared_writers.get(id(wire), ()))
 
     # ------------------------------------------------------------------
     # Timed wakes
@@ -456,10 +461,10 @@ class Simulator:
     def _verify_watch_wires(self) -> List[Wire]:
         """Every wire, as a cached flat list, for the verify settle check.
 
-        Deliberately *not* narrowed to declared ``outputs()`` — the
-        verify strategy exists to distrust declarations, and a drive
-        writing a wire missing from its outputs() list must still trip
-        the cross-check.  The cached list plus the caller's in-place
+        Deliberately *not* narrowed to the wires a drive is expected to
+        write — the verify strategy exists to distrust declarations, so
+        a drive writing any registered wire must still trip the
+        cross-check.  The cached list plus the caller's in-place
         slot comparison is what replaced the old per-cycle double
         ``_snapshot()`` tuple rebuild.
         """

@@ -110,9 +110,6 @@ class RegBusDemux(Component):
         # are sampled in update() only.
         return ()
 
-    def outputs(self):
-        return (self.port.rsp_valid, self.port.rsp)
-
     def update_inputs(self):
         return (self.port.req_valid, self.port.req)
 
@@ -197,9 +194,6 @@ class RegBusMaster(Component):
 
     def inputs(self):
         return (self.port.rsp_valid,)
-
-    def outputs(self):
-        return (self.port.req_valid, self.port.req)
 
     def update_inputs(self):
         return (self.port.rsp_valid, self.port.rsp)

@@ -101,11 +101,6 @@ class ResetUnit(Component):
             len(self.reset_log),
         )
 
-    def outputs(self):
-        if self.subordinate is not None:
-            yield self.subordinate.hw_reset
-        yield self.ack
-
     def drive(self) -> None:
         in_reset = self._state == _ResetState.RESETTING
         if self.subordinate is not None:

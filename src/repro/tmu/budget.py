@@ -68,6 +68,20 @@ class AdaptiveBudgetPolicy:
         self.phases = phases if phases is not None else PhaseBudgets()
         self.span = span if span is not None else SpanBudgets()
 
+    # Policies compare and print by value (same type, same fields), so a
+    # TmuConfig does too.  They stay mutable — the register file writes
+    # ``span.base`` at run time — and therefore unhashable.
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{key}={value!r}" for key, value in vars(self).items()
+        )
+        return f"{type(self).__name__}({fields})"
+
     # -- Full-Counter ---------------------------------------------------
     def write_phase_budget(
         self, phase: WritePhase, beats: int, queued_ahead: int = 0

@@ -89,7 +89,9 @@ class OutstandingTransactionTable:
         self.max_uniq_ids = max_uniq_ids
         self.txn_per_id = txn_per_id
         self.capacity = max_uniq_ids * txn_per_id
-        self._ld: List[LdEntry] = [LdEntry(index=i) for i in range(self.capacity)]
+        # LD entries are built the first time the free list hands out
+        # their index, so construction does not scale with capacity.
+        self._ld: List[Optional[LdEntry]] = [None] * self.capacity
         self._free: Deque[int] = deque(range(self.capacity))
         self._ht: List[_HtEntry] = [_HtEntry() for _ in range(max_uniq_ids)]
         self._ei: Deque[int] = deque()
@@ -137,6 +139,8 @@ class OutstandingTransactionTable:
             )
         index = self._free.popleft()
         entry = self._ld[index]
+        if entry is None:
+            entry = self._ld[index] = LdEntry(index)
         entry.used = True
         entry.tid = tid
         entry.orig_id = orig_id

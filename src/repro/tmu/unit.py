@@ -72,11 +72,8 @@ class _TmuChannel(Component):
         src, dst = _channel_endpoints(self.tmu, self.channel)
         return (src.valid, src.payload, dst.ready)
 
-    def outputs(self):
-        src, dst = _channel_endpoints(self.tmu, self.channel)
-        return (dst.valid, dst.payload, src.ready)
-
     def drive(self) -> None:
+        # Writes the destination's valid/payload and the source's ready.
         self.tmu._drive_channel(self.channel)
 
 
@@ -138,7 +135,6 @@ class TransactionMonitoringUnit(Component):
         self._watch_channels = [
             getattr(bus, ch) for bus in (host, device) for ch in _CHANNELS
         ]
-        self._watch_valids = [ch.valid for ch in self._watch_channels]
 
         #: interrupt request to the platform interrupt controller.
         self.irq = Wire(f"{name}.irq", False)
@@ -209,9 +205,6 @@ class TransactionMonitoringUnit(Component):
         # must not re-trigger on datapath wire changes.  reset_ack is
         # only sampled in update(), which always runs.
         return ()
-
-    def outputs(self):
-        return (self.irq, self.reset_req)
 
     def update_inputs(self):
         # A valid rising anywhere (or the reset handshake moving) ends

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.axi.interface import AxiInterface
+from repro.axi.manager import Manager
+from repro.axi.subordinate import Subordinate
 from repro.sim.component import Component
 from repro.sim.kernel import SettleError, Simulator
 from repro.sim.signal import Channel, Wire
@@ -198,3 +201,30 @@ def test_wire_adoption_by_new_simulator_drops_stale_readers():
     sim_b.step()
     assert follower_b.out.value == 42
     assert follower_a.out.value == 0  # dead sim's component never ran
+
+
+@pytest.mark.parametrize("strategy", ["dirty", "verify"])
+def test_shared_interface_registered_once_keeps_declared_readers(strategy):
+    bus = AxiInterface("bus")
+    sim = Simulator(strategy=strategy)
+    manager = sim.add(Manager("m", bus))
+    subordinate = sim.add(Subordinate("s", bus))
+    # Registering the subordinate re-names every bus wire; the manager's
+    # declared drive and update readers survive it.
+    assert bus.b.valid.readers == {manager}
+    assert bus.aw.ready.update_readers == {manager}
+    assert subordinate in bus.aw.valid.update_readers
+    assert subordinate.hw_reset.readers == {subordinate}
+    named = {id(wire) for wire in (*bus.wires(), subordinate.hw_reset)}
+    assert sorted(id(wire) for wire in sim.wires) == sorted(named)
+
+
+def test_wire_named_after_track_changes_joins_the_change_log():
+    # An exhaustive simulator gives wires no dirty sink, so a fresh wire
+    # already "points" there; it must still be adopted into the log.
+    sim = Simulator(strategy="exhaustive")
+    changed = sim.track_changes()
+    counter = sim.add(Counter("c"))
+    sim.step()
+    counter.out.value = 5
+    assert counter.out in changed

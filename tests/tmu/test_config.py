@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.tmu.budget import AdaptiveBudgetPolicy
+from repro.orchestrate.serialize import config_from_dict, config_to_dict
+from repro.tmu.budget import AdaptiveBudgetPolicy, FixedBudgetPolicy
 from repro.tmu.config import TmuConfig, Variant, full_config, tiny_config
 
 
@@ -53,3 +54,31 @@ def test_factory_kwargs_passthrough():
     assert config.max_uniq_ids == 8
     assert config.max_outstanding == 16
     assert config.prescale_step == 16
+
+
+@pytest.mark.parametrize(
+    "make_budgets", [AdaptiveBudgetPolicy, lambda: FixedBudgetPolicy(40, 90)]
+)
+def test_config_round_trip_compares_equal(make_budgets):
+    config = tiny_config(max_uniq_ids=2, budgets=make_budgets())
+    assert config == tiny_config(max_uniq_ids=2, budgets=make_budgets())
+    assert config_from_dict(config_to_dict(config)) == config
+
+
+def test_configs_differing_in_one_budget_compare_unequal():
+    changed = TmuConfig()
+    changed.budgets.phases.b_wait += 1
+    assert changed != TmuConfig()
+    changed = TmuConfig()
+    changed.budgets.span.base += 1  # as a register write does at run time
+    assert changed != TmuConfig()
+    assert FixedBudgetPolicy(64, 128) != FixedBudgetPolicy(64, 129)
+    assert FixedBudgetPolicy() != AdaptiveBudgetPolicy()
+
+
+def test_config_repr_is_value_based():
+    for config in (TmuConfig(), full_config(budgets=FixedBudgetPolicy())):
+        text = repr(config)
+        assert "0x" not in text
+        assert text == repr(config_from_dict(config_to_dict(config)))
+    assert "span_budget_cycles=128" in repr(FixedBudgetPolicy())

@@ -171,3 +171,33 @@ def test_entry_fields_initialized_on_enqueue():
     assert not entry.w_done
     assert not entry.timeout
     assert entry.phase_latencies == {}
+
+
+def test_reused_entry_matches_entry_built_on_first_use():
+    table = make(4, 1)
+    # Dirty every entry, then free them all: index 0 comes back first.
+    for tid in range(4):
+        stale = enq(table, tid, cycle=7, beats=2)
+        stale.state, stale.beats_seen, stale.next = 3, 2, 1
+        stale.w_done = stale.timeout = True
+        stale.phase_latencies = {"aw": 5}
+    for tid in range(4):
+        table.dequeue_head(tid)
+    reused = enq(table, 2, cycle=42, beats=8)
+    assert reused.index == 0
+    assert reused == enq(make(4, 1), 2, cycle=42, beats=8)
+
+
+def test_large_table_builds_entries_on_first_use():
+    table = make(16, 256)
+    assert table.capacity == 4096
+    assert table._ld.count(None) == 4096  # nothing built at construction
+    first = [enq(table, tid).index for tid in (0, 1, 0)]
+    assert first == [0, 1, 2]
+    assert table._ld.count(None) == 4096 - 3
+    assert table.dequeue_head(0).index == 0
+    # Freed indices rejoin the free list at the back.
+    assert [enq(table, 3).index for _ in range(2)] == [3, 4]
+    table.clear()
+    assert [enq(table, tid).index for tid in (5, 6)] == [0, 1]
+    assert table._ld.count(None) == 4096 - 5
