@@ -413,9 +413,8 @@ def run_campaign(
     """Cross-product campaign over configurations, stages and seeds.
 
     Runs through the orchestration engine (:mod:`repro.orchestrate`):
-    *workers* > 1 shards the sweep across a process pool (*executor*
-    overrides the choice entirely, e.g. with a
-    :class:`~repro.orchestrate.distributed.DistributedExecutor`),
+    *workers* > 1 shards the sweep across a process pool (*executor*,
+    anything with the ``map(shards)`` contract, overrides the choice),
     *batch_lanes* routes same-config seed sweeps through the lockstep
     batch executor (:class:`~repro.orchestrate.batch.BatchExecutor`;
     *batch_verify* replays every derived lane on the scalar verify

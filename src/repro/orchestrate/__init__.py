@@ -13,11 +13,6 @@ Layers (one module each):
   :class:`RunSpec` list → :class:`Shard` plan, plus the spec hash.
 * :mod:`~repro.orchestrate.executor` — serial and process-pool shard
   executors; per-worker harness construction.
-* :mod:`~repro.orchestrate.remote` — the distributed wire protocol:
-  length-prefixed JSON frames and the pull conversation.
-* :mod:`~repro.orchestrate.distributed` — the TCP coordinator
-  (:class:`DistributedExecutor`), lease-based shard assignment with
-  reassignment on worker death, and the worker pull loop.
 * :mod:`~repro.orchestrate.batch` — the lockstep batch executor
   (:class:`BatchExecutor`): packs of same-config lanes derived from one
   scalar leader run, with evidence-gated retirement to the scalar
@@ -31,17 +26,10 @@ Layers (one module each):
 
 ``repro.faults.campaign.run_campaign`` and
 ``repro.soc.experiment.run_fig11`` are thin wrappers over this engine;
-``python -m repro campaign`` (plus ``repro serve`` / ``repro worker``
-for the distributed pair) exposes it from the shell.
+``python -m repro campaign`` exposes it from the shell.
 """
 
 from .batch import BatchExecutor, BatchStats
-from .distributed import (
-    DistributedExecutor,
-    DistributedTimeout,
-    ShardBoard,
-    worker_loop,
-)
 from .engine import run_campaign_spec
 from .executor import (
     SerialExecutor,
@@ -52,17 +40,12 @@ from .executor import (
     make_executor,
 )
 from .progress import ProgressReporter
-from .remote import PROTOCOL_VERSION, ProtocolError, recv_frame, send_frame
 from .serialize import (
     SpecSerializationError,
     config_from_dict,
     config_to_dict,
     result_from_dict,
     result_to_dict,
-    run_from_dict,
-    run_to_dict,
-    shard_from_dict,
-    shard_to_dict,
 )
 from .spec import CampaignSpec, RunSpec, Shard, plan_shards
 from .store import STORE_FORMAT, ResultStore
@@ -71,17 +54,12 @@ __all__ = [
     "BatchExecutor",
     "BatchStats",
     "CampaignSpec",
-    "DistributedExecutor",
-    "DistributedTimeout",
-    "PROTOCOL_VERSION",
     "ProgressReporter",
-    "ProtocolError",
     "ResultStore",
     "RunSpec",
     "STORE_FORMAT",
     "SerialExecutor",
     "Shard",
-    "ShardBoard",
     "SpecSerializationError",
     "WorkerPoolExecutor",
     "config_from_dict",
@@ -91,14 +69,7 @@ __all__ = [
     "execute_shard",
     "make_executor",
     "plan_shards",
-    "recv_frame",
     "result_from_dict",
     "result_to_dict",
     "run_campaign_spec",
-    "run_from_dict",
-    "run_to_dict",
-    "send_frame",
-    "shard_from_dict",
-    "shard_to_dict",
-    "worker_loop",
 ]

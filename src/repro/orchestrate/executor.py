@@ -16,7 +16,6 @@ default.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
@@ -94,27 +93,9 @@ def execute_run(run: RunSpec, trace=None):
     )
 
 
-def execute_shard(shard: Shard, store=None) -> ShardResult:
-    """Worker entry point: run every injection of one shard, in order.
-
-    *store* (a :class:`~repro.orchestrate.store.ResultStore`) is the
-    worker-side short-circuit: each run is looked up before it is
-    simulated and written back after — so a distributed worker handed a
-    reassigned shard whose original holder already pushed results into
-    the shared store only simulates the genuinely missing runs.  The
-    returned results are identical either way (store hits round-trip
-    the exact result objects).
-    """
-    if store is None:
-        return shard.index, [execute_run(run) for run in shard.runs]
-    results = []
-    for run in shard.runs:
-        result = store.get(run)
-        if result is None:
-            result = execute_run(run)
-            store.put(run, result)
-        results.append(result)
-    return shard.index, results
+def execute_shard(shard: Shard) -> ShardResult:
+    """Worker entry point: run every injection of one shard, in order."""
+    return shard.index, [execute_run(run) for run in shard.runs]
 
 
 class SerialExecutor:
@@ -143,6 +124,10 @@ class WorkerPoolExecutor:
     def map(self, shards: Sequence[Shard]) -> Iterator[ShardResult]:
         if not shards:
             return
+        # Imported here so serial and batch campaigns (and CLI start-up)
+        # never load multiprocessing and the socket stack behind it.
+        import multiprocessing
+
         method = os.environ.get(START_METHOD_ENV, "").strip() or None
         context = multiprocessing.get_context(method)
         processes = min(self.workers, len(shards))
@@ -150,27 +135,18 @@ class WorkerPoolExecutor:
             yield from pool.imap_unordered(execute_shard, shards, chunksize=1)
 
 
-def make_executor(
-    workers: int, distributed=None, batch_lanes=None, batch_verify=False
-):
-    """Pick the executor: serial, process pool, distributed, or batch.
+def make_executor(workers: int, batch_lanes=None, batch_verify=False):
+    """Pick the executor: serial, process pool, or batch.
 
-    *distributed* selects the distributed executor
-    (:class:`~repro.orchestrate.distributed.DistributedExecutor`): pass
-    a pre-built executor to use it as-is, ``True`` for the defaults, or
-    a kwargs mapping (``host``/``port``/``local_workers``/
-    ``lease_timeout``) to construct one.  *batch_lanes* selects the
-    lockstep batch executor
+    *batch_lanes* selects the lockstep batch executor
     (:class:`~repro.orchestrate.batch.BatchExecutor`) with packs of at
     most that many lanes (*batch_verify* adds a scalar verify replay of
     every derived lane).  Otherwise *workers* picks between the
     in-process executors (1 → serial).  The batch axis is exclusive
-    with the other two: packs are planned over the whole pending run
+    with the process pool: packs are planned over the whole pending run
     set in one process.
     """
     if batch_lanes is not None:
-        if distributed is not None and distributed is not False:
-            raise ValueError("batch_lanes cannot be combined with distributed")
         if workers > 1:
             raise ValueError(
                 f"batch_lanes requires workers=1, got workers={workers}"
@@ -178,14 +154,4 @@ def make_executor(
         from .batch import BatchExecutor
 
         return BatchExecutor(batch_lanes, verify=batch_verify)
-    if distributed is not None and distributed is not False:
-        # Imported lazily — distributed.py imports execute_shard from
-        # this module, so a top-level import would cycle.
-        from .distributed import DistributedExecutor
-
-        if isinstance(distributed, DistributedExecutor):
-            return distributed
-        if distributed is True:
-            return DistributedExecutor()
-        return DistributedExecutor(**dict(distributed))
     return SerialExecutor() if workers <= 1 else WorkerPoolExecutor(workers)

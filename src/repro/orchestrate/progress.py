@@ -13,13 +13,11 @@ remaining work.  Reporting is
 measurement-only; the engine works identically with ``reporter=None``.
 
 Executors may contribute a live status segment through
-:meth:`ProgressReporter.set_status` — the distributed coordinator uses
-it to show connected workers and lease reassignments::
+:meth:`ProgressReporter.set_status` — the batch executor uses it to
+append its pack, leader, derived, retired and promoted counts.
 
-    campaign: 7/24 runs (29.2%) | elapsed 3.1s | eta 7.6s | 2 worker(s)
-
-Status updates arrive from coordinator threads, so rendering is guarded
-by a lock; everything else stays single-threaded.
+A lock serializes writes of the status line to the stream, so a redraw
+from any thread lands as one whole line.
 """
 
 from __future__ import annotations

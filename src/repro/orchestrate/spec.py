@@ -32,7 +32,9 @@ from .serialize import SpecSerializationError, config_to_dict, run_param_dict
 KINDS = ("ip", "system")
 
 
-def validate_axes(kind: str, beats: int, reorder_depth: int = 0) -> None:
+def validate_axes(
+    kind: str, beats: int, reorder_depth: int = 0, background: int = 0
+) -> None:
     """Reject a traffic axis no run of *kind* can take (``ValueError``).
 
     The one axis validator: :class:`CampaignSpec` applies it on
@@ -50,6 +52,8 @@ def validate_axes(kind: str, beats: int, reorder_depth: int = 0) -> None:
         )
     if reorder_depth < 0:
         raise ValueError(f"reorder_depth must be at least 0, got {reorder_depth}")
+    if background < 0:
+        raise ValueError(f"background must be at least 0, got {background}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,7 +144,7 @@ class CampaignSpec:
             raise ValueError(f"unknown campaign kind {self.kind!r}")
         if not self.configs or not self.stages or not self.seeds:
             raise ValueError("campaign needs at least one config, stage and seed")
-        validate_axes(self.kind, self.beats, self.reorder_depth)
+        validate_axes(self.kind, self.beats, self.reorder_depth, self.background)
         try:
             json.dumps(self.canonical_dict(), sort_keys=True)
         except TypeError as exc:

@@ -14,9 +14,8 @@ Two tiers, consulted in order:
   repeats within one process (aggregation queries, streamed exports).
 * **Warm** — an append-only SQLite table in WAL mode.  WAL plus
   ``INSERT OR IGNORE`` makes the file safe for concurrent writers
-  sharing a directory (coordinator + workers, or two campaigns): the
-  first result for a key wins and later duplicates are dropped, the
-  same at-least-once discipline the distributed board enforces.
+  sharing a directory (say, two campaigns): the first result for a key
+  wins and later duplicates are dropped.
   Defects are demoted to logged misses *per row* — a truncated payload,
   a foreign or future format marker, or a result that fails to
   deserialize costs one re-simulated run, never the store.
@@ -92,6 +91,8 @@ class ResultStore:
         self.metrics = metrics
         self.hot_capacity = hot_capacity
         self._hot: "collections.OrderedDict[str, Any]" = collections.OrderedDict()
+        # Guards the hot LRU and the one SQLite connection, which any
+        # thread holding this store may use (check_same_thread=False).
         self._lock = threading.Lock()
         self._db = self._connect()
 
@@ -204,9 +205,9 @@ class ResultStore:
         """Record *result* for *run*; ``False`` if the key already had one.
 
         First-result-wins: ``INSERT OR IGNORE`` under WAL means two
-        processes (a worker and a thief re-executing its stolen shard,
-        say) can race a put and the store keeps exactly one row —
-        whichever committed first — without either writer failing.
+        processes (two overlapping campaigns on one store, say) can
+        race a put and the store keeps exactly one row — whichever
+        committed first — without either writer failing.
         """
         key = run.param_key()
         payload = json.dumps(result_to_dict(result), sort_keys=True)

@@ -329,9 +329,8 @@ def run_fig11(
     The sweep runs through the orchestration engine
     (:mod:`repro.orchestrate`): *workers* > 1 shards the runs across a
     process pool (each worker builds its own :class:`CheshireSoC`; an
-    explicit *executor* — e.g. a
-    :class:`~repro.orchestrate.distributed.DistributedExecutor` serving
-    remote workers — overrides the choice), *batch_lanes* routes the
+    explicit *executor* with the ``map(shards)`` contract overrides the
+    choice), *batch_lanes* routes the
     sweep through the lockstep batch executor
     (:class:`~repro.orchestrate.batch.BatchExecutor`; *batch_verify*
     replays every derived lane on the scalar verify kernel), *store* (a

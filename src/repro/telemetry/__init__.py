@@ -2,7 +2,7 @@
 
 The paper's TMU exists because SoCs are blind to where time goes when a
 transaction stalls; this package removes the same blindness about the
-reproduction itself.  Three layers, all off by default and all
+reproduction itself.  Two layers, both off by default and both
 measurement-only (enabling any of them never changes a figure):
 
 * **Kernel tracing** (:mod:`.tracer`) — a :class:`Tracer` object
@@ -15,16 +15,11 @@ measurement-only (enabling any of them never changes a figure):
   engine, executors and result store; serialized into a ``telemetry.json``
   artifact next to campaign exports and summarized by
   ``repro report --telemetry``.
-* **Fleet health** (:mod:`.events`) — a bounded, thread-safe
-  :class:`EventLog` of structured coordinator events (leases, worker
-  connects, heartbeats) behind the ``status`` wire frame and the
-  ``repro status --connect`` command.
 
 :mod:`.logs` rounds the story out with the ``repro --log-level /
 --log-json`` root logger setup.
 """
 
-from .events import EventLog
 from .metrics import (
     Counter,
     Gauge,
@@ -33,12 +28,11 @@ from .metrics import (
     read_telemetry,
     write_telemetry,
 )
-from .logs import setup_logging, worker_log_prefix
+from .logs import setup_logging
 from .tracer import KernelTracer, Tracer, write_chrome_trace
 
 __all__ = [
     "Counter",
-    "EventLog",
     "Gauge",
     "Histogram",
     "KernelTracer",
@@ -46,7 +40,6 @@ __all__ = [
     "Tracer",
     "read_telemetry",
     "setup_logging",
-    "worker_log_prefix",
     "write_chrome_trace",
     "write_telemetry",
 ]

@@ -12,15 +12,15 @@ Design constraints, in order:
 * **Measurement-only.**  Nothing reads a metric to make a decision;
   a campaign run with ``metrics=None`` is byte-identical to one with a
   registry attached (asserted by the integration tests).
-* **Mergeable.**  Shards execute in many places — worker processes,
-  remote machines, batch packs — so registries must combine:
+* **Mergeable.**  Shards execute in many places — worker processes
+  and batch packs — so registries must combine:
   counters and histograms add, gauges are last-write-wins.  The
   hypothesis property test holds ``merge`` to "splitting a stream of
   observations across registries and merging equals observing the
   stream in one registry".
-* **Thread-tolerant.**  The distributed coordinator increments from
-  its per-worker serving threads; one registry-wide lock covers every
-  mutation (all of them shard-granular, so contention is irrelevant).
+* **Thread-tolerant.**  One registry-wide lock covers every mutation
+  and every snapshot, so instruments shared between threads never lose
+  an update (all of them shard-granular, so contention is irrelevant).
 * **Plain JSON.**  ``to_dict``/``from_dict`` round-trip exactly; no
   dependencies beyond the standard library.
 """
@@ -37,7 +37,7 @@ TELEMETRY_FORMAT = "repro-telemetry"
 TELEMETRY_VERSION = 1
 
 #: Default histogram bucket upper bounds (seconds): sub-millisecond
-#: derived lanes through multi-minute distributed shards.
+#: derived lanes through multi-minute shards.
 DEFAULT_SECONDS_BOUNDS: Tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0
 )

@@ -1,17 +1,15 @@
-"""Crash/resume integration: kill the coordinator, resume from the store.
+"""Crash/resume integration: kill a campaign mid-run, resume from the store.
 
-The distributed executor's crash-safety story is the result store:
-every completed run is committed there as it streams in, so a
-SIGKILLed coordinator — the worst case, nothing gets to clean up — can
-be resumed by any later campaign pointed at the same store, and the
-final campaign JSON must be byte-identical to an uninterrupted serial
-run.  (The worker-kill half of the story lives in
-``tests/orchestrate/test_distributed.py``.)
+A campaign's crash-safety story is the result store: the engine commits
+every completed run the moment its shard streams in, so a SIGKILLed
+campaign process — the worst case, nothing gets to clean up — can be
+resumed by any later campaign pointed at the same store, and the final
+campaign JSON must be byte-identical to an uninterrupted serial run.
 
-The scenario is gated, not timed: a protocol-level worker executes
-exactly three shards, then signals and sits on its fourth lease, so the
-coordinator is provably mid-campaign — some runs stored, some not —
-when the SIGKILL lands.
+The scenario is gated, not timed: a forked child runs the campaign
+through an executor that executes exactly three shards, then signals
+and sleeps inside its fourth, so the campaign is provably mid-run —
+some runs stored, some not — when the SIGKILL lands.
 """
 
 import multiprocessing
@@ -28,7 +26,6 @@ from repro.analysis.export import campaign_dict, to_json
 from repro.faults.types import InjectionStage
 from repro.orchestrate import (
     CampaignSpec,
-    DistributedExecutor,
     ResultStore,
     SerialExecutor,
     plan_shards,
@@ -36,16 +33,9 @@ from repro.orchestrate import (
 )
 from repro.orchestrate.executor import execute_shard
 from repro.orchestrate.store import DB_NAME
-from repro.orchestrate.remote import (
-    expect,
-    hello_message,
-    recv_frame,
-    result_message,
-    send_frame,
-)
 from repro.tmu.config import full_config, tiny_config
 
-#: Shards the gated worker completes before it freezes on its next lease.
+#: Shards the gated executor completes before it freezes on the next one.
 SHARDS_BEFORE_FREEZE = 3
 
 
@@ -62,54 +52,31 @@ def crash_spec() -> CampaignSpec:
     )
 
 
-def _coordinator_victim(store_dir: str, port_file: str) -> None:
-    """Child-process coordinator: bind, announce the port, serve shards."""
-    executor = DistributedExecutor(port=0, lease_timeout=600, result_timeout=120)
-    _host, port = executor.bind()
-    tmp = port_file + ".tmp"
-    with open(tmp, "w") as stream:
-        stream.write(str(port))
-    os.replace(tmp, port_file)  # atomic: the parent never reads half a port
-    run_campaign_spec(crash_spec(), store=store_dir, executor=executor)
+class Gated(SerialExecutor):
+    """Executes SHARDS_BEFORE_FREEZE shards for real, then freezes.
 
+    The engine stores each yielded shard before it pulls the next one,
+    so by the time ``frozen`` fires every completed run is committed.
+    """
 
-def _gated_worker(port: int, frozen) -> None:
-    """Execute SHARDS_BEFORE_FREEZE shards for real, then hold a lease."""
-    import socket as socket_module
+    def __init__(self, frozen) -> None:
+        self.frozen = frozen
 
-    sock = socket_module.create_connection(("127.0.0.1", port))
-    from repro.orchestrate.serialize import shard_from_dict
-
-    try:
-        send_frame(sock, hello_message("gated"))
-        expect(recv_frame(sock), "welcome")
-        executed = 0
-        while True:
-            message = recv_frame(sock)
-            if message is None or message["type"] == "done":
-                break
-            shard = shard_from_dict(message["shard"])
+    def map(self, shards):
+        for executed, shard in enumerate(shards):
             if executed >= SHARDS_BEFORE_FREEZE:
-                frozen.set()
-                time.sleep(600)  # hold the lease until SIGKILLed
-            index, results = execute_shard(shard)
-            send_frame(sock, result_message(index, shard.run_ids, results))
-            executed += 1
-    finally:
-        sock.close()
+                self.frozen.set()
+                time.sleep(600)  # hold the campaign open until SIGKILLed
+            yield execute_shard(shard)
+
+
+def _campaign_victim(store_dir: str, frozen) -> None:
+    run_campaign_spec(crash_spec(), store=store_dir, executor=Gated(frozen))
 
 
 def _stored_rows(store_dir) -> int:
     with ResultStore.open(store_dir) as store:
         return store.stats()["warm_rows"]
-
-
-def _wait_for(predicate, timeout: float, message: str) -> None:
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        if time.monotonic() > deadline:
-            pytest.fail(message)
-        time.sleep(0.05)
 
 
 def test_sigkilled_coordinator_resumes_byte_identical(tmp_path):
@@ -119,36 +86,19 @@ def test_sigkilled_coordinator_resumes_byte_identical(tmp_path):
     serial_json = to_json(campaign_dict(run_campaign_spec(spec), spec=spec))
 
     store_dir = tmp_path / "store"
-    port_file = str(tmp_path / "port")
     context = multiprocessing.get_context("fork")
     frozen = context.Event()
 
     victim = context.Process(
-        target=_coordinator_victim, args=(str(store_dir), port_file), daemon=True
+        target=_campaign_victim, args=(str(store_dir), frozen), daemon=True
     )
     victim.start()
-    _wait_for(
-        lambda: os.path.exists(port_file), 30, "coordinator never announced a port"
-    )
-    with open(port_file) as stream:
-        port = int(stream.read())
-
-    worker = context.Process(target=_gated_worker, args=(port, frozen), daemon=True)
-    worker.start()
-    assert frozen.wait(timeout=60), "worker never reached its freeze point"
-
-    # The coordinator must have stored the completed runs before we
-    # murder it mid-campaign.
-    _wait_for(
-        lambda: _stored_rows(store_dir) >= SHARDS_BEFORE_FREEZE,
-        30,
-        "completed runs never reached the store",
-    )
+    if not frozen.wait(timeout=60):
+        victim.kill()
+        pytest.fail("campaign never reached its freeze point")
     os.kill(victim.pid, signal.SIGKILL)
     victim.join(timeout=10)
     assert victim.exitcode == -signal.SIGKILL
-    os.kill(worker.pid, signal.SIGKILL)
-    worker.join(timeout=10)
 
     stored_before_resume = _stored_rows(store_dir)
     total = len(spec.runs())
@@ -156,13 +106,12 @@ def test_sigkilled_coordinator_resumes_byte_identical(tmp_path):
 
     # Resume: same spec, same store, plain serial executor.
     executed = []
-    original = execute_shard
 
     class Counting(SerialExecutor):
         def map(self, pending):
             for shard in pending:
                 executed.extend(shard.run_ids)
-                yield original(shard)
+                yield execute_shard(shard)
 
     resumed = run_campaign_spec(spec, store=store_dir, executor=Counting())
     assert to_json(campaign_dict(resumed, spec=spec)) == serial_json

@@ -104,6 +104,8 @@ def test_spec_rejects_out_of_range_axes():
             ip_spec(**kwargs)
     with pytest.raises(ValueError, match="beats"):
         CampaignSpec.system([Variant.FULL], FIG11_STAGES, beats=0)
+    with pytest.raises(ValueError, match="background"):
+        CampaignSpec.system([Variant.FULL], FIG11_STAGES, background=-1)
     # The DMA splits long system transfers, so only IP runs stop at 256.
     assert ip_spec(beats=256).beats == 256
     assert CampaignSpec.system([Variant.FULL], FIG11_STAGES, beats=300).beats == 300

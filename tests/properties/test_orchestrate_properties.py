@@ -1,17 +1,17 @@
 """Hypothesis properties for the orchestration contract.
 
-The distributed executor's safety argument leans on three invariants,
-so they get property coverage rather than examples:
+Every executor's correctness leans on three invariants, so they get
+property coverage rather than examples:
 
 * shard planning is a **disjoint, complete partition** of the canonical
-  run list, with stable run IDs — what makes at-least-once execution
-  safe;
-* the **spec hash** is invariant to dict key order (two machines
+  run list, with stable run IDs — what lets each run execute and be
+  stored exactly once per campaign;
+* the **spec hash** is invariant to dict key order (two processes
   building "the same" campaign label their exports alike) and
   sensitive to every parameter (no two sweeps share a label);
 * **aggregation is index-ordered** no matter what order shard results
-  arrive in — what makes worker count, scheduling jitter and lease
-  reassignment invisible in the output.
+  arrive in — what makes worker count and scheduling jitter invisible
+  in the output.
 """
 
 from hypothesis import given, settings

@@ -1,4 +1,4 @@
-"""Root logger setup: idempotence, JSON lines, worker attribution."""
+"""Root logger setup: idempotence, level filtering, JSON lines."""
 
 import io
 import json
@@ -6,8 +6,7 @@ import logging
 
 import pytest
 
-from repro.telemetry import setup_logging, worker_log_prefix
-from repro.telemetry import logs as logs_module
+from repro.telemetry import setup_logging
 from repro.telemetry.logs import ROOT_LOGGER
 
 
@@ -17,13 +16,12 @@ def reset_repro_logger():
     logger = logging.getLogger(ROOT_LOGGER)
     saved = (
         list(logger.handlers), list(logger.filters),
-        logger.level, logger.propagate, logs_module._worker_id,
+        logger.level, logger.propagate,
     )
     yield
     logger.handlers, logger.filters = list(saved[0]), list(saved[1])
     logger.setLevel(saved[2])
     logger.propagate = saved[3]
-    logs_module._worker_id = saved[4]
 
 
 def test_setup_is_idempotent():
@@ -58,35 +56,3 @@ def test_json_lines_are_parseable():
     assert record["level"] == "INFO"
     assert record["logger"] == f"{ROOT_LOGGER}.test"
 
-
-def test_worker_prefix_in_text_and_json():
-    stream = io.StringIO()
-    setup_logging("info", stream=stream, worker_id="host-1234-0")
-    logging.getLogger(f"{ROOT_LOGGER}.worker").info("pulling")
-    assert stream.getvalue().startswith("[host-1234-0] ")
-
-    stream = io.StringIO()
-    setup_logging("info", json_lines=True, stream=stream)
-    worker_log_prefix("host-1234-1")
-    logging.getLogger(f"{ROOT_LOGGER}.worker").info("pulling")
-    assert json.loads(stream.getvalue().strip())["worker"] == "host-1234-1"
-
-
-def test_worker_prefix_replaces_previous_tag():
-    stream = io.StringIO()
-    logger = setup_logging("info", stream=stream)
-    worker_log_prefix("a")
-    worker_log_prefix("b")
-    (handler,) = logger.handlers
-    tags = [f for f in handler.filters if type(f).__name__ == "_WorkerTag"]
-    assert len(tags) == 1 and tags[0].worker_id == "b"
-
-
-def test_setup_after_worker_prefix_keeps_the_tag():
-    # worker_loop tags first; a later setup_logging (new handler) must
-    # not silently drop the attribution.
-    worker_log_prefix("host-7")
-    stream = io.StringIO()
-    setup_logging("info", stream=stream)
-    logging.getLogger(f"{ROOT_LOGGER}.worker").info("pulling")
-    assert stream.getvalue().startswith("[host-7] ")

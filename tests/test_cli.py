@@ -111,24 +111,6 @@ def test_fig11_workers_flag_matches_serial(capsys):
     assert capsys.readouterr().out == serial
 
 
-def test_campaign_distributed_matches_serial(capsys, tmp_path):
-    base = [
-        "campaign", "--kind", "ip", "--variant", "full",
-        "--stage", "aw_stage_error", "--stage", "wlast_bvalid_error",
-        "--beats", "4",
-    ]
-    dist_json = str(tmp_path / "dist.json")
-    serial_json = str(tmp_path / "serial.json")
-    assert main(base + ["--distributed", "--local-workers", "2",
-                        "--json", dist_json]) == 0
-    dist_out = capsys.readouterr().out
-    assert main(base + ["--json", serial_json]) == 0
-    serial_out = capsys.readouterr().out
-    assert dist_out.replace(dist_json, "") == serial_out.replace(serial_json, "")
-    with open(dist_json) as left, open(serial_json) as right:
-        assert left.read() == right.read()
-
-
 def test_campaign_resume_flags(capsys, tmp_path):
     """Resume is the same command with the same --store: no extra flag."""
     import json
@@ -155,50 +137,36 @@ def test_campaign_resume_flags(capsys, tmp_path):
          "beats must be at least 1"),
         (["campaign", "--reorder-depth", "-1"], "reorder_depth must be at least 0"),
         (["fig11", "--reorder-depth", "-1"], "reorder_depth must be at least 0"),
-        (["serve", "--port", "0", "--beats", "0"], "beats must be at least 1"),
         (["inject", "--beats", "0"], "beats must be at least 1"),
+        (["campaign", "--kind", "system", "--beats", "16", "--background", "-1"],
+         "background must be at least 0"),
+        (["campaign", "--beats", "4", "--shard-size", "0"],
+         "expected a positive integer"),
+        (["campaign", "--beats", "4", "--shard-size", "-1"],
+         "expected a positive integer"),
+        (["campaign", "--beats", "4", "--workers", "-2"],
+         "expected a positive integer"),
+        (["fig11", "--workers", "-2"], "expected a positive integer"),
+        (["inject", "--workers", "-2"], "expected a positive integer"),
     ],
     ids=["ip-beats-0", "ip-beats-300", "system-beats-0", "campaign-reorder",
-         "fig11-reorder", "serve-beats-0", "inject-beats-0"],
+         "fig11-reorder", "inject-beats-0", "system-background-neg",
+         "shard-size-0", "shard-size-neg", "campaign-workers-neg",
+         "fig11-workers-neg", "inject-workers-neg"],
 )
 def test_bad_campaign_axis_is_a_usage_error(capsys, argv, message):
-    assert main(argv) == 2
+    # Axis validation reports "error: ..." and returns 2; argparse type
+    # checks print usage plus "prog: error: ..." and exit 2.
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith(("error: ", "usage: "))
+    last = err.strip().splitlines()[-1]
+    assert "error: " in last and message in last
     assert "Traceback" not in err
-
-
-def test_worker_requires_hostport():
-    with pytest.raises(SystemExit):
-        main(["worker", "--connect", "not-an-address"])
-
-
-def test_worker_against_live_coordinator(tmp_path):
-    import threading
-
-    from repro.orchestrate import CampaignSpec, DistributedExecutor, run_campaign_spec
-    from repro.faults.types import InjectionStage
-    from repro.tmu.config import full_config
-
-    from tests.conftest import fast_budgets
-
-    spec = CampaignSpec.ip(
-        [full_config(budgets=fast_budgets())],
-        [InjectionStage.AW_READY_MISSING],
-        beats=4,
-    )
-    executor = DistributedExecutor(result_timeout=120)
-    host, port = executor.bind()
-    outcome = {}
-
-    def serve():
-        outcome["results"] = run_campaign_spec(spec, executor=executor)
-
-    coordinator = threading.Thread(target=serve)
-    coordinator.start()
-    assert main(["worker", "--connect", f"{host}:{port}"]) == 0
-    coordinator.join(timeout=60)
-    assert outcome["results"] == run_campaign_spec(spec)
 
 
 def test_requires_subcommand():
@@ -207,7 +175,7 @@ def test_requires_subcommand():
 
 
 # ----------------------------------------------------------------------
-# Telemetry surfaces: --trace, --telemetry, report, status, --log-level
+# Telemetry surfaces: --trace, --telemetry, report, --log-level
 # ----------------------------------------------------------------------
 def test_inject_trace_writes_perfetto_json(tmp_path, capsys):
     import json
@@ -262,78 +230,6 @@ def test_report_rejects_non_telemetry_file(tmp_path, capsys):
     bogus.write_text('{"not": "telemetry"}')
     assert main(["report", "--telemetry", str(bogus)]) == 2
     assert "error:" in capsys.readouterr().err
-
-
-def test_status_requires_hostport():
-    with pytest.raises(SystemExit):
-        main(["status", "--connect", "nonsense"])
-
-
-def test_status_against_dead_coordinator(capsys):
-    assert main(["status", "--connect", "127.0.0.1:1", "--timeout", "1"]) == 1
-    assert "status error" in capsys.readouterr().err
-
-
-def test_status_against_live_coordinator(capsys):
-    import json
-    import threading
-    import time
-
-    from repro.orchestrate import CampaignSpec, DistributedExecutor, run_campaign_spec
-    from repro.faults.types import InjectionStage
-    from repro.tmu.config import full_config
-
-    from tests.conftest import fast_budgets
-
-    spec = CampaignSpec.ip(
-        [full_config(budgets=fast_budgets())],
-        [InjectionStage.AW_READY_MISSING],
-        beats=4,
-        seeds=(0, 1, 2, 3),
-    )
-    executor = DistributedExecutor(local_workers=1, result_timeout=120)
-    host, port = executor.bind()
-    outcome = {}
-
-    def serve():
-        outcome["results"] = run_campaign_spec(spec, executor=executor)
-
-    coordinator = threading.Thread(target=serve)
-    coordinator.start()
-    # Poll until the one-shot status connection lands mid-campaign.
-    code = 1
-    deadline = time.monotonic() + 30
-    while code != 0 and time.monotonic() < deadline:
-        code = main(["status", "--connect", f"{host}:{port}"])
-        if code != 0:
-            time.sleep(0.05)
-    coordinator.join(timeout=60)
-    assert code == 0
-    captured = capsys.readouterr().out
-    assert f"coordinator {host}:{port}" in captured
-    assert "campaign:" in captured
-    assert outcome["results"] == run_campaign_spec(spec)
-
-    # And the machine-readable form round-trips through json.
-    executor2 = DistributedExecutor(local_workers=1, result_timeout=120)
-    host2, port2 = executor2.bind()
-
-    def serve2():
-        run_campaign_spec(spec, executor=executor2)
-
-    coordinator2 = threading.Thread(target=serve2)
-    coordinator2.start()
-    code = 1
-    deadline = time.monotonic() + 30
-    while code != 0 and time.monotonic() < deadline:
-        capsys.readouterr()
-        code = main(["status", "--connect", f"{host2}:{port2}", "--json"])
-        if code != 0:
-            time.sleep(0.05)
-    coordinator2.join(timeout=60)
-    assert code == 0
-    snapshot = json.loads(capsys.readouterr().out)
-    assert "connected_workers" in snapshot and "events" in snapshot
 
 
 def test_log_level_flag_configures_repro_logger(capsys):
