@@ -6,14 +6,20 @@ the experiment once inside the ``benchmark`` fixture (so
 reproduced rows/series, and asserts the paper's qualitative claims
 (orderings, bands, crossovers) hold.
 
-Reports are echoed to stdout and recorded in ``benchmarks/results.txt``
+Reports are echoed to stdout and recorded in ``benchmarks/out/results.txt``
 so the numbers survive pytest's output capture.  The recorder is
 *idempotent*: each report is keyed by its title, and a re-run replaces
 the existing block in place instead of appending a duplicate — so the
 file holds exactly one (the latest) copy of every table however many
 times the suite runs.  Machine-readable metrics go to
-``benchmarks/BENCH_kernel.json`` via :func:`record_json`, keyed the
-same way, so the perf trajectory is trackable across PRs.
+``benchmarks/out/BENCH_kernel.json`` via :func:`record_json`, keyed the
+same way.
+
+``benchmarks/out/`` is not tracked, so running the suite never rewrites
+a committed file.  The committed ledgers (``benchmarks/results.txt``
+and ``benchmarks/BENCH_kernel.json``) are refreshed deliberately, by
+copying the fresh files over them, when a change means to move a
+recorded figure.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ import json
 import pathlib
 from typing import Dict, List, Tuple
 
-RESULTS_PATH = pathlib.Path(__file__).parent / "results.txt"
-BENCH_JSON_PATH = pathlib.Path(__file__).parent / "BENCH_kernel.json"
+OUT_DIR = pathlib.Path(__file__).parent / "out"
+RESULTS_PATH = OUT_DIR / "results.txt"
+BENCH_JSON_PATH = OUT_DIR / "BENCH_kernel.json"
 
 _DELIM = "=" * 72
 
@@ -57,11 +64,12 @@ def _write_blocks(preamble: str, blocks: List[Tuple[str, str]]) -> None:
     parts = [preamble] if preamble else []
     for title, body in blocks:
         parts.append(f"\n{_DELIM}\n{title}\n{_DELIM}\n{body}\n")
+    OUT_DIR.mkdir(exist_ok=True)
     RESULTS_PATH.write_text("".join(parts))
 
 
 def report(title: str, body: str) -> None:
-    """Print a reproduced table/figure and record it in results.txt.
+    """Print a reproduced table/figure and record it in ``out/results.txt``.
 
     Keyed by *title*: a block with the same title is replaced in place
     (re-runs refresh rather than append), a new title appends.
@@ -79,11 +87,12 @@ def report(title: str, body: str) -> None:
 
 
 def record_json(key: str, data: Dict) -> None:
-    """Merge ``{key: data}`` into BENCH_kernel.json (idempotent by key)."""
+    """Merge ``{key: data}`` into ``out/BENCH_kernel.json`` (idempotent by key)."""
     existing = {}
     if BENCH_JSON_PATH.exists():
         existing = json.loads(BENCH_JSON_PATH.read_text())
     existing[key] = data
+    OUT_DIR.mkdir(exist_ok=True)
     BENCH_JSON_PATH.write_text(
         json.dumps(existing, indent=2, sort_keys=True) + "\n"
     )

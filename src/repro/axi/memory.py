@@ -41,6 +41,15 @@ class SparseMemory:
         if callback not in self._watchers:
             self._watchers = (*self._watchers, callback)
 
+    def clear(self) -> None:
+        """Forget every store: all bytes read back as the fill byte again.
+
+        Watchers are notified as for a store and stay registered.
+        """
+        self._pages.clear()
+        for watcher in self._watchers:
+            watcher()
+
     @property
     def page_size(self) -> int:
         return self._page_size

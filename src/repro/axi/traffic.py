@@ -223,7 +223,12 @@ class RandomTraffic:
                         f"4 KiB-aligned in base and size"
                     )
             self._weights = [region.weight for region in self._targets]
+        self.seed = seed
         self._rng = random.Random(seed)
+
+    def restart(self) -> None:
+        """Rewind the stream: the next draws repeat those after construction."""
+        self._rng.seed(self.seed)
 
     def next_spec(self) -> TransactionSpec:
         rng = self._rng

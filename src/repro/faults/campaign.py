@@ -81,6 +81,9 @@ class IpHarness:
                 reset_duration=reset_duration,
             )
             self.sim.add(self.reset_unit)
+        self._clear_observations()
+
+    def _clear_observations(self) -> None:
         # Interface-event counters used by stage triggers.
         self.w_beats_fired = 0
         self.r_beats_fired = 0
@@ -88,6 +91,18 @@ class IpHarness:
         self.ar_fired_cycle: Optional[int] = None
         self.wlast_cycle: Optional[int] = None
         self._observed_cycle = -1
+
+    def reset(self) -> None:
+        """Return the harness to exactly its state after construction.
+
+        Rewinds the simulator (wires, components, clock, statistics),
+        forgets the subordinate's memory and zeroes the observation
+        counters, so a run on a reset harness is indistinguishable from
+        a run on a freshly built one.  Probes stay attached.
+        """
+        self.sim.reset()
+        self.subordinate.memory.clear()
+        self._clear_observations()
 
     def _observe(self) -> None:
         """Record this cycle's device-side fire events (idempotent).
@@ -275,6 +290,22 @@ def _manifest_predicate(stage: InjectionStage) -> Callable[[IpHarness], bool]:
     return table[stage]
 
 
+def build_ip_harness(
+    config: TmuConfig,
+    harness_kwargs: Optional[dict] = None,
+    reorder_depth: int = 0,
+) -> IpHarness:
+    """The harness :func:`run_injection` simulates on.
+
+    *reorder_depth* opens the subordinate's response reorder window
+    unless *harness_kwargs* already sets it.
+    """
+    kwargs = dict(harness_kwargs or {})
+    if reorder_depth and "reorder_depth" not in kwargs:
+        kwargs["reorder_depth"] = reorder_depth
+    return IpHarness(config, **kwargs)
+
+
 def run_injection(
     config: TmuConfig,
     stage: InjectionStage,
@@ -283,10 +314,10 @@ def run_injection(
     recovery_timeout: int = 2_000,
     harness_kwargs: Optional[dict] = None,
     issue_delay: int = 0,
-    trace=None,
     size: int = 3,
     outstanding: int = 1,
     reorder_depth: int = 0,
+    harness: Optional[IpHarness] = None,
 ) -> InjectionResult:
     """Inject one fault and measure detection and recovery.
 
@@ -305,17 +336,13 @@ def run_injection(
     has drained, the subordinate has been reset, and the TMU is
     monitoring again.
 
-    *trace* registers a probe (typically a
-    :class:`~repro.sim.batch.LeapTrace`) on the harness simulator
-    before anything runs — the batch executor's pack leaders collect
-    their inert-prefix evidence through it.
+    *harness* runs the injection on a harness in its freshly built
+    state (a new build, or one returned by :meth:`IpHarness.reset`)
+    built by :func:`build_ip_harness` from the same *config*,
+    *harness_kwargs* and *reorder_depth*; by default one is built.
     """
-    kwargs = dict(harness_kwargs or {})
-    if reorder_depth and "reorder_depth" not in kwargs:
-        kwargs["reorder_depth"] = reorder_depth
-    harness = IpHarness(config, **kwargs)
-    if trace is not None:
-        harness.sim.add_probe(trace)
+    if harness is None:
+        harness = build_ip_harness(config, harness_kwargs, reorder_depth)
     spec_fn = write_spec if stage.direction == AxiDir.WRITE else read_spec
     # Each transaction gets its own 4 KiB-aligned page span so INCR
     # bursts stay AXI-legal at every (beats, size) grid point.
@@ -470,8 +497,12 @@ def run_campaign(
             )
         results = []
         for config in configs:
+            # One harness per config, reset before each run — the same
+            # reuse the executors' harness cache gives spec campaigns.
+            harness = build_ip_harness(config, harness_kwargs, reorder_depth)
             for stage in stages:
                 for seed in seeds:
+                    harness.reset()
                     results.append(
                         run_injection(
                             config,
@@ -479,11 +510,10 @@ def run_campaign(
                             beats=beats,
                             detect_timeout=detect_timeout,
                             recovery_timeout=recovery_timeout,
-                            harness_kwargs=harness_kwargs,
                             issue_delay=seed,
                             size=size,
                             outstanding=outstanding,
-                            reorder_depth=reorder_depth,
+                            harness=harness,
                         )
                     )
                     if metrics is not None:
@@ -523,8 +553,9 @@ def measure_stall_detection_latency(
     if offsets is None:
         offsets = range(min(config.prescale_step, 8))
     worst = 0
+    harness = IpHarness(config)
     for offset in offsets:
-        harness = IpHarness(config)
+        harness.reset()
         harness.subordinate.faults.deaf_aw = True
         harness.manager.submit(write_spec(0, 0x1000, issue_delay=offset))
         start: Optional[int] = None

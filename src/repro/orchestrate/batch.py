@@ -47,7 +47,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..sim.batch import LeapTrace, lane_classes, lockstep_period
 from ..sim.kernel import SchedulerDivergenceError
-from .executor import execute_run
+from .executor import HarnessCache, execute_run, harness_key
 from .spec import RunSpec, Shard
 
 ShardResult = Tuple[int, list]
@@ -141,8 +141,9 @@ class BatchExecutor:
     def map(self, shards: Sequence[Shard]) -> Iterator[ShardResult]:
         runs = [run for shard in shards for run in shard.runs]
         results: Dict[int, object] = {}
+        cache = HarnessCache()
         for group in self._group_runs(runs):
-            self._execute_group(group, results)
+            self._execute_group(group, results, cache)
         self._report_status()
         self._flush_metrics()
         for shard in shards:
@@ -189,52 +190,37 @@ class BatchExecutor:
             groups.setdefault(self._batch_key(run, text), []).append(run)
         return list(groups.values())
 
-    def _period_for(self, run: RunSpec) -> Optional[int]:
-        """Lockstep period of the harness *run* would build.
+    def _period_for(self, run: RunSpec, cache: HarnessCache) -> Optional[int]:
+        """Lockstep period of the harness *run* simulates on.
 
-        Probed from a real (never-run) harness so the period reflects
-        the actual registered components' ``phase_period``
-        declarations, not a parallel bookkeeping table.  Cached per
-        (kind, config, harness kwargs) — the stage does not change the
-        component inventory.
+        Probed from the real harness (taken from *cache*, so the pack
+        leader then runs on it) so the period reflects the actual
+        registered components' ``phase_period`` declarations, not a
+        parallel bookkeeping table.  Cached per :func:`harness_key` —
+        the stage does not change the component inventory.
         """
-        key = (run.kind, json.dumps(run.config, sort_keys=True),
-               run.beats, run.harness_kwargs, run.reorder_depth)
+        key = harness_key(run)
         if key not in self._period_cache:
-            kwargs = dict(run.harness_kwargs)
-            if run.kind == "ip":
-                from ..faults.campaign import IpHarness
-                from .serialize import config_from_dict
-
-                if run.reorder_depth and "reorder_depth" not in kwargs:
-                    kwargs["reorder_depth"] = run.reorder_depth
-                sim = IpHarness(config_from_dict(run.config), **kwargs).sim
-            else:
-                from ..soc.cheshire import CheshireSoC, system_tmu_config
-                from ..tmu.config import Variant
-
-                kwargs.setdefault("reorder_depth", run.reorder_depth)
-                sim = CheshireSoC(
-                    system_tmu_config(
-                        Variant(run.config["variant"]), frame_beats=run.beats
-                    ),
-                    **kwargs,
-                ).sim
-            self._period_cache[key] = lockstep_period(sim.components)
+            self._period_cache[key] = lockstep_period(
+                cache.get(run).sim.components
+            )
         return self._period_cache[key]
 
     # ------------------------------------------------------------------
     # Pack execution
     # ------------------------------------------------------------------
     def _execute_group(
-        self, group: List[RunSpec], results: Dict[int, object]
+        self,
+        group: List[RunSpec],
+        results: Dict[int, object],
+        cache: HarnessCache,
     ) -> None:
-        period = self._period_for(group[0])
+        period = self._period_for(group[0], cache)
         if period is None:
             # An unaudited component (phase_period undeclared): the
             # conservative answer is to batch nothing.
             for run in group:
-                results[run.index] = self._scalar(run)
+                results[run.index] = self._scalar(run, cache)
             return
         by_seed: Dict[int, List[RunSpec]] = {}
         for run in group:
@@ -242,7 +228,9 @@ class BatchExecutor:
         for residue_seeds in lane_classes(sorted(by_seed), period).values():
             members = [run for seed in residue_seeds for run in by_seed[seed]]
             for start in range(0, len(members), self.lanes):
-                self._execute_pack(members[start : start + self.lanes], results)
+                self._execute_pack(
+                    members[start : start + self.lanes], results, cache
+                )
 
     @staticmethod
     def _onset(run: RunSpec) -> int:
@@ -261,7 +249,10 @@ class BatchExecutor:
         return run.seed if run.kind == "system" else run.seed - 1
 
     def _execute_pack(
-        self, pack: List[RunSpec], results: Dict[int, object]
+        self,
+        pack: List[RunSpec],
+        results: Dict[int, object],
+        cache: HarnessCache,
     ) -> None:
         self.stats.packs += 1
         forced = self.force_retire or (lambda run: False)
@@ -274,13 +265,13 @@ class BatchExecutor:
             if self._onset(run) >= 2 and not forced(run):
                 queue.append(run)
             else:
-                results[run.index] = self._scalar(run)
+                results[run.index] = self._scalar(run, cache)
         while queue:
             leader = queue.pop(0)
             onset = self._onset(leader)
             trace = LeapTrace(onset=onset)
             results[leader.index] = leader_result = execute_run(
-                leader, trace=trace
+                leader, trace=trace, cache=cache
             )
             self.stats.leaders += 1
             if not queue:
@@ -296,7 +287,7 @@ class BatchExecutor:
             followers, queue = queue, []
             for run, ok in zip(followers, derivable):
                 if not ok:
-                    results[run.index] = self._scalar(run)
+                    results[run.index] = self._scalar(run, cache)
                     continue
                 derived = leader_result.shifted(run.seed - leader.seed)
                 if self.derive_hook is not None:
@@ -339,16 +330,17 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # Scalar fallback and verify replay
     # ------------------------------------------------------------------
-    def _scalar(self, run: RunSpec):
+    def _scalar(self, run: RunSpec, cache: HarnessCache):
         self.stats.retired += 1
-        return execute_run(run)
+        return execute_run(run, cache=cache)
 
     def _verify_lane(self, run: RunSpec, leader: RunSpec, derived) -> None:
         """Replay a derived lane on the scalar verify kernel and compare.
 
         The verify strategy re-executes every would-be leaped span and
         skipped update cycle by cycle with differential checks, so the
-        replay is the strongest available scalar reference.  Result
+        replay — on a freshly built harness, outside the map's cache —
+        is the strongest available scalar reference.  Result
         equality excludes the scheduler diagnostics by construction
         (``compare=False`` fields), which is exactly right here: the
         verify kernel never leaps.

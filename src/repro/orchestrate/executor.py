@@ -5,7 +5,9 @@ Both executors expose the same contract — ``map(shards)`` yields
 every harness inside the process that simulates it, so no
 :class:`~repro.sim.kernel.Simulator` state ever crosses a process
 boundary.  Only plain :class:`~repro.orchestrate.spec.RunSpec` data
-travels to workers and only result dataclasses travel back.
+travels to workers and only result dataclasses travel back.  Within one
+``map()`` call (or one shard, in a worker) same-shape runs share a
+harness through a one-slot :class:`HarnessCache`, reset between runs.
 
 Worker count resolution order: explicit argument, then the
 ``REPRO_WORKERS`` environment variable, then 1 (serial).  The
@@ -16,8 +18,9 @@ default.
 
 from __future__ import annotations
 
+import json
 import os
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .spec import RunSpec, Shard
 
@@ -41,61 +44,141 @@ def default_workers() -> int:
     return count
 
 
-def execute_run(run: RunSpec, trace=None):
-    """Simulate one injection described by *run*, in this process.
+def harness_key(run: RunSpec, config_text: Optional[str] = None) -> Tuple:
+    """Everything that shapes the harness *run* simulates on.
 
-    A fresh harness/SoC is constructed per run — sharing nothing is what
-    makes campaigns embarrassingly parallel and results independent of
-    execution order.  *trace* (a simulator probe, e.g. a
-    :class:`~repro.sim.batch.LeapTrace`) is registered on the run's
-    simulator before it starts — the lockstep batch executor uses it to
-    collect inert-prefix evidence from pack leaders.
+    Runs with equal keys build identical harnesses: the stage, seed,
+    timeouts and workload axes only change what is driven into one.
+    *config_text* is ``run.config`` already serialized.
     """
-    # Imported lazily: this module is imported by repro.faults.campaign
-    # (via the orchestrate package) for its parallel path, so top-level
-    # imports of the runners would cycle.
-    from ..faults.types import InjectionStage
-    from ..tmu.config import Variant
+    if config_text is None:
+        config_text = json.dumps(run.config, sort_keys=True)
+    return (run.kind, config_text, run.beats, run.harness_kwargs,
+            run.reorder_depth)
 
-    stage = InjectionStage(run.stage)
+
+def build_harness(run: RunSpec):
+    """A freshly built harness (IP harness or SoC) for *run*."""
+    # Imported lazily: this module is imported by repro.faults.campaign
+    # (via the orchestrate package), so top-level imports of the
+    # runners would cycle.
     if run.kind == "ip":
-        from ..faults.campaign import run_injection
+        from ..faults.campaign import build_ip_harness
         from .serialize import config_from_dict
 
-        return run_injection(
+        return build_ip_harness(
             config_from_dict(run.config),
-            stage,
-            beats=run.beats,
-            detect_timeout=run.detect_timeout,
-            recovery_timeout=run.recovery_timeout,
-            harness_kwargs=dict(run.harness_kwargs) or None,
-            issue_delay=run.seed,
-            trace=trace,
-            size=run.size,
-            outstanding=run.outstanding,
-            reorder_depth=run.reorder_depth,
+            dict(run.harness_kwargs),
+            run.reorder_depth,
         )
-    from ..soc.experiment import run_system_injection
+    from ..soc.experiment import build_system_soc
+    from ..tmu.config import Variant
 
-    return run_system_injection(
+    return build_system_soc(
         Variant(run.config["variant"]),
-        stage,
-        beats=run.beats,
-        background=run.background,
-        detect_timeout=run.detect_timeout,
-        recovery_timeout=run.recovery_timeout,
-        start_delay=run.seed,
-        trace=trace,
-        size=run.size,
-        outstanding=run.outstanding,
-        reorder_depth=run.reorder_depth,
+        run.beats,
+        run.reorder_depth,
         **dict(run.harness_kwargs),
     )
 
 
-def execute_shard(shard: Shard) -> ShardResult:
-    """Worker entry point: run every injection of one shard, in order."""
-    return shard.index, [execute_run(run) for run in shard.runs]
+class HarnessCache:
+    """One-slot harness cache, keyed by :func:`harness_key`.
+
+    :meth:`get` returns the held harness, reset to its freshly built
+    state, when the run's key matches the slot's; otherwise it builds a
+    new harness into the slot.  ``reset()`` is exact — a run on a reset
+    harness gives the same result, scheduler statistics included, as on
+    a new build — so reuse never changes an outcome.  Each executor
+    ``map()`` call (and each shard run without one) owns its cache, so
+    no harness outlives the call that built it.
+    """
+
+    def __init__(self) -> None:
+        self._key: Optional[Tuple] = None
+        self._harness = None
+        # The last run's config dict and its serialization: a campaign
+        # shares one dict across many runs, so it is serialized once.
+        self._config = None
+        self._config_text = ""
+
+    def get(self, run: RunSpec):
+        if run.config is not self._config:
+            self._config = run.config
+            self._config_text = json.dumps(run.config, sort_keys=True)
+        key = harness_key(run, self._config_text)
+        if key == self._key:
+            self._harness.reset()
+        else:
+            self._harness = build_harness(run)
+            self._key = key
+        return self._harness
+
+
+def execute_run(run: RunSpec, trace=None, cache: Optional[HarnessCache] = None):
+    """Simulate one injection described by *run*, in this process.
+
+    The harness comes from *cache* when given (see
+    :class:`HarnessCache`: reused across same-shape runs of one
+    executor call, reset to its freshly built state) and is built fresh
+    otherwise; either way the result depends on *run* alone, never on
+    execution order.  *trace* (a simulator probe, e.g. a
+    :class:`~repro.sim.batch.LeapTrace`) observes this run only: it is
+    registered before the run starts and removed when it ends — the
+    lockstep batch executor uses it to collect inert-prefix evidence
+    from pack leaders.
+    """
+    from ..faults.types import InjectionStage
+
+    harness = build_harness(run) if cache is None else cache.get(run)
+    if trace is not None:
+        harness.sim.add_probe(trace)
+    try:
+        stage = InjectionStage(run.stage)
+        if run.kind == "ip":
+            from ..faults.campaign import run_injection
+
+            return run_injection(
+                harness.tmu.config,
+                stage,
+                beats=run.beats,
+                detect_timeout=run.detect_timeout,
+                recovery_timeout=run.recovery_timeout,
+                issue_delay=run.seed,
+                size=run.size,
+                outstanding=run.outstanding,
+                harness=harness,
+            )
+        from ..soc.experiment import run_system_injection
+
+        return run_system_injection(
+            harness.tmu.config.variant,
+            stage,
+            beats=run.beats,
+            background=run.background,
+            detect_timeout=run.detect_timeout,
+            recovery_timeout=run.recovery_timeout,
+            start_delay=run.seed,
+            size=run.size,
+            outstanding=run.outstanding,
+            soc=harness,
+        )
+    finally:
+        if trace is not None:
+            harness.sim.remove_probe(trace)
+
+
+def execute_shard(
+    shard: Shard, cache: Optional[HarnessCache] = None
+) -> ShardResult:
+    """Worker entry point: run every injection of one shard, in order.
+
+    Same-shape runs share one harness through *cache* (a new one per
+    shard when not given).
+    """
+    if cache is None:
+        cache = HarnessCache()
+    return shard.index, [execute_run(run, cache=cache) for run in shard.runs]
 
 
 class SerialExecutor:
@@ -104,8 +187,9 @@ class SerialExecutor:
     workers = 1
 
     def map(self, shards: Sequence[Shard]) -> Iterator[ShardResult]:
+        cache = HarnessCache()
         for shard in shards:
-            yield execute_shard(shard)
+            yield execute_shard(shard, cache)
 
 
 class WorkerPoolExecutor:

@@ -324,6 +324,15 @@ class Simulator:
         """
         self._probes.append(probe)
 
+    def remove_probe(self, probe: Callable[["Simulator"], None]) -> None:
+        """Unregister a probe added by :meth:`add_probe`.
+
+        A harness reused across runs detaches each run's own probes
+        (e.g. a batch leader's :class:`~repro.sim.batch.LeapTrace`) so
+        they never observe the next run.
+        """
+        self._probes.remove(probe)
+
     @property
     def wires(self) -> List[Wire]:
         return list(self._wires.values())
@@ -442,7 +451,12 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Synchronously reset every wire and component; rewind the clock."""
+        """Synchronously reset every wire and component; rewind the clock.
+
+        The ``STAT_KEYS`` counters restart at zero and the change log is
+        emptied, so statistics always describe the time since the last
+        rewind.  Probes and the tracer stay attached.
+        """
         for wire in self._wires.values():
             wire.reset()
         for component in self.components:
@@ -450,6 +464,10 @@ class Simulator:
             component._wake_cycle = None
         self._wake_heap.clear()
         self.cycle = 0
+        for key in self.STAT_KEYS:
+            setattr(self, key, 0)
+        self._changed_wires.clear()
+        self._update_queue_key = None
         # Registered state moved arbitrarily: every drive is stale and
         # every quiescence judgment is void.
         self._pending.update(self._drivers)

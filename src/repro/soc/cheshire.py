@@ -250,6 +250,18 @@ class CheshireSoC:
             ids=(0, 1), max_beats=8, addr_space=DRAM_SIZE, seed=seed
         )
 
+    def reset(self) -> None:
+        """Return the SoC to exactly its state after construction.
+
+        Rewinds the simulator (wires, components, clock, statistics),
+        forgets every subordinate memory and restarts the background
+        traffic stream from its constructor seed.  Probes stay attached.
+        """
+        self.sim.reset()
+        for subordinate in (self.dram, self.bootrom, self.ethernet):
+            subordinate.memory.clear()
+        self._traffic.restart()
+
     # ------------------------------------------------------------------
     # Workloads
     # ------------------------------------------------------------------

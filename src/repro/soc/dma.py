@@ -66,6 +66,11 @@ class DmaEngine(Manager):
         self._descriptor_txns.append(bursts)
         return bursts
 
+    def reset(self) -> None:
+        super().reset()
+        self.descriptors_done = 0
+        self._descriptor_txns.clear()
+
     def update(self) -> None:
         before = len(self.completed)
         super().update()

@@ -126,6 +126,21 @@ class SystemInjectionResult:
         return self.latency_from_injection
 
 
+def build_system_soc(
+    variant: Variant, beats: int = 250, reorder_depth: int = 0, **sim_kwargs
+) -> CheshireSoC:
+    """The SoC :func:`run_system_injection` simulates on.
+
+    *sim_kwargs* are the ``sim_*`` kernel options of
+    :class:`CheshireSoC`.
+    """
+    return CheshireSoC(
+        system_tmu_config(variant, frame_beats=beats),
+        reorder_depth=reorder_depth,
+        **sim_kwargs,
+    )
+
+
 def run_system_injection(
     variant: Variant,
     stage: InjectionStage,
@@ -138,10 +153,10 @@ def run_system_injection(
     sim_update_skipping: bool = True,
     sim_time_leaping: bool = True,
     sim_tracer=None,
-    trace=None,
     size: int = 3,
     outstanding: int = 1,
     reorder_depth: int = 0,
+    soc: Optional[CheshireSoC] = None,
 ) -> SystemInjectionResult:
     """One Fig. 11 data point: inject *stage* during the Ethernet frame.
 
@@ -165,23 +180,26 @@ def run_system_injection(
     stateful watcher: its bookkeeping only moves on handshake fires and
     wire levels, which are frozen across any span the kernel leaps, so
     the campaign output is byte-identical with leaping on or off.
+
+    *soc* runs the injection on an SoC in its freshly built state (a
+    new build, or one returned by :meth:`CheshireSoC.reset`) built by
+    :func:`build_system_soc` from the same *variant*, *beats*,
+    *reorder_depth* and ``sim_*`` options; by default one is built.
     """
     # Imported here: repro.faults.campaign builds IP harnesses with the
     # reset unit from this package, so a module-level import would cycle.
     from ..faults.campaign import apply_stage_fault
 
-    soc = CheshireSoC(
-        system_tmu_config(variant, frame_beats=beats),
-        sim_strategy=sim_strategy,
-        sim_update_skipping=sim_update_skipping,
-        sim_time_leaping=sim_time_leaping,
-        sim_tracer=sim_tracer,
-        reorder_depth=reorder_depth,
-    )
-    if trace is not None:
-        # Batch pack leaders register a LeapTrace here, before the
-        # start-delay idle span runs, to collect inert-prefix evidence.
-        soc.sim.add_probe(trace)
+    if soc is None:
+        soc = build_system_soc(
+            variant,
+            beats,
+            reorder_depth,
+            sim_strategy=sim_strategy,
+            sim_update_skipping=sim_update_skipping,
+            sim_time_leaping=sim_time_leaping,
+            sim_tracer=sim_tracer,
+        )
     if start_delay:
         soc.sim.run(start_delay)
     soc.send_ethernet_frame(beats, size=size)

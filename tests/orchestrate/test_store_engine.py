@@ -37,9 +37,9 @@ def simulated(monkeypatch):
     calls = []
     real = executor_module.execute_run
 
-    def counting(run, trace=None):
+    def counting(run, *args, **kwargs):
         calls.append(run.run_id)
-        return real(run, trace)
+        return real(run, *args, **kwargs)
 
     monkeypatch.setattr(executor_module, "execute_run", counting)
     return calls

@@ -46,6 +46,26 @@ class Follower(Component):
         self.out.value = self.source.value
 
 
+class Snooze(Component):
+    """Update-quiescent; re-arms a timed wake every *period* cycles, so
+    the kernel leaps the spans in between."""
+
+    demand_update = True
+
+    def __init__(self, name, period):
+        super().__init__(name)
+        self.period = period
+
+    def update_inputs(self):
+        return ()
+
+    def quiescent(self):
+        return True
+
+    def update(self):
+        self.wake_at(self._sim.cycle + self.period)
+
+
 class Oscillator(Component):
     """Pathological combinational loop: inverts its own output."""
 
@@ -120,6 +140,44 @@ def test_reset_restores_wires_and_components():
     assert sim.cycle == 0
     assert counter.value == 0
     assert counter.out.value == 0
+
+
+def test_reset_zeroes_scheduler_statistics():
+    sim = Simulator()
+    sim.add(Snooze("z", period=50))
+    sim.run(200)
+    first = sim.stats()
+    assert first["leaps"] > 0 and first["cycles_leaped"] > 0
+    sim.reset()
+    assert sim.stats() == {key: 0 for key in Simulator.STAT_KEYS}
+    sim.run(200)
+    assert sim.stats() == first
+
+
+def test_reset_clears_the_change_log():
+    sim = Simulator()
+    changed = sim.track_changes()
+    counter = sim.add(Counter("c"))
+    sim.run(3)
+    counter.out.value = 99  # poke between cycles: logged until next step
+    assert counter.out in changed
+    sim.reset()
+    assert not changed
+
+
+def test_remove_probe_stops_observation():
+    sim = Simulator()
+    sim.add(Counter("c"))
+    seen = []
+
+    def probe(s):
+        seen.append(s.cycle)
+
+    sim.add_probe(probe)
+    sim.run(2)
+    sim.remove_probe(probe)
+    sim.run(2)
+    assert seen == [1, 2]
 
 
 def test_run_until_returns_cycle_condition_first_held():

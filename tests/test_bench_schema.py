@@ -1,10 +1,12 @@
-"""Schema guard for the committed benchmark record.
+"""Schema guard for the benchmark records.
 
-``benchmarks/BENCH_kernel.json`` is the ledger CI uploads and the
-README quotes; a benchmark that records a malformed entry (nested
-dicts, NaN, a stringified number) would silently corrupt it.  The
-shape contract: a JSON object mapping benchmark name -> flat object
-of finite numeric measurements.
+``benchmarks/BENCH_kernel.json`` is the committed ledger the README
+quotes; ``benchmarks/out/BENCH_kernel.json`` is the record the
+benchmark suite writes fresh (and CI uploads).  A benchmark that
+records a malformed entry (nested dicts, NaN, a stringified number)
+would silently corrupt them.  The shape contract, for both: a JSON
+object mapping benchmark name -> flat object of finite numeric
+measurements.
 """
 
 import json
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "BENCH_kernel.json"
+FRESH_PATH = BENCH_PATH.parent / "out" / BENCH_PATH.name
 
 # Benchmarks that must not silently vanish from the record.
 EXPECTED_ENTRIES = {
@@ -35,17 +38,12 @@ def bench():
         return json.load(stream)
 
 
-def test_record_is_a_named_mapping(bench):
+def _check_named_mapping(bench):
     assert isinstance(bench, dict) and bench
     assert all(isinstance(name, str) for name in bench)
 
 
-def test_known_benchmarks_are_present(bench):
-    missing = EXPECTED_ENTRIES - set(bench)
-    assert not missing, f"benchmark entries disappeared: {sorted(missing)}"
-
-
-def test_entries_are_flat_and_finite(bench):
+def _check_flat_and_finite(bench):
     for name, entry in bench.items():
         assert isinstance(entry, dict) and entry, name
         for key, value in entry.items():
@@ -56,7 +54,7 @@ def test_entries_are_flat_and_finite(bench):
             assert math.isfinite(value), f"{name}.{key} is not finite"
 
 
-def test_seconds_and_counts_are_positive(bench):
+def _check_positive(bench):
     for name, entry in bench.items():
         for key, value in entry.items():
             if key.endswith("_seconds") or key.endswith("seconds"):
@@ -65,8 +63,39 @@ def test_seconds_and_counts_are_positive(bench):
                 assert value > 0 and value == int(value), f"{name}.{key}"
 
 
-def test_record_round_trips_deterministically(bench):
+def _check_round_trip(bench, path):
     # The file is machine-written with sort_keys; a hand edit that
     # breaks ordering would churn every future benchmark commit.
-    on_disk = BENCH_PATH.read_text()
-    assert json.dumps(bench, indent=2, sort_keys=True) + "\n" == on_disk
+    assert json.dumps(bench, indent=2, sort_keys=True) + "\n" == path.read_text()
+
+
+def test_record_is_a_named_mapping(bench):
+    _check_named_mapping(bench)
+
+
+def test_known_benchmarks_are_present(bench):
+    missing = EXPECTED_ENTRIES - set(bench)
+    assert not missing, f"benchmark entries disappeared: {sorted(missing)}"
+
+
+def test_entries_are_flat_and_finite(bench):
+    _check_flat_and_finite(bench)
+
+
+def test_seconds_and_counts_are_positive(bench):
+    _check_positive(bench)
+
+
+def test_record_round_trips_deterministically(bench):
+    _check_round_trip(bench, BENCH_PATH)
+
+
+def test_fresh_record_is_well_formed():
+    """The record the benchmark suite just wrote obeys the same contract."""
+    if not FRESH_PATH.exists():
+        pytest.skip("no fresh record: the benchmark suite has not run here")
+    fresh = json.loads(FRESH_PATH.read_text())
+    _check_named_mapping(fresh)
+    _check_flat_and_finite(fresh)
+    _check_positive(fresh)
+    _check_round_trip(fresh, FRESH_PATH)
