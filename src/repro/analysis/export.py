@@ -108,10 +108,8 @@ def scheduler_stats_dict(results) -> Dict[str, int]:
     Sums the per-run scheduler diagnostics — one ``sim_<key>`` result
     field per :attr:`repro.sim.kernel.Simulator.STAT_KEYS` entry, the
     same authority ``Simulator.stats()`` reads — so a campaign archive
-    records how much simulated idle time was leaped rather than ticked.
-    Results predating the fields count as zero, and the emitted keys
-    (``leaps``/``cycles_leaped``) are byte-identical to the hand-listed
-    block this replaced.
+    records how much simulated time was leaped, streamed and stepped.
+    Results predating a field count as zero for it.
     """
     return {
         key: sum(

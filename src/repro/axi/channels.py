@@ -45,6 +45,14 @@ class WBeat:
     strb: int
     last: bool
     user: int = 0
+    #: Not a signal: the sourcing burst's ``(data, strb)`` beats and this
+    #: beat's position in them, so a subordinate storing a streamed
+    #: span (see "Burst streaming" in :mod:`repro.sim.kernel`) can reach
+    #: the words after it.  Excluded from equality, hashing and repr.
+    burst: Optional[list] = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
+    index: int = dataclasses.field(default=0, compare=False, repr=False)
 
 
 @dataclasses.dataclass(frozen=True)

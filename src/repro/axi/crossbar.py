@@ -164,6 +164,7 @@ class Crossbar(Component):
             for channels in group.values()
             for ch in channels
         ]
+        self._w_channels = frozenset((*self._mgr_ch["w"], *self._sub_ch["w"]))
 
         # Registered routing/arbitration state.
         self._mgr_w_route: List[Deque[int]] = [deque() for _ in range(n_mgr)]
@@ -229,6 +230,19 @@ class Crossbar(Component):
             if ch.valid._value and ch.ready._value:
                 return False
         return True
+
+    def stream_horizon(self, limit: int) -> int:
+        # Mid-burst W beats commit nothing here (only a last beat moves
+        # routing state, and the manager never streams one); any other
+        # handshake about to fire pins the span.
+        w_channels = self._w_channels
+        for ch in self._watch_channels:
+            if ch.valid._value and ch.ready._value and ch not in w_channels:
+                return 0
+        return limit
+
+    def stream_wires(self):
+        return [sub_w.payload for _, sub_w in self._w_plan()[0]]
 
     def snapshot_state(self):
         return (

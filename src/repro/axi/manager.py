@@ -64,11 +64,6 @@ class ManagerFaults(DriveSensitiveState):
     deaf_b: bool = False
     deaf_r: bool = False
 
-    def clear(self) -> None:
-        self.freeze_w = False
-        self.deaf_b = False
-        self.deaf_r = False
-
 
 def _address_beat(beat_type, spec: TransactionSpec):
     """The AW or AR beat (*beat_type*) that issues *spec*."""
@@ -378,7 +373,11 @@ class Manager(Component):
                 data, strb = beats[index]
                 self._w_memo_position = active
                 self._w_memo = WBeat(
-                    data=data, strb=strb, last=index == record.spec.beats - 1
+                    data=data,
+                    strb=strb,
+                    last=index == record.spec.beats - 1,
+                    burst=beats,
+                    index=index,
                 )
             bus.w.drive(self._w_memo)
         else:
@@ -390,6 +389,45 @@ class Manager(Component):
         bus.r.ready.value = not faults.deaf_r and (
             self._r_wait >= self._resp_delay(bus.r, self._reads_out)
         )
+
+    # ------------------------------------------------------------------
+    # Burst streaming
+    # ------------------------------------------------------------------
+    def stream_horizon(self, limit: int) -> int:
+        # Streams the middle of the active W burst: the previous update
+        # fired a beat of it (so valid and ready are both held), the
+        # burst's first and last beats are stepped, and nothing else is
+        # in motion — no request queued, no response presented, no
+        # inter-beat gap to reopen.
+        active = self._w_active
+        if (
+            active is None
+            or self._aw_queue
+            or self._ar_queue
+            or self._stamp != self._sim.cycle
+        ):
+            return 0
+        record, _, index = active
+        bus = self.bus
+        if (
+            index == 0
+            or record.spec.w_gap
+            or self.faults.freeze_w
+            or not (bus.w.valid._value and bus.w.ready._value)
+            or bus.b.valid._value
+            or bus.r.valid._value
+        ):
+            return 0
+        return min(limit, record.spec.beats - 1 - index)
+
+    def stream(self, cycles: int) -> None:
+        record, data, index = self._w_active
+        self._w_active = (record, data, index + cycles)
+        self._cycle = self._stamp = self._sim.cycle + cycles
+        self.schedule_drive()
+
+    def stream_wires(self):
+        return (self.bus.w.payload,)
 
     def _resp_delay(self, channel, table: Dict[int, Deque[_Outstanding]]) -> int:
         # Slot reads are safe here: the manager's sensitivity to the

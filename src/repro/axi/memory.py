@@ -100,6 +100,24 @@ class SparseMemory:
         """Write a little-endian integer of *width* bytes."""
         self.write(addr, (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little"))
 
+    def write_block(self, addr: int, data: bytes) -> None:
+        """Store *data* at consecutive addresses from *addr*.
+
+        One slice assignment per page touched, and one watcher
+        notification for the whole block — a streamed write burst's
+        middle beats land here together.
+        """
+        mask = self._page_size - 1
+        position = 0
+        while position < len(data):
+            offset = (addr + position) & mask
+            chunk = min(len(data) - position, self._page_size - offset)
+            page = self._page_for(addr + position)
+            page[offset:offset + chunk] = data[position:position + chunk]
+            position += chunk
+        for watcher in self._watchers:
+            watcher()
+
     def write_masked(self, addr: int, value: int, strb: int, width: int) -> None:
         """Apply a write-strobe-masked store, as the W channel requires.
 

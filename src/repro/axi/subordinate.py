@@ -46,6 +46,11 @@ class SubordinateFaults(DriveSensitiveState):
       ordering constraint, illegally interleaving R beats of two
       transactions that share an ID (the dark-corner fault the
       interleaving-legality rules exist to catch).
+    * ``deaf_w_after`` / ``mute_r_after`` — the mid-burst stages as beat
+      thresholds: ``deaf_w`` (``mute_r``) switches on by itself once
+      this many more W beats have been accepted (R beats served).  The
+      subordinate counts them down in its update, so the fault lands
+      exactly after the threshold beat, however the kernel advanced.
 
     Injectors flip these switches mid-simulation, between cycles; the
     :class:`DriveSensitiveState` base notifies the owning subordinate.
@@ -63,20 +68,28 @@ class SubordinateFaults(DriveSensitiveState):
     spurious_r: Optional[int] = None
     error_resp: bool = False
     reorder_same_id: bool = False
+    deaf_w_after: Optional[int] = None
+    mute_r_after: Optional[int] = None
 
-    def clear(self) -> None:
-        self.deaf_aw = False
-        self.deaf_w = False
-        self.deaf_ar = False
-        self.mute_b = False
-        self.mute_r = False
-        self.corrupt_b_id = None
-        self.corrupt_r_id = None
-        self.drop_r_last = False
-        self.spurious_b = None
-        self.spurious_r = None
-        self.error_resp = False
-        self.reorder_same_id = False
+    def take_w_beats(self, count: int) -> None:
+        """Count *count* accepted W beats against ``deaf_w_after``."""
+        remaining = self.deaf_w_after - count
+        if remaining > 0:
+            # The countdown itself is invisible to drive(); only the
+            # switch it arms is, so it bypasses the owner notification.
+            object.__setattr__(self, "deaf_w_after", remaining)
+        else:
+            self.deaf_w_after = None
+            self.deaf_w = True
+
+    def take_r_beats(self, count: int) -> None:
+        """Count *count* served R beats against ``mute_r_after``."""
+        remaining = self.mute_r_after - count
+        if remaining > 0:
+            object.__setattr__(self, "mute_r_after", remaining)
+        else:
+            self.mute_r_after = None
+            self.mute_r = True
 
     @property
     def any_active(self) -> bool:
@@ -94,6 +107,8 @@ class SubordinateFaults(DriveSensitiveState):
                 self.spurious_r is not None,
                 self.error_resp,
                 self.reorder_same_id,
+                self.deaf_w_after is not None,
+                self.mute_r_after is not None,
             )
         )
 
@@ -208,6 +223,9 @@ class Subordinate(Component):
         self.resets_taken = 0
         self.writes_done = 0
         self.reads_done = 0
+        #: W beats accepted and R beats served since the last reset().
+        self.w_beats = 0
+        self.r_beats = 0
         # Response beats drive() built, re-driven as the same objects:
         # the last B beat (a pure value), and the R beat of one
         # (job, beat index), dropped on every memory store.
@@ -366,7 +384,94 @@ class Subordinate(Component):
             self.resets_taken,
             self.writes_done,
             self.reads_done,
+            self.w_beats,
+            self.r_beats,
         )
+
+    # ------------------------------------------------------------------
+    # Burst streaming
+    # ------------------------------------------------------------------
+    def stream_horizon(self, limit: int) -> int:
+        # Stores the middle of the head write job's burst: the previous
+        # update accepted a beat of it from a streaming source, W stays
+        # ready (no per-beat delay, no deaf fault), no other channel
+        # moves, and the span ends before the burst's last beat, the W
+        # fault threshold and every response countdown crossing.
+        bus, faults = self.bus, self.faults
+        if (
+            not self._writes
+            or self._stamp != self._sim.cycle
+            or self._in_reset
+            or self.hw_reset._value
+            or self.w_ready_delay
+            or faults.deaf_w
+            or faults.spurious_b is not None
+            or faults.spurious_r is not None
+            or not (bus.w.valid._value and bus.w.ready._value)
+            or bus.aw.valid._value
+            or bus.ar.valid._value
+            or bus.b.valid._value
+            or bus.r.valid._value
+        ):
+            return 0
+        job = self._writes[0]
+        beat = bus.w.payload._value
+        if beat.burst is None or beat.index + 1 != job.index:
+            return 0
+        limit = min(
+            limit,
+            len(job.addrs) - 1 - job.index,
+            len(beat.burst) - 1 - job.index,
+        )
+        if faults.deaf_w_after is not None:
+            limit = min(limit, faults.deaf_w_after - 1)
+        if self._b_queue and not faults.mute_b:
+            # In order, only the head counts down (the rest wait behind
+            # it); with a reorder window every entry in it does.
+            window = self._b_window()
+            for entry in itertools.islice(self._b_queue, window):
+                if entry[1] <= 0:
+                    return 0
+                limit = min(limit, entry[1] - 1)
+        if self._reads and not faults.mute_r:
+            for read in self._reads:
+                chain = read.countdown + read.gap
+                if chain == 0:
+                    return 0
+                limit = min(limit, chain - 1)
+        return limit
+
+    def stream(self, cycles: int) -> None:
+        self._stamp = self._sim.cycle + cycles
+        self._tick_responses(cycles)
+        job = self._writes[0]
+        start = job.index
+        beats = self.bus.w.payload._value.burst[start:start + cycles]
+        width = bytes_per_beat(job.aw.size)
+        full = (1 << width) - 1
+        if (
+            width == self.bus.data_bytes
+            and job.addrs[start + cycles - 1] - job.addrs[start]
+            == (cycles - 1) * width
+            and all(strb & full == full for _, strb in beats)
+        ):
+            # Full-width beats at consecutive addresses: one slice.
+            mask = (1 << (8 * width)) - 1
+            self.memory.write_block(
+                job.addrs[start],
+                b"".join(
+                    (data & mask).to_bytes(width, "little")
+                    for data, _ in beats
+                ),
+            )
+        else:
+            for offset, (data, strb) in enumerate(beats):
+                self._store(job, start + offset, data, strb)
+        job.index = start + cycles
+        job.w_wait = 0
+        self.w_beats += cycles
+        if self.faults.deaf_w_after is not None:
+            self.faults.take_w_beats(cycles)
 
     def _memory_stored(self) -> None:
         """Memory watcher: a store may change the R data being driven.
@@ -614,11 +719,71 @@ class Subordinate(Component):
                 and not self.faults.deaf_w
             ):
                 changed = True
-        # b_latency countdowns: serially in the legacy in-order regime
-        # (the front-most nonzero entry, one tick per cycle — a span of
-        # `elapsed` cycles distributes across the queue in that order);
-        # in parallel across the queue when a reorder window is open,
-        # since any window entry maturing can change the selection.
+        if self._tick_responses(elapsed):
+            changed = True
+
+        if aw.valid._value and aw.ready._value:
+            self._aw_wait = 0
+            beat = aw.payload._value
+            self._writes.append(
+                _WriteJob(
+                    beat,
+                    burst_addresses(beat.addr, beat.len, beat.size, beat.burst),
+                )
+            )
+            changed = True
+        if ar.valid._value and ar.ready._value:
+            self._ar_wait = 0
+            beat = ar.payload._value
+            self._reads.append(
+                _ReadJob(
+                    beat,
+                    burst_addresses(beat.addr, beat.len, beat.size, beat.burst),
+                    countdown=self.r_latency,
+                )
+            )
+            changed = True
+        if w.valid._value and w.ready._value:
+            beat = w.payload._value
+            job = self._writes[0] if self._writes else None
+            # A mid-burst beat moves nothing drive() reads unless the
+            # per-beat ready delay restarts; a burst's last beat moves
+            # the write queues.  (Its store reaches an in-flight read
+            # through the memory watcher.)
+            if job is not None and (
+                beat.last
+                or job.index + 1 >= len(job.addrs)
+                or self.w_ready_delay > 0
+            ):
+                changed = True
+            self.w_beats += 1
+            self._on_w_fired(beat)
+            if self.faults.deaf_w_after is not None:
+                self.faults.take_w_beats(1)
+        if b.valid._value and b.ready._value:
+            self._on_b_fired(b_fired_entry)
+            changed = True
+        if r.valid._value and r.ready._value:
+            self.r_beats += 1
+            self._on_r_fired(r_fired_job)
+            if self.faults.mute_r_after is not None:
+                self.faults.take_r_beats(1)
+            changed = True
+        if changed:
+            self.schedule_drive()
+
+    def _tick_responses(self, elapsed: int) -> bool:
+        """Advance the B/R latency countdowns by *elapsed* cycles.
+
+        Returns whether a countdown reached zero where it makes a
+        response selectable next settle (drive-visible).  b_latency
+        countdowns tick serially in the legacy in-order regime (the
+        front-most nonzero entry, one tick per cycle — a span of
+        *elapsed* cycles distributes across the queue in that order),
+        and in parallel across the queue when a reorder window is open,
+        since any window entry maturing can change the selection.
+        """
+        changed = False
         if self._b_window() <= 1:
             remaining = elapsed
             for entry in self._b_queue:
@@ -673,72 +838,32 @@ class Subordinate(Component):
             ):
                 changed = True
 
-        if aw.valid._value and aw.ready._value:
-            self._aw_wait = 0
-            beat = aw.payload._value
-            self._writes.append(
-                _WriteJob(
-                    beat,
-                    burst_addresses(beat.addr, beat.len, beat.size, beat.burst),
-                )
-            )
-            changed = True
-        if ar.valid._value and ar.ready._value:
-            self._ar_wait = 0
-            beat = ar.payload._value
-            self._reads.append(
-                _ReadJob(
-                    beat,
-                    burst_addresses(beat.addr, beat.len, beat.size, beat.burst),
-                    countdown=self.r_latency,
-                )
-            )
-            changed = True
-        if w.valid._value and w.ready._value:
-            beat = w.payload._value
-            job = self._writes[0] if self._writes else None
-            # A mid-burst beat moves nothing drive() reads unless the
-            # per-beat ready delay restarts; a burst's last beat moves
-            # the write queues.  (Its store reaches an in-flight read
-            # through the memory watcher.)
-            if job is not None and (
-                beat.last
-                or job.index + 1 >= len(job.addrs)
-                or self.w_ready_delay > 0
-            ):
-                changed = True
-            self._on_w_fired(beat)
-        if b.valid._value and b.ready._value:
-            self._on_b_fired(b_fired_entry)
-            changed = True
-        if r.valid._value and r.ready._value:
-            self._on_r_fired(r_fired_job)
-            changed = True
-        if changed:
-            self.schedule_drive()
+        return changed
 
     def _on_w_fired(self, beat) -> None:
         if not self._writes:
             return  # W beat with no accepted AW; protocol checker's domain
         job = self._writes[0]
-        width = bytes_per_beat(job.aw.size)
-        bus_bytes = self.bus.data_bytes
-        if width < bus_bytes:
-            # Narrow beat: data and strobes are lane-positioned over the
-            # bus-aligned word containing the beat address.
-            addr = job.addrs[job.index]
-            base = addr - beat_lane(addr, bus_bytes)
-            self.memory.write_masked(base, beat.data, beat.strb, bus_bytes)
-        else:
-            self.memory.write_masked(
-                job.addrs[job.index], beat.data, beat.strb, width
-            )
+        self._store(job, job.index, beat.data, beat.strb)
         job.w_wait = 0
         job.index += 1
         if beat.last or job.index >= len(job.addrs):
             self._writes.popleft()
             self._b_queue.append([job.aw.id, self.b_latency])
             self.writes_done += 1
+
+    def _store(self, job: _WriteJob, index: int, data: int, strb: int) -> None:
+        """Store beat *index* of *job* (its W ``data`` and ``strb``)."""
+        width = bytes_per_beat(job.aw.size)
+        bus_bytes = self.bus.data_bytes
+        addr = job.addrs[index]
+        if width < bus_bytes:
+            # Narrow beat: data and strobes are lane-positioned over the
+            # bus-aligned word containing the beat address.
+            base = addr - beat_lane(addr, bus_bytes)
+            self.memory.write_masked(base, data, strb, bus_bytes)
+        else:
+            self.memory.write_masked(addr, data, strb, width)
 
     def _on_b_fired(self, entry: Optional[List[int]]) -> None:
         if self.faults.spurious_b is not None:
@@ -784,6 +909,8 @@ class Subordinate(Component):
         self.resets_taken = 0
         self.writes_done = 0
         self.reads_done = 0
+        self.w_beats = 0
+        self.r_beats = 0
         self._stamp = 0
         self.faults.clear()
         self.cancel_wake()

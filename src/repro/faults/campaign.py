@@ -84,9 +84,9 @@ class IpHarness:
         self._clear_observations()
 
     def _clear_observations(self) -> None:
-        # Interface-event counters used by stage triggers.
-        self.w_beats_fired = 0
-        self.r_beats_fired = 0
+        # Interface events used by the manifest predicates.  Beat counts
+        # come from the subordinate's own w_beats/r_beats instead: a
+        # streamed burst span fires many W beats between observations.
         self.aw_fired_cycle: Optional[int] = None
         self.ar_fired_cycle: Optional[int] = None
         self.wlast_cycle: Optional[int] = None
@@ -107,21 +107,19 @@ class IpHarness:
     def _observe(self) -> None:
         """Record this cycle's device-side fire events (idempotent).
 
-        The counters move only on fired handshakes, which always happen
-        in stepped (never leaped) cycles, so observing after each real
-        step sees every event; the cycle guard makes double observation
-        (e.g. a pre-leap condition check) harmless.
+        Every event recorded here — an address handshake, a ``w_last``
+        beat — happens in a stepped cycle (never leaped, never inside a
+        streamed burst span), so observing after each step or span sees
+        every one; the cycle guard makes double observation (e.g. a
+        pre-leap condition check) harmless.
         """
         if self.sim.cycle == self._observed_cycle:
             return
         self._observed_cycle = self.sim.cycle
         if self.device.w.fired():
-            self.w_beats_fired += 1
             beat = self.device.w.payload.value
             if beat is not None and beat.last:
                 self.wlast_cycle = self.sim.cycle
-        if self.device.r.fired():
-            self.r_beats_fired += 1
         if self.device.aw.fired() and self.aw_fired_cycle is None:
             self.aw_fired_cycle = self.sim.cycle
         if self.device.ar.fired() and self.ar_fired_cycle is None:
@@ -147,9 +145,10 @@ class IpHarness:
 class InjectionResult:
     """Outcome of one fault injection.
 
-    ``sim_leaps`` / ``sim_cycles_leaped`` record how much idle time the
-    kernel fast-forwarded during the run (see PR 4's timed-wake queue).
-    They are scheduler diagnostics, not measurements: ``compare=False``
+    The ``sim_*`` fields are the kernel's ``Simulator.STAT_KEYS`` for
+    the run: how much idle time it fast-forwarded, how many burst
+    cycles it streamed in bulk and how many it stepped.  They are
+    scheduler diagnostics, not measurements: ``compare=False``
     keeps result equality — and thus every leap-on ≡ leap-off
     differential — about what was *measured*, never about how fast the
     kernel got there.
@@ -166,6 +165,8 @@ class InjectionResult:
     resets_taken: int
     sim_leaps: int = dataclasses.field(default=0, compare=False)
     sim_cycles_leaped: int = dataclasses.field(default=0, compare=False)
+    sim_cycles_streamed: int = dataclasses.field(default=0, compare=False)
+    sim_stepped_cycles: int = dataclasses.field(default=0, compare=False)
 
     def shifted(self, delta: int) -> "InjectionResult":
         """This result translated *delta* cycles later in time.
@@ -174,7 +175,8 @@ class InjectionResult:
         from its pack leader's: every measured cycle stamp moves
         rigidly with the stimulus onset, latencies/flags/log counts are
         shift-invariant, and the leader's single pre-onset leap simply
-        grows by *delta* (so even the scheduler diagnostics are exact).
+        grows by *delta* while its stepped and streamed cycles stay
+        (so even the scheduler diagnostics are exact).
         """
         start, inject, detect = (
             self.txn_start_cycle, self.inject_cycle, self.detect_cycle
@@ -191,6 +193,8 @@ class InjectionResult:
             resets_taken=self.resets_taken,
             sim_leaps=self.sim_leaps,
             sim_cycles_leaped=self.sim_cycles_leaped + delta,
+            sim_cycles_streamed=self.sim_cycles_streamed,
+            sim_stepped_cycles=self.sim_stepped_cycles,
         )
 
     @property
@@ -238,30 +242,36 @@ def apply_stage_fault(sub_faults, mgr_faults, corrupt_id: int, stage: InjectionS
         raise ValueError(f"unhandled stage {stage}")
 
 
-def _apply_fault(harness: IpHarness, stage: InjectionStage) -> None:
-    apply_stage_fault(
-        harness.subordinate.faults,
-        harness.manager.faults,
-        harness.tmu.config.max_uniq_ids + 1,
-        stage,
-    )
+def arm_stage_fault(
+    sub_faults, mgr_faults, corrupt_id: int, stage: InjectionStage, beats: int
+) -> None:
+    """Arm *stage* at the start of a run whose transfer has *beats* beats.
 
-
-def _injection_deferred(stage: InjectionStage, beats: int) -> Optional[Callable]:
-    """Trigger predicate for stages applied mid-transaction, else None.
-
-    Single-beat bursts have no "middle": the mid-burst stages degenerate
-    to their apply-at-start counterparts.
+    The mid-burst stages strike halfway through the transfer: they are
+    armed as a beat threshold in the subordinate's fault block, which
+    flips the switch itself after the ``beats // 2``-th beat (and stops
+    a streamed burst span there).  Single-beat transfers have no
+    middle: those stages degenerate to their apply-at-start
+    counterparts.  Every other stage is applied at once.
     """
-    if beats < 2:
-        return None
-    if stage == InjectionStage.DATA_TRANSFER_STALL:
-        threshold = beats // 2
-        return lambda harness: harness.w_beats_fired >= threshold
-    if stage == InjectionStage.R_MID_BURST_STALL:
-        threshold = beats // 2
-        return lambda harness: harness.r_beats_fired >= threshold
-    return None
+    if beats >= 2 and stage == InjectionStage.DATA_TRANSFER_STALL:
+        sub_faults.deaf_w_after = beats // 2
+    elif beats >= 2 and stage == InjectionStage.R_MID_BURST_STALL:
+        sub_faults.mute_r_after = beats // 2
+    else:
+        apply_stage_fault(sub_faults, mgr_faults, corrupt_id, stage)
+
+
+def drain_timeout(recovery_timeout: int, beats: int, outstanding: int) -> int:
+    """The recovery budget a run actually gets.
+
+    After detection every outstanding transfer still has to drain — the
+    TMU accepts and discards the rest of each write burst — which takes
+    about ``beats × outstanding`` cycles.  A fixed *recovery_timeout*
+    below that would report a slow-but-legal drain as a failed
+    recovery, so the budget is at least two cycles per beat in flight.
+    """
+    return max(recovery_timeout, 2 * beats * max(1, outstanding))
 
 
 def _manifest_predicate(stage: InjectionStage) -> Callable[[IpHarness], bool]:
@@ -283,7 +293,7 @@ def _manifest_predicate(stage: InjectionStage) -> Callable[[IpHarness], bool]:
             h.subordinate.faults.mute_r
         ),
         InjectionStage.R_ID_MISMATCH: lambda h: bool(h.device.r.valid.value),
-        InjectionStage.R_LAST_DROPPED: lambda h: h.r_beats_fired > 0,
+        InjectionStage.R_LAST_DROPPED: lambda h: h.subordinate.r_beats > 0,
         InjectionStage.R_READY_MISSING: lambda h: bool(h.device.r.valid.value),
     }
     del device
@@ -334,7 +344,8 @@ def run_injection(
     manager-side faults are cleared (the software recovery routine the
     paper's interrupt triggers) and the run continues until the manager
     has drained, the subordinate has been reset, and the TMU is
-    monitoring again.
+    monitoring again — within :func:`drain_timeout` cycles, which is
+    *recovery_timeout* unless the workload needs longer to drain.
 
     *harness* runs the injection on a harness in its freshly built
     state (a new build, or one returned by :meth:`IpHarness.reset`)
@@ -358,24 +369,24 @@ def run_injection(
             )
         )
 
-    deferred = _injection_deferred(stage, beats)
-    if deferred is None:
-        _apply_fault(harness, stage)
+    arm_stage_fault(
+        harness.subordinate.faults,
+        harness.manager.faults,
+        config.max_uniq_ids + 1,
+        stage,
+        beats,
+    )
     manifest = _manifest_predicate(stage)
 
     txn_start: Optional[int] = None
     inject_cycle: Optional[int] = None
 
     def detect_tick(h: IpHarness) -> bool:
-        nonlocal txn_start, inject_cycle, deferred
+        nonlocal txn_start, inject_cycle
         if txn_start is None and (
             h.host.aw.valid.value or h.host.ar.valid.value
         ):
             txn_start = h.cycle
-        if deferred is not None and inject_cycle is None and deferred(h):
-            _apply_fault(h, stage)
-            deferred = None
-            inject_cycle = h.cycle
         if inject_cycle is None and manifest(h):
             inject_cycle = h.cycle
         return bool(h.tmu.irq.value)
@@ -394,7 +405,7 @@ def run_injection(
                     and h.tmu.state.value == "monitor"
                     and not h.tmu.irq.value
                 ),
-                timeout=recovery_timeout,
+                timeout=drain_timeout(recovery_timeout, beats, outstanding),
             )
             is not None
         )

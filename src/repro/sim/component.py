@@ -96,6 +96,27 @@ applies ``elapsed = now - stamp`` ticks on wake — under an always-on
 update phase ``elapsed`` is 1 every cycle, so one implementation serves
 both modes and ``strategy="verify"`` replays remain exact.
 
+Burst streaming
+---------------
+
+A component on the path of a steady write burst — the manager sourcing
+it, the forwarders in between, the subordinate storing it — may let the
+kernel advance several mid-burst W beats in one call.  It overrides:
+
+* :meth:`stream_horizon` — how many of the next cycles, up to a limit,
+  only stream mid-burst W beats through it: no other handshake, no
+  counter expiry, no countdown crossing, no fault transition.  ``0``
+  (the default) pins the clock to stepping.
+* :meth:`stream` — apply that many cycles in bulk, leaving exactly the
+  registered state *cycles* ordinary updates would have left.
+* :meth:`stream_wires` — the wires its drives would rewrite every
+  streamed cycle (the forwarded W payloads).  A component reading one
+  of them without implementing the contract pins streaming.
+
+The kernel streams only while every awake component reports a horizon
+and every pending drive belongs to one of them; see "Burst streaming"
+in :mod:`repro.sim.kernel`.
+
 Phase periodicity (lockstep batching)
 -------------------------------------
 
@@ -144,10 +165,22 @@ class DriveSensitiveState:
 
     def __setattr__(self, key: str, value) -> None:
         object.__setattr__(self, key, value)
+        self._notify_owner()
+
+    def _notify_owner(self) -> None:
         owner = getattr(self, "_owner", None)
         if owner is not None:
             owner.schedule_drive()
             owner.schedule_update()
+
+    def clear(self) -> None:
+        """Return every field of the (dataclass) block to its default.
+
+        The owner is notified once for the whole block, not per field.
+        """
+        for name, field in self.__dataclass_fields__.items():
+            object.__setattr__(self, name, field.default)
+        self._notify_owner()
 
 
 class Component:
@@ -173,6 +206,10 @@ class Component:
     #: ``p`` invariance under shifts by multiples of ``p``, and ``None``
     #: (the default) opts the whole simulation out of lockstep batching.
     phase_period: Optional[int] = None
+
+    #: Whether this component implements the burst-streaming contract
+    #: (overrides :meth:`stream_horizon`); set by ``Simulator.add()``.
+    _streams: bool = False
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -306,6 +343,29 @@ class Component:
     def cancel_wake(self) -> None:
         """Drop the armed timed wake, if any (lazy heap cancellation)."""
         self._wake_cycle = None
+
+    def stream_horizon(self, limit: int) -> int:
+        """Cycles, at most *limit*, this component can be streamed now.
+
+        Called at a step boundary, with the previous cycle's settled
+        wires in place, only while the component is awake.  A nonzero
+        answer promises that each of the next that many cycles would
+        only fire a mid-burst W beat through this component and change
+        nothing else it owns but what :meth:`stream` applies.  The
+        default never streams.
+        """
+        return 0
+
+    def stream(self, cycles: int) -> None:
+        """Apply *cycles* streamed cycles in bulk (see :meth:`stream_horizon`).
+
+        Called with ``sim.cycle`` still at the span's first cycle; the
+        kernel advances the clock afterwards.
+        """
+
+    def stream_wires(self) -> Iterable[Wire]:
+        """Wires this component's drives rewrite in every streamed cycle."""
+        return ()
 
     def drive(self) -> None:
         """Combinational phase: compute outputs from inputs + state."""

@@ -42,6 +42,41 @@ declare ``leap_aware = True``; a leap-aware probe may also implement
 ``Simulator(time_leaping=False)`` disables the fast-forward for A/B
 ablations while keeping the wake heap as a plain re-arm mechanism.
 
+Burst streaming
+---------------
+
+A long write burst fires a W handshake every cycle, so the clock cannot
+leap over it, yet each of its middle beats does the same closed-form
+work on every component it crosses.  When every awake component
+implements the streaming contract (:meth:`~repro.sim.component.
+Component.stream_horizon`) and reports that the next *H* cycles only
+stream mid-burst W beats through it, ``run()``/``run_until()`` advance
+those *H* cycles in one call: each component applies *H* beats in bulk
+through :meth:`~repro.sim.component.Component.stream` (the manager moves
+its burst index, the forwarders commit nothing, the TMU counts the
+beats and replays its counters, the subordinate stores the words as one
+slice), and no drive runs — the only wires a stepped span would have
+moved are the forwarded W payloads, re-driven by the first stepped
+cycle after the span.
+
+A span is bounded by every component's horizon (the first and last beat
+of a burst, counter expiries, response countdowns and fault thresholds
+are always stepped), by the next armed timed wake and by the run
+target.  It needs every pending drive to belong to an awake streaming
+component, and every reader of a streamed wire (``readers`` and
+``update_readers``) to be a streaming component or one of its
+children.  Streaming rides on leaping: it runs only where leaping does
+(``dirty`` with update skipping and ``time_leaping`` on), never under
+``exhaustive`` or ``verify``, and it is additionally pinned by change
+tracking (:meth:`Simulator.track_changes`, used by the VCD writer and
+:class:`~repro.analysis.latency.IrqLatencyProbe`), whose per-cycle
+change sets a span cannot reproduce.  Leap-aware probes are called once
+per streamed cycle, with ``sim.cycle`` stepping through the span as if
+it had been stepped; the tracer's ``stream(sim, start, end)`` hook sees
+the span once.  A streamed cycle counts as simulated: ``stepped_cycles
++ cycles_streamed + cycles_leaped`` is the clock's advance since the
+last reset.
+
 Three settle strategies share those semantics:
 
 ``dirty`` (default)
@@ -117,8 +152,9 @@ class Simulator:
         ablations.  ``exhaustive`` simulators never skip regardless.
     time_leaping:
         When False, ``run()``/``run_until()`` never fast-forward the
-        clock over idle spans; timed wakes still re-arm components at
-        their declared cycles, just via ordinary per-cycle stepping.
+        clock over idle spans nor stream write bursts; timed wakes still
+        re-arm components at their declared cycles, just via ordinary
+        per-cycle stepping.
         Leaping is only ever active on the ``dirty`` strategy with
         update skipping on — ``verify`` deliberately replays would-be
         leaped spans cycle by cycle so its differential checks can
@@ -182,9 +218,13 @@ class Simulator:
         #: Entries are superseded lazily: only an entry matching its
         #: component's current _wake_cycle is honoured when it surfaces.
         self._wake_heap: List[Tuple[int, int, Component]] = []
-        #: Fast-forward statistics (for benchmarks and BENCH_kernel.json).
+        #: Scheduler statistics (see STAT_KEYS): clock fast-forwards,
+        #: the cycles they covered, cycles streamed in bulk, and cycles
+        #: stepped through both phases.
         self.leaps = 0
         self.cycles_leaped = 0
+        self.cycles_streamed = 0
+        self.stepped_cycles = 0
         #: Optional telemetry tracer (see :mod:`repro.telemetry.tracer`).
         #: Every hook site guards on a hoisted ``tracer is not None``
         #: local — the probe-guard idiom — so the default costs nothing.
@@ -241,6 +281,9 @@ class Simulator:
         # A fresh registration voids any wake armed under a previous
         # simulator; stale heap entries there are discarded lazily.
         component._wake_cycle = None
+        component._streams = (
+            type(component).stream_horizon is not Component.stream_horizon
+        )
         if type(component).drive is not Component.drive:
             self._drivers.append(component)
             if incremental:
@@ -421,6 +464,56 @@ class Simulator:
                 # initial-value flush).
                 probe(self)
 
+    def _stream(self, target: int) -> bool:
+        """Advance a steady W burst in bulk; False when it cannot.
+
+        Called at a step boundary of a leap-ready run, due wakes already
+        popped.  The span is the minimum of the run *target*, the next
+        armed wake and every awake component's horizon; see "Burst
+        streaming" in the module docstring for the preconditions.
+        """
+        awake = self._update_pending
+        if not awake or self._track_changes or not self._pending <= awake:
+            return False
+        for component in awake:
+            if not component._streams:
+                return False
+        start = self.cycle
+        horizon = target - start
+        nxt = self._next_wake()
+        if nxt is not None and nxt - start < horizon:
+            horizon = nxt - start
+        for component in awake:
+            horizon = component.stream_horizon(horizon)
+            if horizon <= 0:
+                return False
+        members = set(awake)
+        for component in awake:
+            members.update(component.children())
+        for component in awake:
+            for wire in component.stream_wires():
+                if not (
+                    wire.readers <= members and wire.update_readers <= members
+                ):
+                    return False
+        for component in sorted(awake, key=_BY_ORDER):
+            component.stream(horizon)
+        end = start + horizon
+        self.cycles_streamed += horizon
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.stream(self, start, end)
+        probes = self._probes
+        if probes:
+            # A streamed cycle counts as simulated: each probe observes
+            # it, with the clock where stepping would have left it.
+            for cycle in range(start + 1, end + 1):
+                self.cycle = cycle
+                for probe in probes:
+                    probe(self)
+        self.cycle = end
+        return True
+
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
@@ -429,7 +522,9 @@ class Simulator:
     #: dataclasses (as ``sim_<key>`` fields) and
     #: ``analysis.export.scheduler_stats_dict`` — adding a key here is
     #: what extends the exported ``scheduler`` JSON block.
-    STAT_KEYS: Tuple[str, ...] = ("leaps", "cycles_leaped")
+    STAT_KEYS: Tuple[str, ...] = (
+        "leaps", "cycles_leaped", "cycles_streamed", "stepped_cycles",
+    )
 
     def stats(self) -> Dict[str, Any]:
         """Scheduler statistics as one dict.
@@ -794,6 +889,7 @@ class Simulator:
         else:
             self._update_phase()
         self.cycle += 1
+        self.stepped_cycles += 1
         if self._probes:
             for probe in self._probes:
                 probe(self)
@@ -808,7 +904,8 @@ class Simulator:
         With time leaping active, spans where nothing can happen — no
         pending drives, empty live updater set, only timed wakes ahead —
         are crossed in one jump to ``min(next_wake, target)`` instead of
-        being ticked through; the observable end state is identical.
+        being ticked through, and the middle of a steady write burst is
+        streamed in bulk; the observable end state is identical.
         """
         target = self.cycle + cycles
         step = self.step
@@ -825,6 +922,8 @@ class Simulator:
                 if dest > self.cycle:
                     self._leap_to(dest)
                     continue
+            elif self._stream(target):
+                continue
             step()
 
     def run_until(
@@ -841,8 +940,14 @@ class Simulator:
         a leaped span — nothing runs and no wire moves — so it is
         additionally consulted once *before* each jump (skipping the
         jump when it already holds) and not re-evaluated inside the
-        span.  Conditions keyed on wall-clock cycle counts alone should
-        run with ``time_leaping=False``.
+        span.  A streamed burst span is bounded the same way: the
+        condition is consulted at its boundaries only, so it must not
+        be able to flip inside one — a function of handshakes other
+        than mid-burst W beats, of wire levels and of component state
+        qualifies; one counting fired beats on the wires (whose payload
+        keeps the beat fired just before a span) does not.  Conditions
+        keyed on wall-clock cycle counts or on per-cycle wire events
+        alone should run with ``time_leaping=False``.
         """
         target = self.cycle + timeout
         step = self.step
@@ -852,6 +957,9 @@ class Simulator:
                 if condition(self):
                     return self.cycle
             return None
+        # A span may only start where the condition has been consulted
+        # (and found false): stepping would return one cycle later.
+        consulted = False
         while self.cycle < target:
             if self._wake_heap:
                 self._pop_due_wakes()
@@ -870,7 +978,12 @@ class Simulator:
                 if dest > self.cycle:
                     self._leap_to(dest)
                     continue
+            elif consulted and self._stream(target):
+                if condition(self):
+                    return self.cycle
+                continue
             step()
             if condition(self):
                 return self.cycle
+            consulted = True
         return None

@@ -96,8 +96,19 @@ class EthernetMac(Subordinate):
             self._tx_buffered = max(0.0, self._tx_buffered - self.line_rate)
         self._tx_stamp = now
 
-    # quiescent() is inherited unchanged: the TX drain no longer needs
-    # the update phase, so only the AXI-side conditions matter.
+    def stream(self, cycles: int) -> None:
+        super().stream(cycles)
+        self.beats_received += cycles
+        # Each streamed update buffers its beat, then drains one cycle.
+        buffered, rate = self._tx_buffered, self.line_rate
+        for _ in range(cycles):
+            buffered = max(0.0, buffered + 1 - rate)
+        self._tx_buffered = buffered
+        self._tx_stamp = self._sim.cycle + cycles
+
+    # quiescent() and stream_horizon() are inherited unchanged: the TX
+    # drain no longer needs the update phase, so only the AXI-side
+    # conditions matter.
 
     def snapshot_state(self):
         # _tx_buffered/_tx_stamp are clock-derived (lazily resynced)

@@ -58,6 +58,8 @@ class SystemInjectionResult:
     #: about measurements, not about how the kernel scheduled them).
     sim_leaps: int = dataclasses.field(default=0, compare=False)
     sim_cycles_leaped: int = dataclasses.field(default=0, compare=False)
+    sim_cycles_streamed: int = dataclasses.field(default=0, compare=False)
+    sim_stepped_cycles: int = dataclasses.field(default=0, compare=False)
 
     def shifted(self, delta: int) -> "SystemInjectionResult":
         """This result translated *delta* cycles later in time.
@@ -66,7 +68,7 @@ class SystemInjectionResult:
         lane's result from its pack leader's: measured cycle stamps
         move rigidly with ``start_delay``, counts and flags are
         shift-invariant, and the leader's single pre-onset leap grows
-        by *delta*.
+        by *delta* (stepped and streamed cycles stay).
         """
         start, inject, w_first, detect = (
             self.txn_start_cycle,
@@ -88,6 +90,8 @@ class SystemInjectionResult:
             recovered=self.recovered,
             sim_leaps=self.sim_leaps,
             sim_cycles_leaped=self.sim_cycles_leaped + delta,
+            sim_cycles_streamed=self.sim_cycles_streamed,
+            sim_stepped_cycles=self.sim_stepped_cycles,
         )
 
     @property
@@ -177,9 +181,11 @@ def run_system_injection(
     shape.
 
     The detection and recovery loops run through ``run_until`` with a
-    stateful watcher: its bookkeeping only moves on handshake fires and
-    wire levels, which are frozen across any span the kernel leaps, so
-    the campaign output is byte-identical with leaping on or off.
+    stateful watcher: its bookkeeping only moves on address, first- and
+    last-beat handshakes, wire levels and fault switches, none of which
+    can move inside a span the kernel leaps or streams, so the campaign
+    output is byte-identical with leaping on or off.  The recovery loop
+    gets at least :func:`~repro.faults.campaign.drain_timeout` cycles.
 
     *soc* runs the injection on an SoC in its freshly built state (a
     new build, or one returned by :meth:`CheshireSoC.reset`) built by
@@ -188,7 +194,7 @@ def run_system_injection(
     """
     # Imported here: repro.faults.campaign builds IP harnesses with the
     # reset unit from this package, so a module-level import would cycle.
-    from ..faults.campaign import apply_stage_fault
+    from ..faults.campaign import arm_stage_fault, drain_timeout
 
     if soc is None:
         soc = build_system_soc(
@@ -208,58 +214,36 @@ def run_system_injection(
     if outstanding > 1:
         soc.submit_outstanding_reads(outstanding - 1)
 
-    deferred_threshold = None
-    if stage == InjectionStage.DATA_TRANSFER_STALL:
-        deferred_threshold = beats // 2
-    elif stage == InjectionStage.R_MID_BURST_STALL:
-        deferred_threshold = beats // 2
-    else:
-        apply_stage_fault(
-            soc.ethernet.faults,
-            soc.dma.faults,
-            soc.tmu.config.max_uniq_ids + 1,
-            stage,
-        )
+    arm_stage_fault(
+        soc.ethernet.faults,
+        soc.dma.faults,
+        soc.tmu.config.max_uniq_ids + 1,
+        stage,
+        beats,
+    )
 
     txn_start: Optional[int] = None
     inject_cycle: Optional[int] = None
     w_first_cycle: Optional[int] = None
-    w_beats = 0
     wlast_seen = False
-    observed_cycle = -1
 
     def detect_tick(_sim) -> bool:
-        # May be consulted more than once per cycle (once pre-leap);
-        # the cycle guard keeps the fired-beat counting idempotent.
-        nonlocal txn_start, inject_cycle, w_first_cycle
-        nonlocal w_beats, wlast_seen, observed_cycle, deferred_threshold
-        if soc.sim.cycle != observed_cycle:
-            observed_cycle = soc.sim.cycle
-            dev = soc.eth_dev_bus
-            if txn_start is None and soc.eth_host_bus.aw.valid.value:
-                txn_start = soc.sim.cycle
-            if dev.w.fired():
-                if w_first_cycle is None:
-                    w_first_cycle = soc.sim.cycle
-                w_beats += 1
-                beat = dev.w.payload.value
-                if beat is not None and beat.last:
-                    wlast_seen = True
-            if (
-                deferred_threshold is not None
-                and inject_cycle is None
-                and w_beats >= deferred_threshold
-            ):
-                apply_stage_fault(
-                    soc.ethernet.faults,
-                    soc.dma.faults,
-                    soc.tmu.config.max_uniq_ids + 1,
-                    stage,
-                )
-                inject_cycle = soc.sim.cycle
-                deferred_threshold = None
-            if inject_cycle is None and _manifested(soc, stage, wlast_seen):
-                inject_cycle = soc.sim.cycle
+        # Every event read here (an address valid, the first and last W
+        # beats, a fault switch) happens in a stepped cycle, and each
+        # is recorded once, so extra consultations (pre-leap, at the
+        # end of a streamed span) are harmless.
+        nonlocal txn_start, inject_cycle, w_first_cycle, wlast_seen
+        dev = soc.eth_dev_bus
+        if txn_start is None and soc.eth_host_bus.aw.valid.value:
+            txn_start = soc.sim.cycle
+        if dev.w.fired():
+            if w_first_cycle is None:
+                w_first_cycle = soc.sim.cycle
+            beat = dev.w.payload.value
+            if beat is not None and beat.last:
+                wlast_seen = True
+        if inject_cycle is None and _manifested(soc, stage, wlast_seen):
+            inject_cycle = soc.sim.cycle
         return bool(soc.tmu.irq.value)
 
     detect_cycle = soc.sim.run_until(detect_tick, timeout=detect_timeout)
@@ -276,7 +260,7 @@ def run_system_injection(
                     and not soc.tmu.irq.value
                     and bool(soc.cpu.recoveries)
                 ),
-                timeout=recovery_timeout,
+                timeout=drain_timeout(recovery_timeout, beats, outstanding),
             )
             is not None
         )
@@ -309,6 +293,8 @@ def _manifested(soc: CheshireSoC, stage: InjectionStage, wlast_seen: bool) -> bo
         return bool(dev.aw.fired()) or bool(soc.tmu.write_guard.ott.occupancy)
     if stage == InjectionStage.W_READY_MISSING:
         return bool(dev.w.valid.value)
+    if stage == InjectionStage.DATA_TRANSFER_STALL:
+        return bool(soc.ethernet.faults.deaf_w)
     if stage == InjectionStage.WLAST_TO_BVALID:
         return wlast_seen
     if stage in (InjectionStage.B_ID_MISMATCH, InjectionStage.B_READY_MISSING):
@@ -317,6 +303,8 @@ def _manifested(soc: CheshireSoC, stage: InjectionStage, wlast_seen: bool) -> bo
         return bool(dev.ar.valid.value)
     if stage == InjectionStage.R_VALID_MISSING:
         return bool(dev.ar.fired()) or bool(soc.tmu.read_guard.ott.occupancy)
+    if stage == InjectionStage.R_MID_BURST_STALL:
+        return bool(soc.ethernet.faults.mute_r)
     if stage in (
         InjectionStage.R_ID_MISMATCH,
         InjectionStage.R_LAST_DROPPED,

@@ -11,7 +11,7 @@ cycle-level data is wanted:
 
 * ``trace_components = False`` (the :class:`Tracer` base): the kernel
   calls only the per-*step* hooks (``step_begin``/``step_end``) plus
-  ``wake_fired`` and ``leap``.  Inner settle/update loops stay
+  ``wake_fired``, ``leap`` and ``stream``.  Inner settle/update loops stay
   untouched — this is the "no-op tracer" tier the benchmark gate holds
   to ≤5% overhead.
 * ``trace_components = True`` (:class:`KernelTracer`): the kernel
@@ -26,7 +26,8 @@ time — so the schedule is inspected in the clock domain the figures are
 measured in; measured wall-clock nanoseconds ride along in each span's
 ``args``.  A clock fast-forward renders as a single ``leap`` span
 covering the whole jumped region, which is exactly how a 60k-cycle
-stall should look: one span, not sixty thousand.
+stall should look: one span, not sixty thousand.  A streamed write
+burst renders the same way, as one ``stream`` span.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ class Tracer:
 
     def leap(self, sim, start: int, dest: int) -> None:
         """The clock fast-forwarded from *start* to *dest* in one jump."""
+
+    def stream(self, sim, start: int, end: int) -> None:
+        """A steady write burst streamed from *start* to *end* in bulk."""
 
     def drive_executed(self, component, elapsed_ns: int) -> None:
         """One ``drive()`` ran (``trace_components`` tier only)."""
@@ -118,6 +122,7 @@ class KernelTracer(Tracer):
         self.steps = 0
         self.leaps = 0
         self.cycles_leaped = 0
+        self.cycles_streamed = 0
         self.record_events = events
         self.max_events = max_events
         self.dropped_events = 0
@@ -199,6 +204,17 @@ class KernelTracer(Tracer):
                 start * _CYCLE_US,
                 (dest - start) * _CYCLE_US,
                 {"from_cycle": start, "to_cycle": dest, "cycles": dest - start},
+            )
+
+    def stream(self, sim, start: int, end: int) -> None:
+        self.cycles_streamed += end - start
+        if self.record_events:
+            self._span(
+                None,
+                "stream",
+                start * _CYCLE_US,
+                (end - start) * _CYCLE_US,
+                {"from_cycle": start, "to_cycle": end, "cycles": end - start},
             )
 
     def drive_executed(self, component, elapsed_ns: int) -> None:
@@ -298,7 +314,7 @@ class KernelTracer(Tracer):
         Load the serialized form in Perfetto (https://ui.perfetto.dev)
         or ``chrome://tracing``.  ``ts``/``dur`` are microseconds of
         *simulated* time (1 cycle = 1µs); one track per component plus
-        the ``kernel`` track carrying leap spans.
+        the ``kernel`` track carrying leap and stream spans.
         """
         # The kernel track always exists, even for an event-free run, so
         # an empty trace still names its process/track structure.
@@ -312,6 +328,7 @@ class KernelTracer(Tracer):
                 "steps": self.steps,
                 "leaps": self.leaps,
                 "cycles_leaped": self.cycles_leaped,
+                "cycles_streamed": self.cycles_streamed,
                 "dropped_events": self.dropped_events,
             },
         }

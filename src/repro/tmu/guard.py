@@ -241,9 +241,12 @@ class GuardBase:
 
         Equivalent to calling :meth:`observe` *cycles* times with every
         channel unchanged and fire-free: the prescaler advances, armed
-        counters consume its edges, and nothing else moves.  Valid only
-        when no expiry falls inside the span — the TMU's timed wake
-        (from :meth:`next_timeout_stamp`) guarantees that.
+        counters consume its edges, and nothing else moves.  The counters
+        behave the same while mid-burst W beats stream (they count
+        whatever the channels do), so :meth:`WriteGuard.stream` replays
+        a streamed span through here too.  Valid only when no expiry
+        falls inside the span — the TMU's timed wake or stream horizon
+        (both from :meth:`next_timeout_stamp`) guarantees that.
         """
         if cycles <= 0:
             return

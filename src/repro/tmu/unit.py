@@ -245,6 +245,64 @@ class TransactionMonitoringUnit(Component):
             self.wake_at(self._sim.cycle + (wake - self.cycle))
         return True
 
+    def stream_horizon(self, limit: int) -> int:
+        # Only mid-burst W beats may cross the TMU in a streamed span,
+        # with every other channel idle.  Monitoring, they pass through
+        # to the device: the write guard counts them, armed counters
+        # keep consuming prescaler edges, and the span ends before
+        # either guard's next expiry (which must land in a stepped
+        # update).  Recovering, they drain into the TMU while the reset
+        # handshake waits, and the span ends before it completes.
+        if not self.config.enabled or self.cycle != self._sim.cycle:
+            return 0
+        host_w, device_w = self.host.w, self.device.w
+        if not (host_w.valid._value and host_w.ready._value):
+            return 0
+        for ch in self._watch_channels:
+            if ch.valid._value and ch is not host_w and ch is not device_w:
+                return 0
+        if self.state is TmuState.RECOVER:
+            return self._recover_stream_horizon(limit)
+        if not device_w.ready._value:
+            return 0
+        limit = self.write_guard.stream_horizon(limit)
+        for guard in (self.write_guard, self.read_guard):
+            stamp = guard.next_timeout_stamp(self.cycle)
+            if stamp is not None and stamp - self.cycle - 1 < limit:
+                limit = stamp - self.cycle - 1
+        return limit
+
+    def _recover_stream_horizon(self, limit: int) -> int:
+        """Drained W beats, at most *limit*, before the handshake moves."""
+        if self._ack_seen and self._w_drain_remaining == 0:
+            return 0  # back to MONITOR at the next update
+        if self._req_state:
+            countdown = self._self_ack_countdown
+            if countdown is None:
+                if self.reset_ack._value:
+                    return 0
+            elif countdown - 1 < limit:
+                # The update that counts it down to zero acknowledges.
+                limit = countdown - 1
+        return limit
+
+    def stream(self, cycles: int) -> None:
+        self.cycle += cycles
+        if self.state is TmuState.RECOVER:
+            if self._self_ack_countdown:
+                self._self_ack_countdown = max(
+                    0, self._self_ack_countdown - cycles
+                )
+            return
+        self.write_guard.stream(cycles)
+        self.read_guard.catch_up(cycles)
+
+    def stream_wires(self):
+        # Recovering, the device side stays severed: nothing forwarded.
+        if self.state is TmuState.RECOVER:
+            return ()
+        return (self.device.w.payload,)
+
     def snapshot_state(self):
         return (
             self.state,

@@ -40,6 +40,28 @@ class WriteGuard(GuardBase):
         )
 
     # ------------------------------------------------------------------
+    # Burst streaming
+    # ------------------------------------------------------------------
+    def stream_horizon(self, limit: int) -> int:
+        """Mid-burst beats, at most *limit*, the W target takes silently.
+
+        The target must already be in its data phase (its first beat
+        was observed), and the span stops before the beat that would be
+        its last — ``w_last`` or a missing one is an event.
+        """
+        target = self.ott.ei_front()
+        if target is None or target.state not in (
+            WritePhase.W_DATA, TxnSpan.WRITE
+        ):
+            return 0
+        return min(limit, target.beats - 1 - target.beats_seen)
+
+    def stream(self, cycles: int) -> None:
+        """Observe *cycles* mid-burst W beats in one call."""
+        self.ott.ei_front().beats_seen += cycles
+        self.catch_up(cycles)
+
+    # ------------------------------------------------------------------
     # GuardBase hooks
     # ------------------------------------------------------------------
     def _front_phase(self):

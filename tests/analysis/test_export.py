@@ -82,7 +82,12 @@ def test_scheduler_stats_tolerate_foreign_results():
     class Legacy:  # a result predating the scheduler-stat fields
         pass
 
-    assert scheduler_stats_dict([Legacy()]) == {"leaps": 0, "cycles_leaped": 0}
+    assert scheduler_stats_dict([Legacy()]) == {
+        "leaps": 0,
+        "cycles_leaped": 0,
+        "cycles_streamed": 0,
+        "stepped_cycles": 0,
+    }
 
 
 def test_export_list_of_results():

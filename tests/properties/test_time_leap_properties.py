@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.faults.campaign import run_injection
 from repro.faults.types import InjectionStage
+from repro.sim.kernel import Simulator
 from repro.tmu.budget import AdaptiveBudgetPolicy, PhaseBudgets, SpanBudgets
 from repro.tmu.config import TmuConfig, Variant
 from repro.tmu.counters import Prescaler, PrescaledCounter
@@ -120,9 +121,10 @@ def test_random_injection_identical_across_leap_modes(
             issue_delay=seed,
         )
         payload = dataclasses.asdict(result)
-        # Scheduler diagnostics, not measurements: leap counts differ
-        # across kernels by construction.
-        del payload["sim_leaps"], payload["sim_cycles_leaped"]
+        # Scheduler diagnostics, not measurements: leap, stream and
+        # step counts differ across kernels by construction.
+        for key in Simulator.STAT_KEYS:
+            del payload[f"sim_{key}"]
         return payload
 
     leap = run()

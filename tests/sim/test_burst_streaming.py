@@ -1,0 +1,251 @@
+"""Kernel-level tests for burst streaming.
+
+When every awake component reports a streaming horizon, ``run`` and
+``run_until`` advance the middle of a steady W burst in one call (see
+"Burst streaming" in :mod:`repro.sim.kernel`).  These tests pin the
+regime's legality rules — where it runs, what pins it, how probes,
+tracers and ``run_until`` conditions see a span — and the scheduler
+statistics that account for it.
+"""
+
+import pytest
+
+from repro.analysis.latency import IrqLatencyProbe
+from repro.axi.interface import AxiInterface
+from repro.axi.manager import Manager
+from repro.axi.memory import SparseMemory
+from repro.axi.subordinate import Subordinate
+from repro.axi.traffic import write_spec
+from repro.faults.campaign import IpHarness, run_injection
+from repro.faults.types import InjectionStage
+from repro.sim import Component, Simulator
+from repro.soc.experiment import build_system_soc, run_system_injection
+from repro.telemetry import KernelTracer
+from repro.tmu.config import TmuConfig, Variant
+
+WORDS = [0x1111_0000_0000_0000 + i for i in range(32)]
+
+
+def direct_loop(**sim_kwargs):
+    """Manager ↔ subordinate, one 32-beat write queued."""
+    sim = Simulator(**sim_kwargs)
+    bus = AxiInterface("bus")
+    manager = Manager("mgr", bus)
+    subordinate = Subordinate("sub", bus, b_latency=3)
+    sim.add(manager)
+    sim.add(subordinate)
+    manager.submit(write_spec(0, 0x1000, beats=len(WORDS), data=list(WORDS)))
+    return sim, manager, subordinate
+
+
+def stored_words(subordinate):
+    memory = subordinate.memory
+    return [memory.read_word(0x1000 + 8 * i, 8) for i in range(len(WORDS))]
+
+
+def test_burst_middle_streams_and_matches_stepping():
+    streamed, manager, subordinate = direct_loop()
+    stepped, ref_manager, ref_subordinate = direct_loop(time_leaping=False)
+    streamed.run(80)
+    stepped.run(80)
+    # First and last beats are stepped; the 30 in between stream.
+    assert streamed.cycles_streamed == len(WORDS) - 2
+    assert stepped.cycles_streamed == 0
+    assert stored_words(subordinate) == stored_words(ref_subordinate) == WORDS
+    assert manager.completed == ref_manager.completed
+    assert {w.name: w.value for w in streamed.wires} == {
+        w.name: w.value for w in stepped.wires
+    }
+
+
+@pytest.mark.parametrize(
+    "sim_kwargs",
+    [
+        {"time_leaping": False},
+        {"strategy": "verify"},
+        {"strategy": "exhaustive"},
+        {"update_skipping": False},
+    ],
+    ids=["no-leaping", "verify", "exhaustive", "no-skipping"],
+)
+def test_streaming_rides_on_leaping(sim_kwargs):
+    sim, _, subordinate = direct_loop(**sim_kwargs)
+    sim.run(80)
+    assert sim.cycles_streamed == 0
+    assert stored_words(subordinate) == WORDS
+
+
+def test_statistics_account_for_every_cycle():
+    sim, _, _ = direct_loop()
+    sim.run(200)
+    assert sim.stepped_cycles + sim.cycles_streamed + sim.cycles_leaped == 200
+    assert sim.cycles_streamed and sim.cycles_leaped
+    sim.reset()
+    assert sim.stats() == {key: 0 for key in Simulator.STAT_KEYS}
+
+
+@pytest.mark.parametrize("variant", (Variant.FULL, Variant.TINY))
+def test_system_run_statistics_add_up_to_final_cycle(variant):
+    soc = build_system_soc(variant)
+    result = run_system_injection(
+        variant, InjectionStage.WLAST_TO_BVALID, start_delay=9, soc=soc
+    )
+    assert result.sim_cycles_streamed >= 200
+    assert (
+        result.sim_stepped_cycles
+        + result.sim_cycles_streamed
+        + result.sim_cycles_leaped
+        == soc.sim.cycle
+    )
+
+
+def test_leap_aware_probe_sees_every_streamed_cycle():
+    sim, _, _ = direct_loop()
+
+    class Probe:
+        leap_aware = True
+
+        def __init__(self):
+            self.cycles = []
+
+        def __call__(self, s):
+            self.cycles.append(s.cycle)
+
+    probe = Probe()
+    sim.add_probe(probe)
+    sim.run(60)
+    assert sim.cycles_streamed > 0
+    # Stepped and streamed cycles each reach the probe once, in order.
+    assert len(probe.cycles) == sim.stepped_cycles + sim.cycles_streamed
+    assert probe.cycles == sorted(set(probe.cycles))
+
+
+def test_change_tracking_pins_streaming():
+    sim, _, subordinate = direct_loop()
+    sim.track_changes()
+    sim.run(80)
+    assert sim.cycles_streamed == 0
+    assert stored_words(subordinate) == WORDS
+
+
+def test_irq_latency_probe_pins_streaming():
+    harness = IpHarness(TmuConfig(variant=Variant.FULL))
+    probe = IrqLatencyProbe(harness.tmu.irq)
+    harness.sim.add_probe(probe)
+    harness.manager.submit(write_spec(0, 0x1000, beats=64))
+    harness.sim.run(200)
+    assert harness.sim.cycles_streamed == 0
+
+
+class PayloadSpy(Component):
+    """Reads the W payload in its drive without the streaming contract."""
+
+    demand_driven = True
+
+    def __init__(self, bus):
+        super().__init__("spy")
+        self.bus = bus
+        self.seen = []
+
+    def inputs(self):
+        return (self.bus.w.payload,)
+
+    def drive(self):
+        beat = self.bus.w.payload._value
+        if beat is not None:
+            self.seen.append(beat.data)
+
+
+def test_reader_without_contract_pins_streaming():
+    sim, manager, _ = direct_loop()
+    spy = PayloadSpy(manager.bus)
+    sim.add(spy)
+    sim.run(80)
+    assert sim.cycles_streamed == 0
+    assert spy.seen == WORDS  # every beat was driven, so the spy saw it
+
+
+def test_run_target_bounds_a_span():
+    sim, _, subordinate = direct_loop()
+    reference, _, ref_subordinate = direct_loop(time_leaping=False)
+    for chunk in (7, 3, 11, 5, 50):
+        sim.run(chunk)
+        reference.run(chunk)
+        assert sim.cycle == reference.cycle
+        assert subordinate.w_beats == ref_subordinate.w_beats
+    assert stored_words(subordinate) == WORDS
+
+
+def test_run_until_consults_its_condition_at_span_boundaries():
+    sim, manager, subordinate = direct_loop()
+    seen = []
+
+    def done(s):
+        seen.append(s.cycle)
+        return manager.idle
+
+    finished = sim.run_until(done, timeout=200)
+    reference, ref_manager, _ = direct_loop(time_leaping=False)
+    assert finished == reference.run_until(lambda s: ref_manager.idle, timeout=200)
+    assert sim.cycles_streamed > 0
+    assert len(seen) < finished  # not once per cycle
+
+
+def test_run_until_never_streams_past_a_condition_that_already_holds():
+    sim, _, _ = direct_loop()
+    sim.run(5)  # mid-burst: the next cycle could stream
+    start = sim.cycle
+    assert sim.run_until(lambda s: True, timeout=100) == start + 1
+
+
+def test_tracer_sees_each_span_once():
+    tracer = KernelTracer()
+    sim, _, _ = direct_loop(tracer=tracer)
+    sim.run(80)
+    assert tracer.cycles_streamed == sim.cycles_streamed > 0
+    events = tracer.chrome_trace()["traceEvents"]
+    spans = [e for e in events if e.get("name") == "stream"]
+    assert sum(e["args"]["cycles"] for e in spans) == sim.cycles_streamed
+
+
+def test_ip_harness_streams_through_the_tmu():
+    harness = IpHarness(TmuConfig(variant=Variant.FULL))
+    harness.manager.submit(write_spec(0, 0x1000, beats=64))
+    harness.sim.run(200)
+    assert harness.sim.cycles_streamed == 62
+    assert harness.tmu.write_guard.perf.completed == 1
+    assert harness.manager.completed[0].resp.name == "OKAY"
+
+
+def test_write_block_spans_pages_and_notifies_once():
+    memory = SparseMemory(page_bits=4)
+    calls = []
+    memory.watch(lambda: calls.append(1))
+    memory.write_block(0x0C, bytes(range(40)))
+    assert memory.read(0x0C, 40) == bytes(range(40))
+    assert memory.allocated_pages == 4
+    assert calls == [1]
+
+
+@pytest.mark.parametrize(
+    "with_reset_unit", (True, False), ids=["reset-unit", "self-ack"]
+)
+@pytest.mark.parametrize(
+    "stage", (InjectionStage.AW_READY_MISSING, InjectionStage.DATA_TRANSFER_STALL)
+)
+def test_recovering_tmu_drain_streams_like_stepping(stage, with_reset_unit):
+    # After detection the TMU accepts and discards the rest of the
+    # burst; the drain streams until the reset handshake moves, which a
+    # standalone TMU counts down itself.
+    config = TmuConfig(variant=Variant.FULL)
+    kwargs = {"with_reset_unit": with_reset_unit, "reset_duration": 30}
+
+    def run(**sim_kwargs):
+        return run_injection(
+            config, stage, beats=128, harness_kwargs={**kwargs, **sim_kwargs}
+        )
+
+    streamed = run()
+    assert streamed.recovered and streamed.sim_cycles_streamed > 100
+    assert streamed == run(sim_time_leaping=False)
+    assert streamed == run(sim_strategy="exhaustive")

@@ -341,3 +341,13 @@ def test_cli_start_up_does_not_import_numpy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr or "numpy was imported"
+
+
+def test_deep_outstanding_drain_is_not_a_recovery_failure(capsys):
+    # 16 outstanding 192-beat writes take ~3,000 cycles to drain after
+    # detection; a fixed 2,000-cycle recovery budget used to report all
+    # six injections as unrecovered and exit 1.
+    argv = ["campaign", "--kind", "ip", "--beats", "192", "--outstanding", "16",
+            "--variant", "full"]
+    assert main(argv) == 0
+    assert "6 detected | 6 recovered" in capsys.readouterr().out
