@@ -95,6 +95,9 @@ class _XbarChannel(Component):
             for dst in xbar._mgr_ch[ch]:
                 yield dst.ready
 
+    def forwards_w(self, wire):
+        return self.xbar.forwards_w(wire)
+
     def drive(self) -> None:
         # Writes valid/payload toward every destination port of this
         # channel and ready back to every source port.
@@ -243,6 +246,16 @@ class Crossbar(Component):
 
     def stream_wires(self):
         return [sub_w.payload for _, sub_w in self._w_plan()[0]]
+
+    def forwards_w(self, wire):
+        # A mid-burst W beat moves no routing state (only a last beat
+        # does) and _drive_w re-forwards a repeated beat as an equal
+        # value, so a frozen beat is harmless here; it reappears only on
+        # the subordinate port its manager's burst is locked to.
+        for mgr_w, sub_w in self._w_plan()[0]:
+            if mgr_w.payload is wire:
+                return (sub_w.payload,)
+        return ()
 
     def snapshot_state(self):
         return (

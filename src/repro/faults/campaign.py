@@ -147,7 +147,8 @@ class InjectionResult:
 
     The ``sim_*`` fields are the kernel's ``Simulator.STAT_KEYS`` for
     the run: how much idle time it fast-forwarded, how many burst
-    cycles it streamed in bulk and how many it stepped.  They are
+    cycles it streamed in bulk, how many it stepped and in how many of
+    those a streaming island rode along.  They are
     scheduler diagnostics, not measurements: ``compare=False``
     keeps result equality — and thus every leap-on ≡ leap-off
     differential — about what was *measured*, never about how fast the
@@ -167,6 +168,7 @@ class InjectionResult:
     sim_cycles_leaped: int = dataclasses.field(default=0, compare=False)
     sim_cycles_streamed: int = dataclasses.field(default=0, compare=False)
     sim_stepped_cycles: int = dataclasses.field(default=0, compare=False)
+    sim_island_cycles: int = dataclasses.field(default=0, compare=False)
 
     def shifted(self, delta: int) -> "InjectionResult":
         """This result translated *delta* cycles later in time.
@@ -175,7 +177,7 @@ class InjectionResult:
         from its pack leader's: every measured cycle stamp moves
         rigidly with the stimulus onset, latencies/flags/log counts are
         shift-invariant, and the leader's single pre-onset leap simply
-        grows by *delta* while its stepped and streamed cycles stay
+        grows by *delta* while its stepped, streamed and island cycles stay
         (so even the scheduler diagnostics are exact).
         """
         start, inject, detect = (
@@ -195,6 +197,7 @@ class InjectionResult:
             sim_cycles_leaped=self.sim_cycles_leaped + delta,
             sim_cycles_streamed=self.sim_cycles_streamed,
             sim_stepped_cycles=self.sim_stepped_cycles,
+            sim_island_cycles=self.sim_island_cycles,
         )
 
     @property

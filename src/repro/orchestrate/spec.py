@@ -23,7 +23,7 @@ import hashlib
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..axi.types import MAX_BURST_LEN
+from ..axi.types import MAX_BURST_LEN, AxiDir
 from ..faults.types import InjectionStage
 from ..tmu.config import TmuConfig, Variant
 from .serialize import SpecSerializationError, config_to_dict, run_param_dict
@@ -31,15 +31,28 @@ from .serialize import SpecSerializationError, config_to_dict, run_param_dict
 #: Campaign kinds understood by the executors.
 KINDS = ("ip", "system")
 
+#: Stage values of the read-path injections, which no system run can
+#: manifest: its only workload is the DMA's Ethernet write frame.
+_READ_STAGES = frozenset(
+    stage.value for stage in InjectionStage if stage.direction is AxiDir.READ
+)
+
 
 def validate_axes(
-    kind: str, beats: int, reorder_depth: int = 0, background: int = 0
+    kind: str,
+    beats: int,
+    reorder_depth: int = 0,
+    background: int = 0,
+    stages: Iterable[Any] = (),
 ) -> None:
     """Reject a traffic axis no run of *kind* can take (``ValueError``).
 
     The one axis validator: :class:`CampaignSpec` applies it on
     construction, and entry points that run an injection without a spec
-    (``repro inject`` with a single stage) call it directly.
+    (``repro inject`` with a single stage) call it directly.  *stages*
+    (values or :class:`InjectionStage` members) are checked against the
+    kind: a system run drives only the DMA's write frame and the MAC
+    serves no reads, so a read-path stage would never manifest.
     """
     if beats < 1:
         raise ValueError(f"beats must be at least 1, got {beats}")
@@ -54,6 +67,18 @@ def validate_axes(
         raise ValueError(f"reorder_depth must be at least 0, got {reorder_depth}")
     if background < 0:
         raise ValueError(f"background must be at least 0, got {background}")
+    if kind == "system":
+        reads = [
+            value
+            for value in (getattr(stage, "value", stage) for stage in stages)
+            if value in _READ_STAGES
+        ]
+        if reads:
+            raise ValueError(
+                f"system campaigns inject into the DMA's Ethernet write "
+                f"frame, so read-path stages never manifest: "
+                f"{', '.join(reads)} (use --kind ip)"
+            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,7 +169,10 @@ class CampaignSpec:
             raise ValueError(f"unknown campaign kind {self.kind!r}")
         if not self.configs or not self.stages or not self.seeds:
             raise ValueError("campaign needs at least one config, stage and seed")
-        validate_axes(self.kind, self.beats, self.reorder_depth, self.background)
+        validate_axes(
+            self.kind, self.beats, self.reorder_depth, self.background,
+            self.stages,
+        )
         try:
             json.dumps(self.canonical_dict(), sort_keys=True)
         except TypeError as exc:

@@ -113,9 +113,16 @@ kernel advance several mid-burst W beats in one call.  It overrides:
   streamed cycle (the forwarded W payloads).  A component reading one
   of them without implementing the contract pins streaming.
 
-The kernel streams only while every awake component reports a horizon
-and every pending drive belongs to one of them; see "Burst streaming"
-in :mod:`repro.sim.kernel`.
+The kernel streams the whole simulation while every awake component
+reports a horizon and every pending drive belongs to one of them.
+Otherwise the components that do report one may still stream as an
+*island* while the rest steps, provided every component that may read
+their stream wires is one of them, one of their children, or a stepped
+component passing the beat on unchanged to wires closed the same way
+(:meth:`Component.forwards_w`; the crossbar declares it: it re-forwards
+a repeated beat as an equal value and commits nothing on a mid-burst
+beat).  See "Burst streaming" and "Island streaming" in
+:mod:`repro.sim.kernel`.
 
 Phase periodicity (lockstep batching)
 -------------------------------------
@@ -366,6 +373,20 @@ class Component:
     def stream_wires(self) -> Iterable[Wire]:
         """Wires this component's drives rewrite in every streamed cycle."""
         return ()
+
+    def forwards_w(self, wire: Wire) -> Optional[Iterable[Wire]]:
+        """Where this component, stepped, passes a W beat read on *wire*.
+
+        Consulted for a reader of a streaming island's frozen W payload
+        (see "Burst streaming" above).  ``None`` (the default) means the
+        component may consume the beat — store it, count it — so a
+        frozen beat must never reach it.  Returning wires declares that
+        it passes mid-burst beats read on *wire* through unchanged: a
+        drive re-run on a repeated beat writes the same values, its
+        update commits nothing on one, and the beat reappears only on
+        the returned wires (empty when it goes nowhere).
+        """
+        return None
 
     def drive(self) -> None:
         """Combinational phase: compute outputs from inputs + state."""

@@ -77,6 +77,36 @@ the span once.  A streamed cycle counts as simulated: ``stepped_cycles
 + cycles_streamed + cycles_leaped`` is the clock's advance since the
 last reset.
 
+Island streaming
+----------------
+
+Busy traffic elsewhere pins whole spans.  When some awake component
+cannot stream, the awake ones that can may still form an *island*: the
+kernel holds them out of the settle and update loops for up to *H*
+cycles while the rest of the simulation steps normally, then brings
+them current with ``stream(k)`` for the *k* cycles that elapsed.  Their
+W payloads stay frozen at one beat, so every component that may read
+one (a drive reader, an update reader, or one naming the wire in
+``wires()``) must be a member, a member's child, or a stepped component
+passing the beat on unchanged to wires closed the same way
+(:meth:`~repro.sim.component.Component.forwards_w`; the crossbar
+declares it).  The island forms at a step boundary, lets that step
+settle as usual and is held from its update phase on, unless a member
+wire other than the frozen payloads moved in that settle.
+
+The island is brought current at its horizon, at a member's timed wake,
+at the run target, when ``run()``/``run_until()`` return, and — *catch
+up on touch* — as soon as a member or a member's child is scheduled
+(a wire it reads moved, ``schedule_drive()``/``schedule_update()``), or
+a shared wire only a member's update reads moved, before that member's
+drive or update runs.  ``reset()`` simply drops it.  Where the stepped
+rest could stream too, the whole simulation streams with the members
+still held, so stepped, streamed and leaped cycles are exactly those of
+a kernel without islands.  Island cycles are stepped cycles (``step()``
+runs, probes see them, members' drives and updates are just skipped);
+``island_cycles`` counts them.  Islands ride on leaping like whole
+spans, and change tracking pins them.
+
 Three settle strategies share those semantics:
 
 ``dirty`` (default)
@@ -119,6 +149,94 @@ from .signal import _ACTIVE_READER, Wire
 STRATEGIES = ("dirty", "exhaustive", "verify")
 
 _BY_ORDER = operator.attrgetter("_order")
+
+
+class _Island:
+    """An island streaming while the rest of the simulation steps.
+
+    ``start``/``end`` bound its span and ``members`` are its streaming
+    components in registration order; ``watch`` adds their children (any
+    scheduling of one ends the span).  An island *forms* at a step
+    boundary and is held from the end of that step's settle on, once no
+    member wire but the frozen W payloads moved in it (``inputs``: the
+    (wire, value) pairs to compare).  Held, ``inputs`` are the wires
+    the members share with the rest that no member or child reads
+    through the worklists — ones an ``update()`` reads undeclared —
+    whose values it watches instead.
+    """
+
+    __slots__ = (
+        "start", "end", "members", "watch", "shared", "inputs", "forming",
+        "streamed",
+    )
+
+    def __init__(self, start, end, members, watch, shared, inputs) -> None:
+        self.start = start
+        self.end = end
+        self.members = members
+        self.watch = watch
+        self.shared = shared
+        self.inputs = inputs
+        self.forming = True
+        #: Cycles of whole-simulation spans streamed while it was held.
+        self.streamed = 0
+
+    def moved(self) -> bool:
+        """Whether a watched input wire changed value."""
+        for wire, value in self.inputs:
+            if wire._value is not value:
+                return True
+        return False
+
+    def touched(self, pending: set, awake: set, settled: bool) -> bool:
+        """Whether the island must end (or, forming, not form).
+
+        Held: a member or child was scheduled, or (once *settled*) a
+        watched input moved.  Forming: (once *settled*) an input moved.
+        """
+        if self.forming:
+            return settled and self.moved()
+        watch = self.watch
+        if not (watch.isdisjoint(pending) and watch.isdisjoint(awake)):
+            return True
+        return settled and self.moved()
+
+
+class _Topology:
+    """Which components name which wires in ``wires()``, for islands.
+
+    Built once per simulator (registration voids it): ``observers`` maps
+    each wire to the components naming it, ``wires_of`` each component
+    to its wires, and :meth:`island_wires` memoises, per island, the
+    members' wires and those some component outside the island names.
+    """
+
+    __slots__ = ("observers", "wires_of", "_islands")
+
+    def __init__(self, components) -> None:
+        self.observers: Dict[Wire, List[Component]] = {}
+        self.wires_of: Dict[Component, frozenset] = {}
+        for component in components:
+            wires = frozenset(component.wires())
+            self.wires_of[component] = wires
+            for wire in wires:
+                self.observers.setdefault(wire, []).append(component)
+        self._islands: Dict[frozenset, Tuple[frozenset, Tuple[Wire, ...]]] = {}
+
+    def island_wires(self, watch: frozenset, members):
+        """The members' wires, and those a component outside *watch*
+        names too."""
+        wires = self._islands.get(watch)
+        if wires is None:
+            every = frozenset().union(
+                *(self.wires_of[component] for component in members)
+            )
+            observers = self.observers
+            shared = tuple(
+                wire for wire in every if not watch.issuperset(observers[wire])
+            )
+            wires = self._islands[watch] = (every, shared)
+        return wires
 
 
 class SettleError(RuntimeError):
@@ -210,6 +328,9 @@ class Simulator:
         self._update_queue_key: Optional[set] = None
         #: Flat wire list for the verify settle check; None until built.
         self._verify_wires: Optional[List[Wire]] = None
+        #: Which components name which wires in ``wires()``, for
+        #: islands; None until the first island attempt needs it.
+        self._topology: Optional[_Topology] = None
         #: Wires that changed since the end of the last step's probes;
         #: only populated once track_changes() has been called.
         self._changed_wires: set = set()
@@ -219,12 +340,19 @@ class Simulator:
         #: component's current _wake_cycle is honoured when it surfaces.
         self._wake_heap: List[Tuple[int, int, Component]] = []
         #: Scheduler statistics (see STAT_KEYS): clock fast-forwards,
-        #: the cycles they covered, cycles streamed in bulk, and cycles
-        #: stepped through both phases.
+        #: the cycles they covered, cycles streamed in bulk, cycles
+        #: stepped through both phases, and the stepped cycles in which
+        #: an island streamed.
         self.leaps = 0
         self.cycles_leaped = 0
         self.cycles_streamed = 0
         self.stepped_cycles = 0
+        self.island_cycles = 0
+        #: The streaming island held out of stepping, or None, and the
+        #: stepped-cycle count from which another may form (see
+        #: MIN_ISLAND_SPAN).
+        self._island: Optional[_Island] = None
+        self._island_retry = 0
         #: Optional telemetry tracer (see :mod:`repro.telemetry.tracer`).
         #: Every hook site guards on a hoisted ``tracer is not None``
         #: local — the probe-guard idiom — so the default costs nothing.
@@ -247,6 +375,7 @@ class Simulator:
         component._order = len(self.components)
         self.components.append(component)
         self._verify_wires = None
+        self._topology = None
         # A new updater (static or demand) invalidates the queue cache.
         self._update_queue_key = None
         incremental = self.strategy != "exhaustive"
@@ -464,42 +593,98 @@ class Simulator:
                 # initial-value flush).
                 probe(self)
 
+    #: The shortest horizon an island forms for: a shorter one would
+    #: not win back the cost of forming it.  An attempt that forms no
+    #: island, or an island ending sooner, also holds off the next
+    #: attempt for this many stepped cycles.
+    MIN_ISLAND_SPAN = 8
+
     def _stream(self, target: int) -> bool:
         """Advance a steady W burst in bulk; False when it cannot.
 
         Called at a step boundary of a leap-ready run, due wakes already
-        popped.  The span is the minimum of the run *target*, the next
-        armed wake and every awake component's horizon; see "Burst
-        streaming" in the module docstring for the preconditions.
+        popped and no island held.  The span is the minimum of the run
+        *target*, the next armed wake and every awake component's
+        horizon; see "Burst streaming" in the module docstring for the
+        preconditions.  When some awake component cannot stream, the
+        ones that can may still form an island that streams while the
+        rest steps (:meth:`_start_island`); the caller then steps.
         """
         awake = self._update_pending
-        if not awake or self._track_changes or not self._pending <= awake:
+        if not awake or self._track_changes:
             return False
-        for component in awake:
-            if not component._streams:
-                return False
+        islands = self.stepped_cycles >= self._island_retry
+        if not islands and not self._pending <= awake:
+            return False
         start = self.cycle
-        horizon = target - start
+        limit = target - start
+        horizons: Dict[Component, int] = {}
+        whole = True
+        traffic = False
+        for component in awake:
+            if component._streams:
+                span = component.stream_horizon(limit)
+                if span > 0:
+                    horizons[component] = span
+                    continue
+                traffic = True
+            if not islands:
+                return False
+            whole = False
+        if whole:
+            # Every awake component streams: a whole span or nothing (an
+            # island would leave no updates to step beside it).
+            return self._pending <= awake and self._stream_whole(
+                horizons, min(horizons.values())
+            )
+        # An island needs a source and a sink of the burst, and pays off
+        # beside traffic that cannot stream now (a streaming component
+        # with other handshakes in flight); beside controllers alone (an
+        # interrupt controller, a CPU, a reset unit) it is the recovery
+        # path answering the island's own monitor, which touches it
+        # within a few cycles.
+        if (
+            traffic
+            and len(horizons) > 1
+            and max(horizons.values()) >= self.MIN_ISLAND_SPAN
+        ):
+            self._start_island(horizons, start)
+        if self._island is None:
+            self._island_retry = self.stepped_cycles + self.MIN_ISLAND_SPAN
+        return False
+
+    def _stream_whole(self, streamers, horizon: int) -> bool:
+        """Stream every awake component up to *horizon* cycles in one call.
+
+        *streamers* are the awake components outside the island, if one
+        is held; its members keep lagging through the span (they are
+        brought current when the island ends).  False when a reader of
+        a streamed wire is neither streaming nor a streaming child.
+        """
+        start = self.cycle
         nxt = self._next_wake()
         if nxt is not None and nxt - start < horizon:
             horizon = nxt - start
-        for component in awake:
-            horizon = component.stream_horizon(horizon)
-            if horizon <= 0:
-                return False
-        members = set(awake)
-        for component in awake:
+        members = set(streamers)
+        for component in streamers:
             members.update(component.children())
-        for component in awake:
+        sources = list(streamers)
+        island = self._island
+        if island is not None:
+            members.update(island.watch)
+            sources.extend(island.members)
+        for component in sources:
             for wire in component.stream_wires():
                 if not (
                     wire.readers <= members and wire.update_readers <= members
                 ):
                     return False
-        for component in sorted(awake, key=_BY_ORDER):
+        for component in sorted(streamers, key=_BY_ORDER):
             component.stream(horizon)
         end = start + horizon
         self.cycles_streamed += horizon
+        if island is not None:
+            island.streamed += horizon
         tracer = self._tracer
         if tracer is not None:
             tracer.stream(self, start, end)
@@ -514,6 +699,168 @@ class Simulator:
         self.cycle = end
         return True
 
+    def _start_island(self, horizons: Dict[Component, int], start: int) -> None:
+        """Form an island of streaming components for the coming step.
+
+        The candidates are the awake components with a positive horizon
+        (*horizons*).  A candidate stays only while the island closes
+        over its frozen W payloads (:meth:`_island_closed`) and it reads
+        no W payload a streaming component outside moves every cycle
+        (that island would end at once).  The step about to run settles
+        as usual and then holds the island (see :meth:`_hold_island`);
+        see "Island streaming" in the module docstring.
+        """
+        topology = self._topology
+        if topology is None:
+            topology = self._topology = _Topology(self.components)
+        observers, wires_of = topology.observers, topology.wires_of
+        awake = self._update_pending
+        members = set(horizons)
+        while True:
+            watch = set(members)
+            for component in members:
+                watch.update(component.children())
+            frozen: set = set()
+            kept = {
+                component
+                for component in members
+                if self._island_closed(component, watch, observers, frozen)
+            }
+            moving = set()
+            for component in awake:
+                if component._streams and component not in members:
+                    moving.update(component.stream_wires())
+            moving -= frozen
+            if moving:
+                kept = {
+                    component
+                    for component in kept
+                    if wires_of[component].isdisjoint(moving)
+                }
+            if kept == members:
+                break
+            members = kept
+            if len(members) < 2:
+                return
+        horizon = min(horizons[component] for component in members)
+        for component in watch:
+            wake = component._wake_cycle
+            if wake is not None and wake - start < horizon:
+                horizon = wake - start
+        if horizon < self.MIN_ISLAND_SPAN:
+            return
+        watch = frozenset(watch)
+        every, shared = topology.island_wires(watch, members)
+        self._island = _Island(
+            start,
+            start + horizon,
+            sorted(members, key=_BY_ORDER),
+            watch,
+            shared,
+            [(wire, wire._value) for wire in every if wire not in frozen],
+        )
+
+    def _hold_island(self) -> None:
+        """Hold the forming island out of stepping from this update on.
+
+        Called once the forming step has settled with no member wire
+        moved but the frozen W payloads: every member drive has run for
+        this cycle, so what the members show the rest stays exact while
+        they are held.
+        """
+        island = self._island
+        island.forming = False
+        watch = island.watch
+        island.inputs = [
+            (wire, wire._value)
+            for wire in island.shared
+            if watch.isdisjoint(wire.readers)
+            and watch.isdisjoint(wire.update_readers)
+        ]
+        self._update_pending.difference_update(island.members)
+
+    @staticmethod
+    def _island_closed(
+        member: Component, watch: set, observers, frozen: set
+    ) -> bool:
+        """Whether only the island can see *member*'s frozen W payloads.
+
+        Every component that may read one of its ``stream_wires()`` — a
+        drive reader, an update reader, or one naming the wire in
+        ``wires()``, since ``update()`` reads go undeclared — must be in
+        *watch* or pass the beat on unchanged
+        (:meth:`~repro.sim.component.Component.forwards_w`), and then
+        the wires it forwards the beat to must be closed the same way.
+        The wires reached are added to *frozen*.
+        """
+        frontier = list(member.stream_wires())
+        seen = set(frontier)
+        while frontier:
+            wire = frontier.pop()
+            for readers in (
+                wire.readers, wire.update_readers, observers.get(wire, ())
+            ):
+                for reader in readers:
+                    if reader in watch:
+                        continue
+                    forwarded = reader.forwards_w(wire)
+                    if forwarded is None:
+                        return False
+                    for out in forwarded:
+                        if out not in seen:
+                            seen.add(out)
+                            frontier.append(out)
+        frozen.update(seen)
+        return True
+
+    def _island_boundary(self) -> bool:
+        """At a step boundary with an island held: end it or stream on.
+
+        The island ends at its horizon and when a member or a member's
+        child was scheduled since the last check (by a wake, an update,
+        a ``run_until`` condition or a poke between ``run()`` calls).
+        Otherwise, when the rest could stream too, the whole simulation
+        streams with the members still held — exactly where a span
+        would have started without the island — and True is returned.
+        """
+        island = self._island
+        pending, awake = self._pending, self._update_pending
+        horizon = island.end - self.cycle
+        if horizon <= 0 or island.touched(pending, awake, False):
+            self._end_island()
+            return False
+        if not pending <= awake:
+            return False
+        for component in awake:
+            if not component._streams:
+                return False
+            horizon = component.stream_horizon(horizon)
+            if horizon <= 0:
+                return False
+        return self._stream_whole(list(awake), horizon)
+
+    def _end_island(self) -> None:
+        """Bring the island current and return its members to stepping.
+
+        The members stream the cycles elapsed since the island formed,
+        in registration order with the clock at the island's first
+        cycle (the ``stream()`` convention), and rejoin the live updater
+        set.  A forming island is simply dropped.
+        """
+        island = self._island
+        self._island = None
+        now = self.cycle
+        cycles = now - island.start
+        if cycles < self.MIN_ISLAND_SPAN:
+            self._island_retry = self.stepped_cycles + self.MIN_ISLAND_SPAN
+        if cycles:
+            self.cycle = island.start
+            for component in island.members:
+                component.stream(cycles)
+            self.cycle = now
+            self.island_cycles += cycles - island.streamed
+        self._update_pending.update(island.members)
+
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
@@ -524,6 +871,7 @@ class Simulator:
     #: what extends the exported ``scheduler`` JSON block.
     STAT_KEYS: Tuple[str, ...] = (
         "leaps", "cycles_leaped", "cycles_streamed", "stepped_cycles",
+        "island_cycles",
     )
 
     def stats(self) -> Dict[str, Any]:
@@ -558,6 +906,10 @@ class Simulator:
             component.reset()
             component._wake_cycle = None
         self._wake_heap.clear()
+        # The members rewind below like everything else; nothing of a
+        # span in flight needs applying first.
+        self._island = None
+        self._island_retry = 0
         self.cycle = 0
         for key in self.STAT_KEYS:
             setattr(self, key, 0)
@@ -645,9 +997,27 @@ class Simulator:
             pending.update(self._always)
         tracer = self._tracer
         timed = tracer is not None and tracer.trace_components
-        for _ in range(self.max_settle_iterations):
+        island = self._island
+        rounds = self.max_settle_iterations
+        while True:
+            if island is not None and island.touched(
+                pending, self._update_pending, not pending
+            ):
+                # Catch up on touch: a wire a member reads moved (or it
+                # was scheduled), so it steps again from this cycle on.
+                self._end_island()
+                island = None
             if not pending:
+                if island is not None and island.forming:
+                    self._hold_island()
                 return
+            if not rounds:
+                raise SettleError(
+                    f"combinational loop: wires did not settle within "
+                    f"{self.max_settle_iterations} iterations at cycle "
+                    f"{self.cycle}"
+                )
+            rounds -= 1
             if len(pending) == 1:
                 batch = tuple(pending)
             else:
@@ -664,13 +1034,6 @@ class Simulator:
                 else:
                     # Declared inputs: never read-traced, called direct.
                     component.drive()
-        if not pending:
-            # The final allowed round drained the worklist: settled.
-            return
-        raise SettleError(
-            f"combinational loop: wires did not settle within "
-            f"{self.max_settle_iterations} iterations at cycle {self.cycle}"
-        )
 
     def _settle_verify(self) -> None:
         self._settle_dirty()
@@ -792,6 +1155,11 @@ class Simulator:
                 # turn came (its update would have been the no-op it
                 # declared) and keeps its arming for the next cycle.
                 known = set(queue)
+                island = self._island
+                if island is not None:
+                    # An island member woken here keeps this cycle
+                    # streamed; the run loop brings it current next.
+                    known.update(island.watch)
                 late = [
                     c
                     for c in awake
@@ -913,18 +1281,28 @@ class Simulator:
             while self.cycle < target:
                 step()
             return
-        while self.cycle < target:
-            if self._wake_heap:
-                self._pop_due_wakes()
-            if not self._pending and not self._update_pending:
-                nxt = self._next_wake()
-                dest = target if nxt is None else min(nxt, target)
-                if dest > self.cycle:
-                    self._leap_to(dest)
+        try:
+            while self.cycle < target:
+                if self._wake_heap:
+                    self._pop_due_wakes()
+                if self._island is not None:
+                    if self._island_boundary():
+                        continue
+                    if self._island is not None:
+                        step()
+                        continue
+                if not self._pending and not self._update_pending:
+                    nxt = self._next_wake()
+                    dest = target if nxt is None else min(nxt, target)
+                    if dest > self.cycle:
+                        self._leap_to(dest)
+                        continue
+                elif self._stream(target):
                     continue
-            elif self._stream(target):
-                continue
-            step()
+                step()
+        finally:
+            if self._island is not None:
+                self._end_island()
 
     def run_until(
         self,
@@ -945,9 +1323,17 @@ class Simulator:
         be able to flip inside one — a function of handshakes other
         than mid-burst W beats, of wire levels and of component state
         qualifies; one counting fired beats on the wires (whose payload
-        keeps the beat fired just before a span) does not.  Conditions
-        keyed on wall-clock cycle counts or on per-cycle wire events
-        alone should run with ``time_leaping=False``.
+        keeps the beat fired just before a span) does not.  Inside an
+        island span the condition is still consulted every stepped
+        cycle, but the island's members lag behind the clock there
+        (they are brought current when the span ends, and before this
+        returns): the same rule keeps such a condition exact.  A
+        condition that mutates a member mid-span (a fault switch, a
+        submission) ends the span, and the member's streamed cycles
+        are applied after the mutation.  Conditions keyed on
+        wall-clock cycle counts or on per-cycle wire events alone, or
+        mutating streaming components at exact cycles, should run with
+        ``time_leaping=False``.
         """
         target = self.cycle + timeout
         step = self.step
@@ -960,30 +1346,45 @@ class Simulator:
         # A span may only start where the condition has been consulted
         # (and found false): stepping would return one cycle later.
         consulted = False
-        while self.cycle < target:
-            if self._wake_heap:
-                self._pop_due_wakes()
-            if (
-                not self._pending
-                and not self._update_pending
-                and not condition(self)
-                # Re-checked *after* the condition ran: a side-effecting
-                # condition (fault injection, schedule_update) may have
-                # just created work, which must be stepped, not leaped.
-                and not self._pending
-                and not self._update_pending
-            ):
-                nxt = self._next_wake()
-                dest = target if nxt is None else min(nxt, target)
-                if dest > self.cycle:
-                    self._leap_to(dest)
+        try:
+            while self.cycle < target:
+                if self._wake_heap:
+                    self._pop_due_wakes()
+                if self._island is not None:
+                    if self._island_boundary():
+                        if condition(self):
+                            return self.cycle
+                        continue
+                    if self._island is not None:
+                        step()
+                        if condition(self):
+                            return self.cycle
+                        continue
+                if (
+                    not self._pending
+                    and not self._update_pending
+                    and not condition(self)
+                    # Re-checked *after* the condition ran: a side-
+                    # effecting condition (fault injection,
+                    # schedule_update) may have just created work, which
+                    # must be stepped, not leaped.
+                    and not self._pending
+                    and not self._update_pending
+                ):
+                    nxt = self._next_wake()
+                    dest = target if nxt is None else min(nxt, target)
+                    if dest > self.cycle:
+                        self._leap_to(dest)
+                        continue
+                elif consulted and self._stream(target):
+                    if condition(self):
+                        return self.cycle
                     continue
-            elif consulted and self._stream(target):
+                step()
                 if condition(self):
                     return self.cycle
-                continue
-            step()
-            if condition(self):
-                return self.cycle
-            consulted = True
-        return None
+                consulted = True
+            return None
+        finally:
+            if self._island is not None:
+                self._end_island()

@@ -60,6 +60,7 @@ class SystemInjectionResult:
     sim_cycles_leaped: int = dataclasses.field(default=0, compare=False)
     sim_cycles_streamed: int = dataclasses.field(default=0, compare=False)
     sim_stepped_cycles: int = dataclasses.field(default=0, compare=False)
+    sim_island_cycles: int = dataclasses.field(default=0, compare=False)
 
     def shifted(self, delta: int) -> "SystemInjectionResult":
         """This result translated *delta* cycles later in time.
@@ -68,7 +69,7 @@ class SystemInjectionResult:
         lane's result from its pack leader's: measured cycle stamps
         move rigidly with ``start_delay``, counts and flags are
         shift-invariant, and the leader's single pre-onset leap grows
-        by *delta* (stepped and streamed cycles stay).
+        by *delta* (stepped, streamed and island cycles stay).
         """
         start, inject, w_first, detect = (
             self.txn_start_cycle,
@@ -92,6 +93,7 @@ class SystemInjectionResult:
             sim_cycles_leaped=self.sim_cycles_leaped + delta,
             sim_cycles_streamed=self.sim_cycles_streamed,
             sim_stepped_cycles=self.sim_stepped_cycles,
+            sim_island_cycles=self.sim_island_cycles,
         )
 
     @property
@@ -183,9 +185,12 @@ def run_system_injection(
     The detection and recovery loops run through ``run_until`` with a
     stateful watcher: its bookkeeping only moves on address, first- and
     last-beat handshakes, wire levels and fault switches, none of which
-    can move inside a span the kernel leaps or streams, so the campaign
-    output is byte-identical with leaping on or off.  The recovery loop
-    gets at least :func:`~repro.faults.campaign.drain_timeout` cycles.
+    can move inside a span the kernel leaps or streams — whole, or as an
+    island (the DMA, TMU and MAC streaming the frame while the background
+    traffic steps, with the watcher still consulted every stepped cycle
+    and reading their lagging state) — so the campaign output is
+    byte-identical with leaping on or off.  The recovery loop gets at
+    least :func:`~repro.faults.campaign.drain_timeout` cycles.
 
     *soc* runs the injection on an SoC in its freshly built state (a
     new build, or one returned by :meth:`CheshireSoC.reset`) built by

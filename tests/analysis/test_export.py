@@ -87,6 +87,7 @@ def test_scheduler_stats_tolerate_foreign_results():
         "cycles_leaped": 0,
         "cycles_streamed": 0,
         "stepped_cycles": 0,
+        "island_cycles": 0,
     }
 
 

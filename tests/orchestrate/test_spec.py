@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.axi.types import AxiDir
 from repro.faults.types import FIG9_WRITE_STAGES, InjectionStage
 from repro.orchestrate import (
     CampaignSpec,
@@ -109,6 +110,22 @@ def test_spec_rejects_out_of_range_axes():
     # The DMA splits long system transfers, so only IP runs stop at 256.
     assert ip_spec(beats=256).beats == 256
     assert CampaignSpec.system([Variant.FULL], FIG11_STAGES, beats=300).beats == 300
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [stage for stage in InjectionStage if stage.direction is AxiDir.READ],
+    ids=lambda stage: stage.value,
+)
+def test_system_spec_rejects_read_stages(stage):
+    # The system runner drives only the DMA's write frame: a read-path
+    # stage can never manifest there, so it is refused up front.
+    with pytest.raises(ValueError, match=f"never manifest: {stage.value}"):
+        CampaignSpec.system([Variant.FULL, Variant.TINY], [stage])
+    with pytest.raises(ValueError, match="read-path"):
+        CampaignSpec.system([Variant.FULL], [*FIG11_STAGES, stage])
+    # The same stage is a legal IP injection.
+    assert CampaignSpec.ip([full_config()], [stage]).stages == [stage.value]
 
 
 # ----------------------------------------------------------------------

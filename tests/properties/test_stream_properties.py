@@ -1,17 +1,21 @@
 """Differential battery: burst streaming ≡ stepping, faults landing mid-span.
 
 Every draw runs one Fig. 9 (IP) or Fig. 11 (system) write-stage
-injection with the kernel free to stream steady W bursts, and again with
-``time_leaping=False`` — which also disables streaming — and requires
-the two results to be equal field for field (the ``sim_*`` scheduler
-diagnostics are excluded from equality by construction).  Smaller draws
-also replay on the ``exhaustive`` kernel.
+injection with the kernel free to stream steady W bursts — the whole
+simulation, or an island of it while busy background traffic steps —
+and again with ``time_leaping=False``, which also disables streaming,
+and requires the two results to be equal field for field (the ``sim_*``
+scheduler diagnostics are excluded from equality by construction).
+Smaller draws also replay on the ``exhaustive`` kernel.  The busy axes
+reach the ``system_busy`` shape: background traffic up to 32
+transactions, up to 6 outstanding reads and a reorder window up to 4.
 
 The mid-burst stage's beat threshold is drawn at random instead of the
 runners' ``beats // 2``, so the W fault lands anywhere inside a span the
 kernel would otherwise stream; a second property flips an arbitrary
-fault switch between ``run()`` calls at a random cycle.  A pinned case
-asserts the battery really streams, so it cannot pass vacuously.
+fault switch between ``run()`` calls at a random cycle.  Pinned cases
+assert the battery really streams and really forms islands, so it
+cannot pass vacuously.
 """
 
 import contextlib
@@ -57,8 +61,9 @@ def injections(draw):
         "beats": beats,
         "size": draw(st.integers(0, 3)),
         "delay": draw(st.integers(0, 40)),
-        "background": draw(st.integers(0, 8)),
-        "outstanding": draw(st.integers(1, 3)),
+        "background": draw(st.integers(0, 32)),
+        "outstanding": draw(st.integers(1, 6)),
+        "reorder_depth": draw(st.integers(0, 4)),
         "threshold": draw(st.integers(1, beats - 1)),
     }
 
@@ -73,6 +78,7 @@ def run(draw, **sim_kwargs):
                 issue_delay=draw["delay"],
                 size=draw["size"],
                 outstanding=draw["outstanding"],
+                reorder_depth=draw["reorder_depth"],
                 harness_kwargs=sim_kwargs or None,
             )
         return run_system_injection(
@@ -83,6 +89,7 @@ def run(draw, **sim_kwargs):
             start_delay=draw["delay"],
             size=draw["size"],
             outstanding=draw["outstanding"],
+            reorder_depth=draw["reorder_depth"],
             **sim_kwargs,
         )
 
@@ -106,6 +113,7 @@ def test_battery_streams():
         "delay": 5,
         "background": 4,
         "outstanding": 2,
+        "reorder_depth": 0,
         "threshold": 177,
     }
     streamed = run(draw)
@@ -118,6 +126,28 @@ def test_battery_streams():
     assert streamed == run(draw, sim_time_leaping=False)
 
 
+def test_battery_forms_islands():
+    # The system_busy shape: the DMA burst streams as an island while
+    # the background DRAM traffic steps.
+    draw = {
+        "kind": "system",
+        "variant": Variant.FULL,
+        "stage": InjectionStage.DATA_TRANSFER_STALL,
+        "beats": 250,
+        "size": 3,
+        "delay": 3,
+        "background": 32,
+        "outstanding": 6,
+        "reorder_depth": 4,
+        "threshold": 125,
+    }
+    streamed = run(draw)
+    assert streamed.sim_island_cycles > 0
+    assert streamed.sim_island_cycles <= streamed.sim_stepped_cycles
+    assert streamed.detect_cycle is not None and streamed.recovered
+    assert streamed == run(draw, sim_time_leaping=False)
+
+
 FAULT_SWITCHES = (
     ("ethernet", "deaf_w"),
     ("ethernet", "mute_b"),
@@ -127,11 +157,27 @@ FAULT_SWITCHES = (
 )
 
 
-def soc_outcome(variant, beats, size, background, cut, switch, **sim_kwargs):
-    """Frame + background traffic; flip *switch* after *cut* cycles."""
-    soc = CheshireSoC(system_tmu_config(variant, frame_beats=beats), **sim_kwargs)
+def soc_outcome(
+    variant,
+    beats,
+    size,
+    background,
+    outstanding,
+    reorder,
+    cut,
+    switch,
+    **sim_kwargs,
+):
+    """Frame + busy traffic; flip *switch* after *cut* cycles."""
+    soc = CheshireSoC(
+        system_tmu_config(variant, frame_beats=beats),
+        reorder_depth=reorder,
+        **sim_kwargs,
+    )
     soc.send_ethernet_frame(beats, size=size)
     soc.submit_background_traffic(background)
+    if outstanding > 1:
+        soc.submit_outstanding_reads(outstanding - 1)
     soc.run(cut)
     owner, flag = switch
     setattr(getattr(soc, owner).faults, flag, True)
@@ -158,13 +204,17 @@ def soc_outcome(variant, beats, size, background, cut, switch, **sim_kwargs):
     st.sampled_from([Variant.FULL, Variant.TINY]),
     st.integers(2, 256),
     st.integers(0, 3),
-    st.integers(0, 8),
+    st.integers(0, 32),
+    st.integers(1, 6),
+    st.integers(0, 4),
     st.integers(0, 300),
     st.sampled_from(FAULT_SWITCHES),
 )
 @settings(max_examples=25, deadline=None)
 def test_fault_flipped_mid_span_equals_stepped(
-    variant, beats, size, background, cut, switch
+    variant, beats, size, background, outstanding, reorder, cut, switch
 ):
-    args = (variant, beats, size, background, cut, switch)
+    args = (
+        variant, beats, size, background, outstanding, reorder, cut, switch
+    )
     assert soc_outcome(*args) == soc_outcome(*args, sim_time_leaping=False)

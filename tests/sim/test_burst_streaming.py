@@ -15,7 +15,7 @@ from repro.axi.interface import AxiInterface
 from repro.axi.manager import Manager
 from repro.axi.memory import SparseMemory
 from repro.axi.subordinate import Subordinate
-from repro.axi.traffic import write_spec
+from repro.axi.traffic import read_spec, write_spec
 from repro.faults.campaign import IpHarness, run_injection
 from repro.faults.types import InjectionStage
 from repro.sim import Component, Simulator
@@ -249,3 +249,216 @@ def test_recovering_tmu_drain_streams_like_stepping(stage, with_reset_unit):
     assert streamed.recovered and streamed.sim_cycles_streamed > 100
     assert streamed == run(sim_time_leaping=False)
     assert streamed == run(sim_strategy="exhaustive")
+
+
+# ----------------------------------------------------------------------
+# Island streaming: the burst streams while other traffic steps
+# ----------------------------------------------------------------------
+class Pulser(Component):
+    """Asserts *wire* during cycles ``[at, at + width)``, awake till then."""
+
+    demand_driven = True
+    demand_update = True
+
+    def __init__(self, wire, at, width=2):
+        super().__init__("pulser")
+        self.wire, self.at, self.width = wire, at, width
+
+    def wires(self):
+        return (self.wire,)
+
+    def inputs(self):
+        return ()
+
+    def drive(self):
+        cycle = self._sim.cycle
+        self.wire.value = self.at <= cycle < self.at + self.width
+
+    def update(self):
+        self.schedule_drive()
+
+    def quiescent(self):
+        return self._sim.cycle > self.at + self.width
+
+
+def busy_loop(reads=12, extra=(), **sim_kwargs):
+    """``direct_loop`` beside a second pair serving *reads* 4-beat reads.
+
+    Read bursts never stream, so while they run the whole simulation
+    cannot: the write burst can only stream as an island.  *extra*
+    builds more components from the write pair.
+    """
+    sim, manager, subordinate = direct_loop(**sim_kwargs)
+    bus = AxiInterface("bg")
+    reader = Manager("bg_mgr", bus)
+    memory = Subordinate("bg_sub", bus, r_latency=2)
+    sim.add(reader)
+    sim.add(memory)
+    for i in range(reads):
+        reader.submit(read_spec(0, 0x2000 + 0x40 * i, beats=4))
+    for build in extra:
+        sim.add(build(manager, subordinate))
+    return sim, manager, subordinate
+
+
+def outcome(sim, manager, subordinate):
+    return (
+        sim.cycle,
+        stored_words(subordinate),
+        subordinate.w_beats,
+        subordinate.resets_taken,
+        [(t.txn_id, t.resp, t.resp_cycle) for t in manager.completed],
+        {w.name: w.value for w in sim.wires},
+    )
+
+
+def test_island_streams_beside_stepped_traffic():
+    sim, manager, subordinate = busy_loop()
+    reference = busy_loop(time_leaping=False)
+    sim.run(80)
+    reference[0].run(80)
+    # The read traffic pins whole-simulation streaming, but the write
+    # burst streams as an island in cycles the reads step.
+    assert 0 < sim.island_cycles <= sim.stepped_cycles
+    assert (
+        sim.stepped_cycles + sim.cycles_streamed + sim.cycles_leaped == 80
+    )
+    assert outcome(sim, manager, subordinate) == outcome(*reference)
+    assert stored_words(subordinate) == WORDS
+
+
+def test_island_statistics_account_for_a_busy_system_run_from_reset():
+    soc = build_system_soc(Variant.FULL)
+    result = run_system_injection(
+        Variant.FULL,
+        InjectionStage.DATA_TRANSFER_STALL,
+        background=32,
+        outstanding=6,
+        reorder_depth=4,
+        soc=soc,
+    )
+    assert 0 < result.sim_island_cycles <= result.sim_stepped_cycles
+    assert (
+        result.sim_stepped_cycles
+        + result.sim_cycles_streamed
+        + result.sim_cycles_leaped
+        == soc.sim.cycle
+    )
+    soc.reset()
+    assert soc.sim.stats() == {key: 0 for key in Simulator.STAT_KEYS}
+
+
+def test_reader_without_the_declaration_pins_the_island():
+    spies = []
+
+    def spy(manager, _):
+        spies.append(PayloadSpy(manager.bus))
+        return spies[-1]
+
+    sim, _, _ = busy_loop(extra=(spy,))
+    sim.run(80)
+    assert sim.island_cycles == 0
+    assert spies[0].seen == WORDS  # a frozen payload would repeat a word
+
+
+def test_touching_a_member_ends_the_span_with_a_catch_up():
+    # A stepped reset pulse on the subordinate's hw_reset lands in the
+    # middle of the burst: the subordinate is brought current before
+    # its drive and update see the reset, exactly as stepping does.
+    def pulse(_, subordinate):
+        return Pulser(subordinate.hw_reset, at=20)
+
+    sim, manager, subordinate = busy_loop(extra=(pulse,))
+    reference = busy_loop(extra=(pulse,), time_leaping=False)
+    sim.run(120)
+    reference[0].run(120)
+    assert subordinate.resets_taken == 1
+    assert 0 < sim.island_cycles < 20
+    assert outcome(sim, manager, subordinate) == outcome(*reference)
+
+
+def test_run_until_returning_mid_span_leaves_every_member_current():
+    sim, manager, subordinate = busy_loop()
+    reference, ref_manager, ref_subordinate = busy_loop(time_leaping=False)
+    stop = sim.run_until(lambda s: s.cycle == 20, timeout=100)
+    assert stop == reference.run_until(lambda s: s.cycle == 20, timeout=100)
+    assert sim.island_cycles > 0
+    assert subordinate.w_beats == ref_subordinate.w_beats
+    assert manager._w_active[2] == ref_manager._w_active[2]
+    sim.run(60)
+    reference.run(60)
+    assert outcome(sim, manager, subordinate) == outcome(
+        reference, ref_manager, ref_subordinate
+    )
+
+
+def test_reset_after_an_interrupted_span_starts_clean():
+    def build():
+        sim, manager, subordinate = busy_loop()
+        return sim, manager, subordinate, sim.components[2]
+
+    sim, manager, subordinate, reader = build()
+
+    class Interrupt(Exception):
+        pass
+
+    class StopMidSpan:
+        leap_aware = True
+
+        def __call__(self, s):
+            if s.cycle == 15 and s._island is not None:
+                raise Interrupt
+
+    probe = StopMidSpan()
+    sim.add_probe(probe)
+    with pytest.raises(Interrupt):
+        sim.run(80)
+    sim.remove_probe(probe)
+    sim.reset()
+    assert sim._island is None
+    manager.submit(write_spec(0, 0x1000, beats=len(WORDS), data=list(WORDS)))
+    for i in range(12):
+        reader.submit(read_spec(0, 0x2000 + 0x40 * i, beats=4))
+    sim.run(80)
+    fresh = build()
+    fresh[0].run(80)
+    assert outcome(sim, manager, subordinate) == outcome(*fresh[:3])
+    assert sim.stats() == fresh[0].stats()
+
+
+def test_rest_going_quiet_hands_over_to_whole_streaming():
+    # The reads finish mid-burst: the island stops holding, the rest of
+    # the burst streams whole, then the clock leaps.
+    sim, manager, subordinate = busy_loop(reads=2)
+    reference = busy_loop(reads=2, time_leaping=False)
+    sim.run(120)
+    reference[0].run(120)
+    assert sim.island_cycles > 0
+    assert sim.cycles_streamed > 0
+    assert sim.cycles_leaped > 0
+    assert outcome(sim, manager, subordinate) == outcome(*reference)
+
+
+@pytest.mark.parametrize(
+    "sim_kwargs",
+    [
+        {"time_leaping": False},
+        {"strategy": "verify"},
+        {"strategy": "exhaustive"},
+        {"update_skipping": False},
+    ],
+    ids=["no-leaping", "verify", "exhaustive", "no-skipping"],
+)
+def test_islands_ride_on_leaping(sim_kwargs):
+    sim, _, subordinate = busy_loop(**sim_kwargs)
+    sim.run(80)
+    assert sim.island_cycles == 0
+    assert stored_words(subordinate) == WORDS
+
+
+def test_change_tracking_pins_islands():
+    sim, _, subordinate = busy_loop()
+    sim.track_changes()
+    sim.run(80)
+    assert sim.island_cycles == 0
+    assert stored_words(subordinate) == WORDS

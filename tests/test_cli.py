@@ -140,6 +140,8 @@ def test_campaign_resume_flags(capsys, tmp_path):
         (["inject", "--beats", "0"], "beats must be at least 1"),
         (["campaign", "--kind", "system", "--beats", "16", "--background", "-1"],
          "background must be at least 0"),
+        (["campaign", "--kind", "system", "--stage", "r_stage_timeout"],
+         "read-path stages never manifest: r_stage_timeout"),
         (["campaign", "--beats", "4", "--shard-size", "0"],
          "expected a positive integer"),
         (["campaign", "--beats", "4", "--shard-size", "-1"],
@@ -151,6 +153,7 @@ def test_campaign_resume_flags(capsys, tmp_path):
     ],
     ids=["ip-beats-0", "ip-beats-300", "system-beats-0", "campaign-reorder",
          "fig11-reorder", "inject-beats-0", "system-background-neg",
+         "system-read-stage",
          "shard-size-0", "shard-size-neg", "campaign-workers-neg",
          "fig11-workers-neg", "inject-workers-neg"],
 )
