@@ -8,9 +8,11 @@ outside this repository.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import operator
 from json.encoder import encode_basestring_ascii
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..area.model import AreaReport
 from ..sim.kernel import Simulator
@@ -102,6 +104,51 @@ def system_injection_result_dict(result) -> Dict[str, Any]:
     return payload
 
 
+def _result_entry(result) -> Dict[str, Any]:
+    """The export entry of one result, system or IP by its shape."""
+    if hasattr(result, "fig11_latency"):
+        return system_injection_result_dict(result)
+    return injection_result_dict(result)
+
+
+#: The result fields behind ``Simulator.STAT_KEYS``, in that order.
+_STAT_ATTRS = tuple(f"sim_{key}" for key in Simulator.STAT_KEYS)
+
+#: Stat rows summed per column at a time: C-level sums, and few enough
+#: rows held at once that they trigger no garbage collection.
+_STAT_CHUNK = 256
+
+
+def _stats_or_zero(result) -> tuple:
+    return tuple(getattr(result, attr, 0) for attr in _STAT_ATTRS)
+
+
+@functools.lru_cache(maxsize=16)
+def _stats_getter(cls: type) -> Callable[[Any], tuple]:
+    """Reads a result's ``_STAT_ATTRS`` as one tuple: a single C-level
+    ``attrgetter`` when *cls* declares every field (the result
+    dataclasses carry their defaults as class attributes) and there are
+    several (``attrgetter`` of one name returns a bare value), else one
+    ``getattr(..., 0)`` per field."""
+    if len(_STAT_ATTRS) > 1 and all(hasattr(cls, a) for a in _STAT_ATTRS):
+        return operator.attrgetter(*_STAT_ATTRS)
+    return _stats_or_zero
+
+
+def _sum_stats(rows: Iterable[tuple]) -> Dict[str, int]:
+    """:func:`scheduler_stats_dict` of the results behind *rows* (their
+    ``_STAT_ATTRS`` values), summed per column: each value counts as
+    ``int(value or 0)``."""
+    totals = [0] * len(_STAT_ATTRS)
+    rows = iter(rows)
+    while True:
+        chunk = list(itertools.islice(rows, _STAT_CHUNK))
+        if not chunk:
+            return dict(zip(Simulator.STAT_KEYS, totals))
+        for index, column in enumerate(zip(*chunk)):
+            totals[index] += sum(map(int, filter(None, column)))
+
+
 def scheduler_stats_dict(results) -> Dict[str, int]:
     """Aggregate kernel fast-forward statistics over a result list.
 
@@ -131,12 +178,7 @@ def campaign_dict(results, spec=None) -> Dict[str, Any]:
     out of the per-result entries so those stay kernel-invariant.
     """
     results = list(results)  # read once: a generator has no second pass
-    entries = [
-        system_injection_result_dict(result)
-        if hasattr(result, "fig11_latency")
-        else injection_result_dict(result)
-        for result in results
-    ]
+    entries = [_result_entry(result) for result in results]
     payload: Dict[str, Any] = {
         "runs": len(entries),
         "detected": sum(1 for entry in entries if entry["detected"]),
@@ -180,19 +222,14 @@ def _row_layout(
     )
 
 
-def row_json(entry: Dict[str, Any], indent: int = 2) -> str:
-    """One ``results`` row of a campaign export: the text of
-    ``_nested_json(entry, 2, indent)``.
-
-    A flat dict of ``None``/``bool``/``int``/``str`` values (every
-    export entry) is written from its precomputed key prefixes and the
-    literal values, several times faster than the indenting
-    ``json.dumps`` (CPython's pure-Python encoder).  Any other value
-    falls back to ``_nested_json``.
-    """
+def _row_parts(entry: Dict[str, Any], indent: int) -> Optional[List[str]]:
+    """The text of ``row_json(entry, indent)`` as alternating key heads
+    and value texts (closing brace left out), in sorted-key order;
+    ``None`` unless *entry* is flat: string keys, and ``None``/``bool``/
+    ``int``/``str`` values."""
     layout = _row_layout(tuple(entry), indent)
     if layout is None:
-        return _nested_json(entry, 2, indent)
+        return None
     parts = []
     append = parts.append
     for key, head in layout:
@@ -210,9 +247,105 @@ def row_json(entry: Dict[str, Any], indent: int = 2) -> str:
         elif value is False:
             append("false")
         else:
-            return _nested_json(entry, 2, indent)
-    append("\n" + " " * (indent * 2) + "}")
+            return None
+    return parts
+
+
+def row_json(entry: Dict[str, Any], indent: int = 2) -> str:
+    """One ``results`` row of a campaign export: the text of
+    ``_nested_json(entry, 2, indent)``.
+
+    A flat dict of ``None``/``bool``/``int``/``str`` values (every
+    export entry) is written from its precomputed key prefixes and the
+    literal values, several times faster than the indenting
+    ``json.dumps`` (CPython's pure-Python encoder).  Any other value
+    falls back to ``_nested_json``.
+    """
+    parts = _row_parts(entry, indent)
+    if parts is None:
+        return _nested_json(entry, 2, indent)
+    parts.append("\n" + " " * (indent * 2) + "}")
     return "".join(parts)
+
+
+# ----------------------------------------------------------------------
+# Row templates: a batched sweep's rows differ only in their stamps
+# ----------------------------------------------------------------------
+#: The cycle stamps a row's text is filled with, in sorted-key order
+#: (the order the row writes them).  A derived lane is its leader's
+#: result shifted in time: exactly these change, everything else in the
+#: row is shift-invariant.
+_IP_STAMPS = ("detect_cycle", "inject_cycle")
+_SYSTEM_STAMPS = ("detect_cycle", "inject_cycle", "w_first_cycle")
+
+#: A row's stamps, then the attributes behind its shift-invariant
+#: exported values (``fig11_latency``, read first to tell the shapes
+#: apart, is appended to the system ones).
+_read_ip = operator.attrgetter(
+    *_IP_STAMPS, "stage", "variant", "fault_kind", "fault_phase",
+    "recovered", "latency_from_injection", "latency_from_start",
+)
+_read_system = operator.attrgetter(
+    *_SYSTEM_STAMPS, "stage", "variant", "fault_kind", "fault_phase",
+    "recovered", "latency_from_injection", "latency_from_start",
+    "ethernet_resets", "cpu_recoveries",
+)
+
+_ABSENT = object()
+
+
+def _row_key(result) -> Tuple[tuple, tuple]:
+    """*result*'s template key and its stamps.
+
+    The key is the row's shape (IP or system, told apart like
+    :func:`campaign_dict` does and by tuple length), every exported
+    value but the stamps — stage, variant, fault kind and phase,
+    recovered, the latencies and (system) the resets — and the type of
+    every value, stamps included.  Equal keys therefore mean equal row
+    text up to the stamps, and the stamp types say which stamps are
+    ``None`` (written ``null``) and which are plain ints (the holes).
+    Types are part of the key because ``True == 1 == 1.0`` while their
+    JSON differs.
+    """
+    fig11 = getattr(result, "fig11_latency", _ABSENT)
+    if fig11 is _ABSENT:
+        values = _read_ip(result)
+        stamps = values[:2]
+    else:
+        values = _read_system(result) + (fig11,)
+        stamps = values[:3]
+    return (values[len(stamps):], tuple(map(type, values))), stamps
+
+
+def _row_template(result, indent: int) -> Optional[Callable[[tuple], str]]:
+    """A function from the stamps of any row sharing *result*'s
+    :func:`_row_key` to that row's text.
+
+    The template is *result*'s ``row_json`` text with every literal
+    piece ``%``-escaped and a hole per stamp — ``%d`` for a plain int —
+    so filling it costs one C-level ``%`` format per row.  ``None``
+    when the row is not flat or a stamp is neither ``None`` nor a plain
+    int: such rows take ``row_json`` each.
+    """
+    entry = _result_entry(result)
+    stamp_keys = _SYSTEM_STAMPS if "w_first_cycle" in entry else _IP_STAMPS
+    parts = _row_parts(entry, indent)
+    stamps = [entry[key] for key in stamp_keys]
+    if parts is None or not all(
+        type(stamp) is int or stamp is None for stamp in stamps
+    ):
+        return None
+    # A None stamp's hole consumes its argument and prints nothing
+    # (``%.0s``), so every template takes the row's whole stamp tuple.
+    holes = {
+        key: "%d" if stamp is not None else "null%.0s"
+        for key, stamp in zip(stamp_keys, stamps)
+    }
+    pieces = [piece.replace("%", "%%") for piece in parts]
+    for position, (key, _head) in enumerate(_row_layout(tuple(entry), indent)):
+        if key in holes:
+            pieces[2 * position + 1] = holes[key]
+    return ("".join(pieces) + "\n" + " " * (indent * 2) + "}").__mod__
 
 
 def write_campaign_json(results, stream, spec=None, indent: int = 2) -> int:
@@ -241,35 +374,47 @@ def write_campaign_json(results, stream, spec=None, indent: int = 2) -> int:
         return iter(results() if callable(results) else results)
 
     pad = " " * indent
-    stat_attrs = [(key, f"sim_{key}") for key in Simulator.STAT_KEYS]
-
     runs = detected = recovered = 0
-    scheduler = {key: 0 for key in Simulator.STAT_KEYS}
-    for result in fresh():
-        runs += 1
-        if result.detect_cycle is not None:
-            detected += 1
-        if result.recovered:
-            recovered += 1
-        for key, attr in stat_attrs:
-            scheduler[key] += int(getattr(result, attr, 0) or 0)
+
+    def stat_rows():
+        nonlocal runs, detected, recovered
+        for result in fresh():
+            runs += 1
+            if result.detect_cycle is not None:
+                detected += 1
+            if result.recovered:
+                recovered += 1
+            try:
+                stats = _stats_getter(type(result))(result)
+            except AttributeError:  # a declared field this instance lacks
+                stats = _stats_or_zero(result)
+            yield stats
+
+    scheduler = _sum_stats(stat_rows())
 
     write = stream.write
     write("{\n")
     write(f'{pad}"detected": {detected},\n')
     write(f'{pad}"recovered": {recovered},\n')
     write(f'{pad}"results": [')
-    first = True
-    row_head = "\n" + pad * 2
+    separator = "\n" + pad * 2
+    templates: Dict[tuple, Optional[Callable[[tuple], str]]] = {}
+    written = 0
     for result in fresh():
-        entry = (
-            system_injection_result_dict(result)
-            if hasattr(result, "fig11_latency")
-            else injection_result_dict(result)
-        )
-        write(("" if first else ",") + row_head + row_json(entry, indent))
-        first = False
-    write(("\n" + pad + "]") if not first else "]")
+        key, stamps = _row_key(result)
+        try:
+            fill = templates.get(key, _ABSENT)
+        except TypeError:  # an unhashable exported value
+            fill = None
+        if fill is _ABSENT:
+            fill = templates[key] = _row_template(result, indent)
+        if fill is None:
+            write(separator + row_json(_result_entry(result), indent))
+        else:
+            write(separator + fill(stamps))
+        separator = ",\n" + pad * 2
+        written += 1
+    write(("\n" + pad + "]") if written else "]")
     write(",\n")
     write(f'{pad}"runs": {runs},\n')
     write(f'{pad}"scheduler": {_nested_json(scheduler, 1, indent)}')

@@ -52,7 +52,7 @@ from .faults.campaign import (
     run_injection,
 )
 from .faults.types import FIG9_WRITE_STAGES, InjectionStage
-from .orchestrate import CampaignSpec, run_campaign_spec
+from .orchestrate import CampaignSpec, default_workers, run_campaign_spec
 from .orchestrate.spec import validate_axes
 from .soc.experiment import FIG11_LABELS, FIG11_STAGES, run_fig11
 from .telemetry import (
@@ -107,6 +107,20 @@ def _usage_error(exc: Exception) -> int:
     """Report a rejected campaign axis the way argparse reports its own."""
     print(f"error: {exc}", file=sys.stderr)
     return 2
+
+
+def _check_batch_args(args) -> None:
+    """Reject batch flags no executor can honour (``ValueError``)."""
+    if args.batch_lanes is None:
+        if args.batch_verify:
+            raise ValueError("--batch-verify needs --batch-lanes")
+        return
+    workers = default_workers() if args.workers is None else args.workers
+    if workers > 1:
+        raise ValueError(
+            "--batch-lanes runs in one process: it cannot be combined "
+            f"with --workers > 1 (got {workers})"
+        )
 
 
 def cmd_area(args) -> int:
@@ -267,6 +281,7 @@ def cmd_fig11(args) -> int:
     seeds = tuple(range(args.seeds))
     axes = _dark_corner_kwargs(args)
     try:
+        _check_batch_args(args)
         CampaignSpec.system(
             (Variant.FULL, Variant.TINY), FIG11_STAGES, seeds=seeds, **axes
         )
@@ -330,6 +345,7 @@ def _campaign_spec(args) -> CampaignSpec:
 
 def cmd_campaign(args) -> int:
     try:
+        _check_batch_args(args)
         spec = _campaign_spec(args)
     except ValueError as exc:
         return _usage_error(exc)
@@ -661,7 +677,7 @@ def _add_batch_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--batch-verify", action="store_true",
-        help="with --batch-lanes: replay every derived lane on the "
+        help="requires --batch-lanes: replay every derived lane on the "
         "scalar verify kernel and fail loudly on any divergence",
     )
 

@@ -331,8 +331,19 @@ def plan_shards(runs: Sequence[RunSpec], shard_size: int = 1) -> List[Shard]:
     """
     if shard_size <= 0:
         raise ValueError("shard_size must be positive")
-    chunks = [runs[i : i + shard_size] for i in range(0, len(runs), shard_size)]
-    return [
-        Shard(index=i, count=len(chunks), runs=tuple(chunk))
-        for i, chunk in enumerate(chunks)
-    ]
+    starts = range(0, len(runs), shard_size)
+    count = len(starts)
+    # Shard is frozen, so its generated __init__ pays an
+    # object.__setattr__ per field; a sweep plans thousands of one-run
+    # shards, so they are built by filling the instance dict directly
+    # (the same fields, equality and pickling).
+    new = object.__new__
+    shards = []
+    for index, start in enumerate(starts):
+        shard = new(Shard)
+        fields = shard.__dict__
+        fields["index"] = index
+        fields["count"] = count
+        fields["runs"] = tuple(runs[start : start + shard_size])
+        shards.append(shard)
+    return shards

@@ -257,3 +257,133 @@ def test_batched_fig11_sweep_streams_byte_identical():
     text, count = _stream(results, spec=spec)
     assert count == len(results) == 4 * 64
     assert text == to_json(campaign_dict(results, spec=spec))
+
+
+# ----------------------------------------------------------------------
+# Row templates: rows that differ only in their cycle stamps
+# ----------------------------------------------------------------------
+# Fault labels weighted toward what the template must escape or could
+# misread as format syntax, and toward what JSON must escape.
+_LABEL = st.none() | st.sampled_from(
+    ["%", "%d", "%s", "%%", "%(x)s", "%.0s", "{}", "{0}", "100% {x}"]
+) | st.text(
+    alphabet=st.characters()
+    | _ODD_CHARS
+    | st.sampled_from(["%", "{", "}", "'", '"', "\x00", "ü"]),
+    max_size=8,
+)
+_STAMP = st.none() | st.integers(min_value=0, max_value=2**40)
+_STAT = st.integers(min_value=0, max_value=2**20)
+
+
+@st.composite
+def _leader(draw):
+    from repro.faults.campaign import InjectionResult
+    from repro.soc.experiment import SystemInjectionResult
+
+    fields = dict(
+        stage=draw(st.sampled_from(list(InjectionStage))),
+        variant=draw(st.sampled_from(["full", "tiny"]) | _LABEL.filter(bool)),
+        txn_start_cycle=draw(st.integers(min_value=0, max_value=2**40)),
+        inject_cycle=draw(_STAMP),
+        detect_cycle=draw(_STAMP),
+        fault_kind=draw(_LABEL),
+        fault_phase=draw(_LABEL),
+        recovered=draw(st.booleans()),
+        sim_leaps=draw(_STAT),
+        sim_cycles_leaped=draw(_STAT),
+        sim_stepped_cycles=draw(_STAT),
+    )
+    if draw(st.booleans()):
+        return SystemInjectionResult(
+            w_first_cycle=draw(_STAMP),
+            ethernet_resets=draw(st.integers(0, 3)),
+            cpu_recoveries=draw(st.integers(0, 3)),
+            **fields,
+        )
+    return InjectionResult(resets_taken=draw(st.integers(0, 3)), **fields)
+
+
+@st.composite
+def _templated_rows(draw):
+    """A mixed IP/system result list in which most rows are a leader
+    shifted in time (same invariant fields, other stamps), and some
+    leaders recur with a stamp cleared to ``None``."""
+    import dataclasses
+
+    leaders = draw(st.lists(_leader(), min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(0, 24))):
+        leader = draw(st.sampled_from(leaders))
+        row = leader.shifted(draw(st.integers(0, 2**20)))
+        cleared = draw(
+            st.sampled_from(["", "inject_cycle", "detect_cycle"])
+        )
+        if cleared:
+            row = dataclasses.replace(row, **{cleared: None})
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_templated_rows())
+def test_templated_rows_equal_the_dict_export(results):
+    expected = to_json(campaign_dict(results))
+    text, count = _stream(results)
+    assert text == expected
+    assert count == len(results)
+    text, count = _stream(lambda: iter(results))
+    assert text == expected
+    assert count == len(results)
+
+
+def test_templates_keep_values_equal_across_types_apart():
+    # True == 1 == 1.0, but their JSON differs: rows that differ only
+    # in a value's type must not share a template.  A value that cannot
+    # key a template (a list) is written the general way.
+    import dataclasses
+
+    from repro.soc.experiment import SystemInjectionResult
+
+    base = SystemInjectionResult(
+        stage=InjectionStage.WLAST_TO_BVALID, variant="full",
+        txn_start_cycle=10, inject_cycle=20, w_first_cycle=12,
+        detect_cycle=30, fault_phase="WLAST_BVLD", fault_kind="%d",
+        ethernet_resets=1, cpu_recoveries=1, recovered=True,
+    )
+    results = [
+        base,
+        dataclasses.replace(base, recovered=1),
+        dataclasses.replace(base, ethernet_resets=True),
+        dataclasses.replace(base, cpu_recoveries=1.0),
+        dataclasses.replace(base, inject_cycle=True),  # not a plain int
+        dataclasses.replace(base, detect_cycle=31.0),
+        dataclasses.replace(base, fault_kind=["unhashable"]),
+        base.shifted(5),
+    ]
+    text, _count = _stream(results)
+    assert text == to_json(campaign_dict(results))
+
+
+def test_streamed_scheduler_block_reads_missing_and_odd_stats_as_campaign_dict():
+    # A result of a type lacking some sim_ fields, and stats that are
+    # None, bools or floats, sum exactly as scheduler_stats_dict does.
+    import dataclasses
+    from types import SimpleNamespace
+
+    results = _ip_results()
+    legacy = SimpleNamespace(
+        **{
+            field.name: getattr(results[0], field.name)
+            for field in dataclasses.fields(results[0])
+            if not field.name.startswith("sim_")
+        },
+        latency_from_injection=results[0].latency_from_injection,
+        latency_from_start=results[0].latency_from_start,
+        sim_leaps=None,
+        sim_cycles_leaped=2.75,
+    )
+    odd = dataclasses.replace(results[1], sim_leaps=True, sim_stepped_cycles=None)
+    mixed = [legacy, odd] + results
+    text, _count = _stream(mixed)
+    assert text == to_json(campaign_dict(mixed))

@@ -148,6 +148,27 @@ def test_plan_shards_default_one_run_per_shard():
     assert all(len(shard.runs) == 1 for shard in shards)
 
 
+@pytest.mark.parametrize("shard_size", [1, 3, 8, 9])
+def test_planned_shards_are_ordinary_frozen_shards(shard_size):
+    import dataclasses
+    import pickle
+
+    from repro.orchestrate.spec import Shard
+
+    runs = ip_spec(seeds=(0, 1)).runs()  # 8 runs
+    shards = plan_shards(runs, shard_size=shard_size)
+    built = [
+        Shard(index=shard.index, count=shard.count, runs=tuple(shard.runs))
+        for shard in shards
+    ]
+    assert shards == built
+    assert [vars(shard) for shard in shards] == [vars(b) for b in built]
+    assert pickle.loads(pickle.dumps(shards)) == built
+    assert all(type(shard.runs) is tuple for shard in shards)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shards[0].index = 5
+
+
 def test_plan_shards_rejects_bad_size():
     with pytest.raises(ValueError):
         plan_shards(ip_spec().runs(), shard_size=0)

@@ -150,12 +150,21 @@ def test_campaign_resume_flags(capsys, tmp_path):
          "expected a positive integer"),
         (["fig11", "--workers", "-2"], "expected a positive integer"),
         (["inject", "--workers", "-2"], "expected a positive integer"),
+        (["campaign", "--beats", "4", "--batch-lanes", "4", "--workers", "2"],
+         "cannot be combined with --workers > 1 (got 2)"),
+        (["fig11", "--batch-lanes", "4", "--workers", "2"],
+         "cannot be combined with --workers > 1 (got 2)"),
+        (["campaign", "--beats", "4", "--batch-verify"],
+         "--batch-verify needs --batch-lanes"),
+        (["fig11", "--batch-verify"], "--batch-verify needs --batch-lanes"),
     ],
     ids=["ip-beats-0", "ip-beats-300", "system-beats-0", "campaign-reorder",
          "fig11-reorder", "inject-beats-0", "system-background-neg",
          "system-read-stage",
          "shard-size-0", "shard-size-neg", "campaign-workers-neg",
-         "fig11-workers-neg", "inject-workers-neg"],
+         "fig11-workers-neg", "inject-workers-neg",
+         "campaign-batch-workers", "fig11-batch-workers",
+         "campaign-verify-alone", "fig11-verify-alone"],
 )
 def test_bad_campaign_axis_is_a_usage_error(capsys, argv, message):
     # Axis validation reports "error: ..." and returns 2; argparse type
