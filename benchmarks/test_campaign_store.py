@@ -15,12 +15,12 @@ Both land in ``BENCH_kernel.json`` under ``campaign_store_reuse``.
 """
 
 import time
+from collections import Counter
 
 from conftest import record_json, report, run_once
 
 from repro.orchestrate import CampaignSpec, ResultStore, run_campaign_spec
 from repro.soc.experiment import FIG11_STAGES
-from repro.telemetry import MetricsRegistry
 from repro.tmu.config import Variant
 
 BEATS = 250
@@ -44,7 +44,7 @@ def measure(tmp_root):
     run_campaign_spec(spec(SUBSET_SEEDS), store=store_dir)
     timings["cold_subset_seconds"] = time.perf_counter() - start
 
-    metrics = MetricsRegistry()
+    metrics = Counter()
     start = time.perf_counter()
     superset = run_campaign_spec(
         spec(SUPERSET_SEEDS), store=store_dir, metrics=metrics
@@ -56,7 +56,7 @@ def measure(tmp_root):
     timings["cold_superset_seconds"] = time.perf_counter() - start
     assert superset == cold  # reuse must be invisible in the results
 
-    counters = metrics.to_dict()["counters"]
+    counters = dict(metrics)
 
     # Lookup throughput: hot (in-process LRU), then warm (fresh view,
     # hot tier disabled so every get pays the SQLite round trip).

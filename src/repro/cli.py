@@ -25,7 +25,9 @@ killed campaign with the same --store resumes it)::
     python -m repro campaign --kind system --seeds 8 --store results/
     python -m repro store stats results/
 
-Telemetry (all opt-in; never changes a result)::
+Telemetry (all opt-in; never changes a result).  ``--telemetry`` writes
+the campaign's event counters (runs, store hits, derived lanes), which
+are the same whatever the executor or worker count::
 
     python -m repro inject --stage wlast_bvalid_error --trace trace.json
     python -m repro campaign --kind ip --telemetry telemetry.json
@@ -36,8 +38,10 @@ Telemetry (all opt-in; never changes a result)::
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from .analysis.export import write_campaign_json
@@ -57,7 +61,6 @@ from .orchestrate.spec import validate_axes
 from .soc.experiment import FIG11_LABELS, FIG11_STAGES, run_fig11
 from .telemetry import (
     KernelTracer,
-    MetricsRegistry,
     read_telemetry,
     setup_logging,
     write_chrome_trace,
@@ -109,13 +112,25 @@ def _usage_error(exc: Exception) -> int:
     return 2
 
 
-def _check_batch_args(args) -> None:
-    """Reject batch flags no executor can honour (``ValueError``)."""
-    if args.batch_lanes is None:
-        if args.batch_verify:
+def _check_run_args(args) -> None:
+    """Reject, before anything simulates, a worker count, batch flags or
+    an output path the run could not honour (``ValueError``)."""
+    workers = default_workers() if args.workers is None else args.workers
+    for flag, attr in (("--json", "json_out"), ("--telemetry", "telemetry"),
+                       ("--trace", "trace")):
+        path = getattr(args, attr, None)
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise ValueError(f"{flag} {path} is a directory, not a file")
+        if not Path(path).parent.is_dir():
+            raise ValueError(
+                f"{flag} {path}: directory {Path(path).parent} does not exist"
+            )
+    if getattr(args, "batch_lanes", None) is None:
+        if getattr(args, "batch_verify", False):
             raise ValueError("--batch-verify needs --batch-lanes")
         return
-    workers = default_workers() if args.workers is None else args.workers
     if workers > 1:
         raise ValueError(
             "--batch-lanes runs in one process: it cannot be combined "
@@ -143,6 +158,7 @@ def cmd_area(args) -> int:
 
 def cmd_inject(args) -> int:
     try:
+        _check_run_args(args)
         validate_axes("ip", args.beats)
     except ValueError as exc:
         return _usage_error(exc)
@@ -281,13 +297,13 @@ def cmd_fig11(args) -> int:
     seeds = tuple(range(args.seeds))
     axes = _dark_corner_kwargs(args)
     try:
-        _check_batch_args(args)
+        _check_run_args(args)
         CampaignSpec.system(
             (Variant.FULL, Variant.TINY), FIG11_STAGES, seeds=seeds, **axes
         )
     except ValueError as exc:
         return _usage_error(exc)
-    metrics = MetricsRegistry() if args.telemetry else None
+    metrics = collections.Counter() if args.telemetry else None
     series = run_fig11(
         workers=args.workers,
         seeds=seeds,
@@ -345,11 +361,11 @@ def _campaign_spec(args) -> CampaignSpec:
 
 def cmd_campaign(args) -> int:
     try:
-        _check_batch_args(args)
+        _check_run_args(args)
         spec = _campaign_spec(args)
     except ValueError as exc:
         return _usage_error(exc)
-    metrics = MetricsRegistry() if args.telemetry else None
+    metrics = collections.Counter() if args.telemetry else None
     results = run_campaign_spec(
         spec,
         workers=args.workers,
@@ -396,49 +412,18 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Summarize a ``telemetry.json`` artifact as readable tables."""
+    """Print a ``telemetry.json`` artifact's counters as a table."""
     try:
         metrics = read_telemetry(args.telemetry)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     counters = metrics.get("counters", {})
-    gauges = metrics.get("gauges", {})
-    histograms = metrics.get("histograms", {})
-    if counters:
-        rows = [[name, value] for name, value in sorted(counters.items())]
-        print(render_table(["counter", "count"], rows, title="counters"))
-    if gauges:
-        rows = [[name, value] for name, value in sorted(gauges.items())]
-        print(render_table(["gauge", "value"], rows, title="gauges"))
-    if histograms:
-        # Rebuild real Histogram instruments so bucket labelling and the
-        # mean live in exactly one place (the metrics module).
-        registry = MetricsRegistry.from_dict({"histograms": histograms})
-        rows = []
-        for name, payload in sorted(histograms.items()):
-            histogram = registry.histogram(name, payload["bounds"])
-            mean = histogram.mean
-            buckets = ", ".join(
-                f"{label}: {count}" for label, count in histogram.nonzero()
-            )
-            rows.append(
-                [
-                    name,
-                    histogram.count,
-                    f"{mean:.4f}" if mean is not None else "--",
-                    buckets or "(empty)",
-                ]
-            )
-        print(
-            render_table(
-                ["histogram", "count", "mean", "populated buckets"],
-                rows,
-                title="histograms",
-            )
-        )
-    if not (counters or gauges or histograms):
-        print("telemetry file carries no metrics")
+    if not counters:
+        print("telemetry file carries no counters")
+        return 0
+    rows = [[name, value] for name, value in sorted(counters.items())]
+    print(render_table(["counter", "count"], rows, title="counters"))
     return 0
 
 
@@ -532,8 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fig11.add_argument(
         "--telemetry", default=None, metavar="PATH",
-        help="write campaign metrics (telemetry.json) here; summarize "
-        "with: repro report --telemetry PATH",
+        help="write campaign event counters (telemetry.json) here; print "
+        "them with: repro report --telemetry PATH",
     )
     _add_dark_corner_axes(p_fig11)
     _add_batch_args(p_fig11)
@@ -574,10 +559,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser(
         "report",
-        help="summarize campaign telemetry artifacts",
+        help="print the counters of a campaign telemetry file",
         description=(
-            "Render the counters, gauges and histograms a campaign "
-            "recorded with --telemetry as readable tables."
+            "Print the event counters a campaign recorded with "
+            "--telemetry as a table."
         ),
     )
     p_report.add_argument(
@@ -624,8 +609,8 @@ def _add_campaign_axes(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--telemetry", default=None, metavar="PATH",
-        help="write campaign metrics (telemetry.json) here; summarize "
-        "with: repro report --telemetry PATH",
+        help="write campaign event counters (telemetry.json) here; print "
+        "them with: repro report --telemetry PATH",
     )
 
 

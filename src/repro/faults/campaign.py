@@ -531,8 +531,8 @@ def run_campaign(
                         )
                     )
                     if metrics is not None:
-                        metrics.counter("campaign.runs").inc()
-                        metrics.counter("campaign.runs_executed").inc()
+                        metrics["campaign.runs"] += 1
+                        metrics["campaign.runs_executed"] += 1
                     if reporter:
                         reporter.shard_done(1)
         if reporter:

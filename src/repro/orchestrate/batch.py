@@ -135,7 +135,7 @@ class BatchExecutor:
             value = getattr(self.stats, field.name)
             delta = value - self._metrics_flushed.get(field.name, 0)
             if delta:
-                metrics.counter(f"batch.{field.name}").inc(delta)
+                metrics[f"batch.{field.name}"] += delta
             self._metrics_flushed[field.name] = value
 
     def map(self, shards: Sequence[Shard]) -> Iterator[ShardResult]:

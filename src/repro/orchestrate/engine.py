@@ -27,7 +27,6 @@ finished.
 from __future__ import annotations
 
 from pathlib import Path
-from time import perf_counter
 from typing import IO, Any, Dict, List, Optional, Union
 
 from .executor import default_workers, make_executor
@@ -74,14 +73,13 @@ def run_campaign_spec(
         every derived lane on the scalar verify kernel.  The aggregated
         results are byte-identical to the serial executor's.
     metrics:
-        A :class:`~repro.telemetry.MetricsRegistry` collecting campaign
-        accounting: run/shard counters, per-tier ``store.*``
-        hit/miss/frontier counters, a ``campaign.shard_seconds``
-        histogram of engine-observed shard completion spacing, and
-        whatever the executor contributes through ``attach_metrics``
-        (discovered by ``hasattr``, the same seam as
-        ``attach_progress``).  Purely observational — results are
-        identical with or without it.
+        A :class:`collections.Counter` that receives the campaign's
+        event counts: ``campaign.*`` run/shard counts, per-tier
+        ``store.*`` hit/miss/frontier counts, and whatever the executor
+        adds through ``attach_metrics`` (discovered by ``hasattr``, the
+        same seam as ``attach_progress``).  Every count depends on the
+        campaign alone, never on the executor or the clock.  Purely
+        observational — results are identical with or without it.
     store:
         A :class:`~repro.orchestrate.store.ResultStore` (or a path to
         open one at).  Runs already present are fetched instead of
@@ -131,8 +129,8 @@ def run_campaign_spec(
         if reporter and reused:
             reporter.shard_done(reused, cached=True)
         if metrics is not None:
-            metrics.counter("store.reused_runs").inc(reused)
-            metrics.counter("store.frontier_runs").inc(len(frontier))
+            metrics["store.reused_runs"] += reused
+            metrics["store.frontier_runs"] += len(frontier)
     shards = plan_shards(frontier, shard_size=shard_size)
 
     if executor is None:
@@ -145,13 +143,11 @@ def run_campaign_spec(
     if reporter is not None and hasattr(executor, "attach_progress"):
         executor.attach_progress(reporter)
     if metrics is not None:
-        metrics.counter("campaign.runs").inc(len(runs))
-        metrics.counter("campaign.shards").inc(-(-len(runs) // shard_size))
-        metrics.counter("campaign.shards_executed").inc(len(shards))
+        metrics["campaign.runs"] += len(runs)
+        metrics["campaign.shards"] += -(-len(runs) // shard_size)
+        metrics["campaign.shards_executed"] += len(shards)
         if hasattr(executor, "attach_metrics"):
             executor.attach_metrics(metrics)
-    started = perf_counter()
-    last = started
     for index, results in executor.map(shards):
         shard = shards[index]
         for run, result in zip(shard.runs, results):
@@ -159,17 +155,10 @@ def run_campaign_spec(
             if store is not None:
                 store.put(run, result)
         if metrics is not None:
-            now = perf_counter()
-            metrics.histogram("campaign.shard_seconds").observe(now - last)
-            metrics.counter("campaign.runs_executed").inc(len(shard.runs))
-            last = now
+            metrics["campaign.runs_executed"] += len(shard.runs)
         if reporter:
             reporter.shard_done(len(shard.runs))
 
-    if metrics is not None:
-        metrics.gauge("campaign.elapsed_seconds").set(
-            round(perf_counter() - started, 6)
-        )
     if reporter:
         reporter.finish()
 
@@ -181,8 +170,8 @@ def run_campaign_spec(
 def _open_store(store, metrics):
     """Normalize the *store* argument: path -> opened ResultStore.
 
-    A pre-built store gains the campaign's metrics registry if it has
-    none, so callers never have to pre-wire it to match the engine's.
+    A pre-built store gains the campaign's counter if it has none, so
+    callers never have to pre-wire it to match the engine's.
     """
     if isinstance(store, (str, Path)):
         from .store import ResultStore

@@ -38,9 +38,14 @@ def default_workers() -> int:
     raw = os.environ.get(WORKERS_ENV, "").strip()
     if not raw:
         return 1
-    count = int(raw)
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
     if count <= 0:
-        raise ValueError(f"{WORKERS_ENV} must be positive, got {raw!r}")
+        raise ValueError(
+            f"{WORKERS_ENV} must be a positive integer, got {raw!r}"
+        )
     return count
 
 

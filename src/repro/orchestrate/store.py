@@ -34,7 +34,6 @@ import logging
 import sqlite3
 import threading
 from pathlib import Path
-from time import perf_counter
 from typing import Any, Dict, Iterator, Sequence, Union
 
 from .serialize import result_from_dict, result_to_dict
@@ -42,9 +41,15 @@ from .spec import RunSpec
 
 log = logging.getLogger(__name__)
 
-#: Row-payload format marker.  Format 2 added the per-run scheduler
-#: statistics (``sim_leaps``/``sim_cycles_leaped``) to every result.
-STORE_FORMAT = 2
+#: Row format: versions both the payload layout and the outcome model
+#: that produced the row.  Every change to a run's outcome or to its
+#: serialization bumps it, so older rows become logged misses that
+#: re-simulate and repair themselves.  Format 2 added the per-run
+#: scheduler statistics; format 3 retires rows written before recovery
+#: waited for outstanding writes to drain
+#: (:func:`~repro.faults.campaign.drain_timeout`): they can serve
+#: ``recovered: false`` for deep-outstanding points that now recover.
+STORE_FORMAT = 3
 
 #: SQLite schema version (``PRAGMA user_version``).
 SCHEMA_VERSION = 1
@@ -71,11 +76,9 @@ class ResultStore:
     Open one with :meth:`open`; ``get``/``put`` take the campaign's own
     :class:`~repro.orchestrate.spec.RunSpec` objects, so callers never
     handle keys or payload dicts.  *metrics* (a
-    :class:`~repro.telemetry.MetricsRegistry`) receives per-tier
-    ``store.hot_hit`` / ``store.warm_hit`` / ``store.miss`` /
-    ``store.corrupt`` / ``store.put`` / ``store.duplicate`` counters
-    plus a ``store.lookup_seconds`` histogram — purely observational,
-    like every other instrument here.
+    :class:`collections.Counter`) receives per-tier ``store.hot_hit`` /
+    ``store.warm_hit`` / ``store.miss`` / ``store.corrupt`` /
+    ``store.put`` / ``store.duplicate`` counts — purely observational.
     """
 
     def __init__(
@@ -167,18 +170,6 @@ class ResultStore:
         next fetch of the same run is cheaper.  Any defective row is a
         logged miss for that run alone.
         """
-        started = perf_counter()
-        try:
-            return self._get(run)
-        finally:
-            if self.metrics is not None:
-                from ..telemetry.metrics import DEFAULT_LOOKUP_BOUNDS
-
-                self.metrics.histogram(
-                    "store.lookup_seconds", DEFAULT_LOOKUP_BOUNDS
-                ).observe(perf_counter() - started)
-
-    def _get(self, run: RunSpec):
         key = run.param_key()
         with self._lock:
             if key in self._hot:
@@ -278,7 +269,7 @@ class ResultStore:
 
     def _count(self, name: str) -> None:
         if self.metrics is not None:
-            self.metrics.counter(name).inc()
+            self.metrics[name] += 1
 
     def stats(self) -> Dict[str, Any]:
         """Point-in-time store accounting (``repro store stats``)."""

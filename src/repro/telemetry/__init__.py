@@ -10,33 +10,22 @@ measurement-only (enabling any of them never changes a figure):
   step/drive/update/wake/leap hooks.  :class:`KernelTracer` turns them
   into per-component execution counters plus a Chrome trace-event
   (Perfetto-loadable) span timeline of the schedule.
-* **Campaign metrics** (:mod:`.metrics`) — a :class:`MetricsRegistry`
-  of counters/gauges/histograms threaded through the orchestration
-  engine, executors and result store; serialized into a ``telemetry.json``
-  artifact next to campaign exports and summarized by
+* **Campaign counters** (:mod:`.metrics`) — a plain
+  :class:`collections.Counter` of event counts threaded through the
+  orchestration engine, executors and result store; serialized into a
+  ``telemetry.json`` artifact next to campaign exports and printed by
   ``repro report --telemetry``.
 
 :mod:`.logs` rounds the story out with the ``repro --log-level /
 --log-json`` root logger setup.
 """
 
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    read_telemetry,
-    write_telemetry,
-)
+from .metrics import read_telemetry, write_telemetry
 from .logs import setup_logging
 from .tracer import KernelTracer, Tracer, write_chrome_trace
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "KernelTracer",
-    "MetricsRegistry",
     "Tracer",
     "read_telemetry",
     "setup_logging",

@@ -33,7 +33,6 @@ burst renders the same way, as one ``stream`` span.
 from __future__ import annotations
 
 import json
-from time import perf_counter_ns
 from typing import Any, Dict, List, Optional
 
 #: Trace-time microseconds per simulated cycle (Chrome trace ``ts`` is
@@ -339,8 +338,3 @@ def write_chrome_trace(tracer: KernelTracer, path) -> None:
     with open(path, "w") as stream:
         json.dump(tracer.chrome_trace(), stream, indent=2, sort_keys=True)
         stream.write("\n")
-
-
-def timed_ns() -> int:
-    """Alias for :func:`time.perf_counter_ns` (patchable in tests)."""
-    return perf_counter_ns()

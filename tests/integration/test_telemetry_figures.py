@@ -2,10 +2,12 @@
 
 The acceptance bar for the instrumentation layer: the Fig. 9 and
 Fig. 11 campaign JSON must be byte-identical whether a kernel tracer
-rides in the harness or a metrics registry tallies the orchestration —
+rides in the harness or a counter tallies the orchestration —
 including the ``scheduler`` block, because tracing must not change
 which cycles step, leap, or skip.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -14,7 +16,7 @@ from repro.faults.campaign import run_campaign
 from repro.orchestrate import run_campaign_spec
 from repro.orchestrate.serialize import SpecSerializationError
 from repro.orchestrate.spec import CampaignSpec
-from repro.telemetry import KernelTracer, MetricsRegistry, Tracer
+from repro.telemetry import KernelTracer, Tracer
 from repro.tmu.config import Variant
 
 from tests.integration.test_update_skip_figures import (
@@ -62,10 +64,10 @@ def test_spec_campaigns_reject_live_tracers():
 
 def test_fig11_identical_with_metrics_registry():
     baseline = fig11_full_json()
-    metrics = MetricsRegistry()
+    metrics = Counter()
     assert fig11_full_json(metrics=metrics) == baseline
-    # …and the registry actually recorded the campaign it watched.
-    tallies = metrics.to_dict()["counters"]
+    # …and the counter actually recorded the campaign it watched.
+    tallies = dict(metrics)
     assert tallies["campaign.runs"] == tallies["campaign.runs_executed"]
     assert tallies["campaign.runs"] > 0
 

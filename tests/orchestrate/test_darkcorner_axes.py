@@ -11,6 +11,7 @@ are excluded from the byte-identity claim, as everywhere else.
 """
 
 import json
+from collections import Counter
 
 from tests.conftest import fast_budgets
 
@@ -18,7 +19,6 @@ from repro.faults.types import InjectionStage
 from repro.orchestrate import CampaignSpec, ResultStore, run_campaign_spec
 from repro.orchestrate.batch import BatchExecutor
 from repro.orchestrate.serialize import result_to_dict
-from repro.telemetry import MetricsRegistry
 from repro.tmu.config import full_config
 
 STAGES = (InjectionStage.AW_READY_MISSING, InjectionStage.DATA_TRANSFER_STALL)
@@ -117,18 +117,18 @@ def test_batch_verify_holds_on_dark_corner_lanes():
 # ----------------------------------------------------------------------
 def test_store_never_conflates_axis_points(tmp_path):
     store = ResultStore(tmp_path)
-    metrics = MetricsRegistry()
+    metrics = Counter()
     run_campaign_spec(axes_spec(), store=store, metrics=metrics)
-    counters = metrics.to_dict()["counters"]
+    counters = dict(metrics)
     assert counters["store.frontier_runs"] == 4
     assert counters["store.reused_runs"] == 0
 
     # A different reorder depth is a different experiment: full frontier.
-    metrics = MetricsRegistry()
+    metrics = Counter()
     run_campaign_spec(
         axes_spec(reorder_depth=0), store=store, metrics=metrics
     )
-    counters = metrics.to_dict()["counters"]
+    counters = dict(metrics)
     assert counters["store.frontier_runs"] == 4
     assert counters["store.reused_runs"] == 0
 
@@ -137,11 +137,11 @@ def test_store_reuses_axis_points_across_seed_supersets(tmp_path):
     store = ResultStore(tmp_path)
     first = run_campaign_spec(axes_spec(seeds=(0, 1)), store=store)
 
-    metrics = MetricsRegistry()
+    metrics = Counter()
     superset = run_campaign_spec(
         axes_spec(seeds=(0, 1, 2)), store=store, metrics=metrics
     )
-    counters = metrics.to_dict()["counters"]
+    counters = dict(metrics)
     assert counters["store.reused_runs"] == len(first)
     assert counters["store.frontier_runs"] == len(superset) - len(first)
     assert counters["campaign.runs_executed"] == len(superset) - len(first)

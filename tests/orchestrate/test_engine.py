@@ -8,6 +8,7 @@ store returns identical results without simulating anything.
 
 import io
 import sqlite3
+from collections import Counter
 
 import pytest
 
@@ -29,7 +30,6 @@ from repro.orchestrate import (
 from repro.orchestrate import executor as executor_module
 from repro.orchestrate.store import DB_NAME
 from repro.soc.experiment import run_fig11
-from repro.telemetry import MetricsRegistry
 from repro.tmu.config import full_config, tiny_config
 
 FIG9_SUBSET = (
@@ -106,12 +106,12 @@ def test_cache_hit_skips_simulation_and_matches(tmp_path, monkeypatch):
 def test_store_keys_follow_run_parameters(tmp_path):
     store = tmp_path / "store"
     run_campaign(fig9_configs(), FIG9_SUBSET[:1], beats=4, store=store)
-    metrics = MetricsRegistry()
+    metrics = Counter()
     run_campaign(
         fig9_configs(), FIG9_SUBSET[:1], beats=8, store=store, metrics=metrics
     )
     # A changed parameter is a different run: nothing aliases.
-    counters = metrics.to_dict()["counters"]
+    counters = dict(metrics)
     assert counters["store.frontier_runs"] == len(fig9_configs())
     assert ResultStore.open(store).stats()["warm_rows"] == 2 * len(fig9_configs())
 
@@ -123,12 +123,12 @@ def test_corrupt_cache_entry_is_re_executed(tmp_path):
     with db:
         db.execute("UPDATE results SET payload = '{not json'")
     db.close()
-    metrics = MetricsRegistry()
+    metrics = Counter()
     second = run_campaign(
         fig9_configs(), FIG9_SUBSET[:1], beats=4, store=store, metrics=metrics
     )
     assert second == first
-    counters = metrics.to_dict()["counters"]
+    counters = dict(metrics)
     assert counters["store.corrupt"] == len(first)
     assert counters["campaign.runs_executed"] == len(first)
     # The re-simulated results repaired the rows.

@@ -11,6 +11,7 @@ import dataclasses
 import logging
 import multiprocessing
 import sqlite3
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,6 @@ from repro.faults.types import InjectionStage
 from repro.orchestrate import CampaignSpec, ResultStore, plan_shards
 from repro.orchestrate.executor import execute_shard
 from repro.orchestrate.store import DB_NAME, STORE_FORMAT
-from repro.telemetry import MetricsRegistry
 from repro.tmu.config import full_config, tiny_config
 
 
@@ -66,7 +66,7 @@ def corrupt_row(store, key, **columns):
 
 def fresh_view(store):
     """Reopen the same store directory with an empty hot tier."""
-    return ResultStore.open(store.root, metrics=MetricsRegistry())
+    return ResultStore.open(store.root, metrics=Counter())
 
 
 # ----------------------------------------------------------------------
@@ -83,16 +83,16 @@ def test_warm_tier_survives_reopen(populated):
     view = fresh_view(store)
     for run, result in zip(runs, results):
         assert view.get(run) == result
-    counters = view.metrics.to_dict()["counters"]
+    counters = dict(view.metrics)
     assert counters["store.warm_hit"] == len(runs)
     assert "store.hot_hit" not in counters
 
 
 def test_hot_tier_serves_repeats(populated):
     store, runs, results = populated
-    store.metrics = MetricsRegistry()
+    store.metrics = Counter()
     assert store.get(runs[0]) == results[0]
-    counters = store.metrics.to_dict()["counters"]
+    counters = dict(store.metrics)
     assert counters == {"store.hot_hit": 1}
 
 
@@ -108,7 +108,7 @@ def test_scheduler_stats_round_trip(populated):
 def test_lru_evicts_but_warm_backstops(tmp_path, executed):
     runs, results = executed
     store = ResultStore.open(
-        tmp_path / "store", hot_capacity=1, metrics=MetricsRegistry()
+        tmp_path / "store", hot_capacity=1, metrics=Counter()
     )
     for run, result in zip(runs, results):
         store.put(run, result)
@@ -116,7 +116,7 @@ def test_lru_evicts_but_warm_backstops(tmp_path, executed):
     # Every run still resolves — through the warm tier, not the LRU.
     for run, result in zip(runs, results):
         assert store.get(run) == result
-    counters = store.metrics.to_dict()["counters"]
+    counters = dict(store.metrics)
     assert counters["store.warm_hit"] + counters.get("store.hot_hit", 0) == len(runs)
 
 
@@ -146,9 +146,9 @@ def test_param_key_ignores_campaign_index(spec):
 
 
 def test_miss_returns_none_and_counts(tmp_path, spec):
-    store = ResultStore.open(tmp_path / "store", metrics=MetricsRegistry())
+    store = ResultStore.open(tmp_path / "store", metrics=Counter())
     assert store.get(spec.runs()[0]) is None
-    assert store.metrics.to_dict()["counters"] == {"store.miss": 1}
+    assert dict(store.metrics) == {"store.miss": 1}
 
 
 def test_iter_results_streams_in_order(populated):
@@ -225,9 +225,11 @@ def test_two_processes_first_result_wins(tmp_path, executed):
         {"payload": '"not a dict"'},
         {"payload": "{}"},
         {"format": STORE_FORMAT + 1},
+        {"format": STORE_FORMAT - 1},
         {"format": 0},
     ],
-    ids=["truncated", "wrong-shape", "empty-dict", "future-format", "foreign-format"],
+    ids=["truncated", "wrong-shape", "empty-dict", "future-format",
+         "previous-format", "foreign-format"],
 )
 def test_defective_row_is_logged_miss(populated, caplog, damage):
     store, runs, results = populated
@@ -236,7 +238,7 @@ def test_defective_row_is_logged_miss(populated, caplog, damage):
     with caplog.at_level(logging.WARNING, logger="repro.orchestrate.store"):
         assert view.get(runs[0]) is None
     assert caplog.records, "defective row must be logged"
-    counters = view.metrics.to_dict()["counters"]
+    counters = dict(view.metrics)
     assert counters["store.corrupt"] == 1
     assert counters["store.miss"] == 1
     # Other rows are untouched...

@@ -7,6 +7,7 @@ included — is byte-for-byte what an uninterrupted cold run produces.
 """
 
 import io
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,6 @@ from repro.faults.types import InjectionStage
 from repro.orchestrate import CampaignSpec, ResultStore, run_campaign_spec
 from repro.orchestrate import executor as executor_module
 from repro.soc.experiment import FIG11_STAGES, run_fig11
-from repro.telemetry import MetricsRegistry
 from repro.tmu.config import Variant, full_config, tiny_config
 
 FIG9_SUBSET = (
@@ -64,12 +64,12 @@ def test_fig11_superset_simulates_only_frontier(tmp_path, simulated):
     assert first == 2 * len(FIG11_STAGES)
 
     simulated.clear()
-    metrics = MetricsRegistry()
+    metrics = Counter()
     superset = run_fig11(seeds=(0, 1, 2), store=store, metrics=metrics)
     frontier = 2 * len(FIG11_STAGES) * 2  # the two new seeds, both variants
     assert len(simulated) == frontier
     assert all(run_id.endswith(("-s1", "-s2")) for run_id in simulated)
-    counters = metrics.to_dict()["counters"]
+    counters = dict(metrics)
     assert counters["store.frontier_runs"] == frontier
     assert counters["campaign.runs_executed"] == frontier
     assert counters["store.reused_runs"] == first
@@ -89,11 +89,11 @@ def test_identical_rerun_has_empty_frontier(tmp_path, simulated):
     kwargs = dict(beats=4, seeds=(0, 1), store=tmp_path / "store")
     first = run_campaign(fig9_configs(), FIG9_SUBSET, **kwargs)
     simulated.clear()
-    metrics = MetricsRegistry()
+    metrics = Counter()
     second = run_campaign(fig9_configs(), FIG9_SUBSET, metrics=metrics, **kwargs)
     assert simulated == []
     assert second == first
-    counters = metrics.to_dict()["counters"]
+    counters = dict(metrics)
     assert counters["store.frontier_runs"] == 0
     assert counters["store.reused_runs"] == len(first)
 

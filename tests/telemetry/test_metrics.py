@@ -1,115 +1,44 @@
-"""MetricsRegistry semantics: instruments, merge, and the JSON artifact."""
+"""The telemetry.json artifact: a counters-only envelope."""
 
-import threading
+import json
+from collections import Counter
 
 import pytest
 
-from repro.telemetry import MetricsRegistry, read_telemetry, write_telemetry
-from repro.telemetry.metrics import (
-    DEFAULT_SECONDS_BOUNDS,
-    TELEMETRY_FORMAT,
-    TELEMETRY_VERSION,
-    Histogram,
-)
-
-
-def test_counter_accumulates_and_rejects_negative():
-    registry = MetricsRegistry()
-    counter = registry.counter("hits")
-    counter.inc()
-    counter.inc(4)
-    assert registry.counter("hits").value == 5  # same instrument by name
-    with pytest.raises(ValueError):
-        counter.inc(-1)
-
-
-def test_gauge_set_and_add():
-    registry = MetricsRegistry()
-    gauge = registry.gauge("workers")
-    gauge.set(3)
-    gauge.add(-1)
-    assert gauge.value == 2
-
-
-def test_histogram_buckets_cover_everything():
-    histogram = Histogram(threading.Lock(), bounds=(1.0, 10.0))
-    for value in (0.5, 1.0, 5.0, 10.0, 99.0):
-        histogram.observe(value)
-    # bisect_left: a value equal to a bound lands in that bound's bucket.
-    assert histogram.counts == [2, 2, 1]
-    assert histogram.count == 5
-    assert histogram.mean == pytest.approx(115.5 / 5)
-    assert histogram.nonzero() == [
-        ("0-1.0", 2), ("1.0-10.0", 2), ("10.0-inf", 1)
-    ]
-
-
-def test_histogram_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        Histogram(threading.Lock(), bounds=())
-    with pytest.raises(ValueError):
-        Histogram(threading.Lock(), bounds=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        Histogram(threading.Lock(), bounds=(1.0, 1.0))
-
-
-def test_registry_rejects_histogram_bounds_mismatch():
-    registry = MetricsRegistry()
-    registry.histogram("latency", bounds=(1.0, 2.0))
-    with pytest.raises(ValueError, match="already exists"):
-        registry.histogram("latency", bounds=(1.0, 3.0))
-
-
-def test_merge_adds_counters_and_buckets_gauges_last_win():
-    left, right = MetricsRegistry(), MetricsRegistry()
-    left.counter("runs").inc(3)
-    right.counter("runs").inc(4)
-    right.counter("only_right").inc()
-    left.gauge("depth").set(10)
-    right.gauge("depth").set(2)
-    left.histogram("s").observe(0.002)
-    right.histogram("s").observe(0.002)
-    right.histogram("s").observe(500.0)
-
-    merged = left.merge(right)
-    assert merged is left
-    assert left.counter("runs").value == 7
-    assert left.counter("only_right").value == 1
-    assert left.gauge("depth").value == 2  # last writer wins
-    histogram = left.histogram("s")
-    assert histogram.count == 3
-    assert histogram.counts[-1] == 1  # the overflow observation survived
-
-
-def test_merge_rejects_mismatched_histogram_bounds():
-    left, right = MetricsRegistry(), MetricsRegistry()
-    left.histogram("s", bounds=(1.0,)).observe(0.5)
-    right.histogram("s", bounds=(2.0,)).observe(0.5)
-    with pytest.raises(ValueError):
-        left.merge(right)
-
-
-def test_to_dict_from_dict_round_trip():
-    registry = MetricsRegistry()
-    registry.counter("a").inc(2)
-    registry.gauge("b").set(1.5)
-    registry.histogram("c").observe(0.3)
-    registry.histogram("c").observe(90.0)
-    snapshot = registry.to_dict()
-    assert MetricsRegistry.from_dict(snapshot).to_dict() == snapshot
-    # Default bounds serialize with their overflow bucket intact.
-    assert len(snapshot["histograms"]["c"]["counts"]) == (
-        len(DEFAULT_SECONDS_BOUNDS) + 1
-    )
+from repro.telemetry import read_telemetry, write_telemetry
+from repro.telemetry.metrics import TELEMETRY_FORMAT, TELEMETRY_VERSION
 
 
 def test_telemetry_file_round_trip(tmp_path):
-    registry = MetricsRegistry()
-    registry.counter("campaign.runs").inc(7)
-    registry.histogram("campaign.shard_seconds").observe(0.02)
+    counters = Counter()
+    counters["store.reused_runs"] += 0  # a zero count is still recorded
+    counters["campaign.runs"] += 7
     path = tmp_path / "telemetry.json"
-    write_telemetry(registry, path)
-    assert read_telemetry(path) == registry.to_dict()
+    write_telemetry(counters, path)
+    assert read_telemetry(path) == {
+        "counters": {"campaign.runs": 7, "store.reused_runs": 0}
+    }
+    # Keys are sorted, so the bytes do not depend on insertion order.
+    payload = json.loads(path.read_text())
+    assert list(payload["metrics"]["counters"]) == [
+        "campaign.runs", "store.reused_runs"
+    ]
+
+
+def test_older_telemetry_files_still_load(tmp_path):
+    # Files written before telemetry became counters-only also carried
+    # gauges and histograms; they keep loading under the same envelope.
+    path = tmp_path / "telemetry.json"
+    path.write_text(json.dumps({
+        "format": TELEMETRY_FORMAT,
+        "version": TELEMETRY_VERSION,
+        "metrics": {
+            "counters": {"campaign.runs": 2},
+            "gauges": {"campaign.elapsed_seconds": 0.5},
+            "histograms": {},
+        },
+    }))
+    assert read_telemetry(path)["counters"] == {"campaign.runs": 2}
 
 
 def test_telemetry_reader_rejects_foreign_files(tmp_path):
@@ -123,20 +52,3 @@ def test_telemetry_reader_rejects_foreign_files(tmp_path):
     )
     with pytest.raises(ValueError, match="version"):
         read_telemetry(path)
-
-
-def test_thread_safety_under_concurrent_increments():
-    registry = MetricsRegistry()
-
-    def hammer():
-        for _ in range(1000):
-            registry.counter("n").inc()
-            registry.histogram("h").observe(0.01)
-
-    threads = [threading.Thread(target=hammer) for _ in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert registry.counter("n").value == 4000
-    assert registry.histogram("h").count == 4000

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.telemetry import read_telemetry
 
 
 def test_area_command(capsys):
@@ -129,34 +130,66 @@ def test_campaign_resume_flags(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, message, env",
     [
-        (["campaign", "--kind", "ip", "--beats", "0"], "beats must be at least 1"),
-        (["campaign", "--kind", "ip", "--beats", "300"], "at most 256"),
+        (["campaign", "--kind", "ip", "--beats", "0"], "beats must be at least 1",
+         {}),
+        (["campaign", "--kind", "ip", "--beats", "300"], "at most 256", {}),
         (["campaign", "--kind", "system", "--beats", "0"],
-         "beats must be at least 1"),
-        (["campaign", "--reorder-depth", "-1"], "reorder_depth must be at least 0"),
-        (["fig11", "--reorder-depth", "-1"], "reorder_depth must be at least 0"),
-        (["inject", "--beats", "0"], "beats must be at least 1"),
+         "beats must be at least 1", {}),
+        (["campaign", "--reorder-depth", "-1"],
+         "reorder_depth must be at least 0", {}),
+        (["fig11", "--reorder-depth", "-1"],
+         "reorder_depth must be at least 0", {}),
+        (["inject", "--beats", "0"], "beats must be at least 1", {}),
         (["campaign", "--kind", "system", "--beats", "16", "--background", "-1"],
-         "background must be at least 0"),
+         "background must be at least 0", {}),
         (["campaign", "--kind", "system", "--stage", "r_stage_timeout"],
-         "read-path stages never manifest: r_stage_timeout"),
+         "read-path stages never manifest: r_stage_timeout", {}),
         (["campaign", "--beats", "4", "--shard-size", "0"],
-         "expected a positive integer"),
+         "expected a positive integer", {}),
         (["campaign", "--beats", "4", "--shard-size", "-1"],
-         "expected a positive integer"),
+         "expected a positive integer", {}),
         (["campaign", "--beats", "4", "--workers", "-2"],
-         "expected a positive integer"),
-        (["fig11", "--workers", "-2"], "expected a positive integer"),
-        (["inject", "--workers", "-2"], "expected a positive integer"),
+         "expected a positive integer", {}),
+        (["fig11", "--workers", "-2"], "expected a positive integer", {}),
+        (["inject", "--workers", "-2"], "expected a positive integer", {}),
         (["campaign", "--beats", "4", "--batch-lanes", "4", "--workers", "2"],
-         "cannot be combined with --workers > 1 (got 2)"),
+         "cannot be combined with --workers > 1 (got 2)", {}),
         (["fig11", "--batch-lanes", "4", "--workers", "2"],
-         "cannot be combined with --workers > 1 (got 2)"),
+         "cannot be combined with --workers > 1 (got 2)", {}),
         (["campaign", "--beats", "4", "--batch-verify"],
-         "--batch-verify needs --batch-lanes"),
-        (["fig11", "--batch-verify"], "--batch-verify needs --batch-lanes"),
+         "--batch-verify needs --batch-lanes", {}),
+        (["fig11", "--batch-verify"], "--batch-verify needs --batch-lanes", {}),
+        (["campaign", "--beats", "4"],
+         "REPRO_WORKERS must be a positive integer, got '0'",
+         {"REPRO_WORKERS": "0"}),
+        (["campaign", "--beats", "4"],
+         "REPRO_WORKERS must be a positive integer, got 'abc'",
+         {"REPRO_WORKERS": "abc"}),
+        (["fig11"], "REPRO_WORKERS must be a positive integer, got '0'",
+         {"REPRO_WORKERS": "0"}),
+        (["fig11"], "REPRO_WORKERS must be a positive integer, got 'abc'",
+         {"REPRO_WORKERS": "abc"}),
+        (["inject"], "REPRO_WORKERS must be a positive integer, got '0'",
+         {"REPRO_WORKERS": "0"}),
+        (["inject", "--stage", "aw_stage_error", "--stage", "wlast_bvalid_error"],
+         "REPRO_WORKERS must be a positive integer, got 'abc'",
+         {"REPRO_WORKERS": "abc"}),
+        (["campaign", "--beats", "4", "--json", "no-such-dir/out.json"],
+         "--json no-such-dir/out.json: directory no-such-dir does not exist",
+         {}),
+        (["campaign", "--beats", "4", "--telemetry", "no-such-dir/t.json"],
+         "--telemetry no-such-dir/t.json: directory no-such-dir does not exist",
+         {}),
+        (["fig11", "--telemetry", "no-such-dir/t.json"],
+         "--telemetry no-such-dir/t.json: directory no-such-dir does not exist",
+         {}),
+        (["inject", "--trace", "no-such-dir/trace.json"],
+         "--trace no-such-dir/trace.json: directory no-such-dir does not exist",
+         {}),
+        (["campaign", "--beats", "4", "--json", "."],
+         "--json . is a directory, not a file", {}),
     ],
     ids=["ip-beats-0", "ip-beats-300", "system-beats-0", "campaign-reorder",
          "fig11-reorder", "inject-beats-0", "system-background-neg",
@@ -164,17 +197,29 @@ def test_campaign_resume_flags(capsys, tmp_path):
          "shard-size-0", "shard-size-neg", "campaign-workers-neg",
          "fig11-workers-neg", "inject-workers-neg",
          "campaign-batch-workers", "fig11-batch-workers",
-         "campaign-verify-alone", "fig11-verify-alone"],
+         "campaign-verify-alone", "fig11-verify-alone",
+         "campaign-env-workers-0", "campaign-env-workers-abc",
+         "fig11-env-workers-0", "fig11-env-workers-abc",
+         "inject-env-workers-0", "inject-env-workers-abc",
+         "campaign-json-missing-dir", "campaign-telemetry-missing-dir",
+         "fig11-telemetry-missing-dir", "inject-trace-missing-dir",
+         "campaign-json-is-dir"],
 )
-def test_bad_campaign_axis_is_a_usage_error(capsys, argv, message):
+def test_bad_campaign_axis_is_a_usage_error(capsys, monkeypatch, argv, message,
+                                            env):
     # Axis validation reports "error: ..." and returns 2; argparse type
-    # checks print usage plus "prog: error: ..." and exit 2.
+    # checks print usage plus "prog: error: ..." and exit 2.  Both happen
+    # before anything simulates.
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
     assert code == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert err.startswith(("error: ", "usage: "))
     last = err.strip().splitlines()[-1]
     assert "error: " in last and message in last
@@ -221,9 +266,9 @@ def test_campaign_telemetry_and_report(tmp_path, capsys):
     assert telemetry.exists()
     assert main(["report", "--telemetry", str(telemetry)]) == 0
     out = capsys.readouterr().out
-    assert "campaign.runs" in out
-    assert "campaign.shard_seconds" in out
-    assert "counters" in out and "histograms" in out
+    assert "campaign.runs" in out and "counters" in out
+    # Counters only: every value is a function of the campaign alone.
+    assert list(read_telemetry(telemetry)) == ["counters"]
 
 
 def test_campaign_telemetry_does_not_change_export(tmp_path, capsys):
@@ -329,6 +374,39 @@ def test_store_stats_command(capsys, tmp_path):
     assert main(["store", "stats", store, "--json"]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["warm_rows"] == 2
+
+
+def test_campaign_artifacts_identical_across_hash_seeds_and_workers(tmp_path):
+    # The campaign JSON and telemetry.json depend on the campaign alone:
+    # not on str hashing (PYTHONHASHSEED) nor on the executor.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    argv = ["campaign", "--kind", "ip", "--stage", "aw_stage_error",
+            "--beats", "4"]
+    artifacts = []
+    for name, hash_seed, extra in (("seed0", "0", []), ("seed1", "1", []),
+                                   ("workers2", "0", ["--workers", "2"])):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        env.pop("REPRO_WORKERS", None)
+        export = tmp_path / f"{name}.json"
+        telemetry = tmp_path / f"{name}-telemetry.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv, *extra,
+             "--json", str(export), "--telemetry", str(telemetry)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        artifacts.append((export.read_bytes(), telemetry.read_bytes()))
+    assert artifacts[0] == artifacts[1] == artifacts[2]
 
 
 def test_cli_start_up_does_not_import_numpy():
