@@ -348,20 +348,161 @@ def _row_template(result, indent: int) -> Optional[Callable[[tuple], str]]:
     return ("".join(pieces) + "\n" + " " * (indent * 2) + "}").__mod__
 
 
+#: Rows joined into one ``write``: a bounded piece of text, never the
+#: whole ``results`` array.
+_ROW_CHUNK = 1024
+
+
+def _stats_of(result) -> tuple:
+    try:
+        return _stats_getter(type(result))(result)
+    except AttributeError:  # a declared field this instance lacks
+        return _stats_or_zero(result)
+
+
+def _tally(items) -> Tuple[int, int, int, Dict[str, int]]:
+    """Runs, detected runs, recovered runs and the ``scheduler`` block of
+    *items* — results, or :class:`~repro.orchestrate.batch.Lane` values
+    counted as their ``leader.shifted(delta)`` — as :func:`campaign_dict`
+    counts them, without materializing a lane.
+
+    A lane has its leader's flags and statistics, except
+    ``cycles_leaped``, which grows by the delta.  So each leader's lanes
+    count once: the leader's values times its lane count, plus the
+    summed deltas.  Where the leader's ``cycles_leaped`` is not a plain
+    int, ``int((value + delta) or 0)`` need not be ``int(value or 0) +
+    delta``, and its lanes are counted materialized, one at a time.
+    """
+    # Imported here: the orchestration package loads far more than an
+    # export needs.
+    from ..orchestrate.batch import Lane
+
+    runs = detected = recovered = 0
+    packs: Dict[int, Optional[list]] = {}  # id(leader) -> [leader, lanes, deltas]
+
+    def stat_rows():
+        nonlocal runs, detected, recovered
+        for result in items:
+            if type(result) is Lane:
+                leader, delta = result
+                pack = packs.get(id(leader), _ABSENT)
+                if pack is _ABSENT:
+                    leaped = getattr(leader, "sim_cycles_leaped", None)
+                    pack = packs[id(leader)] = (
+                        [leader, 0, 0] if type(leaped) in (int, bool) else None
+                    )
+                if pack is not None:
+                    pack[1] += 1
+                    pack[2] += delta
+                    continue
+                result = result.materialize()
+            runs += 1
+            if result.detect_cycle is not None:
+                detected += 1
+            if result.recovered:
+                recovered += 1
+            yield _stats_of(result)
+
+    scheduler = _sum_stats(stat_rows())
+    for pack in packs.values():
+        if pack is None:
+            continue
+        leader, lanes, deltas = pack
+        runs += lanes
+        if leader.detect_cycle is not None:
+            detected += lanes
+        if leader.recovered:
+            recovered += lanes
+        for key, value in zip(Simulator.STAT_KEYS, _stats_of(leader)):
+            scheduler[key] += lanes * int(value or 0)
+        scheduler["cycles_leaped"] += deltas
+    return runs, detected, recovered, scheduler
+
+
+def outcome_counts(results) -> Tuple[int, int, int]:
+    """Runs, detected runs and recovered runs of *results*, as the
+    campaign export counts them.  The lanes of a
+    :class:`~repro.orchestrate.engine.CampaignResults` are counted from
+    their leaders, not materialized."""
+    return _tally(_items(results))[:3]
+
+
+def _items(results):
+    """*results* as export items: a
+    :class:`~repro.orchestrate.engine.CampaignResults` yields its lanes
+    unmaterialized, anything else its results."""
+    from ..orchestrate.engine import CampaignResults
+
+    if isinstance(results, CampaignResults):
+        return results.lanes()
+    return results
+
+
+def _rows(items, indent: int):
+    """The ``results`` row text of each of *items* (results or lanes),
+    in order.
+
+    Rows sharing a :func:`_row_key` are filled from one
+    :func:`_row_template`.  A lane fills its leader's template with the
+    leader's stamps plus its delta: a lane's row is its leader's row
+    moved in time.
+    """
+    from ..orchestrate.batch import Lane
+
+    templates: Dict[tuple, Optional[Callable[[tuple], str]]] = {}
+    # id(leader) -> (template, stamps with None as 0), or None when the
+    # leader's row has no template.  A None stamp's hole prints nothing,
+    # whatever its argument.
+    leaders: Dict[int, Optional[tuple]] = {}
+
+    def template(result, key):
+        try:
+            fill = templates.get(key, _ABSENT)
+        except TypeError:  # an unhashable exported value
+            return None
+        if fill is _ABSENT:
+            fill = templates[key] = _row_template(result, indent)
+        return fill
+
+    for item in items:
+        if type(item) is Lane:
+            leader, delta = item
+            shift = leaders.get(id(leader), _ABSENT)
+            if shift is _ABSENT:
+                key, stamps = _row_key(leader)
+                fill = template(leader, key)
+                shift = leaders[id(leader)] = None if fill is None else (
+                    fill, tuple(0 if stamp is None else stamp for stamp in stamps)
+                )
+            if shift is not None:
+                fill, stamps = shift
+                yield fill(tuple(map(delta.__add__, stamps)))
+                continue
+            item = item.materialize()
+        key, stamps = _row_key(item)
+        fill = template(item, key)
+        if fill is None:
+            yield row_json(_result_entry(item), indent)
+        else:
+            yield fill(stamps)
+
+
 def write_campaign_json(results, stream, spec=None, indent: int = 2) -> int:
     """Stream a campaign export, byte-identical to the in-memory path.
 
     Emits exactly the text ``to_json(campaign_dict(results, spec=spec))``
-    produces, but one result at a time — aggregation as a streamed,
+    produces, rows in bounded chunks — aggregation as a streamed,
     index-ordered query instead of an in-memory list.  *results* is a
     re-iterable collection of result objects (a list is simply iterated
     twice), or a zero-argument callable returning a fresh iterator
     (e.g. ``lambda: store.iter_results(spec.runs())``): the aggregate
     counts precede the entries in the sorted-key layout, so the writer
-    makes two passes and never holds more than one result.  A one-shot
-    iterator (a generator) would come back empty on the second pass and
-    is rejected with :class:`TypeError`.  Returns the number of results
-    written.
+    makes two passes and never holds more than a chunk of rows.  A
+    one-shot iterator (a generator) would come back empty on the second
+    pass and is rejected with :class:`TypeError`.  A
+    :class:`~repro.orchestrate.engine.CampaignResults` is read without
+    materializing its lanes: each lane's counts and row come from its
+    leader and delta.  Returns the number of results written.
     """
     if not callable(results) and iter(results) is results:
         raise TypeError(
@@ -371,49 +512,27 @@ def write_campaign_json(results, stream, spec=None, indent: int = 2) -> int:
         )
 
     def fresh():
-        return iter(results() if callable(results) else results)
+        return iter(_items(results() if callable(results) else results))
+
+    runs, detected, recovered, scheduler = _tally(fresh())
 
     pad = " " * indent
-    runs = detected = recovered = 0
-
-    def stat_rows():
-        nonlocal runs, detected, recovered
-        for result in fresh():
-            runs += 1
-            if result.detect_cycle is not None:
-                detected += 1
-            if result.recovered:
-                recovered += 1
-            try:
-                stats = _stats_getter(type(result))(result)
-            except AttributeError:  # a declared field this instance lacks
-                stats = _stats_or_zero(result)
-            yield stats
-
-    scheduler = _sum_stats(stat_rows())
-
     write = stream.write
     write("{\n")
     write(f'{pad}"detected": {detected},\n')
     write(f'{pad}"recovered": {recovered},\n')
     write(f'{pad}"results": [')
+    rows = _rows(fresh(), indent)
     separator = "\n" + pad * 2
-    templates: Dict[tuple, Optional[Callable[[tuple], str]]] = {}
+    joiner = ",\n" + pad * 2
     written = 0
-    for result in fresh():
-        key, stamps = _row_key(result)
-        try:
-            fill = templates.get(key, _ABSENT)
-        except TypeError:  # an unhashable exported value
-            fill = None
-        if fill is _ABSENT:
-            fill = templates[key] = _row_template(result, indent)
-        if fill is None:
-            write(separator + row_json(_result_entry(result), indent))
-        else:
-            write(separator + fill(stamps))
-        separator = ",\n" + pad * 2
-        written += 1
+    while True:
+        chunk = list(itertools.islice(rows, _ROW_CHUNK))
+        if not chunk:
+            break
+        write(separator + joiner.join(chunk))
+        separator = joiner
+        written += len(chunk)
     write(("\n" + pad + "]") if written else "]")
     write(",\n")
     write(f'{pad}"runs": {runs},\n')

@@ -44,7 +44,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .analysis.export import write_campaign_json
+from .analysis.export import outcome_counts, write_campaign_json
 from .analysis.report import render_series, render_table
 from .area.gf12 import REFERENCE_PRESCALE_STEP
 from .area.model import estimate_area, prescaler_saving
@@ -318,8 +318,8 @@ def cmd_fig11(args) -> int:
         print(f"wrote {args.telemetry}", file=sys.stderr)
     rows = []
     for i, label in enumerate(FIG11_LABELS):
-        # Series are stage-major then seed: seed 0 is the figure's
-        # canonical phase; extra seeds only widen the campaign JSON.
+        # Series are stage-major then seed: the table quotes seed 0, the
+        # figure's canonical phase; the counts below cover every seed.
         fc = series[Variant.FULL.value][i * len(seeds)]
         tc = series[Variant.TINY.value][i * len(seeds)]
         rows.append(
@@ -333,7 +333,10 @@ def cmd_fig11(args) -> int:
             title="Fig. 11: system-level detection latency (250-beat frame)",
         )
     )
-    return 0
+    counts = [outcome_counts(results) for results in series.values()]
+    runs, detected, recovered = (sum(column) for column in zip(*counts))
+    print(f"{runs} runs | {detected} detected | {recovered} recovered")
+    return 0 if detected == recovered == runs else 1
 
 
 def _campaign_spec(args) -> CampaignSpec:
@@ -379,6 +382,12 @@ def cmd_campaign(args) -> int:
     if metrics is not None:
         write_telemetry(metrics, args.telemetry)
         print(f"wrote {args.telemetry}", file=sys.stderr)
+    if args.json_out:
+        # Streamed writer: byte-identical to to_json(campaign_dict(...))
+        # but never materializes the export dict.  Written before the
+        # table, which materializes every derived lane.
+        with open(args.json_out, "w") as stream:
+            write_campaign_json(results, stream, spec=spec)
     rows = [
         [
             run.run_id,
@@ -399,16 +408,11 @@ def cmd_campaign(args) -> int:
             ),
         )
     )
-    detected = sum(1 for result in results if result.detected)
-    recovered = sum(1 for result in results if result.recovered)
-    print(f"{len(results)} runs | {detected} detected | {recovered} recovered")
+    runs, detected, recovered = outcome_counts(results)
+    print(f"{runs} runs | {detected} detected | {recovered} recovered")
     if args.json_out:
-        # Streamed writer: byte-identical to to_json(campaign_dict(...))
-        # but never materializes the export dict.
-        with open(args.json_out, "w") as stream:
-            write_campaign_json(results, stream, spec=spec)
         print(f"wrote {args.json_out}")
-    return 0 if detected == recovered == len(results) else 1
+    return 0 if detected == recovered == runs else 1
 
 
 def cmd_report(args) -> int:

@@ -15,7 +15,7 @@ for the Tiny-Counter).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from ..axi.interface import AxiInterface
 from ..axi.manager import Manager
@@ -450,7 +450,7 @@ def run_campaign(
     size: int = 3,
     outstanding: int = 1,
     reorder_depth: int = 0,
-) -> List[InjectionResult]:
+) -> Sequence[InjectionResult]:
     """Cross-product campaign over configurations, stages and seeds.
 
     Runs through the orchestration engine (:mod:`repro.orchestrate`):
@@ -464,7 +464,9 @@ def run_campaign(
     by a killed run of this one — and *progress* enables the live status
     line.  Result ordering is canonical (config-major, then stage, then
     seed) regardless of executor, so the parallel path is a drop-in
-    replacement for the historical serial loop.
+    replacement for the historical serial loop.  The engine returns a
+    :class:`~repro.orchestrate.engine.CampaignResults`, which builds a
+    batch-derived lane's result only when it is indexed.
 
     Configs whose budget policy the spec serializer does not understand
     (a custom :class:`AdaptiveBudgetPolicy` subclass) fall back to the

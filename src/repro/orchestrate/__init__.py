@@ -22,15 +22,16 @@ Layers (one module each):
   layer, serving both superset-sweep reuse and crash-safe resume.
 * :mod:`~repro.orchestrate.progress` — live progress/ETA reporting.
 * :mod:`~repro.orchestrate.engine` — :func:`run_campaign_spec`, the
-  driver tying the above together.
+  driver tying the above together, and :class:`CampaignResults`, the
+  lazy result sequence it returns.
 
 ``repro.faults.campaign.run_campaign`` and
 ``repro.soc.experiment.run_fig11`` are thin wrappers over this engine;
 ``python -m repro campaign`` exposes it from the shell.
 """
 
-from .batch import BatchExecutor, BatchStats
-from .engine import run_campaign_spec
+from .batch import BatchExecutor, BatchStats, Lane
+from .engine import CampaignResults, run_campaign_spec
 from .executor import (
     SerialExecutor,
     WorkerPoolExecutor,
@@ -53,7 +54,9 @@ from .store import STORE_FORMAT, ResultStore
 __all__ = [
     "BatchExecutor",
     "BatchStats",
+    "CampaignResults",
     "CampaignSpec",
+    "Lane",
     "ProgressReporter",
     "ResultStore",
     "RunSpec",

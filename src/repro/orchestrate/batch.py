@@ -17,8 +17,10 @@ of simulating every lane, the executor:
 3. runs one scalar *leader* per pack with a
    :class:`~repro.sim.batch.LeapTrace` probe attached;
 4. checks the leader's inert-prefix evidence and derives every
-   follower lane's result as ``leader.shifted(delta)`` — O(1) per lane
-   instead of a full simulation;
+   follower lane as a :class:`Lane` — the leader's result and the seed
+   delta, which the engine turns into ``leader.shifted(delta)`` only
+   when a caller indexes it — O(1) per lane instead of a full
+   simulation;
 5. *retires* any lane the evidence does not cover (seed inside the
    startup transient, detection horizon crossed, undeclared component,
    non-leaping kernel, forced divergence) to the scalar kernel, so
@@ -26,10 +28,14 @@ of simulating every lane, the executor:
 
 The full soundness argument lives in :mod:`repro.sim.batch`.  The
 executor honours the standard ``map(shards) -> (shard_index, results)``
-contract, so planning, caching, progress and aggregation in the engine
-are untouched — ``--batch-lanes 64`` is byte-identical to the serial
-scalar executor by construction, and the differential test battery
-(``tests/integration/test_batch_figures.py``) holds it to that.
+contract, except that a derived item may be a :class:`Lane` instead of
+a result object: the engine resolves lanes (it materializes them before
+a store write, and its :class:`~repro.orchestrate.engine.
+CampaignResults` on first index), and the JSON export writes their rows
+from the leader's without materializing them.  ``--batch-lanes 64`` is
+byte-identical to the serial scalar executor by construction, and the
+differential test battery (``tests/integration/test_batch_figures.py``)
+holds it to that.
 
 With ``verify=True`` the executor extends ``strategy="verify"`` to the
 batch path: every *derived* lane is additionally replayed on the
@@ -41,9 +47,14 @@ naming the offending lane.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+import operator
+from typing import (
+    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence,
+    Tuple,
+)
 
 from ..sim.batch import LeapTrace, lane_classes, lockstep_period
 from ..sim.kernel import SchedulerDivergenceError
@@ -51,6 +62,31 @@ from .executor import HarnessCache, execute_run, harness_key
 from .spec import RunSpec, Shard
 
 ShardResult = Tuple[int, list]
+
+
+class Lane(NamedTuple):
+    """A derived lane, not yet materialized: its result is
+    ``leader.shifted(delta)``.
+
+    *leader* is the executor's private copy of the pack leader's
+    result, shared by every lane of the pack, so a caller mutating the
+    leader result it was handed cannot change a lane.
+    """
+
+    leader: Any
+    delta: int
+
+    def materialize(self):
+        return self.leader.shifted(self.delta)
+
+
+#: The :class:`RunSpec` fields two runs must share, besides their
+#: config, to share a pack: everything but the seed and the index.
+_pack_fields = operator.attrgetter(
+    "kind", "stage", "beats", "background", "detect_timeout",
+    "recovery_timeout", "harness_kwargs", "size", "outstanding",
+    "reorder_depth",
+)
 
 
 @dataclasses.dataclass
@@ -146,48 +182,36 @@ class BatchExecutor:
             self._execute_group(group, results, cache)
         self._report_status()
         self._flush_metrics()
+        # *runs* lists each shard's runs in turn: slice its results out.
+        ordered = [results[run.index] for run in runs]
+        start = 0
         for shard in shards:
-            yield shard.index, [results[run.index] for run in shard.runs]
+            end = start + len(shard.runs)
+            yield shard.index, ordered[start:end]
+            start = end
 
     # ------------------------------------------------------------------
     # Grouping and pack planning
     # ------------------------------------------------------------------
     @staticmethod
-    def _batch_key(run: RunSpec, config_text: Optional[str] = None) -> Tuple:
+    def _batch_key(run: RunSpec) -> Tuple:
         """Everything that must match for two runs to share a pack —
-        i.e. the whole spec except the seed (and the run's index).
-
-        *config_text* is ``run.config`` already serialized, for callers
-        keying many runs that share one config dict.
-        """
-        if config_text is None:
-            config_text = json.dumps(run.config, sort_keys=True)
-        return (
-            run.kind,
-            config_text,
-            run.stage,
-            run.beats,
-            run.background,
-            run.detect_timeout,
-            run.recovery_timeout,
-            run.harness_kwargs,
-            run.size,
-            run.outstanding,
-            run.reorder_depth,
-        )
+        i.e. the whole spec except the seed (and the run's index)."""
+        return (json.dumps(run.config, sort_keys=True),) + _pack_fields(run)
 
     def _group_runs(self, runs: Sequence[RunSpec]) -> List[List[RunSpec]]:
         groups: Dict[Tuple, List[RunSpec]] = {}
-        # A campaign shares a handful of config dicts across all its
-        # runs: serialize each once, keyed by identity (*runs* keeps
-        # every dict alive, so no id is reused during the loop).
-        config_texts: Dict[int, str] = {}
+        # A campaign lists the seeds of one (config, stage) point next
+        # to each other, sharing one config dict: key each such stretch
+        # once.  The config is compared by identity, since equal dicts
+        # may serialize apart (``1 == True``).
+        config = fields = members = None
         for run in runs:
-            text = config_texts.get(id(run.config))
-            if text is None:
-                text = json.dumps(run.config, sort_keys=True)
-                config_texts[id(run.config)] = text
-            groups.setdefault(self._batch_key(run, text), []).append(run)
+            shared = _pack_fields(run)
+            if run.config is not config or shared != fields:
+                config, fields = run.config, shared
+                members = groups.setdefault(self._batch_key(run), [])
+            members.append(run)
         return list(groups.values())
 
     def _period_for(self, run: RunSpec, cache: HarnessCache) -> Optional[int]:
@@ -285,21 +309,31 @@ class BatchExecutor:
                 continue
             derivable = self._derivable_lanes(leader, leader_result, queue)
             followers, queue = queue, []
+            # Without a verify replay or a derive hook, which both need
+            # the result object, a derived lane stays a (leader, delta)
+            # pair until a caller indexes it.
+            lazy = not self.verify and self.derive_hook is None
+            if lazy:
+                base = copy.copy(leader_result)
+            derived = 0
             for run, ok in zip(followers, derivable):
                 if not ok:
                     results[run.index] = self._scalar(run, cache)
                     continue
-                derived = leader_result.shifted(run.seed - leader.seed)
-                if self.derive_hook is not None:
-                    derived = self.derive_hook(run, derived)
-                if self.verify:
-                    self._verify_lane(run, leader, derived)
-                results[run.index] = derived
-                self.stats.derived += 1
-                if self._reporter is not None and hasattr(
-                    self._reporter, "runs_derived"
-                ):
-                    self._reporter.runs_derived(1)
+                delta = run.seed - leader.seed
+                if lazy:
+                    results[run.index] = Lane(base, delta)
+                else:
+                    result = leader_result.shifted(delta)
+                    if self.derive_hook is not None:
+                        result = self.derive_hook(run, result)
+                    if self.verify:
+                        self._verify_lane(run, leader, result)
+                    results[run.index] = result
+                derived += 1
+            self.stats.derived += derived
+            if derived and hasattr(self._reporter, "runs_derived"):
+                self._reporter.runs_derived(derived)
             return
 
     def _derivable_lanes(

@@ -26,12 +26,73 @@ finished.
 
 from __future__ import annotations
 
+import collections.abc
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Union
+from typing import IO, Any, List, Optional, Union
 
+from .batch import Lane
 from .executor import default_workers, make_executor
 from .progress import ProgressReporter
 from .spec import CampaignSpec, RunSpec, plan_shards
+
+
+class CampaignResults(collections.abc.Sequence):
+    """A campaign's results in canonical run order (read-only).
+
+    Holds result objects and :class:`~repro.orchestrate.batch.Lane`
+    values — lanes the batch executor derived but nobody has looked at
+    yet.  Indexing (or iterating) materializes a lane once, as
+    ``leader.shifted(delta)``, and keeps it, so ``r[i] is r[i]``.  A
+    slice is a view over the same items and stays lazy.  Compares equal
+    to a list (either way round) of equal results, and ``r + list`` /
+    ``list + r`` give plain lists.
+    :func:`~repro.analysis.export.write_campaign_json` writes a lane's
+    row and counts from its leader, materializing nothing.
+    """
+
+    __slots__ = ("_items", "_span")
+
+    def __init__(self, items: List[Any], span: Optional[range] = None) -> None:
+        self._items = items
+        self._span = range(len(items)) if span is None else span
+
+    def __len__(self) -> int:
+        return len(self._span)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return CampaignResults(self._items, self._span[key])
+        index = self._span[key]
+        item = self._items[index]
+        if type(item) is Lane:
+            item = self._items[index] = item.materialize()
+        return item
+
+    def lanes(self):
+        """The items in order, each a result or a not yet materialized
+        :class:`~repro.orchestrate.batch.Lane`; materializes nothing."""
+        return map(self._items.__getitem__, self._span)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, CampaignResults)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine is theirs or mine == theirs
+            for mine, theirs in zip(self, other)
+        )
+
+    def __add__(self, other):
+        if not isinstance(other, (list, CampaignResults)):
+            return NotImplemented
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        if not isinstance(other, list):
+            return NotImplemented
+        return other + list(self)
+
+    def __repr__(self) -> str:
+        return f"CampaignResults({list(self)!r})"
 
 
 def run_campaign_spec(
@@ -45,8 +106,14 @@ def run_campaign_spec(
     metrics=None,
     store=None,
     collect: bool = True,
-) -> Optional[List]:
+) -> Optional[CampaignResults]:
     """Execute *spec* and return results in canonical run order.
+
+    The results come as a :class:`CampaignResults` sequence.  A lane the
+    batch executor derived stays a (leader, delta) pair until indexed,
+    so a sweep exported with
+    :func:`~repro.analysis.export.write_campaign_json` never builds
+    its derived results at all.
 
     Parameters
     ----------
@@ -65,7 +132,9 @@ def run_campaign_spec(
         A pre-built executor (anything with the ``map(shards)``
         contract) overriding the *workers*-based choice.  Planning,
         reuse and aggregation are identical whichever executor runs the
-        shards.
+        shards.  A yielded item may be a result or a
+        :class:`~repro.orchestrate.batch.Lane`; the engine resolves
+        lanes.
     batch_lanes:
         When set, runs the frontier through the lockstep batch executor
         (:class:`~repro.orchestrate.batch.BatchExecutor`) with packs of
@@ -85,9 +154,10 @@ def run_campaign_spec(
         open one at).  Runs already present are fetched instead of
         simulated, and every executed run is written back as it
         completes — so the same call is both incremental reuse across
-        overlapping sweeps and crash-safe resume.
+        overlapping sweeps and crash-safe resume.  A lane is
+        materialized before it is written.
     collect:
-        ``False`` skips materializing the result list (the call returns
+        ``False`` skips collecting the results (the call returns
         ``None``); every result is still reachable through the store's
         streamed, index-ordered query
         (:meth:`~repro.orchestrate.store.ResultStore.iter_results`).
@@ -108,11 +178,8 @@ def run_campaign_spec(
             len(runs), stream=None if progress is True else progress
         )
 
-    results_by_index: Dict[int, Any] = {}
-
-    def keep(run: RunSpec, result) -> None:
-        if collect:
-            results_by_index[run.index] = result
+    # One slot per run: spec.runs() numbers the runs by position.
+    items: List[Any] = [None] * len(runs) if collect else []
 
     # Stored runs are fetched; what remains is the frontier — the only
     # work any executor will see.
@@ -123,8 +190,8 @@ def run_campaign_spec(
             result = store.get(run)
             if result is None:
                 frontier.append(run)
-            else:
-                keep(run, result)
+            elif collect:
+                items[run.index] = result
         reused = len(runs) - len(frontier)
         if reporter and reused:
             reporter.shard_done(reused, cached=True)
@@ -150,10 +217,16 @@ def run_campaign_spec(
             executor.attach_metrics(metrics)
     for index, results in executor.map(shards):
         shard = shards[index]
-        for run, result in zip(shard.runs, results):
-            keep(run, result)
-            if store is not None:
+        if store is None:
+            for run, result in zip(shard.runs, results):
+                items[run.index] = result
+        else:
+            for run, result in zip(shard.runs, results):
+                if type(result) is Lane:
+                    result = result.materialize()
                 store.put(run, result)
+                if collect:
+                    items[run.index] = result
         if metrics is not None:
             metrics["campaign.runs_executed"] += len(shard.runs)
         if reporter:
@@ -164,7 +237,7 @@ def run_campaign_spec(
 
     if not collect:
         return None
-    return [results_by_index[run.index] for run in runs]
+    return CampaignResults(items)
 
 
 def _open_store(store, metrics):

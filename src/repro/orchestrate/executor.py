@@ -1,7 +1,9 @@
 """Shard executors: in-process serial and multiprocessing worker pool.
 
 Both executors expose the same contract — ``map(shards)`` yields
-``(shard_index, [result, ...])`` pairs, in *any* order — and both build
+``(shard_index, [result, ...])`` pairs, in *any* order; the lockstep
+batch executor's items may also be :class:`~repro.orchestrate.batch.
+Lane` values, derived lanes the engine resolves — and both build
 every harness inside the process that simulates it, so no
 :class:`~repro.sim.kernel.Simulator` state ever crosses a process
 boundary.  Only plain :class:`~repro.orchestrate.spec.RunSpec` data

@@ -11,7 +11,7 @@ while Tc always reports at the end of the full budget.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..faults.types import InjectionStage
 from ..tmu.config import Variant
@@ -334,7 +334,7 @@ def run_fig11(
     size: int = 3,
     outstanding: int = 1,
     reorder_depth: int = 0,
-) -> Dict[str, List[SystemInjectionResult]]:
+) -> Dict[str, Sequence[SystemInjectionResult]]:
     """All Fig. 11 series: both variants across the six write stages.
 
     The sweep runs through the orchestration engine
@@ -352,7 +352,10 @@ def run_fig11(
 
     *seeds* sweeps each (variant, stage) point over start-delay phase
     offsets; each variant's series is stage-major, then seed (length
-    ``len(FIG11_STAGES) * len(seeds)``).
+    ``len(FIG11_STAGES) * len(seeds)``).  Each series is a lazy slice of
+    the engine's :class:`~repro.orchestrate.engine.CampaignResults`: the
+    batch executor's derived lanes become result objects only when
+    indexed, so a caller reading the seed-0 rows builds only those.
     """
     from ..orchestrate import CampaignSpec, run_campaign_spec
 

@@ -387,3 +387,19 @@ def test_streamed_scheduler_block_reads_missing_and_odd_stats_as_campaign_dict()
     mixed = [legacy, odd] + results
     text, _count = _stream(mixed)
     assert text == to_json(campaign_dict(mixed))
+
+    # Unmaterialized lanes count from their leader: odd stats times the
+    # lane count, and a float leap count (where int(value + delta) is not
+    # int(value) + delta) lane by lane.
+    from repro.orchestrate import CampaignResults, Lane
+
+    floaty = dataclasses.replace(results[2], sim_cycles_leaped=2.75)
+    lanes = CampaignResults(
+        [legacy, odd, Lane(odd, 3), Lane(odd, 5), Lane(floaty, 4),
+         Lane(floaty, -3)] + results
+    )
+    expected = [legacy, odd, odd.shifted(3), odd.shifted(5), floaty.shifted(4),
+                floaty.shifted(-3)] + results
+    text, count = _stream(lanes)
+    assert text == to_json(campaign_dict(expected))
+    assert count == len(expected)

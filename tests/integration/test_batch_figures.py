@@ -10,15 +10,24 @@ disabled entirely by an undeclared component.
 Unlike the kernel-mode differentials (``test_update_skip_figures``),
 these comparisons keep the ``scheduler`` aggregate: a derived lane's
 leap statistics are computed, not simulated, and must still equal the
-scalar kernel's exactly.
+scalar kernel's exactly.  A batched campaign is also exported by the
+streamed writer first, which reads every derived lane as its leader
+and seed delta without materializing it.
 """
+
+import io
 
 import pytest
 
-from repro.analysis.export import campaign_dict, to_json
+from repro.analysis.export import campaign_dict, to_json, write_campaign_json
 from repro.axi.manager import Manager
 from repro.faults.types import InjectionStage
-from repro.orchestrate import BatchExecutor, CampaignSpec, run_campaign_spec
+from repro.orchestrate import (
+    BatchExecutor,
+    CampaignSpec,
+    Lane,
+    run_campaign_spec,
+)
 from repro.tmu.budget import AdaptiveBudgetPolicy, PhaseBudgets, SpanBudgets
 from repro.tmu.config import TmuConfig, Variant
 
@@ -77,6 +86,21 @@ def full_json(spec: CampaignSpec, executor=None) -> str:
     return to_json(campaign_dict(run_campaign_spec(spec, executor=executor)))
 
 
+def streamed_json(results) -> str:
+    buffer = io.StringIO()
+    write_campaign_json(results, buffer)
+    return buffer.getvalue()
+
+
+def batch_jsons(spec: CampaignSpec, executor) -> tuple:
+    """The batched campaign's JSON from the streamed writer, which reads
+    unmaterialized lanes, then from ``campaign_dict``, which indexes
+    (and so materializes) every lane."""
+    results = run_campaign_spec(spec, executor=executor)
+    streamed = streamed_json(results)
+    return streamed, to_json(campaign_dict(results))
+
+
 @pytest.fixture(scope="module")
 def fig9_serial_json():
     return full_json(fig9_spec())
@@ -90,7 +114,9 @@ def fig11_serial_json():
 @pytest.mark.parametrize("lanes", [1, 8, 64])
 def test_fig9_batch_byte_identical(lanes, fig9_serial_json):
     executor = BatchExecutor(lanes)
-    assert full_json(fig9_spec(), executor) == fig9_serial_json
+    streamed, materialized = batch_jsons(fig9_spec(), executor)
+    assert materialized == fig9_serial_json
+    assert streamed == fig9_serial_json
     if lanes == 1:
         # Width-1 packs are their own leaders: pure scalar degenerate.
         assert executor.stats.derived == 0
@@ -101,9 +127,22 @@ def test_fig9_batch_byte_identical(lanes, fig9_serial_json):
 @pytest.mark.parametrize("lanes", [1, 8, 64])
 def test_fig11_batch_byte_identical(lanes, fig11_serial_json):
     executor = BatchExecutor(lanes)
-    assert full_json(fig11_spec(), executor) == fig11_serial_json
+    streamed, materialized = batch_jsons(fig11_spec(), executor)
+    assert materialized == fig11_serial_json
+    assert streamed == fig11_serial_json
     if lanes > 1:
         assert executor.stats.derived > 0
+
+
+def test_fig11_lane_of_a_leader_with_a_none_stamp(fig11_serial_json):
+    # W_READY_MISSING never sees a first W beat: its leader's
+    # w_first_cycle is None, which a lane's row must keep as null.
+    results = run_campaign_spec(fig11_spec(), executor=BatchExecutor(8))
+    assert any(
+        type(item) is Lane and item.leader.w_first_cycle is None
+        for item in results.lanes()
+    )
+    assert streamed_json(results) == fig11_serial_json
 
 
 def test_fig9_batch_identical_without_time_leaping():
@@ -111,9 +150,12 @@ def test_fig9_batch_identical_without_time_leaping():
     # produce inert-prefix evidence: the whole campaign must retire to
     # the scalar kernel — and still match it byte for byte.
     executor = BatchExecutor(8)
-    assert full_json(
+    serial_json = full_json(fig9_spec(sim_time_leaping=False))
+    streamed, materialized = batch_jsons(
         fig9_spec(sim_time_leaping=False), executor
-    ) == full_json(fig9_spec(sim_time_leaping=False))
+    )
+    assert materialized == serial_json
+    assert streamed == serial_json
     assert executor.stats.derived == 0
     assert executor.stats.retired > 0
 
@@ -122,14 +164,18 @@ def test_fig9_forced_mid_pack_retirement_byte_identical(fig9_serial_json):
     # Retire two interior lanes of every pack: the executor must splice
     # scalar reruns into the derived stream without disturbing either.
     executor = BatchExecutor(8, force_retire=lambda run: run.seed in (3, 5))
-    assert full_json(fig9_spec(), executor) == fig9_serial_json
+    streamed, materialized = batch_jsons(fig9_spec(), executor)
+    assert materialized == fig9_serial_json
+    assert streamed == fig9_serial_json
     assert executor.stats.derived > 0
     assert executor.stats.retired > 0
 
 
 def test_fig11_forced_mid_pack_retirement_byte_identical(fig11_serial_json):
     executor = BatchExecutor(8, force_retire=lambda run: run.seed == 5)
-    assert full_json(fig11_spec(), executor) == fig11_serial_json
+    streamed, materialized = batch_jsons(fig11_spec(), executor)
+    assert materialized == fig11_serial_json
+    assert streamed == fig11_serial_json
     assert executor.stats.derived > 0
 
 

@@ -6,6 +6,7 @@ the Fig. 9 IP sweep and the Fig. 11 system sweep), and a warm result
 store returns identical results without simulating anything.
 """
 
+import dataclasses
 import io
 import sqlite3
 from collections import Counter
@@ -16,8 +17,11 @@ from tests.conftest import fast_budgets
 
 from repro.faults.campaign import run_campaign
 from repro.faults.types import FIG9_WRITE_STAGES, InjectionStage
+from repro.analysis.export import campaign_dict, to_json, write_campaign_json
 from repro.orchestrate import (
+    CampaignResults,
     CampaignSpec,
+    Lane,
     ProgressReporter,
     ResultStore,
     SerialExecutor,
@@ -29,8 +33,8 @@ from repro.orchestrate import (
 )
 from repro.orchestrate import executor as executor_module
 from repro.orchestrate.store import DB_NAME
-from repro.soc.experiment import run_fig11
-from repro.tmu.config import full_config, tiny_config
+from repro.soc.experiment import FIG11_STAGES, SystemInjectionResult, run_fig11
+from repro.tmu.config import Variant, full_config, tiny_config
 
 FIG9_SUBSET = (
     InjectionStage.AW_READY_MISSING,
@@ -177,6 +181,94 @@ def test_worker_pool_reorders_are_invisible():
         engine_module.make_executor = original
     assert reordered == scrambled
     assert len(shards) == len(scrambled)
+
+
+# ----------------------------------------------------------------------
+# The lazy result sequence
+# ----------------------------------------------------------------------
+def lane_spec():
+    return CampaignSpec.system(
+        (Variant.FULL, Variant.TINY), FIG11_STAGES[:2], beats=16,
+        seeds=range(8),
+    )
+
+
+def test_campaign_results_read_as_a_list():
+    lazy = run_campaign_spec(lane_spec(), batch_lanes=8)
+    serial = list(run_campaign_spec(lane_spec()))
+    assert isinstance(lazy, CampaignResults)
+    lanes = [i for i, item in enumerate(lazy.lanes()) if type(item) is Lane]
+    assert len(lanes) > 2
+    first, second = lanes[:2]
+    # A lane materializes once: the same object on every access, also
+    # through a slice, which is a view over the same items.
+    assert lazy[first] is lazy[first]
+    view = lazy[second:]
+    assert isinstance(view, CampaignResults)
+    assert type(next(iter(lazy[second:].lanes()))) is Lane
+    assert view[0] is lazy[second]
+    assert lazy[first:second + 1:second - first] == [lazy[first], lazy[second]]
+    assert lazy[-1] == serial[-1]
+    with pytest.raises(IndexError):
+        lazy[len(serial)]
+    assert lazy == serial and serial == lazy
+    assert not lazy != serial
+    assert lazy != serial[:-1] and serial[1:] != lazy
+    assert lazy == run_campaign_spec(lane_spec())
+    for joined in (lazy + serial, serial + lazy, lazy + lazy):
+        assert type(joined) is list
+        assert joined == serial + serial
+
+
+def test_store_keeps_materialized_lanes(tmp_path):
+    # A stored result must be a result: the engine materializes each
+    # lane before the store write, and keeps that object.
+    stored = run_campaign_spec(lane_spec(), batch_lanes=8, store=tmp_path)
+    assert not any(type(item) is Lane for item in stored.lanes())
+    assert stored == list(run_campaign_spec(lane_spec()))
+
+
+def test_mutating_a_leader_leaves_unmaterialized_lanes_alone():
+    lazy = run_campaign_spec(lane_spec(), batch_lanes=8)
+    expected = list(run_campaign_spec(lane_spec()))
+    handed_out = [
+        i for i, item in enumerate(lazy.lanes()) if type(item) is not Lane
+    ]
+    for i in handed_out:
+        lazy[i].recovered = False
+        lazy[i].fault_kind = "mutated"
+        expected[i] = dataclasses.replace(
+            expected[i], recovered=False, fault_kind="mutated"
+        )
+    buffer = io.StringIO()
+    write_campaign_json(lazy, buffer)
+    assert buffer.getvalue() == to_json(campaign_dict(expected))
+    assert lazy == expected
+
+
+def test_run_fig11_materializes_no_lane_until_indexed(monkeypatch):
+    calls = Counter()
+    shifted = SystemInjectionResult.shifted
+
+    def counting(self, delta):
+        calls["shifted"] += 1
+        return shifted(self, delta)
+
+    monkeypatch.setattr(SystemInjectionResult, "shifted", counting)
+    series = run_fig11(seeds=range(64), batch_lanes=64)
+    assert calls["shifted"] == 0
+    full = series[Variant.FULL.value]
+    assert isinstance(full, CampaignResults)
+    block = full[64:128]
+    assert calls["shifted"] == 0
+    assert type(next(iter(block[5:].lanes()))) is Lane
+    assert block[5] is full[69]
+    assert calls["shifted"] == 1
+    tiny = series[Variant.TINY.value]
+    lanes = sum(type(item) is Lane for item in tiny.lanes())
+    assert lanes > 300
+    assert all(result.recovered for result in tiny)
+    assert calls["shifted"] == 1 + lanes
 
 
 # ----------------------------------------------------------------------

@@ -108,8 +108,52 @@ def test_campaign_system_kind(capsys):
 def test_fig11_workers_flag_matches_serial(capsys):
     assert main(["fig11"]) == 0
     serial = capsys.readouterr().out
+    assert "12 runs | 12 detected | 12 recovered" in serial
     assert main(["fig11", "--workers", "2"]) == 0
     assert capsys.readouterr().out == serial
+
+
+def _fig11_series(seeds, unrecovered):
+    """Fig. 11 series over *seeds* where only the run *unrecovered*
+    (variant, stage index, seed) fails to recover."""
+    from repro.soc.experiment import FIG11_STAGES, SystemInjectionResult
+
+    return {
+        variant: [
+            SystemInjectionResult(
+                stage=stage, variant=variant, txn_start_cycle=seed,
+                inject_cycle=seed + 5, w_first_cycle=seed + 2,
+                detect_cycle=seed + 15, fault_phase=None, fault_kind=None,
+                ethernet_resets=1, cpu_recoveries=1,
+                recovered=(variant, index, seed) != unrecovered,
+            )
+            for index, stage in enumerate(FIG11_STAGES)
+            for seed in range(seeds)
+        ]
+        for variant in ("full", "tiny")
+    }
+
+
+@pytest.mark.parametrize(
+    "unrecovered, failed_row",
+    [(("tiny", 2, 0), True), (("full", 4, 3), False)],
+    ids=["seed-0", "seed-3"],
+)
+def test_fig11_exits_1_when_any_run_is_unrecovered(
+    capsys, monkeypatch, unrecovered, failed_row
+):
+    # The table quotes seed 0 alone, but the exit status and the counts
+    # line cover every seed of both series.
+    import repro.cli
+
+    monkeypatch.setattr(
+        repro.cli, "run_fig11",
+        lambda seeds, **kwargs: _fig11_series(len(seeds), unrecovered),
+    )
+    assert main(["fig11", "--seeds", "4"]) == 1
+    out = capsys.readouterr().out
+    assert ("FAILED" in out) is failed_row
+    assert "48 runs | 48 detected | 47 recovered" in out
 
 
 def test_campaign_resume_flags(capsys, tmp_path):
