@@ -14,6 +14,7 @@ Two measurements of `repro.orchestrate.store`:
 Both land in ``BENCH_kernel.json`` under ``campaign_store_reuse``.
 """
 
+import gc
 import time
 from collections import Counter
 
@@ -40,17 +41,24 @@ def measure(tmp_root):
     store_dir = tmp_root / "store"
     timings = {}
 
+    # Each timed campaign starts from a fresh collection: in a full-suite
+    # run the heap holds every collected test module, and one full
+    # collection of it (tens of ms) owed by earlier tests could
+    # otherwise land in the short warm region and swamp it.
+    gc.collect()
     start = time.perf_counter()
     run_campaign_spec(spec(SUBSET_SEEDS), store=store_dir)
     timings["cold_subset_seconds"] = time.perf_counter() - start
 
     metrics = Counter()
+    gc.collect()
     start = time.perf_counter()
     superset = run_campaign_spec(
         spec(SUPERSET_SEEDS), store=store_dir, metrics=metrics
     )
     timings["warm_superset_seconds"] = time.perf_counter() - start
 
+    gc.collect()
     start = time.perf_counter()
     cold = run_campaign_spec(spec(SUPERSET_SEEDS))
     timings["cold_superset_seconds"] = time.perf_counter() - start

@@ -12,7 +12,9 @@ import itertools
 import json
 import operator
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple,
+)
 
 from ..area.model import AreaReport
 from ..sim.kernel import Simulator
@@ -317,15 +319,19 @@ def _row_key(result) -> Tuple[tuple, tuple]:
     return (values[len(stamps):], tuple(map(type, values))), stamps
 
 
-def _row_template(result, indent: int) -> Optional[Callable[[tuple], str]]:
-    """A function from the stamps of any row sharing *result*'s
-    :func:`_row_key` to that row's text.
+def _row_template(result, indent: int) -> Optional[Tuple[tuple, tuple, str]]:
+    """The text of every row sharing *result*'s :func:`_row_key`, as
+    ``(segments, holes, fmt)``.
 
-    The template is *result*'s ``row_json`` text with every literal
-    piece ``%``-escaped and a hole per stamp — ``%d`` for a plain int —
-    so filling it costs one C-level ``%`` format per row.  ``None``
-    when the row is not flat or a stamp is neither ``None`` nor a plain
-    int: such rows take ``row_json`` each.
+    *holes* are the positions, in the row's stamp tuple, of the stamps
+    that are plain ints; *segments* are the literal text around them
+    (one more than *holes*; a ``None`` stamp is written ``null`` inside
+    a segment), for :func:`_fill`.  *fmt* is the same text as a
+    ``%``-format taking the row's whole stamp tuple — a ``%d`` per hole,
+    and a ``None`` stamp's ``%.0s`` consumes its argument and prints
+    nothing — so one row is one C-level ``%`` fill.  ``None`` when the
+    row is not flat or a stamp is neither ``None`` nor a plain int: such
+    rows take ``row_json`` each.
     """
     entry = _result_entry(result)
     stamp_keys = _SYSTEM_STAMPS if "w_first_cycle" in entry else _IP_STAMPS
@@ -335,22 +341,59 @@ def _row_template(result, indent: int) -> Optional[Callable[[tuple], str]]:
         type(stamp) is int or stamp is None for stamp in stamps
     ):
         return None
-    # A None stamp's hole consumes its argument and prints nothing
-    # (``%.0s``), so every template takes the row's whole stamp tuple.
-    holes = {
-        key: "%d" if stamp is not None else "null%.0s"
-        for key, stamp in zip(stamp_keys, stamps)
-    }
-    pieces = [piece.replace("%", "%%") for piece in parts]
-    for position, (key, _head) in enumerate(_row_layout(tuple(entry), indent)):
-        if key in holes:
-            pieces[2 * position + 1] = holes[key]
-    return ("".join(pieces) + "\n" + " " * (indent * 2) + "}").__mod__
+    stamp_of = dict(zip(stamp_keys, stamps))
+    segments, fmt = [""], []
+    for position, (key, head) in enumerate(_row_layout(tuple(entry), indent)):
+        text = parts[2 * position + 1]
+        segments[-1] += head
+        fmt.append(head.replace("%", "%%"))
+        if stamp_of.get(key) is not None:
+            segments.append("")
+            fmt.append("%d")
+        else:
+            segments[-1] += text
+            fmt.append(text.replace("%", "%%") + "%.0s" * (key in stamp_of))
+    close = "\n" + " " * (indent * 2) + "}"
+    segments[-1] += close
+    holes = tuple(
+        position for position, stamp in enumerate(stamps) if stamp is not None
+    )
+    return tuple(segments), holes, "".join(fmt) + close
+
+
+def _fill(segments: tuple, columns: list, rows: int, joiner: str) -> str:
+    """*rows* rows of one template joined by *joiner*; row ``r`` has the
+    ``r``-th int of ``columns[h]`` (an iterable) in hole ``h``.
+
+    The rows are built as one list of text pieces — each column's
+    values converted by one C-level ``map`` into every row's slot at
+    once — and joined once.
+    """
+    if len(segments) == 1:
+        return joiner.join(segments * rows)
+    stride = 2 * len(columns)
+    pieces: List[Any] = [None] * (1 + rows * stride)
+    pieces[0] = segments[0]
+    last = segments[-1] + joiner + segments[0]
+    for hole, column in enumerate(columns, 1):
+        pieces[2 * hole - 1 :: stride] = map(str, column)
+        after = segments[hole] if hole < len(columns) else last
+        pieces[2 * hole :: stride] = [after] * rows
+    pieces[-1] = segments[-1]
+    return "".join(pieces)
 
 
 #: Rows joined into one ``write``: a bounded piece of text, never the
 #: whole ``results`` array.
 _ROW_CHUNK = 1024
+
+
+class _Lanes(NamedTuple):
+    """A stretch of one :class:`~repro.orchestrate.batch.Pack`'s not yet
+    materialized lanes, by their run indices."""
+
+    pack: Any
+    indices: range
 
 
 def _stats_of(result) -> tuple:
@@ -360,54 +403,77 @@ def _stats_of(result) -> tuple:
         return _stats_or_zero(result)
 
 
-def _tally(items) -> Tuple[int, int, int, Dict[str, int]]:
+def _blocks(results):
+    """*results* in order as blocks, without materializing a lane: runs
+    of results (iterables), and each stretch of adjacent slots in which
+    a :class:`~repro.orchestrate.engine.CampaignResults` holds one
+    pack's lanes, as one :class:`_Lanes`."""
+    from ..orchestrate.engine import CampaignResults
+
+    if not isinstance(results, CampaignResults):
+        return (results,)
+    return _slot_blocks(results)
+
+
+def _slot_blocks(results):
+    from ..orchestrate.batch import Pack
+
+    span = results.span
+    start = 0
+    for kind, group in itertools.groupby(results.lanes(), type):
+        group = list(group)
+        if kind is not Pack:
+            yield group
+        else:
+            # Adjacent pack slots may hold different packs.
+            first = start
+            for _, lanes in itertools.groupby(group, id):
+                end = first + len(list(lanes))
+                yield _Lanes(group[first - start], span[first:end])
+                first = end
+        start += len(group)
+
+
+def _tally(blocks) -> Tuple[int, int, int, Dict[str, int]]:
     """Runs, detected runs, recovered runs and the ``scheduler`` block of
-    *items* — results, or :class:`~repro.orchestrate.batch.Lane` values
-    counted as their ``leader.shifted(delta)`` — as :func:`campaign_dict`
+    *blocks* (see :func:`_blocks`), as :func:`campaign_dict`
     counts them, without materializing a lane.
 
     A lane has its leader's flags and statistics, except
-    ``cycles_leaped``, which grows by the delta.  So each leader's lanes
-    count once: the leader's values times its lane count, plus the
-    summed deltas.  Where the leader's ``cycles_leaped`` is not a plain
-    int, ``int((value + delta) or 0)`` need not be ``int(value or 0) +
+    ``cycles_leaped``, which grows by the delta.  So each pack counts
+    once: the leader's values times its lane count, plus the summed
+    deltas.  Where the leader's ``cycles_leaped`` is not a plain int,
+    ``int((value + delta) or 0)`` need not be ``int(value or 0) +
     delta``, and its lanes are counted materialized, one at a time.
     """
-    # Imported here: the orchestration package loads far more than an
-    # export needs.
-    from ..orchestrate.batch import Lane
-
     runs = detected = recovered = 0
-    packs: Dict[int, Optional[list]] = {}  # id(leader) -> [leader, lanes, deltas]
+    packs: Dict[int, list] = {}  # id(pack) -> [pack, lanes, summed deltas]
 
     def stat_rows():
         nonlocal runs, detected, recovered
-        for result in items:
-            if type(result) is Lane:
-                leader, delta = result
-                pack = packs.get(id(leader), _ABSENT)
-                if pack is _ABSENT:
-                    leaped = getattr(leader, "sim_cycles_leaped", None)
-                    pack = packs[id(leader)] = (
-                        [leader, 0, 0] if type(leaped) in (int, bool) else None
-                    )
-                if pack is not None:
-                    pack[1] += 1
-                    pack[2] += delta
+        for block in blocks:
+            if type(block) is not _Lanes:
+                results = block
+            else:
+                pack, indices = block
+                leaped = getattr(pack.leader, "sim_cycles_leaped", None)
+                if type(leaped) in (int, bool):
+                    entry = packs.setdefault(id(pack), [pack, 0, 0])
+                    entry[1] += len(indices)
+                    entry[2] += sum(map(pack.deltas.__getitem__, indices))
                     continue
-                result = result.materialize()
-            runs += 1
-            if result.detect_cycle is not None:
-                detected += 1
-            if result.recovered:
-                recovered += 1
-            yield _stats_of(result)
+                results = map(pack.lane, indices)
+            for result in results:
+                runs += 1
+                if result.detect_cycle is not None:
+                    detected += 1
+                if result.recovered:
+                    recovered += 1
+                yield _stats_of(result)
 
     scheduler = _sum_stats(stat_rows())
-    for pack in packs.values():
-        if pack is None:
-            continue
-        leader, lanes, deltas = pack
+    for pack, lanes, deltas in packs.values():
+        leader = pack.leader
         runs += lanes
         if leader.detect_cycle is not None:
             detected += lanes
@@ -421,70 +487,56 @@ def _tally(items) -> Tuple[int, int, int, Dict[str, int]]:
 
 def outcome_counts(results) -> Tuple[int, int, int]:
     """Runs, detected runs and recovered runs of *results*, as the
-    campaign export counts them.  The lanes of a
+    campaign export counts them.  The packed lanes of a
     :class:`~repro.orchestrate.engine.CampaignResults` are counted from
     their leaders, not materialized."""
-    return _tally(_items(results))[:3]
+    return _tally(_blocks(results))[:3]
 
 
-def _items(results):
-    """*results* as export items: a
-    :class:`~repro.orchestrate.engine.CampaignResults` yields its lanes
-    unmaterialized, anything else its results."""
-    from ..orchestrate.engine import CampaignResults
-
-    if isinstance(results, CampaignResults):
-        return results.lanes()
-    return results
-
-
-def _rows(items, indent: int):
-    """The ``results`` row text of each of *items* (results or lanes),
-    in order.
+def _row_texts(blocks, indent: int, joiner: str):
+    """The ``results`` rows of *blocks* (see :func:`_blocks`), in order,
+    as ``(text, rows)`` pairs: *rows* rows (at most ``_ROW_CHUNK``)
+    joined by *joiner*.
 
     Rows sharing a :func:`_row_key` are filled from one
-    :func:`_row_template`.  A lane fills its leader's template with the
-    leader's stamps plus its delta: a lane's row is its leader's row
-    moved in time.
+    :func:`_row_template`.  A pack's lanes fill its leader's template
+    with the leader's stamps plus each lane's delta, a chunk of lanes
+    in one :func:`_fill`: a lane's row is its leader's row moved in
+    time.
     """
-    from ..orchestrate.batch import Lane
+    templates: Dict[tuple, Optional[tuple]] = {}
 
-    templates: Dict[tuple, Optional[Callable[[tuple], str]]] = {}
-    # id(leader) -> (template, stamps with None as 0), or None when the
-    # leader's row has no template.  A None stamp's hole prints nothing,
-    # whatever its argument.
-    leaders: Dict[int, Optional[tuple]] = {}
-
-    def template(result, key):
+    def template(result):
+        key, stamps = _row_key(result)
         try:
-            fill = templates.get(key, _ABSENT)
+            found = templates.get(key, _ABSENT)
         except TypeError:  # an unhashable exported value
-            return None
-        if fill is _ABSENT:
-            fill = templates[key] = _row_template(result, indent)
-        return fill
+            return None, stamps
+        if found is _ABSENT:
+            found = templates[key] = _row_template(result, indent)
+        return found, stamps
 
-    for item in items:
-        if type(item) is Lane:
-            leader, delta = item
-            shift = leaders.get(id(leader), _ABSENT)
-            if shift is _ABSENT:
-                key, stamps = _row_key(leader)
-                fill = template(leader, key)
-                shift = leaders[id(leader)] = None if fill is None else (
-                    fill, tuple(0 if stamp is None else stamp for stamp in stamps)
-                )
-            if shift is not None:
-                fill, stamps = shift
-                yield fill(tuple(map(delta.__add__, stamps)))
-                continue
-            item = item.materialize()
-        key, stamps = _row_key(item)
-        fill = template(item, key)
-        if fill is None:
-            yield row_json(_result_entry(item), indent)
-        else:
-            yield fill(stamps)
+    for block in blocks:
+        if type(block) is not _Lanes:
+            for result in block:
+                found, stamps = template(result)
+                if found is None:
+                    yield row_json(_result_entry(result), indent), 1
+                else:
+                    yield found[2] % stamps, 1
+            continue
+        pack, indices = block
+        found, stamps = template(pack.leader)
+        if found is None:
+            for index in indices:
+                yield row_json(_result_entry(pack.lane(index)), indent), 1
+            continue
+        segments, holes, _fmt = found
+        for start in range(0, len(indices), _ROW_CHUNK):
+            chunk = indices[start : start + _ROW_CHUNK]
+            deltas = list(map(pack.deltas.__getitem__, chunk))
+            columns = [map(stamps[hole].__add__, deltas) for hole in holes]
+            yield _fill(segments, columns, len(chunk), joiner), len(chunk)
 
 
 def write_campaign_json(results, stream, spec=None, indent: int = 2) -> int:
@@ -501,8 +553,10 @@ def write_campaign_json(results, stream, spec=None, indent: int = 2) -> int:
     one-shot iterator (a generator) would come back empty on the second
     pass and is rejected with :class:`TypeError`.  A
     :class:`~repro.orchestrate.engine.CampaignResults` is read without
-    materializing its lanes: each lane's counts and row come from its
-    leader and delta.  Returns the number of results written.
+    materializing its packed lanes: a pack counts as its lane count
+    times the leader plus the summed deltas, and its rows are written
+    from the leader's row template.  Returns the number of results
+    written.
     """
     if not callable(results) and iter(results) is results:
         raise TypeError(
@@ -511,8 +565,14 @@ def write_campaign_json(results, stream, spec=None, indent: int = 2) -> int:
             "callable returning a fresh iterator, not a one-shot iterator"
         )
 
-    def fresh():
-        return iter(_items(results() if callable(results) else results))
+    if callable(results):
+        def fresh():
+            return _blocks(results())
+    else:
+        blocks = list(_blocks(results))
+
+        def fresh():
+            return blocks
 
     runs, detected, recovered, scheduler = _tally(fresh())
 
@@ -522,17 +582,24 @@ def write_campaign_json(results, stream, spec=None, indent: int = 2) -> int:
     write(f'{pad}"detected": {detected},\n')
     write(f'{pad}"recovered": {recovered},\n')
     write(f'{pad}"results": [')
-    rows = _rows(fresh(), indent)
     separator = "\n" + pad * 2
     joiner = ",\n" + pad * 2
     written = 0
-    while True:
-        chunk = list(itertools.islice(rows, _ROW_CHUNK))
-        if not chunk:
-            break
-        write(separator + joiner.join(chunk))
-        separator = joiner
-        written += len(chunk)
+    chunk: List[str] = []
+    rows = 0
+    for text, count in _row_texts(fresh(), indent, joiner):
+        chunk.append(text)
+        rows += count
+        if rows >= _ROW_CHUNK:
+            write(separator)
+            write(joiner.join(chunk))
+            separator = joiner
+            written += rows
+            chunk, rows = [], 0
+    if chunk:
+        write(separator)
+        write(joiner.join(chunk))
+        written += rows
     write(("\n" + pad + "]") if written else "]")
     write(",\n")
     write(f'{pad}"runs": {runs},\n')

@@ -602,7 +602,11 @@ def _add_campaign_axes(parser: argparse.ArgumentParser) -> None:
         help="background CVA6 transactions (system campaigns)",
     )
     _add_dark_corner_axes(parser)
-    parser.add_argument("--shard-size", type=_positive_int, default=1)
+    parser.add_argument(
+        "--shard-size", type=_positive_int, default=1,
+        help="runs per process-pool task with --workers > 1 (default 1); "
+        "larger tasks amortize pickling for very short runs",
+    )
     _add_store_arg(parser)
     parser.add_argument(
         "--json", dest="json_out", default=None,

@@ -455,7 +455,7 @@ def run_campaign(
 
     Runs through the orchestration engine (:mod:`repro.orchestrate`):
     *workers* > 1 shards the sweep across a process pool (*executor*,
-    anything with the ``map(shards)`` contract, overrides the choice),
+    anything with the ``map(runs)`` contract, overrides the choice),
     *batch_lanes* routes same-config seed sweeps through the lockstep
     batch executor (:class:`~repro.orchestrate.batch.BatchExecutor`;
     *batch_verify* replays every derived lane on the scalar verify

@@ -1,22 +1,24 @@
-"""Campaign orchestration: shard, parallelize and store injection sweeps.
+"""Campaign orchestration: plan, parallelize and store injection sweeps.
 
 The paper's headline experiments are fault-injection *campaigns* — many
 independent simulations swept over TMU configs, injection stages and
-phase offsets.  This package turns any such sweep into a deterministic
-shard plan, executes it serially or across a ``multiprocessing`` worker
-pool, records every result in a run-keyed store, and aggregates results
-back into the exact order the serial runners produce.
+phase offsets.  This package turns any such sweep into a canonical run
+list, executes it serially, in lockstep packs or across a
+``multiprocessing`` worker pool, records every result in a run-keyed
+store, and aggregates results back into the exact order the serial
+runners produce.
 
 Layers (one module each):
 
 * :mod:`~repro.orchestrate.spec` — :class:`CampaignSpec` → canonical
-  :class:`RunSpec` list → :class:`Shard` plan, plus the spec hash.
-* :mod:`~repro.orchestrate.executor` — serial and process-pool shard
+  :class:`RunSpec` list, plus the spec hash; the :class:`Shard` plan
+  the process pool hands its workers.
+* :mod:`~repro.orchestrate.executor` — serial and process-pool
   executors; per-worker harness construction.
 * :mod:`~repro.orchestrate.batch` — the lockstep batch executor
   (:class:`BatchExecutor`): packs of same-config lanes derived from one
   scalar leader run, with evidence-gated retirement to the scalar
-  kernel.
+  kernel, each yielded as one :class:`Pack`.
 * :mod:`~repro.orchestrate.store` — the run-granular result store
   (:class:`ResultStore`): hot LRU over WAL SQLite; the one persistence
   layer, serving both superset-sweep reuse and crash-safe resume.
@@ -30,7 +32,7 @@ Layers (one module each):
 ``python -m repro campaign`` exposes it from the shell.
 """
 
-from .batch import BatchExecutor, BatchStats, Lane
+from .batch import BatchExecutor, BatchStats, Pack
 from .engine import CampaignResults, run_campaign_spec
 from .executor import (
     SerialExecutor,
@@ -56,7 +58,7 @@ __all__ = [
     "BatchStats",
     "CampaignResults",
     "CampaignSpec",
-    "Lane",
+    "Pack",
     "ProgressReporter",
     "ResultStore",
     "RunSpec",

@@ -8,7 +8,7 @@ pure *time shifts* of one another (seeds map to the IP harness's
 of simulating every lane, the executor:
 
 1. groups pending runs by their *batch key* — everything but seed and
-   index — across shard boundaries;
+   index;
 2. splits each group into congruence classes modulo the simulation's
    lockstep period (:func:`repro.sim.batch.lockstep_period`, the lcm of
    every component's declared
@@ -17,25 +17,22 @@ of simulating every lane, the executor:
 3. runs one scalar *leader* per pack with a
    :class:`~repro.sim.batch.LeapTrace` probe attached;
 4. checks the leader's inert-prefix evidence and derives every
-   follower lane as a :class:`Lane` — the leader's result and the seed
-   delta, which the engine turns into ``leader.shifted(delta)`` only
-   when a caller indexes it — O(1) per lane instead of a full
-   simulation;
+   follower lane as its seed delta from the leader — the lane's result
+   is ``leader.shifted(delta)``, built only when a caller asks for it —
+   O(1) per lane instead of a full simulation;
 5. *retires* any lane the evidence does not cover (seed inside the
    startup transient, detection horizon crossed, undeclared component,
    non-leaping kernel, forced divergence) to the scalar kernel, so
    coverage degrades gracefully instead of wrongly.
 
-The full soundness argument lives in :mod:`repro.sim.batch`.  The
-executor honours the standard ``map(shards) -> (shard_index, results)``
-contract, except that a derived item may be a :class:`Lane` instead of
-a result object: the engine resolves lanes (it materializes them before
-a store write, and its :class:`~repro.orchestrate.engine.
-CampaignResults` on first index), and the JSON export writes their rows
-from the leader's without materializing them.  ``--batch-lanes 64`` is
-byte-identical to the serial scalar executor by construction, and the
-differential test battery (``tests/integration/test_batch_figures.py``)
-holds it to that.
+The full soundness argument lives in :mod:`repro.sim.batch`.  Under
+the standard ``map(runs) -> (run indices, values)`` contract the
+executor yields one item per pack, as soon as the pack finishes, whose
+values are one :class:`Pack`.  The engine keeps the pack whole, and
+the JSON export writes its rows from the leader's without
+materializing them.  ``--batch-lanes 64`` is byte-identical to the
+serial scalar executor by construction, and the differential test
+battery (``tests/integration/test_batch_figures.py``) holds it to that.
 
 With ``verify=True`` the executor extends ``strategy="verify"`` to the
 batch path: every *derived* lane is additionally replayed on the
@@ -47,37 +44,56 @@ naming the offending lane.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import dataclasses
+import itertools
 import json
 import operator
 from typing import (
-    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence,
-    Tuple,
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from ..sim.batch import LeapTrace, lane_classes, lockstep_period
 from ..sim.kernel import SchedulerDivergenceError
-from .executor import HarnessCache, execute_run, harness_key
-from .spec import RunSpec, Shard
+from .executor import HarnessCache, Item, execute_run, harness_key
+from .spec import RunSpec
 
-ShardResult = Tuple[int, list]
+_index = operator.attrgetter("index")
+_seed = operator.attrgetter("seed")
 
 
-class Lane(NamedTuple):
-    """A derived lane, not yet materialized: its result is
-    ``leader.shifted(delta)``.
+@dataclasses.dataclass(eq=False)
+class Pack:
+    """One lockstep pack's results, as one executor value.
 
-    *leader* is the executor's private copy of the pack leader's
-    result, shared by every lane of the pack, so a caller mutating the
-    leader result it was handed cannot change a lane.
+    Covers the runs *indices* (canonical run indices, in pack order)
+    and iterates their results in that order.  A lane that ran — the
+    leader, a retired or promoted lane, or a derived lane a verify
+    replay or derive hook needed as an object — has its result in
+    *ran*.  Every other lane is derived: its result is
+    ``leader.shifted(deltas[index])``, built by :meth:`lane` each time
+    it is asked for.  *leader* is the executor's private copy of the
+    pack leader's result, so a caller mutating the leader result it was
+    handed cannot change a lane.
     """
 
-    leader: Any
-    delta: int
+    indices: Tuple[int, ...]
+    ran: Dict[int, Any]
+    leader: Any = None
+    deltas: Dict[int, int] = dataclasses.field(default_factory=dict)
 
-    def materialize(self):
-        return self.leader.shifted(self.delta)
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __iter__(self) -> Iterator[Any]:
+        ran = self.ran
+        for index in self.indices:
+            yield ran[index] if index in ran else self.lane(index)
+
+    def lane(self, index: int):
+        """A new result object for derived lane *index*."""
+        return self.leader.shifted(self.deltas[index])
 
 
 #: The :class:`RunSpec` fields two runs must share, besides their
@@ -105,7 +121,7 @@ class BatchStats:
 
 
 class BatchExecutor:
-    """Executes shards by lockstep packs of same-config lanes.
+    """Executes runs by lockstep packs of same-config lanes.
 
     Parameters
     ----------
@@ -128,8 +144,6 @@ class BatchExecutor:
         derivation and watch it get caught.
     """
 
-    workers = 1
-
     def __init__(
         self,
         lanes: int,
@@ -146,7 +160,6 @@ class BatchExecutor:
         self.stats = BatchStats()
         self._reporter = None
         self._metrics = None
-        self._metrics_flushed: Dict[str, int] = {}
         self._period_cache: Dict[Tuple, Optional[int]] = {}
 
     # ------------------------------------------------------------------
@@ -161,34 +174,34 @@ class BatchExecutor:
         ``attach_progress``)."""
         self._metrics = metrics
 
-    def _flush_metrics(self) -> None:
-        metrics = self._metrics
-        if metrics is None:
-            return
-        # Delta against the last flush so repeated map() calls on one
-        # executor never double-count.
-        for field in dataclasses.fields(BatchStats):
-            value = getattr(self.stats, field.name)
-            delta = value - self._metrics_flushed.get(field.name, 0)
-            if delta:
-                metrics[f"batch.{field.name}"] += delta
-            self._metrics_flushed[field.name] = value
-
-    def map(self, shards: Sequence[Shard]) -> Iterator[ShardResult]:
-        runs = [run for shard in shards for run in shard.runs]
-        results: Dict[int, object] = {}
+    def map(self, runs: Sequence[RunSpec]) -> Iterator[Item]:
+        """Yield one ``(run indices, Pack)`` item per pack of *runs* as
+        soon as it finishes (per run where no lockstep period holds)."""
+        # Stats before this call: a repeated map() on one executor
+        # publishes only its own counts.
+        before = dataclasses.asdict(self.stats)
         cache = HarnessCache()
         for group in self._group_runs(runs):
-            self._execute_group(group, results, cache)
+            period = self._period_for(group[0], cache)
+            if period is None:
+                # An unaudited component (phase_period undeclared): the
+                # conservative answer is to batch nothing.
+                for run in group:
+                    yield (run.index,), [self._scalar(run, cache)]
+                continue
+            # Congruence classes modulo the period, each ascending by
+            # seed, then packs of at most ``lanes`` lanes.
+            for members in lane_classes(group, period, seed=_seed).values():
+                for start in range(0, len(members), self.lanes):
+                    pack = members[start : start + self.lanes]
+                    values = self._execute_pack(pack, cache)
+                    self._report_status()
+                    yield values.indices, values
         self._report_status()
-        self._flush_metrics()
-        # *runs* lists each shard's runs in turn: slice its results out.
-        ordered = [results[run.index] for run in runs]
-        start = 0
-        for shard in shards:
-            end = start + len(shard.runs)
-            yield shard.index, ordered[start:end]
-            start = end
+        if self._metrics is not None:
+            for name, value in dataclasses.asdict(self.stats).items():
+                if value != before[name]:
+                    self._metrics[f"batch.{name}"] += value - before[name]
 
     # ------------------------------------------------------------------
     # Grouping and pack planning
@@ -233,29 +246,6 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # Pack execution
     # ------------------------------------------------------------------
-    def _execute_group(
-        self,
-        group: List[RunSpec],
-        results: Dict[int, object],
-        cache: HarnessCache,
-    ) -> None:
-        period = self._period_for(group[0], cache)
-        if period is None:
-            # An unaudited component (phase_period undeclared): the
-            # conservative answer is to batch nothing.
-            for run in group:
-                results[run.index] = self._scalar(run, cache)
-            return
-        by_seed: Dict[int, List[RunSpec]] = {}
-        for run in group:
-            by_seed.setdefault(run.seed, []).append(run)
-        for residue_seeds in lane_classes(sorted(by_seed), period).values():
-            members = [run for seed in residue_seeds for run in by_seed[seed]]
-            for start in range(0, len(members), self.lanes):
-                self._execute_pack(
-                    members[start : start + self.lanes], results, cache
-                )
-
     @staticmethod
     def _onset(run: RunSpec) -> int:
         """First stimulus-dependent cycle of *run*.
@@ -272,34 +262,32 @@ class BatchExecutor:
         """
         return run.seed if run.kind == "system" else run.seed - 1
 
-    def _execute_pack(
-        self,
-        pack: List[RunSpec],
-        results: Dict[int, object],
-        cache: HarnessCache,
-    ) -> None:
+    def _execute_pack(self, pack: List[RunSpec], cache: HarnessCache) -> Pack:
         self.stats.packs += 1
-        forced = self.force_retire or (lambda run: False)
-        queue: List[RunSpec] = []
-        for run in pack:
-            # A lane whose onset is at (or before) cycle 1 can never
-            # show an inert pre-onset *gap* — the kernel always steps
-            # cycle 0 — so it runs scalar unconditionally, as do lanes
-            # the caller forcibly retires.
-            if self._onset(run) >= 2 and not forced(run):
-                queue.append(run)
-            else:
-                results[run.index] = self._scalar(run, cache)
+        # A lane whose onset is at (or before) cycle 1 can never show an
+        # inert pre-onset *gap* — the kernel always steps cycle 0 — so
+        # it runs scalar unconditionally, as do lanes the caller
+        # forcibly retires.  The pack ascends by seed, so the early
+        # lanes lead it.
+        early = bisect.bisect_left(pack, 2, key=self._onset)
+        scalar, queue = pack[:early], pack[early:]
+        if self.force_retire is not None:
+            scalar += [run for run in queue if self.force_retire(run)]
+            queue = [run for run in queue if not self.force_retire(run)]
+        ran: Dict[int, Any] = {
+            run.index: self._scalar(run, cache) for run in scalar
+        }
+        values = Pack(tuple(map(_index, pack)), ran)
         while queue:
             leader = queue.pop(0)
             onset = self._onset(leader)
             trace = LeapTrace(onset=onset)
-            results[leader.index] = leader_result = execute_run(
+            ran[leader.index] = leader_result = execute_run(
                 leader, trace=trace, cache=cache
             )
             self.stats.leaders += 1
             if not queue:
-                return
+                break
             if not trace.inert_before(onset):
                 # No evidence from this lane (non-leaping kernel, or
                 # the transient reaches its onset): its own result
@@ -308,33 +296,31 @@ class BatchExecutor:
                 self.stats.promoted += 1
                 continue
             derivable = self._derivable_lanes(leader, leader_result, queue)
-            followers, queue = queue, []
-            # Without a verify replay or a derive hook, which both need
-            # the result object, a derived lane stays a (leader, delta)
-            # pair until a caller indexes it.
-            lazy = not self.verify and self.derive_hook is None
-            if lazy:
-                base = copy.copy(leader_result)
-            derived = 0
-            for run, ok in zip(followers, derivable):
+            derived = list(itertools.compress(queue, derivable))
+            for run, ok in zip(queue, derivable):
                 if not ok:
-                    results[run.index] = self._scalar(run, cache)
-                    continue
-                delta = run.seed - leader.seed
-                if lazy:
-                    results[run.index] = Lane(base, delta)
-                else:
-                    result = leader_result.shifted(delta)
+                    ran[run.index] = self._scalar(run, cache)
+            # Without a verify replay or a derive hook, which both need
+            # the result object, a derived lane stays a seed delta until
+            # a caller asks for its result.
+            if not self.verify and self.derive_hook is None:
+                values.leader = copy.copy(leader_result)
+                values.deltas = {
+                    run.index: run.seed - leader.seed for run in derived
+                }
+            else:
+                for run in derived:
+                    result = leader_result.shifted(run.seed - leader.seed)
                     if self.derive_hook is not None:
                         result = self.derive_hook(run, result)
                     if self.verify:
                         self._verify_lane(run, leader, result)
-                    results[run.index] = result
-                derived += 1
-            self.stats.derived += derived
+                    ran[run.index] = result
+            self.stats.derived += len(derived)
             if derived and hasattr(self._reporter, "runs_derived"):
-                self._reporter.runs_derived(derived)
-            return
+                self._reporter.runs_derived(len(derived))
+            break
+        return values
 
     def _derivable_lanes(
         self,

@@ -2,26 +2,23 @@
 
 Glues the layers of this package together: expand a
 :class:`~repro.orchestrate.spec.CampaignSpec` into its canonical run
-list, satisfy what it can from the run-granular result store, plan the
-*frontier* into shards, fan them out through an executor, and
-re-assemble the result stream into the exact ordering the serial
-runners produce.
+list, satisfy what it can from the run-granular result store, hand the
+*frontier* to an executor, and re-assemble the items it yields into
+the exact ordering the serial runners produce.
 
 The engine is deliberately deterministic end to end: run enumeration is
-canonical, shard planning is contiguous, and aggregation is by run
-index — so ``workers=16`` and ``workers=1`` return *equal* result
-lists, and a store hit returns the same objects a fresh simulation
-would.  ``strategy="verify"`` campaigns (via ``harness_kwargs``) plus
-the determinism tests in ``tests/orchestrate/`` are the correctness
-harness for that claim.
+canonical and aggregation is by run index — so ``workers=16`` and
+``workers=1`` return *equal* result lists, and a store hit returns the
+same objects a fresh simulation would.  ``strategy="verify"`` campaigns
+(via ``harness_kwargs``) plus the determinism tests in
+``tests/orchestrate/`` are the correctness harness for that claim.
 
 Reuse and resume are one mechanism.  Every run is looked up in the
 store (*store*) by its campaign-independent parameter hash; only the
-misses are simulated, and each result is committed the moment it
-streams in.  A sweep that supersets an earlier one (more seeds, more
-stages) therefore simulates only its new runs, and a killed campaign
-re-run against the same store simulates only the runs it never
-finished.
+misses are simulated, and each item is committed the moment it streams
+in.  A sweep that supersets an earlier one (more seeds, more stages)
+therefore simulates only its new runs, and a killed campaign re-run
+against the same store simulates only the runs it never finished.
 """
 
 from __future__ import annotations
@@ -30,24 +27,25 @@ import collections.abc
 from pathlib import Path
 from typing import IO, Any, List, Optional, Union
 
-from .batch import Lane
+from .batch import Pack
 from .executor import default_workers, make_executor
 from .progress import ProgressReporter
-from .spec import CampaignSpec, RunSpec, plan_shards
+from .spec import CampaignSpec, RunSpec
 
 
 class CampaignResults(collections.abc.Sequence):
     """A campaign's results in canonical run order (read-only).
 
-    Holds result objects and :class:`~repro.orchestrate.batch.Lane`
-    values — lanes the batch executor derived but nobody has looked at
-    yet.  Indexing (or iterating) materializes a lane once, as
-    ``leader.shifted(delta)``, and keeps it, so ``r[i] is r[i]``.  A
-    slice is a view over the same items and stays lazy.  Compares equal
-    to a list (either way round) of equal results, and ``r + list`` /
-    ``list + r`` give plain lists.
-    :func:`~repro.analysis.export.write_campaign_json` writes a lane's
-    row and counts from its leader, materializing nothing.
+    Holds one slot per run: its result object, or the
+    :class:`~repro.orchestrate.batch.Pack` of a lane the batch executor
+    derived and nobody has looked at yet — every lane of a pack shares
+    the one pack object.  Indexing (or iterating) materializes a lane
+    once, as the pack's ``leader.shifted(delta)``, and keeps it, so
+    ``r[i] is r[i]``.  A slice is a view over the same slots and stays
+    lazy.  Compares equal to a list (either way round) of equal
+    results, and ``r + list`` / ``list + r`` give plain lists.
+    :func:`~repro.analysis.export.write_campaign_json` writes a pack's
+    rows and counts from its leader, materializing nothing.
     """
 
     __slots__ = ("_items", "_span")
@@ -64,14 +62,20 @@ class CampaignResults(collections.abc.Sequence):
             return CampaignResults(self._items, self._span[key])
         index = self._span[key]
         item = self._items[index]
-        if type(item) is Lane:
-            item = self._items[index] = item.materialize()
+        if type(item) is Pack:
+            item = self._items[index] = item.lane(index)
         return item
 
     def lanes(self):
-        """The items in order, each a result or a not yet materialized
-        :class:`~repro.orchestrate.batch.Lane`; materializes nothing."""
+        """The slots in order, each a result or the :class:`~repro.
+        orchestrate.batch.Pack` of a not yet materialized lane;
+        materializes nothing."""
         return map(self._items.__getitem__, self._span)
+
+    @property
+    def span(self) -> range:
+        """The run indices this sequence covers, in order."""
+        return self._span
 
     def __eq__(self, other):
         if not isinstance(other, (list, CampaignResults)):
@@ -110,10 +114,10 @@ def run_campaign_spec(
     """Execute *spec* and return results in canonical run order.
 
     The results come as a :class:`CampaignResults` sequence.  A lane the
-    batch executor derived stays a (leader, delta) pair until indexed,
-    so a sweep exported with
-    :func:`~repro.analysis.export.write_campaign_json` never builds
-    its derived results at all.
+    batch executor derived stays part of its pack until indexed, so a
+    sweep exported with
+    :func:`~repro.analysis.export.write_campaign_json` never builds its
+    derived results at all.
 
     Parameters
     ----------
@@ -122,19 +126,17 @@ def run_campaign_spec(
         serial, in-process).  Each worker builds its own harness per
         run, so no simulator state is shared.
     shard_size:
-        Runs per unit of work; 1 (the default) gives the best load
-        balancing.  Larger shards amortize per-task pickling for very
-        short runs.
+        Runs per process-pool task (default 1: the best load balancing).
+        Every campaign validates it and counts ``campaign.shards`` by
+        it, whichever executor runs.
     progress:
         ``True`` / a text stream for a live status line with ETA, or a
-        pre-built :class:`ProgressReporter`.
+        pre-built :class:`ProgressReporter`; it advances per executor
+        item (a run, a pool shard or a batch pack).
     executor:
-        A pre-built executor (anything with the ``map(shards)``
-        contract) overriding the *workers*-based choice.  Planning,
-        reuse and aggregation are identical whichever executor runs the
-        shards.  A yielded item may be a result or a
-        :class:`~repro.orchestrate.batch.Lane`; the engine resolves
-        lanes.
+        A pre-built executor (anything with the ``map(runs)`` contract)
+        overriding the *workers*-based choice.  Reuse and aggregation
+        are identical whichever executor runs the frontier.
     batch_lanes:
         When set, runs the frontier through the lockstep batch executor
         (:class:`~repro.orchestrate.batch.BatchExecutor`) with packs of
@@ -152,10 +154,10 @@ def run_campaign_spec(
     store:
         A :class:`~repro.orchestrate.store.ResultStore` (or a path to
         open one at).  Runs already present are fetched instead of
-        simulated, and every executed run is written back as it
-        completes — so the same call is both incremental reuse across
-        overlapping sweeps and crash-safe resume.  A lane is
-        materialized before it is written.
+        simulated, and every executor item is written back, in one
+        transaction, as it completes — so the same call is both
+        incremental reuse across overlapping sweeps and crash-safe
+        resume.  A pack's lanes are materialized before the write.
     collect:
         ``False`` skips collecting the results (the call returns
         ``None``); every result is still reachable through the store's
@@ -163,6 +165,8 @@ def run_campaign_spec(
         (:meth:`~repro.orchestrate.store.ResultStore.iter_results`).
         Requires *store*.
     """
+    if shard_size <= 0:
+        raise ValueError("shard_size must be positive")
     if workers is None:
         workers = default_workers()
     runs = spec.runs()
@@ -198,39 +202,40 @@ def run_campaign_spec(
         if metrics is not None:
             metrics["store.reused_runs"] += reused
             metrics["store.frontier_runs"] += len(frontier)
-    shards = plan_shards(frontier, shard_size=shard_size)
 
     if executor is None:
-        if batch_lanes is not None:
-            executor = make_executor(
-                workers, batch_lanes=batch_lanes, batch_verify=batch_verify
-            )
-        else:
-            executor = make_executor(workers)
+        executor = make_executor(
+            workers, batch_lanes=batch_lanes, batch_verify=batch_verify,
+            shard_size=shard_size,
+        )
     if reporter is not None and hasattr(executor, "attach_progress"):
         executor.attach_progress(reporter)
     if metrics is not None:
         metrics["campaign.runs"] += len(runs)
         metrics["campaign.shards"] += -(-len(runs) // shard_size)
-        metrics["campaign.shards_executed"] += len(shards)
+        metrics["campaign.shards_executed"] += -(-len(frontier) // shard_size)
         if hasattr(executor, "attach_metrics"):
             executor.attach_metrics(metrics)
-    for index, results in executor.map(shards):
-        shard = shards[index]
-        if store is None:
-            for run, result in zip(shard.runs, results):
-                items[run.index] = result
-        else:
-            for run, result in zip(shard.runs, results):
-                if type(result) is Lane:
-                    result = result.materialize()
-                store.put(run, result)
-                if collect:
-                    items[run.index] = result
+    for indices, values in executor.map(frontier):
+        if store is not None:
+            values = list(values)  # a pack's lanes become results here
+            if len(indices) == 1:
+                store.put(runs[indices[0]], values[0])
+            else:
+                store.put_many([runs[index] for index in indices], values)
+        if collect and type(values) is Pack:
+            # The pack stays whole: each derived lane's slot holds it.
+            for index in values.deltas:
+                items[index] = values
+            for index, result in values.ran.items():
+                items[index] = result
+        elif collect:
+            for index, result in zip(indices, values):
+                items[index] = result
         if metrics is not None:
-            metrics["campaign.runs_executed"] += len(shard.runs)
+            metrics["campaign.runs_executed"] += len(indices)
         if reporter:
-            reporter.shard_done(len(shard.runs))
+            reporter.shard_done(len(indices))
 
     if reporter:
         reporter.finish()

@@ -1,15 +1,16 @@
-"""Shard executors: in-process serial and multiprocessing worker pool.
+"""Run executors: in-process serial and multiprocessing worker pool.
 
-Both executors expose the same contract — ``map(shards)`` yields
-``(shard_index, [result, ...])`` pairs, in *any* order; the lockstep
-batch executor's items may also be :class:`~repro.orchestrate.batch.
-Lane` values, derived lanes the engine resolves — and both build
-every harness inside the process that simulates it, so no
-:class:`~repro.sim.kernel.Simulator` state ever crosses a process
-boundary.  Only plain :class:`~repro.orchestrate.spec.RunSpec` data
-travels to workers and only result dataclasses travel back.  Within one
-``map()`` call (or one shard, in a worker) same-shape runs share a
-harness through a one-slot :class:`HarnessCache`, reset between runs.
+Every executor's ``map(runs)`` takes the runs to simulate and yields
+``(run indices, values)`` items, in *any* order, one value per index:
+one item per run (serial), per pack (the lockstep batch executor, whose
+values are a :class:`~repro.orchestrate.batch.Pack`) or per
+:class:`~repro.orchestrate.spec.Shard` (the pool: shards exist only
+where work crosses a process boundary).  Every harness is built inside
+the process that simulates it: only plain
+:class:`~repro.orchestrate.spec.RunSpec` data travels to workers and
+only result dataclasses travel back.  Within one ``map()`` call (or one
+shard, in a worker) same-shape runs share a harness through a one-slot
+:class:`HarnessCache`, reset between runs.
 
 Worker count resolution order: explicit argument, then the
 ``REPRO_WORKERS`` environment variable, then 1 (serial).  The
@@ -24,7 +25,7 @@ import json
 import os
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .spec import RunSpec, Shard
+from .spec import RunSpec, Shard, plan_shards
 
 #: Environment variable selecting the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -32,7 +33,8 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: Environment variable overriding the multiprocessing start method.
 START_METHOD_ENV = "REPRO_MP_START"
 
-ShardResult = Tuple[int, list]
+#: One executor item: run indices and their results, index for index.
+Item = Tuple[Tuple[int, ...], Sequence]
 
 
 def default_workers() -> int:
@@ -97,8 +99,8 @@ class HarnessCache:
     new harness into the slot.  ``reset()`` is exact — a run on a reset
     harness gives the same result, scheduler statistics included, as on
     a new build — so reuse never changes an outcome.  Each executor
-    ``map()`` call (and each shard run without one) owns its cache, so
-    no harness outlives the call that built it.
+    ``map()`` call (and each shard a pool worker runs) owns its cache,
+    so no harness outlives the call that built it.
     """
 
     def __init__(self) -> None:
@@ -175,44 +177,45 @@ def execute_run(run: RunSpec, trace=None, cache: Optional[HarnessCache] = None):
             harness.sim.remove_probe(trace)
 
 
-def execute_shard(
-    shard: Shard, cache: Optional[HarnessCache] = None
-) -> ShardResult:
-    """Worker entry point: run every injection of one shard, in order.
-
-    Same-shape runs share one harness through *cache* (a new one per
-    shard when not given).
-    """
-    if cache is None:
-        cache = HarnessCache()
-    return shard.index, [execute_run(run, cache=cache) for run in shard.runs]
+def execute_shard(shard: Shard) -> Item:
+    """Pool worker entry point: run every injection of one shard, in
+    order, same-shape runs sharing one harness."""
+    cache = HarnessCache()
+    runs = shard.runs
+    return (
+        tuple(run.index for run in runs),
+        [execute_run(run, cache=cache) for run in runs],
+    )
 
 
 class SerialExecutor:
-    """Runs shards one after another in the calling process."""
+    """Runs the runs one after another in the calling process."""
 
-    workers = 1
-
-    def map(self, shards: Sequence[Shard]) -> Iterator[ShardResult]:
+    def map(self, runs: Sequence[RunSpec]) -> Iterator[Item]:
         cache = HarnessCache()
-        for shard in shards:
-            yield execute_shard(shard, cache)
+        for run in runs:
+            yield (run.index,), [execute_run(run, cache=cache)]
 
 
 class WorkerPoolExecutor:
-    """Fans shards out across a ``multiprocessing`` pool.
+    """Fans the runs out across a ``multiprocessing`` pool, in shards
+    of *shard_size* runs (larger shards amortize per-task pickling).
 
     Completion order is arbitrary (``imap_unordered``); the engine
     re-assembles results by run index, so scheduling jitter never
     changes the aggregated output.
     """
 
-    def __init__(self, workers: int) -> None:
+    def __init__(self, workers: int, shard_size: int = 1) -> None:
         if workers <= 0:
             raise ValueError("workers must be positive")
+        if shard_size <= 0:
+            raise ValueError("shard_size must be positive")
         self.workers = workers
+        self.shard_size = shard_size
 
-    def map(self, shards: Sequence[Shard]) -> Iterator[ShardResult]:
+    def map(self, runs: Sequence[RunSpec]) -> Iterator[Item]:
+        shards = plan_shards(runs, shard_size=self.shard_size)
         if not shards:
             return
         # Imported here so serial and batch campaigns (and CLI start-up)
@@ -226,16 +229,17 @@ class WorkerPoolExecutor:
             yield from pool.imap_unordered(execute_shard, shards, chunksize=1)
 
 
-def make_executor(workers: int, batch_lanes=None, batch_verify=False):
+def make_executor(workers: int, batch_lanes=None, batch_verify=False,
+                  shard_size: int = 1):
     """Pick the executor: serial, process pool, or batch.
 
     *batch_lanes* selects the lockstep batch executor
     (:class:`~repro.orchestrate.batch.BatchExecutor`) with packs of at
     most that many lanes (*batch_verify* adds a scalar verify replay of
     every derived lane).  Otherwise *workers* picks between the
-    in-process executors (1 → serial).  The batch axis is exclusive
-    with the process pool: packs are planned over the whole pending run
-    set in one process.
+    in-process executors (1 → serial; more → a pool, fed *shard_size*
+    runs per task).  The batch axis is exclusive with the process pool:
+    packs are planned over the whole pending run set in one process.
     """
     if batch_lanes is not None:
         if workers > 1:
@@ -245,4 +249,6 @@ def make_executor(workers: int, batch_lanes=None, batch_verify=False):
         from .batch import BatchExecutor
 
         return BatchExecutor(batch_lanes, verify=batch_verify)
-    return SerialExecutor() if workers <= 1 else WorkerPoolExecutor(workers)
+    if workers <= 1:
+        return SerialExecutor()
+    return WorkerPoolExecutor(workers, shard_size=shard_size)

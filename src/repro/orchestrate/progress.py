@@ -1,7 +1,8 @@
 """Campaign progress and ETA reporting.
 
-A :class:`ProgressReporter` receives per-shard completion events from
-the engine and renders a single self-overwriting status line::
+A :class:`ProgressReporter` receives one completion event per executor
+item from the engine and renders a single self-overwriting status
+line::
 
     campaign: 132/288 runs (45.8%) | 12 cached | elapsed 14.2s | eta 16.9s
 
@@ -49,7 +50,9 @@ class ProgressReporter:
 
     # ------------------------------------------------------------------
     def shard_done(self, runs: int, cached: bool = False) -> None:
-        """Record one finished shard of *runs* runs and redraw the line."""
+        """Record one finished unit of *runs* runs — an executor item
+        (a run, a pool shard or a batch pack) or the store's hits — and
+        redraw the line."""
         self.done += runs
         if cached:
             self.cached += runs
@@ -60,7 +63,7 @@ class ProgressReporter:
 
         Called by the batch executor for every lane it derives from a
         pack leader.  Derived runs still count towards ``done`` when
-        their shard completes; flagging them here keeps them out of the
+        their pack completes; flagging them here keeps them out of the
         runs-per-second estimate, which would otherwise project the
         near-free derivation rate onto the remaining *simulated* work
         and under-report the ETA.
@@ -88,7 +91,7 @@ class ProgressReporter:
         """Projected seconds to completion, or ``None`` if unknowable.
 
         Never negative.  ``derived`` lanes are flagged *before* their
-        shard reports done, so mid-pack the executed count can dip
+        pack reports done, so mid-pack the executed count can dip
         below zero — that window is "no rate information yet"
         (``None``), not a negative rate; and the final projection is
         clamped so a clock hiccup can never surface as ``eta -0.3s``.

@@ -10,8 +10,9 @@ result list of any executor is byte-for-byte the serial one.
 
 Every run carries a stable, human-readable ``run_id`` and its canonical
 ``index``; :func:`plan_shards` groups runs into contiguous
-:class:`Shard` units of work.  The spec's :meth:`spec_hash` labels
-campaign exports: any parameter change produces a different hash.
+:class:`Shard` units of work for the process pool.  The spec's
+:meth:`spec_hash` labels campaign exports: any parameter change
+produces a different hash.
 Result reuse is keyed per run, by :meth:`RunSpec.param_key`.
 """
 
@@ -142,10 +143,6 @@ class Shard:
     count: int  # total shards in the plan
     runs: Tuple[RunSpec, ...]
 
-    @property
-    def run_ids(self) -> List[str]:
-        return [run.run_id for run in self.runs]
-
 
 @dataclasses.dataclass
 class CampaignSpec:
@@ -261,13 +258,15 @@ class CampaignSpec:
         lets the engine's aggregated output replace their result lists.
         """
         harness_items = tuple(sorted(self.harness_kwargs.items()))
+        new, set_dict = object.__new__, object.__setattr__
         out: List[RunSpec] = []
         for config in self.configs:
             for stage in self.stages:
                 # The seeds of one (config, stage) differ only in index
-                # and seed: copy one constructed spec's fields instead
-                # of re-running the frozen dataclass __init__ (a guarded
-                # setattr per field) for every seed of a large sweep.
+                # and seed: give each a copy of one constructed spec's
+                # fields instead of re-running the frozen dataclass
+                # __init__ (a guarded setattr per field) for every seed
+                # of a large sweep.
                 fields = vars(
                     RunSpec(
                         kind=self.kind,
@@ -286,8 +285,11 @@ class CampaignSpec:
                     )
                 )
                 for seed in self.seeds:
-                    run = object.__new__(RunSpec)
-                    vars(run).update(fields, index=len(out), seed=seed)
+                    run_fields = fields.copy()
+                    run_fields["index"] = len(out)
+                    run_fields["seed"] = seed
+                    run = new(RunSpec)
+                    set_dict(run, "__dict__", run_fields)
                     out.append(run)
         return out
 
@@ -322,28 +324,14 @@ class CampaignSpec:
 
 
 def plan_shards(runs: Sequence[RunSpec], shard_size: int = 1) -> List[Shard]:
-    """Partition *runs* into contiguous shards of at most *shard_size*.
-
-    The default of one run per shard maximizes pool load balancing, and
-    with a result store each run is committed as soon as its shard
-    completes.  Larger shards amortize per-task pickling for very short
-    runs.
-    """
+    """Partition *runs* into contiguous shards of at most *shard_size*:
+    the process pool's tasks (one run per shard maximizes its load
+    balancing; larger shards amortize per-task pickling for very short
+    runs)."""
     if shard_size <= 0:
         raise ValueError("shard_size must be positive")
     starts = range(0, len(runs), shard_size)
-    count = len(starts)
-    # Shard is frozen, so its generated __init__ pays an
-    # object.__setattr__ per field; a sweep plans thousands of one-run
-    # shards, so they are built by filling the instance dict directly
-    # (the same fields, equality and pickling).
-    new = object.__new__
-    shards = []
-    for index, start in enumerate(starts):
-        shard = new(Shard)
-        fields = shard.__dict__
-        fields["index"] = index
-        fields["count"] = count
-        fields["runs"] = tuple(runs[start : start + shard_size])
-        shards.append(shard)
-    return shards
+    return [
+        Shard(index, len(starts), tuple(runs[start : start + shard_size]))
+        for index, start in enumerate(starts)
+    ]

@@ -214,6 +214,35 @@ class ResultStore:
         self._count("store.put" if inserted else "store.duplicate")
         return inserted
 
+    def put_many(self, runs: Sequence[RunSpec], results: Sequence) -> int:
+        """Record each of *results* for its run of *runs* in one
+        transaction; returns how many keys were new.
+
+        The same rows, counts and hot-tier order as ``put`` called for
+        each pair in turn: the first result for a key still wins, a
+        later one — in this call or before it — counts as
+        ``store.duplicate``.
+        """
+        keys = [run.param_key() for run in runs]
+        rows = [
+            (key, run.run_id, STORE_FORMAT,
+             json.dumps(result_to_dict(result), sort_keys=True))
+            for key, run, result in zip(keys, runs, results)
+        ]
+        with self._lock:
+            with self._db:
+                cursor = self._db.executemany(
+                    "INSERT OR IGNORE INTO results "
+                    "(param_key, run_id, format, payload) VALUES (?, ?, ?, ?)",
+                    rows,
+                )
+            inserted = cursor.rowcount
+        for key, result in zip(keys, results):
+            self._remember(key, result)
+        self._count("store.put", inserted)
+        self._count("store.duplicate", len(rows) - inserted)
+        return inserted
+
     def iter_results(self, runs: Sequence[RunSpec]) -> Iterator[Any]:
         """Yield every run's stored result, in the order given.
 
@@ -267,9 +296,9 @@ class ResultStore:
             self._count("store.corrupt")
             return None
 
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics[name] += 1
+    def _count(self, name: str, events: int = 1) -> None:
+        if self.metrics is not None and events:
+            self.metrics[name] += events
 
     def stats(self) -> Dict[str, Any]:
         """Point-in-time store accounting (``repro store stats``)."""

@@ -58,7 +58,7 @@ result) list arithmetic is faster than building arrays for it.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from .component import Component
 
@@ -84,20 +84,27 @@ def lockstep_period(components: Iterable[Component]) -> Optional[int]:
 
 
 def lane_classes(
-    seeds: Sequence[int], period: int
-) -> Dict[int, List[int]]:
-    """Group lane *seeds* into congruence classes modulo *period*.
+    lanes: Iterable, period: int, seed: Optional[Callable[[Any], int]] = None
+) -> Dict[int, List]:
+    """Group *lanes* into congruence classes of their seeds modulo
+    *period*.
 
     Two lanes can share a pack leader only when their seed difference
-    is a multiple of the pack period (soundness condition 1).  Returns
-    ``{residue: [seed, ...]}`` with each class ascending — the batch
+    is a multiple of the pack period (soundness condition 1).  A lane
+    is its own seed unless *seed* reads it from the lane (say, a run
+    spec).  Returns ``{residue: [lane, ...]}`` with each class ascending
+    by seed (lanes of equal seed in their given order) — the batch
     executor packs each class separately.
     """
     if period <= 0:
         raise ValueError(f"period must be positive, got {period}")
-    classes: Dict[int, List[int]] = {}
-    for seed in sorted(seeds):
-        classes.setdefault(seed % period, []).append(seed)
+    ordered = sorted(lanes, key=seed)
+    if period == 1:
+        return {0: ordered} if ordered else {}
+    classes: Dict[int, List] = {}
+    for lane in ordered:
+        residue = (lane if seed is None else seed(lane)) % period
+        classes.setdefault(residue, []).append(lane)
     return classes
 
 

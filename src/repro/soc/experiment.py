@@ -340,7 +340,7 @@ def run_fig11(
     The sweep runs through the orchestration engine
     (:mod:`repro.orchestrate`): *workers* > 1 shards the runs across a
     process pool (each worker builds its own :class:`CheshireSoC`; an
-    explicit *executor* with the ``map(shards)`` contract overrides the
+    explicit *executor* with the ``map(runs)`` contract overrides the
     choice), *batch_lanes* routes the
     sweep through the lockstep batch executor
     (:class:`~repro.orchestrate.batch.BatchExecutor`; *batch_verify*

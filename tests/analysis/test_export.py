@@ -337,6 +337,45 @@ def test_templated_rows_equal_the_dict_export(results):
     assert count == len(results)
 
 
+@st.composite
+def _packed_results(draw):
+    """A CampaignResults whose slots mix results and the lanes of a few
+    packs (interleaved, so a pack's lanes need not be adjacent), some
+    lanes already materialized, read through a random slice."""
+    from repro.orchestrate import CampaignResults, Pack
+
+    leaders = draw(st.lists(_leader(), min_size=1, max_size=3))
+    packs = [Pack((), {}, leader, {}) for leader in leaders]
+    items = []
+    for index in range(draw(st.integers(0, 40))):
+        owner = draw(st.integers(-1, len(packs) - 1))
+        delta = draw(st.integers(0, 2**20))
+        if owner < 0:
+            items.append(draw(st.sampled_from(leaders)).shifted(delta))
+        else:
+            packs[owner].deltas[index] = delta
+            items.append(packs[owner])
+    for pack in packs:
+        pack.indices = tuple(pack.deltas)
+    results = CampaignResults(items)
+    for index in draw(st.lists(st.integers(0, max(len(items) - 1, 0)))):
+        if items:
+            results[index]
+    start, stop = draw(st.integers(-3, 45)), draw(st.integers(-3, 45))
+    step = draw(st.sampled_from([1, 1, 2, 3, -1]))
+    return results[start:stop:step]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_packed_results())
+def test_packed_lanes_export_as_their_materialized_results(results):
+    # Rows and counts of unmaterialized lanes come from their pack's
+    # leader; they must read exactly as the materialized results would.
+    text, count = _stream(results)
+    assert text == to_json(campaign_dict(list(results)))
+    assert count == len(results)
+
+
 def test_templates_keep_values_equal_across_types_apart():
     # True == 1 == 1.0, but their JSON differs: rows that differ only
     # in a value's type must not share a template.  A value that cannot
@@ -391,12 +430,13 @@ def test_streamed_scheduler_block_reads_missing_and_odd_stats_as_campaign_dict()
     # Unmaterialized lanes count from their leader: odd stats times the
     # lane count, and a float leap count (where int(value + delta) is not
     # int(value) + delta) lane by lane.
-    from repro.orchestrate import CampaignResults, Lane
+    from repro.orchestrate import CampaignResults, Pack
 
     floaty = dataclasses.replace(results[2], sim_cycles_leaped=2.75)
+    odd_pack = Pack((2, 3), {}, odd, {2: 3, 3: 5})
+    floaty_pack = Pack((4, 5), {}, floaty, {4: 4, 5: -3})
     lanes = CampaignResults(
-        [legacy, odd, Lane(odd, 3), Lane(odd, 5), Lane(floaty, 4),
-         Lane(floaty, -3)] + results
+        [legacy, odd, odd_pack, odd_pack, floaty_pack, floaty_pack] + results
     )
     expected = [legacy, odd, odd.shifted(3), odd.shifted(5), floaty.shifted(4),
                 floaty.shifted(-3)] + results

@@ -25,7 +25,7 @@ from repro.faults.types import InjectionStage
 from repro.orchestrate import (
     BatchExecutor,
     CampaignSpec,
-    Lane,
+    Pack,
     run_campaign_spec,
 )
 from repro.tmu.budget import AdaptiveBudgetPolicy, PhaseBudgets, SpanBudgets
@@ -139,7 +139,7 @@ def test_fig11_lane_of_a_leader_with_a_none_stamp(fig11_serial_json):
     # w_first_cycle is None, which a lane's row must keep as null.
     results = run_campaign_spec(fig11_spec(), executor=BatchExecutor(8))
     assert any(
-        type(item) is Lane and item.leader.w_first_cycle is None
+        type(item) is Pack and item.leader.w_first_cycle is None
         for item in results.lanes()
     )
     assert streamed_json(results) == fig11_serial_json

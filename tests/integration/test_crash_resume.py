@@ -1,13 +1,13 @@
 """Crash/resume integration: kill a campaign mid-run, resume from the store.
 
 A campaign's crash-safety story is the result store: the engine commits
-every completed run the moment its shard streams in, so a SIGKILLed
+every completed run the moment the serial executor yields it, so a SIGKILLed
 campaign process — the worst case, nothing gets to clean up — can be
 resumed by any later campaign pointed at the same store, and the final
 campaign JSON must be byte-identical to an uninterrupted serial run.
 
 The scenario is gated, not timed: a forked child runs the campaign
-through an executor that executes exactly three shards, then signals
+through an executor that executes exactly three runs, then signals
 and sleeps inside its fourth, so the campaign is provably mid-run —
 some runs stored, some not — when the SIGKILL lands.
 """
@@ -28,15 +28,14 @@ from repro.orchestrate import (
     CampaignSpec,
     ResultStore,
     SerialExecutor,
-    plan_shards,
     run_campaign_spec,
 )
-from repro.orchestrate.executor import execute_shard
+from repro.orchestrate.executor import execute_run
 from repro.orchestrate.store import DB_NAME
 from repro.tmu.config import full_config, tiny_config
 
-#: Shards the gated executor completes before it freezes on the next one.
-SHARDS_BEFORE_FREEZE = 3
+#: Runs the gated executor completes before it freezes on the next one.
+RUNS_BEFORE_FREEZE = 3
 
 
 def crash_spec() -> CampaignSpec:
@@ -53,21 +52,21 @@ def crash_spec() -> CampaignSpec:
 
 
 class Gated(SerialExecutor):
-    """Executes SHARDS_BEFORE_FREEZE shards for real, then freezes.
+    """Executes RUNS_BEFORE_FREEZE runs for real, then freezes.
 
-    The engine stores each yielded shard before it pulls the next one,
+    The engine stores each yielded run before it pulls the next one,
     so by the time ``frozen`` fires every completed run is committed.
     """
 
     def __init__(self, frozen) -> None:
         self.frozen = frozen
 
-    def map(self, shards):
-        for executed, shard in enumerate(shards):
-            if executed >= SHARDS_BEFORE_FREEZE:
+    def map(self, runs):
+        for executed, run in enumerate(runs):
+            if executed >= RUNS_BEFORE_FREEZE:
                 self.frozen.set()
                 time.sleep(600)  # hold the campaign open until SIGKILLed
-            yield execute_shard(shard)
+            yield (run.index,), [execute_run(run)]
 
 
 def _campaign_victim(store_dir: str, frozen) -> None:
@@ -81,8 +80,7 @@ def _stored_rows(store_dir) -> int:
 
 def test_sigkilled_coordinator_resumes_byte_identical(tmp_path):
     spec = crash_spec()
-    shards = plan_shards(spec.runs())
-    assert len(shards) > SHARDS_BEFORE_FREEZE + 1
+    assert len(spec.runs()) > RUNS_BEFORE_FREEZE + 1
     serial_json = to_json(campaign_dict(run_campaign_spec(spec), spec=spec))
 
     store_dir = tmp_path / "store"
@@ -102,16 +100,16 @@ def test_sigkilled_coordinator_resumes_byte_identical(tmp_path):
 
     stored_before_resume = _stored_rows(store_dir)
     total = len(spec.runs())
-    assert SHARDS_BEFORE_FREEZE <= stored_before_resume < total
+    assert RUNS_BEFORE_FREEZE <= stored_before_resume < total
 
     # Resume: same spec, same store, plain serial executor.
     executed = []
 
     class Counting(SerialExecutor):
         def map(self, pending):
-            for shard in pending:
-                executed.extend(shard.run_ids)
-                yield execute_shard(shard)
+            for run in pending:
+                executed.append(run.run_id)
+                yield (run.index,), [execute_run(run)]
 
     resumed = run_campaign_spec(spec, store=store_dir, executor=Counting())
     assert to_json(campaign_dict(resumed, spec=spec)) == serial_json

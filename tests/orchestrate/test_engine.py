@@ -19,9 +19,10 @@ from repro.faults.campaign import run_campaign
 from repro.faults.types import FIG9_WRITE_STAGES, InjectionStage
 from repro.analysis.export import campaign_dict, to_json, write_campaign_json
 from repro.orchestrate import (
+    BatchExecutor,
     CampaignResults,
     CampaignSpec,
-    Lane,
+    Pack,
     ProgressReporter,
     ResultStore,
     SerialExecutor,
@@ -100,8 +101,8 @@ def test_cache_hit_skips_simulation_and_matches(tmp_path, monkeypatch):
     # Any attempt to simulate on the second pass is a test failure.
     monkeypatch.setattr(
         executor_module,
-        "execute_shard",
-        lambda shard: pytest.fail("store hit must not re-simulate"),
+        "execute_run",
+        lambda *args, **kwargs: pytest.fail("store hit must not re-simulate"),
     )
     second = run_campaign(fig9_configs(), FIG9_SUBSET, **kwargs)
     assert second == first
@@ -161,26 +162,118 @@ def test_default_workers_env(monkeypatch):
 
 
 def test_worker_pool_reorders_are_invisible():
-    """Unordered shard completion must not leak into result order."""
+    """Unordered item completion must not leak into result order."""
     spec = CampaignSpec.ip(fig9_configs(), FIG9_SUBSET, beats=4)
-    shards = plan_shards(spec.runs())
 
     class Reversed(SerialExecutor):
         def map(self, pending):
             yield from reversed(list(super().map(pending)))
 
-    scrambled = run_campaign_spec(spec, workers=1)
+    in_order = run_campaign_spec(spec, workers=1)
     # Hand the engine a deliberately reversed completion stream.
-    from repro.orchestrate import engine as engine_module
+    reordered = run_campaign_spec(spec, executor=Reversed())
+    assert reordered == in_order
+    assert len(in_order) == len(spec.runs())
 
-    original = engine_module.make_executor
-    try:
-        engine_module.make_executor = lambda workers: Reversed()
-        reordered = run_campaign_spec(spec, workers=1)
-    finally:
-        engine_module.make_executor = original
-    assert reordered == scrambled
-    assert len(shards) == len(scrambled)
+
+# ----------------------------------------------------------------------
+# Work counts: runs in, shards only for the pool, one item per pack
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("store", [False, True], ids=["no-store", "store"])
+@pytest.mark.parametrize(
+    "executor", [{}, {"batch_lanes": 8}, {"workers": 2}],
+    ids=["serial", "batch", "pool"],
+)
+def test_shard_size_is_validated_on_every_path(tmp_path, executor, store):
+    spec = CampaignSpec.ip(fig9_configs()[:1], FIG9_SUBSET[:1], beats=4)
+    with pytest.raises(ValueError, match="shard_size"):
+        run_campaign_spec(
+            spec, shard_size=0, store=tmp_path / "store" if store else None,
+            **executor,
+        )
+    with pytest.raises(ValueError, match="shard_size"):
+        WorkerPoolExecutor(2, shard_size=0)
+
+
+@pytest.fixture
+def planned(monkeypatch):
+    """Count every shard plan, wherever it is called from."""
+    from repro.orchestrate import spec as spec_module
+
+    calls = []
+
+    def counting(runs, shard_size=1):
+        calls.append(len(runs))
+        return plan_shards(runs, shard_size=shard_size)
+
+    for module in (spec_module, executor_module):
+        monkeypatch.setattr(module, "plan_shards", counting)
+    return calls
+
+
+def test_only_the_pool_plans_shards(planned):
+    spec = CampaignSpec.ip(
+        fig9_configs(), FIG9_SUBSET, beats=4, seeds=(0, 2, 3)
+    )
+    serial = run_campaign_spec(spec)
+    assert run_campaign_spec(spec, batch_lanes=8) == serial
+    assert planned == []
+    assert run_campaign_spec(spec, workers=2, shard_size=4) == serial
+    assert planned == [len(serial)]
+
+
+class CountingItems:
+    """Wraps an executor, recording the run count of every item."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.items = []
+
+    def map(self, runs):
+        for indices, values in self.inner.map(runs):
+            assert len(values) == len(indices)
+            self.items.append(len(indices))
+            yield indices, values
+
+
+def test_fig11_batch_sweep_yields_one_item_per_pack():
+    spec = CampaignSpec.system(
+        (Variant.FULL, Variant.TINY), FIG11_STAGES, seeds=range(64)
+    )
+    batch = BatchExecutor(64)
+    counting = CountingItems(batch)
+    results = run_campaign_spec(spec, executor=counting)
+    # One pack per (variant, stage) point: its seeds share one class.
+    assert batch.stats.packs == 2 * len(FIG11_STAGES)
+    assert counting.items == [64] * batch.stats.packs
+    assert batch.stats.derived == len(results) - batch.stats.simulated
+
+
+def test_batch_counters_count_each_campaign_once():
+    spec = CampaignSpec.system(
+        (Variant.FULL,), FIG11_STAGES[:2], beats=16, seeds=range(8)
+    )
+    executor = BatchExecutor(8)
+    first, second = Counter(), Counter()
+    run_campaign_spec(spec, executor=executor, metrics=first)
+    run_campaign_spec(spec, executor=executor, metrics=second)
+    batch = {
+        key: value for key, value in first.items() if key.startswith("batch.")
+    }
+    assert batch == {
+        "batch.packs": 2, "batch.leaders": 2, "batch.derived": 10,
+        "batch.retired": 4,
+    }
+    # The executor's stats accumulate; each campaign's counters do not.
+    assert {key: second[key] for key in batch} == batch
+    assert executor.stats.packs == 4
+
+
+def test_serial_items_stay_one_per_run():
+    spec = CampaignSpec.ip(fig9_configs(), FIG9_SUBSET, beats=4)
+    counting = CountingItems(SerialExecutor())
+    run_campaign_spec(spec, executor=counting)
+    assert counting.items == [1] * len(spec.runs())
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +290,7 @@ def test_campaign_results_read_as_a_list():
     lazy = run_campaign_spec(lane_spec(), batch_lanes=8)
     serial = list(run_campaign_spec(lane_spec()))
     assert isinstance(lazy, CampaignResults)
-    lanes = [i for i, item in enumerate(lazy.lanes()) if type(item) is Lane]
+    lanes = [i for i, item in enumerate(lazy.lanes()) if type(item) is Pack]
     assert len(lanes) > 2
     first, second = lanes[:2]
     # A lane materializes once: the same object on every access, also
@@ -205,7 +298,7 @@ def test_campaign_results_read_as_a_list():
     assert lazy[first] is lazy[first]
     view = lazy[second:]
     assert isinstance(view, CampaignResults)
-    assert type(next(iter(lazy[second:].lanes()))) is Lane
+    assert type(next(iter(lazy[second:].lanes()))) is Pack
     assert view[0] is lazy[second]
     assert lazy[first:second + 1:second - first] == [lazy[first], lazy[second]]
     assert lazy[-1] == serial[-1]
@@ -224,7 +317,7 @@ def test_store_keeps_materialized_lanes(tmp_path):
     # A stored result must be a result: the engine materializes each
     # lane before the store write, and keeps that object.
     stored = run_campaign_spec(lane_spec(), batch_lanes=8, store=tmp_path)
-    assert not any(type(item) is Lane for item in stored.lanes())
+    assert not any(type(item) is Pack for item in stored.lanes())
     assert stored == list(run_campaign_spec(lane_spec()))
 
 
@@ -232,7 +325,7 @@ def test_mutating_a_leader_leaves_unmaterialized_lanes_alone():
     lazy = run_campaign_spec(lane_spec(), batch_lanes=8)
     expected = list(run_campaign_spec(lane_spec()))
     handed_out = [
-        i for i, item in enumerate(lazy.lanes()) if type(item) is not Lane
+        i for i, item in enumerate(lazy.lanes()) if type(item) is not Pack
     ]
     for i in handed_out:
         lazy[i].recovered = False
@@ -261,11 +354,11 @@ def test_run_fig11_materializes_no_lane_until_indexed(monkeypatch):
     assert isinstance(full, CampaignResults)
     block = full[64:128]
     assert calls["shifted"] == 0
-    assert type(next(iter(block[5:].lanes()))) is Lane
+    assert type(next(iter(block[5:].lanes()))) is Pack
     assert block[5] is full[69]
     assert calls["shifted"] == 1
     tiny = series[Variant.TINY.value]
-    lanes = sum(type(item) is Lane for item in tiny.lanes())
+    lanes = sum(type(item) is Pack for item in tiny.lanes())
     assert lanes > 300
     assert all(result.recovered for result in tiny)
     assert calls["shifted"] == 1 + lanes

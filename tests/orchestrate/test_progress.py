@@ -136,3 +136,60 @@ def test_set_status_renders_immediately():
     # …and the next shard keeps the status segment on the line.
     reporter.shard_done(1)
     assert reporter.stream.getvalue().count("2 worker(s)") == 2
+
+
+class RecordingReporter(ProgressReporter):
+    """Logs every completion event, next to the executor's leader runs."""
+
+    def __init__(self, total, log):
+        super().__init__(total, stream=io.StringIO())
+        self.log = log
+
+    def shard_done(self, runs, cached=False):
+        self.log.append(("done", runs))
+        super().shard_done(runs, cached=cached)
+
+    def set_status(self, status):
+        self.log.append(("status", status))
+        super().set_status(status)
+
+
+def test_batched_campaign_progress_advances_once_per_pack(monkeypatch):
+    # A batched campaign's status line must move while it runs: each
+    # pack reports done (and the executor its pack counts) as it
+    # finishes, before the next pack's leader simulates — not every run
+    # at once after the last pack.
+    from repro.orchestrate import (
+        BatchExecutor, CampaignSpec, run_campaign_spec,
+    )
+    from repro.orchestrate import batch as batch_module
+    from repro.soc.experiment import FIG11_STAGES
+    from repro.tmu.config import Variant
+
+    log = []
+    real = batch_module.execute_run
+
+    def logging_run(run, trace=None, cache=None):
+        if trace is not None:  # only a pack leader carries a trace
+            log.append(("leader", run.index))
+        return real(run, trace=trace, cache=cache)
+
+    monkeypatch.setattr(batch_module, "execute_run", logging_run)
+    spec = CampaignSpec.system(
+        (Variant.FULL,), FIG11_STAGES[:3], beats=16, seeds=range(16)
+    )
+    reporter = RecordingReporter(len(spec.runs()), log)
+    executor = BatchExecutor(16)
+    run_campaign_spec(spec, executor=executor, progress=reporter)
+
+    def events(kind):
+        return [i for i, (event, _) in enumerate(log) if event == kind]
+
+    leaders, dones = events("leader"), events("done")
+    assert len(leaders) == executor.stats.packs == 3
+    assert dones and dones[0] < leaders[-1]
+    assert events("status")[0] < leaders[-1]
+    assert log[events("status")[0]][1].startswith("batch: 1 pack(s)")
+    # Once per pack, each covering the pack's 16 runs.
+    assert [log[i][1] for i in dones] == [16] * executor.stats.packs
+    assert reporter.done == reporter.total

@@ -176,6 +176,48 @@ def test_duplicate_put_keeps_first(populated):
     assert fresh_view(store).get(runs[0]) == results[0]
 
 
+def test_put_many_matches_a_sequence_of_puts(tmp_path, executed):
+    # One transaction for a batch of rows must keep what per-run puts
+    # do: the first result per key wins, whether the key was stored
+    # before the call or earlier in the same batch; the put/duplicate
+    # counts agree; and the hot tier ends in the same LRU order.
+    runs, results = executed
+    impostors = [
+        dataclasses.replace(result, inject_cycle=999_999) for result in results
+    ]
+    batch_runs = runs[1:] + runs[:2]
+    batch_results = results[1:] + impostors[:2]
+
+    def fill(store, batch):
+        store.put(runs[0], results[0])
+        return batch(store)
+
+    one_by_one = ResultStore.open(tmp_path / "puts", hot_capacity=4,
+                                  metrics=Counter())
+    inserted = fill(one_by_one, lambda store: sum(
+        store.put(run, result)
+        for run, result in zip(batch_runs, batch_results)
+    ))
+    together = ResultStore.open(tmp_path / "many", hot_capacity=4,
+                                metrics=Counter())
+    assert fill(together, lambda store: store.put_many(
+        batch_runs, batch_results
+    )) == inserted == len(runs) - 1
+    assert together.metrics == one_by_one.metrics
+    assert together.metrics["store.duplicate"] == 2
+    assert list(together._hot) == list(one_by_one._hot)
+    assert list(together._hot.values()) == list(one_by_one._hot.values())
+    for run, result in zip(runs, results):
+        assert fresh_view(together).get(run) == result
+    assert together.stats()["warm_rows"] == len(runs)
+
+
+def test_put_many_of_nothing_counts_nothing(tmp_path):
+    store = ResultStore.open(tmp_path / "store", metrics=Counter())
+    assert store.put_many([], []) == 0
+    assert store.metrics == Counter()
+
+
 def _racing_writer(root, runs, results, tag, wins):
     """Child process: put a tagged variant of every result."""
     store = ResultStore.open(root)

@@ -9,7 +9,7 @@ property coverage rather than examples:
 * the **spec hash** is invariant to dict key order (two processes
   building "the same" campaign label their exports alike) and
   sensitive to every parameter (no two sweeps share a label);
-* **aggregation is index-ordered** no matter what order shard results
+* **aggregation is index-ordered** no matter what order executor items
   arrive in — what makes worker count and scheduling jitter invisible
   in the output.
 """
@@ -163,16 +163,19 @@ def test_aggregation_is_index_ordered_for_any_arrival_order(
     spec, shard_size, rng
 ):
     runs = spec.runs()
-    shards = plan_shards(runs, shard_size=shard_size)
 
     class Scrambled:
-        """Completes shards in a hypothesis-chosen order, results tagged."""
+        """Completes items of up to *shard_size* runs in a
+        hypothesis-chosen order, results tagged."""
 
         def map(self, pending):
-            order = list(pending)
+            order = plan_shards(pending, shard_size=shard_size)
             rng.shuffle(order)
             for shard in order:
-                yield shard.index, [f"result-{run.index}" for run in shard.runs]
+                yield (
+                    tuple(run.index for run in shard.runs),
+                    [f"result-{run.index}" for run in shard.runs],
+                )
 
     ordered = run_campaign_spec(spec, executor=Scrambled())
     assert ordered == [f"result-{index}" for index in range(len(runs))]
