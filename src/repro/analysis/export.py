@@ -10,11 +10,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import operator
 from json.encoder import encode_basestring_ascii
-from typing import (
-    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple,
-)
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..area.model import AreaReport
 from ..sim.kernel import Simulator
@@ -115,41 +112,6 @@ def _result_entry(result) -> Dict[str, Any]:
 
 #: The result fields behind ``Simulator.STAT_KEYS``, in that order.
 _STAT_ATTRS = tuple(f"sim_{key}" for key in Simulator.STAT_KEYS)
-
-#: Stat rows summed per column at a time: C-level sums, and few enough
-#: rows held at once that they trigger no garbage collection.
-_STAT_CHUNK = 256
-
-
-def _stats_or_zero(result) -> tuple:
-    return tuple(getattr(result, attr, 0) for attr in _STAT_ATTRS)
-
-
-@functools.lru_cache(maxsize=16)
-def _stats_getter(cls: type) -> Callable[[Any], tuple]:
-    """Reads a result's ``_STAT_ATTRS`` as one tuple: a single C-level
-    ``attrgetter`` when *cls* declares every field (the result
-    dataclasses carry their defaults as class attributes) and there are
-    several (``attrgetter`` of one name returns a bare value), else one
-    ``getattr(..., 0)`` per field."""
-    if len(_STAT_ATTRS) > 1 and all(hasattr(cls, a) for a in _STAT_ATTRS):
-        return operator.attrgetter(*_STAT_ATTRS)
-    return _stats_or_zero
-
-
-def _sum_stats(rows: Iterable[tuple]) -> Dict[str, int]:
-    """:func:`scheduler_stats_dict` of the results behind *rows* (their
-    ``_STAT_ATTRS`` values), summed per column: each value counts as
-    ``int(value or 0)``."""
-    totals = [0] * len(_STAT_ATTRS)
-    rows = iter(rows)
-    while True:
-        chunk = list(itertools.islice(rows, _STAT_CHUNK))
-        if not chunk:
-            return dict(zip(Simulator.STAT_KEYS, totals))
-        for index, column in enumerate(zip(*chunk)):
-            totals[index] += sum(map(int, filter(None, column)))
-
 
 def scheduler_stats_dict(results) -> Dict[str, int]:
     """Aggregate kernel fast-forward statistics over a result list.
@@ -271,7 +233,7 @@ def row_json(entry: Dict[str, Any], indent: int = 2) -> str:
 
 
 # ----------------------------------------------------------------------
-# Row templates: a batched sweep's rows differ only in their stamps
+# Blocks: a pack's lanes are its leader moved in time
 # ----------------------------------------------------------------------
 #: The cycle stamps a row's text is filled with, in sorted-key order
 #: (the order the row writes them).  A derived lane is its leader's
@@ -280,85 +242,90 @@ def row_json(entry: Dict[str, Any], indent: int = 2) -> str:
 _IP_STAMPS = ("detect_cycle", "inject_cycle")
 _SYSTEM_STAMPS = ("detect_cycle", "inject_cycle", "w_first_cycle")
 
-#: A row's stamps, then the attributes behind its shift-invariant
-#: exported values (``fig11_latency``, read first to tell the shapes
-#: apart, is appended to the system ones).
-_read_ip = operator.attrgetter(
-    *_IP_STAMPS, "stage", "variant", "fault_kind", "fault_phase",
-    "recovered", "latency_from_injection", "latency_from_start",
-)
-_read_system = operator.attrgetter(
-    *_SYSTEM_STAMPS, "stage", "variant", "fault_kind", "fault_phase",
-    "recovered", "latency_from_injection", "latency_from_start",
-    "ethernet_resets", "cpu_recoveries",
-)
 
-_ABSENT = object()
+def _blocks(results):
+    """*results* in order as ``(leader, deltas)`` blocks (see
+    :meth:`~repro.orchestrate.engine.CampaignResults.blocks`): a
+    ``CampaignResults``'s own, without materializing a lane; any other
+    iterable's, lazily, one ``(result, None)`` per result."""
+    from ..orchestrate.engine import CampaignResults
+
+    if isinstance(results, CampaignResults):
+        return results.blocks()
+    return zip(results, itertools.repeat(None))
 
 
-def _row_key(result) -> Tuple[tuple, tuple]:
-    """*result*'s template key and its stamps.
+def _tally(blocks) -> Tuple[int, int, int, Dict[str, int]]:
+    """Runs, detected runs, recovered runs and the ``scheduler`` block of
+    *blocks* (see :func:`_blocks`), as :func:`campaign_dict` counts
+    them, without materializing a lane.
 
-    The key is the row's shape (IP or system, told apart like
-    :func:`campaign_dict` does and by tuple length), every exported
-    value but the stamps — stage, variant, fault kind and phase,
-    recovered, the latencies and (system) the resets — and the type of
-    every value, stamps included.  Equal keys therefore mean equal row
-    text up to the stamps, and the stamp types say which stamps are
-    ``None`` (written ``null``) and which are plain ints (the holes).
-    Types are part of the key because ``True == 1 == 1.0`` while their
-    JSON differs.
+    A lane has its leader's flags and statistics, except
+    ``cycles_leaped``, which grows by the delta.  So a block counts as
+    its lane count times the leader, plus the summed deltas.  Where the
+    leader's ``cycles_leaped`` is not a plain int, ``int((value + delta)
+    or 0)`` need not be ``int(value or 0) + delta``, and its lanes are
+    counted materialized, one at a time.
     """
-    fig11 = getattr(result, "fig11_latency", _ABSENT)
-    if fig11 is _ABSENT:
-        values = _read_ip(result)
-        stamps = values[:2]
-    else:
-        values = _read_system(result) + (fig11,)
-        stamps = values[:3]
-    return (values[len(stamps):], tuple(map(type, values))), stamps
-
-
-def _row_template(result, indent: int) -> Optional[Tuple[tuple, tuple, str]]:
-    """The text of every row sharing *result*'s :func:`_row_key`, as
-    ``(segments, holes, fmt)``.
-
-    *holes* are the positions, in the row's stamp tuple, of the stamps
-    that are plain ints; *segments* are the literal text around them
-    (one more than *holes*; a ``None`` stamp is written ``null`` inside
-    a segment), for :func:`_fill`.  *fmt* is the same text as a
-    ``%``-format taking the row's whole stamp tuple — a ``%d`` per hole,
-    and a ``None`` stamp's ``%.0s`` consumes its argument and prints
-    nothing — so one row is one C-level ``%`` fill.  ``None`` when the
-    row is not flat or a stamp is neither ``None`` nor a plain int: such
-    rows take ``row_json`` each.
-    """
-    entry = _result_entry(result)
-    stamp_keys = _SYSTEM_STAMPS if "w_first_cycle" in entry else _IP_STAMPS
-    parts = _row_parts(entry, indent)
-    stamps = [entry[key] for key in stamp_keys]
-    if parts is None or not all(
-        type(stamp) is int or stamp is None for stamp in stamps
-    ):
-        return None
-    stamp_of = dict(zip(stamp_keys, stamps))
-    segments, fmt = [""], []
-    for position, (key, head) in enumerate(_row_layout(tuple(entry), indent)):
-        text = parts[2 * position + 1]
-        segments[-1] += head
-        fmt.append(head.replace("%", "%%"))
-        if stamp_of.get(key) is not None:
-            segments.append("")
-            fmt.append("%d")
+    runs = detected = recovered = leaped = 0
+    totals = dict.fromkeys(_STAT_ATTRS, 0)
+    for leader, deltas in blocks:
+        if deltas is None:
+            lanes, counted = 1, (leader,)
+        elif type(getattr(leader, "sim_cycles_leaped", None)) in (int, bool):
+            lanes, counted = len(deltas), (leader,)
+            leaped += sum(deltas)
         else:
-            segments[-1] += text
-            fmt.append(text.replace("%", "%%") + "%.0s" * (key in stamp_of))
-    close = "\n" + " " * (indent * 2) + "}"
-    segments[-1] += close
-    holes = tuple(
-        position for position, stamp in enumerate(stamps) if stamp is not None
-    )
-    return tuple(segments), holes, "".join(fmt) + close
+            lanes, counted = 1, map(leader.shifted, deltas)
+        for result in counted:
+            runs += lanes
+            if result.detect_cycle is not None:
+                detected += lanes
+            if result.recovered:
+                recovered += lanes
+            for attr in _STAT_ATTRS:
+                value = getattr(result, attr, 0)
+                if value:
+                    totals[attr] += lanes * int(value)
+    scheduler = dict(zip(Simulator.STAT_KEYS, totals.values()))
+    scheduler["cycles_leaped"] += leaped
+    return runs, detected, recovered, scheduler
+
+
+def outcome_counts(results) -> Tuple[int, int, int]:
+    """Runs, detected runs and recovered runs of *results*, as the
+    campaign export counts them.  The packed lanes of a
+    :class:`~repro.orchestrate.engine.CampaignResults` are counted from
+    their leaders, not materialized."""
+    return _tally(_blocks(results))[:3]
+
+
+def _row_template(leader, indent: int) -> Optional[Tuple[tuple, tuple]]:
+    """The text of every row shifted from *leader*'s, as ``(segments,
+    stamps)``.
+
+    *stamps* are the leader's stamps that are plain ints, in row order
+    (the holes a lane fills with stamp plus delta); *segments* are the
+    literal text around them (one more than *stamps*; a ``None`` stamp
+    is written ``null`` inside a segment), for :func:`_fill`.  ``None``
+    when the row is not flat or a stamp is neither ``None`` nor a plain
+    int: such lanes take ``row_json`` each.
+    """
+    entry = _result_entry(leader)
+    stamp_keys = _SYSTEM_STAMPS if "w_first_cycle" in entry else _IP_STAMPS
+    holes = {key: entry[key] for key in stamp_keys if entry[key] is not None}
+    parts = _row_parts(entry, indent)
+    if parts is None or not all(type(stamp) is int for stamp in holes.values()):
+        return None
+    segments = [""]
+    for position, (key, head) in enumerate(_row_layout(tuple(entry), indent)):
+        segments[-1] += head
+        if key in holes:
+            segments.append("")
+        else:
+            segments[-1] += parts[2 * position + 1]
+    segments[-1] += "\n" + " " * (indent * 2) + "}"
+    return tuple(segments), tuple(holes.values())
 
 
 def _fill(segments: tuple, columns: list, rows: int, joiner: str) -> str:
@@ -388,154 +355,38 @@ def _fill(segments: tuple, columns: list, rows: int, joiner: str) -> str:
 _ROW_CHUNK = 1024
 
 
-class _Lanes(NamedTuple):
-    """A stretch of one :class:`~repro.orchestrate.batch.Pack`'s not yet
-    materialized lanes, by their run indices."""
-
-    pack: Any
-    indices: range
-
-
-def _stats_of(result) -> tuple:
-    try:
-        return _stats_getter(type(result))(result)
-    except AttributeError:  # a declared field this instance lacks
-        return _stats_or_zero(result)
-
-
-def _blocks(results):
-    """*results* in order as blocks, without materializing a lane: runs
-    of results (iterables), and each stretch of adjacent slots in which
-    a :class:`~repro.orchestrate.engine.CampaignResults` holds one
-    pack's lanes, as one :class:`_Lanes`."""
-    from ..orchestrate.engine import CampaignResults
-
-    if not isinstance(results, CampaignResults):
-        return (results,)
-    return _slot_blocks(results)
-
-
-def _slot_blocks(results):
-    from ..orchestrate.batch import Pack
-
-    span = results.span
-    start = 0
-    for kind, group in itertools.groupby(results.lanes(), type):
-        group = list(group)
-        if kind is not Pack:
-            yield group
-        else:
-            # Adjacent pack slots may hold different packs.
-            first = start
-            for _, lanes in itertools.groupby(group, id):
-                end = first + len(list(lanes))
-                yield _Lanes(group[first - start], span[first:end])
-                first = end
-        start += len(group)
-
-
-def _tally(blocks) -> Tuple[int, int, int, Dict[str, int]]:
-    """Runs, detected runs, recovered runs and the ``scheduler`` block of
-    *blocks* (see :func:`_blocks`), as :func:`campaign_dict`
-    counts them, without materializing a lane.
-
-    A lane has its leader's flags and statistics, except
-    ``cycles_leaped``, which grows by the delta.  So each pack counts
-    once: the leader's values times its lane count, plus the summed
-    deltas.  Where the leader's ``cycles_leaped`` is not a plain int,
-    ``int((value + delta) or 0)`` need not be ``int(value or 0) +
-    delta``, and its lanes are counted materialized, one at a time.
-    """
-    runs = detected = recovered = 0
-    packs: Dict[int, list] = {}  # id(pack) -> [pack, lanes, summed deltas]
-
-    def stat_rows():
-        nonlocal runs, detected, recovered
-        for block in blocks:
-            if type(block) is not _Lanes:
-                results = block
-            else:
-                pack, indices = block
-                leaped = getattr(pack.leader, "sim_cycles_leaped", None)
-                if type(leaped) in (int, bool):
-                    entry = packs.setdefault(id(pack), [pack, 0, 0])
-                    entry[1] += len(indices)
-                    entry[2] += sum(map(pack.deltas.__getitem__, indices))
-                    continue
-                results = map(pack.lane, indices)
-            for result in results:
-                runs += 1
-                if result.detect_cycle is not None:
-                    detected += 1
-                if result.recovered:
-                    recovered += 1
-                yield _stats_of(result)
-
-    scheduler = _sum_stats(stat_rows())
-    for pack, lanes, deltas in packs.values():
-        leader = pack.leader
-        runs += lanes
-        if leader.detect_cycle is not None:
-            detected += lanes
-        if leader.recovered:
-            recovered += lanes
-        for key, value in zip(Simulator.STAT_KEYS, _stats_of(leader)):
-            scheduler[key] += lanes * int(value or 0)
-        scheduler["cycles_leaped"] += deltas
-    return runs, detected, recovered, scheduler
-
-
-def outcome_counts(results) -> Tuple[int, int, int]:
-    """Runs, detected runs and recovered runs of *results*, as the
-    campaign export counts them.  The packed lanes of a
-    :class:`~repro.orchestrate.engine.CampaignResults` are counted from
-    their leaders, not materialized."""
-    return _tally(_blocks(results))[:3]
-
-
 def _row_texts(blocks, indent: int, joiner: str):
     """The ``results`` rows of *blocks* (see :func:`_blocks`), in order,
     as ``(text, rows)`` pairs: *rows* rows (at most ``_ROW_CHUNK``)
     joined by *joiner*.
 
-    Rows sharing a :func:`_row_key` are filled from one
-    :func:`_row_template`.  A pack's lanes fill its leader's template
-    with the leader's stamps plus each lane's delta, a chunk of lanes
-    in one :func:`_fill`: a lane's row is its leader's row moved in
-    time.
+    A result is one :func:`row_json`.  A pack's lanes fill its leader's
+    :func:`_row_template` — built once per leader, however many blocks
+    its lanes are split over — with the leader's stamps plus each
+    lane's delta, a chunk of lanes in one :func:`_fill`: a lane's row
+    is its leader's row moved in time.
     """
-    templates: Dict[tuple, Optional[tuple]] = {}
-
-    def template(result):
-        key, stamps = _row_key(result)
-        try:
-            found = templates.get(key, _ABSENT)
-        except TypeError:  # an unhashable exported value
-            return None, stamps
-        if found is _ABSENT:
-            found = templates[key] = _row_template(result, indent)
-        return found, stamps
-
-    for block in blocks:
-        if type(block) is not _Lanes:
-            for result in block:
-                found, stamps = template(result)
-                if found is None:
-                    yield row_json(_result_entry(result), indent), 1
-                else:
-                    yield found[2] % stamps, 1
+    # id(leader) -> (leader, template): holding the leader keeps its id
+    # from being reused while the cache lives.
+    templates: Dict[int, tuple] = {}
+    for leader, deltas in blocks:
+        if deltas is None:
+            yield row_json(_result_entry(leader), indent), 1
             continue
-        pack, indices = block
-        found, stamps = template(pack.leader)
-        if found is None:
-            for index in indices:
-                yield row_json(_result_entry(pack.lane(index)), indent), 1
+        cached = templates.get(id(leader))
+        if cached is None:
+            cached = templates[id(leader)] = (
+                leader, _row_template(leader, indent)
+            )
+        template = cached[1]
+        if template is None:
+            for delta in deltas:
+                yield row_json(_result_entry(leader.shifted(delta)), indent), 1
             continue
-        segments, holes, _fmt = found
-        for start in range(0, len(indices), _ROW_CHUNK):
-            chunk = indices[start : start + _ROW_CHUNK]
-            deltas = list(map(pack.deltas.__getitem__, chunk))
-            columns = [map(stamps[hole].__add__, deltas) for hole in holes]
+        segments, stamps = template
+        for start in range(0, len(deltas), _ROW_CHUNK):
+            chunk = deltas[start : start + _ROW_CHUNK]
+            columns = [map(stamp.__add__, chunk) for stamp in stamps]
             yield _fill(segments, columns, len(chunk), joiner), len(chunk)
 
 
@@ -551,12 +402,12 @@ def write_campaign_json(results, stream, spec=None, indent: int = 2) -> int:
     counts precede the entries in the sorted-key layout, so the writer
     makes two passes and never holds more than a chunk of rows.  A
     one-shot iterator (a generator) would come back empty on the second
-    pass and is rejected with :class:`TypeError`.  A
-    :class:`~repro.orchestrate.engine.CampaignResults` is read without
-    materializing its packed lanes: a pack counts as its lane count
-    times the leader plus the summed deltas, and its rows are written
-    from the leader's row template.  Returns the number of results
-    written.
+    pass and is rejected with :class:`TypeError`.  Both passes read
+    ``(leader, deltas)`` blocks (:func:`_blocks`): a
+    :class:`~repro.orchestrate.engine.CampaignResults` keeps its packed
+    lanes unmaterialized, each stretch of a pack counting as its lane
+    count times the leader plus the summed deltas and written from the
+    leader's row template.  Returns the number of results written.
     """
     if not callable(results) and iter(results) is results:
         raise TypeError(
@@ -564,15 +415,21 @@ def write_campaign_json(results, stream, spec=None, indent: int = 2) -> int:
             "re-iterable collection (e.g. a list) or a zero-argument "
             "callable returning a fresh iterator, not a one-shot iterator"
         )
+    from ..orchestrate.engine import CampaignResults
 
     if callable(results):
         def fresh():
             return _blocks(results())
-    else:
-        blocks = list(_blocks(results))
+    elif isinstance(results, CampaignResults):
+        # Held in memory anyway: one read of its slots serves both
+        # passes.
+        blocks = list(results.blocks())
 
         def fresh():
             return blocks
+    else:
+        def fresh():
+            return _blocks(results)
 
     runs, detected, recovered, scheduler = _tally(fresh())
 

@@ -475,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_area = sub.add_parser("area", help="GF12 area estimate for a TMU config")
     p_area.add_argument("--variant", type=_variant, default=Variant.TINY)
-    p_area.add_argument("--outstanding", type=int, default=32)
-    p_area.add_argument("--step", type=int, default=1)
+    p_area.add_argument("--outstanding", type=_positive_int, default=32)
+    p_area.add_argument("--step", type=_positive_int, default=1)
     p_area.add_argument("--no-sticky", action="store_true")
     p_area.set_defaults(func=cmd_area)
 
@@ -506,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig8 = sub.add_parser("fig8", help="prescaler area/latency trade-off")
     p_fig8.add_argument("--variant", type=_variant, default=Variant.FULL)
-    p_fig8.add_argument("--budget", type=int, default=256)
+    p_fig8.add_argument("--budget", type=_positive_int, default=256)
     p_fig8.set_defaults(func=cmd_fig8)
 
     p_fig11 = sub.add_parser("fig11", help="system-level latency series")

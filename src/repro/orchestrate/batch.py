@@ -39,7 +39,8 @@ batch path: every *derived* lane is additionally replayed on the
 scalar verify kernel (which itself re-executes leaped spans and
 skipped updates cycle by cycle) and compared field by field; a
 mismatch raises :class:`~repro.sim.kernel.SchedulerDivergenceError`
-naming the offending lane.
+naming the offending lane.  A verified lane stays a seed delta in its
+pack, as an unverified one does.
 """
 
 from __future__ import annotations
@@ -69,9 +70,8 @@ class Pack:
 
     Covers the runs *indices* (canonical run indices, in pack order)
     and iterates their results in that order.  A lane that ran — the
-    leader, a retired or promoted lane, or a derived lane a verify
-    replay or derive hook needed as an object — has its result in
-    *ran*.  Every other lane is derived: its result is
+    leader, a retired or promoted lane — has its result in *ran*.
+    Every other lane is derived, verified or not: its result is
     ``leader.shifted(deltas[index])``, built by :meth:`lane` each time
     it is asked for.  *leader* is the executor's private copy of the
     pack leader's result, so a caller mutating the leader result it was
@@ -140,8 +140,10 @@ class BatchExecutor:
         guard-rail escape hatch.
     derive_hook:
         Test-only seam: maps ``(run, derived_result)`` to the result
-        actually recorded, letting the verify tests plant a corrupted
-        derivation and watch it get caught.
+        the verify replay is compared against, letting the verify tests
+        plant a corrupted derivation and watch it get caught.  The pack
+        still records the lane as its seed delta; without *verify* the
+        hook is never called.
     """
 
     def __init__(
@@ -300,22 +302,18 @@ class BatchExecutor:
             for run, ok in zip(queue, derivable):
                 if not ok:
                     ran[run.index] = self._scalar(run, cache)
-            # Without a verify replay or a derive hook, which both need
-            # the result object, a derived lane stays a seed delta until
-            # a caller asks for its result.
-            if not self.verify and self.derive_hook is None:
-                values.leader = copy.copy(leader_result)
-                values.deltas = {
-                    run.index: run.seed - leader.seed for run in derived
-                }
-            else:
+            # A derived lane stays a seed delta until a caller asks for
+            # its result.
+            values.leader = copy.copy(leader_result)
+            values.deltas = {
+                run.index: run.seed - leader.seed for run in derived
+            }
+            if self.verify:
                 for run in derived:
-                    result = leader_result.shifted(run.seed - leader.seed)
+                    result = values.lane(run.index)
                     if self.derive_hook is not None:
                         result = self.derive_hook(run, result)
-                    if self.verify:
-                        self._verify_lane(run, leader, result)
-                    ran[run.index] = result
+                    self._verify_lane(run, leader, result)
             self.stats.derived += len(derived)
             if derived and hasattr(self._reporter, "runs_derived"):
                 self._reporter.runs_derived(len(derived))

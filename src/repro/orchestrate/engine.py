@@ -24,8 +24,9 @@ against the same store simulates only the runs it never finished.
 from __future__ import annotations
 
 import collections.abc
+import itertools
 from pathlib import Path
-from typing import IO, Any, List, Optional, Union
+from typing import IO, Any, Iterator, List, Optional, Tuple, Union
 
 from .batch import Pack
 from .executor import default_workers, make_executor
@@ -44,8 +45,9 @@ class CampaignResults(collections.abc.Sequence):
     ``r[i] is r[i]``.  A slice is a view over the same slots and stays
     lazy.  Compares equal to a list (either way round) of equal
     results, and ``r + list`` / ``list + r`` give plain lists.
-    :func:`~repro.analysis.export.write_campaign_json` writes a pack's
-    rows and counts from its leader, materializing nothing.
+    :meth:`blocks` reads the slots as ``(leader, deltas)`` blocks, from
+    which :func:`~repro.analysis.export.write_campaign_json` writes a
+    pack's rows and counts, materializing nothing.
     """
 
     __slots__ = ("_items", "_span")
@@ -72,10 +74,28 @@ class CampaignResults(collections.abc.Sequence):
         materializes nothing."""
         return map(self._items.__getitem__, self._span)
 
-    @property
-    def span(self) -> range:
-        """The run indices this sequence covers, in order."""
-        return self._span
+    def blocks(self) -> Iterator[Tuple[Any, Optional[List[int]]]]:
+        """The slots in order as ``(leader, deltas)`` blocks, materializing
+        nothing: a result is ``(result, None)``, and each stretch of
+        adjacent slots holding one pack's lanes is ``(pack.leader,
+        [delta, ...])``, lane ``i`` of it being ``leader.shifted(
+        deltas[i])``."""
+        span = self._span
+        start = 0
+        for kind, group in itertools.groupby(self.lanes(), type):
+            if kind is not Pack:
+                for result in group:
+                    yield result, None
+                    start += 1
+                continue
+            # Adjacent pack slots may hold different packs; a pack
+            # compares equal only to itself.
+            for pack, lanes in itertools.groupby(group):
+                end = start + len(list(lanes))
+                yield pack.leader, list(
+                    map(pack.deltas.__getitem__, span[start:end])
+                )
+                start = end
 
     def __eq__(self, other):
         if not isinstance(other, (list, CampaignResults)):

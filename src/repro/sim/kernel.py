@@ -250,6 +250,11 @@ class SchedulerDivergenceError(RuntimeError):
     missed a dependency."""
 
 
+def _never(sim: "Simulator") -> bool:
+    """The condition of a plain :meth:`Simulator.run`."""
+    return False
+
+
 class Simulator:
     """Owns components and advances simulated time cycle by cycle.
 
@@ -1275,34 +1280,7 @@ class Simulator:
         being ticked through, and the middle of a steady write burst is
         streamed in bulk; the observable end state is identical.
         """
-        target = self.cycle + cycles
-        step = self.step
-        if not self._leap_ready():
-            while self.cycle < target:
-                step()
-            return
-        try:
-            while self.cycle < target:
-                if self._wake_heap:
-                    self._pop_due_wakes()
-                if self._island is not None:
-                    if self._island_boundary():
-                        continue
-                    if self._island is not None:
-                        step()
-                        continue
-                if not self._pending and not self._update_pending:
-                    nxt = self._next_wake()
-                    dest = target if nxt is None else min(nxt, target)
-                    if dest > self.cycle:
-                        self._leap_to(dest)
-                        continue
-                elif self._stream(target):
-                    continue
-                step()
-        finally:
-            if self._island is not None:
-                self._end_island()
+        self._advance(self.cycle + cycles, _never)
 
     def run_until(
         self,
@@ -1335,7 +1313,16 @@ class Simulator:
         mutating streaming components at exact cycles, should run with
         ``time_leaping=False``.
         """
-        target = self.cycle + timeout
+        return self._advance(self.cycle + timeout, condition)
+
+    def _advance(
+        self, target: int, condition: Callable[["Simulator"], bool]
+    ) -> Optional[int]:
+        """Step, leap and stream toward *target* until *condition* holds:
+        the loop of :meth:`run` (*condition* :func:`_never`) and
+        :meth:`run_until`.  Returns the cycle *condition* first held,
+        or ``None`` once *target* is reached.
+        """
         step = self.step
         if not self._leap_ready():
             while self.cycle < target:
@@ -1345,7 +1332,8 @@ class Simulator:
             return None
         # A span may only start where the condition has been consulted
         # (and found false): stepping would return one cycle later.
-        consulted = False
+        # A plain run has nothing to consult.
+        consulted = condition is _never
         try:
             while self.cycle < target:
                 if self._wake_heap:

@@ -443,3 +443,60 @@ def test_streamed_scheduler_block_reads_missing_and_odd_stats_as_campaign_dict()
     text, count = _stream(lanes)
     assert text == to_json(campaign_dict(expected))
     assert count == len(expected)
+
+
+def test_interleaved_packs_build_one_row_template_per_leader(monkeypatch):
+    # Two packs whose lanes alternate slot by slot: every lane is its
+    # own stretch, yet each leader's row template is built once.
+    from repro.analysis import export
+    from repro.orchestrate import CampaignResults, Pack
+
+    results = _ip_results()
+    packs = [Pack((), {}, results[0], {}), Pack((), {}, results[2], {})]
+    items = []
+    for index in range(12):
+        pack = packs[index % 2]
+        pack.deltas[index] = 3 * index
+        items.append(pack)
+    built = []
+    template = export._row_template
+    monkeypatch.setattr(
+        export, "_row_template",
+        lambda leader, indent: built.append(leader) or template(leader, indent),
+    )
+    text, count = _stream(CampaignResults(items))
+    assert count == 12
+    assert [id(leader) for leader in built] == [id(pack.leader) for pack in packs]
+    expected = [packs[index % 2].lane(index) for index in range(12)]
+    assert text == to_json(campaign_dict(expected))
+
+
+def test_callable_results_are_written_while_they_stream():
+    # A zero-argument callable (the store's streamed query) is read
+    # lazily on both passes: rows reach the stream before its second
+    # iterator is exhausted, so no pass holds a list of every result.
+    import io
+
+    from repro.analysis.export import write_campaign_json
+
+    results = list(_ip_results()) * 800
+    drawn = []
+
+    def fresh():
+        drawn.append(0)
+        for result in results:
+            drawn[-1] += 1
+            yield result
+
+    seen = []
+
+    class Probe(io.StringIO):
+        def write(self, text):
+            seen.append((len(drawn), drawn[-1]))
+            return super().write(text)
+
+    stream = Probe()
+    assert write_campaign_json(fresh, stream) == len(results)
+    assert len(drawn) == 2
+    assert any(0 < count < len(results) for passes, count in seen if passes == 2)
+    assert stream.getvalue() == to_json(campaign_dict(results))

@@ -196,3 +196,15 @@ def test_fig9_batch_verify_accepts_clean_campaign(fig9_serial_json):
     executor = BatchExecutor(8, verify=True)
     assert full_json(fig9_spec(), executor) == fig9_serial_json
     assert executor.stats.derived > 0
+
+
+def test_fig9_batch_verify_keeps_derived_lanes_packed(fig9_serial_json):
+    # The verify replay checks each derived lane's pack result; the lane
+    # itself stays a seed delta in its pack, which the streamed writer
+    # reads unmaterialized.
+    executor = BatchExecutor(8, verify=True)
+    results = run_campaign_spec(fig9_spec(), executor=executor)
+    packed = sum(type(item) is Pack for item in results.lanes())
+    assert packed == executor.stats.derived > 0
+    assert streamed_json(results) == fig9_serial_json
+    assert to_json(campaign_dict(results)) == fig9_serial_json

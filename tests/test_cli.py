@@ -198,6 +198,11 @@ def test_campaign_resume_flags(capsys, tmp_path):
          "expected a positive integer", {}),
         (["fig11", "--workers", "-2"], "expected a positive integer", {}),
         (["inject", "--workers", "-2"], "expected a positive integer", {}),
+        (["area", "--step", "0"], "expected a positive integer", {}),
+        (["area", "--outstanding", "0"], "expected a positive integer", {}),
+        (["area", "--outstanding", "-4"], "expected a positive integer", {}),
+        (["fig8", "--budget", "0"], "expected a positive integer", {}),
+        (["fig8", "--budget", "-1"], "expected a positive integer", {}),
         (["campaign", "--beats", "4", "--batch-lanes", "4", "--workers", "2"],
          "cannot be combined with --workers > 1 (got 2)", {}),
         (["fig11", "--batch-lanes", "4", "--workers", "2"],
@@ -240,6 +245,8 @@ def test_campaign_resume_flags(capsys, tmp_path):
          "system-read-stage",
          "shard-size-0", "shard-size-neg", "campaign-workers-neg",
          "fig11-workers-neg", "inject-workers-neg",
+         "area-step-0", "area-outstanding-0", "area-outstanding-neg",
+         "fig8-budget-0", "fig8-budget-neg",
          "campaign-batch-workers", "fig11-batch-workers",
          "campaign-verify-alone", "fig11-verify-alone",
          "campaign-env-workers-0", "campaign-env-workers-abc",
