@@ -321,7 +321,7 @@ def build_batch_campaign_spec():
 def measure_batch_campaign():
     import dataclasses
 
-    from repro.orchestrate import BatchExecutor, run_campaign_spec
+    from repro.orchestrate import BatchExecutor, SerialExecutor, run_campaign_spec
 
     spec = build_batch_campaign_spec()
     # Each timed region starts from a fresh collection: in a full-suite
@@ -330,7 +330,7 @@ def measure_batch_campaign():
     # otherwise land in any one of these short regions and swamp it.
     gc.collect()
     start = time.perf_counter()
-    serial = run_campaign_spec(spec)
+    serial = run_campaign_spec(spec, executor=SerialExecutor())
     serial_s = time.perf_counter() - start
 
     results = {"serial": (serial_s, None)}
@@ -464,6 +464,7 @@ def measure_tracer_overhead():
     """
     from repro.faults.campaign import run_campaign
     from repro.faults.types import InjectionStage
+    from repro.orchestrate import SerialExecutor
     from repro.telemetry import Tracer
     from repro.tmu.budget import AdaptiveBudgetPolicy, PhaseBudgets, SpanBudgets
     from repro.tmu.config import TmuConfig, Variant
@@ -481,6 +482,11 @@ def measure_tracer_overhead():
     )
 
     def campaign(harness_kwargs):
+        # A live tracer keeps the spec from serializing, so the traced
+        # campaign takes run_campaign's in-process scalar loop; the bare
+        # one runs scalar too (width-1 packs), or the comparison would
+        # time lockstep lanes against simulation.
+        executor = SerialExecutor() if harness_kwargs is None else None
         start = time.perf_counter()
         results = run_campaign(
             [config],
@@ -488,6 +494,7 @@ def measure_tracer_overhead():
             beats=4,
             seeds=tuple(range(BATCH_SEEDS)),
             harness_kwargs=harness_kwargs,
+            executor=executor,
         )
         return time.perf_counter() - start, results
 

@@ -10,12 +10,12 @@ Examples::
     python -m repro table2
     python -m repro campaign --kind ip --workers 4 --seeds 2 --progress
 
-Lockstep batch execution (one scalar leader per pack of same-config
-seed lanes; byte-identical results)::
+Every campaign runs its seeds in lockstep packs (one scalar leader per
+pack of one config and stage; byte-identical to scalar runs, which
+``--batch-lanes 1`` gives), with or without ``--workers``::
 
-    python -m repro fig11 --seeds 64 --batch-lanes 64
-    python -m repro campaign --kind ip --seeds 64 --batch-lanes 64 \
-        --batch-verify --progress
+    python -m repro fig11 --seeds 64
+    python -m repro campaign --kind ip --seeds 64 --batch-verify --progress
 
 Run-granular result store (incremental reuse across overlapping
 sweeps: a superset campaign simulates only its frontier; re-running a
@@ -113,9 +113,10 @@ def _usage_error(exc: Exception) -> int:
 
 
 def _check_run_args(args) -> None:
-    """Reject, before anything simulates, a worker count, batch flags or
-    an output path the run could not honour (``ValueError``)."""
-    workers = default_workers() if args.workers is None else args.workers
+    """Reject, before anything simulates, a bad ``REPRO_WORKERS`` or an
+    output path the run could not honour (``ValueError``)."""
+    if args.workers is None:
+        default_workers()
     for flag, attr in (("--json", "json_out"), ("--telemetry", "telemetry"),
                        ("--trace", "trace")):
         path = getattr(args, attr, None)
@@ -127,15 +128,6 @@ def _check_run_args(args) -> None:
             raise ValueError(
                 f"{flag} {path}: directory {Path(path).parent} does not exist"
             )
-    if getattr(args, "batch_lanes", None) is None:
-        if getattr(args, "batch_verify", False):
-            raise ValueError("--batch-verify needs --batch-lanes")
-        return
-    if workers > 1:
-        raise ValueError(
-            "--batch-lanes runs in one process: it cannot be combined "
-            f"with --workers > 1 (got {workers})"
-        )
 
 
 def cmd_area(args) -> int:
@@ -604,8 +596,9 @@ def _add_campaign_axes(parser: argparse.ArgumentParser) -> None:
     _add_dark_corner_axes(parser)
     parser.add_argument(
         "--shard-size", type=_positive_int, default=1,
-        help="runs per process-pool task with --workers > 1 (default 1); "
-        "larger tasks amortize pickling for very short runs",
+        help="points (the seeds of one config and stage) per process-pool "
+        "task with --workers > 1 (default 1); larger tasks amortize "
+        "pickling for very short runs",
     )
     _add_store_arg(parser)
     parser.add_argument(
@@ -664,14 +657,14 @@ def _add_store_arg(parser: argparse.ArgumentParser) -> None:
 def _add_batch_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--batch-lanes", type=_positive_int, default=None,
-        help="lockstep batch execution: pack up to N same-config seed "
-        "lanes and derive followers from one scalar leader run "
-        "(byte-identical results; excludes --workers > 1)",
+        help="cap the lockstep packs at N seed lanes (default: no cap; "
+        "each pack derives its followers from one scalar leader run, "
+        "byte-identical results; 1 runs every run scalar)",
     )
     parser.add_argument(
         "--batch-verify", action="store_true",
-        help="requires --batch-lanes: replay every derived lane on the "
-        "scalar verify kernel and fail loudly on any divergence",
+        help="replay every derived lane on the scalar verify kernel and "
+        "fail loudly on any divergence",
     )
 
 

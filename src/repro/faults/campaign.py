@@ -453,13 +453,14 @@ def run_campaign(
 ) -> Sequence[InjectionResult]:
     """Cross-product campaign over configurations, stages and seeds.
 
-    Runs through the orchestration engine (:mod:`repro.orchestrate`):
-    *workers* > 1 shards the sweep across a process pool (*executor*,
-    anything with the ``map(runs)`` contract, overrides the choice),
-    *batch_lanes* routes same-config seed sweeps through the lockstep
-    batch executor (:class:`~repro.orchestrate.batch.BatchExecutor`;
-    *batch_verify* replays every derived lane on the scalar verify
-    kernel), *store* (a :class:`~repro.orchestrate.store.ResultStore` or
+    Runs through the orchestration engine (:mod:`repro.orchestrate`),
+    whose lockstep batch executor
+    (:class:`~repro.orchestrate.batch.BatchExecutor`) derives each
+    (config, stage) point's seed lanes from pack leaders: *workers* > 1
+    shards the points across a process pool (*executor*, anything with
+    the ``map(points)`` contract, overrides the choice), *batch_lanes*
+    caps the pack width (*batch_verify* replays every derived lane on
+    the scalar verify kernel), *store* (a :class:`~repro.orchestrate.store.ResultStore` or
     a path) reuses runs already simulated — by an overlapping sweep or
     by a killed run of this one — and *progress* enables the live status
     line.  Result ordering is canonical (config-major, then stage, then

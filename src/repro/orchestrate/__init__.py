@@ -3,22 +3,23 @@
 The paper's headline experiments are fault-injection *campaigns* — many
 independent simulations swept over TMU configs, injection stages and
 phase offsets.  This package turns any such sweep into a canonical run
-list, executes it serially, in lockstep packs or across a
-``multiprocessing`` worker pool, records every result in a run-keyed
-store, and aggregates results back into the exact order the serial
-runners produce.
+list, executes its points (the seeds of one config and stage) as
+lockstep packs, in-process or across a ``multiprocessing`` worker
+pool, records every result in a run-keyed store, and aggregates results
+back into the exact order the serial runners produce.
 
 Layers (one module each):
 
 * :mod:`~repro.orchestrate.spec` — :class:`CampaignSpec` → canonical
   :class:`RunSpec` list, plus the spec hash; the :class:`Shard` plan
-  the process pool hands its workers.
-* :mod:`~repro.orchestrate.executor` — serial and process-pool
-  executors; per-worker harness construction.
-* :mod:`~repro.orchestrate.batch` — the lockstep batch executor
-  (:class:`BatchExecutor`): packs of same-config lanes derived from one
-  scalar leader run, with evidence-gated retirement to the scalar
-  kernel, each yielded as one :class:`Pack`.
+  of points the process pool hands its workers.
+* :mod:`~repro.orchestrate.executor` — harness construction and reuse,
+  single-run execution, and the process-pool executor.
+* :mod:`~repro.orchestrate.batch` — the one in-process executor
+  (:class:`BatchExecutor`; :class:`SerialExecutor` is its width-1
+  form): packs of a point's seed lanes derived from one scalar leader
+  run, with evidence-gated retirement to the scalar kernel, each
+  yielded as one :class:`Pack`.
 * :mod:`~repro.orchestrate.store` — the run-granular result store
   (:class:`ResultStore`): hot LRU over WAL SQLite; the one persistence
   layer, serving both superset-sweep reuse and crash-safe resume.
@@ -32,10 +33,9 @@ Layers (one module each):
 ``python -m repro campaign`` exposes it from the shell.
 """
 
-from .batch import BatchExecutor, BatchStats, Pack
+from .batch import BatchExecutor, BatchStats, Pack, SerialExecutor
 from .engine import CampaignResults, run_campaign_spec
 from .executor import (
-    SerialExecutor,
     WorkerPoolExecutor,
     default_workers,
     execute_run,

@@ -1,38 +1,40 @@
-"""Lockstep batch executor: N same-config lanes, one interpreter pass.
+"""Lockstep batch executor: a campaign point's seed lanes, one leader.
 
-The third executor axis next to :class:`~repro.orchestrate.executor.
-SerialExecutor` and :class:`~repro.orchestrate.executor.
-WorkerPoolExecutor`.  Campaign runs that differ only in their seed are
+The one in-process executor (:class:`SerialExecutor` is its width-1
+form; the :class:`~repro.orchestrate.executor.WorkerPoolExecutor` runs
+it in each worker).  Campaign runs that differ only in their seed are
 pure *time shifts* of one another (seeds map to the IP harness's
 ``issue_delay`` / the system experiment's ``start_delay``), so instead
-of simulating every lane, the executor:
+of simulating every lane, the executor takes the campaign's *points* —
+the runs of one (config, stage), which share everything but seed and
+index — and for each point:
 
-1. groups pending runs by their *batch key* — everything but seed and
-   index;
-2. splits each group into congruence classes modulo the simulation's
-   lockstep period (:func:`repro.sim.batch.lockstep_period`, the lcm of
-   every component's declared
+1. splits it into congruence classes modulo the simulation's lockstep
+   period (:func:`repro.sim.batch.lockstep_period`, the lcm of every
+   component's declared
    :attr:`~repro.sim.component.Component.phase_period`), then into
-   packs of at most ``lanes`` lanes;
-3. runs one scalar *leader* per pack with a
-   :class:`~repro.sim.batch.LeapTrace` probe attached;
-4. checks the leader's inert-prefix evidence and derives every
+   packs of at most ``lanes`` lanes (unbounded by default);
+2. runs one scalar *leader* per pack with a
+   :class:`~repro.sim.batch.LeapTrace` probe attached (a lane with no
+   follower left runs without one: there is nothing to derive);
+3. checks the leader's inert-prefix evidence and derives every
    follower lane as its seed delta from the leader — the lane's result
    is ``leader.shifted(delta)``, built only when a caller asks for it —
    O(1) per lane instead of a full simulation;
-5. *retires* any lane the evidence does not cover (seed inside the
-   startup transient, detection horizon crossed, undeclared component,
-   non-leaping kernel, forced divergence) to the scalar kernel, so
+4. *retires* any lane the evidence does not cover (seed inside the
+   startup transient, a leader stamp taken before its onset, detection
+   horizon crossed, undeclared component, non-leaping kernel, forced
+   divergence) to the scalar kernel, so
    coverage degrades gracefully instead of wrongly.
 
 The full soundness argument lives in :mod:`repro.sim.batch`.  Under
-the standard ``map(runs) -> (run indices, values)`` contract the
-executor yields one item per pack, as soon as the pack finishes, whose
-values are one :class:`Pack`.  The engine keeps the pack whole, and
-the JSON export writes its rows from the leader's without
-materializing them.  ``--batch-lanes 64`` is byte-identical to the
-serial scalar executor by construction, and the differential test
-battery (``tests/integration/test_batch_figures.py``) holds it to that.
+the ``map(points) -> (run indices, values)`` contract the executor
+yields one item per pack, as soon as the pack finishes, whose values
+are one :class:`Pack`.  The engine keeps the pack whole, and the JSON
+export writes its rows from the leader's without materializing them.
+Every pack width is byte-identical to width 1 (scalar execution of
+every run) by construction, and the differential test battery
+(``tests/integration/test_batch_figures.py``) holds it to that.
 
 With ``verify=True`` the executor extends ``strategy="verify"`` to the
 batch path: every *derived* lane is additionally replayed on the
@@ -49,10 +51,9 @@ import bisect
 import copy
 import dataclasses
 import itertools
-import json
 import operator
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from ..sim.batch import LeapTrace, lane_classes, lockstep_period
@@ -62,6 +63,9 @@ from .spec import RunSpec
 
 _index = operator.attrgetter("index")
 _seed = operator.attrgetter("seed")
+
+#: The cycle stamps a result's ``shifted`` moves with the seed.
+_STAMPS = ("txn_start_cycle", "inject_cycle", "w_first_cycle", "detect_cycle")
 
 
 @dataclasses.dataclass(eq=False)
@@ -96,15 +100,6 @@ class Pack:
         return self.leader.shifted(self.deltas[index])
 
 
-#: The :class:`RunSpec` fields two runs must share, besides their
-#: config, to share a pack: everything but the seed and the index.
-_pack_fields = operator.attrgetter(
-    "kind", "stage", "beats", "background", "detect_timeout",
-    "recovery_timeout", "harness_kwargs", "size", "outstanding",
-    "reorder_depth",
-)
-
-
 @dataclasses.dataclass
 class BatchStats:
     """Per-campaign accounting of what the batch executor did."""
@@ -119,15 +114,31 @@ class BatchStats:
     def simulated(self) -> int:
         return self.leaders + self.retired
 
+    def add(self, other: "BatchStats") -> None:
+        """Add *other*'s counts to these (a pool worker's, say)."""
+        for field in dataclasses.fields(self):
+            name = field.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+    def status(self) -> str:
+        """The counts as a progress-line segment."""
+        return (
+            f"batch: {self.packs} pack(s) | {self.leaders} leader(s) | "
+            f"{self.derived} derived | {self.retired} retired | "
+            f"{self.promoted} promoted"
+        )
+
 
 class BatchExecutor:
-    """Executes runs by lockstep packs of same-config lanes.
+    """Executes campaign points by lockstep packs of seed lanes.
 
     Parameters
     ----------
     lanes:
-        Maximum pack width.  ``1`` degenerates to per-lane scalar
-        execution (every pack is its own leader) — handy as the
+        Maximum pack width; ``None`` (the default) packs a whole
+        congruence class.  ``1`` degenerates to per-lane scalar
+        execution in point order (every pack is its own leader, run
+        without evidence collection): :class:`SerialExecutor`, the
         differential baseline.
     verify:
         Replay every derived lane on the scalar ``strategy="verify"``
@@ -144,90 +155,55 @@ class BatchExecutor:
         plant a corrupted derivation and watch it get caught.  The pack
         still records the lane as its seed delta; without *verify* the
         hook is never called.
+
+    :attr:`stats` accumulates over every ``map`` call; the engine
+    publishes each campaign's share as ``batch.*`` counters.
     """
 
     def __init__(
         self,
-        lanes: int,
+        lanes: Optional[int] = None,
         verify: bool = False,
         force_retire: Optional[Callable[[RunSpec], bool]] = None,
         derive_hook=None,
     ) -> None:
-        if lanes <= 0:
+        if lanes is not None and lanes <= 0:
             raise ValueError(f"lanes must be positive, got {lanes}")
         self.lanes = lanes
         self.verify = verify
         self.force_retire = force_retire
         self.derive_hook = derive_hook
         self.stats = BatchStats()
-        self._reporter = None
-        self._metrics = None
         self._period_cache: Dict[Tuple, Optional[int]] = {}
 
-    # ------------------------------------------------------------------
-    # Engine integration
-    # ------------------------------------------------------------------
-    def attach_progress(self, reporter) -> None:
-        self._reporter = reporter
-
-    def attach_metrics(self, metrics) -> None:
-        """Publish :class:`BatchStats` into *metrics* as ``batch.*``
-        counters when ``map`` completes (engine seam, like
-        ``attach_progress``)."""
-        self._metrics = metrics
-
-    def map(self, runs: Sequence[RunSpec]) -> Iterator[Item]:
-        """Yield one ``(run indices, Pack)`` item per pack of *runs* as
-        soon as it finishes (per run where no lockstep period holds)."""
-        # Stats before this call: a repeated map() on one executor
-        # publishes only its own counts.
-        before = dataclasses.asdict(self.stats)
+    def map(self, points: Iterable[Sequence[RunSpec]]) -> Iterator[Item]:
+        """Yield one ``(run indices, Pack)`` item per pack of *points*
+        (each the runs of one (config, stage)) as soon as it finishes."""
         cache = HarnessCache()
-        for group in self._group_runs(runs):
-            period = self._period_for(group[0], cache)
-            if period is None:
-                # An unaudited component (phase_period undeclared): the
-                # conservative answer is to batch nothing.
-                for run in group:
-                    yield (run.index,), [self._scalar(run, cache)]
-                continue
-            # Congruence classes modulo the period, each ascending by
-            # seed, then packs of at most ``lanes`` lanes.
-            for members in lane_classes(group, period, seed=_seed).values():
-                for start in range(0, len(members), self.lanes):
-                    pack = members[start : start + self.lanes]
-                    values = self._execute_pack(pack, cache)
-                    self._report_status()
-                    yield values.indices, values
-        self._report_status()
-        if self._metrics is not None:
-            for name, value in dataclasses.asdict(self.stats).items():
-                if value != before[name]:
-                    self._metrics[f"batch.{name}"] += value - before[name]
+        for point in points:
+            for pack in self._packs(point, cache):
+                values = self._execute_pack(pack, cache)
+                yield values.indices, values
 
     # ------------------------------------------------------------------
-    # Grouping and pack planning
+    # Pack planning
     # ------------------------------------------------------------------
-    @staticmethod
-    def _batch_key(run: RunSpec) -> Tuple:
-        """Everything that must match for two runs to share a pack —
-        i.e. the whole spec except the seed (and the run's index)."""
-        return (json.dumps(run.config, sort_keys=True),) + _pack_fields(run)
-
-    def _group_runs(self, runs: Sequence[RunSpec]) -> List[List[RunSpec]]:
-        groups: Dict[Tuple, List[RunSpec]] = {}
-        # A campaign lists the seeds of one (config, stage) point next
-        # to each other, sharing one config dict: key each such stretch
-        # once.  The config is compared by identity, since equal dicts
-        # may serialize apart (``1 == True``).
-        config = fields = members = None
-        for run in runs:
-            shared = _pack_fields(run)
-            if run.config is not config or shared != fields:
-                config, fields = run.config, shared
-                members = groups.setdefault(self._batch_key(run), [])
-            members.append(run)
-        return list(groups.values())
+    def _packs(self, point: Sequence[RunSpec], cache: HarnessCache):
+        """The packs of one point: its congruence classes modulo the
+        lockstep period, each ascending by seed, cut at the width cap."""
+        period = None
+        if self.lanes != 1 and len(point) > 1:
+            period = self._period_for(point[0], cache)
+        if period is None:
+            # Width 1, a lone run, or an unaudited component
+            # (phase_period undeclared: batch nothing): one-lane packs.
+            return [[run] for run in point]
+        width = self.lanes or len(point)
+        return [
+            members[start : start + width]
+            for members in lane_classes(point, period, seed=_seed).values()
+            for start in range(0, len(members), width)
+        ]
 
     def _period_for(self, run: RunSpec, cache: HarnessCache) -> Optional[int]:
         """Lockstep period of the harness *run* simulates on.
@@ -283,7 +259,9 @@ class BatchExecutor:
         while queue:
             leader = queue.pop(0)
             onset = self._onset(leader)
-            trace = LeapTrace(onset=onset)
+            # The evidence serves followers only: the last lane runs
+            # without the probe.
+            trace = LeapTrace(onset=onset) if queue else None
             ran[leader.index] = leader_result = execute_run(
                 leader, trace=trace, cache=cache
             )
@@ -315,8 +293,6 @@ class BatchExecutor:
                         result = self.derive_hook(run, result)
                     self._verify_lane(run, leader, result)
             self.stats.derived += len(derived)
-            if derived and hasattr(self._reporter, "runs_derived"):
-                self._reporter.runs_derived(len(derived))
             break
         return values
 
@@ -326,15 +302,26 @@ class BatchExecutor:
         leader_result,
         followers: Sequence[RunSpec],
     ) -> List[bool]:
-        """Horizon containment, one flag per follower lane of the pack.
+        """Stamp and horizon containment, one flag per follower lane of
+        the pack.
 
-        IP runs bound detection by an absolute horizon — ``run_until``
-        counts ``detect_timeout`` from cycle 0 — so a lane whose
-        shifted detection stamp would cross it (or whose leader never
-        detected, leaving the censoring point unshiftable) must retire.
-        System runs open their window after ``start_delay``; every lane
+        A cycle stamp the leader took before its onset (a fault that
+        manifests from cycle 1, say: a single-beat mid-burst stall is
+        armed at start) is no time shift of the stimulus, so no follower
+        can take its result by shifting: all retire.  IP runs also bound
+        detection by an absolute horizon — ``run_until`` counts
+        ``detect_timeout`` from cycle 0 — so a lane whose shifted
+        detection stamp would cross it (or whose leader never detected,
+        leaving the censoring point unshiftable) must retire.  System
+        runs open their window after ``start_delay``; every other lane
         shifts cleanly.
         """
+        onset = self._onset(leader)
+        if any(
+            stamp is not None and stamp < onset
+            for stamp in (getattr(leader_result, name, None) for name in _STAMPS)
+        ):
+            return [False] * len(followers)
         if leader.kind != "ip":
             return [True] * len(followers)
         detect = leader_result.detect_cycle
@@ -376,12 +363,10 @@ class BatchExecutor:
                 f"result {derived!r} != scalar verify replay {replay!r}"
             )
 
-    # ------------------------------------------------------------------
-    def _report_status(self) -> None:
-        if self._reporter is not None and hasattr(self._reporter, "set_status"):
-            stats = self.stats
-            self._reporter.set_status(
-                f"batch: {stats.packs} pack(s) | {stats.leaders} leader(s) | "
-                f"{stats.derived} derived | {stats.retired} retired | "
-                f"{stats.promoted} promoted"
-            )
+
+class SerialExecutor(BatchExecutor):
+    """The width-1 :class:`BatchExecutor`: every run is its own one-lane
+    pack, run scalar in point order and yielded as its own item."""
+
+    def __init__(self) -> None:
+        super().__init__(1)

@@ -3,8 +3,9 @@
 Glues the layers of this package together: expand a
 :class:`~repro.orchestrate.spec.CampaignSpec` into its canonical run
 list, satisfy what it can from the run-granular result store, hand the
-*frontier* to an executor, and re-assemble the items it yields into
-the exact ordering the serial runners produce.
+*frontier* to an executor as points (the missing runs of each (config,
+stage)), and re-assemble the items it yields into the exact ordering
+the serial runners produce.
 
 The engine is deliberately deterministic end to end: run enumeration is
 canonical and aggregation is by run index — so ``workers=16`` and
@@ -24,6 +25,7 @@ against the same store simulates only the runs it never finished.
 from __future__ import annotations
 
 import collections.abc
+import dataclasses
 import itertools
 from pathlib import Path
 from typing import IO, Any, Iterator, List, Optional, Tuple, Union
@@ -143,34 +145,32 @@ def run_campaign_spec(
     ----------
     workers:
         Process count; ``None`` consults ``REPRO_WORKERS`` (default 1 =
-        serial, in-process).  Each worker builds its own harness per
-        run, so no simulator state is shared.
+        in-process).  Each worker builds its own harnesses, so no
+        simulator state is shared.
     shard_size:
-        Runs per process-pool task (default 1: the best load balancing).
-        Every campaign validates it and counts ``campaign.shards`` by
-        it, whichever executor runs.
+        Points per process-pool task (default 1: the best load
+        balancing).  Every campaign validates it and counts
+        ``campaign.shards`` by it, whichever executor runs.
     progress:
         ``True`` / a text stream for a live status line with ETA, or a
         pre-built :class:`ProgressReporter`; it advances per executor
-        item (a run, a pool shard or a batch pack).
+        item (a batch pack), keeping derived lanes out of its rate.
     executor:
-        A pre-built executor (anything with the ``map(runs)`` contract)
-        overriding the *workers*-based choice.  Reuse and aggregation
-        are identical whichever executor runs the frontier.
+        A pre-built executor (anything with the ``map(points)``
+        contract) overriding the *workers*-based choice.  Reuse and
+        aggregation are identical whichever executor runs the frontier.
     batch_lanes:
-        When set, runs the frontier through the lockstep batch executor
-        (:class:`~repro.orchestrate.batch.BatchExecutor`) with packs of
-        at most that many lanes; *batch_verify* additionally replays
-        every derived lane on the scalar verify kernel.  The aggregated
-        results are byte-identical to the serial executor's.
+        Caps the lockstep pack width (default: none); ``1`` runs every
+        run scalar, with the same results as any width.  *batch_verify*
+        additionally replays every derived lane on the verify kernel.
     metrics:
         A :class:`collections.Counter` that receives the campaign's
         event counts: ``campaign.*`` run/shard counts, per-tier
-        ``store.*`` hit/miss/frontier counts, and whatever the executor
-        adds through ``attach_metrics`` (discovered by ``hasattr``, the
-        same seam as ``attach_progress``).  Every count depends on the
-        campaign alone, never on the executor or the clock.  Purely
-        observational — results are identical with or without it.
+        ``store.*`` hit/miss/frontier counts, and what the executor's
+        :class:`~repro.orchestrate.batch.BatchStats` grew by, as
+        ``batch.*``.  Every count depends on the campaign alone, never
+        on the worker count or the clock.  Purely observational —
+        results are identical with or without it.
     store:
         A :class:`~repro.orchestrate.store.ResultStore` (or a path to
         open one at).  Runs already present are fetched instead of
@@ -205,38 +205,47 @@ def run_campaign_spec(
     # One slot per run: spec.runs() numbers the runs by position.
     items: List[Any] = [None] * len(runs) if collect else []
 
-    # Stored runs are fetched; what remains is the frontier — the only
-    # work any executor will see.
-    frontier: List[RunSpec] = runs
+    # The runs are seed-innermost: each point is a len(seeds) slice.
+    width = len(spec.seeds)
+    points = [runs[start : start + width] for start in range(0, len(runs), width)]
+    # Stored runs are fetched; what remains of each point is the
+    # frontier — the only work any executor will see.
+    frontier: List[List[RunSpec]] = points
     if store is not None:
         frontier = []
-        for run in runs:
-            result = store.get(run)
-            if result is None:
-                frontier.append(run)
-            elif collect:
-                items[run.index] = result
-        reused = len(runs) - len(frontier)
+        for point in points:
+            missing = []
+            for run in point:
+                result = store.get(run)
+                if result is None:
+                    missing.append(run)
+                elif collect:
+                    items[run.index] = result
+            if missing:
+                frontier.append(missing)
+        pending = sum(map(len, frontier))
+        reused = len(runs) - pending
         if reporter and reused:
             reporter.shard_done(reused, cached=True)
         if metrics is not None:
             metrics["store.reused_runs"] += reused
-            metrics["store.frontier_runs"] += len(frontier)
+            metrics["store.frontier_runs"] += pending
 
     if executor is None:
         executor = make_executor(
             workers, batch_lanes=batch_lanes, batch_verify=batch_verify,
             shard_size=shard_size,
         )
-    if reporter is not None and hasattr(executor, "attach_progress"):
-        executor.attach_progress(reporter)
+    # The executor's stats before this campaign: a reused executor
+    # publishes only this campaign's counts.
+    stats = getattr(executor, "stats", None)
+    before = dataclasses.asdict(stats) if stats is not None else {}
     if metrics is not None:
         metrics["campaign.runs"] += len(runs)
-        metrics["campaign.shards"] += -(-len(runs) // shard_size)
+        metrics["campaign.shards"] += -(-len(points) // shard_size)
         metrics["campaign.shards_executed"] += -(-len(frontier) // shard_size)
-        if hasattr(executor, "attach_metrics"):
-            executor.attach_metrics(metrics)
     for indices, values in executor.map(frontier):
+        derived = len(values.deltas) if type(values) is Pack else 0
         if store is not None:
             values = list(values)  # a pack's lanes become results here
             if len(indices) == 1:
@@ -255,7 +264,14 @@ def run_campaign_spec(
         if metrics is not None:
             metrics["campaign.runs_executed"] += len(indices)
         if reporter:
+            reporter.runs_derived(derived)
+            if stats is not None:
+                reporter.set_status(stats.status())
             reporter.shard_done(len(indices))
+    if metrics is not None and stats is not None:
+        for name, value in dataclasses.asdict(stats).items():
+            if value != before[name]:
+                metrics[f"batch.{name}"] += value - before[name]
 
     if reporter:
         reporter.finish()

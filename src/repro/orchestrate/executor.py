@@ -1,19 +1,20 @@
-"""Run executors: in-process serial and multiprocessing worker pool.
+"""Run execution: harnesses, single runs, and the process pool.
 
-Every executor's ``map(runs)`` takes the runs to simulate and yields
-``(run indices, values)`` items, in *any* order, one value per index:
-one item per run (serial), per pack (the lockstep batch executor, whose
-values are a :class:`~repro.orchestrate.batch.Pack`) or per
-:class:`~repro.orchestrate.spec.Shard` (the pool: shards exist only
-where work crosses a process boundary).  Every harness is built inside
-the process that simulates it: only plain
+An executor's ``map(points)`` takes campaign *points* (the runs of one
+(config, stage)) and yields ``(run indices, values)`` items, in *any*
+order, one value per index.  The one in-process executor is
+:class:`~repro.orchestrate.batch.BatchExecutor` (one item per lockstep
+pack); :class:`WorkerPoolExecutor` ships shards of whole points
+(:class:`~repro.orchestrate.spec.Shard`) to a process pool, and each
+worker runs the same batch executor over its shard.  Every harness is built inside the
+process that simulates it: only plain
 :class:`~repro.orchestrate.spec.RunSpec` data travels to workers and
-only result dataclasses travel back.  Within one ``map()`` call (or one
-shard, in a worker) same-shape runs share a harness through a one-slot
+only results travel back.  Within one ``map()`` call (or one shard, in
+a worker) same-shape runs share a harness through a one-slot
 :class:`HarnessCache`, reset between runs.
 
 Worker count resolution order: explicit argument, then the
-``REPRO_WORKERS`` environment variable, then 1 (serial).  The
+``REPRO_WORKERS`` environment variable, then 1 (in-process).  The
 multiprocessing start method honours ``REPRO_MP_START`` when set
 (``fork``/``spawn``/``forkserver``) and otherwise uses the platform
 default.
@@ -21,11 +22,15 @@ default.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from .spec import RunSpec, Shard, plan_shards
+
+if TYPE_CHECKING:
+    from .batch import BatchStats
 
 #: Environment variable selecting the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -177,78 +182,71 @@ def execute_run(run: RunSpec, trace=None, cache: Optional[HarnessCache] = None):
             harness.sim.remove_probe(trace)
 
 
-def execute_shard(shard: Shard) -> Item:
-    """Pool worker entry point: run every injection of one shard, in
-    order, same-shape runs sharing one harness."""
-    cache = HarnessCache()
-    runs = shard.runs
-    return (
-        tuple(run.index for run in runs),
-        [execute_run(run, cache=cache) for run in runs],
-    )
+def execute_shard(shard: Shard, lanes: Optional[int] = None,
+                  verify: bool = False) -> Tuple[List[Item], BatchStats]:
+    """Pool worker entry point: run one shard's points through a
+    :class:`~repro.orchestrate.batch.BatchExecutor` of *lanes* lanes in
+    this process; return its items and its stats."""
+    from .batch import BatchExecutor
 
-
-class SerialExecutor:
-    """Runs the runs one after another in the calling process."""
-
-    def map(self, runs: Sequence[RunSpec]) -> Iterator[Item]:
-        cache = HarnessCache()
-        for run in runs:
-            yield (run.index,), [execute_run(run, cache=cache)]
+    executor = BatchExecutor(lanes, verify=verify)
+    return list(executor.map(shard.points)), executor.stats
 
 
 class WorkerPoolExecutor:
-    """Fans the runs out across a ``multiprocessing`` pool, in shards
-    of *shard_size* runs (larger shards amortize per-task pickling).
+    """Fans the points out across a ``multiprocessing`` pool, in shards
+    of *shard_size* points, each worker running the batch executor
+    (*lanes*, *verify*) over its shard; :attr:`stats` adds up theirs.
 
     Completion order is arbitrary (``imap_unordered``); the engine
     re-assembles results by run index, so scheduling jitter never
     changes the aggregated output.
     """
 
-    def __init__(self, workers: int, shard_size: int = 1) -> None:
+    def __init__(self, workers: int, shard_size: int = 1,
+                 lanes: Optional[int] = None, verify: bool = False) -> None:
+        from .batch import BatchStats
+
         if workers <= 0:
             raise ValueError("workers must be positive")
         if shard_size <= 0:
             raise ValueError("shard_size must be positive")
         self.workers = workers
         self.shard_size = shard_size
+        self.lanes = lanes
+        self.verify = verify
+        self.stats = BatchStats()
 
-    def map(self, runs: Sequence[RunSpec]) -> Iterator[Item]:
-        shards = plan_shards(runs, shard_size=self.shard_size)
+    def map(self, points: Sequence[Sequence[RunSpec]]) -> Iterator[Item]:
+        shards = plan_shards(points, shard_size=self.shard_size)
         if not shards:
             return
-        # Imported here so serial and batch campaigns (and CLI start-up)
-        # never load multiprocessing and the socket stack behind it.
+        # Imported here so in-process campaigns (and CLI start-up) never
+        # load multiprocessing and the socket stack behind it.
         import multiprocessing
 
         method = os.environ.get(START_METHOD_ENV, "").strip() or None
         context = multiprocessing.get_context(method)
         processes = min(self.workers, len(shards))
+        task = functools.partial(
+            execute_shard, lanes=self.lanes, verify=self.verify
+        )
         with context.Pool(processes=processes) as pool:
-            yield from pool.imap_unordered(execute_shard, shards, chunksize=1)
+            for items, stats in pool.imap_unordered(task, shards, chunksize=1):
+                self.stats.add(stats)
+                yield from items
 
 
 def make_executor(workers: int, batch_lanes=None, batch_verify=False,
                   shard_size: int = 1):
-    """Pick the executor: serial, process pool, or batch.
+    """The :class:`~repro.orchestrate.batch.BatchExecutor` (packs of at
+    most *batch_lanes* lanes, unbounded by default; *batch_verify*
+    replays derived lanes), in-process or, for *workers* > 1, in each
+    worker of a pool fed *shard_size* points per task."""
+    if workers > 1:
+        return WorkerPoolExecutor(
+            workers, shard_size, lanes=batch_lanes, verify=batch_verify
+        )
+    from .batch import BatchExecutor
 
-    *batch_lanes* selects the lockstep batch executor
-    (:class:`~repro.orchestrate.batch.BatchExecutor`) with packs of at
-    most that many lanes (*batch_verify* adds a scalar verify replay of
-    every derived lane).  Otherwise *workers* picks between the
-    in-process executors (1 → serial; more → a pool, fed *shard_size*
-    runs per task).  The batch axis is exclusive with the process pool:
-    packs are planned over the whole pending run set in one process.
-    """
-    if batch_lanes is not None:
-        if workers > 1:
-            raise ValueError(
-                f"batch_lanes requires workers=1, got workers={workers}"
-            )
-        from .batch import BatchExecutor
-
-        return BatchExecutor(batch_lanes, verify=batch_verify)
-    if workers <= 1:
-        return SerialExecutor()
-    return WorkerPoolExecutor(workers, shard_size=shard_size)
+    return BatchExecutor(batch_lanes, verify=batch_verify)

@@ -13,9 +13,9 @@ a warm cache or a wide lockstep pack does not skew the estimate for the
 remaining work.  Reporting is
 measurement-only; the engine works identically with ``reporter=None``.
 
-Executors may contribute a live status segment through
-:meth:`ProgressReporter.set_status` — the batch executor uses it to
-append its pack, leader, derived, retired and promoted counts.
+A live status segment can be set through
+:meth:`ProgressReporter.set_status` — the engine uses it to append the
+batch executor's pack, leader, derived, retired and promoted counts.
 
 A lock serializes writes of the status line to the stream, so a redraw
 from any thread lands as one whole line.
@@ -51,8 +51,7 @@ class ProgressReporter:
     # ------------------------------------------------------------------
     def shard_done(self, runs: int, cached: bool = False) -> None:
         """Record one finished unit of *runs* runs — an executor item
-        (a run, a pool shard or a batch pack) or the store's hits — and
-        redraw the line."""
+        (a batch pack) or the store's hits — and redraw the line."""
         self.done += runs
         if cached:
             self.cached += runs
@@ -61,8 +60,8 @@ class ProgressReporter:
     def runs_derived(self, runs: int) -> None:
         """Record *runs* runs completed without simulating.
 
-        Called by the batch executor for every lane it derives from a
-        pack leader.  Derived runs still count towards ``done`` when
+        Called by the engine for the lanes each pack derived from its
+        leader.  Derived runs still count towards ``done`` when
         their pack completes; flagging them here keeps them out of the
         runs-per-second estimate, which would otherwise project the
         near-free derivation rate onto the remaining *simulated* work

@@ -9,7 +9,9 @@ it into :class:`RunSpec` units in the exact order the serial runners
 result list of any executor is byte-for-byte the serial one.
 
 Every run carries a stable, human-readable ``run_id`` and its canonical
-``index``; :func:`plan_shards` groups runs into contiguous
+``index``.  The runs of one (config, stage) — a contiguous
+``len(seeds)``-run slice of :meth:`runs` — form a *point*, the unit
+executors take; :func:`plan_shards` groups points into contiguous
 :class:`Shard` units of work for the process pool.  The spec's
 :meth:`spec_hash` labels campaign exports: any parameter change
 produces a different hash.
@@ -137,11 +139,11 @@ class RunSpec:
 
 @dataclasses.dataclass(frozen=True)
 class Shard:
-    """A contiguous slice of a campaign's runs, executed as one unit."""
+    """A contiguous slice of a campaign's points, executed as one unit."""
 
     index: int
     count: int  # total shards in the plan
-    runs: Tuple[RunSpec, ...]
+    points: Tuple[Sequence[RunSpec], ...]
 
 
 @dataclasses.dataclass
@@ -171,7 +173,7 @@ class CampaignSpec:
             self.stages,
         )
         try:
-            json.dumps(self.canonical_dict(), sort_keys=True)
+            json.dumps(self.canonical_view(), sort_keys=True)
         except TypeError as exc:
             raise SpecSerializationError(
                 f"campaign spec is not JSON-serializable: {exc}"
@@ -293,6 +295,24 @@ class CampaignSpec:
                     out.append(run)
         return out
 
+    def canonical_view(self) -> Dict[str, Any]:
+        """The spec as plain data, sharing this spec's lists and dicts:
+        for a reader that only serializes it (the streamed export)."""
+        return {
+            "kind": self.kind,
+            "configs": self.configs,
+            "stages": self.stages,
+            "beats": self.beats,
+            "seeds": self.seeds,
+            "background": self.background,
+            "detect_timeout": self.detect_timeout,
+            "recovery_timeout": self.recovery_timeout,
+            "harness_kwargs": dict(sorted(self.harness_kwargs.items())),
+            "size": self.size,
+            "outstanding": self.outstanding,
+            "reorder_depth": self.reorder_depth,
+        }
+
     def canonical_dict(self) -> Dict[str, Any]:
         """The spec as plain data, suitable for hashing and archiving.
 
@@ -300,38 +320,24 @@ class CampaignSpec:
         exports and handed to callers, and a mutation over there must
         never reach back into this spec (whose hash labels the export).
         """
-        return copy.deepcopy(
-            {
-                "kind": self.kind,
-                "configs": self.configs,
-                "stages": self.stages,
-                "beats": self.beats,
-                "seeds": self.seeds,
-                "background": self.background,
-                "detect_timeout": self.detect_timeout,
-                "recovery_timeout": self.recovery_timeout,
-                "harness_kwargs": dict(sorted(self.harness_kwargs.items())),
-                "size": self.size,
-                "outstanding": self.outstanding,
-                "reorder_depth": self.reorder_depth,
-            }
-        )
+        return copy.deepcopy(self.canonical_view())
 
-    def spec_hash(self) -> str:
-        """Content hash labelling campaign exports (first 16 hex chars)."""
-        canonical = json.dumps(self.canonical_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    def spec_hash(self, canonical: Optional[Dict[str, Any]] = None) -> str:
+        """Content hash labelling campaign exports (first 16 hex chars),
+        of *canonical* when the caller already holds this spec's view."""
+        text = json.dumps(canonical or self.canonical_view(), sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def plan_shards(runs: Sequence[RunSpec], shard_size: int = 1) -> List[Shard]:
-    """Partition *runs* into contiguous shards of at most *shard_size*:
-    the process pool's tasks (one run per shard maximizes its load
-    balancing; larger shards amortize per-task pickling for very short
-    runs)."""
+def plan_shards(points: Sequence, shard_size: int = 1) -> List[Shard]:
+    """Partition *points* into contiguous shards of at most *shard_size*
+    points: the process pool's tasks (one point per shard maximizes its
+    load balancing; larger shards amortize per-task pickling for very
+    short runs)."""
     if shard_size <= 0:
         raise ValueError("shard_size must be positive")
-    starts = range(0, len(runs), shard_size)
+    starts = range(0, len(points), shard_size)
     return [
-        Shard(index, len(starts), tuple(runs[start : start + shard_size]))
+        Shard(index, len(starts), tuple(points[start : start + shard_size]))
         for index, start in enumerate(starts)
     ]

@@ -338,13 +338,13 @@ def run_fig11(
     """All Fig. 11 series: both variants across the six write stages.
 
     The sweep runs through the orchestration engine
-    (:mod:`repro.orchestrate`): *workers* > 1 shards the runs across a
-    process pool (each worker builds its own :class:`CheshireSoC`; an
-    explicit *executor* with the ``map(runs)`` contract overrides the
-    choice), *batch_lanes* routes the
-    sweep through the lockstep batch executor
-    (:class:`~repro.orchestrate.batch.BatchExecutor`; *batch_verify*
-    replays every derived lane on the scalar verify kernel), *store* (a
+    (:mod:`repro.orchestrate`) and its lockstep batch executor
+    (:class:`~repro.orchestrate.batch.BatchExecutor`): *workers* > 1
+    shards the (variant, stage) points across a process pool (each
+    worker builds its own :class:`CheshireSoC`; an explicit *executor*
+    with the ``map(points)`` contract overrides the choice),
+    *batch_lanes* caps the pack width (*batch_verify* replays every
+    derived lane on the scalar verify kernel), *store* (a
     :class:`~repro.orchestrate.store.ResultStore` or a path) adds
     run-granular reuse — a wider seed sweep or a re-run of a killed one
     simulates only the frontier — and the aggregated series are identical to the serial ones

@@ -26,6 +26,7 @@ from repro.orchestrate import (
     BatchExecutor,
     CampaignSpec,
     Pack,
+    SerialExecutor,
     run_campaign_spec,
 )
 from repro.tmu.budget import AdaptiveBudgetPolicy, PhaseBudgets, SpanBudgets
@@ -82,7 +83,10 @@ def fig11_spec(**harness_kwargs) -> CampaignSpec:
 
 
 def full_json(spec: CampaignSpec, executor=None) -> str:
-    """The complete campaign JSON — scheduler block included."""
+    """The complete campaign JSON — scheduler block included — on
+    *executor*, by default the scalar width-1 reference."""
+    if executor is None:
+        executor = SerialExecutor()
     return to_json(campaign_dict(run_campaign_spec(spec, executor=executor)))
 
 
@@ -122,6 +126,16 @@ def test_fig9_batch_byte_identical(lanes, fig9_serial_json):
         assert executor.stats.derived == 0
     else:
         assert executor.stats.derived > 0
+
+
+def test_default_executor_byte_identical(fig9_serial_json, fig11_serial_json):
+    # No executor named: unbounded lanes, which must still equal scalar.
+    for spec, serial_json in ((fig9_spec(), fig9_serial_json),
+                              (fig11_spec(), fig11_serial_json)):
+        results = run_campaign_spec(spec)
+        assert any(type(item) is Pack for item in results.lanes())
+        assert streamed_json(results) == serial_json
+        assert to_json(campaign_dict(results)) == serial_json
 
 
 @pytest.mark.parametrize("lanes", [1, 8, 64])
@@ -208,3 +222,23 @@ def test_fig9_batch_verify_keeps_derived_lanes_packed(fig9_serial_json):
     assert packed == executor.stats.derived > 0
     assert streamed_json(results) == fig9_serial_json
     assert to_json(campaign_dict(results)) == fig9_serial_json
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [InjectionStage.DATA_TRANSFER_STALL, InjectionStage.R_MID_BURST_STALL],
+)
+def test_pre_onset_stamp_is_not_shifted(stage):
+    # A single-beat mid-burst stall is armed at start, so every seed
+    # records the injection at the same early cycle, before its onset:
+    # no lane may take that stamp shifted from its leader.
+    spec = CampaignSpec.ip(
+        [small_config(Variant.FULL)], [stage], beats=1, seeds=range(6)
+    )
+    scalar = run_campaign_spec(spec, executor=SerialExecutor())
+    assert len({result.inject_cycle for result in scalar}) == 1
+    executor = BatchExecutor()
+    assert streamed_json(run_campaign_spec(spec, executor=executor)) == (
+        streamed_json(scalar)
+    )
+    assert executor.stats.derived == 0

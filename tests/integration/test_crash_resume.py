@@ -1,14 +1,14 @@
 """Crash/resume integration: kill a campaign mid-run, resume from the store.
 
 A campaign's crash-safety story is the result store: the engine commits
-every completed run the moment the serial executor yields it, so a SIGKILLed
+every completed run the moment the scalar executor yields it, so a SIGKILLed
 campaign process — the worst case, nothing gets to clean up — can be
 resumed by any later campaign pointed at the same store, and the final
 campaign JSON must be byte-identical to an uninterrupted serial run.
 
 The scenario is gated, not timed: a forked child runs the campaign
 through an executor that executes exactly three runs, then signals
-and sleeps inside its fourth, so the campaign is provably mid-run —
+and sleeps before its fourth, so the campaign is provably mid-run —
 some runs stored, some not — when the SIGKILL lands.
 """
 
@@ -30,7 +30,6 @@ from repro.orchestrate import (
     SerialExecutor,
     run_campaign_spec,
 )
-from repro.orchestrate.executor import execute_run
 from repro.orchestrate.store import DB_NAME
 from repro.tmu.config import full_config, tiny_config
 
@@ -54,19 +53,21 @@ def crash_spec() -> CampaignSpec:
 class Gated(SerialExecutor):
     """Executes RUNS_BEFORE_FREEZE runs for real, then freezes.
 
-    The engine stores each yielded run before it pulls the next one,
-    so by the time ``frozen`` fires every completed run is committed.
+    The scalar executor yields one item per run, and the engine stores
+    each item before it pulls the next one, so by the time ``frozen``
+    fires every completed run is committed.
     """
 
     def __init__(self, frozen) -> None:
+        super().__init__()
         self.frozen = frozen
 
-    def map(self, runs):
-        for executed, run in enumerate(runs):
-            if executed >= RUNS_BEFORE_FREEZE:
-                self.frozen.set()
-                time.sleep(600)  # hold the campaign open until SIGKILLed
-            yield (run.index,), [execute_run(run)]
+    def map(self, points):
+        items = super().map(points)
+        for _ in range(RUNS_BEFORE_FREEZE):
+            yield next(items)
+        self.frozen.set()
+        time.sleep(600)  # hold the campaign open until SIGKILLed
 
 
 def _campaign_victim(store_dir: str, frozen) -> None:
@@ -81,7 +82,9 @@ def _stored_rows(store_dir) -> int:
 def test_sigkilled_coordinator_resumes_byte_identical(tmp_path):
     spec = crash_spec()
     assert len(spec.runs()) > RUNS_BEFORE_FREEZE + 1
-    serial_json = to_json(campaign_dict(run_campaign_spec(spec), spec=spec))
+    serial_json = to_json(campaign_dict(
+        run_campaign_spec(spec, executor=SerialExecutor()), spec=spec
+    ))
 
     store_dir = tmp_path / "store"
     context = multiprocessing.get_context("fork")
@@ -102,14 +105,17 @@ def test_sigkilled_coordinator_resumes_byte_identical(tmp_path):
     total = len(spec.runs())
     assert RUNS_BEFORE_FREEZE <= stored_before_resume < total
 
-    # Resume: same spec, same store, plain serial executor.
+    # Resume: same spec, same store, plain scalar executor, handed only
+    # the missing runs of each point.
     executed = []
 
     class Counting(SerialExecutor):
-        def map(self, pending):
-            for run in pending:
-                executed.append(run.run_id)
-                yield (run.index,), [execute_run(run)]
+        def map(self, points):
+            for indices, values in super().map(points):
+                executed.extend(runs[index].run_id for index in indices)
+                yield indices, values
+
+    runs = spec.runs()
 
     resumed = run_campaign_spec(spec, store=store_dir, executor=Counting())
     assert to_json(campaign_dict(resumed, spec=spec)) == serial_json

@@ -15,8 +15,8 @@ from tests.conftest import fast_budgets
 from tests.orchestrate.test_store import corrupt_row, fresh_view
 
 from repro.faults.types import InjectionStage
-from repro.orchestrate import CampaignSpec, ResultStore, plan_shards
-from repro.orchestrate.executor import execute_shard
+from repro.orchestrate import CampaignSpec, ResultStore
+from repro.orchestrate.executor import execute_run
 from repro.orchestrate.store import STORE_FORMAT
 from repro.tmu.config import full_config
 
@@ -35,9 +35,7 @@ def populated(tmp_path, spec):
     """A store holding every run's result, plus the runs and results."""
     store = ResultStore.open(tmp_path / "store")
     runs = spec.runs()
-    results = []
-    for shard in plan_shards(runs):
-        results.extend(execute_shard(shard)[1])
+    results = [execute_run(run) for run in runs]
     for run, result in zip(runs, results):
         store.put(run, result)
     return store, runs, results

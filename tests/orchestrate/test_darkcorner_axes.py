@@ -2,7 +2,8 @@
 threaded through the orchestration engine.
 
 The guarantees mirror the engine's headline ones: the axes are part of
-every run's identity (param hash, batch pack key, spec hash), and a
+every run's identity (param hash, spec hash; a pack never spans two
+points), and a
 campaign swept over them returns byte-identical measurements whatever
 the executor — serial, process pool, lockstep batch — and whatever the
 kernel strategy (``dirty``/``verify``).  Scheduler diagnostics
@@ -16,7 +17,12 @@ from collections import Counter
 from tests.conftest import fast_budgets
 
 from repro.faults.types import InjectionStage
-from repro.orchestrate import CampaignSpec, ResultStore, run_campaign_spec
+from repro.orchestrate import (
+    CampaignSpec,
+    ResultStore,
+    SerialExecutor,
+    run_campaign_spec,
+)
 from repro.orchestrate.batch import BatchExecutor
 from repro.orchestrate.serialize import result_to_dict
 from repro.tmu.config import full_config
@@ -57,9 +63,19 @@ def test_axes_are_part_of_run_identity():
     for field in ("size", "outstanding", "reorder_depth"):
         varied = axes_spec(**{field: getattr(base, field) + 1}).runs()[0]
         assert varied.param_key() != base.param_key(), field
-        assert (
-            BatchExecutor._batch_key(varied) != BatchExecutor._batch_key(base)
-        ), field
+    # No pack spans two points, not even two points whose configs are
+    # equal: each (config, stage) is its own batch unit.
+    config = full_config(budgets=fast_budgets())
+    spec = CampaignSpec.ip(
+        [config, config], STAGES, beats=4, seeds=range(8), **AXES
+    )
+    executor = BatchExecutor()
+    packs = [indices for indices, _ in executor.map(
+        [spec.runs()[start : start + 8] for start in range(0, 32, 8)]
+    )]
+    assert sorted(i for indices in packs for i in indices) == list(range(32))
+    assert all(len({i // 8 for i in indices}) == 1 for indices in packs)
+    assert executor.stats.derived > 0
 
 
 def test_axes_change_the_spec_hash():
@@ -83,9 +99,10 @@ def test_axes_survive_the_canonical_dict():
 # Byte-identity across executors and kernel strategies
 # ----------------------------------------------------------------------
 def test_axes_campaign_identical_across_executors_and_strategies():
-    serial = run_campaign_spec(axes_spec())
+    serial = run_campaign_spec(axes_spec(), executor=SerialExecutor())
     reference = measurement_json(serial)
     assert all(result.detected and result.recovered for result in serial)
+    assert measurement_json(run_campaign_spec(axes_spec())) == reference
 
     pooled = run_campaign_spec(axes_spec(), workers=2)
     assert measurement_json(pooled) == reference
@@ -108,7 +125,7 @@ def test_batch_verify_holds_on_dark_corner_lanes():
         axes_spec(seeds=(0, 1, 2)), batch_lanes=4, batch_verify=True
     )
     assert measurement_json(results) == measurement_json(
-        run_campaign_spec(axes_spec(seeds=(0, 1, 2)))
+        run_campaign_spec(axes_spec(seeds=(0, 1, 2)), executor=SerialExecutor())
     )
 
 
@@ -171,7 +188,7 @@ def system_axes_spec(harness_kwargs=None, **axes):
 
 
 def test_system_dark_corner_campaign_identical_everywhere():
-    serial = run_campaign_spec(system_axes_spec())
+    serial = run_campaign_spec(system_axes_spec(), executor=SerialExecutor())
     reference = measurement_json(serial)
     assert all(result.detected for result in serial)
 

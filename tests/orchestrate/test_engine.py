@@ -32,6 +32,7 @@ from repro.orchestrate import (
     plan_shards,
     run_campaign_spec,
 )
+from repro.orchestrate import batch as batch_module
 from repro.orchestrate import executor as executor_module
 from repro.orchestrate.store import DB_NAME
 from repro.soc.experiment import FIG11_STAGES, SystemInjectionResult, run_fig11
@@ -99,11 +100,12 @@ def test_cache_hit_skips_simulation_and_matches(tmp_path, monkeypatch):
     kwargs = dict(beats=4, seeds=(0,), store=tmp_path / "store")
     first = run_campaign(fig9_configs(), FIG9_SUBSET, **kwargs)
     # Any attempt to simulate on the second pass is a test failure.
-    monkeypatch.setattr(
-        executor_module,
-        "execute_run",
-        lambda *args, **kwargs: pytest.fail("store hit must not re-simulate"),
-    )
+    for module in (executor_module, batch_module):
+        monkeypatch.setattr(
+            module,
+            "execute_run",
+            lambda *args, **kwargs: pytest.fail("store hit must not re-simulate"),
+        )
     second = run_campaign(fig9_configs(), FIG9_SUBSET, **kwargs)
     assert second == first
 
@@ -145,8 +147,18 @@ def test_corrupt_cache_entry_is_re_executed(tmp_path):
 # Executors and workers resolution
 # ----------------------------------------------------------------------
 def test_make_executor_selects_by_worker_count():
-    assert isinstance(make_executor(1), SerialExecutor)
-    assert isinstance(make_executor(4), WorkerPoolExecutor)
+    # One process runs unbounded lockstep packs; a pool's workers run
+    # the same packs, width cap and verify passed through.
+    local = make_executor(1)
+    assert type(local) is BatchExecutor
+    assert local.lanes is None and not local.verify
+    assert make_executor(1, batch_lanes=8, batch_verify=True).lanes == 8
+    pool = make_executor(4, batch_lanes=8, batch_verify=True, shard_size=3)
+    assert isinstance(pool, WorkerPoolExecutor)
+    assert (pool.lanes, pool.verify, pool.shard_size) == (8, True, 3)
+    # The scalar baseline is the width-1 batch executor, not a loop.
+    assert "map" not in vars(SerialExecutor)
+    assert SerialExecutor().lanes == 1
     with pytest.raises(ValueError):
         WorkerPoolExecutor(0)
 
@@ -202,9 +214,9 @@ def planned(monkeypatch):
 
     calls = []
 
-    def counting(runs, shard_size=1):
-        calls.append(len(runs))
-        return plan_shards(runs, shard_size=shard_size)
+    def counting(points, shard_size=1):
+        calls.append(len(points))
+        return plan_shards(points, shard_size=shard_size)
 
     for module in (spec_module, executor_module):
         monkeypatch.setattr(module, "plan_shards", counting)
@@ -215,11 +227,13 @@ def test_only_the_pool_plans_shards(planned):
     spec = CampaignSpec.ip(
         fig9_configs(), FIG9_SUBSET, beats=4, seeds=(0, 2, 3)
     )
-    serial = run_campaign_spec(spec)
+    serial = run_campaign_spec(spec, executor=SerialExecutor())
+    assert run_campaign_spec(spec) == serial
     assert run_campaign_spec(spec, batch_lanes=8) == serial
     assert planned == []
     assert run_campaign_spec(spec, workers=2, shard_size=4) == serial
-    assert planned == [len(serial)]
+    # The pool plans its shards over points: one per (config, stage).
+    assert planned == [len(spec.configs) * len(spec.stages)]
 
 
 class CountingItems:
@@ -229,8 +243,8 @@ class CountingItems:
         self.inner = inner
         self.items = []
 
-    def map(self, runs):
-        for indices, values in self.inner.map(runs):
+    def map(self, points):
+        for indices, values in self.inner.map(points):
             assert len(values) == len(indices)
             self.items.append(len(indices))
             yield indices, values
@@ -269,6 +283,27 @@ def test_batch_counters_count_each_campaign_once():
     assert executor.stats.packs == 4
 
 
+def test_pool_counts_and_exports_what_one_process_does():
+    # Workers run the same packs and hand back their stats: the batch
+    # counters and the export match in-process by construction.
+    spec = lane_spec()
+    exports, counters = [], []
+    for kwargs in ({}, {"workers": 2}, {"workers": 2, "shard_size": 3}):
+        metrics = Counter()
+        buffer = io.StringIO()
+        write_campaign_json(
+            run_campaign_spec(spec, metrics=metrics, **kwargs), buffer,
+            spec=spec,
+        )
+        exports.append(buffer.getvalue())
+        counters.append(
+            {k: v for k, v in metrics.items() if k.startswith("batch.")}
+        )
+    assert counters[0]["batch.derived"] > 0
+    assert counters[0] == counters[1] == counters[2]
+    assert exports[0] == exports[1] == exports[2]
+
+
 def test_serial_items_stay_one_per_run():
     spec = CampaignSpec.ip(fig9_configs(), FIG9_SUBSET, beats=4)
     counting = CountingItems(SerialExecutor())
@@ -288,7 +323,7 @@ def lane_spec():
 
 def test_campaign_results_read_as_a_list():
     lazy = run_campaign_spec(lane_spec(), batch_lanes=8)
-    serial = list(run_campaign_spec(lane_spec()))
+    serial = list(run_campaign_spec(lane_spec(), executor=SerialExecutor()))
     assert isinstance(lazy, CampaignResults)
     lanes = [i for i, item in enumerate(lazy.lanes()) if type(item) is Pack]
     assert len(lanes) > 2
@@ -318,12 +353,14 @@ def test_store_keeps_materialized_lanes(tmp_path):
     # lane before the store write, and keeps that object.
     stored = run_campaign_spec(lane_spec(), batch_lanes=8, store=tmp_path)
     assert not any(type(item) is Pack for item in stored.lanes())
-    assert stored == list(run_campaign_spec(lane_spec()))
+    assert stored == list(
+        run_campaign_spec(lane_spec(), executor=SerialExecutor())
+    )
 
 
 def test_mutating_a_leader_leaves_unmaterialized_lanes_alone():
     lazy = run_campaign_spec(lane_spec(), batch_lanes=8)
-    expected = list(run_campaign_spec(lane_spec()))
+    expected = list(run_campaign_spec(lane_spec(), executor=SerialExecutor()))
     handed_out = [
         i for i, item in enumerate(lazy.lanes()) if type(item) is not Pack
     ]

@@ -28,6 +28,12 @@ def ip_spec(**kwargs):
     )
 
 
+def spec_points(spec):
+    """The spec's points: its runs in ``len(seeds)`` slices."""
+    runs, width = spec.runs(), len(spec.seeds)
+    return [runs[start : start + width] for start in range(0, len(runs), width)]
+
+
 # ----------------------------------------------------------------------
 # Config serialization
 # ----------------------------------------------------------------------
@@ -132,20 +138,28 @@ def test_system_spec_rejects_read_stages(stage):
 # Shard planning
 # ----------------------------------------------------------------------
 def test_plan_shards_partitions_in_order():
-    runs = ip_spec(seeds=(0, 1)).runs()  # 8 runs
-    shards = plan_shards(runs, shard_size=3)
-    assert [shard.index for shard in shards] == [0, 1, 2]
-    assert all(shard.count == 3 for shard in shards)
-    assert [len(shard.runs) for shard in shards] == [3, 3, 2]
-    flattened = [run for shard in shards for run in shard.runs]
-    assert flattened == runs
+    spec = ip_spec(seeds=(0, 1, 2))
+    points = spec_points(spec)  # 4 points of 3 runs
+    assert all(
+        len({(run.config["variant"], run.stage) for run in point}) == 1
+        for point in points
+    )
+    shards = plan_shards(points, shard_size=3)
+    assert [shard.index for shard in shards] == [0, 1]
+    assert all(shard.count == 2 for shard in shards)
+    assert [len(shard.points) for shard in shards] == [3, 1]
+    flattened = [
+        run for shard in shards for point in shard.points for run in point
+    ]
+    assert flattened == spec.runs()
 
 
 def test_plan_shards_default_one_run_per_shard():
-    runs = ip_spec().runs()
-    shards = plan_shards(runs)
-    assert len(shards) == len(runs)
-    assert all(len(shard.runs) == 1 for shard in shards)
+    # One point (the seeds of one config and stage) per shard.
+    points = spec_points(ip_spec(seeds=(0, 1)))
+    shards = plan_shards(points)
+    assert len(shards) == len(points)
+    assert [list(shard.points) for shard in shards] == [[p] for p in points]
 
 
 @pytest.mark.parametrize("shard_size", [1, 3, 8, 9])
@@ -155,16 +169,16 @@ def test_planned_shards_are_ordinary_frozen_shards(shard_size):
 
     from repro.orchestrate.spec import Shard
 
-    runs = ip_spec(seeds=(0, 1)).runs()  # 8 runs
-    shards = plan_shards(runs, shard_size=shard_size)
+    points = spec_points(ip_spec(seeds=tuple(range(8))))  # 4 x 8 runs
+    shards = plan_shards(points, shard_size=shard_size)
     built = [
-        Shard(index=shard.index, count=shard.count, runs=tuple(shard.runs))
+        Shard(index=shard.index, count=shard.count, points=tuple(shard.points))
         for shard in shards
     ]
     assert shards == built
     assert [vars(shard) for shard in shards] == [vars(b) for b in built]
     assert pickle.loads(pickle.dumps(shards)) == built
-    assert all(type(shard.runs) is tuple for shard in shards)
+    assert all(type(shard.points) is tuple for shard in shards)
     with pytest.raises(dataclasses.FrozenInstanceError):
         shards[0].index = 5
 

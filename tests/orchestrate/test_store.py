@@ -18,8 +18,8 @@ import pytest
 from tests.conftest import fast_budgets
 
 from repro.faults.types import InjectionStage
-from repro.orchestrate import CampaignSpec, ResultStore, plan_shards
-from repro.orchestrate.executor import execute_shard
+from repro.orchestrate import CampaignSpec, ResultStore
+from repro.orchestrate.executor import execute_run
 from repro.orchestrate.store import DB_NAME, STORE_FORMAT
 from repro.tmu.config import full_config, tiny_config
 
@@ -38,9 +38,7 @@ def spec():
 def executed(spec):
     """The spec's runs plus their simulated results, in canonical order."""
     runs = spec.runs()
-    results = []
-    for shard in plan_shards(runs):
-        results.extend(execute_shard(shard)[1])
+    results = [execute_run(run) for run in runs]
     return runs, results
 
 

@@ -17,6 +17,7 @@ from repro.analysis.export import campaign_dict, to_json, write_campaign_json
 from repro.faults.campaign import run_campaign
 from repro.faults.types import InjectionStage
 from repro.orchestrate import CampaignSpec, ResultStore, run_campaign_spec
+from repro.orchestrate import batch as batch_module
 from repro.orchestrate import executor as executor_module
 from repro.soc.experiment import FIG11_STAGES, run_fig11
 from repro.tmu.config import Variant, full_config, tiny_config
@@ -41,7 +42,8 @@ def simulated(monkeypatch):
         calls.append(run.run_id)
         return real(run, *args, **kwargs)
 
-    monkeypatch.setattr(executor_module, "execute_run", counting)
+    for module in (executor_module, batch_module):
+        monkeypatch.setattr(module, "execute_run", counting)
     return calls
 
 

@@ -1,9 +1,14 @@
 """Property-based equivalence of lockstep batch execution.
 
-Three randomized laws behind the batch executor:
+Four randomized laws behind the batch executor:
 
 * a batched campaign equals its scalar rerun for arbitrary small
   configs, seed sets and pack widths;
+* over the legal axis product (kind, variant, stage, beats, narrow
+  size, outstanding, reorder depth, prescale step, background), the
+  default campaign — unbounded lanes — exports byte for byte what
+  width-1 packs export, and a sampled point replays clean under
+  ``batch_verify``;
 * forcibly retiring an arbitrary subset of lanes mid-pack never changes
   a single result;
 * the guard's vectorized counter catch-up equals a tick-by-tick replay
@@ -11,12 +16,20 @@ Three randomized laws behind the batch executor:
 """
 
 import dataclasses
+import io
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.export import write_campaign_json
 from repro.faults.types import InjectionStage
-from repro.orchestrate import BatchExecutor, CampaignSpec, run_campaign_spec
+from repro.orchestrate import (
+    BatchExecutor,
+    CampaignSpec,
+    SerialExecutor,
+    run_campaign_spec,
+)
+from repro.soc.experiment import FIG11_STAGES
 from repro.tmu.budget import AdaptiveBudgetPolicy, PhaseBudgets, SpanBudgets
 from repro.tmu.config import TmuConfig, Variant
 from repro.tmu.counters import (
@@ -71,7 +84,9 @@ campaign_axes = dict(
 def test_batched_campaign_equals_scalar(variant, prescale_step, seeds, lanes):
     executor = BatchExecutor(lanes)
     batch = run_campaign_spec(_spec(variant, prescale_step, seeds), executor=executor)
-    serial = run_campaign_spec(_spec(variant, prescale_step, seeds))
+    serial = run_campaign_spec(
+        _spec(variant, prescale_step, seeds), executor=SerialExecutor()
+    )
     assert _dicts(batch) == _dicts(serial)
 
 
@@ -86,8 +101,60 @@ def test_random_lane_retirement_preserves_results(retire, seeds, prescale_step):
     batch = run_campaign_spec(
         _spec(Variant.FULL, prescale_step, seeds), executor=executor
     )
-    serial = run_campaign_spec(_spec(Variant.FULL, prescale_step, seeds))
+    serial = run_campaign_spec(
+        _spec(Variant.FULL, prescale_step, seeds), executor=SerialExecutor()
+    )
     assert _dicts(batch) == _dicts(serial)
+
+
+@st.composite
+def axis_specs(draw):
+    """A small campaign anywhere on the legal axis product, with the
+    index of one of its stages."""
+    kind = draw(st.sampled_from(("ip", "system")))
+    variant = draw(st.sampled_from([Variant.FULL, Variant.TINY]))
+    pool = list(InjectionStage) if kind == "ip" else list(FIG11_STAGES)
+    stages = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2,
+                           unique=True))
+    axes = dict(
+        seeds=sorted(draw(st.sets(st.integers(0, 24), min_size=3, max_size=6))),
+        size=draw(st.integers(0, 3)),
+        outstanding=draw(st.integers(1, 3)),
+        reorder_depth=draw(st.integers(0, 3)),
+    )
+    if kind == "ip":
+        prescale_step = draw(st.sampled_from([1, 2, 4]))
+        spec = CampaignSpec.ip(
+            [_config(variant, prescale_step)], stages,
+            beats=draw(st.integers(1, 8)), **axes,
+        )
+    else:
+        spec = CampaignSpec.system(
+            [variant], stages, beats=draw(st.integers(4, 16)),
+            background=draw(st.integers(0, 4)), **axes,
+        )
+    return spec, draw(st.integers(0, len(stages) - 1))
+
+
+def _export(results, spec) -> str:
+    buffer = io.StringIO()
+    write_campaign_json(results, buffer, spec=spec)
+    return buffer.getvalue()
+
+
+@given(axis_specs())
+@settings(max_examples=40, deadline=None)
+def test_default_lanes_export_equals_width_one(drawn):
+    spec, sampled = drawn
+    scalar = run_campaign_spec(spec, executor=SerialExecutor())
+    assert _export(run_campaign_spec(spec), spec) == _export(scalar, spec)
+    # One point, replayed: every derived lane against the verify kernel.
+    point = dataclasses.replace(spec, stages=[spec.stages[sampled]])
+    width = len(spec.seeds)
+    verified = run_campaign_spec(point, batch_verify=True)
+    assert _dicts(verified) == _dicts(
+        scalar[sampled * width : (sampled + 1) * width]
+    )
 
 
 # ----------------------------------------------------------------------

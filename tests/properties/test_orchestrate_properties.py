@@ -78,9 +78,18 @@ def specs(draw):
 @settings(max_examples=60, deadline=None)
 def test_shard_plan_is_disjoint_complete_partition(spec, shard_size):
     runs = spec.runs()
-    shards = plan_shards(runs, shard_size=shard_size)
+    width = len(spec.seeds)
+    points = [runs[start : start + width] for start in range(0, len(runs), width)]
+    # Each point is one (config, stage) — every seed of it, in order.
+    for number, point in enumerate(points):
+        config, stage = divmod(number, len(spec.stages))
+        assert [run.seed for run in point] == spec.seeds
+        assert all(run.config == spec.configs[config] for run in point)
+        assert all(run.stage == spec.stages[stage] for run in point)
+    shards = plan_shards(points, shard_size=shard_size)
     # Complete and in canonical order once flattened…
-    flattened = [run for shard in shards for run in shard.runs]
+    flattened = [run for shard in shards for point in shard.points
+                 for run in point]
     assert flattened == runs
     # …disjoint (every run exactly once, by identity-bearing index)…
     indexes = [run.index for run in flattened]
@@ -88,7 +97,7 @@ def test_shard_plan_is_disjoint_complete_partition(spec, shard_size):
     # …with a consistent self-describing plan.
     assert [shard.index for shard in shards] == list(range(len(shards)))
     assert all(shard.count == len(shards) for shard in shards)
-    assert all(len(shard.runs) <= shard_size for shard in shards)
+    assert all(len(shard.points) <= shard_size for shard in shards)
 
 
 @given(specs())
@@ -168,13 +177,14 @@ def test_aggregation_is_index_ordered_for_any_arrival_order(
         """Completes items of up to *shard_size* runs in a
         hypothesis-chosen order, results tagged."""
 
-        def map(self, pending):
-            order = plan_shards(pending, shard_size=shard_size)
+        def map(self, points):
+            order = plan_shards(points, shard_size=shard_size)
             rng.shuffle(order)
             for shard in order:
+                shard_runs = [run for point in shard.points for run in point]
                 yield (
-                    tuple(run.index for run in shard.runs),
-                    [f"result-{run.index}" for run in shard.runs],
+                    tuple(run.index for run in shard_runs),
+                    [f"result-{run.index}" for run in shard_runs],
                 )
 
     ordered = run_campaign_spec(spec, executor=Scrambled())

@@ -203,13 +203,6 @@ def test_campaign_resume_flags(capsys, tmp_path):
         (["area", "--outstanding", "-4"], "expected a positive integer", {}),
         (["fig8", "--budget", "0"], "expected a positive integer", {}),
         (["fig8", "--budget", "-1"], "expected a positive integer", {}),
-        (["campaign", "--beats", "4", "--batch-lanes", "4", "--workers", "2"],
-         "cannot be combined with --workers > 1 (got 2)", {}),
-        (["fig11", "--batch-lanes", "4", "--workers", "2"],
-         "cannot be combined with --workers > 1 (got 2)", {}),
-        (["campaign", "--beats", "4", "--batch-verify"],
-         "--batch-verify needs --batch-lanes", {}),
-        (["fig11", "--batch-verify"], "--batch-verify needs --batch-lanes", {}),
         (["campaign", "--beats", "4"],
          "REPRO_WORKERS must be a positive integer, got '0'",
          {"REPRO_WORKERS": "0"}),
@@ -247,8 +240,6 @@ def test_campaign_resume_flags(capsys, tmp_path):
          "fig11-workers-neg", "inject-workers-neg",
          "area-step-0", "area-outstanding-0", "area-outstanding-neg",
          "fig8-budget-0", "fig8-budget-neg",
-         "campaign-batch-workers", "fig11-batch-workers",
-         "campaign-verify-alone", "fig11-verify-alone",
          "campaign-env-workers-0", "campaign-env-workers-abc",
          "fig11-env-workers-0", "fig11-env-workers-abc",
          "inject-env-workers-0", "inject-env-workers-abc",
@@ -430,6 +421,7 @@ def test_store_stats_command(capsys, tmp_path):
 def test_campaign_artifacts_identical_across_hash_seeds_and_workers(tmp_path):
     # The campaign JSON and telemetry.json depend on the campaign alone:
     # not on str hashing (PYTHONHASHSEED) nor on the executor.
+    import json
     import os
     import subprocess
     import sys
@@ -439,7 +431,7 @@ def test_campaign_artifacts_identical_across_hash_seeds_and_workers(tmp_path):
 
     src = str(Path(repro.__file__).resolve().parent.parent)
     argv = ["campaign", "--kind", "ip", "--stage", "aw_stage_error",
-            "--beats", "4"]
+            "--beats", "4", "--seeds", "4"]
     artifacts = []
     for name, hash_seed, extra in (("seed0", "0", []), ("seed1", "1", []),
                                    ("workers2", "0", ["--workers", "2"])):
@@ -458,6 +450,29 @@ def test_campaign_artifacts_identical_across_hash_seeds_and_workers(tmp_path):
         assert done.returncode == 0, done.stderr
         artifacts.append((export.read_bytes(), telemetry.read_bytes()))
     assert artifacts[0] == artifacts[1] == artifacts[2]
+    # Lanes are the default on every executor: the pool's workers hand
+    # back their batch counts, which the telemetry carries.
+    counters = json.loads(artifacts[2][1])["metrics"]["counters"]
+    assert counters["batch.packs"] > 0
+    assert counters["batch.leaders"] + counters["batch.retired"] == 8
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--batch-lanes", "4", "--workers", "2"], ["--batch-verify"],
+     ["--batch-verify", "--workers", "2"]],
+    ids=["lanes-with-workers", "verify-alone", "verify-with-workers"],
+)
+def test_batch_flags_compose_with_workers(capsys, tmp_path, extra):
+    # A width cap and the verify replay work alone and with a pool, and
+    # export what the scalar width-1 run does.
+    argv = ["campaign", "--kind", "ip", "--variant", "full",
+            "--stage", "aw_stage_error", "--beats", "4", "--seeds", "4"]
+    scalar, batched = tmp_path / "scalar.json", tmp_path / "batched.json"
+    assert main(argv + ["--batch-lanes", "1", "--json", str(scalar)]) == 0
+    assert main(argv + extra + ["--json", str(batched)]) == 0
+    assert "4 runs | 4 detected | 4 recovered" in capsys.readouterr().out
+    assert batched.read_bytes() == scalar.read_bytes()
 
 
 def test_cli_start_up_does_not_import_numpy():
