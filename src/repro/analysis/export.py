@@ -463,8 +463,8 @@ def write_campaign_json(results, stream, spec=None, indent: int = 2) -> int:
     write(f'{pad}"scheduler": {_nested_json(scheduler, 1, indent)}')
     if spec is not None:
         # Only serialized, never handed out: no copy needed.
-        canonical = spec.canonical_view()
-        write(f',\n{pad}"spec": {_nested_json(canonical, 1, indent)}')
-        write(f',\n{pad}"spec_hash": {json.dumps(spec.spec_hash(canonical))}')
+        spec_text = _nested_json(spec.canonical_view(), 1, indent)
+        write(f',\n{pad}"spec": {spec_text}')
+        write(f',\n{pad}"spec_hash": {json.dumps(spec.spec_hash())}')
     write("\n}")
     return runs

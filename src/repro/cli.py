@@ -596,9 +596,10 @@ def _add_campaign_axes(parser: argparse.ArgumentParser) -> None:
     _add_dark_corner_axes(parser)
     parser.add_argument(
         "--shard-size", type=_positive_int, default=1,
-        help="points (the seeds of one config and stage) per process-pool "
-        "task with --workers > 1 (default 1); larger tasks amortize "
-        "pickling for very short runs",
+        help="points (the seeds of one config and stage, not runs) per "
+        "process-pool task with --workers > 1 (default 1); fewer points "
+        "than workers are cut into seed slices first; larger tasks "
+        "amortize pickling for very short runs",
     )
     _add_store_arg(parser)
     parser.add_argument(

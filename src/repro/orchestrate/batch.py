@@ -5,9 +5,8 @@ form; the :class:`~repro.orchestrate.executor.WorkerPoolExecutor` runs
 it in each worker).  Campaign runs that differ only in their seed are
 pure *time shifts* of one another (seeds map to the IP harness's
 ``issue_delay`` / the system experiment's ``start_delay``), so instead
-of simulating every lane, the executor takes the campaign's *points* —
-the runs of one (config, stage), which share everything but seed and
-index — and for each point:
+of simulating every lane, the executor takes the campaign's *points*
+(the runs of one (config, stage)) and for each point:
 
 1. splits it into congruence classes modulo the simulation's lockstep
    period (:func:`repro.sim.batch.lockstep_period`, the lcm of every
@@ -15,8 +14,8 @@ index — and for each point:
    :attr:`~repro.sim.component.Component.phase_period`), then into
    packs of at most ``lanes`` lanes (unbounded by default);
 2. runs one scalar *leader* per pack with a
-   :class:`~repro.sim.batch.LeapTrace` probe attached (a lane with no
-   follower left runs without one: there is nothing to derive);
+   :class:`~repro.sim.batch.LeapTrace` probe attached (none when no
+   follower is left to derive);
 3. checks the leader's inert-prefix evidence and derives every
    follower lane as its seed delta from the leader — the lane's result
    is ``leader.shifted(delta)``, built only when a caller asks for it —
@@ -24,16 +23,17 @@ index — and for each point:
 4. *retires* any lane the evidence does not cover (seed inside the
    startup transient, a leader stamp taken before its onset, detection
    horizon crossed, undeclared component, non-leaping kernel, forced
-   divergence) to the scalar kernel, so
-   coverage degrades gracefully instead of wrongly.
+   divergence) to the scalar kernel, so coverage degrades gracefully
+   instead of wrongly.
 
 The full soundness argument lives in :mod:`repro.sim.batch`.  Under
-the ``map(points) -> (run indices, values)`` contract the executor
-yields one item per pack, as soon as the pack finishes, whose values
-are one :class:`Pack`.  The engine keeps the pack whole, and the JSON
-export writes its rows from the leader's without materializing them.
-Every pack width is byte-identical to width 1 (scalar execution of
-every run) by construction, and the differential test battery
+the ``map(points) -> (run indices, values)`` contract every run the
+executor simulates is its own item, yielded the moment it finishes,
+and a pack's derived lanes follow their leader as one item whose
+value is one :class:`Pack`.  The engine keeps the pack whole, and the
+JSON export writes its rows from the leader's without materializing
+them.  Every pack width is byte-identical to width 1 (scalar execution
+of every run) by construction, and the differential test battery
 (``tests/integration/test_batch_figures.py``) holds it to that.
 
 With ``verify=True`` the executor extends ``strategy="verify"`` to the
@@ -47,7 +47,6 @@ pack, as an unverified one does.
 
 from __future__ import annotations
 
-import bisect
 import copy
 import dataclasses
 import itertools
@@ -61,7 +60,6 @@ from ..sim.kernel import SchedulerDivergenceError
 from .executor import HarnessCache, Item, execute_run, harness_key
 from .spec import RunSpec
 
-_index = operator.attrgetter("index")
 _seed = operator.attrgetter("seed")
 
 #: The cycle stamps a result's ``shifted`` moves with the seed.
@@ -70,30 +68,24 @@ _STAMPS = ("txn_start_cycle", "inject_cycle", "w_first_cycle", "detect_cycle")
 
 @dataclasses.dataclass(eq=False)
 class Pack:
-    """One lockstep pack's results, as one executor value.
+    """The lanes one pack derived from its leader, as one executor value.
 
-    Covers the runs *indices* (canonical run indices, in pack order)
-    and iterates their results in that order.  A lane that ran — the
-    leader, a retired or promoted lane — has its result in *ran*.
-    Every other lane is derived, verified or not: its result is
+    Covers the runs *deltas* keys (canonical run indices, in pack
+    order) and iterates their results in that order: lane ``index`` is
     ``leader.shifted(deltas[index])``, built by :meth:`lane` each time
     it is asked for.  *leader* is the executor's private copy of the
     pack leader's result, so a caller mutating the leader result it was
     handed cannot change a lane.
     """
 
-    indices: Tuple[int, ...]
-    ran: Dict[int, Any]
-    leader: Any = None
-    deltas: Dict[int, int] = dataclasses.field(default_factory=dict)
+    leader: Any
+    deltas: Dict[int, int]
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return len(self.deltas)
 
     def __iter__(self) -> Iterator[Any]:
-        ran = self.ran
-        for index in self.indices:
-            yield ran[index] if index in ran else self.lane(index)
+        return map(self.lane, self.deltas)
 
     def lane(self, index: int):
         """A new result object for derived lane *index*."""
@@ -177,13 +169,12 @@ class BatchExecutor:
         self._period_cache: Dict[Tuple, Optional[int]] = {}
 
     def map(self, points: Iterable[Sequence[RunSpec]]) -> Iterator[Item]:
-        """Yield one ``(run indices, Pack)`` item per pack of *points*
-        (each the runs of one (config, stage)) as soon as it finishes."""
+        """Yield the items of *points* (each the runs of one (config,
+        stage)) as they finish."""
         cache = HarnessCache()
         for point in points:
             for pack in self._packs(point, cache):
-                values = self._execute_pack(pack, cache)
-                yield values.indices, values
+                yield from self._execute_pack(pack, cache)
 
     # ------------------------------------------------------------------
     # Pack planning
@@ -240,61 +231,58 @@ class BatchExecutor:
         """
         return run.seed if run.kind == "system" else run.seed - 1
 
-    def _execute_pack(self, pack: List[RunSpec], cache: HarnessCache) -> Pack:
+    def _execute_pack(
+        self, pack: List[RunSpec], cache: HarnessCache
+    ) -> Iterator[Item]:
+        """Run one pack: each run as it finishes, then the lanes
+        derived from a leader right after the leader."""
         self.stats.packs += 1
         # A lane whose onset is at (or before) cycle 1 can never show an
         # inert pre-onset *gap* — the kernel always steps cycle 0 — so
         # it runs scalar unconditionally, as do lanes the caller
-        # forcibly retires.  The pack ascends by seed, so the early
-        # lanes lead it.
-        early = bisect.bisect_left(pack, 2, key=self._onset)
-        scalar, queue = pack[:early], pack[early:]
-        if self.force_retire is not None:
-            scalar += [run for run in queue if self.force_retire(run)]
-            queue = [run for run in queue if not self.force_retire(run)]
-        ran: Dict[int, Any] = {
-            run.index: self._scalar(run, cache) for run in scalar
-        }
-        values = Pack(tuple(map(_index, pack)), ran)
+        # forcibly retires.
+        queue = []
+        for run in pack:
+            if self._onset(run) < 2 or (
+                self.force_retire is not None and self.force_retire(run)
+            ):
+                yield self._scalar(run, cache)
+            else:
+                queue.append(run)
         while queue:
             leader = queue.pop(0)
             onset = self._onset(leader)
             # The evidence serves followers only: the last lane runs
             # without the probe.
             trace = LeapTrace(onset=onset) if queue else None
-            ran[leader.index] = leader_result = execute_run(
-                leader, trace=trace, cache=cache
-            )
+            result = execute_run(leader, trace=trace, cache=cache)
             self.stats.leaders += 1
-            if not queue:
-                break
-            if not trace.inert_before(onset):
-                # No evidence from this lane (non-leaping kernel, or
-                # the transient reaches its onset): its own result
-                # stands, and the next lane — whose later onset leaves
-                # more room for the transient — is promoted to leader.
-                self.stats.promoted += 1
+            if not queue or not trace.inert_before(onset):
+                # Nothing to derive (the last lane), or no evidence
+                # (non-leaping kernel, or the transient reaches the
+                # onset): the result stands, and the next lane, whose
+                # later onset leaves the transient more room, leads.
+                self.stats.promoted += bool(queue)
+                yield (leader.index,), [result]
                 continue
-            derivable = self._derivable_lanes(leader, leader_result, queue)
+            derivable = self._derivable_lanes(leader, result, queue)
             derived = list(itertools.compress(queue, derivable))
+            deltas = {run.index: run.seed - leader.seed for run in derived}
+            # The leader's copy is taken before its result is handed out.
+            lanes = Pack(copy.copy(result), deltas)
+            yield (leader.index,), [result]
+            if derived:
+                if self.verify:
+                    for run, lane in zip(derived, lanes):
+                        if self.derive_hook is not None:
+                            lane = self.derive_hook(run, lane)
+                        self._verify_lane(run, leader, lane)
+                self.stats.derived += len(derived)
+                yield tuple(lanes.deltas), lanes
             for run, ok in zip(queue, derivable):
                 if not ok:
-                    ran[run.index] = self._scalar(run, cache)
-            # A derived lane stays a seed delta until a caller asks for
-            # its result.
-            values.leader = copy.copy(leader_result)
-            values.deltas = {
-                run.index: run.seed - leader.seed for run in derived
-            }
-            if self.verify:
-                for run in derived:
-                    result = values.lane(run.index)
-                    if self.derive_hook is not None:
-                        result = self.derive_hook(run, result)
-                    self._verify_lane(run, leader, result)
-            self.stats.derived += len(derived)
-            break
-        return values
+                    yield self._scalar(run, cache)
+            return
 
     def _derivable_lanes(
         self,
@@ -302,8 +290,7 @@ class BatchExecutor:
         leader_result,
         followers: Sequence[RunSpec],
     ) -> List[bool]:
-        """Stamp and horizon containment, one flag per follower lane of
-        the pack.
+        """Stamp and horizon containment, one flag per follower lane.
 
         A cycle stamp the leader took before its onset (a fault that
         manifests from cycle 1, say: a single-beat mid-burst stall is
@@ -335,9 +322,9 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # Scalar fallback and verify replay
     # ------------------------------------------------------------------
-    def _scalar(self, run: RunSpec, cache: HarnessCache):
+    def _scalar(self, run: RunSpec, cache: HarnessCache) -> Item:
         self.stats.retired += 1
-        return execute_run(run, cache=cache)
+        return (run.index,), [execute_run(run, cache=cache)]
 
     def _verify_lane(self, run: RunSpec, leader: RunSpec, derived) -> None:
         """Replay a derived lane on the scalar verify kernel and compare.

@@ -154,7 +154,8 @@ def run_campaign_spec(
     progress:
         ``True`` / a text stream for a live status line with ETA, or a
         pre-built :class:`ProgressReporter`; it advances per executor
-        item (a batch pack), keeping derived lanes out of its rate.
+        item (a run, or a pack's derived lanes), keeping derived lanes
+        out of its rate.
     executor:
         A pre-built executor (anything with the ``map(points)``
         contract) overriding the *workers*-based choice.  Reuse and
@@ -169,7 +170,8 @@ def run_campaign_spec(
         ``store.*`` hit/miss/frontier counts, and what the executor's
         :class:`~repro.orchestrate.batch.BatchStats` grew by, as
         ``batch.*``.  Every count depends on the campaign alone, never
-        on the worker count or the clock.  Purely observational —
+        on the clock or the worker count (but ``batch.*`` when a pool
+        cuts points into seed slices).  Purely observational —
         results are identical with or without it.
     store:
         A :class:`~repro.orchestrate.store.ResultStore` (or a path to
@@ -205,8 +207,7 @@ def run_campaign_spec(
     # One slot per run: spec.runs() numbers the runs by position.
     items: List[Any] = [None] * len(runs) if collect else []
 
-    # The runs are seed-innermost: each point is a len(seeds) slice.
-    width = len(spec.seeds)
+    width = len(spec.seeds)  # seed-innermost: a point is a slice
     points = [runs[start : start + width] for start in range(0, len(runs), width)]
     # Stored runs are fetched; what remains of each point is the
     # frontier — the only work any executor will see.
@@ -245,22 +246,18 @@ def run_campaign_spec(
         metrics["campaign.shards"] += -(-len(points) // shard_size)
         metrics["campaign.shards_executed"] += -(-len(frontier) // shard_size)
     for indices, values in executor.map(frontier):
-        derived = len(values.deltas) if type(values) is Pack else 0
+        derived = len(indices) if type(values) is Pack else 0
         if store is not None:
             values = list(values)  # a pack's lanes become results here
             if len(indices) == 1:
                 store.put(runs[indices[0]], values[0])
             else:
                 store.put_many([runs[index] for index in indices], values)
-        if collect and type(values) is Pack:
-            # The pack stays whole: each derived lane's slot holds it.
-            for index in values.deltas:
-                items[index] = values
-            for index, result in values.ran.items():
-                items[index] = result
-        elif collect:
-            for index, result in zip(indices, values):
-                items[index] = result
+        if collect:
+            # A pack stays whole: each of its lanes' slots holds it.
+            slots = itertools.repeat(values) if type(values) is Pack else values
+            for index, value in zip(indices, slots):
+                items[index] = value
         if metrics is not None:
             metrics["campaign.runs_executed"] += len(indices)
         if reporter:

@@ -3,11 +3,11 @@
 An executor's ``map(points)`` takes campaign *points* (the runs of one
 (config, stage)) and yields ``(run indices, values)`` items, in *any*
 order, one value per index.  The one in-process executor is
-:class:`~repro.orchestrate.batch.BatchExecutor` (one item per lockstep
-pack); :class:`WorkerPoolExecutor` ships shards of whole points
-(:class:`~repro.orchestrate.spec.Shard`) to a process pool, and each
-worker runs the same batch executor over its shard.  Every harness is built inside the
-process that simulates it: only plain
+:class:`~repro.orchestrate.batch.BatchExecutor`;
+:class:`WorkerPoolExecutor` ships shards of points
+(:class:`~repro.orchestrate.spec.Shard`) to a process pool, each
+worker running the same batch executor.  Every harness is built inside
+the process that simulates it: only plain
 :class:`~repro.orchestrate.spec.RunSpec` data travels to workers and
 only results travel back.  Within one ``map()`` call (or one shard, in
 a worker) same-shape runs share a harness through a one-slot
@@ -185,18 +185,33 @@ def execute_run(run: RunSpec, trace=None, cache: Optional[HarnessCache] = None):
 def execute_shard(shard: Shard, lanes: Optional[int] = None,
                   verify: bool = False) -> Tuple[List[Item], BatchStats]:
     """Pool worker entry point: run one shard's points through a
-    :class:`~repro.orchestrate.batch.BatchExecutor` of *lanes* lanes in
-    this process; return its items and its stats."""
+    :class:`~repro.orchestrate.batch.BatchExecutor`; return its items
+    and its stats."""
     from .batch import BatchExecutor
 
     executor = BatchExecutor(lanes, verify=verify)
     return list(executor.map(shard.points)), executor.stats
 
 
+def slice_points(points: Sequence[Sequence[RunSpec]], count: int) -> List:
+    """*points*, each cut into contiguous seed slices (still points) when
+    there are fewer than *count*, so there are *count* if seeds allow."""
+    cuts = -(-count // max(len(points), 1))
+    sliced = []
+    for point in points:
+        step = -(-len(point) // cuts)
+        sliced += [point[start : start + step]
+                   for start in range(0, len(point), step)]
+    return sliced
+
+
 class WorkerPoolExecutor:
     """Fans the points out across a ``multiprocessing`` pool, in shards
     of *shard_size* points, each worker running the batch executor
     (*lanes*, *verify*) over its shard; :attr:`stats` adds up theirs.
+    Fewer points than workers are first cut into seed slices
+    (:func:`slice_points`) so that every worker gets work even when no
+    lane derives.
 
     Completion order is arbitrary (``imap_unordered``); the engine
     re-assembles results by run index, so scheduling jitter never
@@ -218,7 +233,9 @@ class WorkerPoolExecutor:
         self.stats = BatchStats()
 
     def map(self, points: Sequence[Sequence[RunSpec]]) -> Iterator[Item]:
-        shards = plan_shards(points, shard_size=self.shard_size)
+        shards = plan_shards(
+            slice_points(points, self.workers), shard_size=self.shard_size
+        )
         if not shards:
             return
         # Imported here so in-process campaigns (and CLI start-up) never

@@ -51,7 +51,8 @@ class ProgressReporter:
     # ------------------------------------------------------------------
     def shard_done(self, runs: int, cached: bool = False) -> None:
         """Record one finished unit of *runs* runs — an executor item
-        (a batch pack) or the store's hits — and redraw the line."""
+        (a run, or a pack's derived lanes) or the store's hits — and
+        redraw the line."""
         self.done += runs
         if cached:
             self.cached += runs

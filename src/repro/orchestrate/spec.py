@@ -9,9 +9,8 @@ it into :class:`RunSpec` units in the exact order the serial runners
 result list of any executor is byte-for-byte the serial one.
 
 Every run carries a stable, human-readable ``run_id`` and its canonical
-``index``.  The runs of one (config, stage) — a contiguous
-``len(seeds)``-run slice of :meth:`runs` — form a *point*, the unit
-executors take; :func:`plan_shards` groups points into contiguous
+``index``.  The ``len(seeds)`` adjacent runs of one (config, stage)
+form a *point*; :func:`plan_shards` groups points into contiguous
 :class:`Shard` units of work for the process pool.  The spec's
 :meth:`spec_hash` labels campaign exports: any parameter change
 produces a different hash.
@@ -322,10 +321,9 @@ class CampaignSpec:
         """
         return copy.deepcopy(self.canonical_view())
 
-    def spec_hash(self, canonical: Optional[Dict[str, Any]] = None) -> str:
-        """Content hash labelling campaign exports (first 16 hex chars),
-        of *canonical* when the caller already holds this spec's view."""
-        text = json.dumps(canonical or self.canonical_view(), sort_keys=True)
+    def spec_hash(self) -> str:
+        """Content hash labelling campaign exports (first 16 hex chars)."""
+        text = json.dumps(self.canonical_view(), sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

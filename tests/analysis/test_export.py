@@ -345,7 +345,7 @@ def _packed_results(draw):
     from repro.orchestrate import CampaignResults, Pack
 
     leaders = draw(st.lists(_leader(), min_size=1, max_size=3))
-    packs = [Pack((), {}, leader, {}) for leader in leaders]
+    packs = [Pack(leader, {}) for leader in leaders]
     items = []
     for index in range(draw(st.integers(0, 40))):
         owner = draw(st.integers(-1, len(packs) - 1))
@@ -355,8 +355,6 @@ def _packed_results(draw):
         else:
             packs[owner].deltas[index] = delta
             items.append(packs[owner])
-    for pack in packs:
-        pack.indices = tuple(pack.deltas)
     results = CampaignResults(items)
     for index in draw(st.lists(st.integers(0, max(len(items) - 1, 0)))):
         if items:
@@ -433,8 +431,8 @@ def test_streamed_scheduler_block_reads_missing_and_odd_stats_as_campaign_dict()
     from repro.orchestrate import CampaignResults, Pack
 
     floaty = dataclasses.replace(results[2], sim_cycles_leaped=2.75)
-    odd_pack = Pack((2, 3), {}, odd, {2: 3, 3: 5})
-    floaty_pack = Pack((4, 5), {}, floaty, {4: 4, 5: -3})
+    odd_pack = Pack(odd, {2: 3, 3: 5})
+    floaty_pack = Pack(floaty, {4: 4, 5: -3})
     lanes = CampaignResults(
         [legacy, odd, odd_pack, odd_pack, floaty_pack, floaty_pack] + results
     )
@@ -452,7 +450,7 @@ def test_interleaved_packs_build_one_row_template_per_leader(monkeypatch):
     from repro.orchestrate import CampaignResults, Pack
 
     results = _ip_results()
-    packs = [Pack((), {}, results[0], {}), Pack((), {}, results[2], {})]
+    packs = [Pack(results[0], {}), Pack(results[2], {})]
     items = []
     for index in range(12):
         pack = packs[index % 2]

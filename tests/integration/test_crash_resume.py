@@ -7,9 +7,12 @@ resumed by any later campaign pointed at the same store, and the final
 campaign JSON must be byte-identical to an uninterrupted serial run.
 
 The scenario is gated, not timed: a forked child runs the campaign
-through an executor that executes exactly three runs, then signals
-and sleeps before its fourth, so the campaign is provably mid-run —
-some runs stored, some not — when the SIGKILL lands.
+through an executor that executes exactly a few runs, then signals
+and sleeps before the next one, so the campaign is provably mid-run —
+some runs stored, some not — when the SIGKILL lands.  It runs twice:
+on the scalar executor, and on the default batch executor over a
+point whose lanes all retire, which must commit each retired lane as
+it finishes, not the point's runs at once.
 """
 
 import multiprocessing
@@ -25,6 +28,7 @@ from tests.conftest import fast_budgets
 from repro.analysis.export import campaign_dict, to_json
 from repro.faults.types import InjectionStage
 from repro.orchestrate import (
+    BatchExecutor,
     CampaignSpec,
     ResultStore,
     SerialExecutor,
@@ -32,9 +36,6 @@ from repro.orchestrate import (
 )
 from repro.orchestrate.store import DB_NAME
 from repro.tmu.config import full_config, tiny_config
-
-#: Runs the gated executor completes before it freezes on the next one.
-RUNS_BEFORE_FREEZE = 3
 
 
 def crash_spec() -> CampaignSpec:
@@ -50,28 +51,53 @@ def crash_spec() -> CampaignSpec:
     )
 
 
-class Gated(SerialExecutor):
-    """Executes RUNS_BEFORE_FREEZE runs for real, then freezes.
+def retiring_spec() -> CampaignSpec:
+    # One point: a single-beat mid-burst stall records its injection
+    # before the leader's onset, so seeds 0-2 run early, seed 3 leads
+    # and seeds 4-7 retire — no lane derives.
+    return CampaignSpec.ip(
+        [full_config(budgets=fast_budgets())],
+        (InjectionStage.DATA_TRANSFER_STALL,),
+        beats=1,
+        seeds=range(8),
+    )
 
-    The scalar executor yields one item per run, and the engine stores
-    each item before it pulls the next one, so by the time ``frozen``
-    fires every completed run is committed.
+
+#: case -> (spec, executor class, runs completed before the freeze).
+CASES = {
+    "scalar": (crash_spec, SerialExecutor, 3),
+    "retiring-lanes": (retiring_spec, BatchExecutor, 5),
+}
+
+
+def gated(base, runs_before_freeze, frozen):
+    """A *base* executor that executes *runs_before_freeze* runs for
+    real, then freezes.
+
+    Every run the executor simulates is its own item, and the engine
+    stores each item before it pulls the next one, so by the time
+    ``frozen`` fires every completed run is committed.
     """
 
-    def __init__(self, frozen) -> None:
-        super().__init__()
-        self.frozen = frozen
+    class Gated(base):
+        def map(self, points):
+            items = super().map(points)
+            for _ in range(runs_before_freeze):
+                indices, values = next(items)
+                assert len(indices) == 1
+                yield indices, values
+            frozen.set()
+            time.sleep(600)  # hold the campaign open until SIGKILLed
 
-    def map(self, points):
-        items = super().map(points)
-        for _ in range(RUNS_BEFORE_FREEZE):
-            yield next(items)
-        self.frozen.set()
-        time.sleep(600)  # hold the campaign open until SIGKILLed
+    return Gated()
 
 
-def _campaign_victim(store_dir: str, frozen) -> None:
-    run_campaign_spec(crash_spec(), store=store_dir, executor=Gated(frozen))
+def _campaign_victim(case: str, store_dir: str, frozen) -> None:
+    spec, base, runs_before_freeze = CASES[case]
+    run_campaign_spec(
+        spec(), store=store_dir,
+        executor=gated(base, runs_before_freeze, frozen),
+    )
 
 
 def _stored_rows(store_dir) -> int:
@@ -80,8 +106,17 @@ def _stored_rows(store_dir) -> int:
 
 
 def test_sigkilled_coordinator_resumes_byte_identical(tmp_path):
-    spec = crash_spec()
-    assert len(spec.runs()) > RUNS_BEFORE_FREEZE + 1
+    kill_and_resume(tmp_path, "scalar")
+
+
+def test_sigkilled_batch_commits_each_retired_lane(tmp_path):
+    kill_and_resume(tmp_path, "retiring-lanes")
+
+
+def kill_and_resume(tmp_path, case):
+    make_spec, base, runs_before_freeze = CASES[case]
+    spec = make_spec()
+    assert len(spec.runs()) > runs_before_freeze + 1
     serial_json = to_json(campaign_dict(
         run_campaign_spec(spec, executor=SerialExecutor()), spec=spec
     ))
@@ -91,7 +126,8 @@ def test_sigkilled_coordinator_resumes_byte_identical(tmp_path):
     frozen = context.Event()
 
     victim = context.Process(
-        target=_campaign_victim, args=(str(store_dir), frozen), daemon=True
+        target=_campaign_victim, args=(case, str(store_dir), frozen),
+        daemon=True,
     )
     victim.start()
     if not frozen.wait(timeout=60):
@@ -103,13 +139,13 @@ def test_sigkilled_coordinator_resumes_byte_identical(tmp_path):
 
     stored_before_resume = _stored_rows(store_dir)
     total = len(spec.runs())
-    assert RUNS_BEFORE_FREEZE <= stored_before_resume < total
+    assert runs_before_freeze <= stored_before_resume < total
 
-    # Resume: same spec, same store, plain scalar executor, handed only
-    # the missing runs of each point.
+    # Resume: same spec, same store, same executor, handed only the
+    # missing runs of each point.
     executed = []
 
-    class Counting(SerialExecutor):
+    class Counting(base):
         def map(self, points):
             for indices, values in super().map(points):
                 executed.extend(runs[index].run_id for index in indices)

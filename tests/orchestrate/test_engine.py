@@ -258,8 +258,10 @@ def test_fig11_batch_sweep_yields_one_item_per_pack():
     counting = CountingItems(batch)
     results = run_campaign_spec(spec, executor=counting)
     # One pack per (variant, stage) point: its seeds share one class.
+    # Each pack yields every run it simulated as it finishes (seeds 0
+    # and 1 retire, seed 2 leads), then its derived lanes as one item.
     assert batch.stats.packs == 2 * len(FIG11_STAGES)
-    assert counting.items == [64] * batch.stats.packs
+    assert counting.items == [1, 1, 1, 61] * batch.stats.packs
     assert batch.stats.derived == len(results) - batch.stats.simulated
 
 
@@ -302,6 +304,27 @@ def test_pool_counts_and_exports_what_one_process_does():
     assert counters[0]["batch.derived"] > 0
     assert counters[0] == counters[1] == counters[2]
     assert exports[0] == exports[1] == exports[2]
+
+
+def test_pool_cuts_fewer_points_than_workers_into_seed_slices():
+    points = [list(range(8)), list(range(8, 11))]
+    assert executor_module.slice_points(points, 2) == points
+    assert executor_module.slice_points(points, 4) == [
+        [0, 1, 2, 3], [4, 5, 6, 7], [8, 9], [10],
+    ]
+    assert executor_module.slice_points(points[1:], 8) == [[8], [9], [10]]
+    # One point whose lanes all retire (a single-beat mid-burst stall
+    # stamps its injection before the leader's onset) still reaches
+    # both workers: each seed slice leads its own pack.
+    spec = CampaignSpec.ip(
+        [full_config(budgets=fast_budgets())],
+        [InjectionStage.DATA_TRANSFER_STALL], beats=1, seeds=range(8),
+    )
+    serial = run_campaign_spec(spec, executor=SerialExecutor())
+    metrics = Counter()
+    assert run_campaign_spec(spec, workers=2, metrics=metrics) == serial
+    assert metrics["batch.packs"] == metrics["batch.leaders"] == 2
+    assert metrics["batch.retired"] == 6
 
 
 def test_serial_items_stay_one_per_run():

@@ -156,9 +156,9 @@ class RecordingReporter(ProgressReporter):
 
 def test_batched_campaign_progress_advances_once_per_pack(monkeypatch):
     # A batched campaign's status line must move while it runs: each
-    # pack reports done (and the executor its pack counts) as it
-    # finishes, before the next pack's leader simulates — not every run
-    # at once after the last pack.
+    # simulated run reports done (and the executor its pack counts) as
+    # it finishes, and each pack's derived lanes once, right after
+    # their leader — not every run at once after the last pack.
     from repro.orchestrate import (
         BatchExecutor, CampaignSpec, run_campaign_spec,
     )
@@ -190,6 +190,6 @@ def test_batched_campaign_progress_advances_once_per_pack(monkeypatch):
     assert dones and dones[0] < leaders[-1]
     assert events("status")[0] < leaders[-1]
     assert log[events("status")[0]][1].startswith("batch: 1 pack(s)")
-    # Once per pack, each covering the pack's 16 runs.
-    assert [log[i][1] for i in dones] == [16] * executor.stats.packs
+    # Per pack: seeds 0 and 1 retire, seed 2 leads, 13 lanes derive.
+    assert [log[i][1] for i in dones] == [1, 1, 1, 13] * executor.stats.packs
     assert reporter.done == reporter.total
