@@ -60,16 +60,5 @@ class AxiInterface:
         for channel in self.channels:
             channel.reset()
 
-    def idle_requests(self) -> None:
-        """Manager-side helper: deassert all request valids."""
-        self.aw.idle()
-        self.w.idle()
-        self.ar.idle()
-
-    def idle_responses(self) -> None:
-        """Subordinate-side helper: deassert all response valids."""
-        self.b.idle()
-        self.r.idle()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AxiInterface({self.name!r})"

@@ -51,10 +51,6 @@ class SparseMemory:
             watcher()
 
     @property
-    def page_size(self) -> int:
-        return self._page_size
-
-    @property
     def allocated_pages(self) -> int:
         return len(self._pages)
 

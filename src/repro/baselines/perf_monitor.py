@@ -165,10 +165,6 @@ class AxiPerfMonitor(Component):
                     self.read.latency.record(self._cycle - queue.popleft())
         self._tick_window(beats_this_cycle)
 
-    @property
-    def total_transactions(self) -> int:
-        return self.write.transactions + self.read.transactions
-
     def throughput(self) -> float:
         """Beats per cycle observed so far."""
         self._sync()

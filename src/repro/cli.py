@@ -50,11 +50,7 @@ from .area.gf12 import REFERENCE_PRESCALE_STEP
 from .area.model import estimate_area, prescaler_saving
 from .axi.types import axsize_of
 from .baselines.features import TABLE2_COLUMNS, table2_profiles
-from .faults.campaign import (
-    measure_stall_detection_latency,
-    run_campaign,
-    run_injection,
-)
+from .faults.campaign import measure_stall_detection_latency, run_campaign
 from .faults.types import FIG9_WRITE_STAGES, InjectionStage
 from .orchestrate import CampaignSpec, default_workers, run_campaign_spec
 from .orchestrate.spec import validate_axes
@@ -113,10 +109,15 @@ def _usage_error(exc: Exception) -> int:
 
 
 def _check_run_args(args) -> None:
-    """Reject, before anything simulates, a bad ``REPRO_WORKERS`` or an
-    output path the run could not honour (``ValueError``)."""
-    if args.workers is None:
-        default_workers()
+    """Reject, before anything simulates, a bad ``REPRO_WORKERS``, an
+    output path the run could not honour, or a trace of a process pool
+    (``ValueError``)."""
+    workers = default_workers() if args.workers is None else args.workers
+    if getattr(args, "trace", None) is not None and workers > 1:
+        raise ValueError(
+            f"--trace with {workers} workers: a trace records this "
+            f"process; drop --workers"
+        )
     for flag, attr in (("--json", "json_out"), ("--telemetry", "telemetry"),
                        ("--trace", "trace")):
         path = getattr(args, attr, None)
@@ -156,15 +157,17 @@ def cmd_inject(args) -> int:
         return _usage_error(exc)
     config = TmuConfig(variant=args.variant)
     stages = args.stages or [InjectionStage.WLAST_TO_BVALID]
-    # A live tracer rides into the harness; with several stages it makes
-    # harness_kwargs non-serializable, which routes the campaign through
-    # the in-process serial fallback — exactly right for a trace run.
+    # A live tracer rides into every harness the in-process executor
+    # builds (_check_run_args has refused a pool), so the traced
+    # campaign does the work an untraced one does.
     tracer = KernelTracer() if args.trace else None
     harness_kwargs = {"sim_tracer": tracer} if tracer is not None else None
+    results = run_campaign(
+        [config], stages, beats=args.beats, workers=args.workers,
+        harness_kwargs=harness_kwargs,
+    )
     if len(stages) == 1 and (args.workers or 1) <= 1:
-        result = run_injection(
-            config, stages[0], beats=args.beats, harness_kwargs=harness_kwargs
-        )
+        result = results[0]
         rows = [
             ["detected", result.detected],
             ["latency from injection", result.latency_from_injection],
@@ -181,13 +184,8 @@ def cmd_inject(args) -> int:
                 title=f"{stages[0].value} on {args.variant.value}, {args.beats} beats",
             )
         )
-        code = 0 if result.detected and result.recovered else 1
     else:
-        # Several stages (or an explicit worker count): run as a campaign.
-        results = run_campaign(
-            [config], stages, beats=args.beats, workers=args.workers,
-            harness_kwargs=harness_kwargs,
-        )
+        # Several stages (or an explicit worker count): one row each.
         rows = [
             [
                 result.stage.value,
@@ -206,7 +204,7 @@ def cmd_inject(args) -> int:
                 f"{args.beats} beats",
             )
         )
-        code = 0 if all(r.detected and r.recovered for r in results) else 1
+    code = 0 if all(r.detected and r.recovered for r in results) else 1
     if tracer is not None:
         write_chrome_trace(tracer, args.trace)
         print(f"wrote {args.trace}", file=sys.stderr)

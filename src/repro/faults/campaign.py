@@ -15,7 +15,7 @@ for the Tiny-Counter).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..axi.interface import AxiInterface
 from ..axi.manager import Manager
@@ -26,7 +26,7 @@ from ..sim.kernel import Simulator
 from ..soc.reset_unit import ResetUnit
 from ..tmu.config import TmuConfig
 from ..tmu.unit import TransactionMonitoringUnit
-from .types import FaultSite, InjectionStage
+from .types import InjectionStage
 
 
 class IpHarness:
@@ -279,7 +279,6 @@ def drain_timeout(recovery_timeout: int, beats: int, outstanding: int) -> int:
 
 def _manifest_predicate(stage: InjectionStage) -> Callable[[IpHarness], bool]:
     """When the injected fault first becomes observable on the interface."""
-    device = lambda harness: harness.device  # noqa: E731 - local alias
     table = {
         InjectionStage.AW_READY_MISSING: lambda h: bool(h.device.aw.valid.value),
         InjectionStage.W_VALID_MISSING: lambda h: h.aw_fired_cycle is not None,
@@ -299,7 +298,6 @@ def _manifest_predicate(stage: InjectionStage) -> Callable[[IpHarness], bool]:
         InjectionStage.R_LAST_DROPPED: lambda h: h.subordinate.r_beats > 0,
         InjectionStage.R_READY_MISSING: lambda h: bool(h.device.r.valid.value),
     }
-    del device
     return table[stage]
 
 
@@ -453,8 +451,10 @@ def run_campaign(
 ) -> Sequence[InjectionResult]:
     """Cross-product campaign over configurations, stages and seeds.
 
-    Runs through the orchestration engine (:mod:`repro.orchestrate`),
-    whose lockstep batch executor
+    Builds the :meth:`~repro.orchestrate.spec.CampaignSpec.ip` spec and
+    runs it through the orchestration engine
+    (:func:`~repro.orchestrate.engine.run_campaign_spec`), whose
+    lockstep batch executor
     (:class:`~repro.orchestrate.batch.BatchExecutor`) derives each
     (config, stage) point's seed lanes from pack leaders: *workers* > 1
     shards the points across a process pool (*executor*, anything with
@@ -464,83 +464,35 @@ def run_campaign(
     a path) reuses runs already simulated — by an overlapping sweep or
     by a killed run of this one — and *progress* enables the live status
     line.  Result ordering is canonical (config-major, then stage, then
-    seed) regardless of executor, so the parallel path is a drop-in
-    replacement for the historical serial loop.  The engine returns a
+    seed) regardless of executor.  The engine returns a
     :class:`~repro.orchestrate.engine.CampaignResults`, which builds a
     batch-derived lane's result only when it is indexed.
 
-    Configs whose budget policy the spec serializer does not understand
-    (a custom :class:`AdaptiveBudgetPolicy` subclass) fall back to the
-    in-process serial loop — parallelism and the store both need the
-    canonical spec.
+    A live object in *harness_kwargs* (a ``sim_tracer``) rides into
+    every harness the in-process executor builds, so a traced campaign
+    does the same work as an untraced one; the store and the process
+    pool need plain data and reject it
+    (:class:`~repro.orchestrate.serialize.SpecSerializationError`).  A
+    config whose budget policy the serializer does not know (a custom
+    :class:`AdaptiveBudgetPolicy` subclass) has no spec and raises the
+    same error; :func:`run_injection` runs it.
     """
     # Imported here: the orchestrator's executor imports run_injection
     # from this module, so a top-level import would cycle.
-    from ..orchestrate import CampaignSpec, SpecSerializationError, run_campaign_spec
+    from ..orchestrate import CampaignSpec, run_campaign_spec
 
-    configs = list(configs)
-    stages = list(stages)
-    seeds = list(seeds)
-    try:
-        spec = CampaignSpec.ip(
-            configs,
-            stages,
-            beats=beats,
-            seeds=seeds,
-            detect_timeout=detect_timeout,
-            recovery_timeout=recovery_timeout,
-            harness_kwargs=harness_kwargs,
-            size=size,
-            outstanding=outstanding,
-            reorder_depth=reorder_depth,
-        )
-    except SpecSerializationError:
-        if (
-            (workers or 1) > 1
-            or executor is not None
-            or batch_lanes is not None
-            or store is not None
-        ):
-            raise
-        from ..orchestrate import ProgressReporter
-
-        reporter = None
-        if isinstance(progress, ProgressReporter):
-            reporter = progress
-        elif progress:
-            reporter = ProgressReporter(
-                len(configs) * len(stages) * len(seeds),
-                stream=None if progress is True else progress,
-            )
-        results = []
-        for config in configs:
-            # One harness per config, reset before each run — the same
-            # reuse the executors' harness cache gives spec campaigns.
-            harness = build_ip_harness(config, harness_kwargs, reorder_depth)
-            for stage in stages:
-                for seed in seeds:
-                    harness.reset()
-                    results.append(
-                        run_injection(
-                            config,
-                            stage,
-                            beats=beats,
-                            detect_timeout=detect_timeout,
-                            recovery_timeout=recovery_timeout,
-                            issue_delay=seed,
-                            size=size,
-                            outstanding=outstanding,
-                            harness=harness,
-                        )
-                    )
-                    if metrics is not None:
-                        metrics["campaign.runs"] += 1
-                        metrics["campaign.runs_executed"] += 1
-                    if reporter:
-                        reporter.shard_done(1)
-        if reporter:
-            reporter.finish()
-        return results
+    spec = CampaignSpec.ip(
+        configs,
+        stages,
+        beats=beats,
+        seeds=seeds,
+        detect_timeout=detect_timeout,
+        recovery_timeout=recovery_timeout,
+        harness_kwargs=harness_kwargs,
+        size=size,
+        outstanding=outstanding,
+        reorder_depth=reorder_depth,
+    )
     return run_campaign_spec(
         spec,
         workers=workers,
@@ -562,32 +514,27 @@ def measure_stall_detection_latency(
     """Worst-case detection latency for a total-stall fault (Fig. 8).
 
     Models the paper's measurement scenario: "the datapath never asserts
-    a valid signal, effectively modelling a total stall".  The stall
-    onset is swept across prescaler phase *offsets* and the worst
-    detection latency (cycles from ``aw_valid`` assertion to the TMU
-    interrupt) is returned.
+    a valid signal, effectively modelling a total stall".  The stall is
+    an :attr:`~InjectionStage.AW_READY_MISSING` campaign point of
+    single-beat writes whose onset is swept across prescaler phase
+    *offsets* (the seeds); the worst detection latency (cycles from
+    ``aw_valid`` assertion to the TMU interrupt, ``latency_from_start``)
+    is returned.  Raises :class:`RuntimeError` when a run does not
+    detect within *timeout* cycles.
     """
     if offsets is None:
         offsets = range(min(config.prescale_step, 8))
-    worst = 0
-    harness = IpHarness(config)
-    for offset in offsets:
-        harness.reset()
-        harness.subordinate.faults.deaf_aw = True
-        harness.manager.submit(write_spec(0, 0x1000, issue_delay=offset))
-        start: Optional[int] = None
-
-        def stall_tick(h: IpHarness) -> bool:
-            nonlocal start
-            if start is None and h.host.aw.valid.value:
-                start = h.cycle
-            return bool(h.tmu.irq.value)
-
-        detected = harness.run_until(stall_tick, timeout=timeout)
-        if detected is None:
+    offsets = list(offsets)
+    results = run_campaign(
+        [config],
+        [InjectionStage.AW_READY_MISSING],
+        beats=1,
+        seeds=offsets,
+        detect_timeout=timeout,
+    )
+    for offset, result in zip(offsets, results):
+        if not result.detected:
             raise RuntimeError(
                 f"stall not detected within {timeout} cycles at offset {offset}"
             )
-        assert start is not None
-        worst = max(worst, detected - start)
-    return worst
+    return max(result.latency_from_start for result in results)

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import IO, Any, Iterator, List, Optional, Tuple, Union
 
 from .batch import Pack
-from .executor import default_workers, make_executor
+from .executor import WorkerPoolExecutor, default_workers, make_executor
 from .progress import ProgressReporter
 from .spec import CampaignSpec, RunSpec
 
@@ -141,6 +141,12 @@ def run_campaign_spec(
     :func:`~repro.analysis.export.write_campaign_json` never builds its
     derived results at all.
 
+    A spec holding a live object (a ``sim_tracer`` in its
+    ``harness_kwargs``) runs in-process like any other; with a *store*
+    or on a process pool it raises
+    :class:`~repro.orchestrate.serialize.SpecSerializationError` before
+    any run is looked up or simulated.
+
     Parameters
     ----------
     workers:
@@ -191,6 +197,15 @@ def run_campaign_spec(
         raise ValueError("shard_size must be positive")
     if workers is None:
         workers = default_workers()
+    pooled = (
+        workers > 1 if executor is None
+        else isinstance(executor, WorkerPoolExecutor)
+    )
+    if store is not None or pooled:
+        # A store row and a pool task are data: a spec holding a live
+        # object (a tracer) can become neither, so it fails here,
+        # before any run is looked up or simulated.
+        spec.spec_hash()
     runs = spec.runs()
     store = _open_store(store, metrics)
     if not collect and store is None:

@@ -88,7 +88,9 @@ class RunSpec:
     """One simulation unit: a single fault injection.
 
     Everything here is plain JSON-able data so a run can cross a process
-    boundary and key a result-store row.  ``config`` is the canonical TMU
+    boundary and key a result-store row, unless ``harness_kwargs`` holds
+    a live object (a tracer), which keeps the campaign in-process.
+    ``config`` is the canonical TMU
     config dict for IP runs; system runs only need ``{"variant": ...}``
     (the system runner derives the paper's budgets itself).
     """
@@ -171,12 +173,6 @@ class CampaignSpec:
             self.kind, self.beats, self.reorder_depth, self.background,
             self.stages,
         )
-        try:
-            json.dumps(self.canonical_view(), sort_keys=True)
-        except TypeError as exc:
-            raise SpecSerializationError(
-                f"campaign spec is not JSON-serializable: {exc}"
-            ) from exc
 
     # ------------------------------------------------------------------
     # Constructors
@@ -322,8 +318,19 @@ class CampaignSpec:
         return copy.deepcopy(self.canonical_view())
 
     def spec_hash(self) -> str:
-        """Content hash labelling campaign exports (first 16 hex chars)."""
-        text = json.dumps(self.canonical_view(), sort_keys=True)
+        """Content hash labelling campaign exports (first 16 hex chars).
+
+        Raises :class:`SpecSerializationError` when the spec is not plain
+        data (a live ``sim_tracer`` in *harness_kwargs*, say): such a
+        spec runs in-process, but cannot be stored, exported or shipped
+        to a worker.
+        """
+        try:
+            text = json.dumps(self.canonical_view(), sort_keys=True)
+        except TypeError as exc:
+            raise SpecSerializationError(
+                f"campaign spec is not JSON-serializable: {exc}"
+            ) from exc
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

@@ -12,6 +12,7 @@ from repro.orchestrate import (
     plan_shards,
     result_from_dict,
     result_to_dict,
+    run_campaign_spec,
 )
 from repro.soc.experiment import FIG11_STAGES, SystemInjectionResult
 from repro.faults.campaign import InjectionResult
@@ -59,9 +60,18 @@ def test_custom_budget_policy_rejected():
         config_to_dict(full_config(budgets=Custom()))
 
 
-def test_unserializable_harness_kwargs_rejected():
+def test_unserializable_harness_kwargs_rejected(tmp_path):
+    # A live object builds a spec (it would run in-process); only where
+    # the spec must become data, its hash, a store row or a pool task,
+    # is it rejected, before any harness is built.
+    spec = ip_spec(harness_kwargs={"callback": lambda: None})
+    assert len(spec.runs()) == 4
     with pytest.raises(SpecSerializationError):
-        ip_spec(harness_kwargs={"callback": lambda: None})
+        spec.spec_hash()
+    with pytest.raises(SpecSerializationError):
+        run_campaign_spec(spec, store=tmp_path / "store")
+    with pytest.raises(SpecSerializationError):
+        run_campaign_spec(spec, workers=2)
 
 
 # ----------------------------------------------------------------------

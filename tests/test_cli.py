@@ -232,6 +232,14 @@ def test_campaign_resume_flags(capsys, tmp_path):
          {}),
         (["campaign", "--beats", "4", "--json", "."],
          "--json . is a directory, not a file", {}),
+        (["inject", "--trace", "t.json", "--workers", "2"],
+         "a trace records this process; drop --workers", {}),
+        (["inject", "--trace", "t.json", "--workers", "2",
+          "--stage", "aw_stage_error", "--stage", "wlast_bvalid_error"],
+         "a trace records this process; drop --workers", {}),
+        (["inject", "--trace", "t.json"],
+         "a trace records this process; drop --workers",
+         {"REPRO_WORKERS": "2"}),
     ],
     ids=["ip-beats-0", "ip-beats-300", "system-beats-0", "campaign-reorder",
          "fig11-reorder", "inject-beats-0", "system-background-neg",
@@ -245,7 +253,8 @@ def test_campaign_resume_flags(capsys, tmp_path):
          "inject-env-workers-0", "inject-env-workers-abc",
          "campaign-json-missing-dir", "campaign-telemetry-missing-dir",
          "fig11-telemetry-missing-dir", "inject-trace-missing-dir",
-         "campaign-json-is-dir"],
+         "campaign-json-is-dir", "inject-trace-workers",
+         "inject-trace-workers-two-stages", "inject-trace-env-workers"],
 )
 def test_bad_campaign_axis_is_a_usage_error(capsys, monkeypatch, argv, message,
                                             env):
