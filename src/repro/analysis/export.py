@@ -235,14 +235,6 @@ def row_json(entry: Dict[str, Any], indent: int = 2) -> str:
 # ----------------------------------------------------------------------
 # Blocks: a pack's lanes are its leader moved in time
 # ----------------------------------------------------------------------
-#: The cycle stamps a row's text is filled with, in sorted-key order
-#: (the order the row writes them).  A derived lane is its leader's
-#: result shifted in time: exactly these change, everything else in the
-#: row is shift-invariant.
-_IP_STAMPS = ("detect_cycle", "inject_cycle")
-_SYSTEM_STAMPS = ("detect_cycle", "inject_cycle", "w_first_cycle")
-
-
 def _blocks(results):
     """*results* in order as ``(leader, deltas)`` blocks (see
     :meth:`~repro.orchestrate.engine.CampaignResults.blocks`): a
@@ -312,8 +304,13 @@ def _row_template(leader, indent: int) -> Optional[Tuple[tuple, tuple]]:
     int: such lanes take ``row_json`` each.
     """
     entry = _result_entry(leader)
-    stamp_keys = _SYSTEM_STAMPS if "w_first_cycle" in entry else _IP_STAMPS
-    holes = {key: entry[key] for key in stamp_keys if entry[key] is not None}
+    # A lane is its leader moved in time: exactly the leader's STAMPS
+    # change, and the row writes those it has in sorted-key order.
+    holes = {
+        key: entry[key]
+        for key in sorted(type(leader).STAMPS)
+        if entry.get(key) is not None
+    }
     parts = _row_parts(entry, indent)
     if parts is None or not all(type(stamp) is int for stamp in holes.values()):
         return None

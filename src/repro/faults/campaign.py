@@ -4,7 +4,10 @@
 manager ↔ TMU ↔ subordinate, plus the external reset unit — and the
 campaign runner injects one :class:`~repro.faults.types.InjectionStage`
 per run, timestamps the fault's first manifestation on the interface,
-and measures when the TMU raises its interrupt.
+and measures when the TMU raises its interrupt.  That loop is
+:func:`drive_injection`, which the system-level experiment
+(:func:`repro.soc.experiment.run_system_injection`) runs too, on the
+SoC's monitored Ethernet link.
 
 Two latencies are reported per injection, because the paper quotes both
 conventions in Fig. 11: ``latency_from_injection`` (phase-budget-shaped
@@ -15,7 +18,7 @@ for the Tiny-Counter).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..axi.interface import AxiInterface
 from ..axi.manager import Manager
@@ -26,7 +29,7 @@ from ..sim.kernel import Simulator
 from ..soc.reset_unit import ResetUnit
 from ..tmu.config import TmuConfig
 from ..tmu.unit import TransactionMonitoringUnit
-from .types import InjectionStage
+from .types import InjectionOutcome, InjectionStage
 
 
 class IpHarness:
@@ -84,11 +87,6 @@ class IpHarness:
         self._clear_observations()
 
     def _clear_observations(self) -> None:
-        # Interface events used by the manifest predicates.  Beat counts
-        # come from the subordinate's own w_beats/r_beats instead: a
-        # streamed burst span fires many W beats between observations.
-        self.aw_fired_cycle: Optional[int] = None
-        self.ar_fired_cycle: Optional[int] = None
         self.wlast_cycle: Optional[int] = None
         self._observed_cycle = -1
 
@@ -105,13 +103,13 @@ class IpHarness:
         self._clear_observations()
 
     def _observe(self) -> None:
-        """Record this cycle's device-side fire events (idempotent).
+        """Record this cycle's ``w_last`` beat on the device side
+        (idempotent).
 
-        Every event recorded here — an address handshake, a ``w_last``
-        beat — happens in a stepped cycle (never leaped, never inside a
-        streamed burst span), so observing after each step or span sees
-        every one; the cycle guard makes double observation (e.g. a
-        pre-leap condition check) harmless.
+        A ``w_last`` beat fires in a stepped cycle (never leaped, never
+        inside a streamed burst span), so observing after each step or
+        span sees every one; the cycle guard makes double observation
+        (e.g. a pre-leap condition check) harmless.
         """
         if self.sim.cycle == self._observed_cycle:
             return
@@ -120,10 +118,6 @@ class IpHarness:
             beat = self.device.w.payload.value
             if beat is not None and beat.last:
                 self.wlast_cycle = self.sim.cycle
-        if self.device.aw.fired() and self.aw_fired_cycle is None:
-            self.aw_fired_cycle = self.sim.cycle
-        if self.device.ar.fired() and self.ar_fired_cycle is None:
-            self.ar_fired_cycle = self.sim.cycle
 
     def step(self) -> None:
         self.sim.step()
@@ -142,79 +136,10 @@ class IpHarness:
 
 
 @dataclasses.dataclass
-class InjectionResult:
-    """Outcome of one fault injection.
+class InjectionResult(InjectionOutcome):
+    """Outcome of one IP-level fault injection."""
 
-    The ``sim_*`` fields are the kernel's ``Simulator.STAT_KEYS`` for
-    the run: how much idle time it fast-forwarded, how many burst
-    cycles it streamed in bulk, how many it stepped and in how many of
-    those a streaming island rode along.  They are
-    scheduler diagnostics, not measurements: ``compare=False``
-    keeps result equality — and thus every leap-on ≡ leap-off
-    differential — about what was *measured*, never about how fast the
-    kernel got there.
-    """
-
-    stage: InjectionStage
-    variant: str
-    txn_start_cycle: int
-    inject_cycle: Optional[int]
-    detect_cycle: Optional[int]
-    fault_kind: Optional[str]
-    fault_phase: Optional[str]
-    recovered: bool
     resets_taken: int
-    sim_leaps: int = dataclasses.field(default=0, compare=False)
-    sim_cycles_leaped: int = dataclasses.field(default=0, compare=False)
-    sim_cycles_streamed: int = dataclasses.field(default=0, compare=False)
-    sim_stepped_cycles: int = dataclasses.field(default=0, compare=False)
-    sim_island_cycles: int = dataclasses.field(default=0, compare=False)
-
-    def shifted(self, delta: int) -> "InjectionResult":
-        """This result translated *delta* cycles later in time.
-
-        The lockstep batch executor derives a follower lane's result
-        from its pack leader's: every measured cycle stamp moves
-        rigidly with the stimulus onset, latencies/flags/log counts are
-        shift-invariant, and the leader's single pre-onset leap simply
-        grows by *delta* while its stepped, streamed and island cycles stay
-        (so even the scheduler diagnostics are exact).
-        """
-        start, inject, detect = (
-            self.txn_start_cycle, self.inject_cycle, self.detect_cycle
-        )
-        return InjectionResult(
-            stage=self.stage,
-            variant=self.variant,
-            txn_start_cycle=None if start is None else start + delta,
-            inject_cycle=None if inject is None else inject + delta,
-            detect_cycle=None if detect is None else detect + delta,
-            fault_kind=self.fault_kind,
-            fault_phase=self.fault_phase,
-            recovered=self.recovered,
-            resets_taken=self.resets_taken,
-            sim_leaps=self.sim_leaps,
-            sim_cycles_leaped=self.sim_cycles_leaped + delta,
-            sim_cycles_streamed=self.sim_cycles_streamed,
-            sim_stepped_cycles=self.sim_stepped_cycles,
-            sim_island_cycles=self.sim_island_cycles,
-        )
-
-    @property
-    def detected(self) -> bool:
-        return self.detect_cycle is not None
-
-    @property
-    def latency_from_injection(self) -> Optional[int]:
-        if self.detect_cycle is None or self.inject_cycle is None:
-            return None
-        return self.detect_cycle - self.inject_cycle
-
-    @property
-    def latency_from_start(self) -> Optional[int]:
-        if self.detect_cycle is None:
-            return None
-        return self.detect_cycle - self.txn_start_cycle
 
 
 def apply_stage_fault(sub_faults, mgr_faults, corrupt_id: int, stage: InjectionStage) -> None:
@@ -277,28 +202,133 @@ def drain_timeout(recovery_timeout: int, beats: int, outstanding: int) -> int:
     return max(recovery_timeout, 2 * beats * max(1, outstanding))
 
 
-def _manifest_predicate(stage: InjectionStage) -> Callable[[IpHarness], bool]:
-    """When the injected fault first becomes observable on the interface."""
-    table = {
-        InjectionStage.AW_READY_MISSING: lambda h: bool(h.device.aw.valid.value),
-        InjectionStage.W_VALID_MISSING: lambda h: h.aw_fired_cycle is not None,
-        InjectionStage.W_READY_MISSING: lambda h: bool(h.device.w.valid.value),
-        InjectionStage.DATA_TRANSFER_STALL: lambda h: bool(
-            h.subordinate.faults.deaf_w
-        ),
-        InjectionStage.WLAST_TO_BVALID: lambda h: h.wlast_cycle is not None,
-        InjectionStage.B_ID_MISMATCH: lambda h: bool(h.device.b.valid.value),
-        InjectionStage.B_READY_MISSING: lambda h: bool(h.device.b.valid.value),
-        InjectionStage.AR_READY_MISSING: lambda h: bool(h.device.ar.valid.value),
-        InjectionStage.R_VALID_MISSING: lambda h: h.ar_fired_cycle is not None,
-        InjectionStage.R_MID_BURST_STALL: lambda h: bool(
-            h.subordinate.faults.mute_r
-        ),
-        InjectionStage.R_ID_MISMATCH: lambda h: bool(h.device.r.valid.value),
-        InjectionStage.R_LAST_DROPPED: lambda h: h.subordinate.r_beats > 0,
-        InjectionStage.R_READY_MISSING: lambda h: bool(h.device.r.valid.value),
-    }
-    return table[stage]
+@dataclasses.dataclass
+class _Timeline:
+    """The stamps one injection records while it waits for the IRQ."""
+
+    device: AxiInterface
+    subordinate: Subordinate
+    txn_start: Optional[int] = None
+    w_first: Optional[int] = None
+    w_last: Optional[int] = None
+    aw_fired: Optional[int] = None
+    ar_fired: Optional[int] = None
+    manifest: Optional[int] = None
+
+
+def _valid(channel: str) -> Callable[[_Timeline], bool]:
+    return lambda t: bool(getattr(t.device, channel).valid.value)
+
+
+#: When each stage's fault first becomes observable on the monitored
+#: link: a device-side valid, a subordinate fault switch, or a
+#: handshake the timeline has stamped.
+_MANIFEST: Dict[InjectionStage, Callable[[_Timeline], bool]] = {
+    InjectionStage.AW_READY_MISSING: _valid("aw"),
+    InjectionStage.W_VALID_MISSING: lambda t: t.aw_fired is not None,
+    InjectionStage.W_READY_MISSING: _valid("w"),
+    InjectionStage.DATA_TRANSFER_STALL: lambda t: t.subordinate.faults.deaf_w,
+    InjectionStage.WLAST_TO_BVALID: lambda t: t.w_last is not None,
+    InjectionStage.B_ID_MISMATCH: _valid("b"),
+    InjectionStage.B_READY_MISSING: _valid("b"),
+    InjectionStage.AR_READY_MISSING: _valid("ar"),
+    InjectionStage.R_VALID_MISSING: lambda t: t.ar_fired is not None,
+    InjectionStage.R_MID_BURST_STALL: lambda t: t.subordinate.faults.mute_r,
+    InjectionStage.R_ID_MISMATCH: _valid("r"),
+    InjectionStage.R_LAST_DROPPED: _valid("r"),
+    InjectionStage.R_READY_MISSING: _valid("r"),
+}
+
+
+def drive_injection(
+    sim: Simulator,
+    tmu: TransactionMonitoringUnit,
+    host: AxiInterface,
+    device: AxiInterface,
+    manager,
+    subordinate,
+    stage: InjectionStage,
+    beats: int,
+    outstanding: int,
+    detect_timeout: int,
+    recovery_timeout: int,
+    recovered: Callable[[], bool],
+    ack_irq: bool,
+) -> Tuple[Dict[str, Any], Optional[int]]:
+    """Inject *stage* on one monitored link, time it, and recover.
+
+    The one detect/recover loop of every injection, IP and system level
+    alike: the TMU *tmu* sits between its *host* bus (the *manager*'s
+    side) and its *device* bus (the *subordinate*'s), on *sim*, with the
+    workload already submitted.  The stage is armed, then the run waits
+    at most *detect_timeout* cycles for the TMU interrupt, stamping the
+    transaction start (the first address valid on the host bus), the
+    first and last W beats, the first AW and AR handshakes and the cycle
+    the fault first manifests (``_MANIFEST``).  Each of these events
+    happens in a stepped cycle, never inside a span the kernel leaps or
+    streams (whole, or as an island while background traffic steps and
+    the watcher reads the island's lagging state), and is stamped once:
+    the output is byte-identical with leaping on or off.
+
+    After detection the manager's faults are cleared — the software
+    recovery routine the paper's interrupt triggers — and, with no CPU
+    to serve the interrupt (*ack_irq*), the IRQ is acknowledged here.
+    The link has recovered when, within :func:`drain_timeout` cycles,
+    the TMU monitors again with its IRQ low and the harness's own
+    *recovered* predicate holds.
+
+    Returns the :class:`~repro.faults.types.InjectionOutcome` fields of
+    the run, and the cycle of its first W beat.
+    """
+    corrupt_id = tmu.config.max_uniq_ids + 1
+    arm_stage_fault(subordinate.faults, manager.faults, corrupt_id, stage, beats)
+    manifest = _MANIFEST[stage]
+    t = _Timeline(device, subordinate)
+
+    def detect_tick(_sim) -> bool:
+        cycle = sim.cycle
+        if t.txn_start is None and (host.aw.valid.value or host.ar.valid.value):
+            t.txn_start = cycle
+        if device.w.fired():
+            if t.w_first is None:
+                t.w_first = cycle
+            beat = device.w.payload.value
+            if t.w_last is None and beat is not None and beat.last:
+                t.w_last = cycle
+        if t.aw_fired is None and device.aw.fired():
+            t.aw_fired = cycle
+        if t.ar_fired is None and device.ar.fired():
+            t.ar_fired = cycle
+        if t.manifest is None and manifest(t):
+            t.manifest = cycle
+        return bool(tmu.irq.value)
+
+    detect_cycle = sim.run_until(detect_tick, timeout=detect_timeout)
+    fault = tmu.last_fault
+    done = None
+    if detect_cycle is not None:
+        manager.faults.clear()
+        if ack_irq:
+            tmu.clear_irq()
+        done = sim.run_until(
+            lambda _sim: (
+                tmu.state.value == "monitor" and not tmu.irq.value and recovered()
+            ),
+            timeout=drain_timeout(recovery_timeout, beats, outstanding),
+        )
+    fields = dict(
+        stage=stage,
+        variant=tmu.config.variant.value,
+        txn_start_cycle=t.txn_start,
+        inject_cycle=t.manifest,
+        detect_cycle=detect_cycle,
+        fault_kind=fault.kind.value if fault else None,
+        fault_phase=fault.phase_label if fault else None,
+        recovered=done is not None,
+    )
+    stats = sim.stats()
+    fields.update((f"sim_{key}", stats[key]) for key in sim.STAT_KEYS)
+    return fields, t.w_first
 
 
 def build_ip_harness(
@@ -341,12 +371,10 @@ def run_injection(
     that many concurrent transactions over the config's ID space (only
     the first carries the issue delay, so the stimulus onset — and the
     batch executor's onset law — is unchanged), and *reorder_depth*
-    opens the subordinate's response reorder window.  After detection,
-    manager-side faults are cleared (the software recovery routine the
-    paper's interrupt triggers) and the run continues until the manager
-    has drained, the subordinate has been reset, and the TMU is
-    monitoring again — within :func:`drain_timeout` cycles, which is
-    *recovery_timeout* unless the workload needs longer to drain.
+    opens the subordinate's response reorder window.
+    :func:`drive_injection` injects, times and recovers; its
+    *detect_timeout* counts from the issue, and recovery ends once the
+    manager has drained.
 
     *harness* runs the injection on a harness in its freshly built
     state (a new build, or one returned by :meth:`IpHarness.reset`)
@@ -370,63 +398,13 @@ def run_injection(
             )
         )
 
-    arm_stage_fault(
-        harness.subordinate.faults,
-        harness.manager.faults,
-        config.max_uniq_ids + 1,
-        stage,
-        beats,
+    fields, _w_first = drive_injection(
+        harness.sim, harness.tmu, harness.host, harness.device,
+        harness.manager, harness.subordinate, stage, beats, outstanding,
+        issue_delay + detect_timeout, recovery_timeout,
+        recovered=lambda: harness.manager.idle, ack_irq=True,
     )
-    manifest = _manifest_predicate(stage)
-
-    txn_start: Optional[int] = None
-    inject_cycle: Optional[int] = None
-
-    def detect_tick(h: IpHarness) -> bool:
-        nonlocal txn_start, inject_cycle
-        if txn_start is None and (
-            h.host.aw.valid.value or h.host.ar.valid.value
-        ):
-            txn_start = h.cycle
-        if inject_cycle is None and manifest(h):
-            inject_cycle = h.cycle
-        return bool(h.tmu.irq.value)
-
-    detect_cycle = harness.run_until(detect_tick, timeout=detect_timeout)
-
-    fault = harness.tmu.last_fault
-    recovered = False
-    if detect_cycle is not None:
-        harness.manager.faults.clear()  # software recovery routine
-        harness.tmu.clear_irq()
-        recovered = (
-            harness.run_until(
-                lambda h: (
-                    h.manager.idle
-                    and h.tmu.state.value == "monitor"
-                    and not h.tmu.irq.value
-                ),
-                timeout=drain_timeout(recovery_timeout, beats, outstanding),
-            )
-            is not None
-        )
-
-    return InjectionResult(
-        stage=stage,
-        variant=config.variant.value,
-        txn_start_cycle=txn_start if txn_start is not None else 0,
-        inject_cycle=inject_cycle,
-        detect_cycle=detect_cycle,
-        fault_kind=fault.kind.value if fault else None,
-        fault_phase=fault.phase_label if fault else None,
-        recovered=recovered,
-        resets_taken=harness.subordinate.resets_taken,
-        **{
-            f"sim_{key}": value
-            for key, value in harness.sim.stats().items()
-            if key in Simulator.STAT_KEYS
-        },
-    )
+    return InjectionResult(**fields, resets_taken=harness.subordinate.resets_taken)
 
 
 def run_campaign(

@@ -9,7 +9,9 @@ subordinate side of the link.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+from typing import ClassVar, Optional, Tuple
 
 from ..axi.types import AxiDir
 from ..tmu.phases import ReadPhase, WritePhase
@@ -113,3 +115,74 @@ FIG9_WRITE_STAGES = (
     InjectionStage.WLAST_TO_BVALID,
     InjectionStage.B_READY_MISSING,
 )
+
+
+@dataclasses.dataclass
+class InjectionOutcome:
+    """The fields every fault injection measures, IP or system level.
+
+    The ``sim_*`` fields are the kernel's ``Simulator.STAT_KEYS`` for
+    the run: how much idle time it fast-forwarded, how many burst
+    cycles it streamed in bulk, how many it stepped and in how many of
+    those a streaming island rode along.  They are scheduler
+    diagnostics, not measurements: ``compare=False`` keeps result
+    equality — and thus every leap-on ≡ leap-off differential — about
+    what was *measured*, never about how fast the kernel got there.
+    """
+
+    #: The cycle stamps that move with the seed: the only list of them.
+    STAMPS: ClassVar[Tuple[str, ...]] = (
+        "txn_start_cycle", "inject_cycle", "detect_cycle",
+    )
+
+    stage: InjectionStage
+    variant: str
+    txn_start_cycle: Optional[int]
+    inject_cycle: Optional[int]
+    detect_cycle: Optional[int]
+    fault_kind: Optional[str]
+    fault_phase: Optional[str]
+    recovered: bool
+    _: dataclasses.KW_ONLY
+    sim_leaps: int = dataclasses.field(default=0, compare=False)
+    sim_cycles_leaped: int = dataclasses.field(default=0, compare=False)
+    sim_cycles_streamed: int = dataclasses.field(default=0, compare=False)
+    sim_stepped_cycles: int = dataclasses.field(default=0, compare=False)
+    sim_island_cycles: int = dataclasses.field(default=0, compare=False)
+
+    def shifted(self, delta: int):
+        """This result translated *delta* cycles later in time.
+
+        The lockstep batch executor derives a follower lane's result
+        from its pack leader's: every :attr:`STAMPS` stamp moves rigidly
+        with the stimulus onset, latencies, flags and counts are
+        shift-invariant, and the leader's single pre-onset leap grows by
+        *delta* while its stepped, streamed and island cycles stay (so
+        even the scheduler diagnostics are exact).
+        """
+        # Copying the instance dict is several times cheaper than
+        # dataclasses.replace or copy.copy, once per materialized lane.
+        lane = object.__new__(type(self))
+        fields = lane.__dict__
+        fields.update(self.__dict__)
+        for name in self.STAMPS:
+            if fields[name] is not None:
+                fields[name] += delta
+        fields["sim_cycles_leaped"] += delta
+        return lane
+
+    @property
+    def detected(self) -> bool:
+        return self.detect_cycle is not None
+
+    @property
+    def latency_from_injection(self) -> Optional[int]:
+        if self.detect_cycle is None or self.inject_cycle is None:
+            return None
+        return self.detect_cycle - self.inject_cycle
+
+    @property
+    def latency_from_start(self) -> Optional[int]:
+        if self.detect_cycle is None or self.txn_start_cycle is None:
+            return None
+        return self.detect_cycle - self.txn_start_cycle

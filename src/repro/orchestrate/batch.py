@@ -21,10 +21,9 @@ of simulating every lane, the executor takes the campaign's *points*
    is ``leader.shifted(delta)``, built only when a caller asks for it —
    O(1) per lane instead of a full simulation;
 4. *retires* any lane the evidence does not cover (seed inside the
-   startup transient, a leader stamp taken before its onset, detection
-   horizon crossed, undeclared component, non-leaping kernel, forced
-   divergence) to the scalar kernel, so coverage degrades gracefully
-   instead of wrongly.
+   startup transient, a leader stamp taken before its onset, undeclared
+   component, non-leaping kernel, forced divergence) to the scalar
+   kernel, so coverage degrades gracefully instead of wrongly.
 
 The full soundness argument lives in :mod:`repro.sim.batch`.  Under
 the ``map(points) -> (run indices, values)`` contract every run the
@@ -49,7 +48,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import itertools
 import operator
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
@@ -61,9 +59,6 @@ from .executor import HarnessCache, Item, execute_run, harness_key
 from .spec import RunSpec
 
 _seed = operator.attrgetter("seed")
-
-#: The cycle stamps a result's ``shifted`` moves with the seed.
-_STAMPS = ("txn_start_cycle", "inject_cycle", "w_first_cycle", "detect_cycle")
 
 
 @dataclasses.dataclass(eq=False)
@@ -265,59 +260,42 @@ class BatchExecutor:
                 self.stats.promoted += bool(queue)
                 yield (leader.index,), [result]
                 continue
-            derivable = self._derivable_lanes(leader, result, queue)
-            derived = list(itertools.compress(queue, derivable))
-            deltas = {run.index: run.seed - leader.seed for run in derived}
+            if not self._derivable(leader, result):
+                # No follower can take a shift of this result: the
+                # leader's stands and the rest run scalar.
+                yield (leader.index,), [result]
+                for run in queue:
+                    yield self._scalar(run, cache)
+                return
+            deltas = {run.index: run.seed - leader.seed for run in queue}
             # The leader's copy is taken before its result is handed out.
             lanes = Pack(copy.copy(result), deltas)
             yield (leader.index,), [result]
-            if derived:
-                if self.verify:
-                    for run, lane in zip(derived, lanes):
-                        if self.derive_hook is not None:
-                            lane = self.derive_hook(run, lane)
-                        self._verify_lane(run, leader, lane)
-                self.stats.derived += len(derived)
-                yield tuple(lanes.deltas), lanes
-            for run, ok in zip(queue, derivable):
-                if not ok:
-                    yield self._scalar(run, cache)
+            if self.verify:
+                for run, lane in zip(queue, lanes):
+                    if self.derive_hook is not None:
+                        lane = self.derive_hook(run, lane)
+                    self._verify_lane(run, leader, lane)
+            self.stats.derived += len(queue)
+            yield tuple(deltas), lanes
             return
 
-    def _derivable_lanes(
-        self,
-        leader: RunSpec,
-        leader_result,
-        followers: Sequence[RunSpec],
-    ) -> List[bool]:
-        """Stamp and horizon containment, one flag per follower lane.
+    def _derivable(self, leader: RunSpec, leader_result) -> bool:
+        """Whether the followers of *leader* can take shifts of its result.
 
         A cycle stamp the leader took before its onset (a fault that
         manifests from cycle 1, say: a single-beat mid-burst stall is
         armed at start) is no time shift of the stimulus, so no follower
-        can take its result by shifting: all retire.  IP runs also bound
-        detection by an absolute horizon — ``run_until`` counts
-        ``detect_timeout`` from cycle 0 — so a lane whose shifted
-        detection stamp would cross it (or whose leader never detected,
-        leaving the censoring point unshiftable) must retire.  System
-        runs open their window after ``start_delay``; every other lane
-        shifts cleanly.
+        can take its result by shifting: all retire.  Otherwise every
+        lane shifts cleanly, detection window included: both kinds count
+        ``detect_timeout`` from the stimulus (the IP transaction's issue,
+        the system frame after ``start_delay``), so a follower's window
+        is the leader's, shifted.
         """
         onset = self._onset(leader)
-        if any(
-            stamp is not None and stamp < onset
-            for stamp in (getattr(leader_result, name, None) for name in _STAMPS)
-        ):
-            return [False] * len(followers)
-        if leader.kind != "ip":
-            return [True] * len(followers)
-        detect = leader_result.detect_cycle
-        if detect is None:
-            return [False] * len(followers)
-        return [
-            detect + (run.seed - leader.seed) <= leader.detect_timeout
-            for run in followers
-        ]
+        names = type(leader_result).STAMPS
+        stamps = (getattr(leader_result, name) for name in names)
+        return not any(stamp is not None and stamp < onset for stamp in stamps)
 
     # ------------------------------------------------------------------
     # Scalar fallback and verify replay

@@ -40,14 +40,22 @@ _READ_STAGES = frozenset(
 )
 
 
+#: AxSIZE of a full-width beat on both harnesses' 8-byte data bus.
+_MAX_SIZE = 3
+
+
 def validate_axes(
     kind: str,
     beats: int,
     reorder_depth: int = 0,
     background: int = 0,
     stages: Iterable[Any] = (),
+    seeds: Iterable[int] = (),
+    size: int = 3,
+    outstanding: int = 1,
+    detect_timeout: int = 1,
 ) -> None:
-    """Reject a traffic axis no run of *kind* can take (``ValueError``).
+    """Reject a campaign axis no run of *kind* can take (``ValueError``).
 
     The one axis validator: :class:`CampaignSpec` applies it on
     construction, and entry points that run an injection without a spec
@@ -69,6 +77,16 @@ def validate_axes(
         raise ValueError(f"reorder_depth must be at least 0, got {reorder_depth}")
     if background < 0:
         raise ValueError(f"background must be at least 0, got {background}")
+    if min(seeds, default=0) < 0:
+        raise ValueError(f"seeds must be at least 0, got {min(seeds)}")
+    if not 0 <= size <= _MAX_SIZE:
+        raise ValueError(
+            f"size (AxSIZE) must be 0 to {_MAX_SIZE} on the 8-byte bus, got {size}"
+        )
+    if outstanding < 1:
+        raise ValueError(f"outstanding must be at least 1, got {outstanding}")
+    if detect_timeout < 1:
+        raise ValueError(f"detect_timeout must be at least 1, got {detect_timeout}")
     if kind == "system":
         reads = [
             value
@@ -171,7 +189,8 @@ class CampaignSpec:
             raise ValueError("campaign needs at least one config, stage and seed")
         validate_axes(
             self.kind, self.beats, self.reorder_depth, self.background,
-            self.stages,
+            self.stages, self.seeds, self.size, self.outstanding,
+            self.detect_timeout,
         )
 
     # ------------------------------------------------------------------
@@ -191,7 +210,11 @@ class CampaignSpec:
         outstanding: int = 1,
         reorder_depth: int = 0,
     ) -> "CampaignSpec":
-        """IP-level sweep over full TMU configurations (Fig. 9 shape)."""
+        """IP-level sweep over full TMU configurations (Fig. 9 shape).
+
+        Each seed delays the transaction's issue by that many cycles,
+        and *detect_timeout* counts from the issue.
+        """
         return cls(
             kind="ip",
             configs=[config_to_dict(config) for config in configs],

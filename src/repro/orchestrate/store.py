@@ -49,7 +49,10 @@ log = logging.getLogger(__name__)
 #: waited for outstanding writes to drain
 #: (:func:`~repro.faults.campaign.drain_timeout`): they can serve
 #: ``recovered: false`` for deep-outstanding points that now recover.
-STORE_FORMAT = 3
+#: Format 4 retires IP rows written while ``detect_timeout`` counted
+#: from cycle 0 instead of the issue: they can serve "not detected" for
+#: late seeds that now detect.
+STORE_FORMAT = 4
 
 #: SQLite schema version (``PRAGMA user_version``).
 SCHEMA_VERSION = 1

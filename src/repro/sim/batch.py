@@ -17,7 +17,7 @@ Soundness argument
 A follower run with seed ``s_f`` is the leader run with seed ``s_l``
 whose stimulus onset is delayed by ``delta = s_f - s_l``.  The derived
 result (every cycle stamp shifted by ``delta``) equals the follower's
-scalar result when three conditions hold, each checked at runtime:
+scalar result when two conditions hold, each checked at runtime:
 
 1. **Component contract** — every registered component declares a
    :attr:`~repro.sim.component.Component.phase_period` and ``delta`` is
@@ -38,12 +38,11 @@ scalar result when three conditions hold, each checked at runtime:
    every prefix cycle, the evidence check fails, and every lane
    gracefully retires — batch output stays byte-identical, merely
    without the speedup.
-3. **Horizon containment** — derived cycle stamps must stay inside the
-   run's detection window.  IP runs bound detection by an *absolute*
-   horizon (``run_until(..., timeout=detect_timeout)`` from cycle 0),
-   so a lane whose shifted detection cycle would cross it retires;
-   system runs open their window after ``start_delay`` and shift
-   cleanly.
+
+The detection window needs no condition of its own: both runners count
+``detect_timeout`` from the stimulus (the IP transaction's issue, the
+system frame after ``start_delay``), so a follower's window is the
+leader's, shifted, and a derived stamp can never cross it.
 
 Because the leaped gap is a single leap in leader and follower alike,
 even the scheduler statistics derive exactly: ``sim_leaps`` is copied

@@ -11,9 +11,9 @@ while Tc always reports at the end of the full budget.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..faults.types import InjectionStage
+from ..faults.types import InjectionOutcome, InjectionStage
 from ..tmu.config import Variant
 from .cheshire import CheshireSoC, system_tmu_config
 
@@ -39,78 +39,14 @@ FIG11_LABELS = (
 
 
 @dataclasses.dataclass
-class SystemInjectionResult:
+class SystemInjectionResult(InjectionOutcome):
     """Outcome of one system-level injection."""
 
-    stage: InjectionStage
-    variant: str
-    txn_start_cycle: Optional[int]
-    inject_cycle: Optional[int]
+    STAMPS = InjectionOutcome.STAMPS + ("w_first_cycle",)
+
     w_first_cycle: Optional[int]
-    detect_cycle: Optional[int]
-    fault_phase: Optional[str]
-    fault_kind: Optional[str]
     ethernet_resets: int
     cpu_recoveries: int
-    recovered: bool
-    #: Kernel fast-forward diagnostics (``compare=False``: equality —
-    #: and the leap-on ≡ leap-off differentials built on it — stays
-    #: about measurements, not about how the kernel scheduled them).
-    sim_leaps: int = dataclasses.field(default=0, compare=False)
-    sim_cycles_leaped: int = dataclasses.field(default=0, compare=False)
-    sim_cycles_streamed: int = dataclasses.field(default=0, compare=False)
-    sim_stepped_cycles: int = dataclasses.field(default=0, compare=False)
-    sim_island_cycles: int = dataclasses.field(default=0, compare=False)
-
-    def shifted(self, delta: int) -> "SystemInjectionResult":
-        """This result translated *delta* cycles later in time.
-
-        Used by the lockstep batch executor to derive a follower
-        lane's result from its pack leader's: measured cycle stamps
-        move rigidly with ``start_delay``, counts and flags are
-        shift-invariant, and the leader's single pre-onset leap grows
-        by *delta* (stepped, streamed and island cycles stay).
-        """
-        start, inject, w_first, detect = (
-            self.txn_start_cycle,
-            self.inject_cycle,
-            self.w_first_cycle,
-            self.detect_cycle,
-        )
-        return SystemInjectionResult(
-            stage=self.stage,
-            variant=self.variant,
-            txn_start_cycle=None if start is None else start + delta,
-            inject_cycle=None if inject is None else inject + delta,
-            w_first_cycle=None if w_first is None else w_first + delta,
-            detect_cycle=None if detect is None else detect + delta,
-            fault_phase=self.fault_phase,
-            fault_kind=self.fault_kind,
-            ethernet_resets=self.ethernet_resets,
-            cpu_recoveries=self.cpu_recoveries,
-            recovered=self.recovered,
-            sim_leaps=self.sim_leaps,
-            sim_cycles_leaped=self.sim_cycles_leaped + delta,
-            sim_cycles_streamed=self.sim_cycles_streamed,
-            sim_stepped_cycles=self.sim_stepped_cycles,
-            sim_island_cycles=self.sim_island_cycles,
-        )
-
-    @property
-    def detected(self) -> bool:
-        return self.detect_cycle is not None
-
-    @property
-    def latency_from_injection(self) -> Optional[int]:
-        if self.detect_cycle is None or self.inject_cycle is None:
-            return None
-        return self.detect_cycle - self.inject_cycle
-
-    @property
-    def latency_from_start(self) -> Optional[int]:
-        if self.detect_cycle is None or self.txn_start_cycle is None:
-            return None
-        return self.detect_cycle - self.txn_start_cycle
 
     @property
     def fig11_latency(self) -> Optional[int]:
@@ -182,15 +118,9 @@ def run_system_injection(
     request order within that window.  All default to the legacy Fig. 11
     shape.
 
-    The detection and recovery loops run through ``run_until`` with a
-    stateful watcher: its bookkeeping only moves on address, first- and
-    last-beat handshakes, wire levels and fault switches, none of which
-    can move inside a span the kernel leaps or streams — whole, or as an
-    island (the DMA, TMU and MAC streaming the frame while the background
-    traffic steps, with the watcher still consulted every stepped cycle
-    and reading their lagging state) — so the campaign output is
-    byte-identical with leaping on or off.  The recovery loop gets at
-    least :func:`~repro.faults.campaign.drain_timeout` cycles.
+    The fault is injected, timed and recovered from by the IP runs' own
+    loop, :func:`~repro.faults.campaign.drive_injection`, on the DMA →
+    TMU → MAC link; recovery also waits for the CPU's interrupt routine.
 
     *soc* runs the injection on an SoC in its freshly built state (a
     new build, or one returned by :meth:`CheshireSoC.reset`) built by
@@ -199,7 +129,7 @@ def run_system_injection(
     """
     # Imported here: repro.faults.campaign builds IP harnesses with the
     # reset unit from this package, so a module-level import would cycle.
-    from ..faults.campaign import arm_stage_fault, drain_timeout
+    from ..faults.campaign import drive_injection
 
     if soc is None:
         soc = build_system_soc(
@@ -219,104 +149,19 @@ def run_system_injection(
     if outstanding > 1:
         soc.submit_outstanding_reads(outstanding - 1)
 
-    arm_stage_fault(
-        soc.ethernet.faults,
-        soc.dma.faults,
-        soc.tmu.config.max_uniq_ids + 1,
-        stage,
-        beats,
+    fields, w_first_cycle = drive_injection(
+        soc.sim, soc.tmu, soc.eth_host_bus, soc.eth_dev_bus, soc.dma,
+        soc.ethernet, stage, beats, outstanding, detect_timeout,
+        recovery_timeout,
+        recovered=lambda: soc.all_idle and bool(soc.cpu.recoveries),
+        ack_irq=False,
     )
-
-    txn_start: Optional[int] = None
-    inject_cycle: Optional[int] = None
-    w_first_cycle: Optional[int] = None
-    wlast_seen = False
-
-    def detect_tick(_sim) -> bool:
-        # Every event read here (an address valid, the first and last W
-        # beats, a fault switch) happens in a stepped cycle, and each
-        # is recorded once, so extra consultations (pre-leap, at the
-        # end of a streamed span) are harmless.
-        nonlocal txn_start, inject_cycle, w_first_cycle, wlast_seen
-        dev = soc.eth_dev_bus
-        if txn_start is None and soc.eth_host_bus.aw.valid.value:
-            txn_start = soc.sim.cycle
-        if dev.w.fired():
-            if w_first_cycle is None:
-                w_first_cycle = soc.sim.cycle
-            beat = dev.w.payload.value
-            if beat is not None and beat.last:
-                wlast_seen = True
-        if inject_cycle is None and _manifested(soc, stage, wlast_seen):
-            inject_cycle = soc.sim.cycle
-        return bool(soc.tmu.irq.value)
-
-    detect_cycle = soc.sim.run_until(detect_tick, timeout=detect_timeout)
-
-    fault = soc.tmu.last_fault
-    recovered = False
-    if detect_cycle is not None:
-        soc.dma.faults.clear()  # software recovery clears the manager fault
-        recovered = (
-            soc.sim.run_until(
-                lambda _sim: (
-                    soc.all_idle
-                    and soc.tmu.state.value == "monitor"
-                    and not soc.tmu.irq.value
-                    and bool(soc.cpu.recoveries)
-                ),
-                timeout=drain_timeout(recovery_timeout, beats, outstanding),
-            )
-            is not None
-        )
-
     return SystemInjectionResult(
-        stage=stage,
-        variant=variant.value,
-        txn_start_cycle=txn_start,
-        inject_cycle=inject_cycle,
+        **fields,
         w_first_cycle=w_first_cycle,
-        detect_cycle=detect_cycle,
-        fault_phase=fault.phase_label if fault else None,
-        fault_kind=fault.kind.value if fault else None,
         ethernet_resets=soc.ethernet.resets_taken,
         cpu_recoveries=len(soc.cpu.recoveries),
-        recovered=recovered,
-        **{
-            f"sim_{key}": value
-            for key, value in soc.sim.stats().items()
-            if key in type(soc.sim).STAT_KEYS
-        },
     )
-
-
-def _manifested(soc: CheshireSoC, stage: InjectionStage, wlast_seen: bool) -> bool:
-    dev = soc.eth_dev_bus
-    if stage == InjectionStage.AW_READY_MISSING:
-        return bool(dev.aw.valid.value)
-    if stage == InjectionStage.W_VALID_MISSING:
-        return bool(dev.aw.fired()) or bool(soc.tmu.write_guard.ott.occupancy)
-    if stage == InjectionStage.W_READY_MISSING:
-        return bool(dev.w.valid.value)
-    if stage == InjectionStage.DATA_TRANSFER_STALL:
-        return bool(soc.ethernet.faults.deaf_w)
-    if stage == InjectionStage.WLAST_TO_BVALID:
-        return wlast_seen
-    if stage in (InjectionStage.B_ID_MISMATCH, InjectionStage.B_READY_MISSING):
-        return bool(dev.b.valid.value)
-    if stage == InjectionStage.AR_READY_MISSING:
-        return bool(dev.ar.valid.value)
-    if stage == InjectionStage.R_VALID_MISSING:
-        return bool(dev.ar.fired()) or bool(soc.tmu.read_guard.ott.occupancy)
-    if stage == InjectionStage.R_MID_BURST_STALL:
-        return bool(soc.ethernet.faults.mute_r)
-    if stage in (
-        InjectionStage.R_ID_MISMATCH,
-        InjectionStage.R_LAST_DROPPED,
-        InjectionStage.R_READY_MISSING,
-    ):
-        return bool(dev.r.valid.value)
-    return False
 
 
 def run_fig11(

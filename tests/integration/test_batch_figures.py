@@ -15,6 +15,7 @@ streamed writer first, which reads every derived lane as its leader
 and seed delta without materializing it.
 """
 
+import dataclasses
 import io
 
 import pytest
@@ -242,3 +243,27 @@ def test_pre_onset_stamp_is_not_shifted(stage):
         streamed_json(scalar)
     )
     assert executor.stats.derived == 0
+
+
+def test_late_seeds_detect_and_shift_like_early_ones():
+    # detect_timeout counts from the transaction's issue, so a seed
+    # within one detection latency of the timeout, or past it, detects
+    # as seed 0 does, and its lane derives as a plain time shift.
+    config = TmuConfig(
+        variant=Variant.FULL, max_uniq_ids=4, txn_per_id=4, prescale_step=1
+    )
+    spec = CampaignSpec.ip(
+        [config], [InjectionStage.WLAST_TO_BVALID], seeds=[0, 9995, 12000]
+    )
+    scalar = run_campaign_spec(spec, executor=SerialExecutor())
+    assert [result.detected and result.recovered for result in scalar] == [
+        True, True, True
+    ]
+    assert len({result.latency_from_start for result in scalar}) == 1
+    executor = BatchExecutor()
+    batched = run_campaign_spec(spec, executor=executor)
+    assert executor.stats.derived == 1
+    assert streamed_json(batched) == streamed_json(scalar)
+    assert [dataclasses.asdict(result) for result in batched] == [
+        dataclasses.asdict(result) for result in scalar
+    ]

@@ -128,6 +128,33 @@ def test_spec_rejects_out_of_range_axes():
     assert CampaignSpec.system([Variant.FULL], FIG11_STAGES, beats=300).beats == 300
 
 
+def system_spec(**kwargs):
+    return CampaignSpec.system([Variant.FULL], FIG11_STAGES, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "make, kwargs, message",
+    [
+        (ip_spec, {"seeds": (0, -1)}, "seeds must be at least 0, got -1"),
+        (system_spec, {"seeds": (-3,)}, "seeds must be at least 0, got -3"),
+        (ip_spec, {"outstanding": 0}, "outstanding must be at least 1"),
+        (system_spec, {"outstanding": 0}, "outstanding must be at least 1"),
+        (ip_spec, {"size": 4}, "size .* 0 to 3 on the 8-byte bus, got 4"),
+        (ip_spec, {"size": -1}, "size .* 0 to 3 on the 8-byte bus, got -1"),
+        (system_spec, {"size": 4}, "size .* 0 to 3 on the 8-byte bus, got 4"),
+        (ip_spec, {"detect_timeout": 0}, "detect_timeout must be at least 1"),
+        (system_spec, {"detect_timeout": 0}, "detect_timeout must be at least 1"),
+    ],
+)
+def test_spec_rejects_axes_that_would_run_something_else(make, kwargs, message):
+    # Each of these used to run: a negative seed as "not detected" (IP)
+    # or as seed 0 (system), outstanding 0 as 1, a too-wide size only
+    # failing mid-run, and an empty detection window as "not detected".
+    with pytest.raises(ValueError, match=message):
+        spec = make(**kwargs)
+        run_campaign_spec(spec)
+
+
 @pytest.mark.parametrize(
     "stage",
     [stage for stage in InjectionStage if stage.direction is AxiDir.READ],
