@@ -199,7 +199,7 @@ def drain_timeout(recovery_timeout: int, beats: int, outstanding: int) -> int:
     below that would report a slow-but-legal drain as a failed
     recovery, so the budget is at least two cycles per beat in flight.
     """
-    return max(recovery_timeout, 2 * beats * max(1, outstanding))
+    return max(recovery_timeout, 2 * beats * outstanding)
 
 
 @dataclasses.dataclass
@@ -380,14 +380,27 @@ def run_injection(
     state (a new build, or one returned by :meth:`IpHarness.reset`)
     built by :func:`build_ip_harness` from the same *config*,
     *harness_kwargs* and *reorder_depth*; by default one is built.
+
+    The axes are checked by :func:`~repro.orchestrate.spec.validate_axes`
+    (the issue delay as the seed): a value no campaign could run raises
+    ``ValueError`` before anything is simulated.
     """
+    # Imported here: repro.orchestrate.spec imports the repro.faults
+    # package, which imports this module, so a module-level import would
+    # cycle.
+    from ..orchestrate.spec import validate_axes
+
+    validate_axes(
+        "ip", beats, reorder_depth, stages=(stage,), seeds=(issue_delay,),
+        size=size, outstanding=outstanding, detect_timeout=detect_timeout,
+    )
     if harness is None:
         harness = build_ip_harness(config, harness_kwargs, reorder_depth)
     spec_fn = write_spec if stage.direction == AxiDir.WRITE else read_spec
     # Each transaction gets its own 4 KiB-aligned page span so INCR
     # bursts stay AXI-legal at every (beats, size) grid point.
     stride = 0x1000 * ((beats * bytes_per_beat(size) + 0xFFF) // 0x1000)
-    for i in range(max(1, outstanding)):
+    for i in range(outstanding):
         harness.manager.submit(
             spec_fn(
                 i % max(1, config.max_uniq_ids),

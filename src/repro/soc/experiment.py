@@ -126,10 +126,22 @@ def run_system_injection(
     new build, or one returned by :meth:`CheshireSoC.reset`) built by
     :func:`build_system_soc` from the same *variant*, *beats*,
     *reorder_depth* and ``sim_*`` options; by default one is built.
+
+    The axes are checked by :func:`~repro.orchestrate.spec.validate_axes`
+    (the start delay as the seed): a value no campaign could run, or a
+    read-path stage, raises ``ValueError`` before anything is simulated.
     """
     # Imported here: repro.faults.campaign builds IP harnesses with the
-    # reset unit from this package, so a module-level import would cycle.
+    # reset unit from this package, and repro.orchestrate.spec imports
+    # repro.faults, so module-level imports would cycle.
     from ..faults.campaign import drive_injection
+    from ..orchestrate.spec import validate_axes
+
+    validate_axes(
+        "system", beats, reorder_depth, background, stages=(stage,),
+        seeds=(start_delay,), size=size, outstanding=outstanding,
+        detect_timeout=detect_timeout,
+    )
 
     if soc is None:
         soc = build_system_soc(

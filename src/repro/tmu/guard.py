@@ -1,25 +1,33 @@
-"""Shared guard machinery: stability watches, front watches, guard base.
+"""The guard engine the Write and Read Guards share.
 
 A *guard* is the per-direction monitoring engine of the TMU (paper
 Figs. 1-2 show the Write Guard and Read Guard as mirrored blocks).  The
-concrete :class:`~repro.tmu.write_guard.WriteGuard` and
-:class:`~repro.tmu.read_guard.ReadGuard` subclass :class:`GuardBase`,
-which provides:
+mirrored half lives here, in :class:`GuardBase`, once:
 
 * the Outstanding Transaction Table and its enqueue gating,
 * the shared prescaler and counter construction,
-* the *front watch* — the pre-handshake timer covering the address
-  channel before a transaction owns an OTT entry (the ``AWVLD_AWRDY`` /
-  ``ARVLD_ARRDY`` span),
+* the address channel: the *front watch* — the pre-handshake timer
+  covering ``AWVLD_AWRDY`` / ``ARVLD_ARRDY`` before a transaction owns
+  an OTT entry — and the enqueue on handshake, which hands the front
+  counter over to the entry in the Tiny-Counter variant (Fig. 6),
+* the Full-Counter phase step (:meth:`GuardBase._advance`: record the
+  closing phase's latency, move to the next phase, re-arm its budget)
+  and the completion (:meth:`GuardBase._complete`),
 * handshake *stability watches* — AXI4 requires ``valid`` to stay
   asserted (with stable payload) until ``ready``; a drop is a protocol
   violation,
-* the error log and performance log.
+* the counter sweep, the error log and the performance log.
 
-Guards are passive observers: the TMU top level calls
-:meth:`GuardBase.observe` once per clock cycle with the settled device-
-side channels, and decides from the returned events whether to trip the
-fault-recovery path.
+:class:`~repro.tmu.write_guard.WriteGuard` and
+:class:`~repro.tmu.read_guard.ReadGuard` set the per-direction
+constants (``direction``, ``addr_channel``, ``SPAN``, ``ADDR_PHASE``,
+``ENTRY_PHASE``), name their budget method in ``_phase_budget``, and
+keep only their data and response channels.
+
+Guards are passive observers: the TMU top level calls each guard's
+``observe`` once per clock cycle with the settled device-side channels,
+and decides from the returned events whether to trip the fault-recovery
+path.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from .counters import (
 from .events import ErrorLog, FaultEvent, FaultKind, PhaseLike
 from .ott import LdEntry, OutstandingTransactionTable
 from .perf import PerfLog
+from .phases import TxnSpan
 
 
 class StabilityWatch:
@@ -90,19 +99,27 @@ class FrontWatch:
 
 
 class GuardBase:
-    """Common state and helpers for the Write and Read Guards."""
+    """The direction-independent half of the Write and Read Guards."""
 
+    # Per-direction constants, set by each subclass.
     direction: AxiDir
+    #: Address channel name (``"aw"``/``"ar"``), used in log details.
+    addr_channel: str
+    #: The Tiny-Counter whole-transaction span.
+    SPAN: TxnSpan
+    #: The Full-Counter address-handshake phase (the front watch's).
+    ADDR_PHASE: PhaseLike
+    #: The Full-Counter phase an entry starts in on enqueue.
+    ENTRY_PHASE: PhaseLike
 
-    def __init__(self, config: TmuConfig, direction: AxiDir) -> None:
+    def __init__(self, config: TmuConfig) -> None:
         self.config = config
-        self.direction = direction
         self.budgets: AdaptiveBudgetPolicy = config.budgets
         self.ott = OutstandingTransactionTable(
             config.max_uniq_ids, config.txn_per_id
         )
         self.prescaler = Prescaler(config.prescale_step)
-        self.perf = PerfLog(direction)
+        self.perf = PerfLog(self.direction)
         self.log = ErrorLog(config.error_log_depth)
         self.front = FrontWatch()
         self.stab_addr = StabilityWatch()
@@ -168,7 +185,7 @@ class GuardBase:
         if event.kind == FaultKind.TIMEOUT:
             return True
         if event.kind == FaultKind.ERROR_RESPONSE:
-            return bool(getattr(self.config, "trip_on_error_resp", False))
+            return bool(self.config.trip_on_error_resp)
         return bool(self.config.protocol_check_immediate)
 
     def _edge(self, key: str, condition: bool) -> bool:
@@ -176,6 +193,92 @@ class GuardBase:
         previous = self._edge_state.get(key, False)
         self._edge_state[key] = condition
         return condition and not previous
+
+    # ------------------------------------------------------------------
+    # Address channel, phase step and completion
+    # ------------------------------------------------------------------
+    def _phase_budget(self, phase: PhaseLike, beats: int, queued: int = 0) -> int:
+        """Full-Counter budget of *phase*: the direction's budget method."""
+        raise NotImplementedError
+
+    def _front_phase(self) -> PhaseLike:
+        return self.SPAN if self.tiny else self.ADDR_PHASE
+
+    def _start_budget(self, phase: PhaseLike, beats: int, queued: int) -> int:
+        """Budget of a transaction's first counter: its span, or *phase*."""
+        if self.tiny:
+            return self.budgets.span_budget(beats, queued)
+        return self._phase_budget(phase, beats, queued)
+
+    def _observe_addr(self, addr: Channel, cycle, events, orig_id_of) -> None:
+        """Address handshake: stability check, front watch, enqueue."""
+        valid = bool(addr.valid._value)
+        ready = bool(addr.ready._value)
+        if self.stab_addr.check(valid, ready):
+            name = self.addr_channel
+            events.append(
+                self._event(
+                    FaultKind.HANDSHAKE_VIOLATION,
+                    self._front_phase(),
+                    cycle,
+                    detail=f"{name}_valid deasserted before {name}_ready",
+                )
+            )
+            self.front.release()
+        if valid and ready:
+            self._enqueue(addr.payload._value, cycle, orig_id_of)
+        elif valid and not self.front.active:
+            budget = self._start_budget(
+                self.ADDR_PHASE,
+                addr.payload._value.len + 1,
+                self.ott.ei_pending_beats(),
+            )
+            self.front.arm(self.new_counter(budget), cycle)
+
+    def _enqueue(self, beat, cycle, orig_id_of) -> None:
+        front_start = self.front.start_cycle
+        front_counter = self.front.release()
+        tid = beat.id
+        orig = orig_id_of(tid) if orig_id_of is not None else tid
+        # Queue-waiting bonus in *beats* ahead (§II-F): the new
+        # transaction's data phase cannot start until every queued beat
+        # has moved.
+        queued = self.ott.ei_pending_beats()
+        entry = self.ott.enqueue(
+            tid, orig, self.direction, beat.addr, beat.len + 1, cycle
+        )
+        entry.phase_latencies[self.ADDR_PHASE] = (
+            cycle - front_start if front_start is not None else 0
+        )
+        entry.state = self.SPAN if self.tiny else self.ENTRY_PHASE
+        if self.tiny and front_counter is not None:
+            entry.counter = front_counter  # single span counter, Fig. 6
+        else:
+            entry.counter = self.new_counter(
+                self._start_budget(self.ENTRY_PHASE, entry.beats, queued)
+            )
+
+    def _advance(self, entry: LdEntry, phase, cycle: int, queued: int = 0) -> None:
+        """Full-Counter phase step: close *entry*'s phase, arm *phase*."""
+        entry.phase_latencies[entry.state] = cycle - entry.phase_start_cycle
+        entry.state = phase
+        entry.counter.rearm(self._phase_budget(phase, entry.beats, queued))
+        entry.phase_start_cycle = cycle
+
+    def _complete(self, entry: LdEntry, cycle: int) -> None:
+        """Record *entry*'s completion and free its OTT slot."""
+        if not self.tiny:
+            entry.phase_latencies[entry.state] = cycle - entry.phase_start_cycle
+        self.perf.record_completion(
+            entry.orig_id,
+            entry.addr,
+            entry.beats,
+            entry.enqueue_cycle,
+            cycle,
+            entry.phase_latencies,
+        )
+        self.ott.dequeue_head(entry.tid)
+        self.completed_tids.append(entry.tid)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -290,9 +393,8 @@ class GuardBase:
     # ------------------------------------------------------------------
     # Counter sweep
     # ------------------------------------------------------------------
-    def _tick_counters(self, edge: bool, cycle: int) -> List[FaultEvent]:
+    def _tick_counters(self, edge: bool, cycle: int, events: List[FaultEvent]) -> None:
         """Advance the front-watch and per-entry counters; emit timeouts."""
-        events: List[FaultEvent] = []
         front_counter = self.front.counter
         if front_counter is not None:
             if front_counter.tick(enabled=True, edge=edge):
@@ -314,20 +416,9 @@ class GuardBase:
                 events.append(
                     self._event(
                         FaultKind.TIMEOUT,
-                        self._entry_phase(entry),
+                        entry.state,
                         cycle,
                         entry=entry,
                         detail=f"budget expired ({counter.units} units)",
                     )
                 )
-        return events
-
-    # Subclass hooks -----------------------------------------------------
-    def _front_phase(self) -> PhaseLike:
-        raise NotImplementedError
-
-    def _entry_phase(self, entry: LdEntry) -> PhaseLike:
-        raise NotImplementedError
-
-    def observe(self, *channels: Channel, cycle: int) -> List[FaultEvent]:
-        raise NotImplementedError

@@ -3,8 +3,10 @@
 Mirrors the Write Guard for the read direction: four phases in the
 Full-Counter variant (``ARVLD_ARRDY``, ``ARRDY_RVLD``, ``RVLD_RRDY``,
 ``RVLD_RLAST``) or a single ``ARVALID→RLAST`` span in the Tiny-Counter
-variant.  R beats are routed to the head of their ID's FIFO, honouring
-AXI4's same-ID ordering; mismatched or unrequested R IDs are flagged.
+variant.  The AR channel, the phase step and the completion are
+:class:`~repro.tmu.guard.GuardBase`'s; this module keeps the R channel:
+beats are routed to the head of their ID's FIFO, honouring AXI4's
+same-ID ordering, and mismatched or unrequested R IDs are flagged.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from typing import Callable, List, Optional
 
 from ..axi.types import AxiDir
 from ..sim.signal import Channel
-from .config import TmuConfig
 from .events import FaultEvent, FaultKind
 from .guard import GuardBase
 from .ott import LdEntry
@@ -23,17 +24,14 @@ from .phases import ReadPhase, TxnSpan
 class ReadGuard(GuardBase):
     """Per-cycle observer of the read channels on the device side."""
 
-    def __init__(self, config: TmuConfig) -> None:
-        super().__init__(config, AxiDir.READ)
+    direction = AxiDir.READ
+    addr_channel = "ar"
+    SPAN = TxnSpan.READ
+    ADDR_PHASE = ReadPhase.AR_HANDSHAKE
+    ENTRY_PHASE = ReadPhase.R_ENTRY
 
-    # ------------------------------------------------------------------
-    # GuardBase hooks
-    # ------------------------------------------------------------------
-    def _front_phase(self):
-        return TxnSpan.READ if self.tiny else ReadPhase.AR_HANDSHAKE
-
-    def _entry_phase(self, entry: LdEntry):
-        return entry.state
+    def _phase_budget(self, phase, beats, queued=0):
+        return self.budgets.read_phase_budget(phase, beats, queued)
 
     # ------------------------------------------------------------------
     # Main per-cycle observation
@@ -48,69 +46,10 @@ class ReadGuard(GuardBase):
         """Digest one settled cycle of the read channels."""
         edge = self.prescaler.advance()
         events: List[FaultEvent] = []
-        self._observe_ar(ar, cycle, events, orig_id_of)
+        self._observe_addr(ar, cycle, events, orig_id_of)
         self._observe_r(r, cycle, events)
-        events.extend(self._tick_counters(edge, cycle))
+        self._tick_counters(edge, cycle, events)
         return events
-
-    # ------------------------------------------------------------------
-    # AR: address handshake and enqueue
-    # ------------------------------------------------------------------
-    def _observe_ar(self, ar: Channel, cycle, events, orig_id_of) -> None:
-        valid = bool(ar.valid._value)
-        ready = bool(ar.ready._value)
-        if self.stab_addr.check(valid, ready):
-            events.append(
-                self._event(
-                    FaultKind.HANDSHAKE_VIOLATION,
-                    self._front_phase(),
-                    cycle,
-                    detail="ar_valid deasserted before ar_ready",
-                )
-            )
-            self.front.release()
-        if valid and ready:
-            self._enqueue(ar.payload._value, cycle, orig_id_of)
-        elif valid and not self.front.active:
-            beat = ar.payload._value
-            beats = beat.len + 1
-            queued = self.ott.ei_pending_beats()
-            if self.tiny:
-                budget = self.budgets.span_budget(beats, queued)
-            else:
-                budget = self.budgets.read_phase_budget(
-                    ReadPhase.AR_HANDSHAKE, beats, queued
-                )
-            self.front.arm(self.new_counter(budget), cycle)
-
-    def _enqueue(self, beat, cycle, orig_id_of) -> None:
-        front_start = self.front.start_cycle
-        front_counter = self.front.release()
-        hs_latency = cycle - front_start if front_start is not None else 0
-        tid = beat.id
-        orig = orig_id_of(tid) if orig_id_of is not None else tid
-        # Queue-waiting bonus in *beats* ahead (§II-F).
-        queued = self.ott.ei_pending_beats()
-        entry = self.ott.enqueue(
-            tid, orig, AxiDir.READ, beat.addr, beat.len + 1, cycle
-        )
-        entry.phase_latencies[ReadPhase.AR_HANDSHAKE] = hs_latency
-        if self.tiny:
-            entry.state = TxnSpan.READ
-            if front_counter is not None:
-                entry.counter = front_counter  # single span counter, Fig. 6
-            else:
-                entry.counter = self.new_counter(
-                    self.budgets.span_budget(entry.beats, queued)
-                )
-        else:
-            entry.state = ReadPhase.R_ENTRY
-            entry.counter = self.new_counter(
-                self.budgets.read_phase_budget(
-                    ReadPhase.R_ENTRY, entry.beats, queued
-                )
-            )
-        entry.phase_start_cycle = cycle
 
     # ------------------------------------------------------------------
     # R: data beats routed to the per-ID FIFO head
@@ -143,30 +82,12 @@ class ReadGuard(GuardBase):
                     )
                 )
             return
-        if self.tiny:
-            if fired:
-                self._count_r_beat(head, beat, cycle, events)
-            return
-        if head.state == ReadPhase.R_ENTRY:
-            head.phase_latencies[ReadPhase.R_ENTRY] = (
-                cycle - head.phase_start_cycle
-            )
-            head.state = ReadPhase.R_FIRST_HS
-            head.counter.rearm(
-                self.budgets.read_phase_budget(ReadPhase.R_FIRST_HS, head.beats)
-            )
-            head.phase_start_cycle = cycle
-        if head.state == ReadPhase.R_FIRST_HS and fired:
-            head.phase_latencies[ReadPhase.R_FIRST_HS] = (
-                cycle - head.phase_start_cycle
-            )
-            head.state = ReadPhase.R_DATA
-            head.counter.rearm(
-                self.budgets.read_phase_budget(ReadPhase.R_DATA, head.beats)
-            )
-            head.phase_start_cycle = cycle
-            self._count_r_beat(head, beat, cycle, events)
-        elif head.state == ReadPhase.R_DATA and fired:
+        if not self.tiny:
+            if head.state == ReadPhase.R_ENTRY:
+                self._advance(head, ReadPhase.R_FIRST_HS, cycle)
+            if head.state == ReadPhase.R_FIRST_HS and fired:
+                self._advance(head, ReadPhase.R_DATA, cycle)
+        if fired:
             self._count_r_beat(head, beat, cycle, events)
 
     def _count_r_beat(self, head: LdEntry, beat, cycle, events) -> None:
@@ -195,11 +116,8 @@ class ReadGuard(GuardBase):
                         ),
                     )
                 )
-            if not self.tiny:
-                head.phase_latencies[ReadPhase.R_DATA] = (
-                    cycle - head.phase_start_cycle
-                )
             self._complete(head, cycle)
+            self._edge_state.pop(f"r_err_{head.index}", None)
         elif head.beats_seen >= head.beats:
             events.append(
                 self._event(
@@ -212,16 +130,3 @@ class ReadGuard(GuardBase):
                     ),
                 )
             )
-
-    def _complete(self, entry: LdEntry, cycle: int) -> None:
-        self._edge_state.pop(f"r_err_{entry.index}", None)
-        self.perf.record_completion(
-            entry.orig_id,
-            entry.addr,
-            entry.beats,
-            entry.enqueue_cycle,
-            cycle,
-            entry.phase_latencies,
-        )
-        self.ott.dequeue_head(entry.tid)
-        self.completed_tids.append(entry.tid)

@@ -124,11 +124,6 @@ class TransactionMonitoringUnit(Component):
         self.device = device
         self.config = config if config is not None else TmuConfig()
         self.standalone_ack_after = standalone_ack_after
-
-        self.write_guard = WriteGuard(self.config)
-        self.read_guard = ReadGuard(self.config)
-        self.remap_w = IdRemapTable(self.config.max_uniq_ids)
-        self.remap_r = IdRemapTable(self.config.max_uniq_ids)
         self._channels = [_TmuChannel(self, ch) for ch in _CHANNELS]
         # Any traffic on either side keeps the guards observing; the
         # update-quiescence predicate and wake list both key off these.
@@ -142,7 +137,18 @@ class TransactionMonitoringUnit(Component):
         self.reset_req = Wire(f"{name}.reset_req", False)
         #: reset acknowledgment from the external reset unit (input).
         self.reset_ack = Wire(f"{name}.reset_ack", False)
+        self._init_state()
 
+    def _init_state(self) -> None:
+        """Set every piece of monitoring state to its power-on value.
+
+        Construction and :meth:`reset` both call this, so a harness
+        reused through ``reset()`` runs exactly like a fresh build.
+        """
+        self.write_guard = WriteGuard(self.config)
+        self.read_guard = ReadGuard(self.config)
+        self.remap_w = IdRemapTable(self.config.max_uniq_ids)
+        self.remap_r = IdRemapTable(self.config.max_uniq_ids)
         self.state = TmuState.MONITOR
         self.cycle = 0
         self.fault_events: List[FaultEvent] = []
@@ -493,15 +499,9 @@ class TransactionMonitoringUnit(Component):
         # events flagged above; budget counters ticking toward a trip are
         # invisible to drive() until the trip itself.
 
-        tripping = [
-            event
-            for event in events
-            if (
-                self.write_guard
-                if event.direction.value == "write"
-                else self.read_guard
-            ).should_trip(event)
-        ]
+        # Both guards share the config, which alone decides a trip.
+        should_trip = self.write_guard.should_trip
+        tripping = [event for event in events if should_trip(event)]
         if tripping:
             self._enter_recover(tripping)
             changed = True
@@ -569,19 +569,5 @@ class TransactionMonitoringUnit(Component):
             self.schedule_drive()
 
     def reset(self) -> None:
-        self.write_guard = WriteGuard(self.config)
-        self.read_guard = ReadGuard(self.config)
-        self.remap_w.clear()
-        self.remap_r.clear()
-        self.state = TmuState.MONITOR
-        self.cycle = 0
-        self.fault_events.clear()
-        self.faults_handled = 0
-        self._irq_pending = False
-        self._req_state = False
-        self._ack_seen = False
-        self._self_ack_countdown = None
-        self._abort_b.clear()
-        self._abort_r.clear()
-        self._w_drain_remaining = 0
+        self._init_state()
         self.schedule_drive()

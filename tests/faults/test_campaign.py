@@ -69,3 +69,35 @@ def test_stall_latency_monotone_in_prescaler_step():
         for step in (1, 8, 32, 64)
     ]
     assert latencies == sorted(latencies)
+
+
+def _ip(stage=InjectionStage.WLAST_TO_BVALID, **kwargs):
+    return run_injection(full_config(), stage, **kwargs)
+
+
+def _system(stage=InjectionStage.WLAST_TO_BVALID, **kwargs):
+    from repro.soc.experiment import run_system_injection
+
+    return run_system_injection(Variant.FULL, stage, beats=16, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "run, kwargs, message",
+    [
+        (_ip, {"outstanding": 0}, "outstanding must be at least 1, got 0"),
+        (_ip, {"issue_delay": -5}, "seeds must be at least 0, got -5"),
+        (_ip, {"detect_timeout": 0}, "detect_timeout must be at least 1"),
+        (_system, {"stage": InjectionStage.AR_READY_MISSING},
+         "never manifest: ar_stage_error"),
+        (_system, {"start_delay": -3}, "seeds must be at least 0, got -3"),
+        (_system, {"outstanding": 0}, "outstanding must be at least 1, got 0"),
+        (_system, {"detect_timeout": 0}, "detect_timeout must be at least 1"),
+    ],
+)
+def test_direct_injections_validate_their_axes(run, kwargs, message):
+    # Called without a CampaignSpec, each of these used to run: outstanding
+    # 0 as 1, a negative delay as "not detected" (IP) or as delay 0
+    # (system), an empty detection window as "not detected", and a read
+    # stage as a false TMU failure on a link that carries no reads.
+    with pytest.raises(ValueError, match=message):
+        run(**kwargs)

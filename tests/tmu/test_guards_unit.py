@@ -5,6 +5,8 @@ Drives the Write/Read Guard FSMs directly through
 corners that closed-loop tests reach only probabilistically.
 """
 
+import pytest
+
 from tests.conftest import fast_budgets
 
 from repro.axi.channels import ArBeat, AwBeat, BBeat, RBeat, WBeat
@@ -17,7 +19,23 @@ from repro.tmu.write_guard import WriteGuard
 from repro.axi.types import Resp
 
 
-class WriteRig:
+class _Rig:
+    def step_addr(self, beat, ready=True, **channels):
+        """One cycle with *beat* on the address channel."""
+        return self.step(
+            **{self.ADDR: beat, f"{self.ADDR}_ready": ready}, **channels
+        )
+
+    def kinds(self):
+        return [event.kind for event in self.events]
+
+
+class WriteRig(_Rig):
+    ADDR = "aw"
+    ADDR_BEAT = AwBeat
+    ADDR_PHASE = WritePhase.AW_HANDSHAKE
+    SPAN = TxnSpan.WRITE
+
     def __init__(self, config=None):
         self.guard = WriteGuard(config or full_config(budgets=fast_budgets()))
         self.aw = Channel("aw")
@@ -41,11 +59,13 @@ class WriteRig:
         self.events.extend(out)
         return out
 
-    def kinds(self):
-        return [event.kind for event in self.events]
 
+class ReadRig(_Rig):
+    ADDR = "ar"
+    ADDR_BEAT = ArBeat
+    ADDR_PHASE = ReadPhase.AR_HANDSHAKE
+    SPAN = TxnSpan.READ
 
-class ReadRig:
     def __init__(self, config=None):
         self.guard = ReadGuard(config or full_config(budgets=fast_budgets()))
         self.ar = Channel("ar")
@@ -63,8 +83,8 @@ class ReadRig:
         self.events.extend(out)
         return out
 
-    def kinds(self):
-        return [event.kind for event in self.events]
+
+RIGS = pytest.mark.parametrize("Rig", [WriteRig, ReadRig], ids=["write", "read"])
 
 
 def w_beat(last=False):
@@ -106,6 +126,17 @@ def test_b_before_wlast_flagged_as_id_mismatch_class():
     assert FaultKind.ID_MISMATCH in rig.kinds()
 
 
+def test_tiny_flags_b_before_wlast_when_it_fires():
+    # The Full-Counter flags an early B while it is only valid; the
+    # Tiny-Counter waits for the handshake.
+    rig = WriteRig(tiny_config(budgets=fast_budgets()))
+    rig.step(aw=AwBeat(id=2, addr=0, len=3))
+    rig.step(b=BBeat(id=2), b_ready=False)
+    assert FaultKind.ID_MISMATCH not in rig.kinds()
+    rig.step(b=BBeat(id=2))
+    assert rig.kinds() == [FaultKind.ID_MISMATCH]
+
+
 def test_unrequested_b_flagged_once_per_assertion():
     rig = WriteRig()
     rig.step(b=BBeat(id=5), b_ready=False)
@@ -142,34 +173,94 @@ def test_same_id_b_responses_complete_in_fifo_order():
     assert [r.addr for r in rig.guard.perf.history] == [0xA, 0xB]
 
 
-def test_aw_timeout_attributed_to_front_phase():
-    rig = WriteRig()
-    beat = AwBeat(id=0, addr=0, len=0)
+@RIGS
+def test_addr_timeout_attributed_to_front_phase(Rig):
+    rig = Rig()
+    beat = Rig.ADDR_BEAT(id=0, addr=0, len=0)
     tripped = None
     for _ in range(50):
-        events = rig.step(aw=beat, aw_ready=False)
+        events = rig.step_addr(beat, ready=False)
         if events:
             tripped = events[0]
             break
     assert tripped is not None
     assert tripped.kind == FaultKind.TIMEOUT
-    assert tripped.phase == WritePhase.AW_HANDSHAKE
+    assert tripped.phase == Rig.ADDR_PHASE
+    assert tripped.detect_cycle == 10  # aw/ar_handshake budget, from valid
 
 
-def test_tiny_single_counter_spans_whole_transaction():
-    rig = WriteRig(tiny_config(budgets=fast_budgets()))
-    rig.step(aw=AwBeat(id=0, addr=0, len=0))
-    # Wait in the response phase until the span budget (60 + 2) expires.
+@RIGS
+@pytest.mark.parametrize("hold", [0, 5])
+def test_tiny_single_counter_spans_whole_transaction(Rig, hold):
+    rig = Rig(tiny_config(budgets=fast_budgets()))
+    beat = Rig.ADDR_BEAT(id=0, addr=0, len=0)
+    # The address waits *hold* cycles for ready; the front watch's
+    # counter then becomes the entry's, so the span still counts from
+    # the first valid cycle.
+    for _ in range(hold):
+        rig.step_addr(beat, ready=False)
+    # A write's single W beat moves with its handshake; the transaction
+    # then waits for its response until the span budget expires.
+    data = {"w": w_beat(last=True)} if Rig is WriteRig else {}
+    rig.step_addr(beat, **data)
+    assert rig.guard.ott.occupancy == 1
     tripped = None
     for _ in range(100):
-        events = rig.step(w=w_beat(last=True) if rig.cycle == 2 else None)
+        events = rig.step()
         if events:
             tripped = events[0]
             break
     assert tripped is not None
-    assert tripped.phase == TxnSpan.WRITE
-    # Span budget counts from aw_valid: 60 base + 2*1 beat = 62.
-    assert abs(tripped.detect_cycle - 62) <= 2
+    assert tripped.phase == Rig.SPAN
+    # Span budget counts from the first valid: 60 base + 2*1 beat = 62.
+    assert tripped.detect_cycle == 62
+
+
+_AW = AwBeat(id=1, addr=0x100, len=1)
+_B = BBeat(id=1)
+_AR = ArBeat(id=1, addr=0x100, len=1)
+
+
+def _r_beat(last=False):
+    return RBeat(id=1, data=0, resp=Resp.OKAY, last=last)
+
+
+# (cycles, channels) per stretch; each phase lasts a different number
+# of cycles, so a latency recorded under the wrong phase shows.
+_PHASED_SCRIPTS = {
+    WriteRig: (
+        [(1, dict(aw=_AW, aw_ready=False)), (1, dict(aw=_AW)),
+         (1, {}), (3, dict(w=w_beat(), w_ready=False)), (1, dict(w=w_beat())),
+         (3, {}), (1, dict(w=w_beat(last=True))),
+         (4, {}), (6, dict(b=_B, b_ready=False)), (1, dict(b=_B))],
+        {WritePhase.AW_HANDSHAKE: 1, WritePhase.W_ENTRY: 2,
+         WritePhase.W_FIRST_HS: 3, WritePhase.W_DATA: 4,
+         WritePhase.B_WAIT: 5, WritePhase.B_HANDSHAKE: 6},
+    ),
+    ReadRig: (
+        [(1, dict(ar=_AR, ar_ready=False)), (1, dict(ar=_AR)),
+         (1, {}), (3, dict(r=_r_beat(), r_ready=False)), (1, dict(r=_r_beat())),
+         (3, {}), (1, dict(r=_r_beat(last=True)))],
+        {ReadPhase.AR_HANDSHAKE: 1, ReadPhase.R_ENTRY: 2,
+         ReadPhase.R_FIRST_HS: 3, ReadPhase.R_DATA: 4},
+    ),
+}
+
+
+@RIGS
+def test_full_counter_records_every_phase_latency(Rig):
+    script, expected = _PHASED_SCRIPTS[Rig]
+    rig = Rig()
+    for cycles, channels in script:
+        for _ in range(cycles):
+            rig.step(**channels)
+    assert rig.events == []
+    assert rig.guard.perf.completed == 1
+    stats = rig.guard.perf.phase_stats
+    assert {phase: (stat.count, stat.total) for phase, stat in stats.items()} == {
+        phase: (1, latency) for phase, latency in expected.items()
+    }
+    assert rig.guard.perf.history[0].phase_latencies == expected
 
 
 def test_full_read_lifecycle_clean():
