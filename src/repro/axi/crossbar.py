@@ -145,7 +145,6 @@ class Crossbar(Component):
         self.managers = list(managers)
         self.subordinates = [bus for bus, _ in subordinates]
         self.ranges = [rng for _, rng in subordinates]
-        n_mgr, n_sub = len(self.managers), len(self.subordinates)
 
         # Per-channel wire bundles, precomputed for the hot arbitration
         # loops and the per-channel scheduling children.
@@ -168,29 +167,7 @@ class Crossbar(Component):
             for ch in channels
         ]
         self._w_channels = frozenset((*self._mgr_ch["w"], *self._sub_ch["w"]))
-
-        # Registered routing/arbitration state.
-        self._mgr_w_route: List[Deque[int]] = [deque() for _ in range(n_mgr)]
-        self._sub_w_owner: List[Deque[int]] = [deque() for _ in range(n_sub)]
-        self._aw_rr = [0] * n_sub
-        self._ar_rr = [0] * n_sub
-        self._b_rr = [0] * n_mgr
-        self._r_rr = [0] * n_mgr
-        # Default-subordinate (DECERR) bookkeeping.
-        self._decerr_b: Deque[int] = deque()  # extended IDs awaiting DECERR B
-        self._decerr_r: Deque[int] = deque()
-        self._decerr_w_drain = 0
-        self.decode_errors = 0
-        # Same-ID ordering: outstanding target per (manager, ID, dir).
-        # AXI4 requires same-ID responses in request order; the crossbar
-        # enforces it by granting a same-ID request only to the target
-        # its outstanding predecessors went to.
-        self._w_outstanding: Dict[Tuple[int, int], Deque[int]] = {}
-        self._r_outstanding: Dict[Tuple[int, int], Deque[int]] = {}
-        # Forwarded beat per destination channel: (source beat, beat
-        # driven).  A pure function of its key; see _forward().
-        self._fwd_memo: Dict[object, Tuple[object, object]] = {}
-        self._w_plan_memo: Optional[tuple] = None
+        self.reset()
 
     # ------------------------------------------------------------------
     # Routing helpers
@@ -602,18 +579,26 @@ class Crossbar(Component):
                 del table[(m, txn_id)]
 
     def reset(self) -> None:
-        for queue in self._mgr_w_route + self._sub_w_owner:
-            queue.clear()
-        self._aw_rr = [0] * len(self.subordinates)
-        self._ar_rr = [0] * len(self.subordinates)
-        self._b_rr = [0] * len(self.managers)
-        self._r_rr = [0] * len(self.managers)
-        self._decerr_b.clear()
-        self._decerr_r.clear()
+        n_mgr, n_sub = len(self.managers), len(self.subordinates)
+        # Registered routing/arbitration state.
+        self._mgr_w_route: List[Deque[int]] = [deque() for _ in range(n_mgr)]
+        self._sub_w_owner: List[Deque[int]] = [deque() for _ in range(n_sub)]
+        self._aw_rr = [0] * n_sub
+        self._ar_rr = [0] * n_sub
+        self._b_rr = [0] * n_mgr
+        self._r_rr = [0] * n_mgr
+        # Default-subordinate (DECERR) bookkeeping.
+        self._decerr_b: Deque[int] = deque()  # extended IDs awaiting DECERR B
+        self._decerr_r: Deque[int] = deque()
         self._decerr_w_drain = 0
         self.decode_errors = 0
-        self._w_outstanding.clear()
-        self._r_outstanding.clear()
-        self._fwd_memo.clear()
-        self._schedule_channels()
-        self.schedule_update()
+        # Same-ID ordering: outstanding target per (manager, ID, dir).
+        # AXI4 requires same-ID responses in request order; the crossbar
+        # enforces it by granting a same-ID request only to the target
+        # its outstanding predecessors went to.
+        self._w_outstanding: Dict[Tuple[int, int], Deque[int]] = {}
+        self._r_outstanding: Dict[Tuple[int, int], Deque[int]] = {}
+        # Forwarded beat per destination channel: (source beat, beat
+        # driven).  A pure function of its key; see _forward().
+        self._fwd_memo: Dict[object, Tuple[object, object]] = {}
+        self._w_plan_memo: Optional[tuple] = None

@@ -116,46 +116,9 @@ class Manager(Component):
         super().__init__(name)
         self.bus = bus
         self.max_outstanding = max_outstanding
-
-        self._aw_queue: Deque[TransactionSpec] = deque()
-        self._ar_queue: Deque[TransactionSpec] = deque()
-        self._aw_delay = 0
-        self._ar_delay = 0
-
-        self._w_pending: Deque[_Outstanding] = deque()
-        self._w_active: Optional[Tuple[_Outstanding, List[int], int]] = None
-        self._w_gap = 0
-
-        # In-flight transactions per direction, keyed by ID (two tables
-        # rather than one keyed by (direction, ID): AxiDir hashes slowly).
-        self._writes_out: Dict[int, Deque[_Outstanding]] = {}
-        self._reads_out: Dict[int, Deque[_Outstanding]] = {}
-        self._inflight = 0
-        self._b_wait = 0
-        self._r_wait = 0
-        self._cycle = 0
-        # Stamp of the last accounted update: issue delays, the W inter-
-        # beat gap and the response-readiness polls all advance by
-        # `elapsed = now - _stamp`, so slept spans reconstruct exactly
-        # (always-on operation has elapsed == 1).
-        self._stamp = 0
-
-        self.completed: List[CompletedTransaction] = []
-        self.surprises: List[str] = []
         self.faults = ManagerFaults()
         self.faults._owner = self
-        self._clear_memos()
-
-    def _clear_memos(self) -> None:
-        """Forget the beats drive() built: the AW/AR beat of a queue head
-        (keyed by the spec object) and the W beat of a burst position
-        (keyed by the ``_w_active`` tuple, replaced as the burst moves)."""
-        self._aw_memo_spec: Optional[TransactionSpec] = None
-        self._aw_memo: Optional[AwBeat] = None
-        self._ar_memo_spec: Optional[TransactionSpec] = None
-        self._ar_memo: Optional[ArBeat] = None
-        self._w_memo_position: Optional[tuple] = None
-        self._w_memo: Optional[WBeat] = None
+        self.reset()
 
     # ------------------------------------------------------------------
     # Submission API
@@ -642,24 +605,39 @@ class Manager(Component):
             )
 
     def reset(self) -> None:
-        self._aw_queue.clear()
-        self._ar_queue.clear()
+        self._aw_queue: Deque[TransactionSpec] = deque()
+        self._ar_queue: Deque[TransactionSpec] = deque()
         self._aw_delay = 0
         self._ar_delay = 0
-        self._w_pending.clear()
-        self._w_active = None
+
+        self._w_pending: Deque[_Outstanding] = deque()
+        self._w_active: Optional[Tuple[_Outstanding, List[int], int]] = None
         self._w_gap = 0
-        self._writes_out.clear()
-        self._reads_out.clear()
+
+        # In-flight transactions per direction, keyed by ID (two tables
+        # rather than one keyed by (direction, ID): AxiDir hashes slowly).
+        self._writes_out: Dict[int, Deque[_Outstanding]] = {}
+        self._reads_out: Dict[int, Deque[_Outstanding]] = {}
         self._inflight = 0
         self._b_wait = 0
         self._r_wait = 0
         self._cycle = 0
+        # Stamp of the last accounted update: issue delays, the W inter-
+        # beat gap and the response-readiness polls all advance by
+        # `elapsed = now - _stamp`, so slept spans reconstruct exactly
+        # (always-on operation has elapsed == 1).
         self._stamp = 0
-        self.completed.clear()
-        self.surprises.clear()
+
+        self.completed: List[CompletedTransaction] = []
+        self.surprises: List[str] = []
         self.faults.clear()
-        self._clear_memos()
-        self.cancel_wake()
-        self.schedule_drive()
-        self.schedule_update()
+
+        # The beats drive() built: the AW/AR beat of a queue head (keyed
+        # by the spec object) and the W beat of a burst position (keyed
+        # by the ``_w_active`` tuple, replaced as the burst moves).
+        self._aw_memo_spec: Optional[TransactionSpec] = None
+        self._aw_memo: Optional[AwBeat] = None
+        self._ar_memo_spec: Optional[TransactionSpec] = None
+        self._ar_memo: Optional[ArBeat] = None
+        self._w_memo_position: Optional[tuple] = None
+        self._w_memo: Optional[WBeat] = None

@@ -96,6 +96,9 @@ ERRM_ARLEN_WRAP = _rule(
 ERRM_AR_4K_BOUNDARY = _rule(
     "ERRM_AR_4K_BOUNDARY", "INCR bursts must not cross a 4 KiB boundary"
 )
+ERRM_ARLEN_RANGE = _rule(
+    "ERRM_ARLEN_RANGE", f"ARLEN must encode at most {MAX_BURST_LEN} beats"
+)
 
 # Manager write-data obligations.
 ERRM_WVALID_STABLE = _rule(
@@ -148,6 +151,16 @@ ERRS_R_INTERLEAVE_DEPTH = _rule(
 ERRM_AXSIZE_RANGE = _rule(
     "ERRM_AXSIZE_RANGE", "AxSIZE must not exceed the data bus width"
 )
+
+
+#: Per address channel: its (AxLEN range, WRAP length, WRAP alignment,
+#: 4 KiB boundary) rules.
+_ADDR_RULES = {
+    "aw": (ERRM_AWLEN_RANGE, ERRM_AWLEN_WRAP, ERRM_AWADDR_ALIGNED_WRAP,
+           ERRM_AW_4K_BOUNDARY),
+    "ar": (ERRM_ARLEN_RANGE, ERRM_ARLEN_WRAP, ERRM_ARADDR_ALIGNED_WRAP,
+           ERRM_AR_4K_BOUNDARY),
+}
 
 
 @dataclasses.dataclass
@@ -214,12 +227,7 @@ class ProtocolChecker(Component):
         self.bus = bus
         self.max_r_interleave = max_r_interleave
         self._bus_bytes = getattr(bus, "data_bytes", 8)
-        self.violations: List[RuleViolation] = []
-        self._cycle = 0
-        self._stab = {ch: _Stability() for ch in ("aw", "w", "b", "ar", "r")}
-        self._writes: Dict[int, Deque[_PendingWrite]] = {}
-        self._write_order: Deque[_PendingWrite] = deque()
-        self._reads: Dict[int, Deque[_PendingRead]] = {}
+        self.reset()
 
     # ------------------------------------------------------------------
     def wires(self):
@@ -276,23 +284,37 @@ class ProtocolChecker(Component):
                 self._flag(payload_rule, f"{name} payload changed while stalled")
 
     # -- address channels -------------------------------------------------
-    def _on_aw(self, beat) -> None:
-        if beat.burst == BurstType.WRAP:
-            if not is_legal_wrap_len(beat.len):
-                self._flag(ERRM_AWLEN_WRAP, f"len={beat.len}")
-            if not aligned(beat.addr, beat.size):
-                self._flag(ERRM_AWADDR_ALIGNED_WRAP, f"addr={beat.addr:#x}")
-        if crosses_4k_boundary(beat.addr, beat.len, beat.size, beat.burst):
-            self._flag(ERRM_AW_4K_BOUNDARY, f"addr={beat.addr:#x} len={beat.len}")
-        if not 0 <= beat.len < MAX_BURST_LEN:
-            self._flag(ERRM_AWLEN_RANGE, f"len={beat.len}")
-        if 0 <= beat.size <= 7 and (1 << beat.size) > self._bus_bytes:
+    def _check_addr(self, channel: str, beat) -> bool:
+        """Apply the address-channel rules to *beat*; return whether its
+        AxLEN and AxSIZE are in range, so its beats and addresses exist.
+
+        The range rules come first: the WRAP and 4 KiB rules are skipped
+        for a burst whose length or size is out of range.
+        """
+        len_rule, wrap_len_rule, wrap_addr_rule, boundary_rule = _ADDR_RULES[channel]
+        len_ok = 0 <= beat.len < MAX_BURST_LEN
+        size_ok = 0 <= beat.size <= 7 and (1 << beat.size) <= self._bus_bytes
+        if not len_ok:
+            self._flag(len_rule, f"len={beat.len}")
+        if not size_ok:
             self._flag(
                 ERRM_AXSIZE_RANGE,
-                f"awsize={beat.size} on a {self._bus_bytes}-byte bus",
+                f"{channel}size={beat.size} on a {self._bus_bytes}-byte bus",
             )
+        if not (len_ok and size_ok):
+            return False
+        if beat.burst == BurstType.WRAP:
+            if not is_legal_wrap_len(beat.len):
+                self._flag(wrap_len_rule, f"len={beat.len}")
+            if not aligned(beat.addr, beat.size):
+                self._flag(wrap_addr_rule, f"addr={beat.addr:#x}")
+        if crosses_4k_boundary(beat.addr, beat.len, beat.size, beat.burst):
+            self._flag(boundary_rule, f"addr={beat.addr:#x} len={beat.len}")
+        return True
+
+    def _on_aw(self, beat) -> None:
         pending = _PendingWrite(txn_id=beat.id, beats=beat.len + 1)
-        if 0 <= beat.len < MAX_BURST_LEN and 0 <= beat.size <= 7:
+        if self._check_addr("aw", beat):
             pending.size = beat.size
             pending.addrs = tuple(
                 burst_addresses(beat.addr, beat.len, beat.size, beat.burst)
@@ -301,18 +323,7 @@ class ProtocolChecker(Component):
         self._write_order.append(pending)
 
     def _on_ar(self, beat) -> None:
-        if beat.burst == BurstType.WRAP:
-            if not is_legal_wrap_len(beat.len):
-                self._flag(ERRM_ARLEN_WRAP, f"len={beat.len}")
-            if not aligned(beat.addr, beat.size):
-                self._flag(ERRM_ARADDR_ALIGNED_WRAP, f"addr={beat.addr:#x}")
-        if crosses_4k_boundary(beat.addr, beat.len, beat.size, beat.burst):
-            self._flag(ERRM_AR_4K_BOUNDARY, f"addr={beat.addr:#x} len={beat.len}")
-        if 0 <= beat.size <= 7 and (1 << beat.size) > self._bus_bytes:
-            self._flag(
-                ERRM_AXSIZE_RANGE,
-                f"arsize={beat.size} on a {self._bus_bytes}-byte bus",
-            )
+        self._check_addr("ar", beat)
         self._reads.setdefault(beat.id, deque()).append(
             _PendingRead(txn_id=beat.id, beats=beat.len + 1)
         )
@@ -422,9 +433,9 @@ class ProtocolChecker(Component):
             )
 
     def reset(self) -> None:
-        self.violations.clear()
+        self.violations: List[RuleViolation] = []
         self._cycle = 0
         self._stab = {ch: _Stability() for ch in ("aw", "w", "b", "ar", "r")}
-        self._writes.clear()
-        self._write_order.clear()
-        self._reads.clear()
+        self._writes: Dict[int, Deque[_PendingWrite]] = {}
+        self._write_order: Deque[_PendingWrite] = deque()
+        self._reads: Dict[int, Deque[_PendingRead]] = {}

@@ -206,37 +206,11 @@ class Subordinate(Component):
         self.reset_clears_faults = reset_clears_faults
         self.interleave_reads = interleave_reads
         self.reorder_depth = reorder_depth
-        self._r_rr = 0
-        self._b_rr = 0
-
         self.faults = SubordinateFaults()
         self.faults._owner = self
         #: hardware reset request input, driven by an external reset unit.
         self.hw_reset = Wire(f"{name}.hw_reset", False)
-
-        self._aw_wait = 0
-        self._ar_wait = 0
-        self._writes: Deque[_WriteJob] = deque()
-        self._b_queue: Deque[List[int]] = deque()  # [id, countdown]
-        self._reads: Deque[_ReadJob] = deque()
-        self._in_reset = False
-        self.resets_taken = 0
-        self.writes_done = 0
-        self.reads_done = 0
-        #: W beats accepted and R beats served since the last reset().
-        self.w_beats = 0
-        self.r_beats = 0
-        # Response beats drive() built, re-driven as the same objects:
-        # the last B beat (a pure value), and the R beat of one
-        # (job, beat index), dropped on every memory store.
-        self._b_memo: Optional[BBeat] = None
-        self._r_memo: Optional[tuple] = None
-        # Stamp of the last accounted update.  Every per-cycle counter
-        # (the ready-delay polls, the b/r latency countdowns) advances
-        # by `elapsed = now - _stamp` in update(), so a slept span is
-        # reconstructed exactly — always-on operation has elapsed == 1
-        # and is bit-identical to the historical per-cycle ticks.
-        self._stamp = 0
+        self.reset()
 
     # ------------------------------------------------------------------
     # Component protocol
@@ -891,28 +865,37 @@ class Subordinate(Component):
             job.gap = self.r_gap
 
     def _take_reset(self) -> None:
+        """The hardware reset (``hw_reset``): drop every in-flight job
+        but keep the counters; power-on :meth:`reset` starts with it."""
         self._aw_wait = 0
         self._ar_wait = 0
-        self._writes.clear()
-        self._b_queue.clear()
-        self._reads.clear()
+        self._writes: Deque[_WriteJob] = deque()
+        self._b_queue: Deque[List[int]] = deque()  # [id, countdown]
+        self._reads: Deque[_ReadJob] = deque()
         self._r_rr = 0
         self._b_rr = 0
-        self._b_memo = None
-        self._r_memo = None
+        # Response beats drive() built, re-driven as the same objects:
+        # the last B beat (a pure value), and the R beat of one
+        # (job, beat index), dropped on every memory store.
+        self._b_memo: Optional[BBeat] = None
+        self._r_memo: Optional[tuple] = None
         if self.reset_clears_faults:
             self.faults.clear()
 
     def reset(self) -> None:
         self._take_reset()
+        if not self.reset_clears_faults:  # else _take_reset() cleared them
+            self.faults.clear()
         self._in_reset = False
         self.resets_taken = 0
         self.writes_done = 0
         self.reads_done = 0
+        #: W beats accepted and R beats served since the last reset().
         self.w_beats = 0
         self.r_beats = 0
+        # Stamp of the last accounted update.  Every per-cycle counter
+        # (the ready-delay polls, the b/r latency countdowns) advances
+        # by `elapsed = now - _stamp` in update(), so a slept span is
+        # reconstructed exactly — always-on operation has elapsed == 1
+        # and is bit-identical to the historical per-cycle ticks.
         self._stamp = 0
-        self.faults.clear()
-        self.cancel_wake()
-        self.schedule_drive()
-        self.schedule_update()

@@ -41,7 +41,7 @@ class AxiChecker(Component):
         )
         self.log_depth = log_depth
         self.error = Wire(f"{name}.error", False)
-        self._error_state = False
+        self.reset()
 
     def wires(self):
         yield from self._checker.wires()
@@ -122,5 +122,3 @@ class AxiChecker(Component):
     def reset(self) -> None:
         self._checker.reset()
         self._error_state = False
-        self.schedule_drive()
-        self.schedule_update()

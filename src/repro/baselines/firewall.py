@@ -58,12 +58,7 @@ class AxiFirewall(Component):
         self.host = host
         self.device = device
         self.rules = list(rules)
-        self.rejected_writes = 0
-        self.rejected_reads = 0
-        self._reject_b: Deque[int] = deque()
-        self._reject_r: Deque[int] = deque()
-        self._w_drain = 0  # rejected-write bursts whose W beats we must sink
-        self._w_forward: Deque[bool] = deque()  # per accepted AW, in order
+        self.reset()
 
     def permitted(self, addr: int, direction: AxiDir) -> bool:
         return any(rule.permits(addr, direction) for rule in self.rules)
@@ -195,9 +190,6 @@ class AxiFirewall(Component):
     def reset(self) -> None:
         self.rejected_writes = 0
         self.rejected_reads = 0
-        self._reject_b.clear()
-        self._reject_r.clear()
-        self._w_drain = 0
-        self._w_forward.clear()
-        self.schedule_drive()
-        self.schedule_update()
+        self._reject_b: Deque[int] = deque()
+        self._reject_r: Deque[int] = deque()
+        self._w_forward: Deque[bool] = deque()  # per accepted AW, in order

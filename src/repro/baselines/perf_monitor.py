@@ -44,17 +44,7 @@ class AxiPerfMonitor(Component):
         super().__init__(name)
         self.bus = bus
         self.window = window
-        self.write = TrafficCounters()
-        self.read = TrafficCounters()
-        self._cycle = 0
-        # Per-ID FIFO of (start_cycle, bytes_per_beat) for latency pairing.
-        self._w_pending: Dict[int, Deque[int]] = {}
-        self._r_pending: Dict[int, Deque[int]] = {}
-        # Windowed throughput as a running (sum, count) pair — O(1) to
-        # fast-forward over skipped idle cycles.
-        self._window_sum = 0
-        self._window_count = 0
-        self._window_history: List[float] = []
+        self.reset()
 
     def wires(self):
         return self.bus.wires()
@@ -176,9 +166,11 @@ class AxiPerfMonitor(Component):
         self.write = TrafficCounters()
         self.read = TrafficCounters()
         self._cycle = 0
-        self._w_pending.clear()
-        self._r_pending.clear()
+        # Per-ID FIFO of (start_cycle, bytes_per_beat) for latency pairing.
+        self._w_pending: Dict[int, Deque[int]] = {}
+        self._r_pending: Dict[int, Deque[int]] = {}
+        # Windowed throughput as a running (sum, count) pair — O(1) to
+        # fast-forward over skipped idle cycles.
         self._window_sum = 0
         self._window_count = 0
-        self._window_history.clear()
-        self.schedule_update()
+        self._window_history: List[float] = []

@@ -40,17 +40,7 @@ class Sp805Watchdog(Component):
         self.load = load
         self.irq = Wire(f"{name}.irq", False)
         self.reset_out = Wire(f"{name}.reset_out", False)
-        self._enabled = True
-        # Countdown as timestamps: the expiry update is stamped
-        # `_deadline`; `_stamp` is the last update (or software poke)
-        # already accounted, so `_deadline - _stamp` is the classical
-        # counter value.
-        self._deadline = load
-        self._stamp = 0
-        self._irq_state = False
-        self._reset_state = False
-        self.interrupts_raised = 0
-        self.resets_raised = 0
+        self.reset()
 
     # ------------------------------------------------------------------
     # Software interface
@@ -166,12 +156,14 @@ class Sp805Watchdog(Component):
         self.schedule_drive()
 
     def reset(self) -> None:
+        self._enabled = True
+        # Countdown as timestamps: the expiry update is stamped
+        # `_deadline`; `_stamp` is the last update (or software poke)
+        # already accounted, so `_deadline - _stamp` is the classical
+        # counter value.
         self._deadline = self.load
         self._stamp = 0
         self._irq_state = False
         self._reset_state = False
         self.interrupts_raised = 0
         self.resets_raised = 0
-        self.cancel_wake()
-        self.schedule_drive()
-        self.schedule_update()

@@ -35,16 +35,7 @@ class XilinxStyleTimeout(Component):
         self.bus = bus
         self.window = window
         self.irq = Wire(f"{name}.irq", False)
-        self._outstanding_w = 0
-        self._outstanding_r = 0
-        # The shared stall timer as a timestamp: its classical value at
-        # update stamp `t` is `t - _stall_since`; None while rewound.
-        # A stalled-but-frozen interface is then a pure countdown, slept
-        # through under a timed wake at `_stall_since + window`.
-        self._stall_since: Optional[int] = None
-        self._irq_state = False
-        self.timeouts: List[int] = []
-        self._cycle = 0
+        self.reset()
 
     def wires(self):
         yield from self.bus.wires()
@@ -139,10 +130,11 @@ class XilinxStyleTimeout(Component):
     def reset(self) -> None:
         self._outstanding_w = 0
         self._outstanding_r = 0
-        self._stall_since = None
+        # The shared stall timer as a timestamp: its classical value at
+        # update stamp `t` is `t - _stall_since`; None while rewound.
+        # A stalled-but-frozen interface is then a pure countdown, slept
+        # through under a timed wake at `_stall_since + window`.
+        self._stall_since: Optional[int] = None
         self._irq_state = False
-        self.timeouts.clear()
+        self.timeouts: List[int] = []
         self._cycle = 0
-        self.cancel_wake()
-        self.schedule_drive()
-        self.schedule_update()

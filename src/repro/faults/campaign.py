@@ -381,9 +381,9 @@ def run_injection(
     built by :func:`build_ip_harness` from the same *config*,
     *harness_kwargs* and *reorder_depth*; by default one is built.
 
-    The axes are checked by :func:`~repro.orchestrate.spec.validate_axes`
-    (the issue delay as the seed): a value no campaign could run raises
-    ``ValueError`` before anything is simulated.
+    The axes are checked by :func:`~repro.orchestrate.spec.validate_axes`,
+    and *issue_delay* must not be negative: a value no campaign could
+    run raises ``ValueError`` before anything is simulated.
     """
     # Imported here: repro.orchestrate.spec imports the repro.faults
     # package, which imports this module, so a module-level import would
@@ -391,9 +391,11 @@ def run_injection(
     from ..orchestrate.spec import validate_axes
 
     validate_axes(
-        "ip", beats, reorder_depth, stages=(stage,), seeds=(issue_delay,),
-        size=size, outstanding=outstanding, detect_timeout=detect_timeout,
+        "ip", beats, reorder_depth, stages=(stage,), size=size,
+        outstanding=outstanding, detect_timeout=detect_timeout,
     )
+    if issue_delay < 0:
+        raise ValueError(f"issue_delay must be at least 0, got {issue_delay}")
     if harness is None:
         harness = build_ip_harness(config, harness_kwargs, reorder_depth)
     spec_fn = write_spec if stage.direction == AxiDir.WRITE else read_spec

@@ -68,16 +68,7 @@ class FaultInjector(Component):
         super().__init__(name)
         self.upstream = upstream
         self.downstream = downstream
-        self.forces: Dict[str, ChannelForce] = {
-            channel: ChannelForce() for channel in self.CHANNELS
-        }
-        # forced_cycles is accounted lazily against the clock: while a
-        # force is applied the count is `_forced_base + (now - since)`,
-        # so a forced-but-frozen interface needs no per-cycle update
-        # (its idle span can be leaped).  force()/release() move the
-        # base at the transitions.
-        self._forced_base = 0
-        self._forced_since: Optional[int] = None
+        self.reset()
 
     # ------------------------------------------------------------------
     # Force API
@@ -187,6 +178,13 @@ class FaultInjector(Component):
         return (self._forced_base, self._forced_since is not None)
 
     def reset(self) -> None:
-        self.release()  # schedules re-evaluation of both phases
+        self.forces: Dict[str, ChannelForce] = {
+            channel: ChannelForce() for channel in self.CHANNELS
+        }
+        # forced_cycles is accounted lazily against the clock: while a
+        # force is applied the count is `_forced_base + (now - since)`,
+        # so a forced-but-frozen interface needs no per-cycle update
+        # (its idle span can be leaped).  force()/release() move the
+        # base at the transitions.
         self._forced_base = 0
-        self._forced_since = None
+        self._forced_since: Optional[int] = None

@@ -16,6 +16,17 @@ This mirrors how synthesizable RTL separates combinational logic from
 flip-flops and is what makes the TMU's cycle-level detection latencies
 directly comparable with the paper's RTL measurements.
 
+Power-on state
+--------------
+
+:meth:`Component.reset` is the only place a component writes its
+registered state: ``__init__`` sets configuration and wiring, then
+calls ``self.reset()``.  A reset component is therefore exactly a fresh
+one, which is what lets a harness be reused through
+``Simulator.reset()``.  ``reset()`` schedules nothing;
+``Simulator.reset()`` re-seeds every drive, demand update and timed
+wake right after it resets the components.
+
 Scheduling contract (dirty-set kernel)
 --------------------------------------
 
@@ -81,11 +92,11 @@ Timed wakes
 A component whose only pending sequential work is a *countdown* — a
 watchdog deadline, a timeout budget, a ready-delay crossing — may be
 quiescent through the countdown **provided** it declares the cycle the
-countdown falls due with :meth:`wake_at` (alias :meth:`sleep_until`)
-before sleeping, and reconstructs the elapsed span from
-``self._sim.cycle`` when it next updates.  ``wake_at(c)`` guarantees
-the component is back in the live updater set for the step that starts
-at ``sim.cycle == c`` (whose update is stamped ``c + 1``).  The armed
+countdown falls due with :meth:`wake_at` before sleeping, and
+reconstructs the elapsed span from ``self._sim.cycle`` when it next
+updates.  ``wake_at(c)`` guarantees the component is back in the live
+updater set for the step that starts at ``sim.cycle == c`` (whose
+update is stamped ``c + 1``).  The armed
 wake is a single value: the latest ``wake_at`` supersedes any earlier
 one, waking earlier than necessary is harmless (the update simply
 re-arms), and :meth:`cancel_wake` drops it.  Waking in the past raises
@@ -322,10 +333,6 @@ class Component:
         if scheduler is not None:
             scheduler.add(self)
 
-    def wake_update(self) -> None:
-        """Alias for :meth:`schedule_update` (respects overrides)."""
-        self.schedule_update()
-
     def wake_at(self, cycle: int) -> None:
         """Arm a timed wake: re-enter the live updater set for the step
         that starts at ``sim.cycle == cycle``.
@@ -342,10 +349,6 @@ class Component:
         if sim is None or self._update_scheduler is None:
             return
         sim._register_wake(self, cycle)
-
-    def sleep_until(self, cycle: int) -> None:
-        """Alias for :meth:`wake_at`, reading better at sleep sites."""
-        self.wake_at(cycle)
 
     def cancel_wake(self) -> None:
         """Drop the armed timed wake, if any (lazy heap cancellation)."""
@@ -395,7 +398,18 @@ class Component:
         """Sequential phase: commit registered state at the clock edge."""
 
     def reset(self) -> None:
-        """Synchronous reset: restore registered state to power-on values."""
+        """Synchronous reset: write every registered-state field to its
+        power-on value.
+
+        The one place power-on state is written: ``__init__`` sets
+        configuration and wiring, then calls this, so a reset component
+        is indistinguishable from a fresh one.  Containers are created
+        here, not cleared; only objects wired to their owner are made
+        once in ``__init__``: wires, which the simulator resets, and a
+        :class:`DriveSensitiveState` fault block, which this clears.  It
+        schedules nothing: :meth:`Simulator.reset` re-seeds every drive,
+        demand update and timed wake right after.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"

@@ -901,9 +901,12 @@ class Simulator:
     def reset(self) -> None:
         """Synchronously reset every wire and component; rewind the clock.
 
-        The ``STAT_KEYS`` counters restart at zero and the change log is
-        emptied, so statistics always describe the time since the last
-        rewind.  Probes and the tracer stay attached.
+        Each component's ``reset()`` writes its power-on state and
+        schedules nothing; this method then drops every timed wake and
+        re-seeds every drive and demand update.  The ``STAT_KEYS``
+        counters restart at zero and the change log is emptied, so
+        statistics always describe the time since the last rewind.
+        Probes and the tracer stay attached.
         """
         for wire in self._wires.values():
             wire.reset()

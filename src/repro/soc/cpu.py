@@ -74,14 +74,7 @@ class RecoveryCpu(Component):
         self.isr_latency = isr_latency
         self.regbus = regbus
         self.regbus_bases = regbus_bases if regbus_bases is not None else {"tmu": 0}
-        self.recoveries: List[RecoveryRecord] = []
-        self._cycle = 0
-        self._servicing: Optional[int] = None
-        self._countdown = 0
-        self._state = _IsrState.IDLE
-        self._status = 0
-        self._kind = 0
-        self._awaiting_bus = False
+        self.reset()
 
     # ------------------------------------------------------------------
     # Register access, direct or through the Regbus
@@ -204,13 +197,11 @@ class RecoveryCpu(Component):
         self._state = _IsrState.IDLE
 
     def reset(self) -> None:
-        self.recoveries.clear()
+        self.recoveries: List[RecoveryRecord] = []
         self._cycle = 0
-        self._servicing = None
+        self._servicing: Optional[int] = None
         self._countdown = 0
         self._state = _IsrState.IDLE
         self._status = 0
         self._kind = 0
         self._awaiting_bus = False
-        self.cancel_wake()
-        self.schedule_update()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
-from ..axi.interface import AxiInterface
 from ..axi.manager import Manager
 from ..axi.traffic import TransactionSpec
 from ..axi.types import MAX_BURST_LEN, AxiDir, bytes_per_beat
@@ -30,11 +29,6 @@ class DmaDescriptor:
 
 class DmaEngine(Manager):
     """Descriptor-driven AXI manager producing long back-to-back bursts."""
-
-    def __init__(self, name: str, bus: AxiInterface, **kwargs) -> None:
-        super().__init__(name, bus, **kwargs)
-        self.descriptors_done = 0
-        self._descriptor_txns: List[int] = []
 
     def enqueue_descriptor(self, descriptor: DmaDescriptor) -> int:
         """Split *descriptor* into AXI bursts and queue them; returns burst count."""
@@ -69,7 +63,7 @@ class DmaEngine(Manager):
     def reset(self) -> None:
         super().reset()
         self.descriptors_done = 0
-        self._descriptor_txns.clear()
+        self._descriptor_txns: List[int] = []
 
     def update(self) -> None:
         before = len(self.completed)

@@ -45,16 +45,8 @@ class EthernetMac(Subordinate):
         kwargs.setdefault("b_latency", 2)
         kwargs.setdefault("r_latency", 2)
         kwargs.setdefault("max_outstanding", 8)
-        super().__init__(name, bus, memory, **kwargs)
         self.line_rate = line_rate_beats_per_cycle
-        self.frames_sent = 0
-        self.beats_received = 0
-        # The TX drain is a pure function of the clock between beat
-        # arrivals, so it is accounted lazily against a stamp instead
-        # of ticking every cycle — a draining (but AXI-idle) MAC is
-        # update-quiescent and its idle span can be leaped.
-        self._tx_buffered = 0.0
-        self._tx_stamp = 0
+        super().__init__(name, bus, memory, **kwargs)
 
     # ------------------------------------------------------------------
     # Lazy line-drain accounting
@@ -127,8 +119,11 @@ class EthernetMac(Subordinate):
             self._tx_stamp = self._sim.cycle + 1
 
     def reset(self) -> None:
-        super().reset()
+        super().reset()  # _take_reset() empties the TX buffer
         self.frames_sent = 0
         self.beats_received = 0
-        self._tx_buffered = 0.0
+        # The TX drain is a pure function of the clock between beat
+        # arrivals, so it is accounted lazily against a stamp instead
+        # of ticking every cycle — a draining (but AXI-idle) MAC is
+        # update-quiescent and its idle span can be leaped.
         self._tx_stamp = 0

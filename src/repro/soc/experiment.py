@@ -127,9 +127,10 @@ def run_system_injection(
     :func:`build_system_soc` from the same *variant*, *beats*,
     *reorder_depth* and ``sim_*`` options; by default one is built.
 
-    The axes are checked by :func:`~repro.orchestrate.spec.validate_axes`
-    (the start delay as the seed): a value no campaign could run, or a
-    read-path stage, raises ``ValueError`` before anything is simulated.
+    The axes are checked by :func:`~repro.orchestrate.spec.validate_axes`,
+    and *start_delay* must not be negative: a value no campaign could
+    run, or a read-path stage, raises ``ValueError`` before anything is
+    simulated.
     """
     # Imported here: repro.faults.campaign builds IP harnesses with the
     # reset unit from this package, and repro.orchestrate.spec imports
@@ -139,9 +140,10 @@ def run_system_injection(
 
     validate_axes(
         "system", beats, reorder_depth, background, stages=(stage,),
-        seeds=(start_delay,), size=size, outstanding=outstanding,
-        detect_timeout=detect_timeout,
+        size=size, outstanding=outstanding, detect_timeout=detect_timeout,
     )
+    if start_delay < 0:
+        raise ValueError(f"start_delay must be at least 0, got {start_delay}")
 
     if soc is None:
         soc = build_system_soc(

@@ -32,9 +32,7 @@ class Plic(Component):
         super().__init__(name)
         self._sources: List[Wire] = []
         self._names: List[str] = []
-        self._pending: List[bool] = []
-        self._claimed: List[bool] = []
-        self.irq_counts: Dict[str, int] = {}
+        self.reset()
 
     def connect(self, source: Wire, name: str) -> int:
         """Register an interrupt source; returns its source ID."""
@@ -118,8 +116,6 @@ class Plic(Component):
         return any(self._pending)
 
     def reset(self) -> None:
-        self._pending = [False] * len(self._sources)
-        self._claimed = [False] * len(self._sources)
-        for name in self.irq_counts:
-            self.irq_counts[name] = 0
-        self.schedule_update()
+        self._pending: List[bool] = [False] * len(self._sources)
+        self._claimed: List[bool] = [False] * len(self._sources)
+        self.irq_counts: Dict[str, int] = dict.fromkeys(self._names, 0)

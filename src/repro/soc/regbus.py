@@ -98,9 +98,7 @@ class RegBusDemux(Component):
         super().__init__(name)
         self.port = port
         self.targets = list(targets)  # (base, size, target)
-        self._pending: Optional[RegResponse] = None
-        self.accesses = 0
-        self.errors = 0
+        self.reset()
 
     def wires(self):
         yield from self.port.wires()
@@ -164,11 +162,9 @@ class RegBusDemux(Component):
         self.schedule_drive()
 
     def reset(self) -> None:
-        self._pending = None
+        self._pending: Optional[RegResponse] = None
         self.accesses = 0
         self.errors = 0
-        self.schedule_drive()
-        self.schedule_update()
 
 
 class RegBusMaster(Component):
@@ -185,9 +181,7 @@ class RegBusMaster(Component):
     def __init__(self, name: str, port: RegBusPort) -> None:
         super().__init__(name)
         self.port = port
-        self._queue: List[Tuple[RegRequest, Optional[callable]]] = []
-        self._inflight: Optional[Tuple[RegRequest, Optional[callable]]] = None
-        self.responses: List[RegResponse] = []
+        self.reset()
 
     def wires(self):
         yield from self.port.wires()
@@ -244,8 +238,6 @@ class RegBusMaster(Component):
             self.schedule_drive()
 
     def reset(self) -> None:
-        self._queue.clear()
-        self._inflight = None
-        self.responses.clear()
-        self.schedule_drive()
-        self.schedule_update()
+        self._queue: List[Tuple[RegRequest, Optional[callable]]] = []
+        self._inflight: Optional[Tuple[RegRequest, Optional[callable]]] = None
+        self.responses: List[RegResponse] = []

@@ -57,11 +57,7 @@ class ResetUnit(Component):
         self.ack = ack
         self.subordinate = subordinate
         self.reset_duration = reset_duration
-        self._state = _ResetState.IDLE
-        self._countdown = 0
-        self.resets_issued = 0
-        self.reset_log: List[int] = []
-        self._cycle = 0
+        self.reset()
 
     def wires(self):
         yield self.req
@@ -136,8 +132,5 @@ class ResetUnit(Component):
         self._state = _ResetState.IDLE
         self._countdown = 0
         self.resets_issued = 0
-        self.reset_log.clear()
+        self.reset_log: List[int] = []
         self._cycle = 0
-        self.cancel_wake()
-        self.schedule_drive()
-        self.schedule_update()

@@ -137,14 +137,9 @@ class TransactionMonitoringUnit(Component):
         self.reset_req = Wire(f"{name}.reset_req", False)
         #: reset acknowledgment from the external reset unit (input).
         self.reset_ack = Wire(f"{name}.reset_ack", False)
-        self._init_state()
+        self.reset()
 
-    def _init_state(self) -> None:
-        """Set every piece of monitoring state to its power-on value.
-
-        Construction and :meth:`reset` both call this, so a harness
-        reused through ``reset()`` runs exactly like a fresh build.
-        """
+    def reset(self) -> None:
         self.write_guard = WriteGuard(self.config)
         self.read_guard = ReadGuard(self.config)
         self.remap_w = IdRemapTable(self.config.max_uniq_ids)
@@ -568,6 +563,3 @@ class TransactionMonitoringUnit(Component):
         if changed:
             self.schedule_drive()
 
-    def reset(self) -> None:
-        self._init_state()
-        self.schedule_drive()

@@ -2,6 +2,8 @@
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.axi import protocol as P
 from repro.axi.channels import ArBeat, AwBeat, BBeat, RBeat, WBeat
 from repro.axi.interface import AxiInterface
@@ -100,6 +102,45 @@ def test_4k_boundary_rule_write_and_read():
     s.cycle(ar_valid=True, ar_payload=ar, ar_ready=True)
     assert s.checker.count(P.ERRM_AW_4K_BOUNDARY) == 1
     assert s.checker.count(P.ERRM_AR_4K_BOUNDARY) == 1
+
+
+@pytest.mark.parametrize("channel", ["aw", "ar"])
+@pytest.mark.parametrize(
+    "len_, size, burst, rule",
+    [
+        (-1, 3, BurstType.INCR, "LEN_RANGE"),
+        (256, 3, BurstType.INCR, "LEN_RANGE"),
+        (256, 3, BurstType.WRAP, "LEN_RANGE"),
+        (256, 3, BurstType.FIXED, "LEN_RANGE"),
+        (3, 9, BurstType.INCR, "ERRM_AXSIZE_RANGE"),
+    ],
+    ids=["len-1", "len256-incr", "len256-wrap", "len256-fixed", "size9"],
+)
+def test_out_of_range_length_or_size_is_flagged_not_raised(
+    channel, len_, size, burst, rule
+):
+    # The range rules fire alone: the WRAP and 4 KiB rules need a
+    # defined burst and are skipped, and nothing raises mid-simulation.
+    if rule == "LEN_RANGE":
+        rule = f"ERRM_{channel.upper()}LEN_RANGE"
+    beat_type = AwBeat if channel == "aw" else ArBeat
+    beat = beat_type(id=0, addr=0xFF0, len=len_, size=size, burst=burst)
+    s = ScriptedChecker()
+    s.cycle(**{f"{channel}_valid": True, f"{channel}_payload": beat,
+               f"{channel}_ready": True})
+    assert [violation.rule.name for violation in s.checker.violations] == [rule]
+
+
+def test_write_data_of_a_burst_wider_than_the_bus_is_not_lane_checked():
+    s = ScriptedChecker()
+    aw = AwBeat(id=0, addr=0x100, len=1, size=4)  # 16-byte beats, 8-byte bus
+    s.cycle(aw_valid=True, aw_payload=aw, aw_ready=True)
+    for last in (False, True):
+        s.cycle(w_valid=True, w_payload=WBeat(data=0, strb=0xFF, last=last),
+                w_ready=True)
+    assert [violation.rule for violation in s.checker.violations] == [
+        P.ERRM_AXSIZE_RANGE
+    ]
 
 
 def test_w_without_outstanding_aw_flagged():

@@ -85,11 +85,11 @@ def _system(stage=InjectionStage.WLAST_TO_BVALID, **kwargs):
     "run, kwargs, message",
     [
         (_ip, {"outstanding": 0}, "outstanding must be at least 1, got 0"),
-        (_ip, {"issue_delay": -5}, "seeds must be at least 0, got -5"),
+        (_ip, {"issue_delay": -5}, "issue_delay must be at least 0, got -5"),
         (_ip, {"detect_timeout": 0}, "detect_timeout must be at least 1"),
         (_system, {"stage": InjectionStage.AR_READY_MISSING},
          "never manifest: ar_stage_error"),
-        (_system, {"start_delay": -3}, "seeds must be at least 0, got -3"),
+        (_system, {"start_delay": -3}, "start_delay must be at least 0, got -3"),
         (_system, {"outstanding": 0}, "outstanding must be at least 1, got 0"),
         (_system, {"detect_timeout": 0}, "detect_timeout must be at least 1"),
     ],

@@ -1,0 +1,167 @@
+"""Exact reset at the state level: after a run, ``Simulator.reset()``
+leaves every component's instance state equal to a fresh build's.
+
+Harness reuse (``HarnessCache``) relies on this; the property test in
+``tests/properties/test_harness_reuse_properties.py`` checks it on run
+results only.  Here each component's ``__dict__`` (and slots) is
+normalized recursively: wires and components compare by name, and the
+kernel's bookkeeping fields (``_sim``, ``_order``, the schedulers) are
+skipped.
+"""
+
+import functools
+import inspect
+from collections import deque
+from enum import Enum
+
+import pytest
+
+from repro.axi.interface import AxiInterface
+from repro.axi.manager import Manager
+from repro.axi.subordinate import Subordinate
+from repro.axi.traffic import RandomTraffic, write_spec
+from repro.baselines import (
+    AxiChecker,
+    AxiFirewall,
+    AxiPerfMonitor,
+    FirewallRule,
+    Sp805Watchdog,
+    XilinxStyleTimeout,
+)
+from repro.faults.injector import FaultInjector
+from repro.faults.types import InjectionStage
+from repro.orchestrate import CampaignSpec
+from repro.orchestrate.executor import HarnessCache, build_harness, execute_run
+from repro.sim.component import Component
+from repro.sim.kernel import Simulator
+from repro.sim.signal import Wire
+from repro.soc.experiment import FIG11_STAGES
+from repro.tmu.config import Variant, full_config, tiny_config
+
+_SKIPPED = frozenset({"_sim", "_order", "_scheduler", "_update_scheduler"})
+
+
+def _fields(obj):
+    """(name, value) of every instance attribute, ``__slots__`` included."""
+    names = set(getattr(obj, "__dict__", ()))
+    for cls in type(obj).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        names.update((slots,) if isinstance(slots, str) else slots)
+    return [
+        (name, getattr(obj, name))
+        for name in sorted(names - _SKIPPED - {"__dict__", "__weakref__"})
+        if hasattr(obj, name)
+    ]
+
+
+def _norm(value, path=frozenset()):
+    if isinstance(value, Wire):
+        return ("wire", value.name)
+    if isinstance(value, Component):
+        return ("component", value.name)
+    if value is None or isinstance(value, (bool, int, float, str, bytes, Enum)):
+        return value
+    if id(value) in path:
+        return ("cycle", type(value).__name__)
+    path = path | {id(value)}
+    if isinstance(value, (list, tuple, deque)):
+        return (type(value).__name__, [_norm(item, path) for item in value])
+    if isinstance(value, dict):
+        return ("dict", [(_norm(k, path), _norm(v, path)) for k, v in value.items()])
+    if isinstance(value, (set, frozenset)):
+        return (type(value).__name__, sorted(repr(_norm(v, path)) for v in value))
+    if isinstance(value, functools.partial):
+        return ("partial", _norm(value.func, path), _norm(value.args, path))
+    if inspect.ismethod(value):
+        return ("method", value.__func__.__qualname__, _norm(value.__self__, path))
+    if inspect.isfunction(value):
+        return ("function", value.__qualname__)
+    return (
+        type(value).__qualname__,
+        [(name, _norm(field, path)) for name, field in _fields(value)],
+    )
+
+
+def _state(sim: Simulator):
+    """Every component's normalized state, and every wire's value."""
+    components = {
+        component.name: _norm(dict(_fields(component)))
+        for component in sim.components
+    }
+    wires = [(wire.name, _norm(wire._value)) for wire in sim._wires.values()]
+    return components, wires
+
+
+def _assert_reset_is_fresh(reset_sim: Simulator, fresh_sim: Simulator) -> None:
+    reset_components, reset_wires = _state(reset_sim)
+    fresh_components, fresh_wires = _state(fresh_sim)
+    assert reset_components.keys() == fresh_components.keys()
+    for name, state in fresh_components.items():
+        assert reset_components[name] == state, name
+    assert reset_wires == fresh_wires
+
+
+def _reset_harness_and_fresh_build(spec: CampaignSpec):
+    """A harness that ran *spec*'s one run and was reset, and a new one."""
+    (run,) = spec.runs()
+    cache = HarnessCache()
+    harness = cache.get(run)
+    execute_run(run, cache=cache)  # a cache hit: runs on *harness*
+    harness.reset()
+    return harness, build_harness(run)
+
+
+@pytest.mark.parametrize("variant", [Variant.FULL, Variant.TINY])
+@pytest.mark.parametrize("stage", list(InjectionStage), ids=lambda s: s.value)
+def test_ip_harness_reset_equals_fresh_build(variant, stage):
+    make = full_config if variant is Variant.FULL else tiny_config
+    spec = CampaignSpec.ip(
+        [make(prescale_step=4)], [stage], seeds=(3,), outstanding=3,
+        reorder_depth=2,
+    )
+    harness, fresh = _reset_harness_and_fresh_build(spec)
+    _assert_reset_is_fresh(harness.sim, fresh.sim)
+
+
+@pytest.mark.parametrize("variant", [Variant.FULL, Variant.TINY])
+@pytest.mark.parametrize("stage", FIG11_STAGES, ids=lambda s: s.value)
+def test_system_soc_reset_equals_fresh_build(variant, stage):
+    spec = CampaignSpec.system(
+        [variant], [stage], beats=16, seeds=(3,), background=8,
+    )
+    soc, fresh = _reset_harness_and_fresh_build(spec)
+    _assert_reset_is_fresh(soc.sim, fresh.sim)
+
+
+def _baseline_bus():
+    """Manager → firewall → fault injector → subordinate, observed by
+    the checker, timeout and perf monitor; a free-running watchdog."""
+    sim = Simulator()
+    host, middle, device = (AxiInterface(n) for n in ("host", "mid", "device"))
+    components = [
+        Manager("manager", host),
+        AxiFirewall("firewall", host, middle,
+                    [FirewallRule(base=0x0, size=0x8000)]),
+        FaultInjector("injector", middle, device),
+        Subordinate("subordinate", device, b_latency=2, reorder_depth=2),
+        AxiChecker("checker", host),
+        XilinxStyleTimeout("timeout", middle, window=8),
+        AxiPerfMonitor("perf", device, window=4),
+        Sp805Watchdog("watchdog", load=10),
+    ]
+    for component in components:
+        sim.add(component)
+    return sim, {component.name: component for component in components}
+
+
+def test_baselines_and_injector_reset_equals_fresh_build():
+    sim, parts = _baseline_bus()
+    parts["manager"].submit_all(RandomTraffic(seed=3, max_beats=4).take(8))
+    parts["manager"].submit(write_spec(1, 0x9000, beats=2))  # firewalled
+    sim.run(5)
+    parts["watchdog"].enabled = False  # software-disabled before reset
+    sim.run(20)
+    parts["injector"].force("b", valid=False)  # still forced at reset
+    sim.run(20)
+    sim.reset()
+    _assert_reset_is_fresh(sim, _baseline_bus()[0])

@@ -155,7 +155,6 @@ def test_exhaustive_strategy_never_skips():
 def test_schedule_update_is_noop_until_registered():
     counter = Counter("c")
     counter.schedule_update()  # must not raise
-    counter.wake_update()
 
 
 def test_reset_reseeds_live_updaters():
