@@ -167,6 +167,38 @@ def _nested_json(payload: Any, depth: int, indent: int) -> str:
     return blob.replace("\n", "\n" + " " * (indent * depth))
 
 
+#: The C-level text of a flat list's items, by their one shared type.
+_ITEM_TEXT = {int: int.__repr__, str: encode_basestring_ascii}
+
+
+def _spec_json(view: Dict[str, Any], indent: int) -> str:
+    """The text of ``_nested_json(view, 1, indent)`` for a spec's
+    canonical view, its flat values written through C code.
+
+    A scalar has no layout to indent, so the C encoder writes it; a
+    flat list of plain ints or of strings (the seeds, the stages) is
+    one C-level ``map`` over its items and one join, as rows are.  Only
+    the nested values (configs, harness kwargs) take the indenting
+    pure-Python encoder, whose cost would otherwise grow per seed.
+    """
+    inner = "\n" + " " * (indent * 2)
+    item = inner + " " * indent
+    entries = []
+    for key in sorted(view):
+        value = view[key]
+        kinds = set(map(type, value)) if type(value) is list else set()
+        convert = _ITEM_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        if convert is not None:
+            items = map(convert, value)
+            text = "[" + item + ("," + item).join(items) + inner + "]"
+        elif isinstance(value, (dict, list, tuple)):
+            text = _nested_json(value, 2, indent)
+        else:
+            text = json.dumps(value)
+        entries.append(encode_basestring_ascii(key) + ": " + text)
+    return "{" + inner + ("," + inner).join(entries) + "\n" + " " * indent + "}"
+
+
 @functools.lru_cache(maxsize=16)
 def _row_layout(
     keys: Tuple, indent: int
@@ -460,7 +492,7 @@ def write_campaign_json(results, stream, spec=None, indent: int = 2) -> int:
     write(f'{pad}"scheduler": {_nested_json(scheduler, 1, indent)}')
     if spec is not None:
         # Only serialized, never handed out: no copy needed.
-        spec_text = _nested_json(spec.canonical_view(), 1, indent)
+        spec_text = _spec_json(spec.canonical_view(), indent)
         write(f',\n{pad}"spec": {spec_text}')
         write(f',\n{pad}"spec_hash": {json.dumps(spec.spec_hash())}')
     write("\n}")

@@ -352,6 +352,28 @@ def _campaign_spec(args) -> CampaignSpec:
     )
 
 
+def _point_rows(spec: CampaignSpec, results):
+    """One table row per point of *spec*, from its ``(leader, deltas)``
+    blocks: a derived lane's flags and latencies are its leader's (both
+    of its stamps shift), so no lane is materialized."""
+    for point in spec.points():
+        lanes = results[point.indices.start : point.indices.stop]
+        latencies = []
+        for leader, deltas in lanes.blocks():
+            if leader.latency_from_injection is not None:
+                count = 1 if deltas is None else len(deltas)
+                latencies += [leader.latency_from_injection] * count
+        spread = ["-"] * 3
+        if latencies:
+            latencies.sort()
+            # The mean of the two middle items (one, for an odd count).
+            middle = len(latencies) // 2
+            median = (latencies[middle] + latencies[~middle]) / 2
+            spread = [latencies[0], f"{median:.10g}", latencies[-1]]
+        yield [point.shared.config["variant"], point.shared.stage,
+               *outcome_counts(lanes), *spread]
+
+
 def cmd_campaign(args) -> int:
     try:
         _check_run_args(args)
@@ -374,24 +396,14 @@ def cmd_campaign(args) -> int:
         print(f"wrote {args.telemetry}", file=sys.stderr)
     if args.json_out:
         # Streamed writer: byte-identical to to_json(campaign_dict(...))
-        # but never materializes the export dict.  Written before the
-        # table, which materializes every derived lane.
+        # but never materializes the export dict or a derived lane.
         with open(args.json_out, "w") as stream:
             write_campaign_json(results, stream, spec=spec)
-    rows = [
-        [
-            run.run_id,
-            result.detected,
-            result.latency_from_injection,
-            result.latency_from_start,
-            result.recovered,
-        ]
-        for run, result in zip(spec.runs(), results)
-    ]
     print(
         render_table(
-            ["run", "detected", "lat(inject)", "lat(start)", "recovered"],
-            rows,
+            ["variant", "stage", "runs", "detected", "recovered",
+             "lat min", "lat median", "lat max"],
+            _point_rows(spec, results),
             title=(
                 f"{args.kind} campaign: {len(spec.configs)} config(s) x "
                 f"{len(spec.stages)} stage(s) x {len(spec.seeds)} seed(s)"

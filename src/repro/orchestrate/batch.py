@@ -6,7 +6,10 @@ it in each worker).  Campaign runs that differ only in their seed are
 pure *time shifts* of one another (seeds map to the IP harness's
 ``issue_delay`` / the system experiment's ``start_delay``), so instead
 of simulating every lane, the executor takes the campaign's *points*
-(the runs of one (config, stage)) and for each point:
+(:class:`~repro.orchestrate.spec.Point`: the seeds of one (config,
+stage) as integers; a run becomes a
+:class:`~repro.orchestrate.spec.RunSpec` only to be simulated) and for
+each point:
 
 1. splits it into congruence classes modulo the simulation's lockstep
    period (:func:`repro.sim.batch.lockstep_period`, the lcm of every
@@ -46,19 +49,18 @@ pack, as an unverified one does.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import dataclasses
-import operator
+import itertools
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
 )
 
 from ..sim.batch import LeapTrace, lane_classes, lockstep_period
 from ..sim.kernel import SchedulerDivergenceError
 from .executor import HarnessCache, Item, execute_run, harness_key
-from .spec import RunSpec
-
-_seed = operator.attrgetter("seed")
+from .spec import Point, RunSpec
 
 
 @dataclasses.dataclass(eq=False)
@@ -132,10 +134,10 @@ class BatchExecutor:
         kernel and compare; divergence raises
         :class:`SchedulerDivergenceError` naming the lane.
     force_retire:
-        Predicate over :class:`RunSpec`; matching lanes are retired to
-        the scalar kernel unconditionally.  The differential tests use
-        it to force mid-pack divergence; operationally it is a
-        guard-rail escape hatch.
+        Predicate over :class:`RunSpec` (set, it builds every lane's);
+        matching lanes are retired to the scalar kernel unconditionally.
+        The differential tests use it to force mid-pack divergence;
+        operationally it is a guard-rail escape hatch.
     derive_hook:
         Test-only seam: maps ``(run, derived_result)`` to the result
         the verify replay is compared against, letting the verify tests
@@ -163,36 +165,40 @@ class BatchExecutor:
         self.stats = BatchStats()
         self._period_cache: Dict[Tuple, Optional[int]] = {}
 
-    def map(self, points: Iterable[Sequence[RunSpec]]) -> Iterator[Item]:
+    def map(self, points: Iterable[Point]) -> Iterator[Item]:
         """Yield the items of *points* (each the runs of one (config,
         stage)) as they finish."""
         cache = HarnessCache()
         for point in points:
             for pack in self._packs(point, cache):
-                yield from self._execute_pack(pack, cache)
+                yield from self._execute_pack(point, pack, cache)
 
     # ------------------------------------------------------------------
     # Pack planning
     # ------------------------------------------------------------------
-    def _packs(self, point: Sequence[RunSpec], cache: HarnessCache):
-        """The packs of one point: its congruence classes modulo the
-        lockstep period, each ascending by seed, cut at the width cap."""
+    def _packs(self, point: Point, cache: HarnessCache) -> List[List[int]]:
+        """The packs of one point, as offsets into it: its congruence
+        classes modulo the lockstep period, each ascending by seed, cut
+        at the width cap."""
+        offsets = range(len(point))
         period = None
         if self.lanes != 1 and len(point) > 1:
-            period = self._period_for(point[0], cache)
+            period = self._period_for(point, cache)
         if period is None:
             # Width 1, a lone run, or an unaudited component
             # (phase_period undeclared: batch nothing): one-lane packs.
-            return [[run] for run in point]
+            return [[offset] for offset in offsets]
         width = self.lanes or len(point)
         return [
             members[start : start + width]
-            for members in lane_classes(point, period, seed=_seed).values()
+            for members in lane_classes(
+                offsets, period, seed=point.seeds.__getitem__
+            ).values()
             for start in range(0, len(members), width)
         ]
 
-    def _period_for(self, run: RunSpec, cache: HarnessCache) -> Optional[int]:
-        """Lockstep period of the harness *run* simulates on.
+    def _period_for(self, point: Point, cache: HarnessCache) -> Optional[int]:
+        """Lockstep period of the harness *point*'s runs simulate on.
 
         Probed from the real harness (taken from *cache*, so the pack
         leader then runs on it) so the period reflects the actual
@@ -200,10 +206,10 @@ class BatchExecutor:
         parallel bookkeeping table.  Cached per :func:`harness_key` —
         the stage does not change the component inventory.
         """
-        key = harness_key(run)
+        key = harness_key(point.shared)
         if key not in self._period_cache:
             self._period_cache[key] = lockstep_period(
-                cache.get(run).sim.components
+                cache.get(point.shared).sim.components
             )
         return self._period_cache[key]
 
@@ -211,8 +217,8 @@ class BatchExecutor:
     # Pack execution
     # ------------------------------------------------------------------
     @staticmethod
-    def _onset(run: RunSpec) -> int:
-        """First stimulus-dependent cycle of *run*.
+    def _onset(kind: str, seed: int) -> int:
+        """First stimulus-dependent cycle of a run of *kind* and *seed*.
 
         System runs idle the whole SoC for ``start_delay`` cycles
         before the frame is even queued, so the onset is the seed
@@ -224,29 +230,33 @@ class BatchExecutor:
         the seed, which is what :meth:`LeapTrace.inert_before` certifies
         against.
         """
-        return run.seed if run.kind == "system" else run.seed - 1
+        return seed if kind == "system" else seed - 1
 
     def _execute_pack(
-        self, pack: List[RunSpec], cache: HarnessCache
+        self, point: Point, pack: List[int], cache: HarnessCache
     ) -> Iterator[Item]:
-        """Run one pack: each run as it finishes, then the lanes
-        derived from a leader right after the leader."""
+        """Run one pack (offsets into *point*): each run as it finishes,
+        then the lanes derived from a leader right after the leader."""
         self.stats.packs += 1
+        kind, seeds, indices = point.shared.kind, point.seeds, point.indices
         # A lane whose onset is at (or before) cycle 1 can never show an
         # inert pre-onset *gap* — the kernel always steps cycle 0 — so
         # it runs scalar unconditionally, as do lanes the caller
-        # forcibly retires.
-        queue = []
-        for run in pack:
-            if self._onset(run) < 2 or (
-                self.force_retire is not None and self.force_retire(run)
-            ):
-                yield self._scalar(run, cache)
-            else:
-                queue.append(run)
+        # forcibly retires.  Onsets move with seeds and the pack
+        # ascends by seed: the early lanes are its head.
+        head = bisect.bisect_left(
+            pack, 2 - self._onset(kind, 0), key=seeds.__getitem__
+        )
+        retired, queue = pack[:head], pack[head:]
+        if self.force_retire is not None:
+            forced = [self.force_retire(point[offset]) for offset in queue]
+            retired += itertools.compress(queue, forced)
+            queue = [offset for offset, drop in zip(queue, forced) if not drop]
+        for offset in retired:
+            yield self._scalar(point[offset], cache)
         while queue:
-            leader = queue.pop(0)
-            onset = self._onset(leader)
+            leader = point[queue.pop(0)]
+            onset = self._onset(kind, leader.seed)
             # The evidence serves followers only: the last lane runs
             # without the probe.
             trace = LeapTrace(onset=onset) if queue else None
@@ -264,15 +274,17 @@ class BatchExecutor:
                 # No follower can take a shift of this result: the
                 # leader's stands and the rest run scalar.
                 yield (leader.index,), [result]
-                for run in queue:
-                    yield self._scalar(run, cache)
+                for offset in queue:
+                    yield self._scalar(point[offset], cache)
                 return
-            deltas = {run.index: run.seed - leader.seed for run in queue}
+            lead = leader.seed
+            deltas = {indices[offset]: seeds[offset] - lead for offset in queue}
             # The leader's copy is taken before its result is handed out.
             lanes = Pack(copy.copy(result), deltas)
             yield (leader.index,), [result]
             if self.verify:
-                for run, lane in zip(queue, lanes):
+                for offset, lane in zip(queue, lanes):
+                    run = point[offset]
                     if self.derive_hook is not None:
                         lane = self.derive_hook(run, lane)
                     self._verify_lane(run, leader, lane)
@@ -292,7 +304,7 @@ class BatchExecutor:
         the system frame after ``start_delay``), so a follower's window
         is the leader's, shifted.
         """
-        onset = self._onset(leader)
+        onset = self._onset(leader.kind, leader.seed)
         names = type(leader_result).STAMPS
         stamps = (getattr(leader_result, name) for name in names)
         return not any(stamp is not None and stamp < onset for stamp in stamps)

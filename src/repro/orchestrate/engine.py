@@ -1,13 +1,14 @@
 """The campaign orchestration engine.
 
-Glues the layers of this package together: expand a
-:class:`~repro.orchestrate.spec.CampaignSpec` into its canonical run
-list, satisfy what it can from the run-granular result store, hand the
-*frontier* to an executor as points (the missing runs of each (config,
-stage)), and re-assemble the items it yields into the exact ordering
-the serial runners produce.
+Glues the layers of this package together: plan a
+:class:`~repro.orchestrate.spec.CampaignSpec` as its canonical points,
+satisfy what it can from the run-granular result store, hand the
+*frontier* to an executor as points (the missing runs of each point),
+and re-assemble the items it yields into the exact ordering the serial
+runners produce.  Only a store key or a simulated lane is built as a
+:class:`~repro.orchestrate.spec.RunSpec`.
 
-The engine is deliberately deterministic end to end: run enumeration is
+The engine is deliberately deterministic end to end: run numbering is
 canonical and aggregation is by run index — so ``workers=16`` and
 ``workers=1`` return *equal* result lists, and a store hit returns the
 same objects a fresh simulation would.  ``strategy="verify"`` campaigns
@@ -28,12 +29,12 @@ import collections.abc
 import dataclasses
 import itertools
 from pathlib import Path
-from typing import IO, Any, Iterator, List, Optional, Tuple, Union
+from typing import IO, Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from .batch import Pack
 from .executor import WorkerPoolExecutor, default_workers, make_executor
 from .progress import ProgressReporter
-from .spec import CampaignSpec, RunSpec
+from .spec import CampaignSpec, Point, RunSpec
 
 
 class CampaignResults(collections.abc.Sequence):
@@ -206,7 +207,8 @@ def run_campaign_spec(
         # object (a tracer) can become neither, so it fails here,
         # before any run is looked up or simulated.
         spec.spec_hash()
-    runs = spec.runs()
+    points = spec.points()
+    total = len(points) * len(spec.seeds)
     store = _open_store(store, metrics)
     if not collect and store is None:
         raise ValueError("collect=False requires a result store")
@@ -216,17 +218,17 @@ def run_campaign_spec(
         reporter = progress
     elif progress:
         reporter = ProgressReporter(
-            len(runs), stream=None if progress is True else progress
+            total, stream=None if progress is True else progress
         )
 
-    # One slot per run: spec.runs() numbers the runs by position.
-    items: List[Any] = [None] * len(runs) if collect else []
+    # One slot per run, by its canonical index.
+    items: List[Any] = [None] * total if collect else []
 
-    width = len(spec.seeds)  # seed-innermost: a point is a slice
-    points = [runs[start : start + width] for start in range(0, len(runs), width)]
     # Stored runs are fetched; what remains of each point is the
-    # frontier — the only work any executor will see.
-    frontier: List[List[RunSpec]] = points
+    # frontier — the only work any executor will see.  Only a store
+    # builds the runs here, for their keys, keeping the frontier's.
+    frontier: List[Point] = points
+    keyed: Dict[int, RunSpec] = {}
     if store is not None:
         frontier = []
         for point in points:
@@ -238,9 +240,11 @@ def run_campaign_spec(
                 elif collect:
                     items[run.index] = result
             if missing:
-                frontier.append(missing)
-        pending = sum(map(len, frontier))
-        reused = len(runs) - pending
+                keyed.update((run.index, run) for run in missing)
+                indices, seeds = zip(*((run.index, run.seed) for run in missing))
+                frontier.append(Point(point.shared, indices, seeds))
+        pending = len(keyed)
+        reused = total - pending
         if reporter and reused:
             reporter.shard_done(reused, cached=True)
         if metrics is not None:
@@ -257,7 +261,7 @@ def run_campaign_spec(
     stats = getattr(executor, "stats", None)
     before = dataclasses.asdict(stats) if stats is not None else {}
     if metrics is not None:
-        metrics["campaign.runs"] += len(runs)
+        metrics["campaign.runs"] += total
         metrics["campaign.shards"] += -(-len(points) // shard_size)
         metrics["campaign.shards_executed"] += -(-len(frontier) // shard_size)
     for indices, values in executor.map(frontier):
@@ -265,9 +269,9 @@ def run_campaign_spec(
         if store is not None:
             values = list(values)  # a pack's lanes become results here
             if len(indices) == 1:
-                store.put(runs[indices[0]], values[0])
+                store.put(keyed[indices[0]], values[0])
             else:
-                store.put_many([runs[index] for index in indices], values)
+                store.put_many([keyed[index] for index in indices], values)
         if collect:
             # A pack stays whole: each of its lanes' slots holds it.
             slots = itertools.repeat(values) if type(values) is Pack else values

@@ -1,17 +1,17 @@
 """Run execution: harnesses, single runs, and the process pool.
 
-An executor's ``map(points)`` takes campaign *points* (the runs of one
-(config, stage)) and yields ``(run indices, values)`` items, in *any*
-order, one value per index.  The one in-process executor is
+An executor's ``map(points)`` takes campaign *points* (the seeds of
+one (config, stage): :class:`~repro.orchestrate.spec.Point`) and yields
+``(run indices, values)`` items, in *any* order, one value per index.
+The one in-process executor is
 :class:`~repro.orchestrate.batch.BatchExecutor`;
 :class:`WorkerPoolExecutor` ships shards of points
 (:class:`~repro.orchestrate.spec.Shard`) to a process pool, each
 worker running the same batch executor.  Every harness is built inside
-the process that simulates it: only plain
-:class:`~repro.orchestrate.spec.RunSpec` data travels to workers and
-only results travel back.  Within one ``map()`` call (or one shard, in
-a worker) same-shape runs share a harness through a one-slot
-:class:`HarnessCache`, reset between runs.
+the process that simulates it: only plain point data travels to
+workers and only results travel back.  Within one ``map()`` call (or
+one shard, in a worker) same-shape runs share a harness through a
+one-slot :class:`HarnessCache`, reset between runs.
 
 Worker count resolution order: explicit argument, then the
 ``REPRO_WORKERS`` environment variable, then 1 (in-process).  The
@@ -27,7 +27,7 @@ import json
 import os
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
-from .spec import RunSpec, Shard, plan_shards
+from .spec import Point, RunSpec, Shard, plan_shards
 
 if TYPE_CHECKING:
     from .batch import BatchStats
@@ -58,11 +58,12 @@ def default_workers() -> int:
     return count
 
 
-def harness_key(run: RunSpec, config_text: Optional[str] = None) -> Tuple:
+def harness_key(run, config_text: Optional[str] = None) -> Tuple:
     """Everything that shapes the harness *run* simulates on.
 
     Runs with equal keys build identical harnesses: the stage, seed,
     timeouts and workload axes only change what is driven into one.
+    *run* is a :class:`RunSpec` or a point's ``shared`` fields;
     *config_text* is ``run.config`` already serialized.
     """
     if config_text is None:
@@ -71,7 +72,7 @@ def harness_key(run: RunSpec, config_text: Optional[str] = None) -> Tuple:
             run.reorder_depth)
 
 
-def build_harness(run: RunSpec):
+def build_harness(run):
     """A freshly built harness (IP harness or SoC) for *run*."""
     # Imported lazily: this module is imported by repro.faults.campaign
     # (via the orchestrate package), so top-level imports of the
@@ -116,7 +117,7 @@ class HarnessCache:
         self._config = None
         self._config_text = ""
 
-    def get(self, run: RunSpec):
+    def get(self, run):
         if run.config is not self._config:
             self._config = run.config
             self._config_text = json.dumps(run.config, sort_keys=True)
@@ -193,7 +194,7 @@ def execute_shard(shard: Shard, lanes: Optional[int] = None,
     return list(executor.map(shard.points)), executor.stats
 
 
-def slice_points(points: Sequence[Sequence[RunSpec]], count: int) -> List:
+def slice_points(points: Sequence[Point], count: int) -> List[Point]:
     """*points*, each cut into contiguous seed slices (still points) when
     there are fewer than *count*, so there are *count* if seeds allow."""
     cuts = -(-count // max(len(points), 1))
@@ -232,7 +233,7 @@ class WorkerPoolExecutor:
         self.verify = verify
         self.stats = BatchStats()
 
-    def map(self, points: Sequence[Sequence[RunSpec]]) -> Iterator[Item]:
+    def map(self, points: Sequence[Point]) -> Iterator[Item]:
         shards = plan_shards(
             slice_points(points, self.workers), shard_size=self.shard_size
         )

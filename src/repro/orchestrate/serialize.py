@@ -71,36 +71,23 @@ def budgets_from_dict(data: Dict[str, Any]) -> AdaptiveBudgetPolicy:
 
 
 def config_to_dict(config: TmuConfig) -> Dict[str, Any]:
-    """Canonical, JSON-ready dict of a :class:`TmuConfig`."""
-    return {
-        "variant": config.variant.value,
-        "max_uniq_ids": config.max_uniq_ids,
-        "txn_per_id": config.txn_per_id,
-        "prescale_step": config.prescale_step,
-        "sticky": config.sticky,
-        "budgets": budgets_to_dict(config.budgets),
-        "protocol_check_immediate": config.protocol_check_immediate,
-        "max_txn_cycles": config.max_txn_cycles,
-        "error_log_depth": config.error_log_depth,
-        "enabled": config.enabled,
-        "trip_on_error_resp": config.trip_on_error_resp,
+    """Canonical, JSON-ready dict of a :class:`TmuConfig`: every field,
+    in declaration order, the variant and budgets as plain data."""
+    data = {
+        field.name: getattr(config, field.name)
+        for field in dataclasses.fields(config)
     }
+    data["variant"] = config.variant.value
+    data["budgets"] = budgets_to_dict(config.budgets)
+    return data
 
 
 def config_from_dict(data: Dict[str, Any]) -> TmuConfig:
-    return TmuConfig(
+    return TmuConfig(**dict(
+        data,
         variant=Variant(data["variant"]),
-        max_uniq_ids=data["max_uniq_ids"],
-        txn_per_id=data["txn_per_id"],
-        prescale_step=data["prescale_step"],
-        sticky=data["sticky"],
         budgets=budgets_from_dict(data["budgets"]),
-        protocol_check_immediate=data["protocol_check_immediate"],
-        max_txn_cycles=data["max_txn_cycles"],
-        error_log_depth=data["error_log_depth"],
-        enabled=data["enabled"],
-        trip_on_error_resp=data["trip_on_error_resp"],
-    )
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -114,22 +101,12 @@ def run_param_dict(run) -> Dict[str, Any]:
     campaign (``index``, and the ``run_id`` derived from it) is not.
     This is the identity the run-granular result store keys on, so the
     same injection reused by two different sweeps hashes identically in
-    both.
+    both.  A run field added later joins the key by default.
     """
-    return {
-        "kind": run.kind,
-        "config": run.config,
-        "stage": run.stage,
-        "seed": run.seed,
-        "beats": run.beats,
-        "background": run.background,
-        "detect_timeout": run.detect_timeout,
-        "recovery_timeout": run.recovery_timeout,
-        "harness_kwargs": [list(item) for item in run.harness_kwargs],
-        "size": run.size,
-        "outstanding": run.outstanding,
-        "reorder_depth": run.reorder_depth,
-    }
+    harness_kwargs = [list(item) for item in run.harness_kwargs]
+    params = dict(vars(run), harness_kwargs=harness_kwargs)
+    del params["index"]
+    return params
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,17 @@
-"""Work partitioning: campaign specs, run enumeration, shard plans.
+"""Work partitioning: campaign specs, points, run identity, shard plans.
 
 A fault-injection campaign is a cross-product sweep — TMU configs ×
 injection stages × phase-offset seeds.  :class:`CampaignSpec` captures
-the whole sweep as plain, canonically-ordered data; :meth:`runs` expands
-it into :class:`RunSpec` units in the exact order the serial runners
+the whole sweep as plain, canonically-ordered data and plans it as
+:class:`Point` units, the seeds of one (config, stage), which build a
+run's :class:`RunSpec` only when asked.  Runs are numbered in the
+exact order the serial runners
 (:func:`repro.faults.campaign.run_campaign`,
 :func:`repro.soc.experiment.run_fig11`) iterate, so the aggregated
 result list of any executor is byte-for-byte the serial one.
 
 Every run carries a stable, human-readable ``run_id`` and its canonical
-``index``.  The ``len(seeds)`` adjacent runs of one (config, stage)
-form a *point*; :func:`plan_shards` groups points into contiguous
+``index``; :func:`plan_shards` groups points into contiguous
 :class:`Shard` units of work for the process pool.  The spec's
 :meth:`spec_hash` labels campaign exports: any parameter change
 produces a different hash.
@@ -23,7 +24,10 @@ import copy
 import dataclasses
 import hashlib
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+import types
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..axi.types import MAX_BURST_LEN, AxiDir
 from ..faults.types import InjectionStage
@@ -105,12 +109,12 @@ def validate_axes(
 class RunSpec:
     """One simulation unit: a single fault injection.
 
-    Everything here is plain JSON-able data so a run can cross a process
-    boundary and key a result-store row, unless ``harness_kwargs`` holds
-    a live object (a tracer), which keeps the campaign in-process.
-    ``config`` is the canonical TMU
-    config dict for IP runs; system runs only need ``{"variant": ...}``
-    (the system runner derives the paper's budgets itself).
+    Everything here is plain JSON-able data so a run can key a
+    result-store row, unless ``harness_kwargs`` holds a live object (a
+    tracer), which keeps the campaign in-process.  ``config`` is the
+    canonical TMU config dict for IP runs; system runs only need
+    ``{"variant": ...}`` (the system runner derives the paper's budgets
+    itself).
     """
 
     kind: str
@@ -157,12 +161,45 @@ class RunSpec:
 
 
 @dataclasses.dataclass(frozen=True)
+class Point:
+    """The runs of one (config, stage), planned but not built.
+
+    Run ``i`` is the :class:`RunSpec` with index ``indices[i]``, seed
+    ``seeds[i]`` and every other field from *shared*, a namespace under
+    the :class:`RunSpec` field names.  Indexing builds run ``i``; a
+    slice is a point of those runs.  A planned point's indices are a
+    range; a store frontier's are the runs it lacks.
+    """
+
+    shared: types.SimpleNamespace
+    indices: Sequence[int]
+    seeds: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Point(self.shared, self.indices[key], self.seeds[key])
+        # Not the frozen dataclass __init__: a guarded setattr per field.
+        fields = vars(self.shared).copy()
+        fields["index"] = self.indices[key]
+        fields["seed"] = self.seeds[key]
+        run = RunSpec.__new__(RunSpec)
+        object.__setattr__(run, "__dict__", fields)
+        return run
+
+    def __iter__(self) -> Iterator[RunSpec]:
+        return map(self.__getitem__, range(len(self.indices)))
+
+
+@dataclasses.dataclass(frozen=True)
 class Shard:
     """A contiguous slice of a campaign's points, executed as one unit."""
 
     index: int
     count: int  # total shards in the plan
-    points: Tuple[Sequence[RunSpec], ...]
+    points: Tuple[Point, ...]
 
 
 @dataclasses.dataclass
@@ -271,65 +308,36 @@ class CampaignSpec:
     # ------------------------------------------------------------------
     # Enumeration and identity
     # ------------------------------------------------------------------
+    def points(self) -> List[Point]:
+        """The points in canonical (config-major, then stage) order, each
+        covering the adjacent run indices of its seeds, in seed order."""
+        # A run holds one value of each axis and every other spec field.
+        common = dict(vars(self))
+        configs, stages = common.pop("configs"), common.pop("stages")
+        seeds = tuple(common.pop("seeds"))
+        common["harness_kwargs"] = tuple(sorted(self.harness_kwargs.items()))
+        out: List[Point] = []
+        for config in configs:
+            for stage in stages:
+                shared = types.SimpleNamespace(**common, config=config, stage=stage)
+                start = len(out) * len(seeds)
+                out.append(Point(shared, range(start, start + len(seeds)), seeds))
+        return out
+
     def runs(self) -> List[RunSpec]:
         """All runs in canonical (config-major, then stage, then seed) order.
 
         This is exactly the nesting of the serial runners, which is what
         lets the engine's aggregated output replace their result lists.
         """
-        harness_items = tuple(sorted(self.harness_kwargs.items()))
-        new, set_dict = object.__new__, object.__setattr__
-        out: List[RunSpec] = []
-        for config in self.configs:
-            for stage in self.stages:
-                # The seeds of one (config, stage) differ only in index
-                # and seed: give each a copy of one constructed spec's
-                # fields instead of re-running the frozen dataclass
-                # __init__ (a guarded setattr per field) for every seed
-                # of a large sweep.
-                fields = vars(
-                    RunSpec(
-                        kind=self.kind,
-                        index=0,
-                        config=config,
-                        stage=stage,
-                        seed=0,
-                        beats=self.beats,
-                        background=self.background,
-                        detect_timeout=self.detect_timeout,
-                        recovery_timeout=self.recovery_timeout,
-                        harness_kwargs=harness_items,
-                        size=self.size,
-                        outstanding=self.outstanding,
-                        reorder_depth=self.reorder_depth,
-                    )
-                )
-                for seed in self.seeds:
-                    run_fields = fields.copy()
-                    run_fields["index"] = len(out)
-                    run_fields["seed"] = seed
-                    run = new(RunSpec)
-                    set_dict(run, "__dict__", run_fields)
-                    out.append(run)
-        return out
+        return [run for point in self.points() for run in point]
 
     def canonical_view(self) -> Dict[str, Any]:
-        """The spec as plain data, sharing this spec's lists and dicts:
-        for a reader that only serializes it (the streamed export)."""
-        return {
-            "kind": self.kind,
-            "configs": self.configs,
-            "stages": self.stages,
-            "beats": self.beats,
-            "seeds": self.seeds,
-            "background": self.background,
-            "detect_timeout": self.detect_timeout,
-            "recovery_timeout": self.recovery_timeout,
-            "harness_kwargs": dict(sorted(self.harness_kwargs.items())),
-            "size": self.size,
-            "outstanding": self.outstanding,
-            "reorder_depth": self.reorder_depth,
-        }
+        """The spec's fields as plain data, harness kwargs in key order,
+        sharing this spec's lists and dicts: for a reader that only
+        serializes it (the streamed export)."""
+        harness_kwargs = dict(sorted(self.harness_kwargs.items()))
+        return dict(vars(self), harness_kwargs=harness_kwargs)
 
     def canonical_dict(self) -> Dict[str, Any]:
         """The spec as plain data, suitable for hashing and archiving.

@@ -203,28 +203,14 @@ class ResultStore:
         race a put and the store keeps exactly one row — whichever
         committed first — without either writer failing.
         """
-        key = run.param_key()
-        payload = json.dumps(result_to_dict(result), sort_keys=True)
-        with self._lock:
-            with self._db:
-                cursor = self._db.execute(
-                    "INSERT OR IGNORE INTO results "
-                    "(param_key, run_id, format, payload) VALUES (?, ?, ?, ?)",
-                    (key, run.run_id, STORE_FORMAT, payload),
-                )
-            inserted = cursor.rowcount > 0
-        self._remember(key, result)
-        self._count("store.put" if inserted else "store.duplicate")
-        return inserted
+        return self.put_many([run], [result]) == 1
 
     def put_many(self, runs: Sequence[RunSpec], results: Sequence) -> int:
         """Record each of *results* for its run of *runs* in one
         transaction; returns how many keys were new.
 
-        The same rows, counts and hot-tier order as ``put`` called for
-        each pair in turn: the first result for a key still wins, a
-        later one — in this call or before it — counts as
-        ``store.duplicate``.
+        The first result for a key wins, and a later one — in this call
+        or before it — counts as ``store.duplicate``.
         """
         keys = [run.param_key() for run in runs]
         rows = [

@@ -150,6 +150,28 @@ def test_streamed_campaign_json_with_spec():
     assert text == to_json(campaign_dict(results, spec=spec))
 
 
+def test_streamed_campaign_json_with_a_thousand_seed_spec():
+    # The spec block writes its seeds and stages through C-level joins:
+    # still the text of the indenting encoder, nested config included.
+    # Only the spec block is under test, so the rows are a short list.
+    from repro.orchestrate import CampaignSpec
+
+    spec = CampaignSpec.ip(
+        [full_config(budgets=fast_budgets(), prescale_step=4)],
+        (InjectionStage.AW_READY_MISSING, InjectionStage.WLAST_TO_BVALID),
+        beats=4,
+        seeds=[0, *range(1100, 1, -1)],
+        harness_kwargs={"sim_strategy": "dirty"},
+    )
+    results = _ip_results()
+    text, _count = _stream(results, spec=spec)
+    # Compared as a flag: pytest's diff of two long, similar texts
+    # would take minutes to render.
+    identical = text == to_json(campaign_dict(results, spec=spec))
+    assert identical
+    assert text.count("\n      1100,\n") == 1
+
+
 def test_streamed_campaign_json_system_results():
     from repro.soc.experiment import run_fig11
 

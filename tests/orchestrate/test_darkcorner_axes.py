@@ -70,9 +70,7 @@ def test_axes_are_part_of_run_identity():
         [config, config], STAGES, beats=4, seeds=range(8), **AXES
     )
     executor = BatchExecutor()
-    packs = [indices for indices, _ in executor.map(
-        [spec.runs()[start : start + 8] for start in range(0, 32, 8)]
-    )]
+    packs = [indices for indices, _ in executor.map(spec.points())]
     assert sorted(i for indices in packs for i in indices) == list(range(32))
     assert all(len({i // 8 for i in indices}) == 1 for indices in packs)
     assert executor.stats.derived > 0

@@ -25,6 +25,7 @@ from repro.orchestrate import (
     Pack,
     ProgressReporter,
     ResultStore,
+    RunSpec,
     SerialExecutor,
     WorkerPoolExecutor,
     default_workers,
@@ -263,6 +264,30 @@ def test_fig11_batch_sweep_yields_one_item_per_pack():
     assert batch.stats.packs == 2 * len(FIG11_STAGES)
     assert counting.items == [1, 1, 1, 61] * batch.stats.packs
     assert batch.stats.derived == len(results) - batch.stats.simulated
+
+
+def test_fig11_sweep_builds_a_run_spec_per_simulated_lane(monkeypatch):
+    # Planning is per point: seed 0 retires (its onset is too early) and
+    # one leader per (variant, stage) simulates; the other 62 lanes of
+    # each point are seed deltas, never built as RunSpecs.
+    from repro.orchestrate import spec as spec_module
+
+    spec = CampaignSpec.system(
+        (Variant.FULL, Variant.TINY), FIG11_STAGES, seeds=(0, *range(2, 65))
+    )
+    built = []
+
+    class CountedRunSpec(RunSpec):
+        def __new__(cls, *args, **kwargs):
+            built.append(cls)
+            return super().__new__(cls)
+
+    monkeypatch.setattr(spec_module, "RunSpec", CountedRunSpec)
+    executor = BatchExecutor()
+    results = run_campaign_spec(spec, executor=executor)
+    assert len(results) == 2 * len(FIG11_STAGES) * 64
+    assert executor.stats.leaders + executor.stats.retired == 24
+    assert len(built) == 24
 
 
 def test_batch_counters_count_each_campaign_once():

@@ -29,12 +29,6 @@ def ip_spec(**kwargs):
     )
 
 
-def spec_points(spec):
-    """The spec's points: its runs in ``len(seeds)`` slices."""
-    runs, width = spec.runs(), len(spec.seeds)
-    return [runs[start : start + width] for start in range(0, len(runs), width)]
-
-
 # ----------------------------------------------------------------------
 # Config serialization
 # ----------------------------------------------------------------------
@@ -176,7 +170,7 @@ def test_system_spec_rejects_read_stages(stage):
 # ----------------------------------------------------------------------
 def test_plan_shards_partitions_in_order():
     spec = ip_spec(seeds=(0, 1, 2))
-    points = spec_points(spec)  # 4 points of 3 runs
+    points = spec.points()  # 4 points of 3 runs
     assert all(
         len({(run.config["variant"], run.stage) for run in point}) == 1
         for point in points
@@ -193,7 +187,7 @@ def test_plan_shards_partitions_in_order():
 
 def test_plan_shards_default_one_run_per_shard():
     # One point (the seeds of one config and stage) per shard.
-    points = spec_points(ip_spec(seeds=(0, 1)))
+    points = ip_spec(seeds=(0, 1)).points()
     shards = plan_shards(points)
     assert len(shards) == len(points)
     assert [list(shard.points) for shard in shards] == [[p] for p in points]
@@ -206,7 +200,7 @@ def test_planned_shards_are_ordinary_frozen_shards(shard_size):
 
     from repro.orchestrate.spec import Shard
 
-    points = spec_points(ip_spec(seeds=tuple(range(8))))  # 4 x 8 runs
+    points = ip_spec(seeds=tuple(range(8))).points()  # 4 x 8 runs
     shards = plan_shards(points, shard_size=shard_size)
     built = [
         Shard(index=shard.index, count=shard.count, points=tuple(shard.points))
@@ -222,7 +216,7 @@ def test_planned_shards_are_ordinary_frozen_shards(shard_size):
 
 def test_plan_shards_rejects_bad_size():
     with pytest.raises(ValueError):
-        plan_shards(ip_spec().runs(), shard_size=0)
+        plan_shards(ip_spec().points(), shard_size=0)
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Every executor's correctness leans on three invariants, so they get
 property coverage rather than examples:
 
-* shard planning is a **disjoint, complete partition** of the canonical
-  run list, with stable run IDs — what lets each run execute and be
-  stored exactly once per campaign;
+* a spec's **points enumerate exactly its runs**, before and after the
+  pool cuts them into seed slices, and shard planning is a **disjoint,
+  complete partition** of them, with stable run IDs — what lets each
+  run execute and be stored exactly once per campaign;
 * the **spec hash** is invariant to dict key order (two processes
   building "the same" campaign label their exports alike) and
   sensitive to every parameter (no two sweeps share a label);
@@ -14,10 +15,15 @@ property coverage rather than examples:
   in the output.
 """
 
+import itertools
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.orchestrate import CampaignSpec, plan_shards, run_campaign_spec
+from repro.orchestrate import (
+    CampaignSpec, RunSpec, plan_shards, run_campaign_spec,
+)
+from repro.orchestrate.executor import slice_points
 
 STAGE_POOL = (
     "aw_stage_error",
@@ -36,8 +42,10 @@ config_extras = st.dictionaries(
 
 
 @st.composite
-def specs(draw):
-    """Small synthetic campaign specs spanning both kinds and all axes."""
+def specs(draw, seeds=st.lists(st.integers(0, 7), min_size=1, max_size=4,
+                               unique=True)):
+    """Small synthetic campaign specs spanning both kinds and all axes,
+    with seed lists drawn from *seeds*."""
     n_configs = draw(st.integers(1, 3))
     configs = [
         {"variant": draw(st.sampled_from(("full", "tiny"))), "n": i,
@@ -56,8 +64,7 @@ def specs(draw):
         configs=configs,
         stages=stages,
         beats=draw(st.integers(1, 250)),
-        seeds=list(draw(st.lists(st.integers(0, 7), min_size=1, max_size=4,
-                                 unique=True))),
+        seeds=list(draw(seeds)),
         background=draw(st.integers(0, 3)),
         detect_timeout=draw(st.integers(1, 50_000)),
         recovery_timeout=draw(st.integers(1, 10_000)),
@@ -74,12 +81,53 @@ def specs(draw):
 # ----------------------------------------------------------------------
 # Shard planning: disjoint, complete, stable
 # ----------------------------------------------------------------------
+#: Seed lists as users write them: unsorted, with duplicates, and with
+#: seeds 0 and 1, whose lanes the batch executor retires.
+raw_seeds = st.lists(st.integers(0, 9), min_size=1, max_size=6)
+
+
+def flat_runs(points):
+    """The runs of *points*, as (index, run_id, seed, param_key)."""
+    return [
+        (run.index, run.run_id, run.seed, run.param_key())
+        for point in points for run in point
+    ]
+
+
+@given(specs(seeds=raw_seeds), st.integers(1, 9))
+@settings(max_examples=60, deadline=None)
+def test_points_enumerate_exactly_the_runs(spec, count):
+    # The reference enumerates the sweep itself, each run built by the
+    # dataclass constructor.
+    harness_kwargs = tuple(sorted(spec.harness_kwargs.items()))
+    expected = [
+        RunSpec(
+            kind=spec.kind, index=index, config=config, stage=stage,
+            seed=seed, beats=spec.beats, background=spec.background,
+            detect_timeout=spec.detect_timeout,
+            recovery_timeout=spec.recovery_timeout,
+            harness_kwargs=harness_kwargs, size=spec.size,
+            outstanding=spec.outstanding, reorder_depth=spec.reorder_depth,
+        )
+        for index, (config, stage, seed) in enumerate(
+            itertools.product(spec.configs, spec.stages, spec.seeds)
+        )
+    ]
+    points = spec.points()
+    assert [run for point in points for run in point] == expected
+    assert spec.runs() == expected
+    assert flat_runs(points) == flat_runs([expected])
+    # The pool's seed slices are points of the same runs, in order.
+    sliced = slice_points(points, count)
+    assert flat_runs(sliced) == flat_runs([expected])
+    assert all(len(point) for point in sliced)
+
+
 @given(specs(), st.integers(1, 9))
 @settings(max_examples=60, deadline=None)
 def test_shard_plan_is_disjoint_complete_partition(spec, shard_size):
     runs = spec.runs()
-    width = len(spec.seeds)
-    points = [runs[start : start + width] for start in range(0, len(runs), width)]
+    points = spec.points()
     # Each point is one (config, stage) — every seed of it, in order.
     for number, point in enumerate(points):
         config, stage = divmod(number, len(spec.stages))

@@ -88,11 +88,30 @@ def test_campaign_command_sharded(capsys, tmp_path):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert "2 runs | 2 detected | 2 recovered" in out
-    assert "ip-000000-full-aw_stage_error-s0" in out
+    # One row per point: variant, stage, runs, detected, recovered and
+    # the latency minimum, median and maximum.
+    assert table_rows(out) == [
+        ["full", "aw_stage_error", "1", "1", "1", "16", "16", "16"],
+        ["full", "wlast_bvalid_error", "1", "1", "1", "32", "32", "32"],
+    ]
     assert (tmp_path / "campaign.json").exists()
     # Second invocation is served from the store, byte-identically.
     assert main(args[:-2]) == 0
-    assert "2 runs | 2 detected | 2 recovered" in capsys.readouterr().out
+    assert capsys.readouterr().out == out.replace(
+        f"wrote {tmp_path / 'campaign.json'}\n", ""
+    )
+
+
+def table_rows(out):
+    """The cells of the rows of the table *out* prints."""
+    lines = out.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("variant"))
+    rows = []
+    for line in lines[header + 2 :]:
+        if " runs | " in line:
+            return rows
+        rows.append([cell.strip() for cell in line.split(" | ")])
+    raise AssertionError(f"no summary line in {out!r}")
 
 
 def test_campaign_system_kind(capsys):
@@ -102,7 +121,27 @@ def test_campaign_system_kind(capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "system-000000-full-aw_stage_error-s0" in out
+    assert table_rows(out) == [
+        ["full", "aw_stage_error", "1", "1", "1", "10", "10", "10"],
+    ]
+
+
+def test_campaign_table_has_one_row_per_point(capsys):
+    # Eight seeds: seeds 0 and 1 retire, seed 2 leads, five lanes are
+    # derived, and each point is still one row.
+    code = main(
+        ["campaign", "--kind", "system", "--stage", "aw_stage_error",
+         "--stage", "w_stage_timeout", "--beats", "16", "--seeds", "8"]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    rows = table_rows(out)
+    assert [row[:5] for row in rows] == [
+        [variant, stage, "8", "8", "8"]
+        for variant in ("full", "tiny")
+        for stage in ("aw_stage_error", "w_stage_timeout")
+    ]
+    assert "32 runs | 32 detected | 32 recovered" in out
 
 
 def test_fig11_workers_flag_matches_serial(capsys):
