@@ -1,22 +1,6 @@
 """AXI4 protocol substrate: types, channels, managers, subordinates."""
 
-from .addrspace import AddressSpace, Region
-from .channels import ArBeat, AwBeat, BBeat, RBeat, WBeat, remap_id
-from .id_remap import IdRemapTable
-from .interface import AxiInterface
-from .manager import CompletedTransaction, Manager, ManagerFaults
-from .memory import SparseMemory
-from .subordinate import Subordinate, SubordinateFaults
-from .traffic import (
-    RandomTraffic,
-    TransactionSpec,
-    chained_bursts,
-    dma_stream,
-    ethernet_frame_spec,
-    read_spec,
-    write_spec,
-)
-from .types import AxiDir, BurstType, Resp
+from .._lazy import lazy_exports
 
 __all__ = [
     "AddressSpace",
@@ -46,3 +30,25 @@ __all__ = [
     "remap_id",
     "write_spec",
 ]
+
+_EXPORTS = {
+    "addrspace": ("AddressSpace", "Region"),
+    "channels": ("ArBeat", "AwBeat", "BBeat", "RBeat", "WBeat", "remap_id"),
+    "id_remap": ("IdRemapTable",),
+    "interface": ("AxiInterface",),
+    "manager": ("CompletedTransaction", "Manager", "ManagerFaults"),
+    "memory": ("SparseMemory",),
+    "subordinate": ("Subordinate", "SubordinateFaults"),
+    "traffic": (
+        "RandomTraffic",
+        "TransactionSpec",
+        "chained_bursts",
+        "dma_stream",
+        "ethernet_frame_spec",
+        "read_spec",
+        "write_spec",
+    ),
+    "types": ("AxiDir", "BurstType", "Resp"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

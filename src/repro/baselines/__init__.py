@@ -1,16 +1,6 @@
 """Baseline monitors from the paper's Table II comparison."""
 
-from .axichecker import AxiChecker
-from .features import (
-    TABLE2_COLUMNS,
-    MonitorProfile,
-    implemented_profiles,
-    table2_profiles,
-)
-from .firewall import AxiFirewall, FirewallRule
-from .perf_monitor import AxiPerfMonitor, TrafficCounters
-from .watchdog import Sp805Watchdog
-from .xilinx_timeout import XilinxStyleTimeout
+from .._lazy import lazy_exports
 
 __all__ = [
     "AxiChecker",
@@ -25,3 +15,19 @@ __all__ = [
     "implemented_profiles",
     "table2_profiles",
 ]
+
+_EXPORTS = {
+    "axichecker": ("AxiChecker",),
+    "features": (
+        "TABLE2_COLUMNS",
+        "MonitorProfile",
+        "implemented_profiles",
+        "table2_profiles",
+    ),
+    "firewall": ("AxiFirewall", "FirewallRule"),
+    "perf_monitor": ("AxiPerfMonitor", "TrafficCounters"),
+    "watchdog": ("Sp805Watchdog",),
+    "xilinx_timeout": ("XilinxStyleTimeout",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -42,28 +42,16 @@ import collections
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .analysis.export import outcome_counts, write_campaign_json
-from .analysis.report import render_series, render_table
-from .area.gf12 import REFERENCE_PRESCALE_STEP
-from .area.model import estimate_area, prescaler_saving
-from .axi.types import axsize_of
-from .baselines.features import TABLE2_COLUMNS, table2_profiles
-from .faults.campaign import measure_stall_detection_latency, run_campaign
 from .faults.types import FIG9_WRITE_STAGES, InjectionStage
-from .orchestrate import CampaignSpec, default_workers, run_campaign_spec
-from .orchestrate.spec import validate_axes
-from .soc.experiment import FIG11_LABELS, FIG11_STAGES, run_fig11
-from .telemetry import (
-    KernelTracer,
-    read_telemetry,
-    setup_logging,
-    write_chrome_trace,
-    write_telemetry,
-)
-from .tmu.budget import AdaptiveBudgetPolicy, PhaseBudgets, SpanBudgets
 from .tmu.config import TmuConfig, Variant
+
+if TYPE_CHECKING:
+    from .orchestrate.spec import CampaignSpec
+
+# Every other import is made by the handler that needs it, so a command
+# (and ``--help``) pays start-up time only for what it runs.
 
 
 def _variant(value: str) -> Variant:
@@ -112,6 +100,8 @@ def _check_run_args(args) -> None:
     """Reject, before anything simulates, a bad ``REPRO_WORKERS``, an
     output path the run could not honour, or a trace of a process pool
     (``ValueError``)."""
+    from .orchestrate.executor import default_workers
+
     workers = default_workers() if args.workers is None else args.workers
     if getattr(args, "trace", None) is not None and workers > 1:
         raise ValueError(
@@ -132,6 +122,9 @@ def _check_run_args(args) -> None:
 
 
 def cmd_area(args) -> int:
+    from .analysis.report import render_table
+    from .area.model import estimate_area
+
     report = estimate_area(
         args.variant, args.outstanding, args.step, sticky=not args.no_sticky
     )
@@ -150,6 +143,11 @@ def cmd_area(args) -> int:
 
 
 def cmd_inject(args) -> int:
+    from .analysis.report import render_table
+    from .faults.campaign import run_campaign
+    from .orchestrate.spec import validate_axes
+    from .telemetry.tracer import KernelTracer, write_chrome_trace
+
     try:
         _check_run_args(args)
         validate_axes("ip", args.beats)
@@ -212,6 +210,10 @@ def cmd_inject(args) -> int:
 
 
 def cmd_fig7(args) -> int:
+    from .analysis.report import render_series
+    from .area.gf12 import REFERENCE_PRESCALE_STEP
+    from .area.model import estimate_area, prescaler_saving
+
     capacities = [1, 2, 4, 8, 16, 32, 64, 128]
     series = []
     for variant, label in ((Variant.TINY, "Tc"), (Variant.FULL, "Fc")):
@@ -246,6 +248,11 @@ def cmd_fig7(args) -> int:
 
 
 def cmd_fig8(args) -> int:
+    from .analysis.report import render_series
+    from .area.model import estimate_area
+    from .faults.campaign import measure_stall_detection_latency
+    from .tmu.budget import AdaptiveBudgetPolicy, PhaseBudgets, SpanBudgets
+
     steps = [1, 2, 4, 8, 16, 32, 64, 128]
     budget = args.budget
     budgets = AdaptiveBudgetPolicy(
@@ -284,6 +291,12 @@ def cmd_fig8(args) -> int:
 
 
 def cmd_fig11(args) -> int:
+    from .analysis.export import outcome_counts
+    from .analysis.report import render_table
+    from .orchestrate.spec import CampaignSpec
+    from .soc.experiment import FIG11_LABELS, FIG11_STAGES, run_fig11
+    from .telemetry.metrics import write_telemetry
+
     seeds = tuple(range(args.seeds))
     axes = _dark_corner_kwargs(args)
     try:
@@ -330,6 +343,9 @@ def cmd_fig11(args) -> int:
 
 
 def _campaign_spec(args) -> CampaignSpec:
+    from .orchestrate.spec import CampaignSpec
+    from .soc.experiment import FIG11_STAGES
+
     variants = args.variants or [Variant.FULL, Variant.TINY]
     axes = _dark_corner_kwargs(args)
     if args.kind == "system":
@@ -356,6 +372,8 @@ def _point_rows(spec: CampaignSpec, results):
     """One table row per point of *spec*, from its ``(leader, deltas)``
     blocks: a derived lane's flags and latencies are its leader's (both
     of its stamps shift), so no lane is materialized."""
+    from .analysis.export import outcome_counts
+
     for point in spec.points():
         lanes = results[point.indices.start : point.indices.stop]
         latencies = []
@@ -375,6 +393,11 @@ def _point_rows(spec: CampaignSpec, results):
 
 
 def cmd_campaign(args) -> int:
+    from .analysis.export import outcome_counts, write_campaign_json
+    from .analysis.report import render_table
+    from .orchestrate.engine import run_campaign_spec
+    from .telemetry.metrics import write_telemetry
+
     try:
         _check_run_args(args)
         spec = _campaign_spec(args)
@@ -419,6 +442,9 @@ def cmd_campaign(args) -> int:
 
 def cmd_report(args) -> int:
     """Print a ``telemetry.json`` artifact's counters as a table."""
+    from .analysis.report import render_table
+    from .telemetry.metrics import read_telemetry
+
     try:
         metrics = read_telemetry(args.telemetry)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -435,8 +461,14 @@ def cmd_report(args) -> int:
 
 def cmd_store_stats(args) -> int:
     """Point-in-time accounting of a result store's tiers."""
-    from .orchestrate.store import ResultStore
+    from .analysis.report import render_table
+    from .orchestrate.store import DB_NAME, ResultStore
 
+    # Opening a store creates it: a mistyped path must not report an
+    # empty store.
+    if not (Path(args.root) / DB_NAME).is_file():
+        print(f"error: no result store at {args.root}", file=sys.stderr)
+        return 2
     with ResultStore.open(args.root) as store:
         stats = store.stats()
     if args.json_output:
@@ -448,6 +480,9 @@ def cmd_store_stats(args) -> int:
 
 
 def cmd_table2(args) -> int:
+    from .analysis.report import render_table
+    from .baselines.features import TABLE2_COLUMNS, table2_profiles
+
     print(
         render_table(
             TABLE2_COLUMNS,
@@ -648,6 +683,8 @@ def _add_dark_corner_axes(parser: argparse.ArgumentParser) -> None:
 
 def _dark_corner_kwargs(args) -> dict:
     """size/outstanding/reorder_depth kwargs from parsed dark-corner args."""
+    from .axi.types import axsize_of
+
     return {
         "size": 3 if args.narrow is None else axsize_of(args.narrow),
         "outstanding": args.outstanding,
@@ -683,6 +720,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.log_level or args.log_json:
+        from .telemetry.logs import setup_logging
+
         setup_logging(args.log_level or "warning", json_lines=args.log_json)
     return args.func(args)
 

@@ -1,15 +1,6 @@
 """Fault injection: stages, signal forcing, campaign runner."""
 
-from .campaign import (
-    InjectionResult,
-    IpHarness,
-    apply_stage_fault,
-    measure_stall_detection_latency,
-    run_campaign,
-    run_injection,
-)
-from .injector import ChannelForce, FaultInjector
-from .types import FIG9_WRITE_STAGES, FaultSite, InjectionStage
+from .._lazy import lazy_exports
 
 __all__ = [
     "ChannelForce",
@@ -24,3 +15,18 @@ __all__ = [
     "run_campaign",
     "run_injection",
 ]
+
+_EXPORTS = {
+    "campaign": (
+        "InjectionResult",
+        "IpHarness",
+        "apply_stage_fault",
+        "measure_stall_detection_latency",
+        "run_campaign",
+        "run_injection",
+    ),
+    "injector": ("ChannelForce", "FaultInjector"),
+    "types": ("FIG9_WRITE_STAGES", "FaultSite", "InjectionStage"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

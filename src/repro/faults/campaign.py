@@ -25,6 +25,8 @@ from ..axi.manager import Manager
 from ..axi.subordinate import Subordinate
 from ..axi.traffic import read_spec, write_spec
 from ..axi.types import AxiDir, bytes_per_beat
+from ..orchestrate.engine import run_campaign_spec
+from ..orchestrate.spec import CampaignSpec, validate_axes
 from ..sim.kernel import Simulator
 from ..soc.reset_unit import ResetUnit
 from ..tmu.config import TmuConfig
@@ -385,11 +387,6 @@ def run_injection(
     and *issue_delay* must not be negative: a value no campaign could
     run raises ``ValueError`` before anything is simulated.
     """
-    # Imported here: repro.orchestrate.spec imports the repro.faults
-    # package, which imports this module, so a module-level import would
-    # cycle.
-    from ..orchestrate.spec import validate_axes
-
     validate_axes(
         "ip", beats, reorder_depth, stages=(stage,), size=size,
         outstanding=outstanding, detect_timeout=detect_timeout,
@@ -470,10 +467,6 @@ def run_campaign(
     :class:`AdaptiveBudgetPolicy` subclass) has no spec and raises the
     same error; :func:`run_injection` runs it.
     """
-    # Imported here: the orchestrator's executor imports run_injection
-    # from this module, so a top-level import would cycle.
-    from ..orchestrate import CampaignSpec, run_campaign_spec
-
     spec = CampaignSpec.ip(
         configs,
         stages,

@@ -33,25 +33,7 @@ Layers (one module each):
 ``python -m repro campaign`` exposes it from the shell.
 """
 
-from .batch import BatchExecutor, BatchStats, Pack, SerialExecutor
-from .engine import CampaignResults, run_campaign_spec
-from .executor import (
-    WorkerPoolExecutor,
-    default_workers,
-    execute_run,
-    execute_shard,
-    make_executor,
-)
-from .progress import ProgressReporter
-from .serialize import (
-    SpecSerializationError,
-    config_from_dict,
-    config_to_dict,
-    result_from_dict,
-    result_to_dict,
-)
-from .spec import CampaignSpec, RunSpec, Shard, plan_shards
-from .store import STORE_FORMAT, ResultStore
+from .._lazy import lazy_exports
 
 __all__ = [
     "BatchExecutor",
@@ -78,3 +60,27 @@ __all__ = [
     "result_to_dict",
     "run_campaign_spec",
 ]
+
+_EXPORTS = {
+    "batch": ("BatchExecutor", "BatchStats", "Pack", "SerialExecutor"),
+    "engine": ("CampaignResults", "run_campaign_spec"),
+    "executor": (
+        "WorkerPoolExecutor",
+        "default_workers",
+        "execute_run",
+        "execute_shard",
+        "make_executor",
+    ),
+    "progress": ("ProgressReporter",),
+    "serialize": (
+        "SpecSerializationError",
+        "config_from_dict",
+        "config_to_dict",
+        "result_from_dict",
+        "result_to_dict",
+    ),
+    "spec": ("CampaignSpec", "RunSpec", "Shard", "plan_shards"),
+    "store": ("STORE_FORMAT", "ResultStore"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -27,6 +27,9 @@ import json
 import os
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
+from ..faults.types import InjectionStage
+from ..tmu.config import Variant
+from .serialize import config_from_dict
 from .spec import Point, RunSpec, Shard, plan_shards
 
 if TYPE_CHECKING:
@@ -74,12 +77,11 @@ def harness_key(run, config_text: Optional[str] = None) -> Tuple:
 
 def build_harness(run):
     """A freshly built harness (IP harness or SoC) for *run*."""
-    # Imported lazily: this module is imported by repro.faults.campaign
-    # (via the orchestrate package), so top-level imports of the
-    # runners would cycle.
+    # The runners are imported at call time: repro.faults.campaign and
+    # repro.soc.experiment import the engine, which imports this module,
+    # so module-level imports of them would cycle.
     if run.kind == "ip":
         from ..faults.campaign import build_ip_harness
-        from .serialize import config_from_dict
 
         return build_ip_harness(
             config_from_dict(run.config),
@@ -87,7 +89,6 @@ def build_harness(run):
             run.reorder_depth,
         )
     from ..soc.experiment import build_system_soc
-    from ..tmu.config import Variant
 
     return build_system_soc(
         Variant(run.config["variant"]),
@@ -143,8 +144,6 @@ def execute_run(run: RunSpec, trace=None, cache: Optional[HarnessCache] = None):
     lockstep batch executor uses it to collect inert-prefix evidence
     from pack leaders.
     """
-    from ..faults.types import InjectionStage
-
     harness = build_harness(run) if cache is None else cache.get(run)
     if trace is not None:
         harness.sim.add_probe(trace)

@@ -114,8 +114,8 @@ def run_param_dict(run) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 def result_to_dict(result) -> Dict[str, Any]:
     """Full-fidelity dict of an IP- or system-level injection result."""
-    # Imported here: the orchestrator is a layer above the runners, and
-    # the runners import it lazily for their parallel paths.
+    # Imported here: the runners import repro.orchestrate.spec, which
+    # imports this module, so module-level imports of them would cycle.
     from ..faults.campaign import InjectionResult
     from ..soc.experiment import SystemInjectionResult
 

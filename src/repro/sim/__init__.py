@@ -5,11 +5,7 @@ The kernel models synchronous digital hardware: every cycle, component
 then ``update()`` methods advance registered state at the clock edge.
 """
 
-from .batch import LeapTrace, lane_classes, lockstep_period, shift_cycles
-from .component import Component, DriveSensitiveState
-from .kernel import STRATEGIES, SchedulerDivergenceError, SettleError, Simulator
-from .signal import Channel, Wire
-from .vcd import VcdWriter
+from .._lazy import lazy_exports
 
 __all__ = [
     "Channel",
@@ -26,3 +22,18 @@ __all__ = [
     "VcdWriter",
     "Wire",
 ]
+
+_EXPORTS = {
+    "batch": ("LeapTrace", "lane_classes", "lockstep_period", "shift_cycles"),
+    "component": ("Component", "DriveSensitiveState"),
+    "kernel": (
+        "STRATEGIES",
+        "SchedulerDivergenceError",
+        "SettleError",
+        "Simulator",
+    ),
+    "signal": ("Channel", "Wire"),
+    "vcd": ("VcdWriter",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

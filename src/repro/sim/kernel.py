@@ -626,7 +626,11 @@ class Simulator:
         horizons: Dict[Component, int] = {}
         whole = True
         traffic = False
-        for component in awake:
+        # In schedule order, not set order: the loop may return at the
+        # first component that cannot stream, so the horizons queried
+        # must not depend on object ids.
+        ordered = sorted(awake, key=_BY_ORDER) if len(awake) > 1 else awake
+        for component in ordered:
             if component._streams:
                 span = component.stream_horizon(limit)
                 if span > 0:

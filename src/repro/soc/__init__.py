@@ -1,20 +1,6 @@
 """System-level substrate: the Cheshire-like SoC of the paper's Fig. 10."""
 
-from .cheshire import (
-    BOOTROM_BASE,
-    DRAM_BASE,
-    ETHERNET_BASE,
-    SYSTEM_FC_BUDGETS,
-    SYSTEM_TC_BUDGET,
-    CheshireSoC,
-    system_budget_policy,
-    system_tmu_config,
-)
-from .cpu import RecoveryCpu, RecoveryRecord
-from .dma import DmaDescriptor, DmaEngine
-from .ethernet import EthernetMac
-from .plic import Plic
-from .reset_unit import ResetUnit
+from .._lazy import lazy_exports
 
 __all__ = [
     "BOOTROM_BASE",
@@ -32,25 +18,6 @@ __all__ = [
     "SYSTEM_TC_BUDGET",
     "system_budget_policy",
     "system_tmu_config",
-]
-
-from .experiment import (  # noqa: E402 - appended exports
-    FIG11_LABELS,
-    FIG11_STAGES,
-    SystemInjectionResult,
-    run_fig11,
-    run_system_injection,
-)
-from .regbus import (  # noqa: E402
-    RegBusDemux,
-    RegBusMaster,
-    RegBusPort,
-    RegRequest,
-    RegResponse,
-    TmuRegbusAdapter,
-)
-
-__all__ += [
     "FIG11_LABELS",
     "FIG11_STAGES",
     "RegBusDemux",
@@ -63,3 +30,38 @@ __all__ += [
     "run_fig11",
     "run_system_injection",
 ]
+
+_EXPORTS = {
+    "cheshire": (
+        "BOOTROM_BASE",
+        "DRAM_BASE",
+        "ETHERNET_BASE",
+        "SYSTEM_FC_BUDGETS",
+        "SYSTEM_TC_BUDGET",
+        "CheshireSoC",
+        "system_budget_policy",
+        "system_tmu_config",
+    ),
+    "cpu": ("RecoveryCpu", "RecoveryRecord"),
+    "dma": ("DmaDescriptor", "DmaEngine"),
+    "ethernet": ("EthernetMac",),
+    "plic": ("Plic",),
+    "reset_unit": ("ResetUnit",),
+    "experiment": (
+        "FIG11_LABELS",
+        "FIG11_STAGES",
+        "SystemInjectionResult",
+        "run_fig11",
+        "run_system_injection",
+    ),
+    "regbus": (
+        "RegBusDemux",
+        "RegBusMaster",
+        "RegBusPort",
+        "RegRequest",
+        "RegResponse",
+        "TmuRegbusAdapter",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -13,7 +13,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Sequence
 
+from ..faults.campaign import drive_injection
 from ..faults.types import InjectionOutcome, InjectionStage
+from ..orchestrate.engine import run_campaign_spec
+from ..orchestrate.spec import CampaignSpec, validate_axes
 from ..tmu.config import Variant
 from .cheshire import CheshireSoC, system_tmu_config
 
@@ -132,12 +135,6 @@ def run_system_injection(
     run, or a read-path stage, raises ``ValueError`` before anything is
     simulated.
     """
-    # Imported here: repro.faults.campaign builds IP harnesses with the
-    # reset unit from this package, and repro.orchestrate.spec imports
-    # repro.faults, so module-level imports would cycle.
-    from ..faults.campaign import drive_injection
-    from ..orchestrate.spec import validate_axes
-
     validate_axes(
         "system", beats, reorder_depth, background, stages=(stage,),
         size=size, outstanding=outstanding, detect_timeout=detect_timeout,
@@ -216,8 +213,6 @@ def run_fig11(
     batch executor's derived lanes become result objects only when
     indexed, so a caller reading the seed-0 rows builds only those.
     """
-    from ..orchestrate import CampaignSpec, run_campaign_spec
-
     variants = (Variant.FULL, Variant.TINY)
     spec = CampaignSpec.system(
         variants,

@@ -20,9 +20,7 @@ measurement-only (enabling any of them never changes a figure):
 --log-json`` root logger setup.
 """
 
-from .metrics import read_telemetry, write_telemetry
-from .logs import setup_logging
-from .tracer import KernelTracer, Tracer, write_chrome_trace
+from .._lazy import lazy_exports
 
 __all__ = [
     "KernelTracer",
@@ -32,3 +30,11 @@ __all__ = [
     "write_chrome_trace",
     "write_telemetry",
 ]
+
+_EXPORTS = {
+    "metrics": ("read_telemetry", "write_telemetry"),
+    "logs": ("setup_logging",),
+    "tracer": ("KernelTracer", "Tracer", "write_chrome_trace"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,21 +1,6 @@
 """Transaction Monitoring Unit — the paper's primary contribution."""
 
-from .budget import (
-    AdaptiveBudgetPolicy,
-    FixedBudgetPolicy,
-    PhaseBudgets,
-    SpanBudgets,
-)
-from .config import TmuConfig, Variant, full_config, tiny_config
-from .counters import Prescaler, PrescaledCounter, counter_width, units_for
-from .events import ErrorLog, FaultEvent, FaultKind
-from .ott import LdEntry, OttFullError, OutstandingTransactionTable
-from .perf import LatencyHistogram, LatencyStat, PerfLog
-from .phases import ReadPhase, TxnSpan, WritePhase
-from .read_guard import ReadGuard
-from .registers import TmuRegisters
-from .unit import TmuState, TransactionMonitoringUnit
-from .write_guard import WriteGuard
+from .._lazy import lazy_exports
 
 __all__ = [
     "AdaptiveBudgetPolicy",
@@ -48,3 +33,29 @@ __all__ = [
     "tiny_config",
     "units_for",
 ]
+
+_EXPORTS = {
+    "budget": (
+        "AdaptiveBudgetPolicy",
+        "FixedBudgetPolicy",
+        "PhaseBudgets",
+        "SpanBudgets",
+    ),
+    "config": ("TmuConfig", "Variant", "full_config", "tiny_config"),
+    "counters": (
+        "Prescaler",
+        "PrescaledCounter",
+        "counter_width",
+        "units_for",
+    ),
+    "events": ("ErrorLog", "FaultEvent", "FaultKind"),
+    "ott": ("LdEntry", "OttFullError", "OutstandingTransactionTable"),
+    "perf": ("LatencyHistogram", "LatencyStat", "PerfLog"),
+    "phases": ("ReadPhase", "TxnSpan", "WritePhase"),
+    "read_guard": ("ReadGuard",),
+    "registers": ("TmuRegisters",),
+    "unit": ("TmuState", "TransactionMonitoringUnit"),
+    "write_guard": ("WriteGuard",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

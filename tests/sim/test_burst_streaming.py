@@ -462,3 +462,32 @@ def test_change_tracking_pins_islands():
     sim.run(80)
     assert sim.island_cycles == 0
     assert stored_words(subordinate) == WORDS
+
+
+def test_stream_horizon_queries_repeat_across_identical_campaigns(monkeypatch):
+    # Each campaign builds fresh harnesses, so set order (object ids)
+    # differs between them; the horizons a stream attempt queries before
+    # it gives up must not.
+    from repro.orchestrate.engine import run_campaign_spec
+    from repro.orchestrate.spec import CampaignSpec
+    from repro.soc.experiment import FIG11_STAGES
+    from repro.tmu.counters import PrescaledCounter
+
+    calls = []
+    original = PrescaledCounter.edges_to_expiry
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PrescaledCounter, "edges_to_expiry", counting)
+    counts = []
+    for _ in range(4):
+        calls.clear()
+        spec = CampaignSpec.system(
+            (Variant.FULL, Variant.TINY), FIG11_STAGES, seeds=[0, 7]
+        )
+        list(run_campaign_spec(spec))
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts == counts[:1] * 4, counts

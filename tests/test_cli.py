@@ -182,11 +182,12 @@ def test_fig11_exits_1_when_any_run_is_unrecovered(
     capsys, monkeypatch, unrecovered, failed_row
 ):
     # The table quotes seed 0 alone, but the exit status and the counts
-    # line cover every seed of both series.
-    import repro.cli
+    # line cover every seed of both series.  The handler imports
+    # run_fig11 when it runs, so the patch goes on its defining module.
+    import repro.soc.experiment
 
     monkeypatch.setattr(
-        repro.cli, "run_fig11",
+        repro.soc.experiment, "run_fig11",
         lambda seeds, **kwargs: _fig11_series(len(seeds), unrecovered),
     )
     assert main(["fig11", "--seeds", "4"]) == 1
@@ -466,6 +467,15 @@ def test_store_stats_command(capsys, tmp_path):
     assert stats["warm_rows"] == 2
 
 
+def test_store_stats_on_a_missing_store_is_a_usage_error(capsys, tmp_path):
+    # Opening a store creates it: stats on a mistyped path must neither
+    # create one nor report it as empty.
+    missing = tmp_path / "no-such-store"
+    assert main(["store", "stats", str(missing)]) == 2
+    assert f"no result store at {missing}" in capsys.readouterr().err
+    assert not missing.exists()
+
+
 def test_campaign_artifacts_identical_across_hash_seeds_and_workers(tmp_path):
     # The campaign JSON and telemetry.json depend on the campaign alone:
     # not on str hashing (PYTHONHASHSEED) nor on the executor.
@@ -523,28 +533,44 @@ def test_batch_flags_compose_with_workers(capsys, tmp_path, extra):
     assert batched.read_bytes() == scalar.read_bytes()
 
 
-def test_cli_start_up_does_not_import_numpy():
-    # Every command pays the CLI's import time; numpy must stay off it.
+def test_cli_start_up_does_not_import_numpy(tmp_path):
+    """The start-up gate: a command imports what it runs.  Commands that
+    simulate nothing load neither numpy nor the store's sqlite3, the
+    pool's multiprocessing, the kernel or the orchestrator."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     import repro
+    from repro.telemetry.metrics import write_telemetry
 
+    telemetry = tmp_path / "telemetry.json"
+    write_telemetry({"runs": 1}, telemetry)
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")])
     )
     probe = (
-        "import sys, repro.cli; repro.cli.build_parser(); "
-        "sys.exit('numpy' in sys.modules)"
+        "import sys\n"
+        "from repro.cli import main\n"
+        "try:\n"
+        "    code = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "heavy = ('numpy', 'sqlite3', 'multiprocessing', 'repro.sim',\n"
+        "         'repro.orchestrate')\n"
+        "sys.exit(' '.join(name for name in heavy if name in sys.modules)\n"
+        "         or code)\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
-    )
-    assert done.returncode == 0, done.stderr or "numpy was imported"
+    for argv in (["--help"], ["area"], ["fig7"], ["table2"],
+                 ["report", "--telemetry", str(telemetry)]):
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, (argv, done.stderr)
 
 
 def test_deep_outstanding_drain_is_not_a_recovery_failure(capsys):
