@@ -22,9 +22,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..sim.component import Component
+from ..sim.component import Component, uncompared
 from .channels import BBeat, RBeat, remap_id
 from .interface import AxiInterface
 from .types import Resp
@@ -131,6 +131,35 @@ class Crossbar(Component):
     #: Pure arbitration over the channel wires — translation invariant.
     phase_period = 1
 
+    registered = {
+        # Routing and arbitration: W routes per manager, W owners per
+        # subordinate, round-robin pointers per port.
+        "_mgr_w_route": lambda self: [deque() for _ in self.managers],
+        "_sub_w_owner": lambda self: [deque() for _ in self.subordinates],
+        "_aw_rr": lambda self: [0] * len(self.subordinates),
+        "_ar_rr": lambda self: [0] * len(self.subordinates),
+        "_b_rr": lambda self: [0] * len(self.managers),
+        "_r_rr": lambda self: [0] * len(self.managers),
+        # Default-subordinate (DECERR) bookkeeping: extended IDs
+        # awaiting a DECERR B or R, and W beats left to drain.
+        "_decerr_b": deque,
+        "_decerr_r": deque,
+        "_decerr_w_drain": 0,
+        "decode_errors": 0,
+        # Same-ID ordering: outstanding targets per (manager, ID), one
+        # table per direction.  AXI4 requires same-ID responses in
+        # request order; the crossbar enforces it by granting a same-ID
+        # request only to the target its outstanding predecessors went
+        # to.
+        "_w_outstanding": dict,
+        "_r_outstanding": dict,
+        # Forwarded beat per destination channel: (source beat, beat
+        # driven), a pure function of its key (see _forward()); and the
+        # W plan, dropped whenever the W routes move.
+        "_fwd_memo": uncompared(dict),
+        "_w_plan_memo": uncompared(None),
+    }
+
     def __init__(
         self,
         name: str,
@@ -233,26 +262,6 @@ class Crossbar(Component):
             if mgr_w.payload is wire:
                 return (sub_w.payload,)
         return ()
-
-    def snapshot_state(self):
-        return (
-            tuple(tuple(queue) for queue in self._mgr_w_route),
-            tuple(tuple(queue) for queue in self._sub_w_owner),
-            tuple(self._aw_rr),
-            tuple(self._ar_rr),
-            tuple(self._b_rr),
-            tuple(self._r_rr),
-            tuple(self._decerr_b),
-            tuple(self._decerr_r),
-            self._decerr_w_drain,
-            self.decode_errors,
-            tuple(sorted(
-                (key, tuple(queue)) for key, queue in self._w_outstanding.items()
-            )),
-            tuple(sorted(
-                (key, tuple(queue)) for key, queue in self._r_outstanding.items()
-            )),
-        )
 
     def _schedule_channels(self, stale: int = ALL_CHANNELS) -> None:
         """Invalidate the per-channel drives that read moved state.
@@ -577,28 +586,3 @@ class Crossbar(Component):
             queue.popleft()
             if not queue:
                 del table[(m, txn_id)]
-
-    def reset(self) -> None:
-        n_mgr, n_sub = len(self.managers), len(self.subordinates)
-        # Registered routing/arbitration state.
-        self._mgr_w_route: List[Deque[int]] = [deque() for _ in range(n_mgr)]
-        self._sub_w_owner: List[Deque[int]] = [deque() for _ in range(n_sub)]
-        self._aw_rr = [0] * n_sub
-        self._ar_rr = [0] * n_sub
-        self._b_rr = [0] * n_mgr
-        self._r_rr = [0] * n_mgr
-        # Default-subordinate (DECERR) bookkeeping.
-        self._decerr_b: Deque[int] = deque()  # extended IDs awaiting DECERR B
-        self._decerr_r: Deque[int] = deque()
-        self._decerr_w_drain = 0
-        self.decode_errors = 0
-        # Same-ID ordering: outstanding target per (manager, ID, dir).
-        # AXI4 requires same-ID responses in request order; the crossbar
-        # enforces it by granting a same-ID request only to the target
-        # its outstanding predecessors went to.
-        self._w_outstanding: Dict[Tuple[int, int], Deque[int]] = {}
-        self._r_outstanding: Dict[Tuple[int, int], Deque[int]] = {}
-        # Forwarded beat per destination channel: (source beat, beat
-        # driven).  A pure function of its key; see _forward().
-        self._fwd_memo: Dict[object, Tuple[object, object]] = {}
-        self._w_plan_memo: Optional[tuple] = None

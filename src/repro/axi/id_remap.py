@@ -14,19 +14,25 @@ phase to compute the forwarded payload), while :meth:`acquire` /
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
+
+from ..sim.component import RegisteredState
 
 
-class IdRemapTable:
+class IdRemapTable(RegisteredState):
     """Reference-counted original-ID → compact-slot mapping."""
+
+    registered = {
+        "_slot_of": dict,
+        "_orig_of": lambda self: [None] * self.capacity,
+        "_refs": lambda self: [0] * self.capacity,
+    }
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._slot_of: Dict[int, int] = {}
-        self._orig_of: List[Optional[int]] = [None] * capacity
-        self._refs: List[int] = [0] * capacity
+        self.reset()
 
     # ------------------------------------------------------------------
     # Settle-phase (pure) queries
@@ -88,15 +94,5 @@ class IdRemapTable:
     def refs(self, slot: int) -> int:
         return self._refs[slot] if 0 <= slot < self.capacity else 0
 
-    def snapshot_state(self):
-        """Comparable copy of the full mapping state (verify diffs)."""
-        return (
-            tuple(sorted(self._slot_of.items())),
-            tuple(self._orig_of),
-            tuple(self._refs),
-        )
-
-    def clear(self) -> None:
-        self._slot_of.clear()
-        self._orig_of = [None] * self.capacity
-        self._refs = [0] * self.capacity
+    #: Fault recovery drops every mapping.
+    clear = RegisteredState.reset

@@ -12,9 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional
 
-from ..sim.component import Component, DriveSensitiveState
+from ..sim.component import (
+    Component,
+    DriveSensitiveState,
+    projected,
+    uncompared,
+)
 from .channels import ArBeat, AwBeat, BBeat, RBeat, WBeat
 from .interface import AxiInterface
 from .traffic import TransactionSpec
@@ -106,6 +111,46 @@ class Manager(Component):
     #: scoring) is relative to the submitting stimulus, so behaviour
     #: is invariant under any time shift of that stimulus.
     phase_period = 1
+
+    # The issue delays, the W inter-beat gap and the response-readiness
+    # polls advance by `elapsed = now - _stamp` (the stamp of the last
+    # accounted update), so a slept span is reconstructed exactly —
+    # always-on operation has elapsed == 1.  They are clock-derived; their
+    # visible transitions always happen in awake updates.
+    registered = {
+        "_aw_queue": deque,
+        "_ar_queue": deque,
+        "_aw_delay": uncompared(0),
+        "_ar_delay": uncompared(0),
+        "_w_pending": deque,
+        # (outstanding record, beat data, beat index) of the W burst
+        # being sent; verify compares the beat index.
+        "_w_active": projected(
+            None, lambda active: None if active is None else active[2]
+        ),
+        "_w_gap": uncompared(0),
+        # In-flight transactions per direction, keyed by ID (two tables
+        # rather than one keyed by (direction, ID): AxiDir hashes slowly).
+        "_writes_out": dict,
+        "_reads_out": dict,
+        "_inflight": 0,
+        "_b_wait": uncompared(0),
+        "_r_wait": uncompared(0),
+        "_cycle": uncompared(0),
+        "_stamp": uncompared(0),
+        # The scoreboard only grows: verify compares its length.
+        "completed": projected(list, len),
+        "surprises": projected(list, len),
+        # The beats drive() built: the AW/AR beat of a queue head (keyed
+        # by the spec object) and the W beat of a burst position (keyed
+        # by the ``_w_active`` tuple, replaced as the burst moves).
+        "_aw_memo_spec": uncompared(None),
+        "_aw_memo": uncompared(None),
+        "_ar_memo_spec": uncompared(None),
+        "_ar_memo": uncompared(None),
+        "_w_memo_position": uncompared(None),
+        "_w_memo": uncompared(None),
+    }
 
     def __init__(
         self,
@@ -282,21 +327,6 @@ class Manager(Component):
             if self._sim is not None:
                 self.wake_at(self._sim.cycle + (wake - now))
         return True
-
-    def snapshot_state(self):
-        # _cycle and the elapsed-ticked counters (issue delays, W gap,
-        # response polls) are clock-derived and deliberately excluded;
-        # their visible transitions always happen in awake updates.
-        return (
-            len(self._aw_queue),
-            len(self._ar_queue),
-            len(self._w_pending),
-            self._w_active is None,
-            self._w_active[2] if self._w_active is not None else -1,
-            self._inflight,
-            len(self.completed),
-            len(self.surprises),
-        )
 
     def _issue_allowed(self) -> bool:
         return (
@@ -605,39 +635,5 @@ class Manager(Component):
             )
 
     def reset(self) -> None:
-        self._aw_queue: Deque[TransactionSpec] = deque()
-        self._ar_queue: Deque[TransactionSpec] = deque()
-        self._aw_delay = 0
-        self._ar_delay = 0
-
-        self._w_pending: Deque[_Outstanding] = deque()
-        self._w_active: Optional[Tuple[_Outstanding, List[int], int]] = None
-        self._w_gap = 0
-
-        # In-flight transactions per direction, keyed by ID (two tables
-        # rather than one keyed by (direction, ID): AxiDir hashes slowly).
-        self._writes_out: Dict[int, Deque[_Outstanding]] = {}
-        self._reads_out: Dict[int, Deque[_Outstanding]] = {}
-        self._inflight = 0
-        self._b_wait = 0
-        self._r_wait = 0
-        self._cycle = 0
-        # Stamp of the last accounted update: issue delays, the W inter-
-        # beat gap and the response-readiness polls all advance by
-        # `elapsed = now - _stamp`, so slept spans reconstruct exactly
-        # (always-on operation has elapsed == 1).
-        self._stamp = 0
-
-        self.completed: List[CompletedTransaction] = []
-        self.surprises: List[str] = []
+        super().reset()
         self.faults.clear()
-
-        # The beats drive() built: the AW/AR beat of a queue head (keyed
-        # by the spec object) and the W beat of a burst position (keyed
-        # by the ``_w_active`` tuple, replaced as the burst moves).
-        self._aw_memo_spec: Optional[TransactionSpec] = None
-        self._aw_memo: Optional[AwBeat] = None
-        self._ar_memo_spec: Optional[TransactionSpec] = None
-        self._ar_memo: Optional[ArBeat] = None
-        self._w_memo_position: Optional[tuple] = None
-        self._w_memo: Optional[WBeat] = None

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Dict, Optional
 
-from ..sim.component import Component
+from ..sim.component import Component, projected, uncompared
 from .interface import AxiInterface
 from .types import (
     MAX_BURST_LEN,
@@ -202,6 +202,11 @@ class _Stability:
         return outcome
 
 
+def _queue_lengths(table):
+    """Verify's view of a per-ID table of pending bursts: its depths."""
+    return tuple(sorted((tid, len(queue)) for tid, queue in table.items()))
+
+
 class ProtocolChecker(Component):
     """Passive AXI4 rule checker attached to one interface.
 
@@ -216,6 +221,18 @@ class ProtocolChecker(Component):
         unbounded, but interconnects advertise a depth).  ``None``
         disables the check, so legal traffic never false-positives.
     """
+
+    registered = {
+        "violations": projected(list, len),
+        "_cycle": uncompared(0),  # violation stamps follow the clock
+        "_stab": projected(
+            lambda self: {ch: _Stability() for ch in ("aw", "w", "b", "ar", "r")},
+            lambda stab: tuple(watch.pending for watch in stab.values()),
+        ),
+        "_writes": projected(dict, _queue_lengths),
+        "_write_order": projected(deque, len),
+        "_reads": projected(dict, _queue_lengths),
+    }
 
     def __init__(
         self,
@@ -431,11 +448,3 @@ class ProtocolChecker(Component):
                 ERRS_RLAST_POSITION,
                 f"beat {head.beats_seen} of {head.beats} without rlast",
             )
-
-    def reset(self) -> None:
-        self.violations: List[RuleViolation] = []
-        self._cycle = 0
-        self._stab = {ch: _Stability() for ch in ("aw", "w", "b", "ar", "r")}
-        self._writes: Dict[int, Deque[_PendingWrite]] = {}
-        self._write_order: Deque[_PendingWrite] = deque()
-        self._reads: Dict[int, Deque[_PendingRead]] = {}

@@ -16,9 +16,15 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from collections import deque
-from typing import Deque, List, Optional
+from typing import List, Optional
 
-from ..sim.component import Component, DriveSensitiveState
+from ..sim.component import (
+    Component,
+    DriveSensitiveState,
+    power_on_writer,
+    projected,
+    uncompared,
+)
 from ..sim.signal import Wire
 from .channels import ArBeat, AwBeat, BBeat, RBeat
 from .interface import AxiInterface
@@ -173,6 +179,50 @@ class Subordinate(Component):
     #: Purely reactive: latency chains count from the request's
     #: arrival, never from absolute cycle numbers.
     phase_period = 1
+
+    #: In-flight state, which the hardware reset drops.  The ready-delay
+    #: polls and latency countdowns are clock-derived under the
+    #: timed-wake contract (they advance by `elapsed` and are replayed
+    #: exactly), so verify compares only the structural state — the
+    #: queues and indices whose movement needs a handshake.
+    in_flight = {
+        "_aw_wait": uncompared(0),
+        "_ar_wait": uncompared(0),
+        "_writes": projected(
+            deque, lambda jobs: tuple(job.index for job in jobs)
+        ),
+        # [id, countdown] per pending B response.
+        "_b_queue": projected(
+            deque, lambda queue: tuple(entry[0] for entry in queue)
+        ),
+        "_reads": projected(
+            deque, lambda jobs: tuple((job.ar.id, job.index) for job in jobs)
+        ),
+        "_r_rr": 0,
+        "_b_rr": 0,
+        # Response beats drive() built, re-driven as the same objects:
+        # the last B beat (a pure value), and the R beat of one
+        # (job, beat index), dropped on every memory store.
+        "_b_memo": uncompared(None),
+        "_r_memo": uncompared(None),
+    }
+    _drop_in_flight = power_on_writer(in_flight)
+    registered = {
+        **in_flight,
+        "_in_reset": False,
+        # Completion counters, kept across a hardware reset.  w_beats
+        # and r_beats count W beats accepted and R beats served.
+        "resets_taken": 0,
+        "writes_done": 0,
+        "reads_done": 0,
+        "w_beats": 0,
+        "r_beats": 0,
+        # Stamp of the last accounted update.  Every per-cycle counter
+        # (the ready-delay polls, the b/r latency countdowns) advances
+        # by `elapsed = now - _stamp` in update(), so a slept span is
+        # reconstructed exactly — always-on operation has elapsed == 1.
+        "_stamp": uncompared(0),
+    }
 
     def __init__(
         self,
@@ -341,26 +391,6 @@ class Subordinate(Component):
                 # wake - 1 == sim.cycle + (wake - now).
                 self.wake_at(self._sim.cycle + (wake - now))
         return True
-
-    def snapshot_state(self):
-        # The poll counters and latency countdowns are clock-derived
-        # under the timed-wake contract (they advance by `elapsed` and
-        # are replayed exactly), so only their *structural* state — the
-        # queues, indices and completion counts whose movement needs a
-        # handshake — is snapshotted for verify-strategy diffs.
-        return (
-            tuple(job.index for job in self._writes),
-            tuple(entry[0] for entry in self._b_queue),
-            tuple((job.ar.id, job.index) for job in self._reads),
-            self._r_rr,
-            self._b_rr,
-            self._in_reset,
-            self.resets_taken,
-            self.writes_done,
-            self.reads_done,
-            self.w_beats,
-            self.r_beats,
-        )
 
     # ------------------------------------------------------------------
     # Burst streaming
@@ -866,36 +896,11 @@ class Subordinate(Component):
 
     def _take_reset(self) -> None:
         """The hardware reset (``hw_reset``): drop every in-flight job
-        but keep the counters; power-on :meth:`reset` starts with it."""
-        self._aw_wait = 0
-        self._ar_wait = 0
-        self._writes: Deque[_WriteJob] = deque()
-        self._b_queue: Deque[List[int]] = deque()  # [id, countdown]
-        self._reads: Deque[_ReadJob] = deque()
-        self._r_rr = 0
-        self._b_rr = 0
-        # Response beats drive() built, re-driven as the same objects:
-        # the last B beat (a pure value), and the R beat of one
-        # (job, beat index), dropped on every memory store.
-        self._b_memo: Optional[BBeat] = None
-        self._r_memo: Optional[tuple] = None
+        but keep the counters."""
+        self._drop_in_flight()
         if self.reset_clears_faults:
             self.faults.clear()
 
     def reset(self) -> None:
-        self._take_reset()
-        if not self.reset_clears_faults:  # else _take_reset() cleared them
-            self.faults.clear()
-        self._in_reset = False
-        self.resets_taken = 0
-        self.writes_done = 0
-        self.reads_done = 0
-        #: W beats accepted and R beats served since the last reset().
-        self.w_beats = 0
-        self.r_beats = 0
-        # Stamp of the last accounted update.  Every per-cycle counter
-        # (the ready-delay polls, the b/r latency countdowns) advances
-        # by `elapsed = now - _stamp` in update(), so a slept span is
-        # reconstructed exactly — always-on operation has elapsed == 1
-        # and is bit-identical to the historical per-cycle ticks.
-        self._stamp = 0
+        super().reset()
+        self.faults.clear()

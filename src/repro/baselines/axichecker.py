@@ -27,6 +27,14 @@ class AxiChecker(Component):
     demand_driven = True
     demand_update = True
 
+    registered = {
+        # The rule library, rebuilt at power-on.
+        "_checker": lambda self: ProtocolChecker(
+            f"{self.name}.rules", self.bus, max_r_interleave=self.max_r_interleave
+        ),
+        "_error_state": False,
+    }
+
     def __init__(
         self,
         name: str,
@@ -36,9 +44,7 @@ class AxiChecker(Component):
     ) -> None:
         super().__init__(name)
         self.bus = bus
-        self._checker = ProtocolChecker(
-            f"{name}.rules", bus, max_r_interleave=max_r_interleave
-        )
+        self.max_r_interleave = max_r_interleave
         self.log_depth = log_depth
         self.error = Wire(f"{name}.error", False)
         self.reset()
@@ -76,21 +82,6 @@ class AxiChecker(Component):
             for ch in ("aw", "w", "b", "ar", "r")
         )
 
-    def snapshot_state(self):
-        checker = self._checker
-        return (
-            len(checker.violations),
-            self._error_state,
-            tuple(stab.pending for stab in checker._stab.values()),
-            tuple(sorted(
-                (tid, len(queue)) for tid, queue in checker._writes.items()
-            )),
-            len(checker._write_order),
-            tuple(sorted(
-                (tid, len(queue)) for tid, queue in checker._reads.items()
-            )),
-        )
-
     def drive(self) -> None:
         self.error.value = self._error_state
 
@@ -118,7 +109,3 @@ class AxiChecker(Component):
     def clear_error(self) -> None:
         self._error_state = False
         self.schedule_drive()
-
-    def reset(self) -> None:
-        self._checker.reset()
-        self._error_state = False

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Deque, List, Sequence
+from typing import Sequence
 
 from ..axi.channels import BBeat, RBeat
 from ..axi.interface import AxiInterface
@@ -47,6 +47,14 @@ class AxiFirewall(Component):
     demand_driven = True
     demand_update = True
 
+    registered = {
+        "rejected_writes": 0,
+        "rejected_reads": 0,
+        "_reject_b": deque,
+        "_reject_r": deque,
+        "_w_forward": deque,  # per accepted AW, in order: forwarded?
+    }
+
     def __init__(
         self,
         name: str,
@@ -79,15 +87,6 @@ class AxiFirewall(Component):
         # Queue movement needs a fired handshake, which needs a valid;
         # rejection responses keep host.b/host.r asserted until drained.
         return not any(wire._value for wire in self.update_inputs())
-
-    def snapshot_state(self):
-        return (
-            self.rejected_writes,
-            self.rejected_reads,
-            tuple(self._reject_b),
-            tuple(self._reject_r),
-            tuple(self._w_forward),
-        )
 
     # ------------------------------------------------------------------
     def drive(self) -> None:
@@ -186,10 +185,3 @@ class AxiFirewall(Component):
             changed = True
         if changed:
             self.schedule_drive()
-
-    def reset(self) -> None:
-        self.rejected_writes = 0
-        self.rejected_reads = 0
-        self._reject_b: Deque[int] = deque()
-        self._reject_r: Deque[int] = deque()
-        self._w_forward: Deque[bool] = deque()  # per accepted AW, in order

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Deque, Dict, List
+from typing import List
 
 from ..axi.interface import AxiInterface
-from ..sim.component import Component
+from ..sim.component import Component, projected, uncompared
 from ..tmu.perf import LatencyStat
 
 
@@ -27,6 +27,12 @@ class TrafficCounters:
     latency: LatencyStat = dataclasses.field(default_factory=LatencyStat)
 
 
+def _volumes(counters: TrafficCounters):
+    """Verify's view of one direction's counters (the latency statistic
+    moves with them)."""
+    return (counters.transactions, counters.beats, counters.bytes)
+
+
 class AxiPerfMonitor(Component):
     """Statistics-only observer on one AXI interface.
 
@@ -37,6 +43,21 @@ class AxiPerfMonitor(Component):
     """
 
     demand_update = True
+
+    registered = {
+        "write": projected(TrafficCounters, _volumes),
+        "read": projected(TrafficCounters, _volumes),
+        "_cycle": uncompared(0),
+        # Per-ID FIFO of address-handshake stamps, for latency pairing.
+        "_w_pending": dict,
+        "_r_pending": dict,
+        # Windowed throughput as a running (sum, count) pair — O(1) to
+        # fast-forward over skipped idle cycles, so clock-derived, like
+        # the history flushes idle cycles alone can drive.
+        "_window_sum": uncompared(0),
+        "_window_count": uncompared(0),
+        "_window_history": uncompared(list),
+    }
 
     def __init__(
         self, name: str, bus: AxiInterface, window: int = 1024
@@ -67,21 +88,6 @@ class AxiPerfMonitor(Component):
         return not any(
             ch.valid._value and ch.ready._value
             for ch in (bus.aw, bus.ar, bus.w, bus.b, bus.r)
-        )
-
-    def snapshot_state(self):
-        # The window accumulator and _cycle are clock-derived (resynced
-        # on wake) and excluded; window_history flushes driven purely by
-        # idle cycles are likewise reconstruction, not new information.
-        return (
-            self.write.transactions, self.write.beats, self.write.bytes,
-            self.read.transactions, self.read.beats, self.read.bytes,
-            tuple(sorted(
-                (tid, tuple(queue)) for tid, queue in self._w_pending.items()
-            )),
-            tuple(sorted(
-                (tid, tuple(queue)) for tid, queue in self._r_pending.items()
-            )),
         )
 
     @property
@@ -161,16 +167,3 @@ class AxiPerfMonitor(Component):
         if self._cycle == 0:
             return 0.0
         return (self.write.beats + self.read.beats) / self._cycle
-
-    def reset(self) -> None:
-        self.write = TrafficCounters()
-        self.read = TrafficCounters()
-        self._cycle = 0
-        # Per-ID FIFO of (start_cycle, bytes_per_beat) for latency pairing.
-        self._w_pending: Dict[int, Deque[int]] = {}
-        self._r_pending: Dict[int, Deque[int]] = {}
-        # Windowed throughput as a running (sum, count) pair — O(1) to
-        # fast-forward over skipped idle cycles.
-        self._window_sum = 0
-        self._window_count = 0
-        self._window_history: List[float] = []

@@ -8,7 +8,7 @@ profile (fault detection ✓ through liveness only, everything else ✗).
 
 from __future__ import annotations
 
-from ..sim.component import Component
+from ..sim.component import Component, uncompared
 from ..sim.signal import Wire
 
 
@@ -32,6 +32,21 @@ class Sp805Watchdog(Component):
 
     demand_driven = True
     demand_update = True
+
+    registered = {
+        "_enabled": True,
+        # Countdown as timestamps: the expiry update is stamped
+        # `_deadline`; `_stamp` is the last update (or software poke)
+        # already accounted, so `_deadline - _stamp` is the classical
+        # counter value.  _stamp is clock-derived; _deadline moves only
+        # on the expiry and software transitions verify must observe.
+        "_deadline": lambda self: self.load,
+        "_stamp": uncompared(0),
+        "_irq_state": False,
+        "_reset_state": False,
+        "interrupts_raised": 0,
+        "resets_raised": 0,
+    }
 
     def __init__(self, name: str, load: int = 1000) -> None:
         super().__init__(name)
@@ -117,18 +132,6 @@ class Sp805Watchdog(Component):
         # arms at its expiry stamp.
         return True
 
-    def snapshot_state(self):
-        # _stamp is clock-derived; _deadline moves only on the expiry /
-        # software transitions verify must observe.
-        return (
-            self._deadline,
-            self._enabled,
-            self._irq_state,
-            self._reset_state,
-            self.interrupts_raised,
-            self.resets_raised,
-        )
-
     def update(self) -> None:
         sim = self._sim
         now = sim.cycle + 1 if sim is not None else self._stamp + 1
@@ -154,16 +157,3 @@ class Sp805Watchdog(Component):
             self._reset_state = True
             self.resets_raised += 1
         self.schedule_drive()
-
-    def reset(self) -> None:
-        self._enabled = True
-        # Countdown as timestamps: the expiry update is stamped
-        # `_deadline`; `_stamp` is the last update (or software poke)
-        # already accounted, so `_deadline - _stamp` is the classical
-        # counter value.
-        self._deadline = self.load
-        self._stamp = 0
-        self._irq_state = False
-        self._reset_state = False
-        self.interrupts_raised = 0
-        self.resets_raised = 0

@@ -10,10 +10,8 @@ outstanding transactions beyond a counter.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from ..axi.interface import AxiInterface
-from ..sim.component import Component
+from ..sim.component import Component, uncompared
 from ..sim.signal import Wire
 
 
@@ -27,6 +25,20 @@ class XilinxStyleTimeout(Component):
 
     demand_driven = True
     demand_update = True
+
+    registered = {
+        "_outstanding_w": 0,
+        "_outstanding_r": 0,
+        # The shared stall timer as a timestamp: its classical value at
+        # update stamp `t` is `t - _stall_since`; None while rewound.
+        # A stalled-but-frozen interface is then a pure countdown, slept
+        # through under a timed wake at `_stall_since + window`.  It
+        # moves only on progress/engagement transitions.
+        "_stall_since": None,
+        "_irq_state": False,
+        "timeouts": list,
+        "_cycle": uncompared(0),  # timeout timestamps follow the clock
+    }
 
     def __init__(self, name: str, bus: AxiInterface, window: int = 256) -> None:
         super().__init__(name)
@@ -73,17 +85,6 @@ class XilinxStyleTimeout(Component):
             self.wake_at(self._sim.cycle + (expiry - self._cycle))
         return True
 
-    def snapshot_state(self):
-        # _cycle (timeout timestamps) is clock-derived and excluded;
-        # _stall_since moves only on progress/engagement transitions.
-        return (
-            self._outstanding_w,
-            self._outstanding_r,
-            self._stall_since,
-            self._irq_state,
-            tuple(self.timeouts),
-        )
-
     def drive(self) -> None:
         self.irq.value = self._irq_state
 
@@ -126,15 +127,3 @@ class XilinxStyleTimeout(Component):
         self.schedule_drive()
         # A still-stalled interface must re-engage the window timer.
         self.schedule_update()
-
-    def reset(self) -> None:
-        self._outstanding_w = 0
-        self._outstanding_r = 0
-        # The shared stall timer as a timestamp: its classical value at
-        # update stamp `t` is `t - _stall_since`; None while rewound.
-        # A stalled-but-frozen interface is then a pure countdown, slept
-        # through under a timed wake at `_stall_since + window`.
-        self._stall_since: Optional[int] = None
-        self._irq_state = False
-        self.timeouts: List[int] = []
-        self._cycle = 0

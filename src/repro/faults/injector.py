@@ -12,10 +12,10 @@ subordinate faults.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 from ..axi.interface import AxiInterface
-from ..sim.component import Component
+from ..sim.component import Component, projected
 
 PayloadMutator = Callable[[Any], Any]
 
@@ -61,6 +61,19 @@ class FaultInjector(Component):
 
     demand_driven = True
     demand_update = True
+
+    registered = {
+        "forces": lambda self: {
+            channel: ChannelForce() for channel in self.CHANNELS
+        },
+        # forced_cycles is accounted lazily against the clock: while a
+        # force is applied the count is `_forced_base + (now - since)`,
+        # so a forced-but-frozen interface needs no per-cycle update
+        # (its idle span can be leaped).  force()/release() move the
+        # base at the transitions; verify watches only those.
+        "_forced_base": 0,
+        "_forced_since": projected(None, lambda since: since is not None),
+    }
 
     def __init__(
         self, name: str, upstream: AxiInterface, downstream: AxiInterface
@@ -171,20 +184,3 @@ class FaultInjector(Component):
         # Pure passthrough state machine: force()/release() are the
         # only transitions, and both wake us explicitly.
         return True
-
-    def snapshot_state(self):
-        # The lazy count is a pure function of the clock between
-        # transitions; verify watches only the transition bookkeeping.
-        return (self._forced_base, self._forced_since is not None)
-
-    def reset(self) -> None:
-        self.forces: Dict[str, ChannelForce] = {
-            channel: ChannelForce() for channel in self.CHANNELS
-        }
-        # forced_cycles is accounted lazily against the clock: while a
-        # force is applied the count is `_forced_base + (now - since)`,
-        # so a forced-but-frozen interface needs no per-cycle update
-        # (its idle span can be leaped).  force()/release() move the
-        # base at the transitions.
-        self._forced_base = 0
-        self._forced_since: Optional[int] = None

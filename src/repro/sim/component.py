@@ -19,11 +19,27 @@ directly comparable with the paper's RTL measurements.
 Power-on state
 --------------
 
-:meth:`Component.reset` is the only place a component writes its
-registered state: ``__init__`` sets configuration and wiring, then
-calls ``self.reset()``.  A reset component is therefore exactly a fresh
-one, which is what lets a harness be reused through
-``Simulator.reset()``.  ``reset()`` schedules nothing;
+A component names each registered field once, in its class-level
+:attr:`~RegisteredState.registered` table: its power-on value and how
+``strategy="verify"`` compares it::
+
+    registered = {
+        "count": 0,                     # compared
+        "_queue": deque,                # compared, frozen to a tuple
+        "_rr": lambda self: [0] * len(self.ports),
+        "_stamp": uncompared(0),        # clock-derived
+        "_jobs": projected(deque, lambda jobs: tuple(j.index for j in jobs)),
+    }
+
+A power-on value is an immutable constant or a factory: a type is
+called with no argument, any other callable with the instance.  Tables
+merge along the MRO once per class, so ``reset()`` and
+``snapshot_state()`` do no introspection.  ``reset()`` is the only
+place registered state is written: ``__init__`` sets configuration and
+wiring, then calls it, so a reset component is exactly a fresh one —
+what lets a harness be reused through ``Simulator.reset()``.  An
+override adds only behaviour that is not a field (clearing a
+:class:`DriveSensitiveState` fault block) and schedules nothing;
 ``Simulator.reset()`` re-seeds every drive, demand update and timed
 wake right after it resets the components.
 
@@ -81,10 +97,11 @@ counters used for timestamps, free-running prescaler phases, windowed
 statistics over idle cycles — is exempt from the no-op requirement
 *provided* the component resynchronizes it from ``self._sim.cycle`` at
 the start of ``update()``; skipped spans are then reconstructed exactly
-on wake.  :meth:`snapshot_state` must exclude such clock-derived state,
-because ``Simulator(strategy="verify")`` replays the updates of every
-skipped component each cycle and raises ``SchedulerDivergenceError``
-when a replay moves the snapshot (an under-declared wake path).
+on wake.  Its table entry must be :func:`uncompared`, because
+``Simulator(strategy="verify")`` replays the updates of every skipped
+component each cycle and raises ``SchedulerDivergenceError`` when a
+replay moves the :meth:`~RegisteredState.snapshot_state` tuple (an
+under-declared wake path).
 
 Timed wakes
 -----------
@@ -165,9 +182,103 @@ components (:func:`repro.sim.batch.lockstep_period`).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from collections import deque
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .signal import Wire
+
+
+def freeze(value):
+    """*value* as a comparable copy: lists and deques become tuples, a
+    dict its sorted items, and a holder with a ``snapshot_state()`` (a
+    guard, a remap table) that snapshot, recursively."""
+    if isinstance(value, (list, deque, tuple)):
+        return tuple(map(freeze, value))
+    if isinstance(value, dict):
+        return tuple(sorted((key, freeze(item)) for key, item in value.items()))
+    snapshot = getattr(value, "snapshot_state", None)
+    return value if snapshot is None else snapshot()
+
+
+class _Field(NamedTuple):
+    power_on: Any
+    view: Optional[Callable[[Any], Any]]  # None: not compared
+
+
+def uncompared(power_on) -> _Field:
+    """A field verify does not compare: clock-derived state the owner
+    resyncs on wake, or a drive memo."""
+    return _Field(power_on, None)
+
+
+def projected(power_on, view: Callable[[Any], Any]) -> _Field:
+    """A field verify compares through ``view(value)``."""
+    return _Field(power_on, view)
+
+
+def _fields(table):
+    """``(name, power_on, view)`` per entry; a bare value is frozen."""
+    for name, spec in table.items():
+        yield (name, *spec) if isinstance(spec, _Field) else (name, spec, freeze)
+
+
+def power_on_writer(table):
+    """A function that writes *table*'s power-on values into the instance
+    it is called with (assigned in a class body, a method).
+
+    Generated once per table, as :mod:`dataclasses` generates
+    ``__init__``: one plain attribute store per field, so a reset costs
+    what hand-written assignments cost.  A ``setattr`` loop costs
+    several times as much per field, and writing through ``__dict__``
+    would slow every later attribute read of the instance.
+    """
+    namespace: dict = {}
+    lines = ["def write(self):", "    pass"]
+    for i, (name, power_on, _) in enumerate(_fields(table)):
+        namespace[f"_{i}"] = power_on
+        call = (
+            "()" if isinstance(power_on, type)
+            else "(self)" if callable(power_on) else ""
+        )
+        lines.append(f"    self.{name} = _{i}{call}")
+    exec("\n".join(lines), namespace)
+    return namespace["write"]
+
+
+class RegisteredState:
+    """Registered state declared once, in the :attr:`registered` table
+    (see "Power-on state" above).  Components inherit it; a holder that
+    is not a component (an ID remap table, a prescaler) mixes it in."""
+
+    #: Field name -> power-on value, :func:`uncompared` or :func:`projected`;
+    #: a class lists its own fields, and a base's entry may be replaced.
+    registered: dict = {}
+    _power_on = power_on_writer({})
+    _compared: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        table: dict = {}
+        for klass in reversed(cls.__mro__):
+            table.update(klass.__dict__.get("registered", ()))
+        cls._power_on = power_on_writer(table)
+        cls._compared = tuple(
+            (name, view) for name, _, view in _fields(table) if view is not None
+        )
+
+    def reset(self) -> None:
+        """Synchronous reset: write every registered field's power-on
+        value (see "Power-on state" above)."""
+        self._power_on()
+
+    def snapshot_state(self):
+        """The compared fields, frozen or projected, for verify's diff.
+
+        ``Simulator(strategy="verify")`` replays the update of every
+        skipped component and raises ``SchedulerDivergenceError`` when
+        the replay moves this snapshot.
+        """
+        return tuple([view(getattr(self, name)) for name, view in self._compared])
 
 
 class DriveSensitiveState:
@@ -201,7 +312,7 @@ class DriveSensitiveState:
         self._notify_owner()
 
 
-class Component:
+class Component(RegisteredState):
     """Base class for synchronous hardware models."""
 
     #: When True, the kernel only re-runs ``drive()`` after an input wire
@@ -295,20 +406,6 @@ class Component:
         """
         return False
 
-    def snapshot_state(self):
-        """Cheap, comparable snapshot of update-mutable registered state.
-
-        ``Simulator(strategy="verify")`` replays the update of every
-        skipped component and compares this snapshot before and after;
-        any difference raises ``SchedulerDivergenceError``.  Must copy
-        mutable containers (tuples of deque contents, not the deques)
-        and must *exclude* clock-derived state the component resyncs on
-        wake (cycle stamps, prescaler phases).  ``None`` (the default)
-        opts out of state diffing — scheduling side effects are still
-        checked.
-        """
-        return None
-
     def schedule_drive(self) -> None:
         """Mark this component's combinational outputs as possibly stale.
 
@@ -396,20 +493,6 @@ class Component:
 
     def update(self) -> None:
         """Sequential phase: commit registered state at the clock edge."""
-
-    def reset(self) -> None:
-        """Synchronous reset: write every registered-state field to its
-        power-on value.
-
-        The one place power-on state is written: ``__init__`` sets
-        configuration and wiring, then calls this, so a reset component
-        is indistinguishable from a fresh one.  Containers are created
-        here, not cleared; only objects wired to their owner are made
-        once in ``__init__``: wires, which the simulator resets, and a
-        :class:`DriveSensitiveState` fault block, which this clears.  It
-        schedules nothing: :meth:`Simulator.reset` re-seeds every drive,
-        demand update and timed wake right after.
-        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import List, Optional
+from typing import Optional
 
-from ..sim.component import Component
+from ..sim.component import Component, projected, uncompared
 from ..tmu.registers import REG_FAULT_KIND, REG_IRQ_CLEAR, REG_STATUS, TmuRegisters
 
 
@@ -54,6 +54,20 @@ class RecoveryCpu(Component):
     demand_update = True
     #: ISR latency counts down from the interrupt edge — reactive.
     phase_period = 1
+
+    registered = {
+        "recoveries": projected(list, len),
+        "_cycle": uncompared(0),  # claim stamps follow the clock
+        "_servicing": None,
+        # Clock-derived under the timed-wake contract (elapsed-ticked,
+        # replayed exactly); the ISR transitions it produces are what
+        # verify must observe.
+        "_countdown": uncompared(0),
+        "_state": _IsrState.IDLE,
+        "_status": 0,
+        "_kind": 0,
+        "_awaiting_bus": False,
+    }
 
     def __init__(
         self,
@@ -130,19 +144,6 @@ class RecoveryCpu(Component):
             and not any(wire._value for wire in self.plic._sources)
         )
 
-    def snapshot_state(self):
-        # _countdown is clock-derived under the timed-wake contract
-        # (elapsed-ticked, replayed exactly); the ISR transitions it
-        # produces are what verify must observe.
-        return (
-            self._state,
-            self._servicing,
-            self._status,
-            self._kind,
-            self._awaiting_bus,
-            len(self.recoveries),
-        )
-
     def update(self) -> None:
         # claim_cycle stamps come from the global clock so quiescent
         # spans cannot skew them; standalone use falls back to counting.
@@ -195,13 +196,3 @@ class RecoveryCpu(Component):
         self.plic.complete(self._servicing)
         self._servicing = None
         self._state = _IsrState.IDLE
-
-    def reset(self) -> None:
-        self.recoveries: List[RecoveryRecord] = []
-        self._cycle = 0
-        self._servicing: Optional[int] = None
-        self._countdown = 0
-        self._state = _IsrState.IDLE
-        self._status = 0
-        self._kind = 0
-        self._awaiting_bus = False

@@ -9,7 +9,6 @@ respecting the 256-beat AXI4 limit and 4 KiB boundaries.
 from __future__ import annotations
 
 import dataclasses
-from typing import List
 
 from ..axi.manager import Manager
 from ..axi.traffic import TransactionSpec
@@ -29,6 +28,12 @@ class DmaDescriptor:
 
 class DmaEngine(Manager):
     """Descriptor-driven AXI manager producing long back-to-back bursts."""
+
+    registered = {
+        "descriptors_done": 0,
+        # Bursts still to complete, per queued descriptor.
+        "_descriptor_txns": list,
+    }
 
     def enqueue_descriptor(self, descriptor: DmaDescriptor) -> int:
         """Split *descriptor* into AXI bursts and queue them; returns burst count."""
@@ -60,11 +65,6 @@ class DmaEngine(Manager):
         self._descriptor_txns.append(bursts)
         return bursts
 
-    def reset(self) -> None:
-        super().reset()
-        self.descriptors_done = 0
-        self._descriptor_txns: List[int] = []
-
     def update(self) -> None:
         before = len(self.completed)
         super().update()
@@ -76,10 +76,3 @@ class DmaEngine(Manager):
             else:
                 self._descriptor_txns[0] -= finished
                 finished = 0
-
-    def snapshot_state(self):
-        return (
-            super().snapshot_state(),
-            self.descriptors_done,
-            tuple(self._descriptor_txns),
-        )

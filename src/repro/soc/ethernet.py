@@ -16,6 +16,7 @@ from typing import Optional
 from ..axi.interface import AxiInterface
 from ..axi.memory import SparseMemory
 from ..axi.subordinate import Subordinate
+from ..sim.component import power_on_writer, uncompared
 
 
 class EthernetMac(Subordinate):
@@ -33,6 +34,21 @@ class EthernetMac(Subordinate):
     TX_BUFFER_SIZE = 0x4000
     RX_BUFFER_OFFSET = 0x4000
     STATUS_OFFSET = 0x8000
+
+    # The TX drain is a pure function of the clock between beat
+    # arrivals, so it is accounted lazily against a stamp instead of
+    # ticking every cycle — a draining (but AXI-idle) MAC is
+    # update-quiescent and its idle span can be leaped.  Both are
+    # clock-derived; the beat arrivals that feed them are compared
+    # through beats_received and the subordinate's own fields.
+    in_flight = {**Subordinate.in_flight, "_tx_buffered": uncompared(0.0)}
+    _drop_in_flight = power_on_writer(in_flight)
+    registered = {
+        **in_flight,
+        "_tx_stamp": uncompared(0),
+        "frames_sent": 0,
+        "beats_received": 0,
+    }
 
     def __init__(
         self,
@@ -102,28 +118,7 @@ class EthernetMac(Subordinate):
     # drain no longer needs the update phase, so only the AXI-side
     # conditions matter.
 
-    def snapshot_state(self):
-        # _tx_buffered/_tx_stamp are clock-derived (lazily resynced)
-        # and excluded; the beat arrivals that feed them are covered by
-        # beats_received and the base subordinate snapshot.
-        return (
-            super().snapshot_state(),
-            self.frames_sent,
-            self.beats_received,
-        )
-
     def _take_reset(self) -> None:
-        super()._take_reset()
-        self._tx_buffered = 0.0
+        super()._take_reset()  # drops the TX buffer with the jobs
         if self._sim is not None:
             self._tx_stamp = self._sim.cycle + 1
-
-    def reset(self) -> None:
-        super().reset()  # _take_reset() empties the TX buffer
-        self.frames_sent = 0
-        self.beats_received = 0
-        # The TX drain is a pure function of the clock between beat
-        # arrivals, so it is accounted lazily against a stamp instead
-        # of ticking every cycle — a draining (but AXI-idle) MAC is
-        # update-quiescent and its idle span can be leaped.
-        self._tx_stamp = 0

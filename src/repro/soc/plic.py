@@ -8,7 +8,7 @@ software model needs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..sim.component import Component
 from ..sim.signal import Wire
@@ -27,6 +27,12 @@ class Plic(Component):
     demand_update = True
     #: Latches levels and claims — no autonomous clocked behaviour.
     phase_period = 1
+
+    registered = {
+        "_pending": lambda self: [False] * len(self._sources),
+        "_claimed": lambda self: [False] * len(self._sources),
+        "irq_counts": lambda self: dict.fromkeys(self._names, 0),
+    }
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
@@ -75,13 +81,6 @@ class Plic(Component):
             )
         )
 
-    def snapshot_state(self):
-        return (
-            tuple(self._pending),
-            tuple(self._claimed),
-            tuple(sorted(self.irq_counts.items())),
-        )
-
     def update(self) -> None:
         for i, source in enumerate(self._sources):
             if source.value and not self._pending[i] and not self._claimed[i]:
@@ -114,8 +113,3 @@ class Plic(Component):
     @property
     def any_pending(self) -> bool:
         return any(self._pending)
-
-    def reset(self) -> None:
-        self._pending: List[bool] = [False] * len(self._sources)
-        self._claimed: List[bool] = [False] * len(self._sources)
-        self.irq_counts: Dict[str, int] = dict.fromkeys(self._names, 0)

@@ -14,9 +14,9 @@ spirit: low-cost, low-throughput configuration access.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..sim.component import Component
+from ..sim.component import Component, projected
 from ..sim.signal import Wire
 from ..tmu.registers import TmuRegisters
 
@@ -89,6 +89,12 @@ class RegBusDemux(Component):
     demand_update = True
     phase_period = 1
 
+    registered = {
+        "_pending": None,  # the registered response, one cycle long
+        "accesses": 0,
+        "errors": 0,
+    }
+
     def __init__(
         self,
         name: str,
@@ -113,9 +119,6 @@ class RegBusDemux(Component):
 
     def quiescent(self):
         return self._pending is None and not self.port.req_valid._value
-
-    def snapshot_state(self):
-        return (self._pending, self.accesses, self.errors)
 
     def _decode(self, addr: int) -> Optional[Tuple[int, RegBusTarget]]:
         for base, size, target in self.targets:
@@ -161,11 +164,6 @@ class RegBusDemux(Component):
             self._pending = RegResponse(error=True)
         self.schedule_drive()
 
-    def reset(self) -> None:
-        self._pending: Optional[RegResponse] = None
-        self.accesses = 0
-        self.errors = 0
-
 
 class RegBusMaster(Component):
     """Blocking register-bus requester with a scripted access queue.
@@ -177,6 +175,12 @@ class RegBusMaster(Component):
     demand_driven = True
     demand_update = True
     phase_period = 1
+
+    registered = {
+        "_queue": list,  # (request, callback) pairs, in issue order
+        "_inflight": None,
+        "responses": projected(list, len),
+    }
 
     def __init__(self, name: str, port: RegBusPort) -> None:
         super().__init__(name)
@@ -194,9 +198,6 @@ class RegBusMaster(Component):
 
     def quiescent(self):
         return self._inflight is None and not self._queue
-
-    def snapshot_state(self):
-        return (len(self._queue), self._inflight is None, len(self.responses))
 
     def submit(self, request: RegRequest, callback=None) -> None:
         self._queue.append((request, callback))
@@ -236,8 +237,3 @@ class RegBusMaster(Component):
             changed = True
         if changed:
             self.schedule_drive()
-
-    def reset(self) -> None:
-        self._queue: List[Tuple[RegRequest, Optional[callable]]] = []
-        self._inflight: Optional[Tuple[RegRequest, Optional[callable]]] = None
-        self.responses: List[RegResponse] = []

@@ -8,10 +8,10 @@ The handshake is four-phase: req↑ → (reset pulse) → ack↑ → req↓ → 
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import Optional
 
 from ..axi.subordinate import Subordinate
-from ..sim.component import Component
+from ..sim.component import Component, projected, uncompared
 from ..sim.signal import Wire
 
 
@@ -41,6 +41,16 @@ class ResetUnit(Component):
     demand_update = True
     #: The reset pulse counts down from the request edge — reactive.
     phase_period = 1
+
+    registered = {
+        "_state": _ResetState.IDLE,
+        # The elapsed-ticked delay line is clock-derived; the FSM
+        # transitions it produces are what verify must observe.
+        "_countdown": uncompared(0),
+        "resets_issued": 0,
+        "reset_log": projected(list, len),
+        "_cycle": uncompared(0),  # reset_log stamps follow the clock
+    }
 
     def __init__(
         self,
@@ -87,16 +97,6 @@ class ResetUnit(Component):
             self.wake_at(self._sim.cycle + self._countdown)
         return True
 
-    def snapshot_state(self):
-        # _cycle (reset_log timestamps) and the elapsed-ticked delay
-        # line are clock-derived and excluded; the FSM transitions the
-        # countdown produces are what verify must observe.
-        return (
-            self._state,
-            self.resets_issued,
-            len(self.reset_log),
-        )
-
     def drive(self) -> None:
         in_reset = self._state == _ResetState.RESETTING
         if self.subordinate is not None:
@@ -127,10 +127,3 @@ class ResetUnit(Component):
             if not self.req.value:
                 self._state = _ResetState.IDLE
                 self.schedule_drive()
-
-    def reset(self) -> None:
-        self._state = _ResetState.IDLE
-        self._countdown = 0
-        self.resets_issued = 0
-        self.reset_log: List[int] = []
-        self._cycle = 0

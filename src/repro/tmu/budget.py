@@ -24,7 +24,7 @@ from .phases import ReadPhase, WritePhase
 PhaseType = Union[WritePhase, ReadPhase]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class PhaseBudgets:
     """Per-phase budget parameters for the Full-Counter variant.
 
@@ -48,9 +48,10 @@ class PhaseBudgets:
     queue_factor: int = 2
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class SpanBudgets:
-    """Whole-transaction budget parameters for the Tiny-Counter variant."""
+    """Whole-transaction budget parameters for the Tiny-Counter variant
+    (the power-on values of the TMU's SPAN_* registers)."""
 
     base: int = 64
     per_beat: int = 2
@@ -69,8 +70,8 @@ class AdaptiveBudgetPolicy:
         self.span = span if span is not None else SpanBudgets()
 
     # Policies compare and print by value (same type, same fields), so a
-    # TmuConfig does too.  They stay mutable — the register file writes
-    # ``span.base`` at run time — and therefore unhashable.
+    # TmuConfig does too.  Their parameter blocks are frozen: a register
+    # write lands in the TMU's registered state, never in the config.
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -114,8 +115,9 @@ class AdaptiveBudgetPolicy:
         return p.r_data_base + p.r_data_per_beat * beats
 
     # -- Tiny-Counter ---------------------------------------------------
-    def span_budget(self, beats: int, queued_ahead: int = 0) -> int:
-        s = self.span
+    def span_budget(self, beats: int, queued_ahead: int = 0, span=None) -> int:
+        """Tc budget; the TMU passes its register-written *span* terms."""
+        s = self.span if span is None else span
         return s.base + s.per_beat * beats + s.queue_factor * queued_ahead
 
     def max_budget(self, max_beats: int, max_outstanding: int) -> int:
@@ -155,7 +157,7 @@ class FixedBudgetPolicy(AdaptiveBudgetPolicy):
     def read_phase_budget(self, phase, beats, queued_ahead=0):
         return self.phase_budget
 
-    def span_budget(self, beats, queued_ahead=0):
+    def span_budget(self, beats, queued_ahead=0, span=None):
         return self.span_budget_cycles
 
     def max_budget(self, max_beats, max_outstanding):

@@ -53,7 +53,9 @@ class TmuConfig:
     error_log_depth:
         Capacity of the hardware error log.
     enabled:
-        Software enable; a disabled TMU is a pure wire.
+        Power-on value of the software enable bit (the CTRL register,
+        which the TMU holds as registered state); a disabled TMU is a
+        pure wire.
     """
 
     variant: Variant = Variant.FULL

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 
+from ..sim.component import RegisteredState, uncompared
+
 
 def units_for(budget: int, step: int) -> int:
     """Budget expressed in prescaled units (rounded up, minimum 1)."""
@@ -40,8 +42,10 @@ def counter_width(budget: int, step: int) -> int:
     return max(1, math.ceil(math.log2(units_for(budget, step) + 1)))
 
 
-class Prescaler:
+class Prescaler(RegisteredState):
     """Free-running clock divider shared by all counters of one guard."""
+
+    registered = {"_phase": uncompared(0)}  # a function of the clock
 
     def __init__(self, step: int = 1, phase: int = 0) -> None:
         if step <= 0:
@@ -49,7 +53,8 @@ class Prescaler:
         if not 0 <= phase < step:
             raise ValueError(f"phase {phase} out of range [0, {step})")
         self.step = step
-        self._phase = phase
+        self.reset()
+        self.skip(phase)  # start *phase* cycles into the period
 
     def advance(self) -> bool:
         """Advance one cycle; return True on the counting edge."""
@@ -87,9 +92,6 @@ class Prescaler:
     @property
     def phase(self) -> int:
         return self._phase
-
-    def reset(self) -> None:
-        self._phase = 0
 
 
 class PrescaledCounter:

@@ -112,9 +112,12 @@ class GuardBase:
     #: The Full-Counter phase an entry starts in on enqueue.
     ENTRY_PHASE: PhaseLike
 
-    def __init__(self, config: TmuConfig) -> None:
+    def __init__(self, config: TmuConfig, span_owner=None) -> None:
         self.config = config
         self.budgets: AdaptiveBudgetPolicy = config.budgets
+        # Holder of the Tiny-Counter span terms (``.span``): the TMU,
+        # whose registers write them, or else the config's policy.
+        self._span_owner = span_owner if span_owner is not None else config.budgets
         self.ott = OutstandingTransactionTable(
             config.max_uniq_ids, config.txn_per_id
         )
@@ -207,7 +210,7 @@ class GuardBase:
     def _start_budget(self, phase: PhaseLike, beats: int, queued: int) -> int:
         """Budget of a transaction's first counter: its span, or *phase*."""
         if self.tiny:
-            return self.budgets.span_budget(beats, queued)
+            return self.budgets.span_budget(beats, queued, self._span_owner.span)
         return self._phase_budget(phase, beats, queued)
 
     def _observe_addr(self, addr: Channel, cycle, events, orig_id_of) -> None:

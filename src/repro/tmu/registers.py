@@ -10,6 +10,7 @@ the TMU exactly as a driver would.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict
 
 from .events import FaultKind
@@ -41,7 +42,10 @@ _FAULT_KIND_INDEX = {kind: i + 1 for i, kind in enumerate(FaultKind)}
 
 
 class TmuRegisters:
-    """Word-addressed software window onto one TMU instance."""
+    """Word-addressed software window onto one TMU instance.
+
+    CTRL, SPAN_BASE and SPAN_PER_BEAT are the TMU's registered
+    ``enabled`` and ``span`` fields: a TMU reset restores them."""
 
     def __init__(self, tmu: TransactionMonitoringUnit) -> None:
         self.tmu = tmu
@@ -52,7 +56,7 @@ class TmuRegisters:
     def read(self, offset: int) -> int:
         tmu = self.tmu
         if offset == REG_CTRL:
-            return int(tmu.config.enabled)
+            return int(tmu.enabled)
         if offset == REG_STATUS:
             return int(tmu.irq_pending) | (int(tmu.fault_active) << 1)
         if offset == REG_FAULT_KIND:
@@ -66,9 +70,9 @@ class TmuRegisters:
         if offset == REG_PRESCALE:
             return tmu.config.prescale_step
         if offset == REG_SPAN_BASE:
-            return tmu.config.budgets.span.base
+            return tmu.span.base
         if offset == REG_SPAN_PER_BEAT:
-            return tmu.config.budgets.span.per_beat
+            return tmu.span.per_beat
         if offset == REG_ERRLOG_COUNT:
             return len(tmu.write_guard.log) + len(tmu.read_guard.log)
         if offset == REG_ERRLOG_POP:
@@ -107,14 +111,14 @@ class TmuRegisters:
     def write(self, offset: int, value: int) -> None:
         tmu = self.tmu
         if offset == REG_CTRL:
-            tmu.config.enabled = bool(value & 1)
+            tmu.enabled = bool(value & 1)
         elif offset == REG_IRQ_CLEAR:
             if value & 1:
                 tmu.clear_irq()
         elif offset == REG_SPAN_BASE:
-            tmu.config.budgets.span.base = int(value)
+            tmu.span = dataclasses.replace(tmu.span, base=int(value))
         elif offset == REG_SPAN_PER_BEAT:
-            tmu.config.budgets.span.per_beat = int(value)
+            tmu.span = dataclasses.replace(tmu.span, per_beat=int(value))
         else:
             raise KeyError(
                 f"register offset {offset:#x} is read-only or unmapped"

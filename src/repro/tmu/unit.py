@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, List, Optional
+from typing import List, Optional
 
 from ..axi.channels import BBeat, RBeat, remap_id
 from ..axi.id_remap import IdRemapTable
 from ..axi.interface import AxiInterface
 from ..axi.types import Resp
-from ..sim.component import Component
+from ..sim.component import Component, projected, uncompared
 from ..sim.signal import Wire
 from .config import TmuConfig
 from .events import FaultEvent
@@ -111,6 +111,29 @@ class TransactionMonitoringUnit(Component):
     demand_driven = True
     demand_update = True
 
+    registered = {
+        # Software-visible registers (CTRL enable bit, SPAN_BASE and
+        # SPAN_PER_BEAT), powered on from the config.  The span terms
+        # are a frozen SpanBudgets the guards read on every Tc budget.
+        "enabled": lambda self: self.config.enabled,
+        "span": lambda self: self.config.budgets.span,
+        "write_guard": lambda self: WriteGuard(self.config, self),
+        "read_guard": lambda self: ReadGuard(self.config, self),
+        "remap_w": lambda self: IdRemapTable(self.config.max_uniq_ids),
+        "remap_r": lambda self: IdRemapTable(self.config.max_uniq_ids),
+        "state": TmuState.MONITOR,
+        "cycle": uncompared(0),  # update stamp, resynced on wake
+        "fault_events": projected(list, len),
+        "faults_handled": 0,
+        "_irq_pending": False,
+        "_req_state": False,
+        "_ack_seen": False,
+        "_self_ack_countdown": None,
+        "_abort_b": deque,
+        "_abort_r": deque,
+        "_w_drain_remaining": 0,
+    }
+
     def __init__(
         self,
         name: str,
@@ -138,23 +161,6 @@ class TransactionMonitoringUnit(Component):
         #: reset acknowledgment from the external reset unit (input).
         self.reset_ack = Wire(f"{name}.reset_ack", False)
         self.reset()
-
-    def reset(self) -> None:
-        self.write_guard = WriteGuard(self.config)
-        self.read_guard = ReadGuard(self.config)
-        self.remap_w = IdRemapTable(self.config.max_uniq_ids)
-        self.remap_r = IdRemapTable(self.config.max_uniq_ids)
-        self.state = TmuState.MONITOR
-        self.cycle = 0
-        self.fault_events: List[FaultEvent] = []
-        self.faults_handled = 0
-        self._irq_pending = False
-        self._req_state = False
-        self._ack_seen = False
-        self._self_ack_countdown: Optional[int] = None
-        self._abort_b: Deque[int] = deque()
-        self._abort_r: Deque[int] = deque()
-        self._w_drain_remaining = 0
 
     # ------------------------------------------------------------------
     # Introspection / software API (used by the register file)
@@ -227,8 +233,8 @@ class TransactionMonitoringUnit(Component):
         # timed wake at the earliest possible expiry; the skipped edges
         # are replayed exactly by GuardBase.catch_up() on wake.  A
         # disabled TMU stays awake: its update is already trivial, and
-        # direct config.enabled flips need no wake path.
-        if not self.config.enabled or self.state is not TmuState.MONITOR:
+        # a CTRL write (the register file wakes it) needs no wake path.
+        if not self.enabled or self.state is not TmuState.MONITOR:
             return False
         for ch in self._watch_channels:
             if ch.valid._value and ch.ready._value:
@@ -254,7 +260,7 @@ class TransactionMonitoringUnit(Component):
         # either guard's next expiry (which must land in a stepped
         # update).  Recovering, they drain into the TMU while the reset
         # handshake waits, and the span ends before it completes.
-        if not self.config.enabled or self.cycle != self._sim.cycle:
+        if not self.enabled or self.cycle != self._sim.cycle:
             return 0
         host_w, device_w = self.host.w, self.device.w
         if not (host_w.valid._value and host_w.ready._value):
@@ -304,24 +310,6 @@ class TransactionMonitoringUnit(Component):
             return ()
         return (self.device.w.payload,)
 
-    def snapshot_state(self):
-        return (
-            self.state,
-            self.faults_handled,
-            len(self.fault_events),
-            self._irq_pending,
-            self._req_state,
-            self._ack_seen,
-            self._self_ack_countdown,
-            tuple(self._abort_b),
-            tuple(self._abort_r),
-            self._w_drain_remaining,
-            self.remap_w.snapshot_state(),
-            self.remap_r.snapshot_state(),
-            self.write_guard.snapshot_state(),
-            self.read_guard.snapshot_state(),
-        )
-
     def schedule_drive(self) -> None:
         """Invalidate the irq/reset drive *and* every channel drive.
 
@@ -349,7 +337,7 @@ class TransactionMonitoringUnit(Component):
         so every wire read goes straight to the slot.
         """
         src, dst = _channel_endpoints(self, ch)
-        if not self.config.enabled:
+        if not self.enabled:
             # Disabled TMU: a pure wire, no remapping, no monitoring.
             dst.valid.value = src.valid._value
             dst.payload.value = src.payload._value
@@ -452,7 +440,7 @@ class TransactionMonitoringUnit(Component):
             self.cycle = now
         else:
             self.cycle += 1
-        if not self.config.enabled:
+        if not self.enabled:
             return
         if self.state == TmuState.MONITOR:
             self._update_monitor()

@@ -16,10 +16,12 @@ from enum import Enum
 
 import pytest
 
+from tests.conftest import build_loop
+
 from repro.axi.interface import AxiInterface
 from repro.axi.manager import Manager
 from repro.axi.subordinate import Subordinate
-from repro.axi.traffic import RandomTraffic, write_spec
+from repro.axi.traffic import RandomTraffic, read_spec, write_spec
 from repro.baselines import (
     AxiChecker,
     AxiFirewall,
@@ -36,7 +38,9 @@ from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.signal import Wire
 from repro.soc.experiment import FIG11_STAGES
+from repro.tmu import registers as R
 from repro.tmu.config import Variant, full_config, tiny_config
+from repro.tmu.registers import TmuRegisters
 
 _SKIPPED = frozenset({"_sim", "_order", "_scheduler", "_update_scheduler"})
 
@@ -165,3 +169,18 @@ def test_baselines_and_injector_reset_equals_fresh_build():
     sim.run(20)
     sim.reset()
     _assert_reset_is_fresh(sim, _baseline_bus()[0])
+
+
+def test_register_writes_are_undone_by_reset():
+    """CTRL, SPAN_BASE and SPAN_PER_BEAT are TMU state: a reset restores
+    their power-on values and the shared config was never written."""
+    env = build_loop()
+    regs = TmuRegisters(env.tmu)
+    env.manager.submit(read_spec(0, 0x100, beats=4))
+    env.sim.run(5)
+    regs.write(R.REG_CTRL, 0)
+    regs.write(R.REG_SPAN_BASE, 500)
+    regs.write(R.REG_SPAN_PER_BEAT, 9)
+    env.sim.run(20)
+    env.sim.reset()
+    _assert_reset_is_fresh(env.sim, build_loop().sim)

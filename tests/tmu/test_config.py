@@ -1,9 +1,16 @@
 """Unit tests for TMU configuration."""
 
+import dataclasses
+
 import pytest
 
 from repro.orchestrate.serialize import config_from_dict, config_to_dict
-from repro.tmu.budget import AdaptiveBudgetPolicy, FixedBudgetPolicy
+from repro.tmu.budget import (
+    AdaptiveBudgetPolicy,
+    FixedBudgetPolicy,
+    PhaseBudgets,
+    SpanBudgets,
+)
 from repro.tmu.config import TmuConfig, Variant, full_config, tiny_config
 
 
@@ -66,14 +73,21 @@ def test_config_round_trip_compares_equal(make_budgets):
 
 
 def test_configs_differing_in_one_budget_compare_unequal():
-    changed = TmuConfig()
-    changed.budgets.phases.b_wait += 1
+    changed = TmuConfig(budgets=AdaptiveBudgetPolicy(PhaseBudgets(b_wait=33)))
     assert changed != TmuConfig()
-    changed = TmuConfig()
-    changed.budgets.span.base += 1  # as a register write does at run time
+    changed = TmuConfig(budgets=AdaptiveBudgetPolicy(span=SpanBudgets(base=65)))
     assert changed != TmuConfig()
     assert FixedBudgetPolicy(64, 128) != FixedBudgetPolicy(64, 129)
     assert FixedBudgetPolicy() != AdaptiveBudgetPolicy()
+
+
+def test_budget_blocks_are_frozen():
+    # A register write lands in the TMU, never in a shared config.
+    config = TmuConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.budgets.span.base = 500
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.budgets.phases.b_wait = 1
 
 
 def test_config_repr_is_value_based():

@@ -1,27 +1,32 @@
 """Tests for the software-visible register file."""
 
+import copy
+
 import pytest
 
-from tests.conftest import build_loop
+from tests.conftest import build_loop, fast_budgets
 
 from repro.axi.traffic import read_spec, write_spec
 from repro.tmu import registers as R
+from repro.tmu.config import tiny_config
 from repro.tmu.registers import TmuRegisters
 
 
-def make_env():
-    env = build_loop()
+def make_env(config=None):
+    env = build_loop(config)
     env.regs = TmuRegisters(env.tmu)
     return env
 
 
 def test_ctrl_enable_roundtrip():
     env = make_env()
+    config = copy.deepcopy(env.tmu.config)
     assert env.regs.read(R.REG_CTRL) == 1
     env.regs.write(R.REG_CTRL, 0)
-    assert env.tmu.config.enabled is False
+    assert env.regs.read(R.REG_CTRL) == 0
     env.regs.write(R.REG_CTRL, 1)
-    assert env.tmu.config.enabled is True
+    assert env.regs.read(R.REG_CTRL) == 1
+    assert env.tmu.config == config  # the register is TMU state
 
 
 def test_status_reflects_irq_and_fault_state():
@@ -58,11 +63,30 @@ def test_fault_kind_and_id_registers():
 
 def test_budget_registers_read_write():
     env = make_env()
+    config = copy.deepcopy(env.tmu.config)
     base = env.regs.read(R.REG_SPAN_BASE)
     env.regs.write(R.REG_SPAN_BASE, base + 100)
-    assert env.tmu.config.budgets.span.base == base + 100
+    assert env.regs.read(R.REG_SPAN_BASE) == base + 100
     env.regs.write(R.REG_SPAN_PER_BEAT, 9)
     assert env.regs.read(R.REG_SPAN_PER_BEAT) == 9
+    assert env.tmu.config == config  # the registers are TMU state
+
+
+def _muted_b_detect_cycle(env):
+    env.subordinate.faults.mute_b = True
+    env.manager.submit(write_spec(0, 0x100, beats=4))
+    assert env.sim.run_until(lambda s: env.tmu.irq.value, timeout=2_000)
+    return env.tmu.last_fault.detect_cycle
+
+
+def test_span_base_register_moves_tiny_detection():
+    env = make_env(tiny_config(budgets=fast_budgets()))
+    latency = _muted_b_detect_cycle(env)
+    env.sim.reset()
+    env.regs.write(R.REG_SPAN_BASE, env.regs.read(R.REG_SPAN_BASE) + 37)
+    assert _muted_b_detect_cycle(env) == latency + 37
+    env.sim.reset()  # restores the power-on span terms
+    assert _muted_b_detect_cycle(env) == latency
 
 
 def test_completion_and_latency_counters():
