@@ -17,7 +17,9 @@ from typing import Deque, Dict, Iterable, List, Optional
 from ..sim.component import (
     Component,
     DriveSensitiveState,
+    held,
     projected,
+    shared_in_checkpoints,
     uncompared,
 )
 from .channels import ArBeat, AwBeat, BBeat, RBeat, WBeat
@@ -26,6 +28,7 @@ from .traffic import TransactionSpec
 from .types import AxiDir, Resp, bytes_per_beat
 
 
+@shared_in_checkpoints
 @dataclasses.dataclass
 class CompletedTransaction:
     """Scoreboard record of one finished transaction."""
@@ -118,6 +121,8 @@ class Manager(Component):
     # always-on operation has elapsed == 1.  They are clock-derived; their
     # visible transitions always happen in awake updates.
     registered = {
+        # Switched from outside by injectors; every flip notifies us.
+        "faults": held(lambda self: ManagerFaults.owned_by(self)),
         "_aw_queue": deque,
         "_ar_queue": deque,
         "_aw_delay": uncompared(0),
@@ -161,8 +166,6 @@ class Manager(Component):
         super().__init__(name)
         self.bus = bus
         self.max_outstanding = max_outstanding
-        self.faults = ManagerFaults()
-        self.faults._owner = self
         self.reset()
 
     # ------------------------------------------------------------------
@@ -633,7 +636,3 @@ class Manager(Component):
                     data=record.read_data,
                 )
             )
-
-    def reset(self) -> None:
-        super().reset()
-        self.faults.clear()

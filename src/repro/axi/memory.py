@@ -7,7 +7,7 @@ making "read garbage" bugs deterministic in tests.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Union
 
 
 class SparseMemory:
@@ -27,7 +27,7 @@ class SparseMemory:
         self._page_bits = page_bits
         self._page_size = 1 << page_bits
         self._fill = fill
-        self._pages: Dict[int, bytearray] = {}
+        self._pages: Dict[int, Union[bytearray, bytes]] = {}
         self._watchers: tuple = ()
 
     def watch(self, callback) -> None:
@@ -50,6 +50,24 @@ class SparseMemory:
         for watcher in self._watchers:
             watcher()
 
+    def checkpoint(self) -> Dict[int, bytes]:
+        """The stored pages, copy-on-write.
+
+        Every page becomes immutable ``bytes`` shared by the checkpoint
+        and the live memory; the first store into a shared page copies
+        it back into a private ``bytearray``.
+        """
+        pages = self._pages
+        for index, page in pages.items():
+            if page.__class__ is bytearray:
+                pages[index] = bytes(page)
+        return dict(pages)
+
+    def restore(self, pages: Dict[int, bytes]) -> None:
+        """Return to the contents *pages* (a :meth:`checkpoint`) holds;
+        nothing is stored, so no watcher is notified."""
+        self._pages = dict(pages)
+
     @property
     def allocated_pages(self) -> int:
         return len(self._pages)
@@ -60,6 +78,8 @@ class SparseMemory:
         if page is None:
             page = bytearray([self._fill]) * self._page_size
             self._pages[page_index] = page
+        elif page.__class__ is bytes:  # shared with a checkpoint
+            page = self._pages[page_index] = bytearray(page)
         return page
 
     def read_byte(self, addr: int) -> int:

@@ -21,6 +21,7 @@ from typing import List, Optional
 from ..sim.component import (
     Component,
     DriveSensitiveState,
+    held,
     power_on_writer,
     projected,
     uncompared,
@@ -121,6 +122,8 @@ class SubordinateFaults(DriveSensitiveState):
 
 @dataclasses.dataclass
 class _WriteJob:
+    checkpoint_shares = ("addrs",)
+
     aw: AwBeat
     addrs: List[int]
     index: int = 0
@@ -129,6 +132,8 @@ class _WriteJob:
 
 @dataclasses.dataclass
 class _ReadJob:
+    checkpoint_shares = ("addrs",)
+
     ar: ArBeat
     addrs: List[int]
     index: int = 0
@@ -209,6 +214,8 @@ class Subordinate(Component):
     _drop_in_flight = power_on_writer(in_flight)
     registered = {
         **in_flight,
+        # Switched from outside by injectors; every flip notifies us.
+        "faults": held(lambda self: SubordinateFaults.owned_by(self)),
         "_in_reset": False,
         # Completion counters, kept across a hardware reset.  w_beats
         # and r_beats count W beats accepted and R beats served.
@@ -256,8 +263,6 @@ class Subordinate(Component):
         self.reset_clears_faults = reset_clears_faults
         self.interleave_reads = interleave_reads
         self.reorder_depth = reorder_depth
-        self.faults = SubordinateFaults()
-        self.faults._owner = self
         #: hardware reset request input, driven by an external reset unit.
         self.hw_reset = Wire(f"{name}.hw_reset", False)
         self.reset()
@@ -900,7 +905,3 @@ class Subordinate(Component):
         self._drop_in_flight()
         if self.reset_clears_faults:
             self.faults.clear()
-
-    def reset(self) -> None:
-        super().reset()
-        self.faults.clear()

@@ -14,6 +14,7 @@ import dataclasses
 import random
 from typing import List, Optional, Sequence
 
+from ..sim.component import shared_in_checkpoints
 from .addrspace import AddressSpace
 from .types import (
     MAX_BURST_LEN,
@@ -27,6 +28,13 @@ from .types import (
 )
 
 
+@shared_in_checkpoints
+class WireBeats(tuple):
+    """A write burst's ``(data, strb)`` beats as the W channel carries
+    them; immutable, so checkpoints share them."""
+
+
+@shared_in_checkpoints
 @dataclasses.dataclass
 class TransactionSpec:
     """One transaction to be issued by a traffic-generating manager.
@@ -127,7 +135,7 @@ class TransactionSpec:
         """Write strobe of beat *index*, positioned on its byte lanes."""
         return self.full_strb() << self.lane(index)
 
-    def wire_write_beats(self) -> List[tuple]:
+    def wire_write_beats(self) -> WireBeats:
         """``(data, strb)`` per beat, as they appear on the W channel.
 
         Full-width aligned bursts sit on lane 0 and come out exactly as
@@ -140,13 +148,13 @@ class TransactionSpec:
             bytes_per_beat(self.size) == self.bus_bytes
             and self.addr % self.bus_bytes == 0
         ):
-            return [(value, full) for value in values]
-        return [
+            return WireBeats([(value, full) for value in values])
+        return WireBeats([
             (value << (8 * lane), full << lane)
             for value, lane in (
                 (values[i], self.lane(i)) for i in range(self.beats)
             )
-        ]
+        ])
 
 
 def write_spec(
@@ -229,6 +237,13 @@ class RandomTraffic:
     def restart(self) -> None:
         """Rewind the stream: the next draws repeat those after construction."""
         self._rng.seed(self.seed)
+
+    def checkpoint(self):
+        """The stream's position, to :meth:`restore` later."""
+        return self._rng.getstate()
+
+    def restore(self, state) -> None:
+        self._rng.setstate(state)
 
     def next_spec(self) -> TransactionSpec:
         rng = self._rng

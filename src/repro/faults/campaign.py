@@ -104,6 +104,22 @@ class IpHarness:
         self.subordinate.memory.clear()
         self._clear_observations()
 
+    def checkpoint(self):
+        """The harness state — simulation, memory, observations — to
+        :meth:`restore` later (see :meth:`Simulator.checkpoint`)."""
+        return (
+            self.sim.checkpoint(),
+            self.subordinate.memory.checkpoint(),
+            self.wlast_cycle,
+            self._observed_cycle,
+        )
+
+    def restore(self, checkpoint) -> None:
+        """Return to *checkpoint*; probes stay attached."""
+        sim, pages, self.wlast_cycle, self._observed_cycle = checkpoint
+        self.sim.restore(sim)
+        self.subordinate.memory.restore(pages)
+
     def _observe(self) -> None:
         """Record this cycle's ``w_last`` beat on the device side
         (idempotent).
@@ -208,14 +224,27 @@ def drain_timeout(recovery_timeout: int, beats: int, outstanding: int) -> int:
 class _Timeline:
     """The stamps one injection records while it waits for the IRQ."""
 
+    sim: Simulator
     device: AxiInterface
     subordinate: Subordinate
+    manager: Manager
+    beats: int
     txn_start: Optional[int] = None
     w_first: Optional[int] = None
     w_last: Optional[int] = None
     aw_fired: Optional[int] = None
     ar_fired: Optional[int] = None
     manifest: Optional[int] = None
+    #: The subordinate's W and R beat counts where the stage is armed
+    #: (the mid-burst thresholds count from there).
+    w_beats: int = 0
+    r_beats: int = 0
+
+    #: What every stage records alike (the manifest is its own).
+    SHARED = (
+        "txn_start", "w_first", "w_last", "aw_fired", "ar_fired",
+        "w_beats", "r_beats",
+    )
 
 
 def _valid(channel: str) -> Callable[[_Timeline], bool]:
@@ -242,6 +271,287 @@ _MANIFEST: Dict[InjectionStage, Callable[[_Timeline], bool]] = {
 }
 
 
+def _addr_coming(channel: str) -> Callable[[_Timeline], bool]:
+    """The manager's *channel* address is up on the device side, or
+    goes up in the next step (its queue head's issue delay is spent)."""
+    queue, delay = f"_{channel}_queue", f"_{channel}_delay"
+
+    def coming(t: _Timeline) -> bool:
+        manager = t.manager
+        return bool(
+            getattr(t.device, channel).valid._value
+            or (getattr(manager, queue) and getattr(manager, delay) == 0)
+        )
+
+    return coming
+
+
+_aw_coming = _addr_coming("aw")
+_ar_coming = _addr_coming("ar")
+
+
+def _last_w_beat_next(t: _Timeline) -> bool:
+    """A B response is queued, or the next W beat ends a burst (counting
+    the beats an island the subordinate streams in has yet to apply)."""
+    sub = t.subordinate
+    if sub._b_queue:
+        return True
+    writes = sub._writes
+    return bool(writes) and (
+        writes[0].index + t.sim.lag(sub) + 1 >= len(writes[0].addrs)
+    )
+
+
+def _left(t: _Timeline, channel: str, lagging: bool = False) -> int:
+    """Beats the subordinate still has to take on *channel* ("w": W
+    beats accepted, "r": R beats served) before a mid-burst stage armed
+    where *t* started would strike: counting the W beats a held island
+    has yet to apply, unless *lagging* (the count the subordinate's own
+    lagging countdown holds)."""
+    sub = t.subordinate
+    if channel == "r":
+        return t.beats // 2 - (sub.r_beats - t.r_beats)
+    lag = 0 if lagging else t.sim.lag(sub)
+    return t.beats // 2 - (sub.w_beats + lag - t.w_beats)
+
+
+def _response_next(channel: str) -> Callable[[_Timeline], bool]:
+    """The subordinate presents a *channel* response in the next step:
+    one has matured (responses mature in an update, and a streamed span
+    ends before any does)."""
+    select = "_select_b_entry" if channel == "b" else "_select_r_job"
+    return lambda t: getattr(t.subordinate, select)() is not None
+
+
+#: Each stage's *branch*: the first step boundary from which arming its
+#: fault could change anything — a signal something acts on, a
+#: registered field, or a scheduling verdict (a stream horizon, an
+#: island, quiescence, a wake).  Before it, a run with the stage armed
+#: and one with nothing armed are the same run, so the stages of one
+#: (config, seed) share that prefix (:class:`Trunk`).  Each predicate
+#: reads the state at a boundary and holds from the boundary before
+#: the step in which the switch is first read with effect:
+#:
+#: * a ready switch (``deaf_aw``/``deaf_ar``, ``deaf_b``/``deaf_r``)
+#:   only lowers a ready while no valid is up, until the address is
+#:   coming (or a response is presented); at the branch its owner's
+#:   outputs are re-driven (:meth:`Simulator.resettle`);
+#: * ``freeze_w``/``deaf_w`` are read once the write is accepted (the
+#:   AW handshake creates the W burst and the write job), ``mute_r``
+#:   once the read is;
+#: * ``mute_b`` is read once a B response is queued, which the last W
+#:   beat of a burst does;
+#: * the ID switches and ``drop_r_last`` act on a presented response;
+#: * the mid-burst thresholds (``deaf_w_after``, ``mute_r_after``) only
+#:   count beats until the next one strikes: they are armed with the
+#:   count left (:data:`_COUNTED`).  ``deaf_w_after`` also ends a
+#:   streamed span or island before the beat that strikes, so a trunk
+#:   also branches right before a span it would cut short (the
+#:   kernel's ``span_gate``).
+#:
+#: A stage whose manifest comes first branches there.
+_BRANCH: Dict[InjectionStage, Callable[[_Timeline], bool]] = {
+    InjectionStage.AW_READY_MISSING: _aw_coming,
+    InjectionStage.W_VALID_MISSING: lambda t: (
+        _aw_coming(t) or bool(t.manager._w_pending)
+        or t.manager._w_active is not None
+    ),
+    InjectionStage.W_READY_MISSING: lambda t: (
+        _aw_coming(t) or bool(t.subordinate._writes)
+    ),
+    InjectionStage.DATA_TRANSFER_STALL: lambda t: _left(t, "w") <= 1,
+    InjectionStage.WLAST_TO_BVALID: _last_w_beat_next,
+    InjectionStage.B_ID_MISMATCH: _response_next("b"),
+    InjectionStage.B_READY_MISSING: _response_next("b"),
+    InjectionStage.AR_READY_MISSING: _ar_coming,
+    InjectionStage.R_VALID_MISSING: lambda t: (
+        _ar_coming(t) or bool(t.subordinate._reads)
+    ),
+    InjectionStage.R_MID_BURST_STALL: lambda t: _left(t, "r") <= 1,
+    InjectionStage.R_ID_MISMATCH: _response_next("r"),
+    InjectionStage.R_LAST_DROPPED: _response_next("r"),
+    InjectionStage.R_READY_MISSING: _response_next("r"),
+}
+
+#: The mid-burst stages: the fault block's beat countdown, and the
+#: channel whose beats it counts.
+_COUNTED = {
+    InjectionStage.DATA_TRANSFER_STALL: ("deaf_w_after", "w"),
+    InjectionStage.R_MID_BURST_STALL: ("mute_r_after", "r"),
+}
+
+#: Stages whose switch lowers a ready its owner drives before the
+#: branch, and that owner's timeline field.
+_REDRIVE = {
+    InjectionStage.AW_READY_MISSING: "subordinate",
+    InjectionStage.AR_READY_MISSING: "subordinate",
+    InjectionStage.B_READY_MISSING: "manager",
+    InjectionStage.R_READY_MISSING: "manager",
+}
+
+def _always(t: _Timeline) -> bool:
+    return True
+
+
+def _trigger(
+    stage: InjectionStage, beats: int, watched: bool = False
+) -> Callable[[_Timeline], bool]:
+    """Whether *stage* (on *beats*-beat transfers) must be armed now:
+    its branch, or its manifest if that comes first.  A mid-burst stage
+    on a single beat arms the switch its manifest reads (see
+    :func:`arm_stage_fault`): at the start.  *watched* from another
+    stage's trunk, where no span gate speaks for it, the W threshold's
+    branch is taken as passed once a write job exists (before any W
+    span it could cut)."""
+    if beats < 2 and stage in _COUNTED:
+        return _always
+    if watched and _COUNTED.get(stage, (None, None))[1] == "w":
+        return lambda t: bool(t.subordinate._writes)
+    branch, manifest = _BRANCH[stage], _MANIFEST[stage]
+    return lambda t: branch(t) or manifest(t)
+
+
+class Unforkable(Exception):
+    """A branch could not be certified where it fell: the run starts
+    over from cycle 0 (see :class:`Trunk`)."""
+
+
+@dataclasses.dataclass
+class _Saved:
+    """A trunk checkpoint: the harness, the timeline's shared stamps,
+    the detect budget's end, the stages whose branch fell before it and
+    the pack leader's inert-prefix evidence so far."""
+
+    cycle: int
+    harness: Any
+    stamps: Tuple[Optional[int], ...]
+    target: int
+    passed: frozenset
+    evidence: Optional[Tuple[list, int, int]]
+
+
+class Trunk:
+    """The unarmed prefix the stages of one (config, seed) share.
+
+    Every stage of a point's seed simulates the same cycles until its
+    fault first matters (its ``_BRANCH``), so the batch executor runs
+    a *family* — points that differ only in stage — through one trunk
+    per seed it simulates.  A stage's run goes on unarmed from the
+    latest checkpoint (or from cycle 0) to its own branch, takes a
+    checkpoint there, arms the stage and finishes through the same
+    :func:`drive_injection`; the next stage restores that checkpoint.
+    Each run is still one :func:`~repro.orchestrate.executor.execute_run`
+    call, and its result is the one an unforked run gives, ``sim_*``
+    statistics and all: the checkpoint carries the kernel's counters.
+
+    A stage resumes only when no evaluation before the checkpoint met
+    its branch (the trunk watches every pending stage's).  A branch at
+    the very start shares nothing: the stage arms there.  A checkpoint
+    is kept only once the trunk has stepped :attr:`MIN_CYCLES` cycles
+    (see there).  A branch that cannot be certified where it
+    falls (a ready to re-drive into a held island) raises
+    :class:`Unforkable`, and the run starts over from cycle 0, just as
+    an uncovered lane retires.  :attr:`branched` names the last run's
+    ``(stage, branch cycle)`` when it started from a checkpoint or
+    armed at a branch.
+    """
+
+    #: Cycles a trunk must have stepped before a checkpoint is worth
+    #: keeping.  A checkpoint and its restore cost about what stepping
+    #: a dozen cycles does, on the IP harness (~0.27 ms) as on the busy
+    #: SoC (~0.46 ms), while a streamed span costs one call however
+    #: long: a prefix stepped less is simulated again instead, and a
+    #: family that cannot step this many (:meth:`pays`) runs unforked.
+    MIN_CYCLES = 16
+
+    @classmethod
+    def pays(cls, run) -> bool:
+        """Whether the family of *run* (a run spec, or a point's shared
+        fields) can step a prefix long enough to pay for a checkpoint.
+
+        The longest shared prefix is about the workload's W beats (the
+        B-side stages branch after them): too short on the IP sweeps'
+        8-beat transfers.  And the kernel streams a burst in bulk unless
+        background traffic steps beside it: a quiet SoC's 250-beat
+        frame costs a few calls.  Only background traffic has been
+        measured to pay: without it a family runs unforked, whatever
+        its kernel.
+        """
+        if run.beats * run.outstanding < cls.MIN_CYCLES:
+            return False
+        return run.background > 0
+
+    def __init__(self, stages: Iterable[InjectionStage]) -> None:
+        #: The family's stages still to run (in any order).
+        self.pending = set(stages)
+        self._saved: Optional[_Saved] = None
+        self._resumed: Optional[_Saved] = None
+        self.harness = None
+        self.trace = None
+        self.branched: Optional[Tuple[InjectionStage, int]] = None
+
+    def resumes(self, stage: InjectionStage, trace=None) -> bool:
+        """Whether a run of *stage* (traced by *trace*) can start from
+        the checkpoint held."""
+        saved = self._saved
+        return (
+            saved is not None
+            and stage not in saved.passed
+            and (trace is None) == (saved.evidence is None)
+        )
+
+    def enter(self, harness, stage: InjectionStage, trace=None) -> bool:
+        """Start a run of *stage* on *harness*: restored to the checkpoint
+        when it :meth:`resumes` (True; the workload is already in it),
+        else as it is (freshly built or reset)."""
+        self.pending.discard(stage)
+        self.harness, self.trace, self.branched = harness, trace, None
+        self._resumed = saved = (
+            self._saved if self.resumes(stage, trace) else None
+        )
+        if saved is None:
+            return False
+        harness.restore(saved.harness)
+        self.branched = (stage, saved.cycle)
+        if trace is not None:
+            stepped, trace.leaps, trace.cycles_leaped = saved.evidence
+            trace.stepped = list(stepped)
+        return True
+
+    @property
+    def resumed(self) -> bool:
+        """Whether the run :meth:`enter` started restored the checkpoint."""
+        return self._resumed is not None
+
+    def forget(self) -> None:
+        """Drop the checkpoint (the run starts over from cycle 0)."""
+        self._saved = self._resumed = None
+
+    def _save(self, sim, t: _Timeline, target: int, passed) -> None:
+        trace = self.trace
+        self._saved = _Saved(
+            sim.cycle,
+            self.harness.checkpoint(),
+            tuple(getattr(t, name) for name in _Timeline.SHARED),
+            target,
+            frozenset(passed),
+            None if trace is None
+            else (list(trace.stepped), trace.leaps, trace.cycles_leaped),
+        )
+
+
+def _silently(blocks, arm: Callable[[], None]) -> None:
+    """Run *arm* on fault *blocks* without notifying their owners."""
+    owners = [block._owner for block in blocks]
+    for block in blocks:
+        object.__setattr__(block, "_owner", None)
+    try:
+        arm()
+    finally:
+        for block, owner in zip(blocks, owners):
+            object.__setattr__(block, "_owner", owner)
+
+
 def drive_injection(
     sim: Simulator,
     tmu: TransactionMonitoringUnit,
@@ -256,6 +566,7 @@ def drive_injection(
     recovery_timeout: int,
     recovered: Callable[[], bool],
     ack_irq: bool,
+    trunk: Optional[Trunk] = None,
 ) -> Tuple[Dict[str, Any], Optional[int]]:
     """Inject *stage* on one monitored link, time it, and recover.
 
@@ -272,6 +583,14 @@ def drive_injection(
     the watcher reads the island's lagging state), and is stamped once:
     the output is byte-identical with leaping on or off.
 
+    With a *trunk* the stage is armed at its branch instead (see
+    :class:`Trunk`): the run goes on unarmed — from the trunk's
+    checkpoint when :meth:`Trunk.enter` restored one — checkpoints at
+    the branch and arms there, carrying the stamps and the detect
+    budget left.  The arming the run starts with spends its owner
+    notification on both fault blocks, so the unarmed prefix is
+    scheduled as an armed one is.
+
     After detection the manager's faults are cleared — the software
     recovery routine the paper's interrupt triggers — and, with no CPU
     to serve the interrupt (*ack_irq*), the IRQ is acknowledged here.
@@ -283,9 +602,23 @@ def drive_injection(
     the run, and the cycle of its first W beat.
     """
     corrupt_id = tmu.config.max_uniq_ids + 1
-    arm_stage_fault(subordinate.faults, manager.faults, corrupt_id, stage, beats)
+    sub_faults, mgr_faults = subordinate.faults, manager.faults
+
+    def arm() -> None:
+        arm_stage_fault(sub_faults, mgr_faults, corrupt_id, stage, beats)
+
     manifest = _MANIFEST[stage]
-    t = _Timeline(device, subordinate)
+    t = _Timeline(
+        sim, device, subordinate, manager, beats,
+        w_beats=subordinate.w_beats, r_beats=subordinate.r_beats,
+    )
+    saved = None if trunk is None else trunk._resumed
+    if saved is None:
+        target = sim.cycle + detect_timeout
+    else:
+        target = saved.target
+        for name, stamp in zip(_Timeline.SHARED, saved.stamps):
+            setattr(t, name, stamp)
 
     def detect_tick(_sim) -> bool:
         cycle = sim.cycle
@@ -305,7 +638,115 @@ def drive_injection(
             t.manifest = cycle
         return bool(tmu.irq.value)
 
-    detect_cycle = sim.run_until(detect_tick, timeout=detect_timeout)
+    tick = detect_tick
+    if trunk is None:
+        arm()
+    else:
+        trigger = _trigger(stage, beats)
+        passed = set() if saved is None else set(saved.passed)
+        watched = [
+            (other, _trigger(other, beats, watched=True))
+            for other in trunk.pending - passed
+        ]
+        redrive = _REDRIVE.get(stage)
+        counted = _COUNTED.get(stage) if beats >= 2 else None
+
+        # The held island a W threshold would have ended early: (the
+        # cycle it formed, the cycle the threshold caps it to).
+        capped: Optional[Tuple[int, int]] = None
+
+        def branch() -> None:
+            nonlocal tick
+            tick = detect_tick
+            sim.span_gate = None
+            _silently((sub_faults, mgr_faults), arm)
+            if counted is not None:
+                countdown, channel = counted
+                object.__setattr__(
+                    sub_faults, countdown, _left(t, channel, lagging=True)
+                )
+            if capped is not None and sim.island_start == capped[0]:
+                sim.cap_island(capped[1])
+            if redrive is not None and not sim.resettle(
+                (getattr(t, redrive),)
+            ):
+                raise Unforkable(f"{stage.value} at cycle {sim.cycle}")
+            trunk.branched = (stage, sim.cycle)
+
+        def fork() -> None:
+            stepped = sim.stepped_cycles >= Trunk.MIN_CYCLES
+            if stepped and trunk.pending - passed:
+                trunk._save(sim, t, target, passed)
+            branch()
+
+        def trunk_tick(_sim) -> bool:
+            # Stamps first: the checkpoint carries the shared ones.  A
+            # manifest met here is met armed too (the trigger holds).
+            irq = detect_tick(_sim)
+            if trigger(t):
+                fork()
+                return detect_tick(_sim)
+            for other, met in watched:
+                if other not in passed and met(t):
+                    passed.add(other)
+            return irq
+
+        def span_gate(components, horizon: int, island: bool) -> bool:
+            # deaf_w_after ends a span or an island before the beat that
+            # strikes.  An island it caps but leaves long enough forms
+            # unarmed here; the branch comes at the capped end (where
+            # the beat count meets the trigger) unless a span streamed
+            # beside it would cross that end first.
+            nonlocal capped
+            if subordinate in components:
+                cap = _left(t, "w") - 1
+                if cap >= horizon:
+                    return False
+                if island and cap >= sim.MIN_ISLAND_SPAN:
+                    capped = (sim.cycle, sim.cycle + cap)
+                    return False
+            elif not (
+                capped is not None
+                and sim.island_start == capped[0]
+                and sim.cycle + horizon > capped[1]
+            ):
+                return False
+            fork()
+            return True
+
+        def unarmed() -> None:
+            nonlocal tick
+            tick = trunk_tick
+            if counted is not None and counted[1] == "w":
+                sim.span_gate = span_gate
+
+        if saved is None:
+            # What arming here notifies, minus the switch itself.
+            sub_faults._notify_owner()
+            mgr_faults._notify_owner()
+            if trigger(t):
+                _silently((sub_faults, mgr_faults), arm)
+            else:
+                unarmed()
+        elif trigger(t):
+            branch()  # at the checkpoint's own evaluation
+        else:
+            unarmed()
+
+    def condition(_sim) -> bool:
+        return tick(_sim)  # the trunk's tick until its branch
+
+    if tick is detect_tick:
+        condition = detect_tick
+    try:
+        if saved is not None and condition(sim):
+            detect_cycle = sim.cycle
+        else:
+            detect_cycle = sim.run_until(
+                condition, timeout=target - sim.cycle, resume=saved is not None
+            )
+    finally:
+        sim.span_gate = None
     fault = tmu.last_fault
     done = None
     if detect_cycle is not None:
@@ -333,6 +774,7 @@ def drive_injection(
     return fields, t.w_first
 
 
+
 def build_ip_harness(
     config: TmuConfig,
     harness_kwargs: Optional[dict] = None,
@@ -349,6 +791,34 @@ def build_ip_harness(
     return IpHarness(config, **kwargs)
 
 
+def submit_ip_workload(
+    harness: IpHarness,
+    stage: InjectionStage,
+    beats: int,
+    issue_delay: int,
+    size: int,
+    outstanding: int,
+    ids: int,
+) -> None:
+    """Queue :func:`run_injection`'s workload on *harness*: *outstanding*
+    transactions of *beats* beats in *stage*'s direction over *ids*
+    IDs, the first after *issue_delay* idle cycles."""
+    spec_fn = write_spec if stage.direction == AxiDir.WRITE else read_spec
+    # Each transaction gets its own 4 KiB-aligned page span so INCR
+    # bursts stay AXI-legal at every (beats, size) grid point.
+    stride = 0x1000 * ((beats * bytes_per_beat(size) + 0xFFF) // 0x1000)
+    for i in range(outstanding):
+        harness.manager.submit(
+            spec_fn(
+                i % ids,
+                0x1000 + i * stride,
+                beats=beats,
+                size=size,
+                issue_delay=issue_delay if i == 0 else 0,
+            )
+        )
+
+
 def run_injection(
     config: TmuConfig,
     stage: InjectionStage,
@@ -361,6 +831,7 @@ def run_injection(
     outstanding: int = 1,
     reorder_depth: int = 0,
     harness: Optional[IpHarness] = None,
+    trunk: Optional[Trunk] = None,
 ) -> InjectionResult:
     """Inject one fault and measure detection and recovery.
 
@@ -381,7 +852,10 @@ def run_injection(
     *harness* runs the injection on a harness in its freshly built
     state (a new build, or one returned by :meth:`IpHarness.reset`)
     built by :func:`build_ip_harness` from the same *config*,
-    *harness_kwargs* and *reorder_depth*; by default one is built.
+    *harness_kwargs* and *reorder_depth*; by default one is built.  A
+    *trunk* (:class:`Trunk`, entered on *harness*) shares the unarmed
+    prefix with the other stages of this seed; when it restored its
+    checkpoint, the workload is already submitted.
 
     The axes are checked by :func:`~repro.orchestrate.spec.validate_axes`,
     and *issue_delay* must not be negative: a value no campaign could
@@ -395,26 +869,16 @@ def run_injection(
         raise ValueError(f"issue_delay must be at least 0, got {issue_delay}")
     if harness is None:
         harness = build_ip_harness(config, harness_kwargs, reorder_depth)
-    spec_fn = write_spec if stage.direction == AxiDir.WRITE else read_spec
-    # Each transaction gets its own 4 KiB-aligned page span so INCR
-    # bursts stay AXI-legal at every (beats, size) grid point.
-    stride = 0x1000 * ((beats * bytes_per_beat(size) + 0xFFF) // 0x1000)
-    for i in range(outstanding):
-        harness.manager.submit(
-            spec_fn(
-                i % max(1, config.max_uniq_ids),
-                0x1000 + i * stride,
-                beats=beats,
-                size=size,
-                issue_delay=issue_delay if i == 0 else 0,
-            )
+    if trunk is None or not trunk.resumed:
+        submit_ip_workload(
+            harness, stage, beats, issue_delay, size, outstanding,
+            max(1, config.max_uniq_ids),
         )
-
     fields, _w_first = drive_injection(
         harness.sim, harness.tmu, harness.host, harness.device,
         harness.manager, harness.subordinate, stage, beats, outstanding,
         issue_delay + detect_timeout, recovery_timeout,
-        recovered=lambda: harness.manager.idle, ack_irq=True,
+        recovered=lambda: harness.manager.idle, ack_irq=True, trunk=trunk,
     )
     return InjectionResult(**fields, resets_taken=harness.subordinate.resets_taken)
 

@@ -57,6 +57,7 @@ from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
 )
 
+from ..faults.types import InjectionStage
 from ..sim.batch import LeapTrace, lane_classes, lockstep_period
 from ..sim.kernel import SchedulerDivergenceError
 from .executor import HarnessCache, Item, execute_run, harness_key
@@ -126,7 +127,7 @@ class BatchExecutor:
     lanes:
         Maximum pack width; ``None`` (the default) packs a whole
         congruence class.  ``1`` degenerates to per-lane scalar
-        execution in point order (every pack is its own leader, run
+        execution (every pack is its own leader, run
         without evidence collection): :class:`SerialExecutor`, the
         differential baseline.
     verify:
@@ -169,9 +170,50 @@ class BatchExecutor:
         """Yield the items of *points* (each the runs of one (config,
         stage)) as they finish."""
         cache = HarnessCache()
-        for point in points:
+        for family in _families(points):
+            if len(family) == 1:
+                point = family[0]
+                for pack in self._packs(point, cache):
+                    yield from _run_pack(self._pack_steps(point, pack), cache)
+            else:
+                yield from self._execute_family(family, cache)
+
+    # ------------------------------------------------------------------
+    # Families: the stages of one (config, seed) share a trunk
+    # ------------------------------------------------------------------
+    def _execute_family(
+        self, family: List[Point], cache: HarnessCache
+    ) -> Iterator[Item]:
+        """Run *family* (points that differ only in stage) pack by pack,
+        every pack of every point at once: the runs its packs ask for
+        are grouped by seed, and each seed's runs share one
+        :class:`~repro.faults.campaign.Trunk` — its unarmed prefix is
+        simulated once, each stage branching off where its fault first
+        matters.  Each item comes out as soon as its pack makes it."""
+        from ..faults.campaign import Trunk
+
+        waiting: List[Tuple[int, Any, _Run]] = []
+        for position, point in enumerate(family):
             for pack in self._packs(point, cache):
-                yield from self._execute_pack(point, pack, cache)
+                steps = self._pack_steps(point, pack)
+                yield from _advance(steps, None, position, waiting)
+        while waiting:
+            seed = waiting[0][2].run.seed
+            group = [entry for entry in waiting if entry[2].run.seed == seed]
+            waiting = [entry for entry in waiting if entry[2].run.seed != seed]
+            trunk = cache.trunk = None
+            if len(group) > 1:
+                trunk = cache.trunk = Trunk(
+                    InjectionStage(family[position].shared.stage)
+                    for position, _, _ in group
+                )
+            for position, steps, request in group:
+                run = request.run
+                result = execute_run(run, trace=request.trace, cache=cache)
+                if self.verify and trunk is not None and trunk.branched:
+                    self._verify_branch(run, result, trunk.branched)
+                yield from _advance(steps, result, position, waiting)
+            cache.trunk = None
 
     # ------------------------------------------------------------------
     # Pack planning
@@ -232,13 +274,16 @@ class BatchExecutor:
         """
         return seed if kind == "system" else seed - 1
 
-    def _execute_pack(
-        self, point: Point, pack: List[int], cache: HarnessCache
-    ) -> Iterator[Item]:
-        """Run one pack (offsets into *point*): each run as it finishes,
-        then the lanes derived from a leader right after the leader."""
-        self.stats.packs += 1
+    def _pack_steps(self, point: Point, pack: List[int]):
+        """Run one pack (offsets into *point*) as a coroutine: it yields
+        a :class:`_Run` for each run it needs simulated (and is sent
+        that run's result), and each item as soon as it is ready — the
+        lanes derived from a leader right after the leader.  The stats
+        count the pack once its first run is back, and each run as it
+        comes back."""
+        stats = self.stats
         kind, seeds, indices = point.shared.kind, point.seeds, point.indices
+        first = True
         # A lane whose onset is at (or before) cycle 1 can never show an
         # inert pre-onset *gap* — the kernel always steps cycle 0 — so
         # it runs scalar unconditionally, as do lanes the caller
@@ -253,21 +298,28 @@ class BatchExecutor:
             retired += itertools.compress(queue, forced)
             queue = [offset for offset, drop in zip(queue, forced) if not drop]
         for offset in retired:
-            yield self._scalar(point[offset], cache)
+            result = yield _Run(point[offset])
+            stats.packs += first
+            stats.retired += 1
+            first = False
+            yield (indices[offset],), [result]
         while queue:
-            leader = point[queue.pop(0)]
+            offset = queue.pop(0)
+            leader = point[offset]
             onset = self._onset(kind, leader.seed)
             # The evidence serves followers only: the last lane runs
             # without the probe.
             trace = LeapTrace(onset=onset) if queue else None
-            result = execute_run(leader, trace=trace, cache=cache)
-            self.stats.leaders += 1
+            result = yield _Run(leader, trace)
+            stats.packs += first
+            stats.leaders += 1
+            first = False
             if not queue or not trace.inert_before(onset):
                 # Nothing to derive (the last lane), or no evidence
                 # (non-leaping kernel, or the transient reaches the
                 # onset): the result stands, and the next lane, whose
                 # later onset leaves the transient more room, leads.
-                self.stats.promoted += bool(queue)
+                stats.promoted += bool(queue)
                 yield (leader.index,), [result]
                 continue
             if not self._derivable(leader, result):
@@ -275,7 +327,9 @@ class BatchExecutor:
                 # leader's stands and the rest run scalar.
                 yield (leader.index,), [result]
                 for offset in queue:
-                    yield self._scalar(point[offset], cache)
+                    result = yield _Run(point[offset])
+                    stats.retired += 1
+                    yield (indices[offset],), [result]
                 return
             lead = leader.seed
             deltas = {indices[offset]: seeds[offset] - lead for offset in queue}
@@ -288,7 +342,7 @@ class BatchExecutor:
                     if self.derive_hook is not None:
                         lane = self.derive_hook(run, lane)
                     self._verify_lane(run, leader, lane)
-            self.stats.derived += len(queue)
+            stats.derived += len(queue)
             yield tuple(deltas), lanes
             return
 
@@ -310,11 +364,19 @@ class BatchExecutor:
         return not any(stamp is not None and stamp < onset for stamp in stamps)
 
     # ------------------------------------------------------------------
-    # Scalar fallback and verify replay
+    # Verify replays
     # ------------------------------------------------------------------
-    def _scalar(self, run: RunSpec, cache: HarnessCache) -> Item:
-        self.stats.retired += 1
-        return (run.index,), [execute_run(run, cache=cache)]
+    def _verify_branch(self, run: RunSpec, result, branched) -> None:
+        """Re-run a branched run from cycle 0 on a fresh harness and
+        compare the whole result, scheduler statistics included."""
+        replay = execute_run(run)
+        if dataclasses.astuple(replay) != dataclasses.astuple(result):
+            stage, cycle = branched
+            raise SchedulerDivergenceError(
+                f"trunk branch divergence at run {run.run_id} (stage "
+                f"{stage.value}, branch cycle {cycle}): branched result "
+                f"{result!r} != unforked replay {replay!r}"
+            )
 
     def _verify_lane(self, run: RunSpec, leader: RunSpec, derived) -> None:
         """Replay a derived lane on the scalar verify kernel and compare.
@@ -341,9 +403,80 @@ class BatchExecutor:
             )
 
 
+@dataclasses.dataclass
+class _Run:
+    """A pack's request: simulate *run*, observed by *trace* (pack
+    leaders)."""
+
+    run: RunSpec
+    trace: Optional[LeapTrace] = None
+
+
+def _run_pack(steps, cache: HarnessCache) -> Iterator[Item]:
+    """Drive a pack's coroutine *steps* alone: simulate each run it asks
+    for, yield each item it makes."""
+    result = None
+    while True:
+        try:
+            step = steps.send(result)
+        except StopIteration:
+            return
+        if isinstance(step, _Run):
+            result = execute_run(step.run, trace=step.trace, cache=cache)
+        else:
+            result = None
+            yield step
+
+
+def _advance(steps, result, position: int, waiting: list) -> Iterator[Item]:
+    """Send *result* into a pack's coroutine *steps* (``None`` starts
+    it) and yield the items it makes until it asks for a run, which
+    joins *waiting* with the pack's *position* in its family (or it
+    finishes)."""
+    try:
+        step = steps.send(result)
+        while not isinstance(step, _Run):
+            yield step
+            step = next(steps)
+    except StopIteration:
+        return
+    waiting.append((position, steps, step))
+
+
+def _family_key(point: Point) -> Tuple:
+    """What a point's runs share with the other stages of a family:
+    every field but the stage and the seeds, and for IP runs the
+    direction, whose stimulus the stage chooses."""
+    shared = dict(vars(point.shared))
+    stage = InjectionStage(shared.pop("stage"))
+    return (
+        tuple(sorted(shared.items(), key=lambda item: item[0])),
+        stage.direction if shared["kind"] == "ip" else None,
+    )
+
+
+def _families(points: Iterable[Point]) -> Iterator[List[Point]]:
+    """*points* cut into runs of consecutive points with one family key;
+    a point whose transfers are too short to pay for a fork
+    (:meth:`~repro.faults.campaign.Trunk.pays`) is a family alone."""
+    from ..faults.campaign import Trunk
+
+    family: List[Point] = []
+    key = None
+    for point in points:
+        point_key = _family_key(point) if Trunk.pays(point.shared) else None
+        if family and (point_key is None or point_key != key):
+            yield family
+            family = []
+        family.append(point)
+        key = point_key
+    if family:
+        yield family
+
+
 class SerialExecutor(BatchExecutor):
     """The width-1 :class:`BatchExecutor`: every run is its own one-lane
-    pack, run scalar in point order and yielded as its own item."""
+    pack, run scalar and yielded as its own item."""
 
     def __init__(self) -> None:
         super().__init__(1)

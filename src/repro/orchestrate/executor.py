@@ -113,18 +113,26 @@ class HarnessCache:
     def __init__(self) -> None:
         self._key: Optional[Tuple] = None
         self._harness = None
+        #: The :class:`~repro.faults.campaign.Trunk` the next runs on
+        #: this cache's harness share, if any (set by the batch
+        #: executor for each seed of a family).
+        self.trunk = None
         # The last run's config dict and its serialization: a campaign
         # shares one dict across many runs, so it is serialized once.
         self._config = None
         self._config_text = ""
 
-    def get(self, run):
+    def get(self, run, reset: bool = True):
+        """The harness for *run*: the held one when its key matches (reset
+        unless *reset* is False, for a caller restoring a checkpoint taken
+        on it), else a new build."""
         if run.config is not self._config:
             self._config = run.config
             self._config_text = json.dumps(run.config, sort_keys=True)
         key = harness_key(run, self._config_text)
         if key == self._key:
-            self._harness.reset()
+            if reset:
+                self._harness.reset()
         else:
             self._harness = build_harness(run)
             self._key = key
@@ -142,44 +150,72 @@ def execute_run(run: RunSpec, trace=None, cache: Optional[HarnessCache] = None):
     :class:`~repro.sim.batch.LeapTrace`) observes this run only: it is
     registered before the run starts and removed when it ends — the
     lockstep batch executor uses it to collect inert-prefix evidence
-    from pack leaders.
+    from pack leaders.  The cache's :attr:`HarnessCache.trunk` (the
+    :class:`~repro.faults.campaign.Trunk` the stages of one seed share,
+    checkpointing the cache's harness) starts the run from its
+    checkpoint when it can; a branch that cannot be certified runs
+    again from cycle 0.
     """
-    harness = build_harness(run) if cache is None else cache.get(run)
+    from ..faults.campaign import Unforkable
+
+    stage = InjectionStage(run.stage)
+    trunk = None if cache is None else cache.trunk
+    resume = trunk is not None and trunk.resumes(stage, trace)
+    harness = (
+        build_harness(run) if cache is None
+        else cache.get(run, reset=not resume)
+    )
     if trace is not None:
         harness.sim.add_probe(trace)
     try:
-        stage = InjectionStage(run.stage)
-        if run.kind == "ip":
-            from ..faults.campaign import run_injection
-
-            return run_injection(
-                harness.tmu.config,
-                stage,
-                beats=run.beats,
-                detect_timeout=run.detect_timeout,
-                recovery_timeout=run.recovery_timeout,
-                issue_delay=run.seed,
-                size=run.size,
-                outstanding=run.outstanding,
-                harness=harness,
-            )
-        from ..soc.experiment import run_system_injection
-
-        return run_system_injection(
-            harness.tmu.config.variant,
-            stage,
-            beats=run.beats,
-            background=run.background,
-            detect_timeout=run.detect_timeout,
-            recovery_timeout=run.recovery_timeout,
-            start_delay=run.seed,
-            size=run.size,
-            outstanding=run.outstanding,
-            soc=harness,
-        )
+        if trunk is not None:
+            trunk.enter(harness, stage, trace)
+        try:
+            return _inject(run, stage, harness, trunk)
+        except Unforkable:
+            trunk.forget()
+            harness.reset()
+            if trace is not None:  # its evidence starts over too
+                trace.stepped.clear()
+                trace.leaps = trace.cycles_leaped = 0
+            trunk.enter(harness, stage, trace)
+            return _inject(run, stage, harness, None)
     finally:
         if trace is not None:
             harness.sim.remove_probe(trace)
+
+
+def _inject(run: RunSpec, stage: InjectionStage, harness, trunk):
+    if run.kind == "ip":
+        from ..faults.campaign import run_injection
+
+        return run_injection(
+            harness.tmu.config,
+            stage,
+            beats=run.beats,
+            detect_timeout=run.detect_timeout,
+            recovery_timeout=run.recovery_timeout,
+            issue_delay=run.seed,
+            size=run.size,
+            outstanding=run.outstanding,
+            harness=harness,
+            trunk=trunk,
+        )
+    from ..soc.experiment import run_system_injection
+
+    return run_system_injection(
+        harness.tmu.config.variant,
+        stage,
+        beats=run.beats,
+        background=run.background,
+        detect_timeout=run.detect_timeout,
+        recovery_timeout=run.recovery_timeout,
+        start_delay=run.seed,
+        size=run.size,
+        outstanding=run.outstanding,
+        soc=harness,
+        trunk=trunk,
+    )
 
 
 def execute_shard(shard: Shard, lanes: Optional[int] = None,

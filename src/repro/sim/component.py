@@ -32,16 +32,25 @@ A component names each registered field once, in its class-level
     }
 
 A power-on value is an immutable constant or a factory: a type is
-called with no argument, any other callable with the instance.  Tables
-merge along the MRO once per class, so ``reset()`` and
+called with no argument, any other callable with the instance.  A
+:func:`held` entry is a holder of registered state (a guard, a remap
+table, a :class:`DriveSensitiveState` fault block) built on the first
+reset and reset in place, through its own table, on every later one.
+Tables merge along the MRO once per class, so ``reset()`` and
 ``snapshot_state()`` do no introspection.  ``reset()`` is the only
 place registered state is written: ``__init__`` sets configuration and
 wiring, then calls it, so a reset component is exactly a fresh one —
 what lets a harness be reused through ``Simulator.reset()``.  An
-override adds only behaviour that is not a field (clearing a
-:class:`DriveSensitiveState` fault block) and schedules nothing;
+override adds only behaviour that is not a field and schedules nothing;
 ``Simulator.reset()`` re-seeds every drive, demand update and timed
 wake right after it resets the components.
+
+The table also generates ``checkpoint()`` and ``restore()``, one
+:func:`clone` per field each way: immutable values (frozen beats,
+budget blocks, :func:`shared_in_checkpoints` records) are shared,
+containers and mutable records copied, holders checkpointed in place.
+``Simulator.checkpoint()`` adds the kernel's own state; a restore
+writes it all back and schedules nothing the checkpoint did not hold.
 
 Scheduling contract (dirty-set kernel)
 --------------------------------------
@@ -182,10 +191,14 @@ components (:func:`repro.sim.batch.lockstep_period`).
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
+import types
 from collections import deque
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional
 
-from .signal import Wire
+from .signal import Channel, Wire
 
 
 def freeze(value):
@@ -203,6 +216,7 @@ def freeze(value):
 class _Field(NamedTuple):
     power_on: Any
     view: Optional[Callable[[Any], Any]]  # None: not compared
+    held: bool = False
 
 
 def uncompared(power_on) -> _Field:
@@ -216,10 +230,27 @@ def projected(power_on, view: Callable[[Any], Any]) -> _Field:
     return _Field(power_on, view)
 
 
+def held(factory, view: Optional[Callable[[Any], Any]] = freeze) -> _Field:
+    """A holder of registered state (a guard, a remap table, a fault
+    block) built once by *factory* and from then on reset, checkpointed
+    and restored in place through its own ``reset()``, ``checkpoint()``
+    and ``restore()``.  Verify compares ``view(holder)`` (by default its
+    ``snapshot_state()``; ``None`` compares nothing)."""
+    return _Field(factory, view, True)
+
+
 def _fields(table):
-    """``(name, power_on, view)`` per entry; a bare value is frozen."""
+    """``(name, power_on, view, held)`` per entry; a bare value is frozen."""
     for name, spec in table.items():
-        yield (name, *spec) if isinstance(spec, _Field) else (name, spec, freeze)
+        if isinstance(spec, _Field):
+            yield (name, *spec)
+        else:
+            yield (name, spec, freeze, False)
+
+
+def _generate(name: str, lines, namespace: dict):
+    exec("\n".join(lines), namespace)
+    return namespace[name]
 
 
 def power_on_writer(table):
@@ -230,19 +261,254 @@ def power_on_writer(table):
     ``__init__``: one plain attribute store per field, so a reset costs
     what hand-written assignments cost.  A ``setattr`` loop costs
     several times as much per field, and writing through ``__dict__``
-    would slow every later attribute read of the instance.
+    would slow every later attribute read of the instance.  A
+    :func:`held` field is built on the first write and reset in place
+    on every later one.
     """
     namespace: dict = {}
     lines = ["def write(self):", "    pass"]
-    for i, (name, power_on, _) in enumerate(_fields(table)):
+    for i, (name, power_on, _, is_held) in enumerate(_fields(table)):
         namespace[f"_{i}"] = power_on
         call = (
             "()" if isinstance(power_on, type)
             else "(self)" if callable(power_on) else ""
         )
-        lines.append(f"    self.{name} = _{i}{call}")
-    exec("\n".join(lines), namespace)
-    return namespace["write"]
+        if is_held:
+            # getattr, not __dict__: reading the instance dict would
+            # materialize it and slow every attribute read after.
+            lines += [
+                f"    holder = getattr(self, {name!r}, None)",
+                f"    if holder is None: self.{name} = _{i}{call}",
+                "    else: holder.reset()",
+            ]
+        else:
+            lines.append(f"    self.{name} = _{i}{call}")
+    return _generate("write", lines, namespace)
+
+
+def _checkpoint_pair(names):
+    """The ``checkpoint(memo)`` and ``restore(state, memo)`` methods of
+    a class whose checkpointed fields are *names*, generated like
+    :func:`power_on_writer`: one :func:`clone` per field each way."""
+    namespace = {"clone": clone}
+    reads = "".join(f"clone(self.{name}, memo), " for name in names)
+    read = [
+        "def checkpoint(self, memo=None):",
+        "    if memo is None: memo = {}",
+        f"    return ({reads})",
+    ]
+    write = [
+        "def restore(self, state, memo=None):",
+        "    if memo is None: memo = {}",
+    ]
+    write += [
+        f"    self.{name} = clone(state[{i}], memo)"
+        for i, name in enumerate(names)
+    ]
+    return (
+        _generate("checkpoint", read, namespace),
+        _generate("restore", write, dict(namespace)),
+    )
+
+
+# ----------------------------------------------------------------------
+# Checkpoint copies
+# ----------------------------------------------------------------------
+class _Held(NamedTuple):
+    """A holder's checkpoint inside its owner's: the holder itself, kept
+    by identity, and its own :meth:`~RegisteredState.checkpoint`."""
+
+    holder: Any
+    state: tuple
+
+
+def clone(value, memo: Dict[int, Any]):
+    """*value* copied for a checkpoint (and back, for a restore).
+
+    Immutable values are shared: numbers, strings, enum members, frozen
+    dataclasses (every AXI beat, the budget blocks, fault events),
+    classes marked with :func:`shared_in_checkpoints`, callables, and
+    the wiring (wires, channels, registered components).  Containers
+    and mutable records are copied, their items cloned in turn; *memo*
+    (original id -> copy) keeps objects reached twice one object.  A
+    holder with its own ``checkpoint()`` (:func:`held` fields: guards,
+    tables, fault blocks, an unregistered component) is kept by
+    identity and copied through its own table; cloning that copy back
+    restores the holder in place.
+    """
+    cls = value.__class__
+    if cls in _SHARED:
+        return value
+    copier = _COPIERS.get(cls)
+    if copier is None:
+        copier = _copier_for(cls)
+    return copier(value, memo)
+
+
+def _share(value, memo):
+    return value
+
+
+def _items(values, memo) -> list:
+    shared = _SHARED
+    return [
+        item if item.__class__ in shared else clone(item, memo)
+        for item in values
+    ]
+
+
+def _clone_tuple(value, memo):
+    shared = _SHARED
+    for item in value:
+        if item.__class__ not in shared:
+            return tuple(_items(value, memo))
+    return value
+
+
+def _clone_list(value, memo):
+    copy = memo.get(id(value))
+    if copy is None:
+        copy = memo[id(value)] = []
+        copy += _items(value, memo)
+    return copy
+
+
+def _clone_deque(value, memo):
+    copy = memo.get(id(value))
+    if copy is None:
+        copy = memo[id(value)] = deque(maxlen=value.maxlen)
+        copy += _items(value, memo)
+    return copy
+
+
+def _clone_dict(value, memo):
+    copy = memo.get(id(value))
+    if copy is None:
+        copy = memo[id(value)] = {}
+        shared = _SHARED
+        for key, item in value.items():
+            copy[key] = item if item.__class__ in shared else clone(item, memo)
+    return copy
+
+
+def _clone_set(value, memo):
+    copy = memo.get(id(value))
+    if copy is None:
+        copy = memo[id(value)] = set(value)
+    return copy
+
+
+def _hold(value, memo):
+    copy = memo.get(id(value))
+    if copy is None:
+        copy = memo[id(value)] = _Held(value, value.checkpoint(memo))
+    return copy
+
+
+def _thaw(value, memo):
+    holder = value.holder
+    if id(value) not in memo:
+        memo[id(value)] = holder
+        holder.restore(value.state, memo)
+    return holder
+
+
+def _component(value, memo):
+    # A registered component is part of the skeleton a checkpoint
+    # keeps; an unregistered one is state of the component holding it.
+    return value if value._sim is not None else _hold(value, memo)
+
+
+def _record_copier(cls):
+    # A record's attributes are its dataclass fields or its slots, read
+    # and written by name: reading the instance dict would materialize
+    # it and slow every later attribute read of the live record.  A
+    # record class may name fields a checkpoint shares (never mutated
+    # once the record is built) in ``checkpoint_shares``.
+    if dataclasses.is_dataclass(cls):
+        names = [field.name for field in dataclasses.fields(cls)]
+    else:
+        names = [
+            name
+            for klass in cls.__mro__
+            for name in (
+                (klass.__dict__.get("__slots__", ()),)
+                if isinstance(klass.__dict__.get("__slots__", ()), str)
+                else klass.__dict__.get("__slots__", ())
+            )
+            if name not in ("__dict__", "__weakref__")
+        ]
+    shares = frozenset(getattr(cls, "checkpoint_shares", ()))
+    new = object.__new__
+    store = object.__setattr__
+
+    def copier(value, memo):
+        copy = memo.get(id(value))
+        if copy is None:
+            copy = memo[id(value)] = new(cls)
+            shared = _SHARED
+            for name in names:
+                item = getattr(value, name)
+                if item.__class__ not in shared and name not in shares:
+                    item = clone(item, memo)
+                store(copy, name, item)
+        return copy
+
+    return copier
+
+
+_CALLABLES = (
+    types.FunctionType, types.MethodType, types.BuiltinFunctionType,
+    functools.partial,
+)
+
+#: Classes whose instances :func:`clone` shares.
+_SHARED = {int, bool, float, str, type(None)}
+
+#: Per other class: how :func:`clone` copies an instance.
+_COPIERS: Dict[type, Callable[[Any, dict], Any]] = {
+    list: _clone_list, deque: _clone_deque, dict: _clone_dict,
+    set: _clone_set, tuple: _clone_tuple, _Held: _thaw,
+}
+
+
+def shared_in_checkpoints(cls):
+    """Class decorator: a checkpoint shares instances of *cls* — records
+    nothing mutates once they are built (a submitted transaction, a
+    completed one)."""
+    _SHARED.add(cls)
+    return cls
+
+
+def _copier_for(cls):
+    if issubclass(cls, tuple) and cls is not _Held:
+        copier = _clone_tuple if cls is tuple else _share  # named tuples
+    elif (
+        issubclass(cls, (int, float, complex, str, bytes, frozenset, range,
+                         enum.Enum, type(None), type, Wire, Channel))
+        or issubclass(cls, _CALLABLES)
+        or (
+            dataclasses.is_dataclass(cls)
+            and cls.__dataclass_params__.frozen
+        )
+    ):
+        copier = _share
+    elif issubclass(cls, Component):
+        copier = _component
+    elif hasattr(cls, "checkpoint") and hasattr(cls, "restore"):
+        copier = _hold
+    elif dataclasses.is_dataclass(cls) or hasattr(cls, "__slots__"):
+        copier = _record_copier(cls)
+    else:
+        raise TypeError(
+            f"cannot checkpoint a {cls.__qualname__}: make it a dataclass, "
+            f"give it __slots__, or mark it shared_in_checkpoints"
+        )
+    if copier is _share:
+        _SHARED.add(cls)
+    else:
+        _COPIERS[cls] = copier
+    return copier
 
 
 class RegisteredState:
@@ -255,6 +521,7 @@ class RegisteredState:
     registered: dict = {}
     _power_on = power_on_writer({})
     _compared: tuple = ()
+    checkpoint, restore = _checkpoint_pair(())
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -263,13 +530,20 @@ class RegisteredState:
             table.update(klass.__dict__.get("registered", ()))
         cls._power_on = power_on_writer(table)
         cls._compared = tuple(
-            (name, view) for name, _, view in _fields(table) if view is not None
+            (name, view)
+            for name, _, view, _ in _fields(table)
+            if view is not None
         )
+        if "checkpoint" not in cls.__dict__:
+            cls.checkpoint, cls.restore = _checkpoint_pair(tuple(table))
 
     def reset(self) -> None:
         """Synchronous reset: write every registered field's power-on
         value (see "Power-on state" above)."""
         self._power_on()
+
+    # checkpoint(memo=None) -> state, restore(state, memo=None): the
+    # table's fields, each copied by clone() (see "Power-on state").
 
     def snapshot_state(self):
         """The compared fields, frozen or projected, for verify's diff.
@@ -310,6 +584,31 @@ class DriveSensitiveState:
         for name, field in self.__dataclass_fields__.items():
             object.__setattr__(self, name, field.default)
         self._notify_owner()
+
+    #: A :func:`held` field's reset.
+    reset = clear
+
+    def checkpoint(self, memo=None) -> tuple:
+        """The switches' values (plain values, shared)."""
+        return tuple(
+            [getattr(self, name) for name in self.__dataclass_fields__]
+        )
+
+    #: Verify compares the switches' values.
+    snapshot_state = checkpoint
+
+    def restore(self, state: tuple, memo=None) -> None:
+        """Write *state* back without notifying the owner: a restore
+        puts the owner's scheduling back as it was."""
+        for name, value in zip(self.__dataclass_fields__, state):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def owned_by(cls, owner) -> "DriveSensitiveState":
+        """A block at its defaults whose writes notify *owner*."""
+        block = cls()
+        object.__setattr__(block, "_owner", owner)
+        return block
 
 
 class Component(RegisteredState):

@@ -140,7 +140,7 @@ from __future__ import annotations
 import heapq
 import operator
 from time import perf_counter_ns
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .component import Component
 from .signal import _ACTIVE_READER, Wire
@@ -180,6 +180,17 @@ class _Island:
         self.forming = True
         #: Cycles of whole-simulation spans streamed while it was held.
         self.streamed = 0
+
+    def copy(self) -> "_Island":
+        """An island equal to this one; its lists are never mutated in
+        place, so they are shared."""
+        island = _Island(
+            self.start, self.end, self.members, self.watch, self.shared,
+            self.inputs,
+        )
+        island.forming = self.forming
+        island.streamed = self.streamed
+        return island
 
     def moved(self) -> bool:
         """Whether a watched input wire changed value."""
@@ -237,6 +248,26 @@ class _Topology:
             )
             wires = self._islands[watch] = (every, shared)
         return wires
+
+
+class Checkpoint(NamedTuple):
+    """What :meth:`Simulator.checkpoint` saves (see there)."""
+
+    cycle: int
+    stats: Tuple[int, ...]
+    wake_heap: List[Tuple[int, int, Component]]
+    wakes: List[Optional[int]]
+    pending: set
+    update_pending: set
+    island: Optional[_Island]
+    island_retry: int
+    wires: List[Tuple[Any, set]]
+    changed_wires: set
+    components: List[tuple]
+
+
+class _Redecide(Exception):
+    """Raised by a span gate that changed state (see ``span_gate``)."""
 
 
 class SettleError(RuntimeError):
@@ -358,6 +389,15 @@ class Simulator:
         #: MIN_ISLAND_SPAN).
         self._island: Optional[_Island] = None
         self._island_retry = 0
+        #: Consulted right before a streamed span or an island of
+        #: ``horizon`` cycles starts, as ``gate(components, horizon,
+        #: island)`` with the components that would stream: a gate
+        #: returning True has changed their state (armed a fault whose
+        #: effect the span would cross), and the kernel decides the
+        #: step boundary again.  A checkpoint the gate takes is a point
+        #: of the ``run_until`` loop like one taken from its condition.
+        #: None (the default) gates nothing.
+        self.span_gate: Optional[Callable[[Any, int, bool], bool]] = None
         #: Optional telemetry tracer (see :mod:`repro.telemetry.tracer`).
         #: Every hook site guards on a hoisted ``tracer is not None``
         #: local — the probe-guard idiom — so the default costs nothing.
@@ -688,6 +728,9 @@ class Simulator:
                     wire.readers <= members and wire.update_readers <= members
                 ):
                     return False
+        gate = self.span_gate
+        if gate is not None and gate(streamers, horizon, False):
+            raise _Redecide
         for component in sorted(streamers, key=_BY_ORDER):
             component.stream(horizon)
         end = start + horizon
@@ -758,6 +801,9 @@ class Simulator:
                 horizon = wake - start
         if horizon < self.MIN_ISLAND_SPAN:
             return
+        gate = self.span_gate
+        if gate is not None and gate(members, horizon, True):
+            raise _Redecide
         watch = frozenset(watch)
         every, shared = topology.island_wires(watch, members)
         self._island = _Island(
@@ -931,6 +977,147 @@ class Simulator:
         # every quiescence judgment is void.
         self._pending.update(self._drivers)
         self._update_pending.update(self._demand_updaters)
+
+    def checkpoint(self) -> "Checkpoint":
+        """The whole simulation state, to :meth:`restore` later.
+
+        Beside every component's registered state (its
+        :meth:`~repro.sim.component.RegisteredState.checkpoint`), it
+        holds the kernel's exactly: the clock, the ``STAT_KEYS``
+        counters, the wake heap and each component's armed wake, the
+        drive and update worklists, the island and its retry mark, and
+        every wire's value and traced readers.  Probes and the tracer
+        are not state: a restore leaves them attached, as a reset does.
+        Taken between steps, or from a ``run_until`` condition (see
+        :meth:`run_until`).
+        """
+        memo: dict = {}
+        island = self._island
+        return Checkpoint(
+            self.cycle,
+            tuple([getattr(self, key) for key in self.STAT_KEYS]),
+            list(self._wake_heap),
+            [component._wake_cycle for component in self.components],
+            set(self._pending),
+            set(self._update_pending),
+            None if island is None else island.copy(),
+            self._island_retry,
+            [
+                (wire._value, wire.readers.copy())
+                for wire in self._wires.values()
+            ],
+            set(self._changed_wires),
+            [component.checkpoint(memo) for component in self.components],
+        )
+
+    def restore(self, checkpoint: "Checkpoint") -> None:
+        """Return to the state *checkpoint* holds; it stays reusable.
+
+        Nothing is notified or scheduled beyond what the checkpoint
+        holds: the worklists, wakes and island come back as they were.
+        """
+        memo: dict = {}
+        for component, state, wake in zip(
+            self.components, checkpoint.components, checkpoint.wakes
+        ):
+            component.restore(state, memo)
+            component._wake_cycle = wake
+        for wire, (value, readers) in zip(
+            self._wires.values(), checkpoint.wires
+        ):
+            wire._value = value
+            if len(wire.readers) != len(readers):
+                # Readers are only ever added: equal sizes, equal sets.
+                wire.readers.clear()
+                wire.readers.update(readers)
+        self.cycle = checkpoint.cycle
+        for key, value in zip(self.STAT_KEYS, checkpoint.stats):
+            setattr(self, key, value)
+        self._wake_heap[:] = checkpoint.wake_heap
+        # The worklists are shared by identity with every wire and
+        # component: refill them in place.
+        for live, saved in (
+            (self._pending, checkpoint.pending),
+            (self._update_pending, checkpoint.update_pending),
+            (self._changed_wires, checkpoint.changed_wires),
+        ):
+            live.clear()
+            live.update(saved)
+        self._update_queue_key = None
+        island = checkpoint.island
+        self._island = None if island is None else island.copy()
+        self._island_retry = checkpoint.island_retry
+
+    @property
+    def island_start(self) -> Optional[int]:
+        """The cycle the held island formed at, or None."""
+        island = self._island
+        return None if island is None or island.forming else island.start
+
+    def cap_island(self, end: int) -> None:
+        """End the held island's span by cycle *end* at the latest: what
+        a fault armed now would have capped its horizon to when it
+        formed."""
+        island = self._island
+        island.end = min(island.end, end)
+
+    def lag(self, component: Component) -> int:
+        """Cycles *component* trails the clock by: those a held island
+        it belongs to has streamed so far (its state catches up when the
+        island ends), else 0."""
+        island = self._island
+        if island is None or island.forming or component not in island.watch:
+            return 0
+        return self.cycle - island.start
+
+    def resettle(self, components) -> bool:
+        """Re-drive *components*, and every drive a moved wire reaches,
+        to a fixed point, scheduling nothing.
+
+        For a switch flipped between steps whose only effect so far
+        would have been on the wires its owner drives (a ready held low
+        while no valid is up): the wires take the values they would
+        have had with the switch on all along, while the worklists and
+        the wakes stay as they were, and a held island's watched inputs
+        take their new values.  False, with the wires part-way, when a
+        drive to run has registered state newer than its outputs (it is
+        scheduled) or lags in a held island, or when the kernel sweeps
+        exhaustively (it knows no readers): its outputs would run ahead.
+        """
+        if self.strategy == "exhaustive":
+            return False
+        pending, awake, log = (
+            self._pending, self._update_pending, self._changed_wires,
+        )
+        saved = set(pending), set(awake), set(log)
+        stale = saved[0] | set(self._always)
+        island = self._island
+        if island is not None:
+            stale |= island.watch
+        settled = True
+        pending.clear()
+        pending.update(components)
+        rounds = self.max_settle_iterations
+        while pending and settled:
+            if not rounds:
+                raise SettleError(
+                    f"combinational loop: wires did not resettle within "
+                    f"{self.max_settle_iterations} iterations at cycle "
+                    f"{self.cycle}"
+                )
+            rounds -= 1
+            for component in sorted(pending, key=_BY_ORDER):
+                if component in stale:
+                    settled = False
+                    break
+                pending.discard(component)
+                self._run_drive(component)
+        for live, before in zip((pending, awake, log), saved):
+            live.clear()
+            live.update(before)
+        if island is not None and settled:
+            island.inputs = [(wire, wire._value) for wire, _ in island.inputs]
+        return settled
 
     def _snapshot(self) -> Tuple[Any, ...]:
         return tuple(wire._value for wire in self._wires.values())
@@ -1293,6 +1480,7 @@ class Simulator:
         self,
         condition: Callable[["Simulator"], bool],
         timeout: int = 100_000,
+        resume: bool = False,
     ) -> Optional[int]:
         """Step until *condition* holds; return the cycle it first held.
 
@@ -1319,16 +1507,26 @@ class Simulator:
         wall-clock cycle counts or on per-cycle wire events alone, or
         mutating streaming components at exact cycles, should run with
         ``time_leaping=False``.
+
+        A :meth:`checkpoint` taken inside the condition (which then
+        returned false) is a point of this loop: after :meth:`restore`,
+        ``run_until(condition, remaining, resume=True)`` goes on exactly
+        as the loop would have, the condition counting as consulted at
+        the restored cycle.
         """
-        return self._advance(self.cycle + timeout, condition)
+        return self._advance(self.cycle + timeout, condition, resume)
 
     def _advance(
-        self, target: int, condition: Callable[["Simulator"], bool]
+        self,
+        target: int,
+        condition: Callable[["Simulator"], bool],
+        consulted: bool = False,
     ) -> Optional[int]:
         """Step, leap and stream toward *target* until *condition* holds:
         the loop of :meth:`run` (*condition* :func:`_never`) and
         :meth:`run_until`.  Returns the cycle *condition* first held,
-        or ``None`` once *target* is reached.
+        or ``None`` once *target* is reached.  *consulted* says the
+        condition already held false at the current cycle.
         """
         step = self.step
         if not self._leap_ready():
@@ -1340,41 +1538,44 @@ class Simulator:
         # A span may only start where the condition has been consulted
         # (and found false): stepping would return one cycle later.
         # A plain run has nothing to consult.
-        consulted = condition is _never
+        consulted = consulted or condition is _never
         try:
             while self.cycle < target:
                 if self._wake_heap:
                     self._pop_due_wakes()
-                if self._island is not None:
-                    if self._island_boundary():
-                        if condition(self):
-                            return self.cycle
-                        continue
+                try:
                     if self._island is not None:
-                        step()
+                        if self._island_boundary():
+                            if condition(self):
+                                return self.cycle
+                            continue
+                        if self._island is not None:
+                            step()
+                            if condition(self):
+                                return self.cycle
+                            continue
+                    if (
+                        not self._pending
+                        and not self._update_pending
+                        and not condition(self)
+                        # Re-checked *after* the condition ran: a side-
+                        # effecting condition (fault injection,
+                        # schedule_update) may have just created work,
+                        # which must be stepped, not leaped.
+                        and not self._pending
+                        and not self._update_pending
+                    ):
+                        nxt = self._next_wake()
+                        dest = target if nxt is None else min(nxt, target)
+                        if dest > self.cycle:
+                            self._leap_to(dest)
+                            continue
+                    elif consulted and self._stream(target):
                         if condition(self):
                             return self.cycle
                         continue
-                if (
-                    not self._pending
-                    and not self._update_pending
-                    and not condition(self)
-                    # Re-checked *after* the condition ran: a side-
-                    # effecting condition (fault injection,
-                    # schedule_update) may have just created work, which
-                    # must be stepped, not leaped.
-                    and not self._pending
-                    and not self._update_pending
-                ):
-                    nxt = self._next_wake()
-                    dest = target if nxt is None else min(nxt, target)
-                    if dest > self.cycle:
-                        self._leap_to(dest)
-                        continue
-                elif consulted and self._stream(target):
-                    if condition(self):
-                        return self.cycle
-                    continue
+                except _Redecide:
+                    continue  # the span gate changed state: decide again
                 step()
                 if condition(self):
                     return self.cycle

@@ -258,13 +258,36 @@ class CheshireSoC:
         traffic stream from its constructor seed.  Probes stay attached.
         """
         self.sim.reset()
-        for subordinate in (self.dram, self.bootrom, self.ethernet):
+        for subordinate in self._memories:
             subordinate.memory.clear()
         self._traffic.restart()
 
     # ------------------------------------------------------------------
     # Workloads
     # ------------------------------------------------------------------
+    def checkpoint(self):
+        """The SoC state — simulation, memories, background traffic
+        stream — to :meth:`restore` later (see
+        :meth:`~repro.sim.kernel.Simulator.checkpoint`)."""
+        return (
+            self.sim.checkpoint(),
+            [subordinate.memory.checkpoint()
+             for subordinate in self._memories],
+            self._traffic.checkpoint(),
+        )
+
+    def restore(self, checkpoint) -> None:
+        """Return to *checkpoint*; probes stay attached."""
+        sim, pages, traffic = checkpoint
+        self.sim.restore(sim)
+        for subordinate, saved in zip(self._memories, pages):
+            subordinate.memory.restore(saved)
+        self._traffic.restore(traffic)
+
+    @property
+    def _memories(self):
+        return (self.dram, self.bootrom, self.ethernet)
+
     def send_ethernet_frame(
         self, beats: int = 250, txn_id: int = 0, size: int = 3
     ) -> None:

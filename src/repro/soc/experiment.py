@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Sequence
 
-from ..faults.campaign import drive_injection
+from ..faults.campaign import Trunk, drive_injection
 from ..faults.types import InjectionOutcome, InjectionStage
 from ..orchestrate.engine import run_campaign_spec
 from ..orchestrate.spec import CampaignSpec, validate_axes
@@ -86,6 +86,26 @@ def build_system_soc(
     )
 
 
+def queue_system_workload(
+    soc: CheshireSoC,
+    beats: int,
+    background: int,
+    start_delay: int,
+    size: int,
+    outstanding: int,
+) -> None:
+    """:func:`run_system_injection`'s set-up: idle *start_delay* cycles,
+    then queue the Ethernet frame, the background traffic and the
+    extra outstanding reads."""
+    if start_delay:
+        soc.sim.run(start_delay)
+    soc.send_ethernet_frame(beats, size=size)
+    if background:
+        soc.submit_background_traffic(background)
+    if outstanding > 1:
+        soc.submit_outstanding_reads(outstanding - 1)
+
+
 def run_system_injection(
     variant: Variant,
     stage: InjectionStage,
@@ -102,6 +122,7 @@ def run_system_injection(
     outstanding: int = 1,
     reorder_depth: int = 0,
     soc: Optional[CheshireSoC] = None,
+    trunk: Optional[Trunk] = None,
 ) -> SystemInjectionResult:
     """One Fig. 11 data point: inject *stage* during the Ethernet frame.
 
@@ -128,7 +149,10 @@ def run_system_injection(
     *soc* runs the injection on an SoC in its freshly built state (a
     new build, or one returned by :meth:`CheshireSoC.reset`) built by
     :func:`build_system_soc` from the same *variant*, *beats*,
-    *reorder_depth* and ``sim_*`` options; by default one is built.
+    *reorder_depth* and ``sim_*`` options; by default one is built.  A
+    *trunk* (:class:`~repro.faults.campaign.Trunk`, entered on *soc*)
+    shares the unarmed prefix with the other stages of this seed; when
+    it restored its checkpoint, the workload is already queued.
 
     The axes are checked by :func:`~repro.orchestrate.spec.validate_axes`,
     and *start_delay* must not be negative: a value no campaign could
@@ -152,20 +176,16 @@ def run_system_injection(
             sim_time_leaping=sim_time_leaping,
             sim_tracer=sim_tracer,
         )
-    if start_delay:
-        soc.sim.run(start_delay)
-    soc.send_ethernet_frame(beats, size=size)
-    if background:
-        soc.submit_background_traffic(background)
-    if outstanding > 1:
-        soc.submit_outstanding_reads(outstanding - 1)
-
+    if trunk is None or not trunk.resumed:
+        queue_system_workload(
+            soc, beats, background, start_delay, size, outstanding
+        )
     fields, w_first_cycle = drive_injection(
         soc.sim, soc.tmu, soc.eth_host_bus, soc.eth_dev_bus, soc.dma,
         soc.ethernet, stage, beats, outstanding, detect_timeout,
         recovery_timeout,
         recovered=lambda: soc.all_idle and bool(soc.cpu.recoveries),
-        ack_irq=False,
+        ack_irq=False, trunk=trunk,
     )
     return SystemInjectionResult(
         **fields,

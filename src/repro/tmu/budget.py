@@ -143,11 +143,12 @@ class FixedBudgetPolicy(AdaptiveBudgetPolicy):
     Whatever the burst geometry, every phase gets ``phase_budget`` cycles
     and every Tc span gets ``span_budget_cycles``.  Long bursts then
     falsely time out — exactly the failure mode adaptive budgeting
-    prevents.
+    prevents.  The span is a :class:`SpanBudgets` with no per-beat or
+    queue terms, so the TMU's SPAN_* registers read and steer it.
     """
 
     def __init__(self, phase_budget: int = 64, span_budget_cycles: int = 128) -> None:
-        super().__init__()
+        super().__init__(span=SpanBudgets(span_budget_cycles, 0, 0))
         self.phase_budget = phase_budget
         self.span_budget_cycles = span_budget_cycles
 
@@ -156,9 +157,6 @@ class FixedBudgetPolicy(AdaptiveBudgetPolicy):
 
     def read_phase_budget(self, phase, beats, queued_ahead=0):
         return self.phase_budget
-
-    def span_budget(self, beats, queued_ahead=0, span=None):
-        return self.span_budget_cycles
 
     def max_budget(self, max_beats, max_outstanding):
         return max(self.phase_budget, self.span_budget_cycles)

@@ -14,6 +14,7 @@ import enum
 from typing import List, Optional, Union
 
 from ..axi.types import AxiDir
+from ..sim.component import RegisteredState
 from .phases import ReadPhase, TxnSpan, WritePhase
 
 PhaseLike = Union[WritePhase, ReadPhase, TxnSpan]
@@ -56,13 +57,14 @@ class FaultEvent:
         )
 
 
-class ErrorLog:
+class ErrorLog(RegisteredState):
     """Bounded FIFO of fault events (hardware error-log model)."""
+
+    registered = {"_events": list, "dropped": 0}
 
     def __init__(self, depth: int = 32) -> None:
         self.depth = depth
-        self._events: List[FaultEvent] = []
-        self.dropped = 0
+        self.reset()
 
     def push(self, event: FaultEvent) -> None:
         if len(self._events) >= self.depth:
@@ -81,6 +83,4 @@ class ErrorLog:
     def __len__(self) -> int:
         return len(self._events)
 
-    def clear(self) -> None:
-        self._events.clear()
-        self.dropped = 0
+    clear = RegisteredState.reset

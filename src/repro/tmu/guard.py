@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..axi.types import AxiDir
+from ..sim.component import RegisteredState, held, projected
 from ..sim.signal import Channel
 from .budget import AdaptiveBudgetPolicy
 from .config import TmuConfig, Variant
@@ -50,13 +51,14 @@ from .perf import PerfLog
 from .phases import TxnSpan
 
 
-class StabilityWatch:
+class StabilityWatch(RegisteredState):
     """Detects ``valid`` deasserted before ``ready`` (AXI4 violation)."""
 
     __slots__ = ("_pending",)
+    registered = {"_pending": False}
 
     def __init__(self) -> None:
-        self._pending = False
+        self.reset()
 
     def check(self, valid: bool, ready: bool) -> bool:
         """Feed one cycle's handshake state; True when a drop occurred."""
@@ -64,11 +66,10 @@ class StabilityWatch:
         self._pending = bool(valid and not ready)
         return violated
 
-    def clear(self) -> None:
-        self._pending = False
+    clear = RegisteredState.reset
 
 
-class FrontWatch:
+class FrontWatch(RegisteredState):
     """Times the address channel before the handshake completes.
 
     The front watch owns the only counter a transaction has before it is
@@ -78,10 +79,13 @@ class FrontWatch:
     """
 
     __slots__ = ("counter", "start_cycle")
+    registered = {
+        "counter": projected(None, lambda counter: counter is not None),
+        "start_cycle": None,
+    }
 
     def __init__(self) -> None:
-        self.counter: Optional[PrescaledCounter] = None
-        self.start_cycle: Optional[int] = None
+        self.reset()
 
     @property
     def active(self) -> bool:
@@ -98,7 +102,7 @@ class FrontWatch:
         return counter
 
 
-class GuardBase:
+class GuardBase(RegisteredState):
     """The direction-independent half of the Write and Read Guards."""
 
     # Per-direction constants, set by each subclass.
@@ -112,26 +116,42 @@ class GuardBase:
     #: The Full-Counter phase an entry starts in on enqueue.
     ENTRY_PHASE: PhaseLike
 
+    #: Each holder is built once and reset in place.  Verify compares
+    #: the guard through its own :meth:`snapshot_state`, whose flat
+    #: tuple the guard log digest pins: the holders are uncompared
+    #: here, and the other fields' views are that tuple's entries.
+    registered = {
+        "ott": held(
+            lambda self: OutstandingTransactionTable(
+                self.config.max_uniq_ids, self.config.txn_per_id
+            ),
+            None,
+        ),
+        "prescaler": held(
+            lambda self: Prescaler(self.config.prescale_step), None
+        ),
+        "perf": held(lambda self: PerfLog(self.direction), None),
+        "log": held(lambda self: ErrorLog(self.config.error_log_depth), None),
+        "front": held(FrontWatch, None),
+        "stab_addr": held(StabilityWatch, None),
+        "stab_data": held(StabilityWatch, None),
+        "stab_resp": held(StabilityWatch, None),
+        "timeouts_detected": 0,
+        "violations_detected": 0,
+        # Rising-edge detector map; absent and False entries are equal.
+        "_edge_state": projected(
+            dict, lambda edges: tuple(sorted(k for k, v in edges.items() if v))
+        ),
+        "completed_tids": projected(list, tuple),
+    }
+
     def __init__(self, config: TmuConfig, span_owner=None) -> None:
         self.config = config
         self.budgets: AdaptiveBudgetPolicy = config.budgets
         # Holder of the Tiny-Counter span terms (``.span``): the TMU,
         # whose registers write them, or else the config's policy.
         self._span_owner = span_owner if span_owner is not None else config.budgets
-        self.ott = OutstandingTransactionTable(
-            config.max_uniq_ids, config.txn_per_id
-        )
-        self.prescaler = Prescaler(config.prescale_step)
-        self.perf = PerfLog(self.direction)
-        self.log = ErrorLog(config.error_log_depth)
-        self.front = FrontWatch()
-        self.stab_addr = StabilityWatch()
-        self.stab_data = StabilityWatch()
-        self.stab_resp = StabilityWatch()
-        self.timeouts_detected = 0
-        self.violations_detected = 0
-        self._edge_state: dict = {}
-        self.completed_tids: List[int] = []
+        self.reset()
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -24,9 +24,10 @@ from __future__ import annotations
 import dataclasses
 from bisect import insort
 from collections import deque
-from typing import Deque, Iterator, List, Optional
+from typing import Iterator, Optional
 
 from ..axi.types import AxiDir
+from ..sim.component import RegisteredState
 from .counters import PrescaledCounter
 
 
@@ -75,7 +76,7 @@ class OttFullError(Exception):
     """Raised by strict enqueue when the table cannot accept the request."""
 
 
-class OutstandingTransactionTable:
+class OutstandingTransactionTable(RegisteredState):
     """HT + LD + EI linked tables tracking outstanding transactions.
 
     One OTT instance serves one guard (one direction); the TMU has a
@@ -83,21 +84,25 @@ class OutstandingTransactionTable:
     Guard and Read Guard.
     """
 
+    registered = {
+        # LD entries are built the first time the free list hands out
+        # their index, so a reset does not scale with capacity.
+        "_ld": lambda self: [None] * self.capacity,
+        "_free": lambda self: deque(range(self.capacity)),
+        "_ht": lambda self: [_HtEntry() for _ in range(self.max_uniq_ids)],
+        "_ei": deque,
+        # Sorted indices of in-use LD entries, so per-cycle iteration
+        # (live_entries) costs O(occupancy), not O(capacity).
+        "_live": list,
+    }
+
     def __init__(self, max_uniq_ids: int, txn_per_id: int) -> None:
         if max_uniq_ids <= 0 or txn_per_id <= 0:
             raise ValueError("table dimensions must be positive")
         self.max_uniq_ids = max_uniq_ids
         self.txn_per_id = txn_per_id
         self.capacity = max_uniq_ids * txn_per_id
-        # LD entries are built the first time the free list hands out
-        # their index, so construction does not scale with capacity.
-        self._ld: List[Optional[LdEntry]] = [None] * self.capacity
-        self._free: Deque[int] = deque(range(self.capacity))
-        self._ht: List[_HtEntry] = [_HtEntry() for _ in range(max_uniq_ids)]
-        self._ei: Deque[int] = deque()
-        # Sorted indices of in-use LD entries, so per-cycle iteration
-        # (live_entries) costs O(occupancy), not O(capacity).
-        self._live: List[int] = []
+        self.reset()
 
     # ------------------------------------------------------------------
     # Capacity queries

@@ -10,9 +10,10 @@ performance and bottleneck analysis".
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..axi.types import AxiDir
+from ..sim.component import RegisteredState, shared_in_checkpoints
 from .phases import ReadPhase, WritePhase
 
 
@@ -52,6 +53,8 @@ class LatencyHistogram:
     the same structure Kyung et al.'s PMU uses for its read/write
     latency distributions.
     """
+
+    __slots__ = ("counts",)
 
     def __init__(self, buckets: int = 12) -> None:
         if buckets <= 0:
@@ -101,6 +104,7 @@ class LatencyHistogram:
         ]
 
 
+@shared_in_checkpoints
 @dataclasses.dataclass
 class TxnRecord:
     """Completed-transaction record kept in the bounded history ring."""
@@ -118,21 +122,26 @@ class TxnRecord:
         return self.end_cycle - self.start_cycle
 
 
-class PerfLog:
+class PerfLog(RegisteredState):
     """Accumulates latency and throughput statistics for one guard."""
+
+    registered = {
+        "txn_latency": LatencyStat,
+        "latency_histogram": LatencyHistogram,
+        "phase_stats": lambda self: {
+            phase: LatencyStat() for phase in self._phases
+        },
+        "completed": 0,
+        "beats_transferred": 0,
+        "history": list,
+    }
 
     def __init__(self, direction: AxiDir, history_depth: int = 64) -> None:
         self.direction = direction
         self.history_depth = history_depth
-        self.txn_latency = LatencyStat()
-        self.latency_histogram = LatencyHistogram()
-        self.phase_stats: Dict[object, LatencyStat] = {}
         phases = WritePhase if direction == AxiDir.WRITE else ReadPhase
-        for phase in phases:
-            self.phase_stats[phase] = LatencyStat()
-        self.completed = 0
-        self.beats_transferred = 0
-        self.history: List[TxnRecord] = []
+        self._phases = tuple(phases)
+        self.reset()
 
     def record_completion(
         self,
@@ -174,5 +183,4 @@ class PerfLog:
         """Phase-label-keyed statistics, for report rendering."""
         return {phase.label: stat for phase, stat in self.phase_stats.items()}
 
-    def clear(self) -> None:
-        self.__init__(self.direction, self.history_depth)
+    clear = RegisteredState.reset

@@ -25,7 +25,7 @@ from ..axi.channels import BBeat, RBeat, remap_id
 from ..axi.id_remap import IdRemapTable
 from ..axi.interface import AxiInterface
 from ..axi.types import Resp
-from ..sim.component import Component, projected, uncompared
+from ..sim.component import Component, held, projected, uncompared
 from ..sim.signal import Wire
 from .config import TmuConfig
 from .events import FaultEvent
@@ -117,10 +117,11 @@ class TransactionMonitoringUnit(Component):
         # are a frozen SpanBudgets the guards read on every Tc budget.
         "enabled": lambda self: self.config.enabled,
         "span": lambda self: self.config.budgets.span,
-        "write_guard": lambda self: WriteGuard(self.config, self),
-        "read_guard": lambda self: ReadGuard(self.config, self),
-        "remap_w": lambda self: IdRemapTable(self.config.max_uniq_ids),
-        "remap_r": lambda self: IdRemapTable(self.config.max_uniq_ids),
+        # Built once; a reset resets them in place.
+        "write_guard": held(lambda self: WriteGuard(self.config, self)),
+        "read_guard": held(lambda self: ReadGuard(self.config, self)),
+        "remap_w": held(lambda self: IdRemapTable(self.config.max_uniq_ids)),
+        "remap_r": held(lambda self: IdRemapTable(self.config.max_uniq_ids)),
         "state": TmuState.MONITOR,
         "cycle": uncompared(0),  # update stamp, resynced on wake
         "fault_events": projected(list, len),

@@ -35,6 +35,11 @@ _MANAGER_MEMOS = {
 }
 _SUBORDINATE = {"_aw_wait", "_ar_wait", "_stamp", "_b_memo", "_r_memo"}
 
+_GUARD_HOLDERS = {
+    "ott", "prescaler", "perf", "log", "front",
+    "stab_addr", "stab_data", "stab_resp",
+}
+
 #: Registered fields verify does not compare, per class.
 UNCOMPARED = {
     "Manager": _MANAGER_CLOCK | _MANAGER_MEMOS,
@@ -45,6 +50,16 @@ UNCOMPARED = {
     "_TmuChannel": set(),
     "IdRemapTable": set(),
     "Prescaler": {"_phase"},
+    # A guard compares its holders through its own flat
+    # snapshot_state() (pinned by the guard log digest), and the
+    # prescaler phase follows the clock.
+    "WriteGuard": _GUARD_HOLDERS,
+    "ReadGuard": _GUARD_HOLDERS,
+    "OutstandingTransactionTable": set(),
+    "PerfLog": set(),
+    "ErrorLog": set(),
+    "FrontWatch": set(),
+    "StabilityWatch": set(),
     "Crossbar": {"_fwd_memo", "_w_plan_memo"},
     "_XbarChannel": set(),
     "ResetUnit": {"_countdown", "_cycle"},

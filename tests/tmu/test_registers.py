@@ -8,6 +8,7 @@ from tests.conftest import build_loop, fast_budgets
 
 from repro.axi.traffic import read_spec, write_spec
 from repro.tmu import registers as R
+from repro.tmu.budget import FixedBudgetPolicy
 from repro.tmu.config import tiny_config
 from repro.tmu.registers import TmuRegisters
 
@@ -87,6 +88,23 @@ def test_span_base_register_moves_tiny_detection():
     assert _muted_b_detect_cycle(env) == latency + 37
     env.sim.reset()  # restores the power-on span terms
     assert _muted_b_detect_cycle(env) == latency
+
+
+def test_span_registers_steer_a_fixed_policy():
+    # A FixedBudgetPolicy's Tc span is the span the registers show, and
+    # a write moves the muted-B detection by exactly the difference.
+    config = tiny_config(budgets=FixedBudgetPolicy(40, 90))
+    env = make_env(config)
+    assert env.regs.read(R.REG_SPAN_BASE) == 90
+    assert env.regs.read(R.REG_SPAN_PER_BEAT) == 0
+    baseline = _muted_b_detect_cycle(env)
+    env.sim.reset()
+    env.regs.write(R.REG_SPAN_BASE, 500)
+    assert env.regs.read(R.REG_SPAN_BASE) == 500
+    assert _muted_b_detect_cycle(env) == baseline + 410
+    env.sim.reset()
+    assert env.regs.read(R.REG_SPAN_BASE) == 90
+    assert _muted_b_detect_cycle(env) == baseline
 
 
 def test_completion_and_latency_counters():
