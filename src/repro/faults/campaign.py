@@ -418,16 +418,15 @@ class Unforkable(Exception):
 
 @dataclasses.dataclass
 class _Saved:
-    """A trunk checkpoint: the harness, the timeline's shared stamps,
-    the detect budget's end, the stages whose branch fell before it and
-    the pack leader's inert-prefix evidence so far."""
+    """A trunk checkpoint: the harness (its kernel's inert span
+    included), the timeline's shared stamps, the detect budget's end and
+    the stages whose branch fell before it."""
 
     cycle: int
     harness: Any
     stamps: Tuple[Optional[int], ...]
     target: int
     passed: frozenset
-    evidence: Optional[Tuple[list, int, int]]
 
 
 class Trunk:
@@ -487,35 +486,24 @@ class Trunk:
         self._saved: Optional[_Saved] = None
         self._resumed: Optional[_Saved] = None
         self.harness = None
-        self.trace = None
         self.branched: Optional[Tuple[InjectionStage, int]] = None
 
-    def resumes(self, stage: InjectionStage, trace=None) -> bool:
-        """Whether a run of *stage* (traced by *trace*) can start from
-        the checkpoint held."""
+    def resumes(self, stage: InjectionStage) -> bool:
+        """Whether a run of *stage* can start from the checkpoint held."""
         saved = self._saved
-        return (
-            saved is not None
-            and stage not in saved.passed
-            and (trace is None) == (saved.evidence is None)
-        )
+        return saved is not None and stage not in saved.passed
 
-    def enter(self, harness, stage: InjectionStage, trace=None) -> bool:
+    def enter(self, harness, stage: InjectionStage) -> bool:
         """Start a run of *stage* on *harness*: restored to the checkpoint
         when it :meth:`resumes` (True; the workload is already in it),
         else as it is (freshly built or reset)."""
         self.pending.discard(stage)
-        self.harness, self.trace, self.branched = harness, trace, None
-        self._resumed = saved = (
-            self._saved if self.resumes(stage, trace) else None
-        )
+        self.harness, self.branched = harness, None
+        self._resumed = saved = self._saved if self.resumes(stage) else None
         if saved is None:
             return False
         harness.restore(saved.harness)
         self.branched = (stage, saved.cycle)
-        if trace is not None:
-            stepped, trace.leaps, trace.cycles_leaped = saved.evidence
-            trace.stepped = list(stepped)
         return True
 
     @property
@@ -528,15 +516,12 @@ class Trunk:
         self._saved = self._resumed = None
 
     def _save(self, sim, t: _Timeline, target: int, passed) -> None:
-        trace = self.trace
         self._saved = _Saved(
             sim.cycle,
             self.harness.checkpoint(),
             tuple(getattr(t, name) for name in _Timeline.SHARED),
             target,
             frozenset(passed),
-            None if trace is None
-            else (list(trace.stepped), trace.leaps, trace.cycles_leaped),
         )
 
 
@@ -970,7 +955,9 @@ def measure_stall_detection_latency(
     *offsets* (the seeds); the worst detection latency (cycles from
     ``aw_valid`` assertion to the TMU interrupt, ``latency_from_start``)
     is returned.  Raises :class:`RuntimeError` when a run does not
-    detect within *timeout* cycles.
+    detect within *timeout* cycles.  Fig. 8 reads no recovery, so each
+    run skips it: ``recovery_timeout=0`` leaves the drain its floor
+    (:func:`drain_timeout`).
     """
     if offsets is None:
         offsets = range(min(config.prescale_step, 8))
@@ -981,6 +968,7 @@ def measure_stall_detection_latency(
         beats=1,
         seeds=offsets,
         detect_timeout=timeout,
+        recovery_timeout=0,
     )
     for offset, result in zip(offsets, results):
         if not result.detected:

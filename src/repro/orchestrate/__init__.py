@@ -18,8 +18,8 @@ Layers (one module each):
 * :mod:`~repro.orchestrate.batch` — the one in-process executor
   (:class:`BatchExecutor`; :class:`SerialExecutor` is its width-1
   form): packs of a point's seed lanes derived from one scalar leader
-  run, with evidence-gated retirement to the scalar kernel, each
-  yielded as one :class:`Pack`.
+  run when its kernel leaped up to their onsets (else they retire to
+  the scalar kernel), each yielded as one :class:`Pack`.
 * :mod:`~repro.orchestrate.store` — the run-granular result store
   (:class:`ResultStore`): hot LRU over WAL SQLite; the one persistence
   layer, serving both superset-sweep reuse and crash-safe resume.

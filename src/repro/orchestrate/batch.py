@@ -16,14 +16,15 @@ each point:
    component's declared
    :attr:`~repro.sim.component.Component.phase_period`), then into
    packs of at most ``lanes`` lanes (unbounded by default);
-2. runs one scalar *leader* per pack with a
-   :class:`~repro.sim.batch.LeapTrace` probe attached (none when no
-   follower is left to derive);
-3. checks the leader's inert-prefix evidence and derives every
-   follower lane as its seed delta from the leader — the lane's result
-   is ``leader.shifted(delta)``, built only when a caller asks for it —
-   O(1) per lane instead of a full simulation;
-4. *retires* any lane the evidence does not cover (seed inside the
+2. runs one scalar *leader* per pack;
+3. asks the leader's kernel whether it leaped the whole gap from its
+   start-up transient to the stimulus onset
+   (:meth:`~repro.sim.kernel.Simulator.inert_before`, read from the
+   harness the run left in the executor's cache) and, if so, derives
+   every follower lane as its seed delta from the leader — the lane's
+   result is ``leader.shifted(delta)``, built only when a caller asks
+   for it — O(1) per lane instead of a full simulation;
+4. *retires* any lane that check does not cover (seed inside the
    startup transient, a leader stamp taken before its onset, undeclared
    component, non-leaping kernel, forced divergence) to the scalar
    kernel, so coverage degrades gracefully instead of wrongly.
@@ -58,7 +59,7 @@ from typing import (
 )
 
 from ..faults.types import InjectionStage
-from ..sim.batch import LeapTrace, lane_classes, lockstep_period
+from ..sim.batch import lane_classes, lockstep_period
 from ..sim.kernel import SchedulerDivergenceError
 from .executor import HarnessCache, Item, execute_run, harness_key
 from .spec import Point, RunSpec
@@ -98,7 +99,7 @@ class BatchStats:
     leaders: int = 0
     derived: int = 0
     retired: int = 0  # lanes that fell back to the scalar kernel
-    promoted: int = 0  # followers promoted to leader (no inert evidence)
+    promoted: int = 0  # followers promoted to leader (no inert prefix)
 
     @property
     def simulated(self) -> int:
@@ -127,9 +128,8 @@ class BatchExecutor:
     lanes:
         Maximum pack width; ``None`` (the default) packs a whole
         congruence class.  ``1`` degenerates to per-lane scalar
-        execution (every pack is its own leader, run
-        without evidence collection): :class:`SerialExecutor`, the
-        differential baseline.
+        execution (every pack is its own leader):
+        :class:`SerialExecutor`, the differential baseline.
     verify:
         Replay every derived lane on the scalar ``strategy="verify"``
         kernel and compare; divergence raises
@@ -174,7 +174,8 @@ class BatchExecutor:
             if len(family) == 1:
                 point = family[0]
                 for pack in self._packs(point, cache):
-                    yield from _run_pack(self._pack_steps(point, pack), cache)
+                    steps = self._pack_steps(point, pack, cache)
+                    yield from _run_pack(steps, cache)
             else:
                 yield from self._execute_family(family, cache)
 
@@ -192,24 +193,23 @@ class BatchExecutor:
         matters.  Each item comes out as soon as its pack makes it."""
         from ..faults.campaign import Trunk
 
-        waiting: List[Tuple[int, Any, _Run]] = []
+        waiting: List[Tuple[int, Any, RunSpec]] = []
         for position, point in enumerate(family):
             for pack in self._packs(point, cache):
-                steps = self._pack_steps(point, pack)
+                steps = self._pack_steps(point, pack, cache)
                 yield from _advance(steps, None, position, waiting)
         while waiting:
-            seed = waiting[0][2].run.seed
-            group = [entry for entry in waiting if entry[2].run.seed == seed]
-            waiting = [entry for entry in waiting if entry[2].run.seed != seed]
+            seed = waiting[0][2].seed
+            group = [entry for entry in waiting if entry[2].seed == seed]
+            waiting = [entry for entry in waiting if entry[2].seed != seed]
             trunk = cache.trunk = None
             if len(group) > 1:
                 trunk = cache.trunk = Trunk(
                     InjectionStage(family[position].shared.stage)
                     for position, _, _ in group
                 )
-            for position, steps, request in group:
-                run = request.run
-                result = execute_run(run, trace=request.trace, cache=cache)
+            for position, steps, run in group:
+                result = execute_run(run, cache=cache)
                 if self.verify and trunk is not None and trunk.branched:
                     self._verify_branch(run, result, trunk.branched)
                 yield from _advance(steps, result, position, waiting)
@@ -269,18 +269,19 @@ class BatchExecutor:
         that raises AW valid next settle) lands one cycle *before* the
         handshake becomes visible — the onset is ``seed - 1``.  Either
         way every event from the onset onward translates rigidly with
-        the seed, which is what :meth:`LeapTrace.inert_before` certifies
+        the seed, which is what
+        :meth:`~repro.sim.kernel.Simulator.inert_before` certifies
         against.
         """
         return seed if kind == "system" else seed - 1
 
-    def _pack_steps(self, point: Point, pack: List[int]):
+    def _pack_steps(self, point: Point, pack: List[int], cache: HarnessCache):
         """Run one pack (offsets into *point*) as a coroutine: it yields
-        a :class:`_Run` for each run it needs simulated (and is sent
-        that run's result), and each item as soon as it is ready — the
-        lanes derived from a leader right after the leader.  The stats
-        count the pack once its first run is back, and each run as it
-        comes back."""
+        the :class:`RunSpec` of each run it needs simulated (and is sent
+        that run's result, its harness left in *cache*), and each item
+        as soon as it is ready — the lanes derived from a leader right
+        after the leader.  The stats count the pack once its first run
+        is back, and each run as it comes back."""
         stats = self.stats
         kind, seeds, indices = point.shared.kind, point.seeds, point.indices
         first = True
@@ -298,7 +299,7 @@ class BatchExecutor:
             retired += itertools.compress(queue, forced)
             queue = [offset for offset, drop in zip(queue, forced) if not drop]
         for offset in retired:
-            result = yield _Run(point[offset])
+            result = yield point[offset]
             stats.packs += first
             stats.retired += 1
             first = False
@@ -306,16 +307,13 @@ class BatchExecutor:
         while queue:
             offset = queue.pop(0)
             leader = point[offset]
-            onset = self._onset(kind, leader.seed)
-            # The evidence serves followers only: the last lane runs
-            # without the probe.
-            trace = LeapTrace(onset=onset) if queue else None
-            result = yield _Run(leader, trace)
+            result = yield leader
             stats.packs += first
             stats.leaders += 1
             first = False
-            if not queue or not trace.inert_before(onset):
-                # Nothing to derive (the last lane), or no evidence
+            onset = self._onset(kind, leader.seed)
+            if not queue or not cache.harness.sim.inert_before(onset):
+                # Nothing to derive (the last lane), or no inert prefix
                 # (non-leaping kernel, or the transient reaches the
                 # onset): the result stands, and the next lane, whose
                 # later onset leaves the transient more room, leads.
@@ -327,7 +325,7 @@ class BatchExecutor:
                 # leader's stands and the rest run scalar.
                 yield (leader.index,), [result]
                 for offset in queue:
-                    result = yield _Run(point[offset])
+                    result = yield point[offset]
                     stats.retired += 1
                     yield (indices[offset],), [result]
                 return
@@ -403,15 +401,6 @@ class BatchExecutor:
             )
 
 
-@dataclasses.dataclass
-class _Run:
-    """A pack's request: simulate *run*, observed by *trace* (pack
-    leaders)."""
-
-    run: RunSpec
-    trace: Optional[LeapTrace] = None
-
-
 def _run_pack(steps, cache: HarnessCache) -> Iterator[Item]:
     """Drive a pack's coroutine *steps* alone: simulate each run it asks
     for, yield each item it makes."""
@@ -421,8 +410,8 @@ def _run_pack(steps, cache: HarnessCache) -> Iterator[Item]:
             step = steps.send(result)
         except StopIteration:
             return
-        if isinstance(step, _Run):
-            result = execute_run(step.run, trace=step.trace, cache=cache)
+        if isinstance(step, RunSpec):
+            result = execute_run(step, cache=cache)
         else:
             result = None
             yield step
@@ -435,7 +424,7 @@ def _advance(steps, result, position: int, waiting: list) -> Iterator[Item]:
     finishes)."""
     try:
         step = steps.send(result)
-        while not isinstance(step, _Run):
+        while not isinstance(step, RunSpec):
             yield step
             step = next(steps)
     except StopIteration:

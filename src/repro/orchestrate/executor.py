@@ -112,7 +112,8 @@ class HarnessCache:
 
     def __init__(self) -> None:
         self._key: Optional[Tuple] = None
-        self._harness = None
+        #: The harness in the slot: the last run's.
+        self.harness = None
         #: The :class:`~repro.faults.campaign.Trunk` the next runs on
         #: this cache's harness share, if any (set by the batch
         #: executor for each seed of a family).
@@ -132,25 +133,22 @@ class HarnessCache:
         key = harness_key(run, self._config_text)
         if key == self._key:
             if reset:
-                self._harness.reset()
+                self.harness.reset()
         else:
-            self._harness = build_harness(run)
+            self.harness = build_harness(run)
             self._key = key
-        return self._harness
+        return self.harness
 
 
-def execute_run(run: RunSpec, trace=None, cache: Optional[HarnessCache] = None):
+def execute_run(run: RunSpec, cache: Optional[HarnessCache] = None):
     """Simulate one injection described by *run*, in this process.
 
     The harness comes from *cache* when given (see
     :class:`HarnessCache`: reused across same-shape runs of one
-    executor call, reset to its freshly built state) and is built fresh
+    executor call, reset to its freshly built state, and left in the
+    slot afterwards for the caller to read) and is built fresh
     otherwise; either way the result depends on *run* alone, never on
-    execution order.  *trace* (a simulator probe, e.g. a
-    :class:`~repro.sim.batch.LeapTrace`) observes this run only: it is
-    registered before the run starts and removed when it ends — the
-    lockstep batch executor uses it to collect inert-prefix evidence
-    from pack leaders.  The cache's :attr:`HarnessCache.trunk` (the
+    execution order.  The cache's :attr:`HarnessCache.trunk` (the
     :class:`~repro.faults.campaign.Trunk` the stages of one seed share,
     checkpointing the cache's harness) starts the run from its
     checkpoint when it can; a branch that cannot be certified runs
@@ -160,29 +158,20 @@ def execute_run(run: RunSpec, trace=None, cache: Optional[HarnessCache] = None):
 
     stage = InjectionStage(run.stage)
     trunk = None if cache is None else cache.trunk
-    resume = trunk is not None and trunk.resumes(stage, trace)
+    resume = trunk is not None and trunk.resumes(stage)
     harness = (
         build_harness(run) if cache is None
         else cache.get(run, reset=not resume)
     )
-    if trace is not None:
-        harness.sim.add_probe(trace)
+    if trunk is not None:
+        trunk.enter(harness, stage)
     try:
-        if trunk is not None:
-            trunk.enter(harness, stage, trace)
-        try:
-            return _inject(run, stage, harness, trunk)
-        except Unforkable:
-            trunk.forget()
-            harness.reset()
-            if trace is not None:  # its evidence starts over too
-                trace.stepped.clear()
-                trace.leaps = trace.cycles_leaped = 0
-            trunk.enter(harness, stage, trace)
-            return _inject(run, stage, harness, None)
-    finally:
-        if trace is not None:
-            harness.sim.remove_probe(trace)
+        return _inject(run, stage, harness, trunk)
+    except Unforkable:
+        trunk.forget()
+        harness.reset()
+        trunk.enter(harness, stage)
+        return _inject(run, stage, harness, None)
 
 
 def _inject(run: RunSpec, stage: InjectionStage, harness, trunk):

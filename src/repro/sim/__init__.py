@@ -11,7 +11,6 @@ __all__ = [
     "Channel",
     "Component",
     "DriveSensitiveState",
-    "LeapTrace",
     "STRATEGIES",
     "lane_classes",
     "lockstep_period",
@@ -24,7 +23,7 @@ __all__ = [
 ]
 
 _EXPORTS = {
-    "batch": ("LeapTrace", "lane_classes", "lockstep_period", "shift_cycles"),
+    "batch": ("lane_classes", "lockstep_period", "shift_cycles"),
     "component": ("Component", "DriveSensitiveState"),
     "kernel": (
         "STRATEGIES",

@@ -25,29 +25,35 @@ scalar result when two conditions hold, each checked at runtime:
    all components).  Then the *autonomous* state the follower meets at
    its onset (the TMU's free-running prescaler phase, ``cycle %
    step``) is exactly what the leader met at its onset.
-2. **Inert prefix evidence** — a :class:`LeapTrace` probe on the leader
-   shows that after a contiguous startup transient of ``k`` stepped
-   cycles (``0 .. k-1``) the kernel *leaped* the remaining gap up to
-   the onset: nothing ran, no wire moved, no update fired.  A leaped
-   span is provably inert (that is the kernel's leap precondition), so
-   the pre-onset world is identical for every lane — only the armed
+2. **Inert prefix** — the leader's kernel leaped from the end of a
+   contiguous start-up transient of ``k`` stepped cycles (``0 ..
+   k-1``) all the way to the onset: nothing ran, no wire moved, no
+   update fired.  The kernel records that span itself (its first leap
+   since reset, extended by each leap that starts where the last one
+   ended) and :meth:`~repro.sim.kernel.Simulator.inert_before` checks
+   it against the onset after the leader's run.  A leaped span is
+   provably inert (that is the kernel's leap precondition), so the
+   pre-onset world is identical for every lane — only the armed
    stimulus wake differs, and it differs by exactly ``delta``.  Lanes
    whose onset falls inside the transient (``seed <= k``) retire to the
    scalar kernel.  Kernels that cannot leap (``verify``/``exhaustive``
    strategies, ``time_leaping=False``, ``update_skipping=False``) step
-   every prefix cycle, the evidence check fails, and every lane
-   gracefully retires — batch output stays byte-identical, merely
-   without the speedup.
+   every prefix cycle and record no span, and every lane gracefully
+   retires — batch output stays byte-identical, merely without the
+   speedup.  A leader resumed from a trunk checkpoint
+   (:class:`~repro.faults.campaign.Trunk`) carries the span in the
+   checkpoint.
 
 The detection window needs no condition of its own: both runners count
 ``detect_timeout`` from the stimulus (the IP transaction's issue, the
 system frame after ``start_delay``), so a follower's window is the
 leader's, shifted, and a derived stamp can never cross it.
 
-Because the leaped gap is a single leap in leader and follower alike,
-even the scheduler statistics derive exactly: ``sim_leaps`` is copied
-and ``sim_cycles_leaped`` grows by ``delta`` — the batch differential
-tests compare campaign JSON *including* the scheduler block.
+Because leader and follower leap the gap alike, only longer by
+``delta`` in the follower, even the scheduler statistics derive
+exactly: ``sim_leaps`` is copied and ``sim_cycles_leaped`` grows by
+``delta`` — the batch differential tests compare campaign JSON
+*including* the scheduler block.
 
 Everything here is pure bookkeeping over plain data, in plain Python:
 at campaign sizes (a few thousand lanes, a handful of cycle stamps per
@@ -116,57 +122,3 @@ def shift_cycles(
     translate rigidly with the stimulus onset.
     """
     return [None if value is None else value + delta for value in values]
-
-
-class LeapTrace:
-    """Leap-aware probe collecting the inert-prefix evidence of a run.
-
-    Records every *stepped* cycle before the stimulus *onset* (leaped
-    cycles, by construction, never reach a probe) plus the run's leap
-    activity.  :meth:`inert_before` is soundness condition 2: the
-    stepped prefix must be the contiguous startup transient ``0 ..
-    k-1`` with ``k`` strictly below the onset — i.e. the kernel
-    provably fast-forwarded the rest of the gap.
-    """
-
-    leap_aware = True
-
-    def __init__(self, onset: int) -> None:
-        if onset < 0:
-            raise ValueError(f"onset must be non-negative, got {onset}")
-        self.onset = onset
-        self.stepped: List[int] = []
-        self.leaps = 0
-        self.cycles_leaped = 0
-
-    def __call__(self, sim) -> None:
-        # Probes run after the cycle counter advanced; the cycle just
-        # simulated is cycle - 1.  Only the pre-onset prefix matters.
-        stepped = sim.cycle - 1
-        if stepped < self.onset:
-            self.stepped.append(stepped)
-
-    def on_leap(self, sim, from_cycle: int, to_cycle: int) -> None:
-        self.leaps += 1
-        self.cycles_leaped += to_cycle - from_cycle
-
-    @property
-    def transient_cycles(self) -> int:
-        """Length of the stepped startup transient (when contiguous)."""
-        return len(self.stepped)
-
-    def inert_before(self, onset: Optional[int] = None) -> bool:
-        """Whether the pre-*onset* span was provably inert.
-
-        True iff the stepped pre-onset cycles are exactly ``0 .. k-1``
-        (no mid-gap wake ever fired) *and* ``k < onset`` (a leaped gap
-        exists at all).  Pass a smaller *onset* to re-check the
-        evidence for a lane whose stimulus starts earlier than the
-        traced leader's.
-        """
-        if onset is None:
-            onset = self.onset
-        k = len(self.stepped)
-        if k >= onset:
-            return False
-        return all(cycle == i for i, cycle in enumerate(self.stepped))

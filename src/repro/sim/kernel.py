@@ -37,10 +37,20 @@ intervening cycle is provably a no-op — no drive can run, no update can
 run, no wire can change — so the clock *leaps* directly to
 ``min(next_wake, target)`` instead of ticking through the span.  Probes
 pin the clock (no leap happens while one is registered) unless they
-declare ``leap_aware = True``; a leap-aware probe may also implement
-``on_leap(sim, from_cycle, to_cycle)`` to observe the jump.
+declare ``leap_aware = True``; a leap-aware probe that also declares
+``leap_resample = True`` is invoked once more at the end of each jump
+(the VCD writer's flush), and the tracer's ``leap(sim, start, end)``
+hook sees the jump's boundary.
 ``Simulator(time_leaping=False)`` disables the fast-forward for A/B
 ablations while keeping the wake heap as a plain re-arm mechanism.
+
+The kernel keeps the run's first *inert span*: the first leap since the
+last reset sets it, and a leap starting exactly where it ends extends
+it (the clock did not move in between, so nothing stepped).
+:meth:`Simulator.inert_before` reads it, and a checkpoint carries it.
+The batch executor derives a pack's lanes from its leader only when
+the leader's span covers the gap up to the stimulus onset (see
+:mod:`repro.sim.batch`).
 
 Burst streaming
 ---------------
@@ -263,6 +273,7 @@ class Checkpoint(NamedTuple):
     island_retry: int
     wires: List[Tuple[Any, set]]
     changed_wires: set
+    inert: Optional[Tuple[int, int]]
     components: List[tuple]
 
 
@@ -384,6 +395,10 @@ class Simulator:
         self.cycles_streamed = 0
         self.stepped_cycles = 0
         self.island_cycles = 0
+        #: The first inert span since the last reset, ``(start, end)``:
+        #: the first leap's, grown by each leap starting at its end
+        #: (see inert_before).  Not a statistic: it never exports.
+        self._inert: Optional[Tuple[int, int]] = None
         #: The streaming island held out of stepping, or None, and the
         #: stepped-cycle count from which another may form (see
         #: MIN_ISLAND_SPAN).
@@ -542,12 +557,7 @@ class Simulator:
         self._probes.append(probe)
 
     def remove_probe(self, probe: Callable[["Simulator"], None]) -> None:
-        """Unregister a probe added by :meth:`add_probe`.
-
-        A harness reused across runs detaches each run's own probes
-        (e.g. a batch leader's :class:`~repro.sim.batch.LeapTrace`) so
-        they never observe the next run.
-        """
+        """Unregister a probe added by :meth:`add_probe`."""
         self._probes.remove(probe)
 
     @property
@@ -625,18 +635,30 @@ class Simulator:
         self.cycle = cycle
         self.leaps += 1
         self.cycles_leaped += cycle - start
+        inert = self._inert
+        if inert is None:
+            self._inert = (start, cycle)
+        elif inert[1] == start:
+            self._inert = (inert[0], cycle)
         tracer = self._tracer
         if tracer is not None:
             tracer.leap(self, start, cycle)
         for probe in self._probes:
-            on_leap = getattr(probe, "on_leap", None)
-            if on_leap is not None:
-                on_leap(self, start, cycle)
-            elif getattr(probe, "leap_resample", False):
-                # The probe asked to be invoked once per jump instead
-                # of receiving the boundary (e.g. the VCD writer's
-                # initial-value flush).
+            if getattr(probe, "leap_resample", False):
+                # The probe asked to be invoked once per jump (e.g. the
+                # VCD writer's initial-value flush).
                 probe(self)
+
+    def inert_before(self, onset: int) -> bool:
+        """Whether the run leaped every cycle from the end of its
+        start-up transient up to *onset*: the first inert span since the
+        last reset starts before *onset* and reaches it.
+
+        False when nothing leaped (``exhaustive``, ``verify`` and
+        ``time_leaping=False`` kernels never do).
+        """
+        inert = self._inert
+        return inert is not None and inert[0] < onset <= inert[1]
 
     #: The shortest horizon an island forms for: a shorter one would
     #: not win back the cost of forming it.  An attempt that forms no
@@ -954,8 +976,9 @@ class Simulator:
         Each component's ``reset()`` writes its power-on state and
         schedules nothing; this method then drops every timed wake and
         re-seeds every drive and demand update.  The ``STAT_KEYS``
-        counters restart at zero and the change log is emptied, so
-        statistics always describe the time since the last rewind.
+        counters restart at zero, the inert span is dropped and the
+        change log is emptied, so statistics always describe the time
+        since the last rewind.
         Probes and the tracer stay attached.
         """
         for wire in self._wires.values():
@@ -971,6 +994,7 @@ class Simulator:
         self.cycle = 0
         for key in self.STAT_KEYS:
             setattr(self, key, 0)
+        self._inert = None
         self._changed_wires.clear()
         self._update_queue_key = None
         # Registered state moved arbitrarily: every drive is stale and
@@ -985,9 +1009,10 @@ class Simulator:
         :meth:`~repro.sim.component.RegisteredState.checkpoint`), it
         holds the kernel's exactly: the clock, the ``STAT_KEYS``
         counters, the wake heap and each component's armed wake, the
-        drive and update worklists, the island and its retry mark, and
-        every wire's value and traced readers.  Probes and the tracer
-        are not state: a restore leaves them attached, as a reset does.
+        drive and update worklists, the island and its retry mark,
+        every wire's value and traced readers, and the inert span.
+        Probes and the tracer are not state: a restore leaves them
+        attached, as a reset does.
         Taken between steps, or from a ``run_until`` condition (see
         :meth:`run_until`).
         """
@@ -1007,6 +1032,7 @@ class Simulator:
                 for wire in self._wires.values()
             ],
             set(self._changed_wires),
+            self._inert,
             [component.checkpoint(memo) for component in self.components],
         )
 
@@ -1047,6 +1073,7 @@ class Simulator:
         island = checkpoint.island
         self._island = None if island is None else island.copy()
         self._island_retry = checkpoint.island_retry
+        self._inert = checkpoint.inert
 
     @property
     def island_start(self) -> Optional[int]:

@@ -57,8 +57,8 @@ class Counting:
         self.resumed = 0
         enter = Trunk.enter
 
-        def counting(trunk, harness, stage, trace=None):
-            resumed = enter(trunk, harness, stage, trace)
+        def counting(trunk, harness, stage):
+            resumed = enter(trunk, harness, stage)
             self.resumed += resumed
             return resumed
 
@@ -129,14 +129,16 @@ def test_fig11_sweep_forks_identically(make, always_fork, monkeypatch):
     assert_forks_identically(spec, make, monkeypatch)
 
 
-def test_busy_axes_fork_identically(monkeypatch):
+@pytest.mark.parametrize("make", EXECUTORS.values(), ids=EXECUTORS.keys())
+def test_busy_axes_fork_identically(make, monkeypatch):
     # Busy traffic steps the frame's path as an island: it forks by
-    # itself.
+    # itself.  Batched, pack leaders resume from trunk checkpoints and
+    # derive their lanes from the inert span the checkpoint carries.
     spec = CampaignSpec.system(
         (Variant.FULL, Variant.TINY), FIG11_STAGES, beats=96,
         seeds=(0, 7, 23), background=32, outstanding=6, reorder_depth=4,
     )
-    assert_forks_identically(spec, SerialExecutor, monkeypatch)
+    assert_forks_identically(spec, make, monkeypatch)
 
 
 def test_reversed_stages_fork_identically(monkeypatch):

@@ -1,8 +1,10 @@
 """Contracts of the lockstep-batch kernel primitives.
 
 Unit-level coverage of :mod:`repro.sim.batch` (the period algebra, the
-congruence classes, the stamp shifting, the :class:`LeapTrace`
-evidence) and of the batch executor's verify mode — the extension of
+congruence classes, the stamp shifting), of the kernel's inert span
+(:meth:`~repro.sim.kernel.Simulator.inert_before`, which decides
+whether a pack leader's lanes derive) and of the batch executor's
+verify mode — the extension of
 ``strategy="verify"`` to the derived-lane path, which must raise
 :class:`SchedulerDivergenceError` naming the offending lane when a
 derivation is wrong.
@@ -16,15 +18,11 @@ from hypothesis import strategies as st
 
 from repro.faults.types import InjectionStage
 from repro.orchestrate import BatchExecutor, CampaignSpec, run_campaign_spec
-from repro.sim import SchedulerDivergenceError
-from repro.sim.batch import (
-    LeapTrace,
-    lane_classes,
-    lockstep_period,
-    shift_cycles,
-)
+from repro.sim import SchedulerDivergenceError, Simulator
+from repro.sim.batch import lane_classes, lockstep_period, shift_cycles
 from repro.tmu.budget import AdaptiveBudgetPolicy, PhaseBudgets, SpanBudgets
 from repro.tmu.config import TmuConfig, Variant
+from tests.sim.test_timed_wake import Alarm
 
 
 class _Stub:
@@ -98,60 +96,75 @@ def test_shift_cycles_long_vector_path():
 
 
 # ----------------------------------------------------------------------
-# LeapTrace evidence
+# The kernel's inert span
 # ----------------------------------------------------------------------
-class _FakeSim:
-    def __init__(self, cycle):
-        self.cycle = cycle
+def _alarms(*deadlines, **sim_kwargs):
+    """A simulator whose only work is alarms firing at *deadlines*:
+    cycle 0 steps (every update starts awake), then it leaps from wake
+    to wake."""
+    sim = Simulator(**sim_kwargs)
+    for index, deadline in enumerate(deadlines):
+        sim.add(Alarm(f"a{index}", deadline=deadline))
+    return sim
 
 
-def _trace_with(onset, stepped, leaps=()):
-    trace = LeapTrace(onset=onset)
-    for cycle in stepped:
-        # Probes observe cycle - 1 (they run after the counter bumps).
-        trace(_FakeSim(cycle + 1))
-    for start, stop in leaps:
-        trace.on_leap(None, start, stop)
-    return trace
+def _inert_onsets(sim, horizon):
+    return [onset for onset in range(horizon + 1) if sim.inert_before(onset)]
 
 
-def test_leap_trace_contiguous_prefix_is_inert():
-    trace = _trace_with(onset=10, stepped=[0, 1, 2], leaps=[(3, 10)])
-    assert trace.transient_cycles == 3
-    assert trace.inert_before(10)
-    assert trace.leaps == 1 and trace.cycles_leaped == 7
+def test_contiguous_transient_then_one_leap_is_inert():
+    # Cycle 0 steps, 1 .. 98 leap, cycle 99 fires the alarm (stamp 100).
+    sim = _alarms(100)
+    sim.run(200)
+    assert sim.leaps == 2  # the gap, then the idle tail after the alarm
+    assert _inert_onsets(sim, 200) == list(range(2, 100))
 
 
-def test_leap_trace_mid_gap_wake_is_not_inert():
-    # A stepped cycle after the transient (a wake fired inside the gap)
-    # breaks contiguity: the pre-onset world is not provably identical.
-    trace = _trace_with(onset=10, stepped=[0, 1, 7])
-    assert not trace.inert_before(10)
+def test_a_wake_inside_the_gap_ends_the_span():
+    # The first alarm's step at cycle 49 lies between two leaps: an
+    # onset past it is not inert, though the clock leaped on after it.
+    sim = _alarms(50, 100)
+    sim.run(200)
+    assert sim.leaps == 3
+    assert sim.inert_before(49)
+    assert not sim.inert_before(50)
+    assert not sim.inert_before(99)
 
 
-def test_leap_trace_transient_reaching_onset_is_not_inert():
-    # k == onset means there was no leaped gap at all — no evidence.
-    trace = _trace_with(onset=3, stepped=[0, 1, 2])
-    assert not trace.inert_before(3)
+def test_back_to_back_leaps_across_runs_extend_the_span():
+    # The first run's target splits the gap into two leaps; nothing
+    # stepped between them, so the span covers both.
+    sim = _alarms(100)
+    sim.run(40)
+    assert sim.inert_before(40) and not sim.inert_before(41)
+    sim.run(160)
+    assert sim.leaps == 3
+    assert _inert_onsets(sim, 200) == list(range(2, 100))
 
 
-def test_leap_trace_recheck_with_earlier_onset():
-    trace = _trace_with(onset=10, stepped=[0, 1, 2])
-    assert trace.inert_before(4)
-    assert not trace.inert_before(3)
+def test_reset_drops_and_restore_returns_the_span():
+    sim = _alarms(100)
+    sim.run(40)
+    checkpoint = sim.checkpoint()
+    sim.run(160)
+    assert sim.inert_before(99)
+    sim.restore(checkpoint)
+    assert _inert_onsets(sim, 200) == list(range(2, 41))
+    sim.reset()
+    assert _inert_onsets(sim, 200) == []
+    # A statistic it is not: the exported scheduler block stays as is.
+    assert set(sim.stats()) == set(Simulator.STAT_KEYS)
 
 
-def test_leap_trace_ignores_post_onset_steps():
-    trace = LeapTrace(onset=2)
-    for cycle in (0, 5, 6, 7):
-        trace(_FakeSim(cycle + 1))
-    assert trace.stepped == [0]
-    assert trace.inert_before(2)
-
-
-def test_leap_trace_rejects_negative_onset():
-    with pytest.raises(ValueError):
-        LeapTrace(onset=-1)
+@pytest.mark.parametrize(
+    "sim_kwargs", [{"strategy": "exhaustive"}, {"time_leaping": False}],
+    ids=["exhaustive", "no-leaping"],
+)
+def test_a_kernel_that_never_leaps_records_no_span(sim_kwargs):
+    sim = _alarms(100, **sim_kwargs)
+    sim.run(200)
+    assert sim.leaps == 0
+    assert _inert_onsets(sim, 200) == []
 
 
 # ----------------------------------------------------------------------

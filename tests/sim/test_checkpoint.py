@@ -33,19 +33,18 @@ class CountingProbe:
     def __call__(self, sim) -> None:
         self.calls += 1
 
-    def on_leap(self, sim, start, end) -> None:
-        self.calls += 1
-
 
 class CountingTracer(Tracer):
     def __init__(self) -> None:
         self.steps = 0
+        self.leaped = 0
 
     def step_end(self, sim) -> None:
         self.steps += 1
 
     def leap(self, sim, start, end) -> None:
         self.steps += 1
+        self.leaped += end - start
 
     def stream(self, sim, start, end) -> None:
         self.steps += 1
@@ -156,7 +155,8 @@ def continuations(name, at, run_on, inside):
     first = _observed(harness)
     checkpoint, island = saved[0]
     harness.restore(checkpoint)
-    calls, steps, restored_at = probe.calls, tracer.steps, sim.cycle
+    calls, steps, leaped = probe.calls, tracer.steps, tracer.leaped
+    restored_at = sim.cycle
     if inside:
         sim.run_until(_never, timeout=target - sim.cycle, resume=True)
     else:
@@ -164,7 +164,10 @@ def continuations(name, at, run_on, inside):
     second = _observed(harness)
     assert probe in sim._probes and sim._tracer is tracer
     if target > restored_at:
-        assert probe.calls > calls and tracer.steps > steps
+        assert tracer.steps > steps
+    # The probe sees every cycle the tracer does not see leaped.
+    observed = probe.calls - calls + tracer.leaped - leaped
+    assert observed == target - restored_at
     return first, second, island
 
 

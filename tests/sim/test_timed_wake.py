@@ -14,6 +14,7 @@ catch an under-declared wake.
 import pytest
 
 from repro.sim import Component, SchedulerDivergenceError, Simulator, Wire
+from repro.telemetry import Tracer
 
 
 class Alarm(Component):
@@ -166,30 +167,33 @@ def test_plain_probe_pins_the_clock():
 
 
 def test_leap_aware_probe_allows_leaps_and_sees_jumps():
-    sim = Simulator()
-    sim.add(Alarm("a", deadline=100))
-
     class LeapProbe:
         leap_aware = True
 
         def __init__(self):
             self.samples = []
-            self.jumps = []
 
         def __call__(self, s):
             self.samples.append(s.cycle)
 
-        def on_leap(self, s, start, end):
+    class Jumps(Tracer):
+        def __init__(self):
+            self.jumps = []
+
+        def leap(self, s, start, end):
             self.jumps.append((start, end))
 
+    tracer = Jumps()
+    sim = Simulator(tracer=tracer)
+    sim.add(Alarm("a", deadline=100))
     probe = LeapProbe()
     sim.add_probe(probe)
     sim.run(200)
     assert sim.leaps >= 1
-    assert probe.jumps  # leap notifications delivered
+    assert tracer.jumps == [(1, 99), (100, 200)]  # the tracer sees each jump
     assert len(probe.samples) < 200  # skipped cycles were not sampled
     # Jumps plus samples tile the whole span exactly once.
-    covered = sum(end - start for start, end in probe.jumps)
+    covered = sum(end - start for start, end in tracer.jumps)
     assert covered + len(probe.samples) == 200
 
 
