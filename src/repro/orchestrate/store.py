@@ -148,9 +148,11 @@ class ResultStore:
                 f"store schema version {version}, this code speaks "
                 f"{SCHEMA_VERSION}"
             )
-        with db:
-            db.execute(_SCHEMA)
-            db.execute(f"PRAGMA user_version={SCHEMA_VERSION}")
+        if version == 0:
+            # A new store: an initialised one opens without a write.
+            with db:
+                db.execute(_SCHEMA)
+                db.execute(f"PRAGMA user_version={SCHEMA_VERSION}")
         return db
 
     def close(self) -> None:

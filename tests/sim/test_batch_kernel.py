@@ -120,6 +120,45 @@ def test_contiguous_transient_then_one_leap_is_inert():
     assert _inert_onsets(sim, 200) == list(range(2, 100))
 
 
+def test_leap_trace_contiguous_prefix_is_inert():
+    # Cycles 0 .. 2 step (three alarms), 3 .. 8 leap, cycle 9 fires the
+    # last alarm: an onset the gap reaches is inert.
+    sim = _alarms(1, 2, 3, 10)
+    sim.run(20)
+    assert sim.inert_before(9)
+    assert _inert_onsets(sim, 20) == list(range(4, 10))
+
+
+def test_leap_trace_transient_reaching_onset_is_not_inert():
+    # An onset at the end of the transient has no leaped gap before it.
+    sim = _alarms(1, 2, 3, 10)
+    sim.run(3)
+    assert not sim.inert_before(3)  # nothing leaped yet
+    sim.run(17)
+    assert not sim.inert_before(3)  # the gap starts at the onset
+
+
+def test_leap_trace_recheck_with_earlier_onset():
+    # One run answers any onset, asked in any order.
+    sim = _alarms(1, 2, 3, 10)
+    sim.run(20)
+    assert sim.inert_before(9)
+    assert sim.inert_before(4)
+    assert not sim.inert_before(3)
+
+
+def test_leap_trace_ignores_post_onset_steps():
+    # Cycle 0 steps, 1 .. 4 leap, 5 .. 7 step: the steps after the span
+    # and the leap after them leave the span's answers as they were.
+    sim = _alarms(6, 7, 8)
+    sim.run(5)
+    assert _inert_onsets(sim, 20) == [2, 3, 4, 5]
+    sim.run(30)
+    assert sim.leaps == 2  # the span, then the idle tail after cycle 7
+    assert sim.inert_before(2)
+    assert _inert_onsets(sim, 20) == [2, 3, 4, 5]
+
+
 def test_a_wake_inside_the_gap_ends_the_span():
     # The first alarm's step at cycle 49 lies between two leaps: an
     # onset past it is not inert, though the clock leaped on after it.
