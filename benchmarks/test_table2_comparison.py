@@ -3,7 +3,8 @@
 Regenerates the feature matrix.  Rows for monitors implemented in this
 repository are cross-checked against live instances: each implemented
 baseline is exercised and must demonstrate (or provably lack) the
-capabilities its row claims.
+capabilities its row claims, and every row that names an implementation
+is backed by at least one demonstrated outcome.
 """
 
 from types import SimpleNamespace
@@ -23,6 +24,22 @@ from repro.baselines import (
     table2_profiles,
 )
 from repro.sim.kernel import Simulator
+
+TMU_TINY = "repro.tmu.TransactionMonitoringUnit(variant=TINY)"
+TMU_FULL = "repro.tmu.TransactionMonitoringUnit(variant=FULL)"
+
+#: The ``implemented_as`` each demonstrated outcome backs.
+BACKS = {
+    "xilinx_fault_detection": ("repro.baselines.XilinxStyleTimeout",),
+    "perfmon_metrics": ("repro.baselines.AxiPerfMonitor",),
+    "perfmon_no_fault_detection": ("repro.baselines.AxiPerfMonitor",),
+    "axichecker_protocol_check": ("repro.baselines.AxiChecker",),
+    "axichecker_no_timing": ("repro.baselines.AxiChecker",),
+    "tmu_fc_phase_level": (TMU_FULL,),
+    "tmu_tc_txn_level": (TMU_TINY,),
+    "tmu_fault_detection": (TMU_TINY, TMU_FULL),
+    "tmu_recovery": (TMU_TINY, TMU_FULL),
+}
 
 
 def demonstrate_capabilities():
@@ -77,3 +94,6 @@ def test_table2_comparison(benchmark):
     body += "\n\nRows backed by an implementation in this repo: " + ", ".join(built)
     report("Table II: Comparison of AXI Transaction Monitors", body)
     assert all(outcomes.values()), {k: v for k, v in outcomes.items() if not v}
+    demonstrated = {target for key in outcomes for target in BACKS[key]}
+    claimed = {p.implemented_as for p in profiles if p.implemented_as}
+    assert demonstrated == claimed, (claimed - demonstrated, demonstrated - claimed)

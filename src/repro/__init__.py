@@ -21,7 +21,7 @@ Public API overview
 ``repro.soc``
     Cheshire-like system-level integration (Fig. 10).
 ``repro.analysis``
-    Detection-latency probes and report rendering.
+    Result export and report rendering.
 """
 
 __version__ = "1.0.0"

@@ -3,16 +3,13 @@
 from .._lazy import lazy_exports
 
 __all__ = [
-    "IrqLatencyProbe",
     "area_report_dict",
     "injection_result_dict",
     "perf_log_dict",
     "to_json",
-    "LatencySummary",
     "render_bar_chart",
     "render_series",
     "render_table",
-    "summarize_latencies",
 ]
 
 _EXPORTS = {
@@ -22,7 +19,6 @@ _EXPORTS = {
         "perf_log_dict",
         "to_json",
     ),
-    "latency": ("IrqLatencyProbe", "LatencySummary", "summarize_latencies"),
     "report": ("render_bar_chart", "render_series", "render_table"),
 }
 

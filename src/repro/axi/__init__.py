@@ -3,7 +3,6 @@
 from .._lazy import lazy_exports
 
 __all__ = [
-    "AddressSpace",
     "ArBeat",
     "AwBeat",
     "AxiDir",
@@ -16,7 +15,6 @@ __all__ = [
     "ManagerFaults",
     "RBeat",
     "RandomTraffic",
-    "Region",
     "Resp",
     "SparseMemory",
     "Subordinate",
@@ -32,7 +30,6 @@ __all__ = [
 ]
 
 _EXPORTS = {
-    "addrspace": ("AddressSpace", "Region"),
     "channels": ("ArBeat", "AwBeat", "BBeat", "RBeat", "WBeat", "remap_id"),
     "id_remap": ("IdRemapTable",),
     "interface": ("AxiInterface",),

@@ -263,7 +263,7 @@ class ProtocolChecker(Component):
     # ------------------------------------------------------------------
     def update(self) -> None:
         # Violation timestamps follow the owning simulator's clock when
-        # registered (directly or via the AxiChecker wrapper), so
+        # registered (the AxiChecker wrapper sets ``_cycle`` instead), so
         # skipped quiescent spans cannot skew them.
         sim = self._sim
         self._cycle = sim.cycle + 1 if sim is not None else self._cycle + 1

@@ -15,7 +15,6 @@ import random
 from typing import List, Optional, Sequence
 
 from ..sim.component import shared_in_checkpoints
-from .addrspace import AddressSpace
 from .types import (
     MAX_BURST_LEN,
     AxiDir,
@@ -187,11 +186,8 @@ class RandomTraffic:
     """Random mixed read/write traffic over a configurable ID set.
 
     Mirrors the paper's IP-level setup: a few unique IDs (default 4),
-    bounded burst lengths, interleaved reads and writes.  With a
-    ``space`` memory map the generator draws weighted region targets —
-    the multi-region, multi-subordinate workload shape — instead of a
-    flat ``addr_space``; the flat path's RNG stream is untouched, so
-    seeded reproducibility of existing campaigns is preserved.
+    bounded burst lengths, interleaved reads and writes, each burst in
+    a 4 KiB page drawn from the flat ``addr_space``.
     """
 
     def __init__(
@@ -204,7 +200,6 @@ class RandomTraffic:
         max_issue_delay: int = 4,
         max_w_gap: int = 2,
         seed: int = 0,
-        space: Optional["AddressSpace"] = None,
         bus_bytes: int = 8,
     ) -> None:
         if not ids:
@@ -217,20 +212,6 @@ class RandomTraffic:
         self.max_issue_delay = max_issue_delay
         self.max_w_gap = max_w_gap
         self.bus_bytes = bus_bytes
-        self.space = space
-        self._targets: List = []
-        self._weights: List[int] = []
-        if space is not None:
-            self._targets = space.weighted_regions()
-            if not self._targets:
-                raise ValueError("memory map has no weighted traffic targets")
-            for region in self._targets:
-                if region.base % 0x1000 or region.size % 0x1000:
-                    raise ValueError(
-                        f"traffic-target region {region.name!r} must be "
-                        f"4 KiB-aligned in base and size"
-                    )
-            self._weights = [region.weight for region in self._targets]
         self.seed = seed
         self._rng = random.Random(seed)
 
@@ -254,11 +235,7 @@ class RandomTraffic:
         # draw keeps the RNG stream identical for in-range parameters.
         beats = min(beats, MAX_BURST_LEN, 0x1000 // width)
         span = beats * width
-        if self.space is None:
-            page = rng.randrange(0, self.addr_space, 0x1000)
-        else:
-            region = rng.choices(self._targets, weights=self._weights)[0]
-            page = region.base + 0x1000 * rng.randrange(region.size // 0x1000)
+        page = rng.randrange(0, self.addr_space, 0x1000)
         offset = rng.randrange(0, 0x1000 - span + 1, width)
         direction = (
             AxiDir.WRITE if rng.random() < self.write_fraction else AxiDir.READ

@@ -4,11 +4,8 @@ from .._lazy import lazy_exports
 
 __all__ = [
     "AxiChecker",
-    "AxiFirewall",
     "AxiPerfMonitor",
-    "FirewallRule",
     "MonitorProfile",
-    "Sp805Watchdog",
     "TABLE2_COLUMNS",
     "TrafficCounters",
     "XilinxStyleTimeout",
@@ -24,9 +21,7 @@ _EXPORTS = {
         "implemented_profiles",
         "table2_profiles",
     ),
-    "firewall": ("AxiFirewall", "FirewallRule"),
     "perf_monitor": ("AxiPerfMonitor", "TrafficCounters"),
-    "watchdog": ("Sp805Watchdog",),
     "xilinx_timeout": ("XilinxStyleTimeout",),
 }
 

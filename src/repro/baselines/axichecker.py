@@ -87,8 +87,12 @@ class AxiChecker(Component):
 
     def update(self) -> None:
         checker = self._checker
-        if checker._sim is not self._sim:
-            checker._sim = self._sim  # share the wrapper's clock source
+        # The unregistered rule library stamps a violation one past its
+        # own count: set that to the wrapper's clock, so skipped
+        # quiescent spans cannot skew it.  Handing it the simulator
+        # instead would make checkpoints share it as a registered
+        # component, and a restore would keep its later state.
+        checker._cycle = self._sim.cycle
         before = len(checker.violations)
         checker.update()
         if len(self._checker.violations) > before:

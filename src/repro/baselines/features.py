@@ -78,7 +78,6 @@ def table2_profiles() -> List[MonitorProfile]:
             timing_metrics=True, transaction_level=True, phase_level=False,
             protocol_check=False, perf_metrics=False, fault_detection=True,
             multiple_outstanding=False, scalable=False,
-            implemented_as="repro.baselines.Sp805Watchdog",
         ),
         MonitorProfile(
             "AMD Perf. Mon. [7]", "AXI", True,
@@ -99,7 +98,6 @@ def table2_profiles() -> List[MonitorProfile]:
             timing_metrics=False, transaction_level=True, phase_level=False,
             protocol_check=False, perf_metrics=False, fault_detection=False,
             multiple_outstanding=False, scalable=False,
-            implemented_as="repro.baselines.AxiFirewall",
         ),
         MonitorProfile(
             "Ravi Bus Monitor [10]", "AXI", True,

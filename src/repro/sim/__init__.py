@@ -14,7 +14,6 @@ __all__ = [
     "STRATEGIES",
     "lane_classes",
     "lockstep_period",
-    "shift_cycles",
     "SchedulerDivergenceError",
     "SettleError",
     "Simulator",
@@ -23,7 +22,7 @@ __all__ = [
 ]
 
 _EXPORTS = {
-    "batch": ("lane_classes", "lockstep_period", "shift_cycles"),
+    "batch": ("lane_classes", "lockstep_period"),
     "component": ("Component", "DriveSensitiveState"),
     "kernel": (
         "STRATEGIES",

@@ -63,7 +63,7 @@ result) list arithmetic is faster than building arrays for it.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from .component import Component
 
@@ -112,13 +112,3 @@ def lane_classes(
         classes.setdefault(residue, []).append(lane)
     return classes
 
-
-def shift_cycles(
-    values: Sequence[Optional[int]], delta: int
-) -> List[Optional[int]]:
-    """Shift a lane's cycle stamps by *delta*, preserving ``None`` holes.
-
-    Measured cycle fields (transaction start, injection, detection)
-    translate rigidly with the stimulus onset.
-    """
-    return [None if value is None else value + delta for value in values]

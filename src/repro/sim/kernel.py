@@ -78,14 +78,13 @@ component, and every reader of a streamed wire (``readers`` and
 children.  Streaming rides on leaping: it runs only where leaping does
 (``dirty`` with update skipping and ``time_leaping`` on), never under
 ``exhaustive`` or ``verify``, and it is additionally pinned by change
-tracking (:meth:`Simulator.track_changes`, used by the VCD writer and
-:class:`~repro.analysis.latency.IrqLatencyProbe`), whose per-cycle
-change sets a span cannot reproduce.  Leap-aware probes are called once
-per streamed cycle, with ``sim.cycle`` stepping through the span as if
-it had been stepped; the tracer's ``stream(sim, start, end)`` hook sees
-the span once.  A streamed cycle counts as simulated: ``stepped_cycles
-+ cycles_streamed + cycles_leaped`` is the clock's advance since the
-last reset.
+tracking (:meth:`Simulator.track_changes`, used by the VCD writer),
+whose per-cycle change sets a span cannot reproduce.  Leap-aware probes
+are called once per streamed cycle, with ``sim.cycle`` stepping through
+the span as if it had been stepped; the tracer's ``stream(sim, start,
+end)`` hook sees the span once.  A streamed cycle counts as simulated:
+``stepped_cycles + cycles_streamed + cycles_leaped`` is the clock's
+advance since the last reset.
 
 Island streaming
 ----------------
@@ -551,7 +550,7 @@ class Simulator:
     def add_probe(self, probe: Callable[["Simulator"], None]) -> None:
         """Register a callable invoked after every cycle's update phase.
 
-        Probes are for measurement only (detection-latency probes, VCD
+        Probes are for measurement only (stepped-cycle counters, VCD
         writers); they must not mutate simulation state.
         """
         self._probes.append(probe)

@@ -1,62 +1,8 @@
-"""Tests for the analysis helpers (probes and report rendering)."""
+"""Tests for the analysis helpers (report rendering)."""
 
 import pytest
 
-from repro.analysis.latency import IrqLatencyProbe, summarize_latencies
 from repro.analysis.report import render_bar_chart, render_series, render_table
-from repro.sim.component import Component
-from repro.sim.kernel import Simulator
-from repro.sim.signal import Wire
-
-
-class PulsingIrq(Component):
-    def __init__(self, name, pulse_cycles):
-        super().__init__(name)
-        self.irq = Wire(f"{name}.irq", False)
-        self.pulse_cycles = set(pulse_cycles)
-        self._cycle = 0
-
-    def wires(self):
-        yield self.irq
-
-    def drive(self):
-        self.irq.value = self._cycle in self.pulse_cycles
-
-    def update(self):
-        self._cycle += 1
-
-
-def test_irq_probe_records_rising_edges_only():
-    sim = Simulator()
-    src = sim.add(PulsingIrq("src", {3, 4, 5, 9}))
-    probe = IrqLatencyProbe(src.irq)
-    sim.add_probe(probe)
-    sim.run(15)
-    # Pulses at 3-5 are one assertion; 9 is a second.
-    assert len(probe.assert_cycles) == 2
-    assert probe.first_assertion == probe.assert_cycles[0]
-
-
-def test_irq_probe_empty():
-    probe = IrqLatencyProbe(Wire("w", False))
-    assert probe.first_assertion is None
-
-
-def test_summarize_latencies():
-    summary = summarize_latencies([10, None, 30, 20])
-    assert summary.count == 4
-    assert summary.detected == 3
-    assert summary.minimum == 10
-    assert summary.maximum == 30
-    assert summary.mean == 20
-    assert summary.coverage == 0.75
-
-
-def test_summarize_empty():
-    summary = summarize_latencies([])
-    assert summary.count == 0
-    assert summary.coverage == 0.0
-    assert summary.mean is None
 
 
 def test_render_table_alignment_and_content():

@@ -6,13 +6,9 @@ from repro.axi.interface import AxiInterface
 from repro.axi.manager import Manager
 from repro.axi.subordinate import Subordinate
 from repro.axi.traffic import RandomTraffic, read_spec, write_spec
-from repro.axi.types import Resp
 from repro.baselines import (
     AxiChecker,
-    AxiFirewall,
     AxiPerfMonitor,
-    FirewallRule,
-    Sp805Watchdog,
     XilinxStyleTimeout,
 )
 from repro.sim.kernel import Simulator
@@ -73,38 +69,6 @@ def test_xilinx_clear_irq_rearms():
     env.monitor.clear_irq()
     assert env.sim.run_until(lambda s: env.monitor.irq.value, timeout=1_000)
     assert len(env.monitor.timeouts) == 2
-
-
-# ---------------------------------------------------------------------------
-# SP805 watchdog
-# ---------------------------------------------------------------------------
-def test_watchdog_kicked_never_fires():
-    sim = Simulator()
-    dog = sim.add(Sp805Watchdog("dog", load=10))
-    for _ in range(100):
-        sim.step()
-        dog.kick()
-    assert dog.interrupts_raised == 0
-
-
-def test_watchdog_two_stage_escalation():
-    sim = Simulator()
-    dog = sim.add(Sp805Watchdog("dog", load=10))
-    sim.run(11)  # one extra cycle for the wire to reflect the state
-    assert dog.irq.value
-    assert not dog.reset_out.value
-    sim.run(10)
-    assert dog.reset_out.value
-    assert dog.resets_raised == 1
-
-
-def test_watchdog_irq_clear_prevents_reset():
-    sim = Simulator()
-    dog = sim.add(Sp805Watchdog("dog", load=10))
-    sim.run(10)
-    dog.clear_irq()
-    sim.run(9)
-    assert not dog.reset_out.value
 
 
 # ---------------------------------------------------------------------------
@@ -171,76 +135,3 @@ def test_axichecker_clear_error():
     env.subordinate.faults.spurious_b = None
     env.sim.run(5)
     assert not env.monitor.error.value
-
-
-# ---------------------------------------------------------------------------
-# Firewall
-# ---------------------------------------------------------------------------
-def firewall_loop(rules):
-    sim = Simulator()
-    host = AxiInterface("host")
-    device = AxiInterface("device")
-    manager = Manager("manager", host)
-    firewall = AxiFirewall("firewall", host, device, rules)
-    subordinate = Subordinate("subordinate", device)
-    for component in (manager, firewall, subordinate):
-        sim.add(component)
-    return SimpleNamespace(
-        sim=sim, manager=manager, firewall=firewall, subordinate=subordinate
-    )
-
-
-ALLOW_LOW = FirewallRule(base=0x0, size=0x1000)
-READONLY_HIGH = FirewallRule(base=0x8000, size=0x1000, allow_write=False)
-
-
-def test_firewall_permits_allowed_traffic():
-    env = firewall_loop([ALLOW_LOW])
-    env.manager.submit_all([write_spec(0, 0x100, beats=2), read_spec(1, 0x100)])
-    assert env.sim.run_until(lambda s: env.manager.idle, timeout=2_000)
-    assert all(t.resp == Resp.OKAY for t in env.manager.completed)
-    assert env.firewall.rejected_writes == 0
-
-
-def test_firewall_rejects_out_of_range_write_with_slverr():
-    env = firewall_loop([ALLOW_LOW])
-    env.manager.submit(write_spec(0, 0x4000, beats=2))
-    assert env.sim.run_until(lambda s: env.manager.idle, timeout=2_000)
-    assert env.manager.completed[0].resp == Resp.SLVERR
-    assert env.firewall.rejected_writes == 1
-    assert env.subordinate.writes_done == 0  # never reached the device
-
-
-def test_firewall_direction_specific_rules():
-    env = firewall_loop([ALLOW_LOW, READONLY_HIGH])
-    env.manager.submit(read_spec(0, 0x8000))
-    env.manager.submit(write_spec(1, 0x8000))
-    assert env.sim.run_until(lambda s: env.manager.idle, timeout=2_000)
-    by_dir = {t.direction.value: t.resp for t in env.manager.completed}
-    assert by_dir["read"] == Resp.OKAY
-    assert by_dir["write"] == Resp.SLVERR
-
-
-def test_firewall_rejected_read_gets_slverr_last_beat():
-    env = firewall_loop([ALLOW_LOW])
-    env.manager.submit(read_spec(2, 0x9000, beats=4))
-    assert env.sim.run_until(lambda s: env.manager.idle, timeout=2_000)
-    txn = env.manager.completed[0]
-    assert txn.resp == Resp.SLVERR
-    assert env.firewall.rejected_reads == 1
-
-
-def test_firewall_mixed_allowed_and_rejected():
-    env = firewall_loop([ALLOW_LOW])
-    env.manager.submit_all(
-        [
-            write_spec(0, 0x100, beats=2),
-            write_spec(1, 0x5000, beats=2),
-            write_spec(2, 0x200, beats=2),
-        ]
-    )
-    assert env.sim.run_until(lambda s: env.manager.idle, timeout=5_000)
-    responses = {t.addr: t.resp for t in env.manager.completed}
-    assert responses[0x100] == Resp.OKAY
-    assert responses[0x5000] == Resp.SLVERR
-    assert responses[0x200] == Resp.OKAY

@@ -1,10 +1,10 @@
 """Differential tests for the demand-driven Table II baselines.
 
-Each baseline that opted into ``demand_driven = True`` (checker,
-watchdog, Xilinx-style timeout, firewall) gets a fault-exercising
-scenario run three ways: ``dirty`` vs ``exhaustive`` in lockstep with
-full wire traces compared every cycle, and once under
-``strategy="verify"`` so any missed ``schedule_drive()`` raises
+Each baseline that opted into ``demand_driven = True`` (checker and
+Xilinx-style timeout) gets a fault-exercising scenario run three ways:
+``dirty`` vs ``exhaustive`` in lockstep with full wire traces compared
+every cycle, and once under ``strategy="verify"`` so any missed
+``schedule_drive()`` raises
 :class:`~repro.sim.kernel.SchedulerDivergenceError` at the offending
 cycle.
 """
@@ -14,14 +14,8 @@ import pytest
 from repro.axi.interface import AxiInterface
 from repro.axi.manager import Manager
 from repro.axi.subordinate import Subordinate
-from repro.axi.traffic import read_spec, write_spec
-from repro.baselines import (
-    AxiChecker,
-    AxiFirewall,
-    FirewallRule,
-    Sp805Watchdog,
-    XilinxStyleTimeout,
-)
+from repro.axi.traffic import write_spec
+from repro.baselines import AxiChecker, XilinxStyleTimeout
 from repro.sim import Simulator
 
 
@@ -47,26 +41,6 @@ def build_xilinx_scenario(strategy):
         monitor.timeouts,
         monitor.irq.value,
         len(manager.completed),
-    )
-    return sim, events, state
-
-
-def build_watchdog_scenario(strategy):
-    """Kicked, then starved into irq and reset escalation, then cleared."""
-    sim = Simulator(strategy=strategy)
-    dog = sim.add(Sp805Watchdog("dog", load=12))
-
-    def events(cycle):
-        if cycle < 10:
-            dog.kick()
-        if cycle == 30:
-            dog.clear_irq()
-
-    state = lambda: (  # noqa: E731
-        dog.interrupts_raised,
-        dog.resets_raised,
-        dog.irq.value,
-        dog.reset_out.value,
     )
     return sim, events, state
 
@@ -97,52 +71,13 @@ def build_checker_scenario(strategy):
     return sim, events, state
 
 
-def build_firewall_scenario(strategy):
-    """Mixed allowed/rejected writes and reads through the firewall."""
-    sim = Simulator(strategy=strategy)
-    host = AxiInterface("host")
-    device = AxiInterface("device")
-    manager = Manager("mgr", host)
-    firewall = AxiFirewall(
-        "fw",
-        host,
-        device,
-        [FirewallRule(base=0x0, size=0x1000, allow_write=True, allow_read=False)],
-    )
-    subordinate = Subordinate("sub", device, b_latency=1)
-    for component in (manager, firewall, subordinate):
-        sim.add(component)
-    manager.submit(write_spec(0, 0x100, beats=2))
-
-    def events(cycle):
-        if cycle == 10:
-            manager.submit(write_spec(1, 0x4000, beats=2))  # rejected write
-        if cycle == 25:
-            manager.submit(read_spec(2, 0x200, beats=2))    # rejected read
-        if cycle == 40:
-            manager.submit(write_spec(3, 0x300))            # allowed again
-
-    state = lambda: (  # noqa: E731
-        firewall.rejected_writes,
-        firewall.rejected_reads,
-        len(manager.completed),
-        [txn.resp for txn in manager.completed],
-        subordinate.writes_done,
-    )
-    return sim, events, state
-
-
 SCENARIOS = {
     "xilinx_timeout": build_xilinx_scenario,
-    "watchdog": build_watchdog_scenario,
     "axichecker": build_checker_scenario,
-    "firewall": build_firewall_scenario,
 }
 CYCLES = {
     "xilinx_timeout": 120,
-    "watchdog": 60,
     "axichecker": 60,
-    "firewall": 80,
 }
 
 

@@ -1,7 +1,7 @@
 """Contracts of the lockstep-batch kernel primitives.
 
-Unit-level coverage of :mod:`repro.sim.batch` (the period algebra, the
-congruence classes, the stamp shifting), of the kernel's inert span
+Unit-level coverage of :mod:`repro.sim.batch` (the period algebra and
+the congruence classes), of the kernel's inert span
 (:meth:`~repro.sim.kernel.Simulator.inert_before`, which decides
 whether a pack leader's lanes derive) and of the batch executor's
 verify mode — the extension of
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.faults.types import InjectionStage
 from repro.orchestrate import BatchExecutor, CampaignSpec, run_campaign_spec
 from repro.sim import SchedulerDivergenceError, Simulator
-from repro.sim.batch import lane_classes, lockstep_period, shift_cycles
+from repro.sim.batch import lane_classes, lockstep_period
 from repro.tmu.budget import AdaptiveBudgetPolicy, PhaseBudgets, SpanBudgets
 from repro.tmu.config import TmuConfig, Variant
 from tests.sim.test_timed_wake import Alarm
@@ -82,17 +82,6 @@ def test_lane_classes_orders_each_class_ascending():
 def test_lane_classes_rejects_non_positive_period():
     with pytest.raises(ValueError):
         lane_classes([0, 1], 0)
-
-
-# ----------------------------------------------------------------------
-# shift_cycles
-# ----------------------------------------------------------------------
-def test_shift_cycles_translates_and_preserves_holes():
-    assert shift_cycles((3, None, 10), 5) == [8, None, 15]
-
-
-def test_shift_cycles_long_vector_path():
-    assert shift_cycles(tuple(range(6)), 7) == [7, 8, 9, 10, 11, 12]
 
 
 # ----------------------------------------------------------------------

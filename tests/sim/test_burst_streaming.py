@@ -8,9 +8,10 @@ tracers and ``run_until`` conditions see a span — and the scheduler
 statistics that account for it.
 """
 
+import io
+
 import pytest
 
-from repro.analysis.latency import IrqLatencyProbe
 from repro.axi.interface import AxiInterface
 from repro.axi.manager import Manager
 from repro.axi.memory import SparseMemory
@@ -18,7 +19,7 @@ from repro.axi.subordinate import Subordinate
 from repro.axi.traffic import read_spec, write_spec
 from repro.faults.campaign import IpHarness, run_injection
 from repro.faults.types import InjectionStage
-from repro.sim import Component, Simulator
+from repro.sim import Component, Simulator, VcdWriter
 from repro.soc.experiment import build_system_soc, run_system_injection
 from repro.telemetry import KernelTracer
 from repro.tmu.config import TmuConfig, Variant
@@ -128,13 +129,15 @@ def test_change_tracking_pins_streaming():
     assert stored_words(subordinate) == WORDS
 
 
-def test_irq_latency_probe_pins_streaming():
+@pytest.mark.parametrize("traced", [False, True])
+def test_vcd_writer_pins_streaming(traced):
     harness = IpHarness(TmuConfig(variant=Variant.FULL))
-    probe = IrqLatencyProbe(harness.tmu.irq)
-    harness.sim.add_probe(probe)
+    if traced:
+        writer = VcdWriter(io.StringIO(), [harness.tmu.irq])
+        harness.sim.add_probe(writer.sample)
     harness.manager.submit(write_spec(0, 0x1000, beats=64))
     harness.sim.run(200)
-    assert harness.sim.cycles_streamed == 0
+    assert (harness.sim.cycles_streamed == 0) == traced
 
 
 class PayloadSpy(Component):

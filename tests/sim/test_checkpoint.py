@@ -196,6 +196,14 @@ def test_checkpoint_inside_an_island():
     raise AssertionError("no island was held at any checkpoint tried")
 
 
+def test_restore_rewinds_the_axichecker_rule_library():
+    # The AxiChecker's rule library is not registered with the
+    # simulator, so a checkpoint must copy it: a restore that kept its
+    # later state flagged an R beat past the burst it had already closed.
+    first, second, _ = continuations("baseline", 1, 3, inside=False)
+    assert second == first
+
+
 def test_a_checkpoint_restores_twice():
     tracer = CountingTracer()
     soc = busy_scenario(tracer)

@@ -22,14 +22,7 @@ from repro.axi.interface import AxiInterface
 from repro.axi.manager import Manager
 from repro.axi.subordinate import Subordinate
 from repro.axi.traffic import RandomTraffic, read_spec, write_spec
-from repro.baselines import (
-    AxiChecker,
-    AxiFirewall,
-    AxiPerfMonitor,
-    FirewallRule,
-    Sp805Watchdog,
-    XilinxStyleTimeout,
-)
+from repro.baselines import AxiChecker, AxiPerfMonitor, XilinxStyleTimeout
 from repro.faults.injector import FaultInjector
 from repro.faults.types import InjectionStage
 from repro.orchestrate import CampaignSpec
@@ -138,20 +131,17 @@ def test_system_soc_reset_equals_fresh_build(variant, stage):
 
 
 def _baseline_bus():
-    """Manager → firewall → fault injector → subordinate, observed by
-    the checker, timeout and perf monitor; a free-running watchdog."""
+    """Manager → fault injector → subordinate, observed by the checker,
+    timeout and perf monitor."""
     sim = Simulator()
-    host, middle, device = (AxiInterface(n) for n in ("host", "mid", "device"))
+    host, device = AxiInterface("host"), AxiInterface("device")
     components = [
         Manager("manager", host),
-        AxiFirewall("firewall", host, middle,
-                    [FirewallRule(base=0x0, size=0x8000)]),
-        FaultInjector("injector", middle, device),
+        FaultInjector("injector", host, device),
         Subordinate("subordinate", device, b_latency=2, reorder_depth=2),
         AxiChecker("checker", host),
-        XilinxStyleTimeout("timeout", middle, window=8),
+        XilinxStyleTimeout("timeout", host, window=8),
         AxiPerfMonitor("perf", device, window=4),
-        Sp805Watchdog("watchdog", load=10),
     ]
     for component in components:
         sim.add(component)
@@ -161,13 +151,13 @@ def _baseline_bus():
 def test_baselines_and_injector_reset_equals_fresh_build():
     sim, parts = _baseline_bus()
     parts["manager"].submit_all(RandomTraffic(seed=3, max_beats=4).take(8))
-    parts["manager"].submit(write_spec(1, 0x9000, beats=2))  # firewalled
-    sim.run(5)
-    parts["watchdog"].enabled = False  # software-disabled before reset
-    sim.run(20)
+    sim.run(25)
     parts["injector"].force("b", valid=False)  # still forced at reset
     sim.run(20)
     sim.reset()
+    # Memory contents are not component state: the harnesses clear them
+    # beside the kernel reset (IpHarness.reset, CheshireSoC.reset).
+    parts["subordinate"].memory.clear()
     _assert_reset_is_fresh(sim, _baseline_bus()[0])
 
 

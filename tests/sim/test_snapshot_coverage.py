@@ -67,7 +67,6 @@ UNCOMPARED = {
     "RecoveryCpu": {"_countdown", "_cycle"},
     "RegBusMaster": set(),
     "RegBusDemux": set(),
-    "AxiFirewall": set(),
     "FaultInjector": set(),
     "AxiChecker": set(),
     "ProtocolChecker": {"_cycle"},
@@ -75,7 +74,6 @@ UNCOMPARED = {
     "AxiPerfMonitor": {
         "_cycle", "_window_sum", "_window_count", "_window_history",
     },
-    "Sp805Watchdog": {"_stamp"},
 }
 
 
