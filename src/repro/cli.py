@@ -38,23 +38,23 @@ are the same whatever the executor or worker count::
 from __future__ import annotations
 
 import argparse
-import collections
-import json
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional
 
-from .faults.types import FIG9_WRITE_STAGES, InjectionStage
-from .tmu.config import TmuConfig, Variant
-
 if TYPE_CHECKING:
+    from .faults.types import InjectionStage
     from .orchestrate.spec import CampaignSpec
+    from .tmu.config import Variant
 
 # Every other import is made by the handler that needs it, so a command
-# (and ``--help``) pays start-up time only for what it runs.
+# (and ``--help``) pays start-up time only for what it runs.  The type
+# converters import their enum when they convert, and the ``--variant``
+# defaults are strings, which argparse passes through the converter.
 
 
 def _variant(value: str) -> Variant:
+    from .tmu.config import Variant
+
     try:
         return Variant(value)
     except ValueError:
@@ -81,6 +81,8 @@ def _narrow_bytes(value: str) -> int:
 
 
 def _stage(value: str) -> InjectionStage:
+    from .faults.types import InjectionStage
+
     try:
         return InjectionStage(value)
     except ValueError:
@@ -100,6 +102,8 @@ def _check_run_args(args) -> None:
     """Reject, before anything simulates, a bad ``REPRO_WORKERS``, an
     output path the run could not honour, or a trace of a process pool
     (``ValueError``)."""
+    from pathlib import Path
+
     from .orchestrate.executor import default_workers
 
     workers = default_workers() if args.workers is None else args.workers
@@ -145,8 +149,10 @@ def cmd_area(args) -> int:
 def cmd_inject(args) -> int:
     from .analysis.report import render_table
     from .faults.campaign import run_campaign
+    from .faults.types import InjectionStage
     from .orchestrate.spec import validate_axes
     from .telemetry.tracer import KernelTracer, write_chrome_trace
+    from .tmu.config import TmuConfig
 
     try:
         _check_run_args(args)
@@ -213,6 +219,7 @@ def cmd_fig7(args) -> int:
     from .analysis.report import render_series
     from .area.gf12 import REFERENCE_PRESCALE_STEP
     from .area.model import estimate_area, prescaler_saving
+    from .tmu.config import Variant
 
     capacities = [1, 2, 4, 8, 16, 32, 64, 128]
     series = []
@@ -252,6 +259,7 @@ def cmd_fig8(args) -> int:
     from .area.model import estimate_area
     from .faults.campaign import measure_stall_detection_latency
     from .tmu.budget import AdaptiveBudgetPolicy, PhaseBudgets, SpanBudgets
+    from .tmu.config import TmuConfig
 
     steps = [1, 2, 4, 8, 16, 32, 64, 128]
     budget = args.budget
@@ -291,11 +299,14 @@ def cmd_fig8(args) -> int:
 
 
 def cmd_fig11(args) -> int:
+    import collections
+
     from .analysis.export import outcome_counts
     from .analysis.report import render_table
     from .orchestrate.spec import CampaignSpec
     from .soc.experiment import FIG11_LABELS, FIG11_STAGES, run_fig11
     from .telemetry.metrics import write_telemetry
+    from .tmu.config import Variant
 
     seeds = tuple(range(args.seeds))
     axes = _dark_corner_kwargs(args)
@@ -343,8 +354,10 @@ def cmd_fig11(args) -> int:
 
 
 def _campaign_spec(args) -> CampaignSpec:
+    from .faults.types import FIG9_WRITE_STAGES
     from .orchestrate.spec import CampaignSpec
     from .soc.experiment import FIG11_STAGES
+    from .tmu.config import TmuConfig, Variant
 
     variants = args.variants or [Variant.FULL, Variant.TINY]
     axes = _dark_corner_kwargs(args)
@@ -393,6 +406,8 @@ def _point_rows(spec: CampaignSpec, results):
 
 
 def cmd_campaign(args) -> int:
+    import collections
+
     from .analysis.export import outcome_counts, write_campaign_json
     from .analysis.report import render_table
     from .orchestrate.engine import run_campaign_spec
@@ -442,6 +457,8 @@ def cmd_campaign(args) -> int:
 
 def cmd_report(args) -> int:
     """Print a ``telemetry.json`` artifact's counters as a table."""
+    import json
+
     from .analysis.report import render_table
     from .telemetry.metrics import read_telemetry
 
@@ -461,6 +478,9 @@ def cmd_report(args) -> int:
 
 def cmd_store_stats(args) -> int:
     """Point-in-time accounting of a result store's tiers."""
+    import json
+    from pathlib import Path
+
     from .analysis.report import render_table
     from .orchestrate.store import DB_NAME, ResultStore
 
@@ -511,14 +531,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_area = sub.add_parser("area", help="GF12 area estimate for a TMU config")
-    p_area.add_argument("--variant", type=_variant, default=Variant.TINY)
+    p_area.add_argument("--variant", type=_variant, default="tiny")
     p_area.add_argument("--outstanding", type=_positive_int, default=32)
     p_area.add_argument("--step", type=_positive_int, default=1)
     p_area.add_argument("--no-sticky", action="store_true")
     p_area.set_defaults(func=cmd_area)
 
     p_inject = sub.add_parser("inject", help="run fault injections")
-    p_inject.add_argument("--variant", type=_variant, default=Variant.FULL)
+    p_inject.add_argument("--variant", type=_variant, default="full")
     p_inject.add_argument(
         "--stage",
         type=_stage,
@@ -542,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig7.set_defaults(func=cmd_fig7)
 
     p_fig8 = sub.add_parser("fig8", help="prescaler area/latency trade-off")
-    p_fig8.add_argument("--variant", type=_variant, default=Variant.FULL)
+    p_fig8.add_argument("--variant", type=_variant, default="full")
     p_fig8.add_argument("--budget", type=_positive_int, default=256)
     p_fig8.set_defaults(func=cmd_fig8)
 

@@ -4,9 +4,10 @@ leaves every component's instance state equal to a fresh build's.
 Harness reuse (``HarnessCache``) relies on this; the property test in
 ``tests/properties/test_harness_reuse_properties.py`` checks it on run
 results only.  Here each component's ``__dict__`` (and slots) is
-normalized recursively: wires and components compare by name, and the
-kernel's bookkeeping fields (``_sim``, ``_order``, the schedulers) are
-skipped.
+normalized recursively: wires and the simulator's components compare
+by name, a component held by another (an unregistered one, such as the
+``AxiChecker``'s rule library) by its fields, and the kernel's
+bookkeeping fields (``_sim``, ``_order``, the schedulers) are skipped.
 """
 
 import functools
@@ -51,10 +52,12 @@ def _fields(obj):
     ]
 
 
-def _norm(value, path=frozenset()):
+def _norm(value, registered, path=frozenset()):
+    """*value* as plain data; *registered* holds the ``id`` of every
+    component of the simulator, which compare by name."""
     if isinstance(value, Wire):
         return ("wire", value.name)
-    if isinstance(value, Component):
+    if isinstance(value, Component) and id(value) in registered:
         return ("component", value.name)
     if value is None or isinstance(value, (bool, int, float, str, bytes, Enum)):
         return value
@@ -62,30 +65,39 @@ def _norm(value, path=frozenset()):
         return ("cycle", type(value).__name__)
     path = path | {id(value)}
     if isinstance(value, (list, tuple, deque)):
-        return (type(value).__name__, [_norm(item, path) for item in value])
+        return (type(value).__name__,
+                [_norm(item, registered, path) for item in value])
     if isinstance(value, dict):
-        return ("dict", [(_norm(k, path), _norm(v, path)) for k, v in value.items()])
+        return ("dict", [(_norm(k, registered, path), _norm(v, registered, path))
+                         for k, v in value.items()])
     if isinstance(value, (set, frozenset)):
-        return (type(value).__name__, sorted(repr(_norm(v, path)) for v in value))
+        return (type(value).__name__,
+                sorted(repr(_norm(v, registered, path)) for v in value))
     if isinstance(value, functools.partial):
-        return ("partial", _norm(value.func, path), _norm(value.args, path))
+        return ("partial", _norm(value.func, registered, path),
+                _norm(value.args, registered, path))
     if inspect.ismethod(value):
-        return ("method", value.__func__.__qualname__, _norm(value.__self__, path))
+        return ("method", value.__func__.__qualname__,
+                _norm(value.__self__, registered, path))
     if inspect.isfunction(value):
         return ("function", value.__qualname__)
     return (
         type(value).__qualname__,
-        [(name, _norm(field, path)) for name, field in _fields(value)],
+        [(name, _norm(field, registered, path)) for name, field in _fields(value)],
     )
 
 
 def _state(sim: Simulator):
     """Every component's normalized state, and every wire's value."""
+    registered = frozenset(map(id, sim.components))
     components = {
-        component.name: _norm(dict(_fields(component)))
+        component.name: _norm(dict(_fields(component)), registered)
         for component in sim.components
     }
-    wires = [(wire.name, _norm(wire._value)) for wire in sim._wires.values()]
+    wires = [
+        (wire.name, _norm(wire._value, registered))
+        for wire in sim._wires.values()
+    ]
     return components, wires
 
 
@@ -159,6 +171,15 @@ def test_baselines_and_injector_reset_equals_fresh_build():
     # beside the kernel reset (IpHarness.reset, CheshireSoC.reset).
     parts["subordinate"].memory.clear()
     _assert_reset_is_fresh(sim, _baseline_bus()[0])
+
+
+def test_state_compares_a_held_component_by_its_fields():
+    # The AxiChecker's rule library is a component the checker holds,
+    # not one of the simulator's: its fields are the checker's state.
+    sim, parts = _baseline_bus()
+    before = _state(sim)
+    parts["checker"]._checker._cycle += 1
+    assert _state(sim) != before
 
 
 def test_register_writes_are_undone_by_reset():

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.faults.types import InjectionStage
 from repro.telemetry import read_telemetry
+from repro.tmu.config import Variant
 
 
 def test_area_command(capsys):
@@ -35,14 +37,36 @@ def test_inject_tiny_variant(capsys):
     assert "AWVALID_BRESP" in out
 
 
-def test_inject_rejects_unknown_stage():
+def test_inject_rejects_unknown_stage(capsys):
     with pytest.raises(SystemExit):
         main(["inject", "--stage", "nonsense"])
+    choices = ", ".join(stage.value for stage in InjectionStage)
+    assert capsys.readouterr().err.endswith(
+        f"argument --stage: unknown stage 'nonsense'; choose from: {choices}\n"
+    )
 
 
-def test_rejects_unknown_variant():
+def test_rejects_unknown_variant(capsys):
     with pytest.raises(SystemExit):
         main(["area", "--variant", "medium"])
+    assert capsys.readouterr().err.endswith(
+        "argument --variant: variant must be 'tiny' or 'full', got 'medium'\n"
+    )
+
+
+def test_parsed_variants_and_stages_are_enum_members():
+    # The --variant defaults are strings; argparse passes a string
+    # default through the option's converter, so the parsed default is
+    # the enum member, as a given value is.
+    parser = build_parser()
+    assert parser.parse_args(["area"]).variant is Variant.TINY
+    assert parser.parse_args(["inject"]).variant is Variant.FULL
+    assert parser.parse_args(["fig8"]).variant is Variant.FULL
+    args = parser.parse_args(
+        ["inject", "--stage", "aw_stage_error", "--stage", "wlast_bvalid_error"]
+    )
+    assert args.stages == [InjectionStage.AW_READY_MISSING,
+                           InjectionStage.WLAST_TO_BVALID]
 
 
 def test_fig7_command(capsys):
@@ -536,7 +560,10 @@ def test_batch_flags_compose_with_workers(capsys, tmp_path, extra):
 def test_cli_start_up_does_not_import_numpy(tmp_path):
     """The start-up gate: a command imports what it runs.  Commands that
     simulate nothing load neither numpy nor the store's sqlite3, the
-    pool's multiprocessing, the kernel or the orchestrator."""
+    pool's multiprocessing, the kernel or the orchestrator.  ``--help``
+    loads neither the modules defining the parser's enums nor the
+    ``dataclasses`` and ``inspect`` they pull in: the converters import
+    their enum when they convert."""
     import os
     import subprocess
     import sys
@@ -552,22 +579,31 @@ def test_cli_start_up_does_not_import_numpy(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")])
     )
+    # The probe's first argument names the modules it must not load.
     probe = (
         "import sys\n"
         "from repro.cli import main\n"
         "try:\n"
-        "    code = main(sys.argv[1:])\n"
+        "    code = main(sys.argv[2:])\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "heavy = ('numpy', 'sqlite3', 'multiprocessing', 'repro.sim',\n"
-        "         'repro.orchestrate')\n"
+        "heavy = sys.argv[1].split(',')\n"
         "sys.exit(' '.join(name for name in heavy if name in sys.modules)\n"
         "         or code)\n"
     )
-    for argv in (["--help"], ["area"], ["fig7"], ["table2"],
-                 ["report", "--telemetry", str(telemetry)]):
+    heavy = ["numpy", "sqlite3", "multiprocessing", "repro.sim",
+             "repro.orchestrate"]
+    parser_only = heavy + ["dataclasses", "inspect", "repro.faults.types",
+                           "repro.tmu.config"]
+    for argv, unloaded in (
+        (["--help"], parser_only),
+        (["area"], heavy),
+        (["fig7"], heavy),
+        (["table2"], heavy),
+        (["report", "--telemetry", str(telemetry)], heavy),
+    ):
         done = subprocess.run(
-            [sys.executable, "-c", probe, *argv],
+            [sys.executable, "-c", probe, ",".join(unloaded), *argv],
             env=env, capture_output=True, text=True,
         )
         assert done.returncode == 0, (argv, done.stderr)
